@@ -127,7 +127,7 @@ def run_solve(cfg: ExperimentConfig):
     else:
         sol = solve_psor(
             form, problem, tol=s.get("tol"), max_iter=s.get("max_iter", 100_000),
-            omega=s.get("omega", 1.7), warm_start=s.get("warm_start", True),
+            omega=s.get("omega"), warm_start=s.get("warm_start", True),
         )
     return grid, problem, form, sol, ref
 
@@ -200,16 +200,16 @@ def run(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> dict:
     fb.to_json(out / "freeboundary.json")
     if fb.graph is not None:
         fb.graph_to_csv(out / "graph.csv")
+    nearest = min(fb.points, key=lambda p: float(np.linalg.norm(p["x0"])), default=None)
 
     manifest = {
         "config": cfg.to_dict(),
         "version": __version__,
         "solver_iterations": sol.iterations,
+        "solver_active_set_iterations": sol.active_set_iterations,
         "solver_final_update": sol.final_residual,
-        "classification_at_origin": next(
-            (p["class"] for p in fb.points if np.allclose(p["x0"], 0.0, atol=2.1 * grid.hx)),
-            None,
-        ),
+        "classification_at_origin": None if nearest is None else nearest["class"],
+        "classification_x0": None if nearest is None else nearest["x0"],
         "oracle_linf_error": (
             None
             if ref is None
@@ -387,6 +387,7 @@ def _dispatch(args) -> int:
         _json_dump(
             {"config": cfg.to_dict(), "version": __version__,
              "solver_iterations": sol.iterations,
+             "solver_active_set_iterations": sol.active_set_iterations,
              "solver_final_update": sol.final_residual,
              "complementarity": comp,
              "wall_time_s": round(time.time() - t0, 3)},

@@ -1,9 +1,12 @@
 """Solvers for the discrete thin obstacle problem.
 
 Reference solver: projected SOR on the complementarity system
-    min { 1/2 <KU,U> + <load,U> : U >= psi on thin nodes, U = g outside }.
+    min { 1/2 <KU,U> + <load,U> : U >= psi on thin nodes, U = g outside },
+started from a primal-dual active-set iterate (Hintermueller, Ito and
+Kunisch, SIAM J. Optim. 13, 2002); the sweeps certify that iterate and
+take over when the active set does not settle.
 Cross-validation solver: the smooth penalization with boundary term
-beta_eps, solved by damped Newton with Jacobi-preconditioned CG.
+beta_eps, solved by damped Newton.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ class SolutionField:
     tol: float
     method: str
     energy_history: np.ndarray | None = None
+    active_set_iterations: int = 0  # linear solves of the active-set start
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +70,74 @@ def penalty_derivative(s, eps: float):
 
 
 # ---------------------------------------------------------------------------
+# linear solves
+# ---------------------------------------------------------------------------
+
+
+def _linear_solve(A, b: np.ndarray, n: int, x0: np.ndarray | None = None,
+                  rtol: float = 1e-12) -> np.ndarray | None:
+    """Solve the SPD system A x = b; None when CG does not converge.
+
+    n=1 factorizes with SuperLU under a minimum-degree ordering of A'+A.
+    n=2 runs Jacobi-preconditioned CG from x0 (to rtol): the fill-in of a
+    3-D factorization costs seconds, while CG needs a few hundred steps.
+    """
+    if n == 1:
+        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
+    M = sp.diags(1.0 / A.diagonal())
+    x, info = spla.cg(A, b, x0=x0, rtol=rtol, atol=0.0, M=M, maxiter=5000)
+    return x if info == 0 else None
+
+
+# ---------------------------------------------------------------------------
 # projected SOR
 # ---------------------------------------------------------------------------
+
+# Most linear solves of the active-set start before PSOR takes over. With an
+# off-diagonal thin coefficient K is not an M-matrix, and the active-set
+# iteration may then cycle instead of settling.
+ACTIVE_SET_MAX_STEPS = 20
+
+
+def near_optimal_omega(grid: Grid) -> float:
+    """Relaxation 2/(1 + sin(pi hy/R)), the SOR optimum for the model
+    Laplacian at this resolution."""
+    return 2.0 / (1.0 + np.sin(np.pi * grid.hy / grid.R))
+
+
+def _active_set_start(form: SymmetricForm, U: np.ndarray, psi_full: np.ndarray) -> int:
+    """Primal-dual active-set iteration for the complementarity system, in place on U.
+
+    U holds the Dirichlet values on entry. The first step solves without
+    the obstacle; each later step fixes U = psi on the active set
+    {lambda - K_ii (U - psi) > 0}, lambda = (KU + load) on thin rows, and
+    solves for the remaining free nodes. Stops when the active set
+    repeats, after ACTIVE_SET_MAX_STEPS solves, or when CG fails (U then
+    keeps the previous iterate, set to psi on the current active set).
+    Returns the number of solves attempted.
+    """
+    K, load, thin = form.stiffness, form.load, form.thin_rows
+    K_thin = K[thin]
+    c = K.diagonal()[thin]
+    psi = psi_full[thin]
+    active = np.zeros(len(thin), dtype=bool)
+    step = 0
+    for step in range(1, ACTIVE_SET_MAX_STEPS + 1):
+        fixed = form.dirichlet.copy()
+        fixed[thin[active]] = True
+        U[thin[active]] = psi[active]
+        F = ~fixed
+        K_F = K[F]
+        u = _linear_solve(K_F[:, F], -(load[F] + K_F[:, fixed] @ U[fixed]), form.grid.n,
+                          x0=U[F])
+        if u is None:
+            break
+        U[F] = u
+        new_active = (K_thin @ U + load[thin]) - c * (U[thin] - psi) > 0.0
+        if np.array_equal(new_active, active):
+            break
+        active = new_active
+    return step
 
 
 def _color_classes(grid: Grid, free: np.ndarray):
@@ -106,18 +176,24 @@ def solve_psor(
     problem: ProblemSpec,
     tol: float | None = None,
     max_iter: int = 100_000,
-    omega: float = 1.7,
+    omega: float | None = None,
     warm_start: bool = True,
     record_energy: bool = False,
 ) -> SolutionField:
     """Projected successive over-relaxation (multicolor ordering).
 
-    Stops when the largest nodal update in a sweep is <= tol. Raises
-    NonconvergedError (carrying the last iterate) at max_iter.
+    With warm_start the sweeps start from the primal-dual active-set
+    iterate, which they certify (usually in one sweep) or finish when the
+    active set does not settle; otherwise they start from zero. omega
+    defaults to near_optimal_omega(grid). Stops when the largest nodal
+    update in a sweep is <= tol. Raises NonconvergedError (carrying the
+    last iterate) at max_iter.
     """
+    grid = form.grid
+    if omega is None:
+        omega = near_optimal_omega(grid)
     if not (0.0 < omega < 2.0):
         raise InvalidParameterError(f"relaxation omega must lie in (0, 2), got {omega}")
-    grid = form.grid
     tol = _default_tol(problem, tol)
     K = form.stiffness
     load = form.load
@@ -128,10 +204,7 @@ def solve_psor(
     psi_full[grid.thin_mask.ravel()] = problem.psi.ravel()
 
     U = np.where(dirichlet, problem.boundary.ravel(), 0.0)
-    if warm_start:
-        Kff = K[free][:, free].tocsc()
-        rhs = -(load[free] + K[free][:, dirichlet] @ U[dirichlet])
-        U[free] = spla.spsolve(Kff, rhs)
+    active_steps = _active_set_start(form, U, psi_full) if warm_start else 0
     U[thin_flat] = np.maximum(U[thin_flat], psi_full[thin_flat])
 
     classes = _color_classes(grid, free)
@@ -175,6 +248,7 @@ def solve_psor(
         tol=tol,
         method="psor",
         energy_history=np.asarray(energies) if energies is not None else None,
+        active_set_iterations=active_steps,
     )
 
 
@@ -207,7 +281,8 @@ def solve_penalized(
 
     T samples thin nodes scaled by thin cell area; the Jacobian
     K + T' diag(beta_eps') T stays symmetric positive definite because
-    beta_eps' >= 0. Inner solves use CG with a Jacobi preconditioner.
+    beta_eps' >= 0. Inner solves factorize for n=1 and run Jacobi-CG to
+    cg_tol for n=2.
     Complementarity of the result only holds up to O(eps).
     """
     if eps <= 0:
@@ -233,7 +308,11 @@ def solve_penalized(
     Kff = K[free][:, free].tocsr()
     bc_term = K[free][:, dirichlet] @ U[dirichlet]
 
-    u = spla.spsolve(Kff.tocsc(), -(load[free] + bc_term))
+    u = _linear_solve(Kff, -(load[free] + bc_term), grid.n, rtol=cg_tol)
+    if u is None:
+        raise NonconvergedError(
+            "inner CG failed on the unconstrained start", last_iterate=None, final_residual=np.inf,
+        )
 
     def residual(u):
         s = u[thin_pos] - psi_free_thin
@@ -253,11 +332,10 @@ def solve_penalized(
         Jac = Kff + sp.csr_matrix(
             (dpen, (thin_pos, thin_pos)), shape=Kff.shape
         )
-        M = sp.diags(1.0 / Jac.diagonal())
-        du, info = spla.cg(Jac, -r, rtol=cg_tol, atol=0.0, M=M, maxiter=5000)
-        if info != 0:
+        du = _linear_solve(Jac, -r, grid.n, rtol=cg_tol)
+        if du is None:
             raise NonconvergedError(
-                f"inner CG failed (info={info}) at Newton step {it}",
+                f"inner CG failed at Newton step {it}",
                 last_iterate=None, final_residual=rnorm,
             )
         step = 1.0

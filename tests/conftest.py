@@ -6,10 +6,7 @@ import numpy as np
 import pytest
 
 import signorini as sg
-
-
-def near_optimal_omega(grid) -> float:
-    return 2.0 / (1.0 + np.sin(np.pi * grid.hy / grid.R))
+from signorini.solver import near_optimal_omega
 
 
 def profile_boundary(grid, a: float, mix: float = 0.0) -> np.ndarray:

@@ -6,8 +6,9 @@ import pytest
 
 import signorini as sg
 from signorini.operator import interior_mask
+from signorini.solver import near_optimal_omega
 
-from conftest import exact_field_solution, near_optimal_omega, profile_boundary, solved_profile
+from conftest import exact_field_solution, profile_boundary, solved_profile
 
 
 def report(num, name, detail):

@@ -56,6 +56,27 @@ def test_diagnose_profile_pipeline(tmp_path, capsys):
     assert comp["min_gap_max"] <= 1e-8
 
 
+def test_manifest_reports_point_nearest_origin(tmp_path):
+    # README config on a 1/96 grid: its only free-boundary point lies three
+    # cells left of the origin
+    path = write_config(
+        tmp_path, a=0.5, hx=1 / 96, hy=1 / 96,
+        coefficients=[[{"poly": [[1.0, [0]], [0.1, [1]]]}]],
+        solver={"method": "psor", "omega": 1.95, "tol": 1e-10},
+        r_grid={"count": 15, "r_min": 0.1},
+    )
+    out = tmp_path / "run"
+    rc = cli.main(["diagnose", "--config", str(path), "--out", str(out), "--quiet"])
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    points = json.loads((out / "freeboundary.json").read_text())["points"]
+    nearest = min(points, key=lambda p: np.linalg.norm(p["x0"]))
+    assert np.linalg.norm(nearest["x0"]) > 2.1 / 96
+    assert manifest["classification_x0"] == nearest["x0"]
+    assert manifest["classification_at_origin"] == nearest["class"] == "Regular"
+    assert manifest["solver_active_set_iterations"] >= 2
+
+
 def test_profile_csv_schema(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "run"

@@ -6,8 +6,9 @@ import pytest
 import signorini as sg
 from signorini.errors import InsufficientDataError
 from signorini.freeboundary import frequency_at, gamma_points
+from signorini.solver import near_optimal_omega
 
-from conftest import exact_field_solution, near_optimal_omega, profile_boundary, solved_profile
+from conftest import exact_field_solution, profile_boundary, solved_profile
 
 
 def test_contact_masks_inactive():

@@ -6,8 +6,9 @@ from scipy.integrate import quad
 
 import signorini as sg
 from signorini.operator import energy, interior_mask
+from signorini.solver import near_optimal_omega
 
-from conftest import near_optimal_omega, profile_boundary
+from conftest import profile_boundary
 
 
 def make_identity_problem(n, h, a):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import signorini as sg
-
-from conftest import near_optimal_omega
+from signorini.solver import near_optimal_omega
 
 
 def random_problem(seed, n=1, a=None):

@@ -5,9 +5,11 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import signorini as sg
+import signorini.solver as solver_mod
 from signorini.errors import InvalidParameterError, NonconvergedError
+from signorini.solver import near_optimal_omega
 
-from conftest import near_optimal_omega, profile_boundary, solved_profile
+from conftest import profile_boundary, solved_profile
 
 
 # -- penalty family -----------------------------------------------------------
@@ -140,6 +142,65 @@ def test_nonconvergence_raises_with_iterate():
         sg.solve_psor(form, problem, omega=1.7, warm_start=False, max_iter=3)
     assert exc.value.last_iterate is not None
     assert exc.value.final_residual > 0
+
+
+def _tilted_n2_problem():
+    # B = [[1 + 0.1 x2, 0.25 + 0.1 x1], [same, 1]]: K is not an M-matrix
+    grid = sg.build_grid(2, 1.0, 1 / 8, 1 / 8, 0.5)
+    off = {"poly": [[0.25, [0, 0]], [0.1, [1, 0]]]}
+    coeff = sg.build_coefficients(
+        grid, [[{"poly": [[1.0, [0, 0]], [0.1, [0, 1]]]}, off], [off, 1.0]]
+    )
+    problem = sg.make_problem(grid, coeff=coeff, boundary=profile_boundary(grid, 0.5))
+    return grid, problem, sg.assemble_energy(grid, problem)
+
+
+def _profile_problem_a05():
+    grid = sg.build_grid(1, 1.0, 1 / 32, 1 / 32, 0.5)
+    problem = sg.make_problem(grid, boundary=profile_boundary(grid, 0.5))
+    return grid, problem, sg.assemble_energy(grid, problem)
+
+
+@pytest.mark.parametrize("case", [_profile_problem_a05, _tilted_n2_problem],
+                         ids=["n1_a05", "n2_tilted"])
+def test_active_set_start_matches_cold_psor(case):
+    grid, problem, form = case()
+    sol = sg.solve_psor(form, problem)
+    cold = sg.solve_psor(form, problem, warm_start=False, tol=1e-13)
+    assert sol.active.any() and not sol.active.all()
+    assert 2 <= sol.active_set_iterations < solver_mod.ACTIVE_SET_MAX_STEPS
+    assert sol.iterations <= 2  # the sweeps only certify the active-set iterate
+    assert cold.active_set_iterations == 0
+    assert np.abs(sol.U - cold.U).max() <= 1e-9
+
+
+def test_active_set_cap_falls_back_to_psor(monkeypatch):
+    grid, problem, form = _profile_problem_a05()
+    ref = sg.solve_psor(form, problem, warm_start=False, tol=1e-13)
+    monkeypatch.setattr(solver_mod, "ACTIVE_SET_MAX_STEPS", 1)
+    sol = sg.solve_psor(form, problem, tol=1e-12)
+    assert sol.active_set_iterations == 1
+    assert sol.iterations > 2
+    assert np.abs(sol.U - ref.U).max() <= 1e-9
+
+
+def test_failed_cg_falls_back_to_psor(monkeypatch):
+    grid, problem, form = _tilted_n2_problem()
+    ref = sg.solve_psor(form, problem, warm_start=False, tol=1e-13)
+    monkeypatch.setattr(spla, "cg", lambda A, b, x0=None, **kw: (np.full_like(b, np.nan), 1))
+    sol = sg.solve_psor(form, problem, tol=1e-12)
+    assert sol.active_set_iterations == 1
+    assert np.abs(sol.U - ref.U).max() <= 1e-9
+
+
+def test_default_omega_is_near_optimal():
+    grid = sg.build_grid(1, 1.0, 1 / 16, 1 / 16, 0.0)
+    problem = sg.make_problem(grid, boundary=profile_boundary(grid, 0.0))
+    form = sg.assemble_energy(grid, problem)
+    default = sg.solve_psor(form, problem, warm_start=False)
+    explicit = sg.solve_psor(form, problem, warm_start=False, omega=near_optimal_omega(grid))
+    assert default.iterations == explicit.iterations
+    assert np.array_equal(default.U, explicit.U)
 
 
 def test_bad_omega_rejected():
