@@ -10,7 +10,7 @@ frequency/energy diagnostics used in free-boundary analysis.
 
 __version__ = "0.1.0"
 
-from .grid import Grid, SphereRule, ball_cells, build_grid, sphere_quadrature
+from .grid import Grid, SphereRule, ball_cells, ball_sums, build_grid, sphere_quadrature
 from .coefficients import (
     CoefficientField,
     ProblemSpec,
@@ -38,14 +38,12 @@ from .solver import (
 from .functionals import (
     FieldSampler,
     GeometryFields,
-    GradientSampler,
     RadialProfile,
     campanato_decay,
     conjugate_variable,
     default_r_grid,
     dirichlet,
     frequency_columns,
-    frequency_profile,
     g_ratio,
     geometry_fields,
     height,

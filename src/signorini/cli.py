@@ -134,18 +134,24 @@ def run_solve(cfg: ExperimentConfig):
 
 def _json_dump(obj, path) -> None:
     with open(path, "w", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_jsonable)
+        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
 def _jsonable(v):
+    """Plain JSON values; non-finite floats become their repr strings
+    ('inf', '-inf', 'nan'), which strict parsers accept."""
+    if isinstance(v, dict):
+        return {k: _jsonable(x) for k, x in v.items()}
     if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
+        v = v.tolist()
+    if isinstance(v, (list, tuple)):
+        return [_jsonable(x) for x in v]
+    if isinstance(v, np.generic):
+        v = v.item()
     if isinstance(v, float) and not np.isfinite(v):
         return repr(v)
-    raise TypeError(f"not JSON serializable: {type(v)}")
+    return v
 
 
 def run(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> dict:

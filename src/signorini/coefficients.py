@@ -309,7 +309,7 @@ def normalize_at(problem: ProblemSpec, field, x0):
 
     def new_ev(points):
         B = base_ev(map_thin(np.asarray(points, dtype=float)))
-        return np.einsum("ij,...jk,kl->...il", S_inv, B, S_inv)
+        return S_inv @ B @ S_inv
 
     thin_pts = _thin_points(grid)
     new_table = new_ev(thin_pts)

@@ -9,13 +9,14 @@ carried exactly by the sphere rules and the cell measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from .errors import InvalidConfigurationError, InsufficientDataError, SignoriniError
 from .coefficients import CoefficientField, ProblemSpec
-from .grid import Grid, SphereRule, ball_cells, sphere_quadrature
+from .grid import Grid, SphereRule, ball_sums, sphere_quadrature
 from .operator import cell_average, cell_energy_density
 
 
@@ -26,39 +27,43 @@ from .operator import cell_average, cell_energy_density
 
 @dataclass(frozen=True)
 class GeometryFields:
-    """mu = <A X, X>/|X|^2 |y|^a and friends, as node arrays + evaluators."""
+    """Point evaluators of mu~ = <A X, X>/|X|^2 and la_r / |y|^a, where
+    mu = mu~ |y|^a and la_r = div(|y|^a A grad |X|)."""
 
     grid: Grid
     a: float
-    mu: np.ndarray
-    mu_tilde: np.ndarray
-    la_r: np.ndarray  # div(|y|^a A grad |X|) at nodes (nan at the origin)
-    Z: np.ndarray  # A(x) X / mu_tilde, node_shape + (n+1,)
     _coeff: CoefficientField
-    _db_interp: object  # callable thin points -> (..., n, n) entrywise d_i b_ij
+
+    @cached_property
+    def _db_interp(self):
+        """Callable thin points -> (..., n, n) entrywise d_i b_ij."""
+        return _coefficient_derivatives(self.grid, self._coeff)
+
+    def _quadratic(self, pts: np.ndarray) -> tuple:
+        """x, B(x) and <A X, X> = <B x, x> + y^2 at the points."""
+        n = self.grid.n
+        x = pts[..., :n]
+        B = self._coeff.eval_B(x)
+        bxx = np.einsum("...ij,...i,...j->...", B, x, x)
+        return x, B, bxx + pts[..., n] ** 2
 
     def mu_tilde_at(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        B = self._coeff.eval_B(pts[..., : self.grid.n])
-        x = pts[..., : self.grid.n]
-        y = pts[..., self.grid.n]
-        r2 = (pts**2).sum(axis=-1)
-        bxx = np.einsum("...ij,...i,...j->...", B, x, x)
-        return (bxx + y**2) / r2
+        return self._quadratic(pts)[2] / (pts**2).sum(axis=-1)
 
     def la_r_reduced_at(self, points: np.ndarray) -> np.ndarray:
         """la_r / |y|^a at arbitrary points (the weight-free factor)."""
+        return self.mu_tilde_and_la_r_at(points)[1]
+
+    def mu_tilde_and_la_r_at(self, points: np.ndarray) -> tuple:
+        """(mu~, la_r / |y|^a) at the points from one evaluation of B."""
         pts = np.asarray(points, dtype=float)
-        n = self.grid.n
-        x = pts[..., :n]
-        y = pts[..., n]
-        r = np.sqrt((pts**2).sum(axis=-1))
-        B = self._coeff.eval_B(x)
+        x, B, axx = self._quadratic(pts)
+        r2 = (pts**2).sum(axis=-1)
+        r = np.sqrt(r2)
         trB = np.trace(B, axis1=-2, axis2=-1)
-        bxx = np.einsum("...ij,...i,...j->...", B, x, x)
-        db = self._db_interp(x)  # (..., i, j) holding d_i b_ij
-        dbx = np.einsum("...ij,...j->...", db, x)
-        return (trB + 1.0 + self.a) / r - (bxx + y**2) / r**3 + dbx / r
+        dbx = np.einsum("...ij,...j->...", self._db_interp(x), x)
+        return axx / r2, (trB + 1.0 + self.a) / r - axx / r**3 + dbx / r
 
 
 def _coefficient_derivatives(grid: Grid, coeff: CoefficientField):
@@ -91,36 +96,8 @@ def _coefficient_derivatives(grid: Grid, coeff: CoefficientField):
 
 
 def geometry_fields(grid: Grid, coeff: CoefficientField, a: float) -> GeometryFields:
-    """Node arrays of mu, mu~, la_r, Z (closed form for the block matrix)."""
-    mesh = grid.node_mesh()
-    pts = np.stack(mesh, axis=-1)
-    n = grid.n
-    x = pts[..., :n]
-    y = pts[..., n]
-    r2 = (pts**2).sum(axis=-1)
-    B = coeff.eval_B(x.reshape(-1, n)).reshape(x.shape[:-1] + (n, n))
-    bxx = np.einsum("...ij,...i,...j->...", B, x, x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mu_tilde = (bxx + y**2) / r2
-    mu = mu_tilde * np.abs(y) ** a
-    db_interp = _coefficient_derivatives(grid, coeff)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.sqrt(r2)
-        trB = np.trace(B, axis1=-2, axis2=-1)
-        db = db_interp(x.reshape(-1, n)).reshape(x.shape[:-1] + (n, n))
-        dbx = np.einsum("...ij,...j->...", db, x)
-        la_reduced = (trB + 1.0 + a) / r - (bxx + y**2) / r**3 + dbx / r
-        la_r = la_reduced * np.abs(y) ** a
-        Bx = np.einsum("...ij,...j->...i", B, x)
-        Z = np.concatenate([Bx, y[..., None]], axis=-1) / mu_tilde[..., None]
-    origin = r2 == 0.0
-    la_r[origin] = np.nan
-    Z[origin] = np.nan
-    return GeometryFields(
-        grid=grid, a=a, mu=mu, mu_tilde=mu_tilde, la_r=la_r, Z=Z,
-        _coeff=coeff, _db_interp=db_interp,
-    )
+    """Evaluators of mu~ and la_r (closed form for the block matrix)."""
+    return GeometryFields(grid=grid, a=a, _coeff=coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -181,36 +158,6 @@ def conjugate_variable(grid: Grid, U: np.ndarray, a: float) -> np.ndarray:
     return w
 
 
-class GradientSampler:
-    """Interpolates nodal gradients; thin components by central differences,
-    the extension component through the conjugate variable w = y^a U_y
-    (interpolating w and dividing by y^a keeps the y-derivative consistent
-    down to the degenerate axis)."""
-
-    def __init__(self, grid: Grid, U: np.ndarray, a: float | None = None):
-        self.grid = grid
-        self.a = grid.a if a is None else a
-        U = np.asarray(U, dtype=float)
-        self._thin = [
-            RegularGridInterpolator(
-                grid.xs + (grid.ys,), np.gradient(U, grid.xs[d], axis=d),
-                method="linear", bounds_error=False, fill_value=None,
-            )
-            for d in range(grid.n)
-        ]
-        self._w = RegularGridInterpolator(
-            grid.xs + (grid.ys,), conjugate_variable(grid, U, self.a),
-            method="linear", bounds_error=False, fill_value=None,
-        )
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        comps = [c(pts) for c in self._thin]
-        y = np.maximum(np.abs(pts[..., -1]), 1e-300)
-        comps.append(self._w(pts) / y**self.a)
-        return np.stack(comps, axis=-1)
-
-
 def _field_of(sol) -> np.ndarray:
     return sol.U if hasattr(sol, "U") else np.asarray(sol, dtype=float)
 
@@ -231,37 +178,42 @@ def height(sol, geo: GeometryFields, rule: SphereRule) -> float:
     return 2.0 * rule.integrate(u**2 * mut)
 
 
+def _ball_integrals(sol, problem: ProblemSpec, radii, nsub: int) -> np.ndarray:
+    """(3, len(radii)): D, B and int U f |y|^a over B_r for every radius.
+
+    The cell densities (covered energies, cell-midpoint U^2 and U f) are
+    built once per field; ball_sums integrates them for all radii.
+    """
+    grid = problem.grid
+    U = _field_of(sol)
+    u_avg = cell_average(grid, U)
+    densities = np.stack([
+        cell_energy_density(grid, problem, U),
+        u_avg**2 * grid.cell_measures,
+        u_avg * cell_average(grid, problem.f) * grid.cell_measures,
+    ])
+    return 2.0 * ball_sums(grid, densities, radii, nsub=nsub)
+
+
 def dirichlet(sol, problem: ProblemSpec, r: float, nsub: int = 4) -> float:
     """D(r) = int_{B_r} <A grad U, grad U> |y|^a via covered cell energies."""
-    grid = problem.grid
-    cells = ball_cells(grid, r, nsub=nsub)
-    e = cell_energy_density(grid, problem, _field_of(sol))
-    return 2.0 * float((e[cells.indices] * cells.fractions).sum())
+    return float(_ball_integrals(sol, problem, r, nsub)[0, 0])
 
 
 def mass(sol, problem: ProblemSpec, r: float, nsub: int = 4) -> float:
     """B(r) = int_{B_r} U^2 |y|^a."""
-    grid = problem.grid
-    cells = ball_cells(grid, r, nsub=nsub)
-    u2 = cell_average(grid, _field_of(sol)) ** 2 * grid.cell_measures
-    return 2.0 * float((u2[cells.indices] * cells.fractions).sum())
+    return float(_ball_integrals(sol, problem, r, nsub)[1, 0])
 
 
 def source_pairing(sol, problem: ProblemSpec, r: float, nsub: int = 4) -> float:
     """int_{B_r} U f |y|^a by cell midpoint quadrature."""
-    grid = problem.grid
-    cells = ball_cells(grid, r, nsub=nsub)
-    uf = (
-        cell_average(grid, _field_of(sol))
-        * cell_average(grid, problem.f)
-        * grid.cell_measures
-    )
-    return 2.0 * float((uf[cells.indices] * cells.fractions).sum())
+    return float(_ball_integrals(sol, problem, r, nsub)[2, 0])
 
 
 def total_energy(sol, problem: ProblemSpec, r: float, nsub: int = 4) -> float:
     """I(r) = D(r) + int_{B_r} U f |y|^a (solid formula; primary path)."""
-    return dirichlet(sol, problem, r, nsub=nsub) + source_pairing(sol, problem, r, nsub=nsub)
+    D, _, F = _ball_integrals(sol, problem, r, nsub)[:, 0]
+    return float(D + F)
 
 
 class _SurfaceSamplers:
@@ -328,8 +280,7 @@ def g_ratio(sol, geo: GeometryFields, rule: SphereRule, h_floor: float | None = 
     grid = geo.grid
     sampler = sol if isinstance(sol, FieldSampler) else FieldSampler(grid, _field_of(sol))
     u = sampler(rule.points)
-    mut = geo.mu_tilde_at(rule.points)
-    lar = geo.la_r_reduced_at(rule.points)
+    mut, lar = geo.mu_tilde_and_la_r_at(rule.points)
     H = 2.0 * rule.integrate(u**2 * mut)
     floor = 0.0 if h_floor is None else h_floor
     if H <= floor:
@@ -450,28 +401,6 @@ def frequency_columns(
     return FrequencyColumns(
         M=M, J=J, Phi=Phi, N=N, Ntilde=Ntilde,
         mask_lambda=mask_lambda, mask_gamma=mask_gamma,
-    )
-
-
-def frequency_profile(
-    sol,
-    problem: ProblemSpec,
-    r_grid: np.ndarray,
-    Kprime: float = 0.0,
-    delta: float = 0.5,
-    n_angles: int = 64,
-    nsub: int = 4,
-) -> FrequencyColumns:
-    """Frequency columns of a solved field on the given radii.
-
-    Convenience wrapper computing H, I, psi, sigma internally; see
-    radial_profile for the full column set.
-    """
-    prof = radial_profile(sol, problem, r_grid=r_grid, Kprime=Kprime,
-                          delta=delta, C_weiss=0.0, n_angles=n_angles, nsub=nsub)
-    return FrequencyColumns(
-        M=prof.M, J=prof.J, Phi=prof.Phi, N=prof.N, Ntilde=prof.Ntilde,
-        mask_lambda=prof.mask_lambda, mask_gamma=prof.mask_gamma,
     )
 
 
@@ -610,26 +539,15 @@ def radial_profile(
     Gn = np.empty(len(r))
     for i, ri in enumerate(r):
         rule = sphere_quadrature(grid, ri, n_angles=n_angles)
-        u = sampler(rule.points)
-        mut = geo.mu_tilde_at(rule.points)
-        lar = geo.la_r_reduced_at(rule.points)
-        Hs[i] = 2.0 * rule.integrate(u**2 * mut)
-        Gn[i] = 2.0 * rule.integrate(u**2 * lar)
+        u2 = sampler(rule.points) ** 2
+        mut, lar = geo.mu_tilde_and_la_r_at(rule.points)
+        Hs[i] = 2.0 * rule.integrate(u2 * mut)
+        Gn[i] = 2.0 * rule.integrate(u2 * lar)
     h_floor = H_FLOOR_FACTOR * max(Hs.max(), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         G = np.where(Hs > h_floor, Gn / np.where(Hs > 0, Hs, 1.0), (grid.n + problem.a) / r)
 
-    Bs = np.empty(len(r))
-    Ds = np.empty(len(r))
-    Fs = np.empty(len(r))
-    e_cell = cell_energy_density(grid, problem, U)
-    u2_cell = cell_average(grid, U) ** 2 * grid.cell_measures
-    uf_cell = cell_average(grid, U) * cell_average(grid, problem.f) * grid.cell_measures
-    for i, ri in enumerate(r):
-        cells = ball_cells(grid, ri, nsub=nsub)
-        Ds[i] = 2.0 * float((e_cell[cells.indices] * cells.fractions).sum())
-        Bs[i] = 2.0 * float((u2_cell[cells.indices] * cells.fractions).sum())
-        Fs[i] = 2.0 * float((uf_cell[cells.indices] * cells.fractions).sum())
+    Ds, Bs, Fs = _ball_integrals(U, problem, r, nsub)
     Is = Ds + Fs
 
     ps = integrate_psi_sigma(r, G, grid.n, problem.a)
@@ -691,36 +609,32 @@ def identity_checks(sol, problem: ProblemSpec, r_grid: np.ndarray | None = None,
     geo = geometry_fields(grid, problem.coeff, a)
     U = _field_of(sol)
     sampler = FieldSampler(grid, U)
-    ss = _SurfaceSamplers(grid, problem, U)
 
     def H_at(ri):
         rule = sphere_quadrature(grid, ri, n_angles=n_angles)
-        u = sampler(rule.points)
-        return 2.0 * rule.integrate(u**2 * geo.mu_tilde_at(rule.points))
+        return 2.0 * rule.integrate(sampler(rule.points) ** 2 * geo.mu_tilde_at(rule.points))
 
+    Ds, Bs, Fs = _ball_integrals(U, problem, r_grid, nsub)
+    Is = Ds + Fs
+    Hs = np.empty(len(r_grid))
     rel_i = []
     rel_ii = []
-    Hs, Bs, Ds = [], [], []
-    identity_A = problem.coeff.is_identity
-    f_zero = np.abs(problem.f).max() == 0.0
+    rellich = problem.coeff.is_identity and np.abs(problem.f).max() == 0.0
+    ss = _SurfaceSamplers(grid, problem, U) if rellich else None
     floor = 2.0 * max(grid.hx, grid.hy)
-    for ri in r_grid:
+    for i, ri in enumerate(r_grid):
+        rule = sphere_quadrature(grid, ri, n_angles=n_angles)
+        u2 = sampler(rule.points) ** 2
+        mut, lar = geo.mu_tilde_and_la_r_at(rule.points)
+        Hs[i] = 2.0 * rule.integrate(u2 * mut)
         dr = min(1e-3 * grid.R, 0.05 * ri)
         if ri - dr > floor:
             Hp = (H_at(ri + dr) - H_at(ri - dr)) / (2.0 * dr)
         else:  # one-sided at the resolution floor
-            Hp = (H_at(ri + dr) - H_at(ri)) / dr
-        rule = sphere_quadrature(grid, ri, n_angles=n_angles)
-        u = sampler(rule.points)
-        lar = geo.la_r_reduced_at(rule.points)
-        term = 2.0 * rule.integrate(u**2 * lar)
-        I_r = total_energy(sol, problem, ri, nsub=nsub)
-        rhs = 2.0 * I_r + term
+            Hp = (H_at(ri + dr) - Hs[i]) / dr
+        rhs = 2.0 * Is[i] + 2.0 * rule.integrate(u2 * lar)
         rel_i.append(abs(Hp - rhs) / max(abs(rhs), 1e-300))
-        Hs.append(H_at(ri))
-        Bs.append(mass(sol, problem, ri, nsub=nsub))
-        Ds.append(dirichlet(sol, problem, ri, nsub=nsub))
-        if identity_A and f_zero:
+        if rellich:
             # each surface term split by its exact weight: grad_x parts
             # carry |y|^a, conjugate-variable squares |y|^{-a}, crosses 1
             rule_a, rule_0, rule_m = ss.rules(ri, n_angles)
@@ -735,12 +649,9 @@ def identity_checks(sol, problem: ProblemSpec, r_grid: np.ndarray | None = None,
                 + 2.0 * rule_0.integrate(s_0 * w_0 * nuy_0 / mt_0)
                 + rule_m.integrate(w_m**2 * nuy_m**2 / mt_m)
             )
-            rhs2 = 4.0 * flux_sq + (grid.n - 1 + a) / ri * Ds[-1]
+            rhs2 = 4.0 * flux_sq + (grid.n - 1 + a) / ri * Ds[i]
             rel_ii.append(abs(lhs - rhs2) / max(abs(rhs2), 1e-300))
 
-    Hs = np.array(Hs)
-    Bs = np.array(Bs)
-    Ds = np.array(Ds)
     if Hs.max() == 0.0 and Bs.max() == 0.0:
         c1 = c2 = 0.0
     else:

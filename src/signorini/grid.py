@@ -8,12 +8,24 @@ handled exactly down to the thin set.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi
 
 from .errors import InvalidConfigurationError, UnsupportedRadiusError
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def corner_offsets(n: int) -> list:
+    """The 2^{n+1} cell-corner offsets in {0,1}^{n+1}, y offset last."""
+    return list(itertools.product((0, 1), repeat=n + 1))
 
 
 def _weighted_layer_integrals(ys: np.ndarray, a: float) -> np.ndarray:
@@ -47,7 +59,6 @@ class Grid:
     ys: np.ndarray  # extension nodes, ys[0] = 0
     cell_y_weights: np.ndarray  # exact int y^a per layer
     cell_y_trans: np.ndarray  # kernel-exact layer transmissibilities
-    cell_y_neg_weights: np.ndarray  # exact int y^{-a} per layer
 
     # -- shapes ---------------------------------------------------------
     @property
@@ -91,17 +102,33 @@ class Grid:
         axes.append(0.5 * (self.ys[:-1] + self.ys[1:]))
         return np.meshgrid(*axes, indexing="ij")
 
+    @cached_property
+    def cell_corners(self) -> np.ndarray:
+        """(n_cells, 2^{n+1}) flat node indices of each cell's corners, in
+        the order of corner_offsets(n); built once per grid, read-only."""
+        base = np.meshgrid(*[np.arange(s) for s in self.cell_shape], indexing="ij")
+        cols = []
+        for c in corner_offsets(self.n):
+            idx = tuple(base[d] + c[d] for d in range(self.n + 1))
+            cols.append(np.ravel_multi_index(idx, self.node_shape).ravel())
+        return _read_only(np.stack(cols, axis=1))
+
+    @cached_property
+    def _cells_by_radius(self) -> tuple:
+        """(order, dist, centers): flat cell indices sorted by the distance
+        of their centres to the origin, those distances, and the centres
+        (n_cells, n+1) in the same order. Read-only."""
+        dist = _cell_distances(self, np.zeros(self.n)).ravel()
+        order = np.argsort(dist, kind="stable")
+        centers = np.stack([c.ravel()[order] for c in self.cell_centers()], axis=-1)
+        return _read_only(order), _read_only(dist[order]), _read_only(centers)
+
     # -- node masks -------------------------------------------------------
     @property
     def thin_mask(self) -> np.ndarray:
         m = np.zeros(self.node_shape, dtype=bool)
         m[..., 0] = True
         return m
-
-    @property
-    def thin_index(self) -> np.ndarray:
-        """Flat node indices of thin nodes (y = 0)."""
-        return np.where(self.thin_mask.ravel())[0]
 
     @property
     def dirichlet_mask(self) -> np.ndarray:
@@ -176,7 +203,6 @@ def build_grid(n: int, R: float, hx: float, hy: float, a: float) -> Grid:
         ys=ys,
         cell_y_weights=_weighted_layer_integrals(ys, a),
         cell_y_trans=_layer_transmissibilities(ys, a),
-        cell_y_neg_weights=_weighted_layer_integrals(ys, -a),
     )
 
 
@@ -207,31 +233,19 @@ class SphereRule:
         return float(np.dot(self.weights, values))
 
 
-def sphere_quadrature(grid: Grid, r: float, n_angles: int = 64, a: float | None = None) -> SphereRule:
-    """Gauss-Jacobi rule absorbing the (sin theta)^a weight exactly.
-
-    n=1: theta in (0,pi) with t = cos(theta); the measure
-    (sin theta)^a dtheta becomes the Jacobi weight (1-t^2)^{(a-1)/2} dt.
-    n=2: tensor of a periodic trapezoid in azimuth with a Gauss-Jacobi
-    rule in u = cos(polar) carrying the u^a weight.
-    """
-    if a is None:
-        a = grid.a
-    if n_angles < 8:
-        raise InvalidConfigurationError(f"n_angles must be >= 8, got {n_angles}")
+def _check_radius(grid: Grid, r: float) -> None:
     if not (0 < r <= grid.R):
         raise UnsupportedRadiusError(f"radius {r} outside (0, R={grid.R}]")
-    if r < 2.0 * max(grid.hx, grid.hy):
-        raise UnsupportedRadiusError(
-            f"radius {r} below resolution floor 2*max(hx,hy)={2*max(grid.hx,grid.hy)}"
-        )
-    if grid.n == 1:
+
+
+@lru_cache(maxsize=32)
+def _unit_sphere_rule(n: int, n_angles: int, a: float) -> tuple:
+    """Read-only (points, weights) of the rule on the unit half sphere."""
+    if n == 1:
         t, w = roots_jacobi(n_angles, (a - 1.0) / 2.0, (a - 1.0) / 2.0)
         theta = np.arccos(t)
-        pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-        wts = w * r ** (1.0 + a)
-        return SphereRule(r=float(r), points=pts, weights=wts)
-    # n == 2: y = r*u with u in (0,1], thin radius r*sqrt(1-u^2)
+        return _read_only(np.column_stack([np.cos(theta), np.sin(theta)])), _read_only(w)
+    # n == 2: y = u with u in (0,1], thin radius sqrt(1-u^2)
     t, w = roots_jacobi(n_angles, 0.0, a)
     u = (t + 1.0) / 2.0
     wu = w * 2.0 ** (-(a + 1.0))
@@ -240,11 +254,35 @@ def sphere_quadrature(grid: Grid, r: float, n_angles: int = 64, a: float | None 
     U, L = np.meshgrid(u, lam, indexing="ij")
     WU, WL = np.meshgrid(wu, wl, indexing="ij")
     s = np.sqrt(np.clip(1.0 - U**2, 0.0, None))
-    pts = np.column_stack(
-        [(r * s * np.cos(L)).ravel(), (r * s * np.sin(L)).ravel(), (r * U).ravel()]
+    pts = np.column_stack([(s * np.cos(L)).ravel(), (s * np.sin(L)).ravel(), U.ravel()])
+    return _read_only(pts), _read_only((WU * WL).ravel())
+
+
+def sphere_quadrature(grid: Grid, r: float, n_angles: int = 64, a: float | None = None) -> SphereRule:
+    """Gauss-Jacobi rule absorbing the (sin theta)^a weight exactly.
+
+    n=1: theta in (0,pi) with t = cos(theta); the measure
+    (sin theta)^a dtheta becomes the Jacobi weight (1-t^2)^{(a-1)/2} dt.
+    n=2: tensor of a periodic trapezoid in azimuth with a Gauss-Jacobi
+    rule in u = cos(polar) carrying the u^a weight.
+    The unit rule is built once per (n, n_angles, a) and scaled by r;
+    the returned arrays are read-only.
+    """
+    if a is None:
+        a = grid.a
+    if n_angles < 8:
+        raise InvalidConfigurationError(f"n_angles must be >= 8, got {n_angles}")
+    _check_radius(grid, r)
+    if r < 2.0 * max(grid.hx, grid.hy):
+        raise UnsupportedRadiusError(
+            f"radius {r} below resolution floor 2*max(hx,hy)={2*max(grid.hx,grid.hy)}"
+        )
+    pts, wts = _unit_sphere_rule(grid.n, int(n_angles), float(a))
+    return SphereRule(
+        r=float(r),
+        points=_read_only(pts * r),
+        weights=_read_only(wts * r ** (grid.n + a)),
     )
-    wts = (WU * WL).ravel() * r ** (2.0 + a)
-    return SphereRule(r=float(r), points=pts, weights=wts)
 
 
 def halfsphere_weighted_area(n: int, r: float, a: float) -> float:
@@ -276,11 +314,31 @@ class BallCells:
         return cov
 
 
-def _subsample_offsets(grid: Grid, nsub: int) -> np.ndarray:
+def _half_diagonal(grid: Grid) -> float:
+    return 0.5 * np.sqrt(grid.n * grid.hx**2 + grid.hy**2)
+
+
+def _cell_distances(grid: Grid, center: np.ndarray) -> np.ndarray:
+    """|cell centre - (center, 0)| over the cell grid."""
+    centers = grid.cell_centers()
+    sq = sum((centers[d] - center[d]) ** 2 for d in range(grid.n)) + centers[-1] ** 2
+    return np.sqrt(sq)
+
+
+def _coverage(grid: Grid, centers: np.ndarray, origin: np.ndarray, r: float,
+              nsub: int) -> np.ndarray:
+    """Fraction of each cell (centres (m, n+1)) inside |X - origin| <= r,
+    from a fixed nsub^(n+1)-point midpoint subsample per cell."""
     fr = (np.arange(nsub) + 0.5) / nsub - 0.5
-    axes = [fr * grid.hx] * grid.n + [fr * grid.hy]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    m = len(centers)
+    r2 = 0.0
+    for d in range(grid.n + 1):
+        h = grid.hy if d == grid.n else grid.hx
+        shape = [m] + [1] * (grid.n + 1)
+        shape[d + 1] = nsub
+        r2 = r2 + (((centers[:, d, None] + fr * h) - origin[d]) ** 2).reshape(shape)
+    inside = (r2 <= r * r).reshape(m, -1)
+    return np.count_nonzero(inside, axis=1) / inside.shape[1]
 
 
 def ball_cells(grid: Grid, r: float, center=None, nsub: int = 4) -> BallCells:
@@ -288,35 +346,54 @@ def ball_cells(grid: Grid, r: float, center=None, nsub: int = 4) -> BallCells:
 
     Coverage uses a fixed nsub^(n+1)-point midpoint subsample per
     straddling cell (nsub=4 by default); interior cells get fraction 1
-    from a bounding-sphere test without subsampling.
+    from a bounding-sphere test without subsampling. ball_sums is the
+    all-radii form of the same rule about the origin.
     """
-    if not (0 < r <= grid.R):
-        raise UnsupportedRadiusError(f"radius {r} outside (0, R={grid.R}]")
-    centers = grid.cell_centers()
+    _check_radius(grid, r)
     if center is None:
         center = np.zeros(grid.n)
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    sq = sum((centers[d] - center[d]) ** 2 for d in range(grid.n)) + centers[-1] ** 2
-    dist = np.sqrt(sq)
-    half_diag = 0.5 * np.sqrt(grid.n * grid.hx**2 + grid.hy**2)
-    inside = dist <= r - half_diag
-    shell = (dist > r - half_diag) & (dist < r + half_diag)
-    idx_in = np.where(inside)
-    idx_sh = np.where(shell)
-    fr_sh = np.empty(len(idx_sh[0]))
-    if len(idx_sh[0]):
-        offs = _subsample_offsets(grid, nsub)
-        pts = np.stack([centers[d][idx_sh] for d in range(grid.n + 1)], axis=-1)
-        pts = pts[:, None, :] + offs[None, :, :]
-        c_full = np.concatenate([center, [0.0]])
-        r2 = ((pts - c_full) ** 2).sum(axis=-1)
-        fr_sh = (r2 <= r * r).mean(axis=1)
+    dist = _cell_distances(grid, center)
+    half_diag = _half_diagonal(grid)
+    idx_in = np.where(dist <= r - half_diag)
+    idx_sh = np.where((dist > r - half_diag) & (dist < r + half_diag))
+    centers = grid.cell_centers()
+    sh_centers = np.stack([centers[d][idx_sh] for d in range(grid.n + 1)], axis=-1)
+    fr_sh = _coverage(grid, sh_centers, np.append(center, 0.0), r, nsub)
     keep = fr_sh > 0.0
     indices = tuple(
         np.concatenate([idx_in[d], idx_sh[d][keep]]) for d in range(grid.n + 1)
     )
     fractions = np.concatenate([np.ones(len(idx_in[0])), fr_sh[keep]])
     return BallCells(r=float(r), indices=indices, fractions=fractions)
+
+
+def ball_sums(grid: Grid, densities: np.ndarray, radii, nsub: int = 4) -> np.ndarray:
+    """sum(density * coverage of B_r^+) about the origin for every radius.
+
+    densities holds per-cell integrals, shape cell_shape or
+    (k,) + cell_shape; the result has shape (len(radii),) or
+    (k, len(radii)). Cells with |d| <= r - half_diag enter through one
+    prefix sum in distance order; only the shell |d - r| < half_diag is
+    subsampled, by the ball_cells coverage rule.
+    """
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    for r in radii:
+        _check_radius(grid, r)
+    order, dist, centers = grid._cells_by_radius
+    dens = np.asarray(densities, dtype=float)
+    flat = dens.reshape(-1, dist.size)[:, order]
+    prefix = np.zeros((flat.shape[0], dist.size + 1))
+    np.cumsum(flat, axis=1, out=prefix[:, 1:])
+    half_diag = _half_diagonal(grid)
+    lo = np.searchsorted(dist, radii - half_diag, side="right")
+    hi = np.searchsorted(dist, radii + half_diag, side="left")
+    origin = np.zeros(grid.n + 1)
+    out = np.empty((flat.shape[0], len(radii)))
+    for i, r in enumerate(radii):
+        fr = _coverage(grid, centers[lo[i]:hi[i]], origin, r, nsub)
+        out[:, i] = prefix[:, lo[i]] + (flat[:, lo[i]:hi[i]] * fr).sum(axis=1)
+    return out if dens.ndim > grid.n + 1 else out[0]
 
 
 def ball_weighted_measure(n: int, r: float, a: float) -> float:

@@ -13,7 +13,6 @@ degenerate weight down to y=0 (at a=0 both reduce to the classical
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ import scipy.sparse as sp
 
 from .errors import AssemblyError
 from .coefficients import ProblemSpec
-from .grid import Grid
+from .grid import Grid, corner_offsets
 
 
 @dataclass(frozen=True)
@@ -39,10 +38,6 @@ class SymmetricForm:
         return self.stiffness.diagonal()
 
 
-def _corner_offsets(n: int):
-    return list(itertools.product((0, 1), repeat=n + 1))
-
-
 def _local_matrices(n: int, hx: float):
     """Constant local quadratic forms on the reference cell.
 
@@ -52,7 +47,7 @@ def _local_matrices(n: int, hx: float):
     any h factor (the transmissibility carries it), and cross_G the
     symmetrized product of mean gradients for the (0,1) thin pair.
     """
-    corners = _corner_offsets(n)
+    corners = corner_offsets(n)
     m = len(corners)
     index = {c: k for k, c in enumerate(corners)}
 
@@ -95,19 +90,6 @@ def _local_matrices(n: int, hx: float):
     return thin_E, cross_G, y_E
 
 
-def _cell_corner_flat_indices(grid: Grid) -> np.ndarray:
-    """(n_cells, 2^{n+1}) flat node indices of each cell's corners."""
-    node_shape = grid.node_shape
-    cell_shape = grid.cell_shape
-    base = np.meshgrid(*[np.arange(s) for s in cell_shape], indexing="ij")
-    corners = _corner_offsets(grid.n)
-    cols = []
-    for c in corners:
-        idx = tuple(base[d] + c[d] for d in range(grid.n + 1))
-        cols.append(np.ravel_multi_index(idx, node_shape).ravel())
-    return np.stack(cols, axis=1)
-
-
 def _cell_coefficients(grid: Grid, problem: ProblemSpec):
     """Per-cell scalars: weighted measure, b_ij at thin cell centers, k_j."""
     centers = grid.cell_centers()
@@ -124,7 +106,7 @@ def assemble_energy(grid: Grid, problem: ProblemSpec) -> SymmetricForm:
         raise AssemblyError("grid and problem have inconsistent shapes")
     n = grid.n
     thin_E, cross_G, y_E = _local_matrices(n, grid.hx)
-    corner_idx = _cell_corner_flat_indices(grid)
+    corner_idx = grid.cell_corners
     m_cell, B, ky = _cell_coefficients(grid, problem)
 
     n_loc = corner_idx.shape[1]
@@ -214,10 +196,6 @@ def reflect(U: np.ndarray, parity: str) -> np.ndarray:
     return np.concatenate([sign * U[..., -1:0:-1], U], axis=-1)
 
 
-def reflected_ys(grid: Grid) -> np.ndarray:
-    return np.concatenate([-grid.ys[-1:0:-1], grid.ys])
-
-
 # ---------------------------------------------------------------------------
 # per-cell quadratures reused by the radial functionals
 # ---------------------------------------------------------------------------
@@ -231,29 +209,27 @@ def cell_energy_density(grid: Grid, problem: ProblemSpec, U: np.ndarray) -> np.n
     """
     n = grid.n
     thin_E, cross_G, y_E = _local_matrices(n, grid.hx)
-    corner_idx = _cell_corner_flat_indices(grid)
     m_cell, B, ky = _cell_coefficients(grid, problem)
-    Uc = np.asarray(U, dtype=float).ravel()[corner_idx]  # (n_cells, n_loc)
+    Uc = np.asarray(U, dtype=float).ravel()[grid.cell_corners]  # (n_cells, n_loc)
 
     m_flat = m_cell.reshape(-1)
     e = np.zeros(len(m_flat))
     for d in range(n):
-        quad = np.einsum("kp,pq,kq->k", Uc, thin_E[d], Uc)
+        quad = ((Uc @ thin_E[d]) * Uc).sum(1)
         b = np.repeat(B[..., d, d].reshape(-1), grid.cell_shape[-1])
         e += b * m_flat * quad
     if cross_G is not None:
-        quad = np.einsum("kp,pq,kq->k", Uc, cross_G, Uc)
+        quad = ((Uc @ cross_G) * Uc).sum(1)
         b = np.repeat(B[..., 0, 1].reshape(-1), grid.cell_shape[-1])
         e += b * m_flat * quad
-    quad_y = np.einsum("kp,pq,kq->k", Uc, y_E, Uc)
+    quad_y = ((Uc @ y_E) * Uc).sum(1)
     e += (ky * grid.thin_cell_area).reshape(-1) * quad_y
     return e.reshape(grid.cell_shape)
 
 
 def cell_average(grid: Grid, U: np.ndarray) -> np.ndarray:
     """Corner-average of a node field per cell."""
-    corner_idx = _cell_corner_flat_indices(grid)
-    return np.asarray(U, dtype=float).ravel()[corner_idx].mean(axis=1).reshape(grid.cell_shape)
+    return np.asarray(U, dtype=float).ravel()[grid.cell_corners].mean(axis=1).reshape(grid.cell_shape)
 
 
 def energy(form: SymmetricForm, U: np.ndarray) -> float:

@@ -229,3 +229,26 @@ def test_penalized_solver_via_config(tmp_path):
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["complementarity"]["min_gap_max"] <= 0.05
+
+
+def test_tilted_n2_summary_is_strict_json(tmp_path):
+    # the tilted n=2 profile calibrates K' and C_weiss to inf; those and the
+    # NaN margins must reach the summary as strings, not bare Infinity/NaN
+    tilt = {"poly": [[0.25, [0, 0]], [0.1, [1, 0]]]}
+    path = write_config(
+        tmp_path, n=2, a=0.5, hx=1 / 8, hy=1 / 8,
+        coefficients=[[{"poly": [[1.0, [0, 0]], [0.1, [0, 1]]]}, tilt], [tilt, 1.0]],
+        solver={"method": "psor", "omega": 1.95, "tol": 1e-10},
+        r_grid={"count": 40}, Kprime="calibrate", C_weiss="calibrate",
+    )
+    out = tmp_path / "run"
+    assert cli.main(["diagnose", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    summary = json.loads((out / "profile_summary.json").read_text(), parse_constant=reject)
+    assert summary["Kprime"] == summary["C_weiss"] == summary["Ntilde_min_r"] == "inf"
+    assert summary["phi_monotonicity_margin"] == summary["weiss_monotonicity_margin"] == "nan"
+    for name in ("identities.json", "manifest.json"):
+        json.loads((out / name).read_text(), parse_constant=reject)

@@ -26,14 +26,13 @@ def test_geometry_identity_closed_forms():
     geo = sg.geometry_fields(grid, problem.coeff, 0.0)
     X, Y = grid.node_mesh()
     off = np.hypot(X, Y) > 0
-    assert np.allclose(geo.mu_tilde[off], 1.0)
+    nodes = np.stack([X, Y], axis=-1)[off]
+    assert np.allclose(geo.mu_tilde_at(nodes), 1.0)
     # la_r = (n+a)/r * |y|^a at the node (0.6, 0.8), r = 1
     i = np.where(np.isclose(grid.xs[0], 0.6))[0][0]
     j = np.where(np.isclose(grid.ys, 0.8))[0][0]
-    assert geo.la_r[i, j] == pytest.approx(1.0, rel=1e-12)
-    # Z = X for the identity matrix
-    Zx = geo.Z[off][..., 0]
-    assert np.allclose(Zx, X[off])
+    node = np.array([[X[i, j], Y[i, j]]])
+    assert geo.la_r_reduced_at(node)[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_geometry_perturbed_bounds():
@@ -44,10 +43,14 @@ def test_geometry_perturbed_bounds():
     X, Y = grid.node_mesh()
     r = np.hypot(X, Y)
     off = r > 0.1
+    nodes = np.stack([X, Y], axis=-1)[off]
+    mu_tilde, la_r = geo.mu_tilde_and_la_r_at(nodes)
+    assert np.array_equal(mu_tilde, geo.mu_tilde_at(nodes))
+    assert np.array_equal(la_r, geo.la_r_reduced_at(nodes))
     # la_r * r / |y|^a stays within O(1) of (n + a)
-    dev = np.abs(geo.la_r[off] * r[off] - 1.0)
+    dev = np.abs(la_r * r[off] - 1.0)
     assert dev.max() <= 0.5
-    assert np.all((geo.mu_tilde[off] >= coeff.lam - 1e-12) & (geo.mu_tilde[off] <= coeff.Lam + 1e-12))
+    assert np.all((mu_tilde >= coeff.lam - 1e-12) & (mu_tilde <= coeff.Lam + 1e-12))
 
 
 # -- height -------------------------------------------------------------------
@@ -115,6 +118,21 @@ def test_total_energy_f_zero_and_surface_cross_check():
     res = surface_cross_check(sol, problem, r)
     assert res["rel"] <= 0.02
     assert sg.total_energy(np.zeros(grid.node_shape), problem, r) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_profile_ball_columns_equal_one_radius_functionals(n):
+    grid = sg.build_grid(n, 1.0, 1 / 12, 1 / 12, 0.5)
+    X = np.stack(grid.node_mesh(), axis=-1)
+    U = np.cos(X[..., 0]) * (1.0 - X[..., -1]) + 0.3 * X[..., 0] ** 2
+    f = 0.5 + np.sin(X[..., 0])
+    problem = sg.make_problem(grid, f=f)
+    rg = np.geomspace(0.3, 0.9, 6)
+    prof = sg.radial_profile(U, problem, r_grid=rg, Kprime=0.0, C_weiss=0.0)
+    for i, r in enumerate(rg):
+        assert prof.B[i] == sg.mass(U, problem, r)
+        assert prof.D[i] == sg.dirichlet(U, problem, r)
+        assert prof.I[i] == sg.total_energy(U, problem, r)
 
 
 def test_total_energy_includes_source_pairing():
@@ -314,12 +332,12 @@ def test_phi_equals_classical_almgren_ratio_identity_coefficients(profile_a0):
     assert np.abs(prof.Phi - classical).max() <= 0.02 * np.abs(classical).max()
 
 
-def test_frequency_profile_wrapper(profile_a0):
+def test_radial_profile_frequency_columns(profile_a0):
     grid, problem, form, sol, _ = profile_a0
     rg = np.geomspace(0.1, 0.6, 12)
-    cols = sg.frequency_profile(sol, problem, rg, Kprime=0.0, delta=0.5)
-    assert np.abs(cols.Ntilde[2:-2] - 1.5).max() <= 0.05
-    assert cols.mask_gamma.all()
+    prof = sg.radial_profile(sol, problem, r_grid=rg, Kprime=0.0, C_weiss=0.0, delta=0.5)
+    assert np.abs(prof.Ntilde[2:-2] - 1.5).max() <= 0.05
+    assert prof.mask_gamma.all()
 
 
 # -- monotonicity on solved fields ----------------------------------------------

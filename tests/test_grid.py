@@ -8,6 +8,7 @@ import signorini as sg
 from signorini.errors import InvalidConfigurationError, UnsupportedRadiusError
 from signorini.grid import (
     _weighted_layer_integrals,
+    ball_sums,
     ball_weighted_measure,
     halfsphere_weighted_area,
     total_weighted_measure,
@@ -195,3 +196,51 @@ def test_box_midpoint_quadrature_order():
         errs.append(abs(approx - exact))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert orders.min() >= 1.8
+
+
+# -- prefix-sum ball integrals ---------------------------------------------
+
+
+@pytest.mark.parametrize("nsub", [2, 4])
+@pytest.mark.parametrize("n", [1, 2])
+def test_ball_sums_match_ball_cells(n, nsub):
+    grid = sg.build_grid(n, 1.0, 1 / 12, 1 / 10, 0.5)
+    rng = np.random.default_rng(n * 10 + nsub)
+    densities = rng.random((2,) + grid.cell_shape) + 0.1
+    radii = np.linspace(2.0 * max(grid.hx, grid.hy) * 1.001, grid.R, 17)
+    sums = ball_sums(grid, densities, radii, nsub=nsub)
+    assert sums.shape == (2, len(radii))
+    for i, r in enumerate(radii):
+        cells = sg.ball_cells(grid, r, nsub=nsub)
+        for k in range(2):
+            ref = float((densities[k][cells.indices] * cells.fractions).sum())
+            assert sums[k, i] == pytest.approx(ref, rel=1e-12)
+    single = ball_sums(grid, densities[1], radii, nsub=nsub)
+    assert single.shape == (len(radii),)
+    assert np.allclose(single, sums[1], rtol=1e-14, atol=0.0)
+
+
+def test_ball_sums_radius_check():
+    grid = sg.build_grid(1, 1.0, 1 / 8, 1 / 8, 0.0)
+    dens = np.ones(grid.cell_shape)
+    for bad in (0.0, -0.5, 1.2, [0.5, 1.2]):
+        with pytest.raises(UnsupportedRadiusError):
+            ball_sums(grid, dens, bad)
+
+
+def test_sphere_rule_arrays_read_only_and_unshared():
+    grid = sg.build_grid(2, 1.0, 1 / 8, 1 / 8, 0.5)
+    first = sg.sphere_quadrature(grid, 0.5, 16)
+    assert not first.points.flags.writeable and not first.weights.flags.writeable
+    with pytest.raises(ValueError):
+        first.points[0, 0] = 1.0
+    ref = first.points.copy()
+    # a caller shifting a copy of the points (as decay_fit does) leaves
+    # later rules of the same radius unchanged
+    shifted = first.points.copy()
+    shifted[:, :2] += 0.25
+    again = sg.sphere_quadrature(grid, 0.5, 16)
+    assert np.array_equal(again.points, ref)
+    assert np.array_equal(again.weights, first.weights)
+    scaled = sg.sphere_quadrature(grid, 1.0, 16)
+    assert np.array_equal(scaled.points * 0.5, ref)
