@@ -11,14 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import (
     InvalidCoefficientError,
     InvalidConfigurationError,
     OutOfDomainError,
 )
-from .grid import Grid
+from .grid import Grid, interpolate
 
 
 # ---------------------------------------------------------------------------
@@ -94,33 +93,6 @@ class CoefficientField:
         return bool(np.all(self.table == eye))
 
 
-def _table_interpolator(grid: Grid, table: np.ndarray):
-    interps = []
-    n = grid.n
-    for i in range(n):
-        for j in range(n):
-            interps.append(
-                RegularGridInterpolator(
-                    grid.xs, table[..., i, j], method="linear",
-                    bounds_error=False, fill_value=None,
-                )
-            )
-
-    def ev(points):
-        pts = np.atleast_2d(points)
-        out = np.empty(pts.shape[:-1] + (n, n))
-        k = 0
-        for i in range(n):
-            for j in range(n):
-                out[..., i, j] = interps[k](pts)
-                k += 1
-        if np.ndim(points) == 1:
-            return out[0]
-        return out
-
-    return ev
-
-
 def build_coefficients(grid: Grid, description=None, seed: int = 0) -> CoefficientField:
     """Validate a coefficient description and compute ellipticity data.
 
@@ -151,7 +123,9 @@ def build_coefficients(grid: Grid, description=None, seed: int = 0) -> Coefficie
                 f" got {description.shape}"
             )
         table = description.astype(float)
-        ev = _table_interpolator(grid, table)
+
+        def ev(points):
+            return interpolate(grid.xs, table, points)
     else:  # nested list of scalar specs
         entries = description
         if len(entries) != n or any(len(row) != n for row in entries):
@@ -284,7 +258,8 @@ def normalize_at(problem: ProblemSpec, field, x0):
     composed with x -> x0 + S x; the new thin block is
     S^{-1} B(x0 + S x) S^{-1}, which is the identity at the origin.
     Fields are resampled onto the reference grid by multilinear
-    interpolation (coordinates clamped to the box).
+    interpolation in the thin variables (mapped coordinates clamped to
+    the box).
     """
     from .solver import SolutionField  # local import to avoid a cycle
     from .operator import neumann_trace
@@ -323,40 +298,23 @@ def normalize_at(problem: ProblemSpec, field, x0):
         _evaluator=new_ev,
     )
 
-    def resample_nodes(values: np.ndarray) -> np.ndarray:
-        interp = RegularGridInterpolator(
-            grid.xs + (grid.ys,), values, method="linear", bounds_error=False, fill_value=None
-        )
-        node_pts = _node_points(grid)
-        mapped = node_pts.copy()
-        mapped[..., : grid.n] = map_thin(node_pts[..., : grid.n])
-        for d in range(grid.n):
-            mapped[..., d] = np.clip(mapped[..., d], -grid.R, grid.R)
-        return interp(mapped)
-
-    def resample_thin(values: np.ndarray) -> np.ndarray:
-        interp = RegularGridInterpolator(
-            grid.xs, values, method="linear", bounds_error=False, fill_value=None
-        )
-        pts = map_thin(thin_pts)
-        for d in range(grid.n):
-            pts[..., d] = np.clip(pts[..., d], -grid.R, grid.R)
-        return interp(pts)
-
+    # mapped thin points, clamped to the box; y stays on the nodes, so node
+    # fields are resampled along the thin axes only
+    mapped = np.clip(map_thin(thin_pts), -grid.R, grid.R)
     psi_new = (
         eval_scalar_spec(problem.psi_spec, map_thin(thin_pts))
         if problem.psi_spec is not None
-        else resample_thin(problem.psi)
+        else interpolate(grid.xs, problem.psi, mapped)
     )
-    f_new = resample_nodes(problem.f)
-    bnd_new = resample_nodes(problem.boundary)
+    nodes = np.stack([problem.f, problem.boundary, field.U], axis=-1)
+    resampled = interpolate(grid.xs, nodes, mapped)
+    f_new, bnd_new, U_new = (resampled[..., k].copy() for k in range(3))
     new_problem = ProblemSpec(
         grid=grid, a=problem.a, coeff=coeff, psi=psi_new, f=f_new, boundary=bnd_new,
         f_independent_of_y=problem.f_independent_of_y,
         psi_spec=None, f_spec=None,
     )
 
-    U_new = resample_nodes(field.U)
     trace_new = neumann_trace(grid, U_new, problem.a)
     active_new = (U_new[..., 0] - psi_new) <= max(getattr(field, "tol", 0.0), 0.0) * 10 + 1e-14
     new_field = SolutionField(

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, UnsupportedRadiusError
 from .coefficients import ProblemSpec, normalize_at
-from .functionals import FieldSampler, geometry_fields, radial_profile
+from .functionals import FieldSampler, _sphere_heights, geometry_fields, radial_profile
 from .grid import Grid, sphere_quadrature
 from .operator import neumann_trace
 from .solver import SolutionField
@@ -212,16 +212,8 @@ def decay_fit(sol, problem: ProblemSpec, x0, r_grid: np.ndarray | None = None) -
 
     # height-based variant around x0 (on the reduction)
     geo = geometry_fields(grid, problem.coeff, problem.a)
-    sampler = FieldSampler(grid, U)
-    x0v = np.atleast_1d(np.asarray(x0, dtype=float))
-    Hs = []
-    for r in r_grid:
-        rule = sphere_quadrature(grid, r, n_angles=48)
-        pts = rule.points.copy()
-        pts[:, : grid.n] += x0v
-        u = sampler(pts)
-        Hs.append(2.0 * rule.integrate(u**2 * geo.mu_tilde_at(pts)))
-    Hs = np.asarray(Hs)
+    rules = [sphere_quadrature(grid, r, n_angles=48) for r in r_grid]
+    Hs = _sphere_heights(FieldSampler(grid, U), geo, rules, x0=x0)[0]
     H_slope = float(np.polyfit(np.log(r_grid), np.log(np.maximum(Hs, 1e-300)), 1)[0])
     return {"slope": slope, "H_slope": H_slope, "r": r_grid, "sup": sups, "H": Hs}
 

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import InvalidConfigurationError, InsufficientDataError, SignoriniError
 from .coefficients import CoefficientField, ProblemSpec
-from .grid import Grid, SphereRule, ball_sums, sphere_quadrature
+from .grid import Grid, SphereRule, ball_sums, interpolate, sphere_quadrature
 from .operator import cell_average, cell_energy_density
 
 
@@ -35,9 +34,11 @@ class GeometryFields:
     _coeff: CoefficientField
 
     @cached_property
-    def _db_interp(self):
-        """Callable thin points -> (..., n, n) entrywise d_i b_ij."""
-        return _coefficient_derivatives(self.grid, self._coeff)
+    def _db_table(self) -> np.ndarray:
+        """Central differences d_i b_ij of the thin-node table, (..., i, j)."""
+        table, xs = self._coeff.table, self.grid.xs
+        return np.stack([np.gradient(table[..., i, :], xs[i], axis=i)
+                         for i in range(self.grid.n)], axis=-2)
 
     def _quadratic(self, pts: np.ndarray) -> tuple:
         """x, B(x) and <A X, X> = <B x, x> + y^2 at the points."""
@@ -62,37 +63,8 @@ class GeometryFields:
         r2 = (pts**2).sum(axis=-1)
         r = np.sqrt(r2)
         trB = np.trace(B, axis1=-2, axis2=-1)
-        dbx = np.einsum("...ij,...j->...", self._db_interp(x), x)
+        dbx = np.einsum("...ij,...j->...", interpolate(self.grid.xs, self._db_table, x), x)
         return axx / r2, (trB + 1.0 + self.a) / r - axx / r**3 + dbx / r
-
-
-def _coefficient_derivatives(grid: Grid, coeff: CoefficientField):
-    """Central differences d_i b_ij of the thin-node table, interpolated."""
-    n = grid.n
-    table = coeff.table
-    db = np.zeros(table.shape[:-2] + (n, n))  # db[..., i, j] = d_i b_ij
-    for i in range(n):
-        for j in range(n):
-            db[..., i, j] = np.gradient(table[..., i, j], grid.xs[i], axis=i)
-
-    interps = [
-        [
-            RegularGridInterpolator(grid.xs, db[..., i, j], method="linear",
-                                    bounds_error=False, fill_value=None)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-    def ev(points):
-        pts = np.atleast_2d(points)
-        out = np.empty(pts.shape[:-1] + (n, n))
-        for i in range(n):
-            for j in range(n):
-                out[..., i, j] = interps[i][j](pts)
-        return out
-
-    return ev
 
 
 def geometry_fields(grid: Grid, coeff: CoefficientField, a: float) -> GeometryFields:
@@ -106,38 +78,19 @@ def geometry_fields(grid: Grid, coeff: CoefficientField, a: float) -> GeometryFi
 
 
 class FieldSampler:
-    """Interpolates a node field; inside the first y-layer the y profile
-    uses the (1, y^{1-a}) basis so fields with the natural singular
-    expansion are sampled without the O(h^{1-a}) bias of a linear
-    interpolant (reduces to multilinear at a=0)."""
+    """Samples a node field off the nodes by grid.interpolate; inside the
+    first y-layer the y profile uses the (1, y^{1-a}) basis so fields with
+    the natural singular expansion are sampled without the O(h^{1-a}) bias
+    of a linear interpolant (multilinear at a=0)."""
 
-    def __init__(self, grid: Grid, U: np.ndarray, a: float | None = None):
+    def __init__(self, grid: Grid, U: np.ndarray):
         self.grid = grid
-        self.a = grid.a if a is None else a
-        self._interp = RegularGridInterpolator(
-            grid.xs + (grid.ys,), np.asarray(U, dtype=float),
-            method="linear", bounds_error=False, fill_value=None,
-        )
         self._U = np.asarray(U, dtype=float)
-        self._thin0 = [
-            RegularGridInterpolator(grid.xs, self._U[..., j], method="linear",
-                                    bounds_error=False, fill_value=None)
-            for j in (0, 1)
-        ]
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        vals = self._interp(pts)
-        y = pts[..., -1]
-        hy = self.grid.hy
-        first = (y >= 0.0) & (y < hy)
-        if self.a > 0.0 and np.any(first):
-            sub = pts[first]
-            u0 = self._thin0[0](sub[..., :-1])
-            u1 = self._thin0[1](sub[..., :-1])
-            t = (sub[..., -1] / hy) ** (1.0 - self.a)
-            vals[first] = u0 + (u1 - u0) * t
-        return vals
+        return interpolate(self.grid.xs + (self.grid.ys,), self._U, pts,
+                           first_layer_power=1.0 - self.grid.a)
 
 
 def conjugate_variable(grid: Grid, U: np.ndarray, a: float) -> np.ndarray:
@@ -170,12 +123,34 @@ def _field_of(sol) -> np.ndarray:
 H_FLOOR_FACTOR = 1e-14
 
 
+def _sampler_of(sol, grid: Grid) -> FieldSampler:
+    return sol if isinstance(sol, FieldSampler) else FieldSampler(grid, _field_of(sol))
+
+
+def _sphere_heights(sampler: FieldSampler, geo: GeometryFields, rules, x0=None,
+                    la_r: bool = False) -> tuple:
+    """(H, L) per rule: H = 2 int_{S_r} U^2 mu~ |y|^a on the sphere about
+    (x0, 0) (even reflection: doubled upper half) and, with la_r, the G
+    numerator L = 2 int_{S_r} U^2 la_r; L is None without la_r. mu~ and
+    la_r are evaluated at the shifted points."""
+    H = np.empty(len(rules))
+    L = np.empty(len(rules)) if la_r else None
+    shift = 0.0 if x0 is None else np.append(x0, 0.0)
+    for i, rule in enumerate(rules):
+        pts = rule.points + shift
+        u2 = sampler(pts) ** 2
+        if la_r:
+            mut, lar = geo.mu_tilde_and_la_r_at(pts)
+            L[i] = 2.0 * rule.integrate(u2 * lar)
+        else:
+            mut = geo.mu_tilde_at(pts)
+        H[i] = 2.0 * rule.integrate(u2 * mut)
+    return H, L
+
+
 def height(sol, geo: GeometryFields, rule: SphereRule) -> float:
     """H(r) = int_{S_r} U^2 mu dsigma (even reflection: doubled upper half)."""
-    sampler = sol if isinstance(sol, FieldSampler) else FieldSampler(geo.grid, _field_of(sol))
-    u = sampler(rule.points)
-    mut = geo.mu_tilde_at(rule.points)
-    return 2.0 * rule.integrate(u**2 * mut)
+    return float(_sphere_heights(_sampler_of(sol, geo.grid), geo, [rule])[0][0])
 
 
 def _ball_integrals(sol, problem: ProblemSpec, radii, nsub: int) -> np.ndarray:
@@ -228,16 +203,10 @@ class _SurfaceSamplers:
         self.problem = problem
         self.a = problem.a
         self.sampler = FieldSampler(grid, U)
-        self._thin = [
-            RegularGridInterpolator(
-                grid.xs + (grid.ys,), np.gradient(U, grid.xs[d], axis=d),
-                method="linear", bounds_error=False, fill_value=None,
-            )
-            for d in range(grid.n)
-        ]
-        self._w = RegularGridInterpolator(
-            grid.xs + (grid.ys,), conjugate_variable(grid, U, self.a),
-            method="linear", bounds_error=False, fill_value=None,
+        # grad_x U and the conjugate variable, stacked on a trailing axis
+        self._table = np.stack(
+            [np.gradient(U, grid.xs[d], axis=d) for d in range(grid.n)]
+            + [conjugate_variable(grid, U, self.a)], axis=-1,
         )
 
     def rules(self, r: float, n_angles: int):
@@ -254,10 +223,10 @@ class _SurfaceSamplers:
         pts = rule.points
         n = self.grid.n
         B = self.problem.coeff.eval_B(pts[..., :n])
-        gx = np.stack([c(pts) for c in self._thin], axis=-1)
+        gw = interpolate(self.grid.xs + (self.grid.ys,), self._table, pts)
+        gx, wv = gw[..., :n], gw[..., n]
         nu = pts / rule.r
         s = np.einsum("...ij,...j,...i->...", B, gx, nu[..., :n])
-        wv = self._w(pts)
         bxx = np.einsum("...ij,...i,...j->...", B, pts[..., :n], pts[..., :n])
         mu_t = (bxx + pts[..., n] ** 2) / rule.r**2
         return s, wv, nu[..., n], mu_t, self.sampler(pts), gx
@@ -277,16 +246,10 @@ def total_energy_surface(sol, problem: ProblemSpec, r: float, n_angles: int = 64
 def g_ratio(sol, geo: GeometryFields, rule: SphereRule, h_floor: float | None = None) -> float:
     """G(r) = int U^2 la_r / int U^2 mu, with the (n+a)/r fallback when the
     height is (numerically) zero."""
-    grid = geo.grid
-    sampler = sol if isinstance(sol, FieldSampler) else FieldSampler(grid, _field_of(sol))
-    u = sampler(rule.points)
-    mut, lar = geo.mu_tilde_and_la_r_at(rule.points)
-    H = 2.0 * rule.integrate(u**2 * mut)
-    floor = 0.0 if h_floor is None else h_floor
-    if H <= floor:
-        return (grid.n + geo.a) / rule.r
-    num = 2.0 * rule.integrate(u**2 * lar)
-    return num / H
+    H, L = _sphere_heights(_sampler_of(sol, geo.grid), geo, [rule], la_r=True)
+    if H[0] <= (0.0 if h_floor is None else h_floor):
+        return (geo.grid.n + geo.a) / rule.r
+    return float(L[0] / H[0])
 
 
 # ---------------------------------------------------------------------------
@@ -533,16 +496,8 @@ def radial_profile(
     r = np.asarray(r_grid, dtype=float)
     geo = geometry_fields(grid, problem.coeff, problem.a)
     U = _field_of(sol)
-    sampler = FieldSampler(grid, U)
-
-    Hs = np.empty(len(r))
-    Gn = np.empty(len(r))
-    for i, ri in enumerate(r):
-        rule = sphere_quadrature(grid, ri, n_angles=n_angles)
-        u2 = sampler(rule.points) ** 2
-        mut, lar = geo.mu_tilde_and_la_r_at(rule.points)
-        Hs[i] = 2.0 * rule.integrate(u2 * mut)
-        Gn[i] = 2.0 * rule.integrate(u2 * lar)
+    rules = [sphere_quadrature(grid, ri, n_angles=n_angles) for ri in r]
+    Hs, Gn = _sphere_heights(FieldSampler(grid, U), geo, rules, la_r=True)
     h_floor = H_FLOOR_FACTOR * max(Hs.max(), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         G = np.where(Hs > h_floor, Gn / np.where(Hs > 0, Hs, 1.0), (grid.n + problem.a) / r)
@@ -610,31 +565,24 @@ def identity_checks(sol, problem: ProblemSpec, r_grid: np.ndarray | None = None,
     U = _field_of(sol)
     sampler = FieldSampler(grid, U)
 
-    def H_at(ri):
-        rule = sphere_quadrature(grid, ri, n_angles=n_angles)
-        return 2.0 * rule.integrate(sampler(rule.points) ** 2 * geo.mu_tilde_at(rule.points))
+    def heights(radii, la_r=False):
+        rules = [sphere_quadrature(grid, ri, n_angles=n_angles) for ri in radii]
+        return _sphere_heights(sampler, geo, rules, la_r=la_r)
 
     Ds, Bs, Fs = _ball_integrals(U, problem, r_grid, nsub)
-    Is = Ds + Fs
-    Hs = np.empty(len(r_grid))
-    rel_i = []
+    Hs, Ls = heights(r_grid, la_r=True)
+    # H' by a small central step, one-sided at the resolution floor
+    dr = np.minimum(1e-3 * grid.R, 0.05 * r_grid)
+    central = r_grid - dr > 2.0 * max(grid.hx, grid.hy)
+    H_lo = Hs.copy()
+    H_lo[central] = heights(r_grid[central] - dr[central])[0]
+    Hp = (heights(r_grid + dr)[0] - H_lo) / np.where(central, 2.0 * dr, dr)
+    rhs = 2.0 * (Ds + Fs) + Ls
+    rel_i = np.abs(Hp - rhs) / np.maximum(np.abs(rhs), 1e-300)
     rel_ii = []
-    rellich = problem.coeff.is_identity and np.abs(problem.f).max() == 0.0
-    ss = _SurfaceSamplers(grid, problem, U) if rellich else None
-    floor = 2.0 * max(grid.hx, grid.hy)
-    for i, ri in enumerate(r_grid):
-        rule = sphere_quadrature(grid, ri, n_angles=n_angles)
-        u2 = sampler(rule.points) ** 2
-        mut, lar = geo.mu_tilde_and_la_r_at(rule.points)
-        Hs[i] = 2.0 * rule.integrate(u2 * mut)
-        dr = min(1e-3 * grid.R, 0.05 * ri)
-        if ri - dr > floor:
-            Hp = (H_at(ri + dr) - H_at(ri - dr)) / (2.0 * dr)
-        else:  # one-sided at the resolution floor
-            Hp = (H_at(ri + dr) - Hs[i]) / dr
-        rhs = 2.0 * Is[i] + 2.0 * rule.integrate(u2 * lar)
-        rel_i.append(abs(Hp - rhs) / max(abs(rhs), 1e-300))
-        if rellich:
+    if problem.coeff.is_identity and np.abs(problem.f).max() == 0.0:
+        ss = _SurfaceSamplers(grid, problem, U)
+        for ri, Di in zip(r_grid, Ds):
             # each surface term split by its exact weight: grad_x parts
             # carry |y|^a, conjugate-variable squares |y|^{-a}, crosses 1
             rule_a, rule_0, rule_m = ss.rules(ri, n_angles)
@@ -649,7 +597,7 @@ def identity_checks(sol, problem: ProblemSpec, r_grid: np.ndarray | None = None,
                 + 2.0 * rule_0.integrate(s_0 * w_0 * nuy_0 / mt_0)
                 + rule_m.integrate(w_m**2 * nuy_m**2 / mt_m)
             )
-            rhs2 = 4.0 * flux_sq + (grid.n - 1 + a) / ri * Ds[i]
+            rhs2 = 4.0 * flux_sq + (grid.n - 1 + a) / ri * Di
             rel_ii.append(abs(lhs - rhs2) / max(abs(rhs2), 1e-300))
 
     if Hs.max() == 0.0 and Bs.max() == 0.0:
@@ -660,7 +608,7 @@ def identity_checks(sol, problem: ProblemSpec, r_grid: np.ndarray | None = None,
             c2 = np.nanmax((Bs / r_grid) / (Hs + r_grid * Ds))
     return {
         "r": r_grid,
-        "height_derivative_rel": np.array(rel_i),
+        "height_derivative_rel": rel_i,
         "rellich_rel": np.array(rel_ii) if rel_ii else None,
         "trace_C1": float(c1),
         "trace_C2": float(c2),

@@ -143,6 +143,19 @@ class Grid:
         m[..., -1] = True
         return m
 
+    def thin_weighted(self, w: np.ndarray) -> np.ndarray:
+        """w times the trapezoid weights of the thin axes (hx inside, hx/2
+        at the ends), multiplied in axis by axis; the leading axes of w are
+        the thin axes. thin_weighted(ones(thin shape)) are the thin node
+        areas int phi_i dx."""
+        for d in range(self.n):
+            wx = np.full(len(self.xs[d]), self.hx)
+            wx[0] = wx[-1] = self.hx / 2.0
+            shape = [1] * w.ndim
+            shape[d] = len(wx)
+            w = w * wx.reshape(shape)
+        return w
+
     def lumped_node_weights(self, exponent: float | None = None) -> np.ndarray:
         """Node quadrature weights for int f |y|^e dX by equal cell splitting.
 
@@ -151,21 +164,11 @@ class Grid:
         is split evenly among its 2^(n+1) corners.
         """
         e = self.a if exponent is None else exponent
-        ys = self.ys
-        layer = (ys[1:] ** (1.0 + e) - ys[:-1] ** (1.0 + e)) / (1.0 + e)
-        w = np.zeros(self.node_shape)
-        ny = len(ys)
-        wy = np.zeros(ny)
+        layer = _weighted_layer_integrals(self.ys, e)
+        wy = np.zeros(len(self.ys))
         wy[:-1] += layer / 2.0
         wy[1:] += layer / 2.0
-        w[...] = wy
-        for d in range(self.n):
-            wx = np.full(len(self.xs[d]), self.hx)
-            wx[0] = wx[-1] = self.hx / 2.0
-            shape = [1] * (self.n + 1)
-            shape[d] = len(wx)
-            w = w * wx.reshape(shape)
-        return w
+        return self.thin_weighted(np.broadcast_to(wy, self.node_shape))
 
 
 def build_grid(n: int, R: float, hx: float, hy: float, a: float) -> Grid:
@@ -209,6 +212,48 @@ def build_grid(n: int, R: float, hx: float, hy: float, a: float) -> Grid:
 def total_weighted_measure(grid: Grid) -> float:
     """Closed form int_box y^a dX = (2R)^n R^{1+a}/(1+a)."""
     return (2.0 * grid.R) ** grid.n * grid.R ** (1.0 + grid.a) / (1.0 + grid.a)
+
+
+# ---------------------------------------------------------------------------
+# off-node sampling
+# ---------------------------------------------------------------------------
+
+
+def interpolate(axes, values, points, first_layer_power: float | None = None) -> np.ndarray:
+    """Multilinear interpolation of a tensor-grid table at arbitrary points.
+
+    values has shape tuple(len(ax) for ax in axes) + trailing and points
+    (..., len(axes)); the result has shape points.shape[:-1] + trailing.
+    Cells are found by searchsorted on the axis arrays and the cell index
+    is clamped, so points outside the box extrapolate linearly from the
+    boundary cell. With first_layer_power=p the local coordinate t in
+    [0, 1) of the last axis's first cell becomes t**p; p = 1-a gives the
+    first-layer profile u0 + (u1 - u0) (y/y1)^{1-a}, exact on the
+    (1, y^{1-a}) basis.
+    """
+    vals = np.asarray(values, dtype=float)
+    shape = vals.shape[: len(axes)]
+    pts = np.asarray(points, dtype=float)
+    flat = pts.reshape(-1, len(axes))
+    idx, ts = [], []
+    for d, ax in enumerate(axes):
+        i = np.clip(np.searchsorted(ax, flat[:, d], side="right") - 1, 0, len(ax) - 2)
+        idx.append(i)
+        ts.append((flat[:, d] - ax[i]) / (ax[i + 1] - ax[i]))
+    if first_layer_power is not None:
+        t = ts[-1]
+        first = (idx[-1] == 0) & (t >= 0.0) & (t < 1.0)
+        ts[-1] = np.where(first, np.clip(t, 0.0, 1.0) ** first_layer_power, t)
+    table = vals.reshape((-1,) + vals.shape[len(axes):])
+    base = np.ravel_multi_index(idx, shape)
+    out = 0.0
+    for corner in itertools.product((0, 1), repeat=len(axes)):
+        w = 1.0
+        for c, t in zip(corner, ts):
+            w = w * (t if c else 1.0 - t)
+        term = table[base + np.ravel_multi_index(corner, shape)]
+        out = out + term * w.reshape(w.shape + (1,) * (table.ndim - 1))
+    return out.reshape(pts.shape[:-1] + vals.shape[len(axes):])
 
 
 # ---------------------------------------------------------------------------

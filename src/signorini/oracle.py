@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .errors import InvalidConfigurationError, OracleFailureError
 
@@ -53,6 +52,9 @@ def profile_ode(a: float, kappa: float | None = None, n_steps: int = 2000,
     weighted derivative (sin t)^a phi' at theta=0 against zero. A residual
     above residual_tol raises, never silently passes.
     """
+    # imported here to keep the spline module off the `import signorini` path
+    from scipy.interpolate import CubicSpline
+
     if not (0.0 <= a < 1.0):
         raise InvalidConfigurationError(f"a must lie in [0,1), got {a}")
     if kappa is None:

@@ -257,18 +257,6 @@ def solve_psor(
 # ---------------------------------------------------------------------------
 
 
-def _thin_node_areas(grid: Grid) -> np.ndarray:
-    """Lumped thin-cell areas int phi_i dx at thin nodes (flat over thin shape)."""
-    w = np.ones(tuple(len(x) for x in grid.xs))
-    for d in range(grid.n):
-        wx = np.full(len(grid.xs[d]), grid.hx)
-        wx[0] = wx[-1] = grid.hx / 2.0
-        shape = [1] * grid.n
-        shape[d] = len(wx)
-        w = w * wx.reshape(shape)
-    return w
-
-
 def solve_penalized(
     form: SymmetricForm,
     problem: ProblemSpec,
@@ -301,7 +289,7 @@ def solve_penalized(
     thin_flat = np.where(grid.thin_mask.ravel() & free)[0]
     thin_pos = pos_of[thin_flat]
     # flat node index of a thin node is (thin ravel position) * ny
-    areas = _thin_node_areas(grid).ravel()[thin_flat // ny]
+    areas = grid.thin_weighted(np.ones(grid.node_shape[:-1])).ravel()[thin_flat // ny]
     psi_free_thin = problem.psi.ravel()[thin_flat // ny]
 
     U = np.where(dirichlet, problem.boundary.ravel(), 0.0)
@@ -384,8 +372,10 @@ def complementarity_report(sol: SolutionField, problem: ProblemSpec, form: Symme
     Uses the discrete conormal multiplier lambda = (KU + load) at thin
     rows (the weak form of -d_y^a U against the hat functions): both
     min(U - psi, lambda) and (U - psi) * lambda vanish at an exact
-    discrete solution, so PSOR at tolerance tol certifies both gaps at
-    O(tol) without any discretization-error floor.
+    discrete solution. The gaps are in multiplier units: lambda is a
+    weak-form residual that scales with the cell measure, so small gaps
+    do not bound the solution error (PSOR stopped at tol=1e-10 has given
+    a min_gap_max of 6e-12 with a max error of 7e-8).
     """
     grid = form.grid
     ny = len(grid.ys)

@@ -11,6 +11,7 @@ from signorini.grid import (
     ball_sums,
     ball_weighted_measure,
     halfsphere_weighted_area,
+    interpolate,
     total_weighted_measure,
 )
 
@@ -244,3 +245,105 @@ def test_sphere_rule_arrays_read_only_and_unshared():
     assert np.array_equal(again.weights, first.weights)
     scaled = sg.sphere_quadrature(grid, 1.0, 16)
     assert np.array_equal(scaled.points * 0.5, ref)
+
+
+# -- off-node sampling ------------------------------------------------------
+
+
+def _multilinear(coefs, pts):
+    """sum over c in {0,1}^k of coefs[c] * prod_d x_d^{c_d} at points (m, k)."""
+    k = pts.shape[-1]
+    out = 0.0
+    for c in np.ndindex(*(2,) * k):
+        mono = np.prod([pts[:, d] ** c[d] for d in range(k)], axis=0)
+        out = out + coefs[c] * mono.reshape(mono.shape + (1,) * (coefs.ndim - k))
+    return out
+
+
+def _random_points(rng, grid, m, pad=0.0):
+    lo = np.r_[[-grid.R - pad] * grid.n, -pad]
+    hi = np.r_[[grid.R + pad] * grid.n, grid.R + pad]
+    return rng.uniform(lo, hi, (m, grid.n + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_interpolate_exact_on_multilinear_with_trailing_axes(n):
+    grid = sg.build_grid(n, 1.0, 1 / 8, 1 / 6, 0.5)
+    rng = np.random.default_rng(n)
+    axes = grid.xs + (grid.ys,)
+    coefs = rng.standard_normal((2,) * (n + 1) + (n, n))
+    nodes = np.stack(grid.node_mesh(), axis=-1).reshape(-1, n + 1)
+    table = _multilinear(coefs, nodes).reshape(grid.node_shape + (n, n))
+    # exact inside the box and, by linear extrapolation, outside it
+    pts = _random_points(rng, grid, 200, pad=0.3)
+    vals = interpolate(axes, table, pts)
+    assert vals.shape == (200, n, n)
+    assert np.allclose(vals, _multilinear(coefs, pts), rtol=0.0, atol=1e-13)
+    # thin table, one point of shape (n,)
+    thin = table[..., 0, :, :]
+    thin_coefs = coefs[(slice(None),) * n + (0,)]
+    assert np.allclose(interpolate(grid.xs, thin, pts[0, :n]),
+                       _multilinear(thin_coefs, pts[:1, :n])[0], rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.25, 0.75])
+@pytest.mark.parametrize("n", [1, 2])
+def test_interpolate_first_layer_power_exact_on_singular_basis(n, a):
+    grid = sg.build_grid(n, 1.0, 1 / 8, 1 / 8, a)
+    rng = np.random.default_rng(7 + n)
+    c0 = rng.standard_normal(n + 1)
+    c1 = rng.standard_normal(n + 1)
+
+    def field(pts):
+        x = pts[..., :n]
+        return (c0[0] + x @ c0[1:]) + (c1[0] + x @ c1[1:]) * pts[..., n] ** (1.0 - a)
+
+    nodes = np.stack(grid.node_mesh(), axis=-1)
+    pts = _random_points(rng, grid, 300)
+    pts[:, -1] = rng.uniform(0.0, grid.ys[1], 300)
+    vals = interpolate(grid.xs + (grid.ys,), field(nodes), pts, first_layer_power=1.0 - a)
+    assert np.allclose(vals, field(pts), rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_interpolate_extrapolates_like_regular_grid_interpolator(n):
+    from scipy.interpolate import RegularGridInterpolator
+
+    grid = sg.build_grid(n, 1.0, 1 / 6, 1 / 5, 0.5)
+    rng = np.random.default_rng(3 * n)
+    axes = grid.xs + (grid.ys,)
+    U = rng.standard_normal(grid.node_shape)
+    pts = _random_points(rng, grid, 400, pad=0.5)
+    ref = RegularGridInterpolator(axes, U, method="linear", bounds_error=False,
+                                  fill_value=None)(pts)
+    assert np.allclose(interpolate(axes, U, pts), ref, rtol=0.0, atol=1e-13)
+    T = rng.standard_normal(grid.node_shape[:-1] + (n, n))
+    ref = RegularGridInterpolator(grid.xs, T, method="linear", bounds_error=False,
+                                  fill_value=None)(pts[:, :n])
+    assert np.allclose(interpolate(grid.xs, T, pts[:, :n]), ref, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5])
+@pytest.mark.parametrize("n", [1, 2])
+def test_field_sampler_matches_first_layer_formula(n, a):
+    """FieldSampler against u0 + (u1 - u0) (y/hy)^{1-a} in the first layer
+    and multilinear interpolation elsewhere, built from scipy's interpolator."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    def rgi(axes, values):
+        return RegularGridInterpolator(axes, values, method="linear",
+                                       bounds_error=False, fill_value=None)
+
+    grid = sg.build_grid(n, 1.0, 1 / 8, 1 / 8, a)
+    rng = np.random.default_rng(11 * n)
+    U = rng.standard_normal(grid.node_shape)
+    pts = _random_points(rng, grid, 500)
+    pts[:100, -1] *= grid.hy / grid.R  # many points in the first layer
+    ref = rgi(grid.xs + (grid.ys,), U)(pts)
+    first = pts[:, -1] < grid.hy
+    if a > 0.0:
+        u0 = rgi(grid.xs, U[..., 0])(pts[first, :n])
+        u1 = rgi(grid.xs, U[..., 1])(pts[first, :n])
+        ref[first] = u0 + (u1 - u0) * (pts[first, -1] / grid.hy) ** (1.0 - a)
+    assert first.sum() >= 100
+    assert np.abs(sg.FieldSampler(grid, U)(pts) - ref).max() <= 1e-14

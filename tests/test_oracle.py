@@ -1,5 +1,10 @@
 """Reference solutions: closed forms, the angular profile ODE, predicted columns."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -113,3 +118,13 @@ def test_profile_ode_csv_roundtrip(tmp_path):
     data = np.loadtxt(out, delimiter=",", skiprows=1)
     assert data.shape[1] == 2
     assert data[0, 0] == 0.0 and data[-1, 0] == pytest.approx(np.pi)
+
+
+def test_import_keeps_scipy_interpolate_unloaded():
+    # the oracle spline imports scipy.interpolate lazily, inside profile_ode
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, signorini; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
