@@ -213,6 +213,7 @@ def run(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> dict:
         "version": __version__,
         "solver_iterations": sol.iterations,
         "solver_active_set_iterations": sol.active_set_iterations,
+        "solver_inner_iterations": sol.inner_iterations,
         "solver_final_update": sol.final_residual,
         "classification_at_origin": None if nearest is None else nearest["class"],
         "classification_x0": None if nearest is None else nearest["x0"],
@@ -394,6 +395,7 @@ def _dispatch(args) -> int:
             {"config": cfg.to_dict(), "version": __version__,
              "solver_iterations": sol.iterations,
              "solver_active_set_iterations": sol.active_set_iterations,
+             "solver_inner_iterations": sol.inner_iterations,
              "solver_final_update": sol.final_residual,
              "complementarity": comp,
              "wall_time_s": round(time.time() - t0, 3)},

@@ -40,31 +40,37 @@ class GeometryFields:
         return np.stack([np.gradient(table[..., i, :], xs[i], axis=i)
                          for i in range(self.grid.n)], axis=-2)
 
-    def _quadratic(self, pts: np.ndarray) -> tuple:
-        """x, B(x) and <A X, X> = <B x, x> + y^2 at the points."""
+    def _quadratic(self, pts: np.ndarray, x0) -> tuple:
+        """x - x0, B(x), <A Z, Z> = <B (x - x0), x - x0> + y^2 and |Z|^2 at
+        the points X = (x, y), with Z = X - (x0, 0); B is taken at x."""
         n = self.grid.n
         x = pts[..., :n]
         B = self._coeff.eval_B(x)
-        bxx = np.einsum("...ij,...i,...j->...", B, x, x)
-        return x, B, bxx + pts[..., n] ** 2
+        z = x if x0 is None else x - np.asarray(x0, dtype=float)
+        y2 = pts[..., n] ** 2
+        bzz = np.einsum("...ij,...i,...j->...", B, z, z)
+        return z, B, bzz + y2, (z**2).sum(axis=-1) + y2
 
-    def mu_tilde_at(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        return self._quadratic(pts)[2] / (pts**2).sum(axis=-1)
+    def mu_tilde_at(self, points: np.ndarray, x0=None) -> np.ndarray:
+        """mu~ = <A Z, Z>/|Z|^2 about the centre (x0, 0), Z = X - (x0, 0),
+        with A evaluated at the points X themselves."""
+        _, _, azz, r2 = self._quadratic(np.asarray(points, dtype=float), x0)
+        return azz / r2
 
     def la_r_reduced_at(self, points: np.ndarray) -> np.ndarray:
         """la_r / |y|^a at arbitrary points (the weight-free factor)."""
         return self.mu_tilde_and_la_r_at(points)[1]
 
-    def mu_tilde_and_la_r_at(self, points: np.ndarray) -> tuple:
-        """(mu~, la_r / |y|^a) at the points from one evaluation of B."""
+    def mu_tilde_and_la_r_at(self, points: np.ndarray, x0=None) -> tuple:
+        """(mu~, la_r / |y|^a) about the centre (x0, 0) from one evaluation
+        of B; la_r = div(|y|^a A grad |X - (x0, 0)|)."""
         pts = np.asarray(points, dtype=float)
-        x, B, axx = self._quadratic(pts)
-        r2 = (pts**2).sum(axis=-1)
+        z, B, azz, r2 = self._quadratic(pts, x0)
         r = np.sqrt(r2)
         trB = np.trace(B, axis1=-2, axis2=-1)
-        dbx = np.einsum("...ij,...j->...", interpolate(self.grid.xs, self._db_table, x), x)
-        return axx / r2, (trB + 1.0 + self.a) / r - axx / r**3 + dbx / r
+        x = pts[..., : self.grid.n]
+        dbz = np.einsum("...ij,...j->...", interpolate(self.grid.xs, self._db_table, x), z)
+        return azz / r2, (trB + 1.0 + self.a) / r - azz / r**3 + dbz / r
 
 
 def geometry_fields(grid: Grid, coeff: CoefficientField, a: float) -> GeometryFields:
@@ -132,7 +138,8 @@ def _sphere_heights(sampler: FieldSampler, geo: GeometryFields, rules, x0=None,
     """(H, L) per rule: H = 2 int_{S_r} U^2 mu~ |y|^a on the sphere about
     (x0, 0) (even reflection: doubled upper half) and, with la_r, the G
     numerator L = 2 int_{S_r} U^2 la_r; L is None without la_r. mu~ and
-    la_r are evaluated at the shifted points."""
+    la_r are taken about (x0, 0), with the coefficients evaluated at the
+    shifted points."""
     H = np.empty(len(rules))
     L = np.empty(len(rules)) if la_r else None
     shift = 0.0 if x0 is None else np.append(x0, 0.0)
@@ -140,10 +147,10 @@ def _sphere_heights(sampler: FieldSampler, geo: GeometryFields, rules, x0=None,
         pts = rule.points + shift
         u2 = sampler(pts) ** 2
         if la_r:
-            mut, lar = geo.mu_tilde_and_la_r_at(pts)
+            mut, lar = geo.mu_tilde_and_la_r_at(pts, x0)
             L[i] = 2.0 * rule.integrate(u2 * lar)
         else:
-            mut = geo.mu_tilde_at(pts)
+            mut = geo.mu_tilde_at(pts, x0)
         H[i] = 2.0 * rule.integrate(u2 * mut)
     return H, L
 

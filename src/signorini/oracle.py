@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import InvalidConfigurationError, OracleFailureError
 
@@ -52,7 +51,8 @@ def profile_ode(a: float, kappa: float | None = None, n_steps: int = 2000,
     weighted derivative (sin t)^a phi' at theta=0 against zero. A residual
     above residual_tol raises, never silently passes.
     """
-    # imported here to keep the spline module off the `import signorini` path
+    # imported here to keep the ODE and spline modules off the `import signorini` path
+    from scipy.integrate import solve_ivp
     from scipy.interpolate import CubicSpline
 
     if not (0.0 <= a < 1.0):

@@ -36,6 +36,7 @@ class SolutionField:
     method: str
     energy_history: np.ndarray | None = None
     active_set_iterations: int = 0  # linear solves of the active-set start
+    inner_iterations: int = 0  # CG iterations of all inner linear solves
 
 
 # ---------------------------------------------------------------------------
@@ -74,19 +75,119 @@ def penalty_derivative(s, eps: float):
 # ---------------------------------------------------------------------------
 
 
-def _linear_solve(A, b: np.ndarray, n: int, x0: np.ndarray | None = None,
-                  rtol: float = 1e-12) -> np.ndarray | None:
-    """Solve the SPD system A x = b; None when CG does not converge.
+# Galerkin multigrid: levels are coarsened until at most MG_COARSEST_NODES
+# nodes remain, which SuperLU then solves; each level smooths with
+# MG_SWEEPS damped-Jacobi sweeps (damping MG_DAMPING) before and after its
+# coarse correction.
+MG_COARSEST_NODES = 500
+MG_SWEEPS = 2
+MG_DAMPING = 0.7
+CG_MAX_ITER = 500
+# CG tolerance of the active-set solves. The PSOR update at a node is its
+# residual over the diagonal, and the diagonal scales like h^(n-1) while
+# |b| grows with the fixed values: at n=2, h=1/32 a relative residual of
+# 1e-12 left 10 certifying sweeps, 1e-13 and below one.
+ACTIVE_SET_RTOL = 1e-14
 
-    n=1 factorizes with SuperLU under a minimum-degree ordering of A'+A.
-    n=2 runs Jacobi-preconditioned CG from x0 (to rtol): the fill-in of a
-    3-D factorization costs seconds, while CG needs a few hundred steps.
+
+def _axis_prolongation(z: np.ndarray) -> tuple:
+    """Linear interpolation along one axis from its coarse nodes (the
+    even-index nodes plus the last) to all of z, in z's own coordinates.
+    Returns (P, keep): the (len(z), len(keep)) CSR matrix and the fine
+    indices of the coarse nodes."""
+    m = len(z)
+    keep = np.unique(np.r_[np.arange(0, m, 2), m - 1])
+    zc = z[keep]
+    k = np.clip(np.searchsorted(zc, z, side="right") - 1, 0, len(zc) - 2)
+    t = (z - zc[k]) / (zc[k + 1] - zc[k])
+    P = sp.csr_matrix((np.r_[1.0 - t, t], (np.r_[np.arange(m), np.arange(m)], np.r_[k, k + 1])),
+                      shape=(m, len(zc)))
+    P.eliminate_zeros()
+    return P, keep
+
+
+def _prolongations(grid: Grid) -> list:
+    """Full prolongations [(P, coarse_nodes), ...] from the finest level
+    down: P is the Kronecker product of the axis prolongations (an axis
+    of two nodes maps to itself) and coarse_nodes the flat fine indices
+    of the coarse nodes."""
+    axes = list(grid.xs) + [grid.ys]
+    levels = []
+    while np.prod([len(z) for z in axes]) > MG_COARSEST_NODES and max(len(z) for z in axes) > 2:
+        mats, keeps = zip(*(_axis_prolongation(z) for z in axes))
+        P = mats[0]
+        for Q in mats[1:]:
+            P = sp.kron(P, Q, format="csr")
+        coarse = np.ravel_multi_index(np.meshgrid(*keeps, indexing="ij"),
+                                      [len(z) for z in axes]).ravel()
+        levels.append((P, coarse))
+        axes = [z[keep] for z, keep in zip(axes, keeps)]
+    return levels
+
+
+def _embedded(A: sp.csr_matrix, fixed: np.ndarray) -> sp.csr_matrix:
+    """D A D + I_fixed with D = diag(~fixed): A on the free block, identity
+    on the fixed rows."""
+    A = A.tocsr()
+    free = ~fixed
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    masked = sp.csr_matrix((A.data * (free[rows] & free[A.indices]), A.indices, A.indptr),
+                           shape=A.shape)
+    return masked + sp.diags(fixed.astype(float), format="csr")
+
+
+def _vcycle(A: sp.csr_matrix, fixed: np.ndarray, grid: Grid):
+    """Symmetric V(MG_SWEEPS, MG_SWEEPS)-cycle for the embedded matrix A,
+    as a function of the residual. Coarse operators are P'AP plus the
+    identity on coarse fixed nodes, with P masked to zero on fine and
+    coarse fixed rows."""
+    ops = []
+    for P, coarse in _prolongations(grid):
+        fixed_c = fixed[coarse]
+        P = sp.diags((~fixed).astype(float)) @ P @ sp.diags((~fixed_c).astype(float))
+        R = P.T.tocsr()
+        ops.append((A, MG_DAMPING / A.diagonal(), P, R))
+        A = (R @ A @ P + sp.diags(fixed_c.astype(float))).tocsr()
+        fixed = fixed_c
+    coarsest = spla.splu(A.tocsc())
+
+    def cycle(b, level=0):
+        if level == len(ops):
+            return coarsest.solve(b)
+        A, wdinv, P, R = ops[level]
+        x = wdinv * b
+        for _ in range(MG_SWEEPS - 1):
+            x += wdinv * (b - A @ x)
+        x += P @ cycle(R @ (b - A @ x), level + 1)
+        for _ in range(MG_SWEEPS):
+            x += wdinv * (b - A @ x)
+        return x
+
+    return cycle
+
+
+def _linear_solve(A, fixed: np.ndarray, load: np.ndarray, U: np.ndarray, grid: Grid,
+                  rtol: float) -> tuple:
+    """Solve for x = U on the fixed nodes and (A x + load) = 0 on the rest.
+
+    Runs CG from U on the embedded system D A D + I_fixed, D = diag(~fixed),
+    preconditioned by one Galerkin multigrid V-cycle on the tensor grid,
+    to a residual of rtol times the right-hand side. A must be symmetric
+    and positive definite on the free nodes. Returns (x, iterations), with
+    x None when CG does not converge.
     """
-    if n == 1:
-        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
-    M = sp.diags(1.0 / A.diagonal())
-    x, info = spla.cg(A, b, x0=x0, rtol=rtol, atol=0.0, M=M, maxiter=5000)
-    return x if info == 0 else None
+    M = _embedded(A, fixed)
+    b = np.where(fixed, U, -(load + A @ np.where(fixed, U, 0.0)))
+    cycle = _vcycle(M, fixed, grid)
+    count = [0]
+
+    def tick(_):
+        count[0] += 1
+
+    x, info = spla.cg(M, b, x0=U, rtol=rtol, atol=0.0,
+                      M=spla.LinearOperator(M.shape, matvec=cycle, dtype=float),
+                      maxiter=CG_MAX_ITER, callback=tick)
+    return (x if info == 0 else None), count[0]
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +206,7 @@ def near_optimal_omega(grid: Grid) -> float:
     return 2.0 / (1.0 + np.sin(np.pi * grid.hy / grid.R))
 
 
-def _active_set_start(form: SymmetricForm, U: np.ndarray, psi_full: np.ndarray) -> int:
+def _active_set_start(form: SymmetricForm, U: np.ndarray, psi_full: np.ndarray) -> tuple:
     """Primal-dual active-set iteration for the complementarity system, in place on U.
 
     U holds the Dirichlet values on entry. The first step solves without
@@ -114,30 +215,28 @@ def _active_set_start(form: SymmetricForm, U: np.ndarray, psi_full: np.ndarray) 
     solves for the remaining free nodes. Stops when the active set
     repeats, after ACTIVE_SET_MAX_STEPS solves, or when CG fails (U then
     keeps the previous iterate, set to psi on the current active set).
-    Returns the number of solves attempted.
+    Returns (solves attempted, total CG iterations).
     """
     K, load, thin = form.stiffness, form.load, form.thin_rows
     K_thin = K[thin]
     c = K.diagonal()[thin]
     psi = psi_full[thin]
     active = np.zeros(len(thin), dtype=bool)
-    step = 0
+    step = inner = 0
     for step in range(1, ACTIVE_SET_MAX_STEPS + 1):
         fixed = form.dirichlet.copy()
         fixed[thin[active]] = True
         U[thin[active]] = psi[active]
-        F = ~fixed
-        K_F = K[F]
-        u = _linear_solve(K_F[:, F], -(load[F] + K_F[:, fixed] @ U[fixed]), form.grid.n,
-                          x0=U[F])
-        if u is None:
+        x, its = _linear_solve(K, fixed, load, U, form.grid, ACTIVE_SET_RTOL)
+        inner += its
+        if x is None:
             break
-        U[F] = u
+        U[:] = x
         new_active = (K_thin @ U + load[thin]) - c * (U[thin] - psi) > 0.0
         if np.array_equal(new_active, active):
             break
         active = new_active
-    return step
+    return step, inner
 
 
 def _color_classes(grid: Grid, free: np.ndarray):
@@ -204,7 +303,7 @@ def solve_psor(
     psi_full[grid.thin_mask.ravel()] = problem.psi.ravel()
 
     U = np.where(dirichlet, problem.boundary.ravel(), 0.0)
-    active_steps = _active_set_start(form, U, psi_full) if warm_start else 0
+    active_steps, inner = _active_set_start(form, U, psi_full) if warm_start else (0, 0)
     U[thin_flat] = np.maximum(U[thin_flat], psi_full[thin_flat])
 
     classes = _color_classes(grid, free)
@@ -249,6 +348,7 @@ def solve_psor(
         method="psor",
         energy_history=np.asarray(energies) if energies is not None else None,
         active_set_iterations=active_steps,
+        inner_iterations=inner,
     )
 
 
@@ -269,8 +369,8 @@ def solve_penalized(
 
     T samples thin nodes scaled by thin cell area; the Jacobian
     K + T' diag(beta_eps') T stays symmetric positive definite because
-    beta_eps' >= 0. Inner solves factorize for n=1 and run Jacobi-CG to
-    cg_tol for n=2.
+    beta_eps' >= 0. Every inner solve is the multigrid-preconditioned CG
+    of _linear_solve, run to cg_tol.
     Complementarity of the result only holds up to O(eps).
     """
     if eps <= 0:
@@ -280,56 +380,46 @@ def solve_penalized(
     K = form.stiffness
     load = form.load
     dirichlet = form.dirichlet
-    free = ~dirichlet
-    free_idx = np.where(free)[0]
-    pos_of = -np.ones(grid.n_nodes, dtype=int)
-    pos_of[free_idx] = np.arange(len(free_idx))
-
+    thin = form.thin_rows
     ny = len(grid.ys)
-    thin_flat = np.where(grid.thin_mask.ravel() & free)[0]
-    thin_pos = pos_of[thin_flat]
     # flat node index of a thin node is (thin ravel position) * ny
-    areas = grid.thin_weighted(np.ones(grid.node_shape[:-1])).ravel()[thin_flat // ny]
-    psi_free_thin = problem.psi.ravel()[thin_flat // ny]
+    areas = grid.thin_weighted(np.ones(grid.node_shape[:-1])).ravel()[thin // ny]
+    psi_thin = problem.psi.ravel()[thin // ny]
 
     U = np.where(dirichlet, problem.boundary.ravel(), 0.0)
-    Kff = K[free][:, free].tocsr()
-    bc_term = K[free][:, dirichlet] @ U[dirichlet]
-
-    u = _linear_solve(Kff, -(load[free] + bc_term), grid.n, rtol=cg_tol)
-    if u is None:
+    scale = max(np.linalg.norm(np.where(dirichlet, 0.0, K @ U + load)), 1.0)
+    U, inner = _linear_solve(K, dirichlet, load, U, grid, rtol=cg_tol)
+    if U is None:
         raise NonconvergedError(
             "inner CG failed on the unconstrained start", last_iterate=None, final_residual=np.inf,
         )
 
-    def residual(u):
-        s = u[thin_pos] - psi_free_thin
-        r = Kff @ u + load[free] + bc_term
-        r[thin_pos] += areas * penalty(s, eps)
+    def residual(U):
+        r = K @ U + load
+        r[thin] += areas * penalty(U[thin] - psi_thin, eps)
+        r[dirichlet] = 0.0
         return r
 
-    r = residual(u)
+    r = residual(U)
     rnorm = np.linalg.norm(r)
-    scale = max(np.linalg.norm(load[free] + bc_term), 1.0)
+    zero = np.zeros(grid.n_nodes)
     it = 0
     for it in range(1, max_newton + 1):
         if rnorm <= tol * scale:
             break
-        s = u[thin_pos] - psi_free_thin
-        dpen = areas * penalty_derivative(s, eps)
-        Jac = Kff + sp.csr_matrix(
-            (dpen, (thin_pos, thin_pos)), shape=Kff.shape
-        )
-        du = _linear_solve(Jac, -r, grid.n, rtol=cg_tol)
-        if du is None:
+        dpen = areas * penalty_derivative(U[thin] - psi_thin, eps)
+        Jac = K + sp.csr_matrix((dpen, (thin, thin)), shape=K.shape)
+        dU, its = _linear_solve(Jac, dirichlet, r, zero, grid, rtol=cg_tol)
+        inner += its
+        if dU is None:
             raise NonconvergedError(
                 f"inner CG failed at Newton step {it}",
                 last_iterate=None, final_residual=rnorm,
             )
         step = 1.0
         for _ in range(30):
-            u_try = u + step * du
-            r_try = residual(u_try)
+            U_try = U + step * dU
+            r_try = residual(U_try)
             if np.linalg.norm(r_try) < rnorm:
                 break
             step *= 0.5
@@ -338,7 +428,7 @@ def solve_penalized(
                 "Newton stagnation in penalized solve",
                 last_iterate=None, final_residual=rnorm,
             )
-        u, r = u_try, r_try
+        U, r = U_try, r_try
         rnorm = np.linalg.norm(r)
     else:
         raise NonconvergedError(
@@ -346,7 +436,6 @@ def solve_penalized(
             last_iterate=None, final_residual=rnorm,
         )
 
-    U[free_idx] = u
     Un = U.reshape(grid.node_shape)
     act_tol = 2.0 * eps * (1.0 + np.abs(problem.psi).max())
     active = (Un[..., 0] - problem.psi) <= act_tol
@@ -358,6 +447,7 @@ def solve_penalized(
         final_residual=float(rnorm),
         tol=tol,
         method=f"penalized(eps={eps:g})",
+        inner_iterations=inner,
     )
 
 

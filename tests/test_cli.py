@@ -75,6 +75,8 @@ def test_manifest_reports_point_nearest_origin(tmp_path):
     assert manifest["classification_x0"] == nearest["x0"]
     assert manifest["classification_at_origin"] == nearest["class"] == "Regular"
     assert manifest["solver_active_set_iterations"] >= 2
+    # at least one CG iteration per active-set solve
+    assert manifest["solver_inner_iterations"] >= manifest["solver_active_set_iterations"]
 
 
 def test_profile_csv_schema(tmp_path):
@@ -229,6 +231,7 @@ def test_penalized_solver_via_config(tmp_path):
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["complementarity"]["min_gap_max"] <= 0.05
+    assert manifest["solver_inner_iterations"] > 0
 
 
 def test_tilted_n2_summary_is_strict_json(tmp_path):

@@ -7,7 +7,9 @@ from scipy.integrate import quad
 
 import signorini as sg
 from signorini.errors import InvalidConfigurationError
-from signorini.functionals import PsiSigma, frequency_columns, integrate_psi_sigma
+from signorini.functionals import (
+    FieldSampler, PsiSigma, _sphere_heights, frequency_columns, integrate_psi_sigma,
+)
 
 from conftest import exact_field_solution, profile_boundary, solved_profile
 
@@ -51,6 +53,33 @@ def test_geometry_perturbed_bounds():
     dev = np.abs(la_r * r[off] - 1.0)
     assert dev.max() <= 0.5
     assert np.all((mu_tilde >= coeff.lam - 1e-12) & (mu_tilde <= coeff.Lam + 1e-12))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_geometry_about_shifted_centre_closed_forms(n):
+    # constant B: mu~ = (<B z, z> + y^2)/|Z|^2 and la_r/|y|^a =
+    # (tr B + 1 + a)/|Z| - <A Z, Z>/|Z|^3 with Z = X - (x0, 0)
+    a = 0.5
+    grid = sg.build_grid(n, 1.0, 1 / 16, 1 / 16, a)
+    Bc = np.array([[3.0]]) if n == 1 else np.array([[2.0, 0.5], [0.5, 1.0]])
+    geo = sg.geometry_fields(grid, sg.build_coefficients(grid, Bc.tolist()), a)
+    x0 = np.array([0.25, -0.125])[:n]
+    rule = sg.sphere_quadrature(grid, 0.4, 32)
+    Z = rule.points
+    pts = Z + np.append(x0, 0.0)
+    z, y = Z[:, :n], Z[:, n]
+    azz = np.einsum("ij,ki,kj->k", Bc, z, z) + y**2
+    rho = np.sqrt((Z**2).sum(axis=1))
+    mu_tilde = azz / rho**2
+    la_r = (np.trace(Bc) + 1.0 + a) / rho - azz / rho**3
+    assert np.allclose(geo.mu_tilde_at(pts, x0), mu_tilde, rtol=1e-13, atol=0.0)
+    got_mu, got_la = geo.mu_tilde_and_la_r_at(pts, x0)
+    assert np.allclose(got_mu, mu_tilde, rtol=1e-13, atol=0.0)
+    assert np.allclose(got_la, la_r, rtol=1e-12, atol=0.0)
+    # the height about x0 of U = 1 is 2 int mu~ |y|^a on that sphere
+    ones = FieldSampler(grid, np.ones(grid.node_shape))
+    H = _sphere_heights(ones, geo, [rule], x0=x0)[0][0]
+    assert H == pytest.approx(2.0 * rule.integrate(mu_tilde), rel=1e-13)
 
 
 # -- height -------------------------------------------------------------------

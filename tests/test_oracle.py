@@ -121,10 +121,11 @@ def test_profile_ode_csv_roundtrip(tmp_path):
 
 
 def test_import_keeps_scipy_interpolate_unloaded():
-    # the oracle spline imports scipy.interpolate lazily, inside profile_ode
+    # the oracle imports scipy.interpolate and scipy.integrate lazily, inside profile_ode
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, signorini; print('scipy.interpolate' in sys.modules)"
+    code = ("import sys, signorini; "
+            "print([m in sys.modules for m in ('scipy.interpolate', 'scipy.integrate')])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"

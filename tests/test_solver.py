@@ -1,5 +1,7 @@
 """PSOR reference solver, penalization, complementarity certification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -7,6 +9,7 @@ import scipy.sparse.linalg as spla
 import signorini as sg
 import signorini.solver as solver_mod
 from signorini.errors import InvalidParameterError, NonconvergedError
+from signorini.grid import _layer_transmissibilities, _weighted_layer_integrals
 from signorini.solver import near_optimal_omega
 
 from conftest import profile_boundary, solved_profile
@@ -191,6 +194,66 @@ def test_failed_cg_falls_back_to_psor(monkeypatch):
     sol = sg.solve_psor(form, problem, tol=1e-12)
     assert sol.active_set_iterations == 1
     assert np.abs(sol.U - ref.U).max() <= 1e-9
+
+
+def _embedded_system(n, h, a, graded=False):
+    """Stiffness, load, Dirichlet and every third thin node fixed, and the
+    fixed values (profile boundary data, 0.05 on the fixed thin nodes)."""
+    grid = sg.build_grid(n, 1.0, h, h, a)
+    if graded:
+        ys = grid.ys[-1] * (np.arange(len(grid.ys)) / (len(grid.ys) - 1)) ** 2
+        grid = dataclasses.replace(grid, ys=ys, cell_y_weights=_weighted_layer_integrals(ys, a),
+                                   cell_y_trans=_layer_transmissibilities(ys, a))
+    coeff = None
+    if n == 2:
+        off = {"poly": [[0.25, [0, 0]], [0.1, [1, 0]]]}
+        coeff = sg.build_coefficients(
+            grid, [[{"poly": [[1.0, [0, 0]], [0.1, [0, 1]]]}, off], [off, 1.0]]
+        )
+    problem = sg.make_problem(grid, coeff=coeff, f=1.0, boundary=profile_boundary(grid, a))
+    form = sg.assemble_energy(grid, problem)
+    fixed = form.dirichlet.copy()
+    fixed[form.thin_rows[::3]] = True
+    U = np.where(form.dirichlet, problem.boundary.ravel(), 0.0)
+    U[form.thin_rows[::3]] = 0.05
+    return grid, form, fixed, U
+
+
+@pytest.mark.parametrize(
+    "n, h, a, graded",
+    [(1, 1 / 7, 0.0, False), (1, 1 / 7, 0.75, False), (1, 1 / 96, 0.0, False),
+     (1, 1 / 96, 0.75, False), (1, 1 / 97, 0.0, False), (1, 1 / 97, 0.75, False),
+     (1, 1 / 33, 0.5, True), (2, 1 / 8, 0.5, False), (2, 1 / 13, 0.5, False)],
+)
+def test_multigrid_cg_matches_direct_solve(n, h, a, graded):
+    grid, form, fixed, U = _embedded_system(n, h, a, graded)
+    K, free = form.stiffness, ~fixed
+    x, its = solver_mod._linear_solve(K, fixed, form.load, U, grid, solver_mod.ACTIVE_SET_RTOL)
+    ref = U.copy()
+    ref[free] = spla.spsolve(K[free][:, free].tocsc(),
+                             -(form.load[free] + K[free][:, fixed] @ U[fixed]))
+    assert its > 0
+    assert np.array_equal(x[fixed], U[fixed])
+    assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("m", [2, 3, 8, 9])
+def test_axis_prolongation_interpolates_linearly_in_coordinates(m):
+    # graded axis, odd and even node counts: coarse nodes are the even
+    # indices plus the last, and linear functions of z are reproduced
+    z = (np.arange(m) / (m - 1)) ** 2
+    P, keep = solver_mod._axis_prolongation(z)
+    assert keep[0] == 0 and keep[-1] == m - 1 and np.all(keep[:-1] % 2 == 0)
+    assert np.allclose(P @ z[keep], z, rtol=0.0, atol=1e-15)
+    assert np.allclose(P.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+
+
+def test_multigrid_cg_iterations_do_not_grow_with_resolution():
+    grid, form, fixed, U = _embedded_system(1, 1 / 128, 0.5)
+    x, its = solver_mod._linear_solve(form.stiffness, fixed, form.load, U, grid,
+                                      solver_mod.ACTIVE_SET_RTOL)
+    assert x is not None
+    assert its <= 30
 
 
 def test_default_omega_is_near_optimal():
