@@ -24,7 +24,6 @@ from .operator import (
     apply_operator,
     assemble_energy,
     neumann_trace,
-    reflect,
     residual_l2,
 )
 from .solver import (

@@ -1,6 +1,10 @@
 """Experiment runner: JSON config -> solve -> diagnostics -> CSV/JSON artifacts.
 
-Verbs: solve, diagnose, classify, blowup, oracle, sweep.
+The verbs solve, diagnose, classify and blowup each run a tuple of named
+stages (VERBS) through one pipeline, which writes the stages' artifacts
+and one manifest.json; oracle tabulates a reference solution and sweep
+runs diagnose once per parameter value. This module is the only one
+that writes files.
 Exit codes: 0 success, 2 invalid config, 3 nonconvergence, 4 oracle failure.
 """
 
@@ -8,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -21,18 +26,26 @@ from .errors import (
     InvalidParameterError,
     NonconvergedError,
     OracleFailureError,
+    OutOfDomainError,
     SignoriniError,
     UnsupportedRadiusError,
 )
 from .coefficients import build_coefficients, make_problem
 from .freeboundary import blowup, free_boundary_report, reduce_obstacle
-from .functionals import default_r_grid, identity_checks, radial_profile, surface_cross_check
+from .functionals import (
+    COLUMNS, default_r_grid, identity_checks, radial_profile, surface_cross_check,
+)
 from .grid import build_grid
 from .operator import assemble_energy
 from .oracle import exact_solution, profile_ode
 from .solver import complementarity_report, solve_penalized, solve_psor
 
 CONFIG_SCHEMA = 1
+SOLVER_KEYS = {
+    "psor": {"method", "tol", "max_iter", "omega", "warm_start"},
+    "penalized": {"method", "eps", "tol"},
+}
+R_GRID_KEYS = {"count", "r_min", "r_max"}
 
 
 @dataclass
@@ -87,9 +100,16 @@ class ExperimentConfig:
                 raise InvalidConfigurationError(f"field '{name}' must be positive finite, got {v}")
         if not (0.0 < self.delta < 1.0):
             raise InvalidConfigurationError(f"field 'delta' must lie in (0,1), got {self.delta}")
+        for name in ("solver", "r_grid"):
+            if not isinstance(getattr(self, name), dict):
+                raise InvalidConfigurationError(f"field '{name}' must be an object")
         method = self.solver.get("method", "psor")
-        if method not in ("psor", "penalized"):
+        if method not in SOLVER_KEYS:
             raise InvalidConfigurationError(f"solver.method must be psor|penalized, got {method}")
+        for name, allowed in (("solver", SOLVER_KEYS[method]), ("r_grid", R_GRID_KEYS)):
+            unknown = set(getattr(self, name)) - allowed
+            if unknown:
+                raise InvalidConfigurationError(f"unknown {name} keys {sorted(unknown)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -132,10 +152,28 @@ def run_solve(cfg: ExperimentConfig):
     return grid, problem, form, sol, ref
 
 
-def _json_dump(obj, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+def _write(out_dir, artifacts: dict) -> None:
+    """Write {file name: data} into out_dir, creating it; the suffix picks
+    the format. .npy: an array. .json: strict JSON (sorted keys; non-finite
+    floats as strings). .csv: (header, rows), floats to 17 significant
+    digits, cells holding a comma, quote or newline quoted.
+    """
+    out = pathlib.Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, data in artifacts.items():
+        path = out / name
+        if name.endswith(".npy"):
+            np.save(path, data)
+            continue
+        with open(path, "w", newline="\n") as fh:
+            if name.endswith(".json"):
+                json.dump(_jsonable(data), fh, indent=2, sort_keys=True, allow_nan=False)
+                fh.write("\n")
+            else:
+                header, rows = data
+                lines = [",".join(header)]
+                lines += [",".join(_csv_cell(v) for v in row) for row in rows]
+                fh.write("\n".join(lines) + "\n")
 
 
 def _jsonable(v):
@@ -154,138 +192,170 @@ def _jsonable(v):
     return v
 
 
-def run(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> dict:
-    """Full pipeline: solve -> radial profile -> identities -> free boundary.
+def _csv_cell(v) -> str:
+    if isinstance(v, float):
+        return "%.17g" % v
+    text = str(v)
+    if any(c in text for c in ',"\n'):
+        return '"%s"' % text.replace('"', '""')
+    return text
 
-    Deterministic given config and seed; artifacts land in out_dir.
-    """
-    import pathlib
 
-    out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    t0 = time.time()
-    grid, problem, form, sol, ref = run_solve(cfg)
+# The pipeline. Each stage reads and extends `res`, the run's in-memory
+# results, adds its entries to res["manifest"], and returns its artifacts.
 
-    np.save(out / "U.npy", sol.U)
-    np.save(out / "active.npy", sol.active)
-    np.save(out / "trace.npy", sol.trace)
 
+def _solve(cfg: ExperimentConfig, res: dict) -> dict:
+    _, problem, form, sol, ref = run_solve(cfg)
+    res.update(problem=problem, sol=sol)
+    res["manifest"].update(
+        solver_iterations=sol.iterations,
+        solver_active_set_iterations=sol.active_set_iterations,
+        solver_inner_iterations=sol.inner_iterations,
+        solver_final_update=sol.final_residual,
+        complementarity=complementarity_report(sol, problem, form),
+        oracle_linf_error=None if ref is None else float(np.abs(sol.U - problem.boundary).max()),
+    )
+    return {"U.npy": sol.U, "active.npy": sol.active, "trace.npy": sol.trace}
+
+
+def _profile(cfg: ExperimentConfig, res: dict) -> dict:
     rg_spec = cfg.r_grid
     r_grid = default_r_grid(
-        grid, count=rg_spec.get("count", 40),
+        res["problem"].grid, count=rg_spec.get("count", 40),
         r_min=rg_spec.get("r_min"), r_max=rg_spec.get("r_max"),
     )
     # all radial diagnostics run on the zero-obstacle reduction U - psi
-    sol0, problem0 = reduce_obstacle(sol, problem)
+    sol0, problem0 = reduce_obstacle(res["sol"], res["problem"])
     prof = radial_profile(
         sol0, problem0, r_grid=r_grid, Kprime=cfg.Kprime, delta=cfg.delta,
         C_weiss=cfg.C_weiss,
     )
-    prof.to_csv(out / "profile.csv")
-    _json_dump(prof.summary(), out / "profile_summary.json")
+    res.update(r_grid=r_grid, reduced=(sol0, problem0), summary=prof.summary())
+    cols = [getattr(prof, c) for c in COLUMNS]
+    cols += [prof.mask_lambda.astype(int), prof.mask_gamma.astype(int)]
+    header = COLUMNS + ["in_lambda_mask", "in_gamma_mask"]
+    return {"profile.csv": (header, zip(*cols)), "profile_summary.json": res["summary"]}
 
-    idr = r_grid[(r_grid >= 0.2 * grid.R) & (r_grid <= 0.8 * grid.R)]
+
+def _identities(cfg: ExperimentConfig, res: dict) -> dict:
+    """Needs the profile stage's radii and reduction."""
+    r_grid = res["r_grid"]
+    sol0, problem0 = res["reduced"]
+    R = problem0.grid.R
+    idr = r_grid[(r_grid >= 0.2 * R) & (r_grid <= 0.8 * R)]
     checks = identity_checks(sol0, problem0, r_grid=idr if len(idr) >= 3 else None)
     cross = surface_cross_check(sol0, problem0, float(np.median(r_grid)))
-    comp = complementarity_report(sol, problem, form)
-    _json_dump(
-        {
-            "height_derivative_rel_max": float(np.max(checks["height_derivative_rel"])),
-            "rellich_rel_max": (
-                None if checks["rellich_rel"] is None else float(np.max(checks["rellich_rel"]))
-            ),
-            "trace_C1": checks["trace_C1"],
-            "trace_C2": checks["trace_C2"],
-            "energy_cross_check_rel": cross["rel"],
-            "complementarity": comp,
-        },
-        out / "identities.json",
-    )
+    rellich = checks["rellich_rel"]
+    return {"identities.json": {
+        "height_derivative_rel_max": float(np.max(checks["height_derivative_rel"])),
+        "rellich_rel_max": None if rellich is None else float(np.max(rellich)),
+        "trace_C1": checks["trace_C1"],
+        "trace_C2": checks["trace_C2"],
+        "energy_cross_check_rel": cross["rel"],
+        "complementarity": res["manifest"]["complementarity"],
+    }}
 
-    fb = free_boundary_report(sol, problem, delta=cfg.delta)
-    fb.to_json(out / "freeboundary.json")
-    if fb.graph is not None:
-        fb.graph_to_csv(out / "graph.csv")
+
+def _freeboundary(cfg: ExperimentConfig, res: dict) -> dict:
+    fb = free_boundary_report(res["sol"], res["problem"], delta=cfg.delta)
+    res["points"] = fb.points
     nearest = min(fb.points, key=lambda p: float(np.linalg.norm(p["x0"])), default=None)
+    res["manifest"].update(
+        classification_at_origin=None if nearest is None else nearest["class"],
+        classification_x0=None if nearest is None else nearest["x0"],
+    )
+    artifacts = {"freeboundary.json": {
+        "params": fb.params,
+        "n_contact": int(fb.contact_mask.sum()),
+        "n_gamma": int(fb.gamma_mask.sum()),
+        "n_gamma_star": int(fb.gamma_star_mask.sum()),
+        "points": fb.points,
+        "gamma_est": None if fb.graph is None else fb.graph["gamma_est"],
+    }}
+    if fb.graph is not None:
+        artifacts["graph.csv"] = (("s", "g"), zip(fb.graph["s"], fb.graph["g"]))
+    return artifacts
 
-    manifest = {
-        "config": cfg.to_dict(),
-        "version": __version__,
-        "solver_iterations": sol.iterations,
-        "solver_active_set_iterations": sol.active_set_iterations,
-        "solver_inner_iterations": sol.inner_iterations,
-        "solver_final_update": sol.final_residual,
-        "classification_at_origin": None if nearest is None else nearest["class"],
-        "classification_x0": None if nearest is None else nearest["x0"],
-        "oracle_linf_error": (
-            None
-            if ref is None
-            else float(np.abs(sol.U - problem.boundary).max())
-        ),
-        "wall_time_s": round(time.time() - t0, 3),
-    }
-    _json_dump(manifest, out / "manifest.json")
+
+def _blowup(cfg: ExperimentConfig, res: dict) -> dict:
+    x0, scale = res["blowup_at"]
+    bl = blowup(res["sol"], res["problem"], x0, scale)
+    return {"blowup.npy": bl.U, "blowup.json": {"x0": x0, "scale": scale}}
+
+
+STAGES = {"solve": _solve, "profile": _profile, "identities": _identities,
+          "freeboundary": _freeboundary, "blowup": _blowup}
+VERBS = {
+    "solve": ("solve",),
+    "diagnose": ("solve", "profile", "identities", "freeboundary"),
+    "classify": ("solve", "freeboundary"),
+    "blowup": ("solve", "blowup"),
+}
+
+
+def _pipeline(cfg: ExperimentConfig, out_dir, verb: str, quiet: bool = True,
+              blowup_at=None) -> dict:
+    """Run the verb's stages in order, writing each stage's artifacts as it
+    ends, then manifest.json; returns the in-memory results. blowup_at is
+    the (x0, scale) of the blowup stage."""
+    t0 = time.time()
+    manifest = {"config": cfg.to_dict(), "version": __version__, "stage_s": {}}
+    res = {"manifest": manifest, "blowup_at": blowup_at}
+    for name in VERBS[verb]:
+        t = time.perf_counter()
+        _write(out_dir, STAGES[name](cfg, res))
+        manifest["stage_s"][name] = round(time.perf_counter() - t, 3)
+    manifest["wall_time_s"] = round(time.time() - t0, 3)
+    _write(out_dir, {"manifest.json": manifest})
     if not quiet:
-        print(f"run complete: {out} ({manifest['wall_time_s']}s, {sol.iterations} iterations)")
-    return manifest
+        print(f"{verb} complete: {out_dir} ({manifest['wall_time_s']}s)")
+    return res
+
+
+def run(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> dict:
+    """The diagnose pipeline: solve -> radial profile -> identities -> free
+    boundary. Deterministic given config and seed; returns the manifest."""
+    return _pipeline(cfg, out_dir, "diagnose", quiet=quiet)["manifest"]
+
+
+SWEEP_COLUMNS = ["value", "status", "decay_slope", "Ntilde_rmin", "phi_margin",
+                 "weiss_margin", "Kprime", "C_weiss", "oracle_linf_error"]
 
 
 def sweep(cfg: ExperimentConfig, parameter: str, values, out_dir, quiet: bool = False):
-    """Run the config once per parameter value; one CSV row per value."""
-    import pathlib
-
+    """Run the diagnose pipeline once per parameter value; one CSV row per value."""
     if parameter not in ExperimentConfig.__dataclass_fields__:
         raise InvalidConfigurationError(f"unknown sweep parameter {parameter!r}")
     out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for v in values:
-        sub = out / f"{parameter}={v}"
+        row = dict.fromkeys(SWEEP_COLUMNS, float("nan"))
+        row["value"] = v
         try:
             cfg_v = ExperimentConfig.from_dict({**cfg.to_dict(), parameter: v})
-            manifest = run(cfg_v, sub, quiet=True)
-            with open(sub / "profile_summary.json") as fh:
-                summ = json.load(fh)
-            with open(sub / "freeboundary.json") as fh:
-                fbj = json.load(fh)
-            slopes = [p.get("decay_slope") for p in fbj["points"] if "decay_slope" in p]
-            err = manifest.get("oracle_linf_error")
-            rows.append(
-                {
-                    "value": v,
-                    "status": "ok",
-                    "decay_slope": slopes[0] if slopes else float("nan"),
-                    "Ntilde_rmin": summ["Ntilde_min_r"],
-                    "phi_margin": summ["phi_monotonicity_margin"],
-                    "weiss_margin": summ["weiss_monotonicity_margin"],
-                    "Kprime": summ["Kprime"],
-                    "C_weiss": summ["C_weiss"],
-                    "oracle_linf_error": float("nan") if err is None else err,
-                }
-            )
+            res = _pipeline(cfg_v, out / f"{parameter}={v}", "diagnose")
         except SignoriniError as exc:
-            rows.append({"value": v, "status": f"error: {exc}", "decay_slope": float("nan"),
-                         "Ntilde_rmin": float("nan"), "phi_margin": float("nan"),
-                         "weiss_margin": float("nan"), "Kprime": float("nan"),
-                         "C_weiss": float("nan"), "oracle_linf_error": float("nan")})
-    header = ["value", "status", "decay_slope", "Ntilde_rmin", "phi_margin",
-              "weiss_margin", "Kprime", "C_weiss", "oracle_linf_error"]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[k]) for k in header))
-    with open(out / "sweep.csv", "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+            row["status"] = f"error: {exc}"
+        else:
+            summ = res["summary"]
+            slopes = [p["decay_slope"] for p in res["points"] if "decay_slope" in p]
+            err = res["manifest"]["oracle_linf_error"]
+            row.update(
+                status="ok",
+                decay_slope=slopes[0] if slopes else float("nan"),
+                Ntilde_rmin=summ["Ntilde_min_r"],
+                phi_margin=summ["phi_monotonicity_margin"],
+                weiss_margin=summ["weiss_monotonicity_margin"],
+                Kprime=summ["Kprime"],
+                C_weiss=summ["C_weiss"],
+                oracle_linf_error=float("nan") if err is None else err,
+            )
+        rows.append(row)
+    _write(out, {"sweep.csv": (SWEEP_COLUMNS, ([r[k] for k in SWEEP_COLUMNS] for r in rows))})
     if not quiet:
         print(f"sweep complete: {out/'sweep.csv'} ({len(rows)} rows)")
     return rows
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, str):
-        return '"%s"' % v.replace('"', "'") if ("," in v or '"' in v) else v
-    if isinstance(v, float):
-        return "%.17g" % v
-    return str(v)
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +377,9 @@ def _make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
         sp.add_argument("--quiet", action="store_true")
 
-    common(sub.add_parser("solve", help="solve only, write the field"))
-    common(sub.add_parser("diagnose", help="full solve + diagnostics pipeline"))
-    common(sub.add_parser("classify", help="solve + free-boundary classification"))
-
-    bp = sub.add_parser("blowup", help="frequency-normalized rescaling at a point")
-    common(bp)
+    for verb, stages in VERBS.items():
+        common(sub.add_parser(verb, help="stages: " + ", ".join(stages)))
+    bp = sub.choices["blowup"]
     bp.add_argument("--x0", default="0", help="thin point, comma-separated")
     bp.add_argument("--scale", type=float, required=True, help="rescaling radius")
 
@@ -335,7 +402,7 @@ def main(argv=None) -> int:
     try:
         return _dispatch(args)
     except (InvalidConfigurationError, InvalidCoefficientError, InvalidParameterError,
-            UnsupportedRadiusError) as exc:
+            OutOfDomainError, UnsupportedRadiusError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     except NonconvergedError as exc:
@@ -346,99 +413,57 @@ def main(argv=None) -> int:
         return 4
 
 
-def _dispatch(args) -> int:
-    import pathlib
+def _oracle(args) -> None:
+    if args.kind == "signorini_profile" and args.a > 0:
+        prof = profile_ode(args.a, residual_tol=args.tol)
+        theta, phi, residual, kappa = prof.theta, prof.phi, prof.residual, prof.kappa
+    else:
+        ref = exact_solution(args.kind, args.a)
+        theta = np.linspace(0, np.pi, 721)
+        phi = ref(np.stack([np.cos(theta), np.sin(theta)], axis=-1))
+        residual, kappa = 0.0, ref.kappa
+    _write(args.out, {
+        "angular_profile.csv": (("theta", "phi"), zip(theta, phi)),
+        "oracle.json": {"a": args.a, "kind": args.kind, "residual": residual, "kappa": kappa},
+    })
+    if not args.quiet:
+        print(f"oracle written: {args.out}")
 
+
+def _blowup_point(cfg: ExperimentConfig, text: str) -> np.ndarray:
+    """--x0 as n thin coordinates inside the box [-R, R]^n."""
+    try:
+        x0 = np.array([float(t) for t in str(text).split(",")])
+    except ValueError:
+        raise InvalidParameterError(f"--x0 must be comma-separated numbers, got {text!r}")
+    if len(x0) != cfg.n:
+        raise InvalidParameterError(f"--x0 needs n = {cfg.n} components, got {text!r}")
+    if not np.all(np.abs(x0) <= cfg.R):
+        raise OutOfDomainError(f"--x0 {text!r} lies outside the box [-{cfg.R}, {cfg.R}]^{cfg.n}")
+    return x0
+
+
+def _dispatch(args) -> int:
     if args.verb == "oracle":
-        out = pathlib.Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        if args.kind == "signorini_profile" and args.a > 0:
-            prof = profile_ode(args.a, residual_tol=args.tol)
-            prof.to_csv(out / "angular_profile.csv")
-            _json_dump({"a": args.a, "kind": args.kind, "residual": prof.residual,
-                        "kappa": prof.kappa}, out / "oracle.json")
-        else:
-            ref = exact_solution(args.kind, args.a)
-            theta = np.linspace(0, np.pi, 721)
-            pts = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-            vals = ref(pts)
-            with open(out / "angular_profile.csv", "w", newline="\n") as fh:
-                fh.write("theta,phi\n")
-                for t, v in zip(theta, vals):
-                    fh.write("%.17g,%.17g\n" % (t, v))
-            _json_dump({"a": args.a, "kind": args.kind, "residual": 0.0,
-                        "kappa": ref.kappa}, out / "oracle.json")
-        if not args.quiet:
-            print(f"oracle written: {out}")
+        _oracle(args)
         return 0
 
     cfg = ExperimentConfig.from_json(args.config)
     if args.seed is not None:
         cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
-    if getattr(args, "out", None) is None:
-        if cfg.output is None:
-            raise InvalidConfigurationError(
-                "no output directory: pass --out or set the config 'output' field"
-            )
-        args.out = cfg.output
-
-    if args.verb == "solve":
-        out = pathlib.Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        t0 = time.time()
-        grid, problem, form, sol, ref = run_solve(cfg)
-        np.save(out / "U.npy", sol.U)
-        np.save(out / "active.npy", sol.active)
-        np.save(out / "trace.npy", sol.trace)
-        comp = complementarity_report(sol, problem, form)
-        _json_dump(
-            {"config": cfg.to_dict(), "version": __version__,
-             "solver_iterations": sol.iterations,
-             "solver_active_set_iterations": sol.active_set_iterations,
-             "solver_inner_iterations": sol.inner_iterations,
-             "solver_final_update": sol.final_residual,
-             "complementarity": comp,
-             "wall_time_s": round(time.time() - t0, 3)},
-            out / "manifest.json",
+    out = args.out if args.out is not None else cfg.output
+    if out is None:
+        raise InvalidConfigurationError(
+            "no output directory: pass --out or set the config 'output' field"
         )
-        if not args.quiet:
-            print(f"solve complete: {out} ({sol.iterations} iterations)")
-        return 0
-
-    if args.verb == "diagnose":
-        run(cfg, args.out, quiet=args.quiet)
-        return 0
-
-    if args.verb == "classify":
-        out = pathlib.Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        grid, problem, form, sol, ref = run_solve(cfg)
-        fb = free_boundary_report(sol, problem, delta=cfg.delta)
-        fb.to_json(out / "freeboundary.json")
-        if fb.graph is not None:
-            fb.graph_to_csv(out / "graph.csv")
-        if not args.quiet:
-            print(f"classification written: {out}")
-        return 0
-
-    if args.verb == "blowup":
-        out = pathlib.Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        grid, problem, form, sol, ref = run_solve(cfg)
-        x0 = np.array([float(t) for t in str(args.x0).split(",")])
-        bl = blowup(sol, problem, x0, args.scale)
-        np.save(out / "blowup.npy", bl.U)
-        _json_dump({"x0": x0.tolist(), "scale": args.scale}, out / "blowup.json")
-        if not args.quiet:
-            print(f"blowup written: {out}")
-        return 0
 
     if args.verb == "sweep":
         values = json.loads("[" + args.values + "]") if args.values.strip() else []
-        sweep(cfg, args.param, values, args.out, quiet=args.quiet)
-        return 0
-
-    raise InvalidConfigurationError(f"unknown verb {args.verb}")
+        sweep(cfg, args.param, values, out, quiet=args.quiet)
+    else:
+        blowup_at = (_blowup_point(cfg, args.x0), args.scale) if args.verb == "blowup" else None
+        _pipeline(cfg, out, args.verb, quiet=args.quiet, blowup_at=blowup_at)
+    return 0
 
 
 def _console_entry() -> None:

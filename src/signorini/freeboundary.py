@@ -3,7 +3,6 @@ regular-set graph fit."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -337,26 +336,6 @@ class FreeBoundaryReport:
     graph: dict | None
     params: dict
 
-    def to_json(self, path) -> None:
-        payload = {
-            "params": self.params,
-            "n_contact": int(self.contact_mask.sum()),
-            "n_gamma": int(self.gamma_mask.sum()),
-            "n_gamma_star": int(self.gamma_star_mask.sum()),
-            "points": self.points,
-            "gamma_est": None if self.graph is None else self.graph["gamma_est"],
-        }
-        with open(path, "w", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    def graph_to_csv(self, path) -> None:
-        if self.graph is None:
-            raise InsufficientDataError("no graph fit available")
-        with open(path, "w", newline="\n") as fh:
-            fh.write("s,g\n")
-            for s, g in zip(self.graph["s"], self.graph["g"]):
-                fh.write("%.17g,%.17g\n" % (s, g))
 
 
 def free_boundary_report(

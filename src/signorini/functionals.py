@@ -187,11 +187,6 @@ def mass(sol, problem: ProblemSpec, r: float, nsub: int = 4) -> float:
     return float(_ball_integrals(sol, problem, r, nsub)[1, 0])
 
 
-def source_pairing(sol, problem: ProblemSpec, r: float, nsub: int = 4) -> float:
-    """int_{B_r} U f |y|^a by cell midpoint quadrature."""
-    return float(_ball_integrals(sol, problem, r, nsub)[2, 0])
-
-
 def total_energy(sol, problem: ProblemSpec, r: float, nsub: int = 4) -> float:
     """I(r) = D(r) + int_{B_r} U f |y|^a (solid formula; primary path)."""
     D, _, F = _ball_integrals(sol, problem, r, nsub)[:, 0]
@@ -425,17 +420,6 @@ class RadialProfile:
     C_weiss: float
     phi_margin: float  # worst drop of e^{K' r^{(1-d)/2}} Phi on the gamma mask
     weiss_margin: float  # worst drop of W + C_weiss r^{(1+a)/2}
-
-    def to_csv(self, path) -> None:
-        cols = [getattr(self, c) for c in COLUMNS]
-        cols.append(self.mask_lambda.astype(int))
-        cols.append(self.mask_gamma.astype(int))
-        header = ",".join(COLUMNS + ["in_lambda_mask", "in_gamma_mask"])
-        lines = [header]
-        for row in zip(*cols):
-            lines.append(",".join("%.17g" % v for v in row))
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
 
     def summary(self) -> dict:
         return {

@@ -185,17 +185,6 @@ def neumann_trace(grid: Grid, U: np.ndarray, a: float) -> np.ndarray:
     return (1.0 - a) * (U[..., 1] - U[..., 0]) / grid.hy ** (1.0 - a)
 
 
-def reflect(U: np.ndarray, parity: str) -> np.ndarray:
-    """Even or odd reflection across {y=0}; y axis becomes length 2M+1.
-
-    The thin-plane values are shared by both sides (odd fields carry 0
-    there already).
-    """
-    U = np.asarray(U, dtype=float)
-    sign = {"even": 1.0, "odd": -1.0}[parity]
-    return np.concatenate([sign * U[..., -1:0:-1], U], axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # per-cell quadratures reused by the radial functionals
 # ---------------------------------------------------------------------------

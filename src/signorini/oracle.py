@@ -35,12 +35,6 @@ class AngularProfile:
         th = np.clip(np.asarray(theta, dtype=float), 0.0, np.pi)
         return self._spline(th)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("theta,phi\n")
-            for t, p in zip(self.theta, self.phi):
-                fh.write("%.17g,%.17g\n" % (t, p))
-
 
 def profile_ode(a: float, kappa: float | None = None, n_steps: int = 2000,
                 residual_tol: float = 1e-6) -> AngularProfile:

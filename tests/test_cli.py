@@ -1,5 +1,6 @@
 """Config validation, pipeline artifacts, determinism, exit codes."""
 
+import csv
 import json
 
 import numpy as np
@@ -42,6 +43,20 @@ def test_unknown_field_rejected(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("name,value,key", [
+    ("solver", {"method": "psor", "omgea": 1.9}, "omgea"),
+    ("solver", {"method": "psor", "eps": 1e-3}, "eps"),
+    ("solver", {"method": "penalized", "omega": 1.9}, "omega"),
+    ("r_grid", {"cout": 12}, "cout"),
+    ("solver", "psor", "solver"),
+])
+def test_unknown_solver_and_r_grid_keys_rejected(tmp_path, capsys, name, value, key):
+    path = write_config(tmp_path, **{name: value})
+    rc = cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert repr(key) in capsys.readouterr().err
+
+
 def test_diagnose_profile_pipeline(tmp_path, capsys):
     path = write_config(tmp_path)
     out = tmp_path / "run1"
@@ -52,6 +67,8 @@ def test_diagnose_profile_pipeline(tmp_path, capsys):
         assert (out / artifact).exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["classification_at_origin"] == "Regular"
+    assert set(manifest["stage_s"]) == {"solve", "profile", "identities", "freeboundary"}
+    assert all(t >= 0.0 for t in manifest["stage_s"].values())
     comp = json.loads((out / "identities.json").read_text())["complementarity"]
     assert comp["min_gap_max"] <= 1e-8
 
@@ -125,6 +142,78 @@ def test_blowup_verb(tmp_path):
                    "--x0", "0", "--scale", "0.4", "--quiet"])
     assert rc == 0
     assert (out / "blowup.npy").exists()
+
+
+@pytest.mark.parametrize("x0", ["5", "0,0", "zero"])
+def test_blowup_bad_x0_exit_code(tmp_path, capsys, x0):
+    path = write_config(tmp_path)
+    rc = cli.main(["blowup", "--config", str(path), "--out", str(tmp_path / "out"),
+                   "--x0", x0, "--scale", "0.4"])
+    assert rc == 2
+    assert "--x0" in capsys.readouterr().err
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_every_verb_writes_strict_json(tmp_path):
+    path = write_config(tmp_path, hx=1 / 16, hy=1 / 16, r_grid={"count": 12, "r_min": 0.25})
+    stages = {
+        "solve": {"solve"},
+        "classify": {"solve", "freeboundary"},
+        "diagnose": {"solve", "profile", "identities", "freeboundary"},
+        "blowup": {"solve", "blowup"},
+    }
+    for verb in stages:
+        extra = ["--x0", "0", "--scale", "0.4"] if verb == "blowup" else []
+        out = tmp_path / verb
+        assert cli.main([verb, "--config", str(path), "--out", str(out), "--quiet", *extra]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["stage_s"]) == stages[verb]
+        for name in ("U.npy", "active.npy", "trace.npy"):
+            assert (out / name).exists(), (verb, name)
+    for a in ("0", "0.5"):
+        assert cli.main(["oracle", "--kind", "signorini_profile", "--a", a,
+                         "--out", str(tmp_path / f"oracle{a}"), "--quiet"]) == 0
+    written = sorted(tmp_path.rglob("*.json"))
+    # the config, 4 manifests, classify 1, diagnose 3, blowup 1, oracle 2 x 1
+    assert len(written) == 12
+    for f in written:
+        json.loads(f.read_text(), parse_constant=_reject_constant)
+
+
+def test_infinite_decay_slope_written_as_string(tmp_path, monkeypatch):
+    # decay_fit documents slope = H_slope = inf for a degenerate fit
+    real = cli.free_boundary_report
+
+    def report_with_infinite_slope(*args, **kwargs):
+        fb = real(*args, **kwargs)
+        fb.points[0].update(decay_slope=float("inf"), H_slope=float("inf"))
+        return fb
+
+    monkeypatch.setattr(cli, "free_boundary_report", report_with_infinite_slope)
+    path = write_config(tmp_path, hx=1 / 16, hy=1 / 16)
+    out = tmp_path / "out"
+    assert cli.main(["classify", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+    fb = json.loads((out / "freeboundary.json").read_text(), parse_constant=_reject_constant)
+    assert fb["points"][0]["decay_slope"] == fb["points"][0]["H_slope"] == "inf"
+
+
+def test_sweep_csv_quotes_cells_with_commas(tmp_path):
+    path = write_config(tmp_path, hx=1 / 16, hy=1 / 16, r_grid={"count": 12, "r_min": 0.25})
+    out = tmp_path / "sweep"
+    rc = cli.main(["sweep", "--config", str(path), "--out", str(out), "--param", "solver",
+                   "--values", '{"method":"psor","omgea":1},{"method":"psor","omega":1.9}',
+                   "--quiet"])
+    assert rc == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 3
+    assert all(len(row) == 9 for row in rows)
+    assert rows[1][0] == str({"method": "psor", "omgea": 1})
+    assert rows[1][1].startswith("error:") and "omgea" in rows[1][1]
+    assert rows[2][1] == "ok"
 
 
 def test_oracle_verb_and_failure_exit_code(tmp_path):

@@ -1,4 +1,4 @@
-"""Assembly, residual consistency, traces, reflection."""
+"""Assembly, residual consistency, traces."""
 
 import numpy as np
 import pytest
@@ -211,32 +211,3 @@ def test_trace_flux_compatibility():
         gaps.append(abs(r.sum() + (tr * grid.thin_cell_area).sum()))
         assert gaps[-1] <= 0.2 * h
     assert gaps[2] < gaps[1] < gaps[0]
-
-
-# -- reflection ---------------------------------------------------------------
-
-
-def test_reflect_even_square():
-    grid = sg.build_grid(1, 1.0, 0.25, 0.25, 0.0)
-    _, Y = grid.node_mesh()
-    full = sg.reflect(Y**2, "even")
-    ys_full = np.concatenate([-grid.ys[-1:0:-1], grid.ys])
-    assert np.allclose(full, np.broadcast_to(ys_full**2, full.shape))
-
-
-def test_reflect_odd_power():
-    a = 0.5
-    grid = sg.build_grid(1, 1.0, 0.25, 0.25, a)
-    _, Y = grid.node_mesh()
-    full = sg.reflect(Y ** (1 - a), "odd")
-    ys_full = np.concatenate([-grid.ys[-1:0:-1], grid.ys])
-    expected = np.sign(ys_full) * np.abs(ys_full) ** (1 - a)
-    assert np.allclose(full, np.broadcast_to(expected, full.shape))
-
-
-def test_reflect_restrict_roundtrip():
-    grid = sg.build_grid(1, 1.0, 0.25, 0.25, 0.0)
-    X, Y = grid.node_mesh()
-    U = X + Y
-    full = sg.reflect(U, "even")
-    assert np.allclose(full[..., len(grid.ys) - 1 :], U)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import signorini as sg
+import signorini.cli as cli
 from signorini.errors import InvalidConfigurationError, OracleFailureError
 from signorini.operator import interior_mask
 
@@ -112,12 +113,14 @@ def test_homogeneous_functionals_profile_height():
 
 
 def test_profile_ode_csv_roundtrip(tmp_path):
+    # the oracle verb writes the ODE profile's knots as angular_profile.csv
     prof = sg.profile_ode(0.5)
-    out = tmp_path / "profile.csv"
-    prof.to_csv(out)
-    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert cli.main(["oracle", "--kind", "signorini_profile", "--a", "0.5",
+                     "--out", str(tmp_path), "--quiet"]) == 0
+    data = np.loadtxt(tmp_path / "angular_profile.csv", delimiter=",", skiprows=1)
     assert data.shape[1] == 2
     assert data[0, 0] == 0.0 and data[-1, 0] == pytest.approx(np.pi)
+    assert np.array_equal(data, np.column_stack([prof.theta, prof.phi]))
 
 
 def test_import_keeps_scipy_interpolate_unloaded():
