@@ -5,7 +5,8 @@ stages (VERBS) through one pipeline, which writes the stages' artifacts
 and one manifest.json; oracle tabulates a reference solution and sweep
 runs diagnose once per parameter value. This module is the only one
 that writes files.
-Exit codes: 0 success, 2 invalid config, 3 nonconvergence, 4 oracle failure.
+Exit codes: 0 success, 2 invalid config or arguments (malformed JSON
+included), 3 nonconvergence, 4 oracle failure.
 """
 
 from __future__ import annotations
@@ -71,6 +72,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise InvalidConfigurationError(
+                f"config must be a JSON object, got {type(raw).__name__}"
+            )
         known = set(cls.__dataclass_fields__)
         unknown = set(raw) - known
         if unknown:
@@ -81,8 +86,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            raw = json.load(fh)
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise InvalidConfigurationError(f"cannot read config {str(path)!r}: {exc}")
         return cls.from_dict(raw)
 
     def validate(self) -> None:
@@ -226,12 +234,12 @@ def _profile(cfg: ExperimentConfig, res: dict) -> dict:
         r_min=rg_spec.get("r_min"), r_max=rg_spec.get("r_max"),
     )
     # all radial diagnostics run on the zero-obstacle reduction U - psi
-    sol0, problem0 = reduce_obstacle(res["sol"], res["problem"])
+    U0, problem0 = reduce_obstacle(res["sol"].U, res["problem"])
     prof = radial_profile(
-        sol0, problem0, r_grid=r_grid, Kprime=cfg.Kprime, delta=cfg.delta,
+        U0, problem0, r_grid=r_grid, Kprime=cfg.Kprime, delta=cfg.delta,
         C_weiss=cfg.C_weiss,
     )
-    res.update(r_grid=r_grid, reduced=(sol0, problem0), summary=prof.summary())
+    res.update(r_grid=r_grid, reduced=(U0, problem0), summary=prof.summary())
     cols = [getattr(prof, c) for c in COLUMNS]
     cols += [prof.mask_lambda.astype(int), prof.mask_gamma.astype(int)]
     header = COLUMNS + ["in_lambda_mask", "in_gamma_mask"]
@@ -241,11 +249,11 @@ def _profile(cfg: ExperimentConfig, res: dict) -> dict:
 def _identities(cfg: ExperimentConfig, res: dict) -> dict:
     """Needs the profile stage's radii and reduction."""
     r_grid = res["r_grid"]
-    sol0, problem0 = res["reduced"]
+    U0, problem0 = res["reduced"]
     R = problem0.grid.R
     idr = r_grid[(r_grid >= 0.2 * R) & (r_grid <= 0.8 * R)]
-    checks = identity_checks(sol0, problem0, r_grid=idr if len(idr) >= 3 else None)
-    cross = surface_cross_check(sol0, problem0, float(np.median(r_grid)))
+    checks = identity_checks(U0, problem0, r_grid=idr if len(idr) >= 3 else None)
+    cross = surface_cross_check(U0, problem0, float(np.median(r_grid)))
     rellich = checks["rellich_rel"]
     return {"identities.json": {
         "height_derivative_rel_max": float(np.max(checks["height_derivative_rel"])),
@@ -280,8 +288,8 @@ def _freeboundary(cfg: ExperimentConfig, res: dict) -> dict:
 
 def _blowup(cfg: ExperimentConfig, res: dict) -> dict:
     x0, scale = res["blowup_at"]
-    bl = blowup(res["sol"], res["problem"], x0, scale)
-    return {"blowup.npy": bl.U, "blowup.json": {"x0": x0, "scale": scale}}
+    bl = blowup(res["sol"].U, res["problem"], x0, scale)
+    return {"blowup.npy": bl, "blowup.json": {"x0": x0, "scale": scale}}
 
 
 STAGES = {"solve": _solve, "profile": _profile, "identities": _identities,
@@ -430,8 +438,11 @@ def _oracle(args) -> None:
         print(f"oracle written: {args.out}")
 
 
-def _blowup_point(cfg: ExperimentConfig, text: str) -> np.ndarray:
-    """--x0 as n thin coordinates inside the box [-R, R]^n."""
+def _blowup_at(cfg: ExperimentConfig, text: str, scale: float) -> tuple:
+    """(--x0, --scale): n thin coordinates inside the box [-R, R]^n and a
+    finite positive radius."""
+    if not (np.isfinite(scale) and scale > 0):
+        raise InvalidParameterError(f"--scale must be a finite radius > 0, got {scale}")
     try:
         x0 = np.array([float(t) for t in str(text).split(",")])
     except ValueError:
@@ -440,7 +451,7 @@ def _blowup_point(cfg: ExperimentConfig, text: str) -> np.ndarray:
         raise InvalidParameterError(f"--x0 needs n = {cfg.n} components, got {text!r}")
     if not np.all(np.abs(x0) <= cfg.R):
         raise OutOfDomainError(f"--x0 {text!r} lies outside the box [-{cfg.R}, {cfg.R}]^{cfg.n}")
-    return x0
+    return x0, scale
 
 
 def _dispatch(args) -> int:
@@ -458,10 +469,13 @@ def _dispatch(args) -> int:
         )
 
     if args.verb == "sweep":
-        values = json.loads("[" + args.values + "]") if args.values.strip() else []
+        try:
+            values = json.loads("[" + args.values + "]") if args.values.strip() else []
+        except ValueError as exc:
+            raise InvalidConfigurationError(f"--values is not comma-separated JSON: {exc}")
         sweep(cfg, args.param, values, out, quiet=args.quiet)
     else:
-        blowup_at = (_blowup_point(cfg, args.x0), args.scale) if args.verb == "blowup" else None
+        blowup_at = _blowup_at(cfg, args.x0, args.scale) if args.verb == "blowup" else None
         _pipeline(cfg, out, args.verb, quiet=args.quiet, blowup_at=blowup_at)
     return 0
 

@@ -251,19 +251,16 @@ def make_problem(
 # ---------------------------------------------------------------------------
 
 
-def normalize_at(problem: ProblemSpec, field, x0):
+def normalize_at(problem: ProblemSpec, U: np.ndarray, x0) -> tuple:
     """Change thin variables so the coefficient matrix is I at x0.
 
-    With S = B(x0)^{1/2}, the returned problem/field are the originals
+    With S = B(x0)^{1/2}, the returned (problem, U) are the originals
     composed with x -> x0 + S x; the new thin block is
     S^{-1} B(x0 + S x) S^{-1}, which is the identity at the origin.
     Fields are resampled onto the reference grid by multilinear
     interpolation in the thin variables (mapped coordinates clamped to
     the box).
     """
-    from .solver import SolutionField  # local import to avoid a cycle
-    from .operator import neumann_trace
-
     grid = problem.grid
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if np.any(np.abs(x0) > grid.R + 1e-12):
@@ -306,7 +303,7 @@ def normalize_at(problem: ProblemSpec, field, x0):
         if problem.psi_spec is not None
         else interpolate(grid.xs, problem.psi, mapped)
     )
-    nodes = np.stack([problem.f, problem.boundary, field.U], axis=-1)
+    nodes = np.stack([problem.f, problem.boundary, U], axis=-1)
     resampled = interpolate(grid.xs, nodes, mapped)
     f_new, bnd_new, U_new = (resampled[..., k].copy() for k in range(3))
     new_problem = ProblemSpec(
@@ -314,16 +311,4 @@ def normalize_at(problem: ProblemSpec, field, x0):
         f_independent_of_y=problem.f_independent_of_y,
         psi_spec=None, f_spec=None,
     )
-
-    trace_new = neumann_trace(grid, U_new, problem.a)
-    active_new = (U_new[..., 0] - psi_new) <= max(getattr(field, "tol", 0.0), 0.0) * 10 + 1e-14
-    new_field = SolutionField(
-        U=U_new,
-        active=active_new,
-        trace=trace_new,
-        iterations=getattr(field, "iterations", 0),
-        final_residual=getattr(field, "final_residual", 0.0),
-        tol=getattr(field, "tol", 0.0),
-        method=getattr(field, "method", "resampled"),
-    )
-    return new_problem, new_field
+    return new_problem, U_new

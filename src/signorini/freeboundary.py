@@ -11,7 +11,6 @@ from .errors import InsufficientDataError, UnsupportedRadiusError
 from .coefficients import ProblemSpec, normalize_at
 from .functionals import FieldSampler, _sphere_heights, geometry_fields, radial_profile
 from .grid import Grid, sphere_quadrature
-from .operator import neumann_trace
 from .solver import SolutionField
 
 
@@ -20,8 +19,9 @@ def default_tau_gap(a: float, delta: float) -> float:
     return min(0.2, (delta + a) / 4.0)
 
 
-def reduce_obstacle(sol, problem: ProblemSpec):
-    """Zero-obstacle reduction: V = U - psi (extended constant in y).
+def reduce_obstacle(U: np.ndarray, problem: ProblemSpec) -> tuple:
+    """Zero-obstacle reduction: (V, problem0) with V = U - psi (extended
+    constant in y).
 
     V solves the inhomogeneous problem with zero obstacle and source
     f - (b_ij d_ij psi + (d_i b_ij) d_j psi); the weighted trace and the
@@ -30,7 +30,7 @@ def reduce_obstacle(sol, problem: ProblemSpec):
     """
     grid = problem.grid
     if float(np.abs(problem.psi).max()) == 0.0:
-        return sol, problem
+        return U, problem
     psi = problem.psi
     dpsi = [np.gradient(psi, grid.xs[d], axis=d) for d in range(grid.n)]
     B = problem.coeff.table
@@ -49,17 +49,7 @@ def reduce_obstacle(sol, problem: ProblemSpec):
         psi_spec=None,
         f_spec=None,
     )
-    U0 = (sol.U if hasattr(sol, "U") else np.asarray(sol)) - psi_ext
-    sol0 = SolutionField(
-        U=U0,
-        active=getattr(sol, "active", U0[..., 0] <= 0.0),
-        trace=getattr(sol, "trace", neumann_trace(grid, U0, problem.a)),
-        iterations=getattr(sol, "iterations", 0),
-        final_residual=getattr(sol, "final_residual", 0.0),
-        tol=getattr(sol, "tol", 0.0),
-        method=getattr(sol, "method", "reduced"),
-    )
-    return sol0, problem0
+    return U - psi_ext, problem0
 
 
 def default_trace_tol(grid: Grid, trace_scale: float, a: float) -> float:
@@ -133,7 +123,7 @@ def classify_from_frequency(Ntilde_rmin: float, a: float, delta: float,
     return "Unresolved"
 
 
-def frequency_at(sol, problem: ProblemSpec, r_min: float, delta: float = 0.5,
+def frequency_at(U: np.ndarray, problem: ProblemSpec, r_min: float, delta: float = 0.5,
                  n_angles: int = 64, nsub: int = 4) -> float:
     """Ntilde(r_min) on a local geometric ladder with r_min interior, so the
     derivative of log M there is a central (not one-sided) difference."""
@@ -144,7 +134,7 @@ def frequency_at(sol, problem: ProblemSpec, r_min: float, delta: float = 0.5,
     lo = max(r_min / 1.6, floor * 1.02)
     hi = min(5.0 * r_min, 0.9 * grid.R)
     rg = np.unique(np.append(np.geomspace(lo, hi, 13), r_min))
-    prof = radial_profile(sol, problem, r_grid=rg, Kprime=0.0, delta=delta,
+    prof = radial_profile(U, problem, r_grid=rg, Kprime=0.0, delta=delta,
                           C_weiss=0.0, n_angles=n_angles, nsub=nsub)
     k = int(np.argmin(np.abs(prof.r - r_min)))
     return float(prof.Ntilde[k])
@@ -159,21 +149,22 @@ class Classification:
     tau_gap: float
 
 
-def classify(sol: SolutionField, problem: ProblemSpec, x0, r_min: float | None = None,
+def classify(U: np.ndarray, problem: ProblemSpec, x0, r_min: float | None = None,
              tau_gap: float | None = None, delta: float = 0.5) -> Classification:
     """Classify a free boundary point by its truncated frequency.
 
-    Normalizes coordinates at x0 first (so the coefficient matrix is the
-    identity there), then evaluates the adjusted frequency at r_min.
+    Subtracts the obstacle and normalizes coordinates at x0 (so the
+    coefficient matrix is the identity there), then evaluates the
+    adjusted frequency at r_min.
     """
     grid = problem.grid
     if r_min is None:
         r_min = 8.0 * max(grid.hx, grid.hy)
     if tau_gap is None:
         tau_gap = default_tau_gap(problem.a, delta)
-    sol0, problem0 = reduce_obstacle(sol, problem)
-    norm_problem, norm_sol = normalize_at(problem0, sol0, x0)
-    nt = frequency_at(norm_sol, norm_problem, r_min, delta=delta)
+    U0, problem0 = reduce_obstacle(U, problem)
+    norm_problem, norm_U = normalize_at(problem0, U0, x0)
+    nt = frequency_at(norm_U, norm_problem, r_min, delta=delta)
     label = classify_from_frequency(nt, problem.a, delta, tau_gap)
     return Classification(
         x0=np.atleast_1d(np.asarray(x0, dtype=float)),
@@ -186,7 +177,7 @@ def classify(sol: SolutionField, problem: ProblemSpec, x0, r_min: float | None =
 # ---------------------------------------------------------------------------
 
 
-def decay_fit(sol, problem: ProblemSpec, x0, r_grid: np.ndarray | None = None) -> dict:
+def decay_fit(U: np.ndarray, problem: ProblemSpec, x0, r_grid: np.ndarray | None = None) -> dict:
     """Slopes of log sup_{B_r^+(x0)} |U - psi| and of log H_{x0}(r) vs log r.
 
     At a regular point the sup slope is (3-a)/2 and the height slope is
@@ -200,8 +191,7 @@ def decay_fit(sol, problem: ProblemSpec, x0, r_grid: np.ndarray | None = None) -
     r_grid = np.asarray(r_grid, dtype=float)
     if len(r_grid) < 4:
         raise InsufficientDataError("need at least 4 radii for the decay fit")
-    sol0, problem0 = reduce_obstacle(sol, problem)
-    U = sol0.U  # detachment field, obstacle extended constant in y
+    U, _ = reduce_obstacle(U, problem)  # detachment field, obstacle extended constant in y
     diff = np.abs(U)
     radii = grid.node_radii(x0)
     sups = np.array([diff[radii <= r].max() for r in r_grid])
@@ -217,18 +207,18 @@ def decay_fit(sol, problem: ProblemSpec, x0, r_grid: np.ndarray | None = None) -
     return {"slope": slope, "H_slope": H_slope, "r": r_grid, "sup": sups, "H": Hs}
 
 
-def blowup(sol: SolutionField, problem: ProblemSpec, x0, r: float,
-           delta: float = 0.5) -> SolutionField:
+def blowup(U: np.ndarray, problem: ProblemSpec, x0, r: float,
+           delta: float = 0.5) -> np.ndarray:
     """Frequency-normalized rescaling of the detachment V = U - psi:
     V(x0 + r x, r y) / M(r)^{1/2} resampled onto the reference grid
     (obstacle subtracted and coordinates normalized at x0 first)."""
     grid = problem.grid
-    sol0, problem0 = reduce_obstacle(sol, problem)
-    norm_problem, norm_sol = normalize_at(problem0, sol0, x0)
+    U0, problem0 = reduce_obstacle(U, problem)
+    norm_problem, norm_U = normalize_at(problem0, U0, x0)
     lo = max(2.05 * max(grid.hx, grid.hy), r / 4.0)
     hi = min(4.0 * r, 0.9 * grid.R)
     rg = np.unique(np.append(np.geomspace(lo, hi, 9), np.clip(r, lo, hi)))
-    prof = radial_profile(norm_sol, norm_problem, r_grid=rg, Kprime=0.0,
+    prof = radial_profile(norm_U, norm_problem, r_grid=rg, Kprime=0.0,
                           delta=delta, C_weiss=0.0)
     k = int(np.argmin(np.abs(prof.r - r)))
     M_r = float(prof.M[k])
@@ -236,22 +226,13 @@ def blowup(sol: SolutionField, problem: ProblemSpec, x0, r: float,
     if not np.isfinite(M_r) or float(prof.H[k]) <= h_floor:
         raise UnsupportedRadiusError(f"degenerate height at scale r={r}")
     d_r = np.sqrt(M_r)
-    sampler = FieldSampler(grid, norm_sol.U)
+    sampler = FieldSampler(grid, norm_U)
     mesh = grid.node_mesh()
     pts = np.stack(mesh, axis=-1).reshape(-1, grid.n + 1) * r
     for d in range(grid.n):
         pts[:, d] = np.clip(pts[:, d], -grid.R, grid.R)
     pts[:, -1] = np.clip(pts[:, -1], 0.0, grid.R)
-    Ub = (sampler(pts) / d_r).reshape(grid.node_shape)
-    return SolutionField(
-        U=Ub,
-        active=(Ub[..., 0] <= 1e-12),
-        trace=neumann_trace(grid, Ub, problem.a),
-        iterations=0,
-        final_residual=0.0,
-        tol=getattr(sol, "tol", 0.0),
-        method=f"blowup(r={r:g})",
-    )
+    return (sampler(pts) / d_r).reshape(grid.node_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +329,8 @@ def free_boundary_report(
     max_points: int = 16,
 ) -> FreeBoundaryReport:
     """Extract masks, classify up to max_points free boundary nodes, fit
-    decay slopes, and (n=2, enough regular points) fit the graph."""
+    decay slopes, and (n=2, enough regular points) fit the graph. The
+    obstacle is subtracted once, for all points."""
     grid = problem.grid
     masks = contact_set(sol, problem, tol_c=tol_c)
     pts = gamma_points(grid, masks["gamma"])
@@ -361,11 +343,11 @@ def free_boundary_report(
         pts = pts[sel]
     records = []
     reg_expected = (3.0 - problem.a) / 2.0
+    U0, problem0 = reduce_obstacle(sol.U, problem)
     for x0 in pts:
-        x0v = x0 if grid.n > 1 else float(x0[0])
         try:
-            cls = classify(sol, problem, x0, r_min=r_min, tau_gap=tau_gap, delta=delta)
-            fit = decay_fit(sol, problem, x0)
+            cls = classify(U0, problem0, x0, r_min=r_min, tau_gap=tau_gap, delta=delta)
+            fit = decay_fit(U0, problem0, x0)
             slope_label = "Regular" if abs(fit["slope"] - reg_expected) <= 0.25 else "Other"
             records.append(
                 {

@@ -117,20 +117,12 @@ def conjugate_variable(grid: Grid, U: np.ndarray, a: float) -> np.ndarray:
     return w
 
 
-def _field_of(sol) -> np.ndarray:
-    return sol.U if hasattr(sol, "U") else np.asarray(sol, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # individual radial functionals
 # ---------------------------------------------------------------------------
 
 
 H_FLOOR_FACTOR = 1e-14
-
-
-def _sampler_of(sol, grid: Grid) -> FieldSampler:
-    return sol if isinstance(sol, FieldSampler) else FieldSampler(grid, _field_of(sol))
 
 
 def _sphere_heights(sampler: FieldSampler, geo: GeometryFields, rules, x0=None,
@@ -155,19 +147,18 @@ def _sphere_heights(sampler: FieldSampler, geo: GeometryFields, rules, x0=None,
     return H, L
 
 
-def height(sol, geo: GeometryFields, rule: SphereRule) -> float:
+def height(U: np.ndarray, geo: GeometryFields, rule: SphereRule) -> float:
     """H(r) = int_{S_r} U^2 mu dsigma (even reflection: doubled upper half)."""
-    return float(_sphere_heights(_sampler_of(sol, geo.grid), geo, [rule])[0][0])
+    return float(_sphere_heights(FieldSampler(geo.grid, U), geo, [rule])[0][0])
 
 
-def _ball_integrals(sol, problem: ProblemSpec, radii, nsub: int) -> np.ndarray:
+def _ball_integrals(U: np.ndarray, problem: ProblemSpec, radii, nsub: int) -> np.ndarray:
     """(3, len(radii)): D, B and int U f |y|^a over B_r for every radius.
 
     The cell densities (covered energies, cell-midpoint U^2 and U f) are
     built once per field; ball_sums integrates them for all radii.
     """
     grid = problem.grid
-    U = _field_of(sol)
     u_avg = cell_average(grid, U)
     densities = np.stack([
         cell_energy_density(grid, problem, U),
@@ -177,19 +168,19 @@ def _ball_integrals(sol, problem: ProblemSpec, radii, nsub: int) -> np.ndarray:
     return 2.0 * ball_sums(grid, densities, radii, nsub=nsub)
 
 
-def dirichlet(sol, problem: ProblemSpec, r: float, nsub: int = 4) -> float:
+def dirichlet(U: np.ndarray, problem: ProblemSpec, r: float, nsub: int = 4) -> float:
     """D(r) = int_{B_r} <A grad U, grad U> |y|^a via covered cell energies."""
-    return float(_ball_integrals(sol, problem, r, nsub)[0, 0])
+    return float(_ball_integrals(U, problem, r, nsub)[0, 0])
 
 
-def mass(sol, problem: ProblemSpec, r: float, nsub: int = 4) -> float:
+def mass(U: np.ndarray, problem: ProblemSpec, r: float, nsub: int = 4) -> float:
     """B(r) = int_{B_r} U^2 |y|^a."""
-    return float(_ball_integrals(sol, problem, r, nsub)[1, 0])
+    return float(_ball_integrals(U, problem, r, nsub)[1, 0])
 
 
-def total_energy(sol, problem: ProblemSpec, r: float, nsub: int = 4) -> float:
+def total_energy(U: np.ndarray, problem: ProblemSpec, r: float, nsub: int = 4) -> float:
     """I(r) = D(r) + int_{B_r} U f |y|^a (solid formula; primary path)."""
-    D, _, F = _ball_integrals(sol, problem, r, nsub)[:, 0]
+    D, _, F = _ball_integrals(U, problem, r, nsub)[:, 0]
     return float(D + F)
 
 
@@ -234,21 +225,23 @@ class _SurfaceSamplers:
         return s, wv, nu[..., n], mu_t, self.sampler(pts), gx
 
 
-def total_energy_surface(sol, problem: ProblemSpec, r: float, n_angles: int = 64) -> float:
+def total_energy_surface(U: np.ndarray, problem: ProblemSpec, r: float,
+                         n_angles: int = 64) -> float:
     """Cross-check path: I(r) = int_{S_r} U <A grad U, nu> |y|^a dsigma,
     computed as int U s |y|^a + int U w nu_y (weight-0 rule)."""
     grid = problem.grid
-    ss = _SurfaceSamplers(grid, problem, _field_of(sol))
+    ss = _SurfaceSamplers(grid, problem, U)
     rule_a, rule_0, _ = ss.rules(r, n_angles)
     s_a, w_a, nuy_a, _, u_a, _ = ss.parts(rule_a)
     s_0, w_0, nuy_0, _, u_0, _ = ss.parts(rule_0)
     return 2.0 * (rule_a.integrate(u_a * s_a) + rule_0.integrate(u_0 * w_0 * nuy_0))
 
 
-def g_ratio(sol, geo: GeometryFields, rule: SphereRule, h_floor: float | None = None) -> float:
+def g_ratio(U: np.ndarray, geo: GeometryFields, rule: SphereRule,
+            h_floor: float | None = None) -> float:
     """G(r) = int U^2 la_r / int U^2 mu, with the (n+a)/r fallback when the
     height is (numerically) zero."""
-    H, L = _sphere_heights(_sampler_of(sol, geo.grid), geo, [rule], la_r=True)
+    H, L = _sphere_heights(FieldSampler(geo.grid, U), geo, [rule], la_r=True)
     if H[0] <= (0.0 if h_floor is None else h_floor):
         return (geo.grid.n + geo.a) / rule.r
     return float(L[0] / H[0])
@@ -378,9 +371,11 @@ def weiss(
     C_weiss: float = 0.0,
 ) -> tuple:
     """W(r) = sigma/r^{3-a} (J - (3-a)/(2r) M) and the worst discrete drop of
-    W + C r^{(1+a)/2} (nonnegative means monotone)."""
+    W + C r^{(1+a)/2} (nonnegative means monotone; nan for an infinite C)."""
     r = np.asarray(r_grid, dtype=float)
     W = ps.sigma / r ** (3.0 - a) * (J - (3.0 - a) / (2.0 * r) * M)
+    if not np.isfinite(C_weiss):
+        return W, float("nan")
     adjusted = W + C_weiss * r ** ((1.0 + a) / 2.0)
     min_step = float(np.diff(adjusted).min()) if len(r) > 1 else 0.0
     return W, min_step
@@ -463,7 +458,7 @@ def calibrate_constant(adjust, values_mask: np.ndarray, tol_frac: float = 0.01,
 
 
 def radial_profile(
-    sol,
+    U: np.ndarray,
     problem: ProblemSpec,
     r_grid: np.ndarray | None = None,
     Kprime="auto",
@@ -486,7 +481,6 @@ def radial_profile(
         r_grid = default_r_grid(grid)
     r = np.asarray(r_grid, dtype=float)
     geo = geometry_fields(grid, problem.coeff, problem.a)
-    U = _field_of(sol)
     rules = [sphere_quadrature(grid, ri, n_angles=n_angles) for ri in r]
     Hs, Gn = _sphere_heights(FieldSampler(grid, U), geo, rules, la_r=True)
     h_floor = H_FLOOR_FACTOR * max(Hs.max(), 0.0)
@@ -507,11 +501,14 @@ def radial_profile(
             return np.exp(k * r ** ((1.0 - delta) / 2.0)) * freq0.Phi
         kp = calibrate_constant(adj, freq0.mask_gamma)
     kp = float(kp)
-    freq = frequency_columns(r, Hs, Is, ps, grid.n, problem.a, Kprime=kp, delta=delta)
+    freq = freq0 if kp == 0.0 else frequency_columns(r, Hs, Is, ps, grid.n, problem.a,
+                                                     Kprime=kp, delta=delta)
 
-    adj_phi = np.exp(kp * r ** ((1.0 - delta) / 2.0)) * freq.Phi
-    masked = adj_phi[freq.mask_gamma]
-    phi_margin = float(np.diff(masked).min()) if len(masked) > 1 else 0.0
+    # an infinite K' (calibration failed) leaves no margin to report
+    phi_margin = float("nan")
+    if np.isfinite(kp):
+        masked = (np.exp(kp * r ** ((1.0 - delta) / 2.0)) * freq.Phi)[freq.mask_gamma]
+        phi_margin = float(np.diff(masked).min()) if len(masked) > 1 else 0.0
 
     cw = 0.0 if (C_weiss == "auto" and identity_coeff) else C_weiss
     if cw == "auto":
@@ -537,7 +534,7 @@ def radial_profile(
 # ---------------------------------------------------------------------------
 
 
-def identity_checks(sol, problem: ProblemSpec, r_grid: np.ndarray | None = None,
+def identity_checks(U: np.ndarray, problem: ProblemSpec, r_grid: np.ndarray | None = None,
                     n_angles: int = 64, nsub: int = 4) -> dict:
     """Relative errors of the first-variation identities and the trace
     inequalities, on the given radii.
@@ -553,7 +550,6 @@ def identity_checks(sol, problem: ProblemSpec, r_grid: np.ndarray | None = None,
         r_grid = default_r_grid(grid, count=13)
     r_grid = np.asarray(r_grid, dtype=float)
     geo = geometry_fields(grid, problem.coeff, a)
-    U = _field_of(sol)
     sampler = FieldSampler(grid, U)
 
     def heights(radii, la_r=False):
@@ -611,11 +607,11 @@ def identity_checks(sol, problem: ProblemSpec, r_grid: np.ndarray | None = None,
 # ---------------------------------------------------------------------------
 
 
-def surface_cross_check(sol, problem: ProblemSpec, r: float, nsub: int = 4,
+def surface_cross_check(U: np.ndarray, problem: ProblemSpec, r: float, nsub: int = 4,
                         n_angles: int = 64) -> dict:
     """Solid vs surface evaluation of the total energy at one radius."""
-    solid = total_energy(sol, problem, r, nsub=nsub)
-    surf = total_energy_surface(sol, problem, r, n_angles=n_angles)
+    solid = total_energy(U, problem, r, nsub=nsub)
+    surf = total_energy_surface(U, problem, r, n_angles=n_angles)
     return {
         "solid": solid,
         "surface": surf,
@@ -623,7 +619,7 @@ def surface_cross_check(sol, problem: ProblemSpec, r: float, nsub: int = 4,
     }
 
 
-def oscillation_decay(sol, problem: ProblemSpec, x0, r_grid: np.ndarray) -> dict:
+def oscillation_decay(U: np.ndarray, problem: ProblemSpec, x0, r_grid: np.ndarray) -> dict:
     """Fitted slope of log int_{B_rho^+(x0)} (w - <w>_rho)^2 y^{-a} vs log rho
     where w = y^a U_y and <.>_rho is the y^{-a} dX-weighted ball average.
 
@@ -634,7 +630,6 @@ def oscillation_decay(sol, problem: ProblemSpec, x0, r_grid: np.ndarray) -> dict
     r_grid = np.asarray(r_grid, dtype=float)
     if len(r_grid) < 4:
         raise InsufficientDataError("need at least 4 radii for the oscillation fit")
-    U = _field_of(sol)
     w = conjugate_variable(grid, U, a)
     masses = grid.lumped_node_weights(exponent=-a)
     radii = grid.node_radii(x0)

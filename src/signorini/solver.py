@@ -34,7 +34,6 @@ class SolutionField:
     final_residual: float
     tol: float
     method: str
-    energy_history: np.ndarray | None = None
     active_set_iterations: int = 0  # linear solves of the active-set start
     inner_iterations: int = 0  # CG iterations of all inner linear solves
 
@@ -277,7 +276,6 @@ def solve_psor(
     max_iter: int = 100_000,
     omega: float | None = None,
     warm_start: bool = True,
-    record_energy: bool = False,
 ) -> SolutionField:
     """Projected successive over-relaxation (multicolor ordering).
 
@@ -313,7 +311,6 @@ def solve_psor(
         if len(ids):
             blocks.append((ids, K[ids], load[ids], diag[ids], thin_flat[ids], psi_full[ids]))
 
-    energies = [] if record_energy else None
     it = 0
     delta = np.inf
     for it in range(1, max_iter + 1):
@@ -325,8 +322,6 @@ def solve_psor(
             step = np.abs(unew - U[ids]).max() if len(ids) else 0.0
             delta = max(delta, float(step))
             U[ids] = unew
-        if energies is not None:
-            energies.append(0.5 * U @ (K @ U) + load @ U)
         if delta <= tol:
             break
     else:
@@ -346,7 +341,6 @@ def solve_psor(
         final_residual=float(delta),
         tol=tol,
         method="psor",
-        energy_history=np.asarray(energies) if energies is not None else None,
         active_set_iterations=active_steps,
         inner_iterations=inner,
     )

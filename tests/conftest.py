@@ -40,19 +40,6 @@ def solved_profile(a: float, h: float, mix: float = 0.0, b11_slope: float = 0.0)
     return grid, problem, form, sol, g
 
 
-def exact_field_solution(grid, values: np.ndarray, a: float) -> sg.SolutionField:
-    """Wrap an exact nodal field as a SolutionField for the diagnostics."""
-    return sg.SolutionField(
-        U=values,
-        active=values[..., 0] <= 1e-14,
-        trace=sg.neumann_trace(grid, values, a),
-        iterations=0,
-        final_residual=0.0,
-        tol=1e-12,
-        method="exact",
-    )
-
-
 @pytest.fixture(scope="session")
 def profile_a0():
     return solved_profile(0.0, 1.0 / 96)

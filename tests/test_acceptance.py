@@ -8,7 +8,7 @@ import signorini as sg
 from signorini.operator import interior_mask
 from signorini.solver import near_optimal_omega
 
-from conftest import exact_field_solution, profile_boundary, solved_profile
+from conftest import profile_boundary, solved_profile
 
 
 def report(num, name, detail):
@@ -82,7 +82,7 @@ def test_criterion_2_signorini_solve():
 @pytest.mark.parametrize("a", [0.0, 0.5])
 def test_criterion_3_optimal_exponent(a):
     grid, problem, form, sol, _ = solved_profile(a, 1 / 192)
-    fit = sg.decay_fit(sol, problem, [0.0], r_grid=np.geomspace(0.06, 0.5, 12))
+    fit = sg.decay_fit(sol.U, problem, [0.0], r_grid=np.geomspace(0.06, 0.5, 12))
     expected = (3 - a) / 2
     assert abs(fit["slope"] - expected) <= 0.05, fit["slope"]
     assert abs(fit["H_slope"] - (1 + 3)) <= 0.1, fit["H_slope"]
@@ -100,7 +100,7 @@ def test_criterion_3_optimal_exponent(a):
 @pytest.mark.parametrize("a", [0.0, 0.25, 0.5, 0.75])
 def test_criterion_4_frequency_regular(a):
     grid, problem, form, sol, _ = solved_profile(a, 1 / 192)
-    prof = sg.radial_profile(sol, problem, r_grid=np.geomspace(0.08, 0.9, 40))
+    prof = sg.radial_profile(sol.U, problem, r_grid=np.geomspace(0.08, 0.9, 40))
     sel = (prof.r >= 0.1) & (prof.r <= 0.5)
     dev = np.abs(prof.Ntilde[sel] - (3 - a) / 2).max()
     assert dev <= 0.05, dev
@@ -125,7 +125,7 @@ def test_criterion_4_frequency_degenerate_gap():
 
 def test_criterion_5_almgren_monotonicity():
     grid, problem, form, sol, _ = solved_profile(0.0, 1 / 128, mix=0.6)
-    prof = sg.radial_profile(sol, problem, r_grid=np.geomspace(0.1, 0.9, 40), nsub=8)
+    prof = sg.radial_profile(sol.U, problem, r_grid=np.geomspace(0.1, 0.9, 40), nsub=8)
     phi = prof.Phi[prof.mask_gamma]
     rng = float(phi.max() - phi.min())
     worst = -prof.phi_margin / rng
@@ -133,10 +133,10 @@ def test_criterion_5_almgren_monotonicity():
 
     # pure profile margin, reported (frequency is constant there: range is noise)
     gridp, problemp, formp, solp, _ = solved_profile(0.0, 1 / 128)
-    profp = sg.radial_profile(solp, problemp, r_grid=np.geomspace(0.1, 0.9, 40), nsub=8)
+    profp = sg.radial_profile(solp.U, problemp, r_grid=np.geomspace(0.1, 0.9, 40), nsub=8)
 
     grid2, problem2, form2, sol2, _ = solved_profile(0.0, 1 / 96, b11_slope=0.1)
-    prof2 = sg.radial_profile(sol2, problem2, r_grid=np.geomspace(0.1, 0.9, 40),
+    prof2 = sg.radial_profile(sol2.U, problem2, r_grid=np.geomspace(0.1, 0.9, 40),
                               Kprime="auto", nsub=8)
     assert np.isfinite(prof2.Kprime) and prof2.Kprime <= 1.0
     report(
@@ -162,12 +162,12 @@ def test_criterion_6_weiss():
     assert wdev <= 0.02, wdev
 
     grid1, problem1, form1, sol1, _ = solved_profile(0.0, 1 / 128, mix=0.6)
-    prof1 = sg.radial_profile(sol1, problem1, r_grid=np.geomspace(0.1, 0.9, 40), nsub=8)
+    prof1 = sg.radial_profile(sol1.U, problem1, r_grid=np.geomspace(0.1, 0.9, 40), nsub=8)
     Wrng = float(prof1.W.max() - prof1.W.min())
     assert prof1.weiss_margin >= -0.01 * Wrng, (prof1.weiss_margin, Wrng)
 
     grid2, problem2, form2, sol2, _ = solved_profile(0.0, 1 / 96, b11_slope=0.1)
-    prof2 = sg.radial_profile(sol2, problem2, r_grid=np.geomspace(0.1, 0.9, 40),
+    prof2 = sg.radial_profile(sol2.U, problem2, r_grid=np.geomspace(0.1, 0.9, 40),
                               C_weiss="auto", nsub=8)
     assert np.isfinite(prof2.C_weiss) and prof2.C_weiss <= 1.0
     report(
@@ -185,18 +185,17 @@ def test_criterion_6_weiss():
 def test_criterion_7_identities():
     grid, problem, form, sol, _ = solved_profile(0.0, 1 / 128)
     rs = np.linspace(0.2, 0.8, 9)
-    checks = sg.identity_checks(sol, problem, r_grid=rs)
+    checks = sg.identity_checks(sol.U, problem, r_grid=rs)
     h_err = checks["height_derivative_rel"].max()
     assert h_err <= 0.02, h_err
-    cross = [sg.functionals.surface_cross_check(sol, problem, r)["rel"] for r in (0.3, 0.5, 0.7)]
+    cross = [sg.functionals.surface_cross_check(sol.U, problem, r)["rel"] for r in (0.3, 0.5, 0.7)]
     assert max(cross) <= 0.02, cross
 
     a = 0.5
     grid2 = sg.build_grid(1, 1.0, 1 / 128, 1 / 128, a)
     problem2 = sg.make_problem(grid2)
     _, Y = grid2.node_mesh()
-    sol2 = exact_field_solution(grid2, Y ** (1 - a), a)
-    checks2 = sg.identity_checks(sol2, problem2, r_grid=np.linspace(0.2, 0.8, 7))
+    checks2 = sg.identity_checks(Y ** (1 - a), problem2, r_grid=np.linspace(0.2, 0.8, 7))
     r_err = checks2["rellich_rel"].max()
     assert r_err <= 0.02, r_err
     report(
@@ -281,7 +280,7 @@ def test_criterion_10_decay_diagnostics():
     details = []
     for a in (0.0, 0.5):
         grid, problem, form, sol, _ = solved_profile(a, 1 / 128)
-        out = sg.oscillation_decay(sol, problem, [0.0], np.geomspace(0.08, 0.5, 10))
+        out = sg.oscillation_decay(sol.U, problem, [0.0], np.geomspace(0.08, 0.5, 10))
         floor = 1 + 1 - a + 0.5
         assert out["slope"] >= floor, (a, out["slope"])
         details.append(f"a={a}: oscillation slope {out['slope']:.2f} >= {floor}")

@@ -153,6 +153,37 @@ def test_blowup_bad_x0_exit_code(tmp_path, capsys, x0):
     assert "--x0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale", ["0", "-0.5", "inf", "nan"])
+def test_blowup_bad_scale_exit_code(tmp_path, capsys, scale):
+    path = write_config(tmp_path)
+    rc = cli.main(["blowup", "--config", str(path), "--out", str(tmp_path / "out"),
+                   "--x0", "0", "--scale", scale])
+    assert rc == 2
+    assert "--scale" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,needle", [
+    ('{"n": 1,', "config.json"),  # truncated JSON: the file is named
+    ("[1, 2]", "JSON object"),  # valid JSON, but not an object
+    (None, "missing.json"),  # no such file
+])
+def test_malformed_config_exit_code(tmp_path, capsys, text, needle):
+    path = tmp_path / ("missing.json" if text is None else "config.json")
+    if text is not None:
+        path.write_text(text)
+    rc = cli.main(["diagnose", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert needle in capsys.readouterr().err
+
+
+def test_sweep_malformed_values_exit_code(tmp_path, capsys):
+    path = write_config(tmp_path)
+    rc = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "s"),
+                   "--param", "a", "--values", "{bad", "--quiet"])
+    assert rc == 2
+    assert "--values" in capsys.readouterr().err
+
+
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 

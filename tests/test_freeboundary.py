@@ -8,7 +8,7 @@ from signorini.errors import InsufficientDataError
 from signorini.freeboundary import frequency_at, gamma_points
 from signorini.solver import near_optimal_omega
 
-from conftest import exact_field_solution, profile_boundary, solved_profile
+from conftest import profile_boundary, solved_profile
 
 
 def test_contact_masks_inactive():
@@ -63,7 +63,7 @@ def test_classify_threshold_branches():
 
 def test_classify_regular_point_on_profile(profile_a0):
     grid, problem, form, sol, _ = profile_a0
-    cls = sg.classify(sol, problem, [0.0])
+    cls = sg.classify(sol.U, problem, [0.0])
     assert cls.label == "Regular"
     assert cls.Ntilde == pytest.approx(1.5, abs=0.05)
 
@@ -74,8 +74,7 @@ def test_classify_degenerate_even_poly():
     problem = sg.make_problem(grid)
     X, Y = grid.node_mesh()
     U = 10.0 * (X**2 - Y**2)
-    sol = exact_field_solution(grid, U, a)
-    cls = sg.classify(sol, problem, [0.0])
+    cls = sg.classify(U, problem, [0.0])
     assert cls.label == "Degenerate"
     assert cls.Ntilde == pytest.approx(2.0, abs=0.05)
 
@@ -83,14 +82,14 @@ def test_classify_degenerate_even_poly():
 def test_classification_scale_stability(profile_a0):
     grid, problem, form, sol, _ = profile_a0
     r1 = 16 * grid.hy
-    n1 = frequency_at(sol, problem, r1)
-    n2 = frequency_at(sol, problem, r1 / 2)
+    n1 = frequency_at(sol.U, problem, r1)
+    n2 = frequency_at(sol.U, problem, r1 / 2)
     assert abs(n2 - n1) < sg.freeboundary.default_tau_gap(0.0, 0.5) / 2
 
 
 def test_decay_fit_regular_slopes(profile_a0):
     grid, problem, form, sol, _ = profile_a0
-    fit = sg.decay_fit(sol, problem, [0.0])
+    fit = sg.decay_fit(sol.U, problem, [0.0])
     assert fit["slope"] == pytest.approx(1.5, abs=0.05)
     assert fit["H_slope"] == pytest.approx(4.0, abs=0.1)
 
@@ -98,8 +97,7 @@ def test_decay_fit_regular_slopes(profile_a0):
 def test_decay_fit_identically_zero():
     grid = sg.build_grid(1, 1.0, 1 / 32, 1 / 32, 0.0)
     problem = sg.make_problem(grid)
-    sol = exact_field_solution(grid, np.zeros(grid.node_shape), 0.0)
-    fit = sg.decay_fit(sol, problem, [0.0])
+    fit = sg.decay_fit(np.zeros(grid.node_shape), problem, [0.0])
     assert fit["slope"] == float("inf")
 
 
@@ -108,12 +106,11 @@ def test_blowup_self_similarity_and_height():
     grid = sg.build_grid(1, 1.0, 1 / 64, 1 / 64, a)
     problem = sg.make_problem(grid)
     U = profile_boundary(grid, a)
-    sol = exact_field_solution(grid, U, a)
-    bl1 = sg.blowup(sol, problem, [0.0], 0.5)
-    bl2 = sg.blowup(sol, problem, [0.0], 0.25)
+    bl1 = sg.blowup(U, problem, [0.0], 0.5)
+    bl2 = sg.blowup(U, problem, [0.0], 0.25)
     inner = grid.node_radii() <= 0.9
-    scale = np.abs(bl1.U[inner]).max()
-    assert np.abs(bl1.U[inner] - bl2.U[inner]).max() <= 0.02 * scale
+    scale = np.abs(bl1[inner]).max()
+    assert np.abs(bl1[inner] - bl2[inner]).max() <= 0.02 * scale
     geo = sg.geometry_fields(grid, problem.coeff, a)
     rule = sg.sphere_quadrature(grid, 1.0, 64)
     assert sg.height(bl1, geo, rule) == pytest.approx(1.0, rel=0.02)
@@ -130,8 +127,8 @@ def test_blowup_ladder_converges_to_profile():
     target = U0 / np.sqrt(H1)
     dists = []
     for r in (0.6, 0.4, 0.25, 0.15):
-        bl = sg.blowup(sol, problem, [0.0], r)
-        dists.append(np.abs(bl.U[inner] - target[inner]).max())
+        bl = sg.blowup(sol.U, problem, [0.0], r)
+        dists.append(np.abs(bl[inner] - target[inner]).max())
     assert np.all(np.diff(dists) < 0)
 
 
@@ -179,8 +176,8 @@ def test_report_empty_for_inactive():
 
 def test_reduce_obstacle_identity_when_zero(profile_a0):
     grid, problem, form, sol, _ = profile_a0
-    sol0, problem0 = sg.reduce_obstacle(sol, problem)
-    assert sol0 is sol and problem0 is problem
+    U0, problem0 = sg.reduce_obstacle(sol.U, problem)
+    assert U0 is sol.U and problem0 is problem
 
 
 def test_reduce_obstacle_source_term():
@@ -190,13 +187,11 @@ def test_reduce_obstacle_source_term():
     psi = 0.4 - (X1[..., 0] ** 2 + X2[..., 0] ** 2)
     problem = sg.make_problem(grid, psi=psi, boundary=0.0)
     U = np.zeros(grid.node_shape)
-    from conftest import exact_field_solution
-
-    sol0, problem0 = sg.reduce_obstacle(exact_field_solution(grid, U, 0.0), problem)
+    U0, problem0 = sg.reduce_obstacle(U, problem)
     inner = (np.abs(X1) <= 0.75) & (np.abs(X2) <= 0.75)  # clear of one-sided edges
     assert np.allclose(problem0.f[inner], 4.0)
     assert np.all(problem0.psi == 0.0)
-    assert np.allclose(sol0.U, -psi[..., None] * np.ones_like(Y))
+    assert np.allclose(U0, -psi[..., None] * np.ones_like(Y))
 
 
 # -- n = 2 end-to-end ---------------------------------------------------------
@@ -263,9 +258,27 @@ def test_n2_circle_points_classify_regular(n2_circle_solve):
     masks = sg.contact_set(sol, problem)
     pts = gamma_points(grid, masks["gamma"])
     for x0 in pts[:4]:
-        cls = sg.classify(sol, problem, x0, r_min=6 * grid.hy)
+        cls = sg.classify(sol.U, problem, x0, r_min=6 * grid.hy)
         assert cls.label == "Regular"
         assert cls.Ntilde == pytest.approx(1.5, abs=0.1)
+
+
+def test_report_reduces_the_obstacle_once(n2_circle_solve, monkeypatch):
+    # psi != 0: one reduced problem serves every classified point
+    grid, problem, form, sol = n2_circle_solve
+    reduce = sg.freeboundary.reduce_obstacle
+    built = []
+
+    def counting(U, problem):
+        out = reduce(U, problem)
+        if out[1] is not problem:
+            built.append(out[1])
+        return out
+
+    monkeypatch.setattr(sg.freeboundary, "reduce_obstacle", counting)
+    rep = sg.free_boundary_report(sol, problem, max_points=4)
+    assert len(rep.points) == 4
+    assert len(built) == 1
 
 
 def test_n2_circle_arc_graph_fit(n2_circle_solve):
