@@ -38,20 +38,17 @@ from .functionals import (
     FieldSampler,
     GeometryFields,
     RadialProfile,
+    ball_integrals,
     campanato_decay,
     conjugate_variable,
     default_r_grid,
-    dirichlet,
     frequency_columns,
-    g_ratio,
-    geometry_fields,
-    height,
     identity_checks,
     integrate_psi_sigma,
-    mass,
     oscillation_decay,
     radial_profile,
-    total_energy,
+    sphere_heights,
+    surface_cross_check,
     total_energy_surface,
     weiss,
 )

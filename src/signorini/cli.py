@@ -17,6 +17,7 @@ import pathlib
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -49,6 +50,13 @@ SOLVER_KEYS = {
 R_GRID_KEYS = {"count", "r_min", "r_max"}
 
 
+def _require(name: str, value, kind) -> None:
+    """Reject a value that is not an Integral/Real number (a bool is neither)."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        what = "an integer" if kind is Integral else "a number"
+        raise InvalidConfigurationError(f"field '{name}' must be {what}, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     n: int = 1
@@ -59,7 +67,6 @@ class ExperimentConfig:
     coefficients: object = None  # None/"identity" | nested scalar specs
     obstacle: object = 0.0
     source: object = 0.0
-    source_y_independent: bool = True
     boundary: object = 0.0  # scalar spec or "oracle:<kind>"
     solver: dict = field(default_factory=lambda: {"method": "psor"})
     r_grid: dict = field(default_factory=dict)  # {count, r_min, r_max}
@@ -98,6 +105,14 @@ class ExperimentConfig:
             raise InvalidConfigurationError(
                 f"config schema {self.schema} unsupported (expected {CONFIG_SCHEMA})"
             )
+        for name in ("n", "seed"):
+            _require(name, getattr(self, name), Integral)
+        for name in ("a", "R", "hx", "hy", "delta"):
+            _require(name, getattr(self, name), Real)
+        for name in ("Kprime", "C_weiss"):
+            v = getattr(self, name)
+            if not (isinstance(v, str) and v in ("auto", "calibrate")):
+                _require(name, v, Real)
         if self.n not in (1, 2):
             raise InvalidConfigurationError(f"field 'n' must be 1 or 2, got {self.n}")
         if not (0.0 <= self.a < 1.0):
@@ -118,6 +133,9 @@ class ExperimentConfig:
             unknown = set(getattr(self, name)) - allowed
             if unknown:
                 raise InvalidConfigurationError(f"unknown {name} keys {sorted(unknown)}")
+        for key, kind in (("count", Integral), ("r_min", Real), ("r_max", Real)):
+            if self.r_grid.get(key) is not None:
+                _require(f"r_grid.{key}", self.r_grid[key], kind)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -137,10 +155,7 @@ def build_experiment(cfg: ExperimentConfig):
     grid = build_grid(cfg.n, cfg.R, cfg.hx, cfg.hy, cfg.a)
     coeff = build_coefficients(grid, cfg.coefficients, seed=cfg.seed)
     boundary, ref = _resolve_boundary(cfg, grid)
-    problem = make_problem(
-        grid, coeff=coeff, psi=cfg.obstacle, f=cfg.source, boundary=boundary,
-        f_independent_of_y=cfg.source_y_independent,
-    )
+    problem = make_problem(grid, coeff=coeff, psi=cfg.obstacle, f=cfg.source, boundary=boundary)
     return grid, problem, ref
 
 
@@ -239,7 +254,7 @@ def _profile(cfg: ExperimentConfig, res: dict) -> dict:
         U0, problem0, r_grid=r_grid, Kprime=cfg.Kprime, delta=cfg.delta,
         C_weiss=cfg.C_weiss,
     )
-    res.update(r_grid=r_grid, reduced=(U0, problem0), summary=prof.summary())
+    res.update(profile=prof, reduced=(U0, problem0), summary=prof.summary())
     cols = [getattr(prof, c) for c in COLUMNS]
     cols += [prof.mask_lambda.astype(int), prof.mask_gamma.astype(int)]
     header = COLUMNS + ["in_lambda_mask", "in_gamma_mask"]
@@ -247,13 +262,10 @@ def _profile(cfg: ExperimentConfig, res: dict) -> dict:
 
 
 def _identities(cfg: ExperimentConfig, res: dict) -> dict:
-    """Needs the profile stage's radii and reduction."""
-    r_grid = res["r_grid"]
+    """Checks the profile stage's columns on its reduction."""
     U0, problem0 = res["reduced"]
-    R = problem0.grid.R
-    idr = r_grid[(r_grid >= 0.2 * R) & (r_grid <= 0.8 * R)]
-    checks = identity_checks(U0, problem0, r_grid=idr if len(idr) >= 3 else None)
-    cross = surface_cross_check(U0, problem0, float(np.median(r_grid)))
+    checks = identity_checks(U0, problem0, res["profile"])
+    cross = surface_cross_check(U0, problem0, res["profile"])
     rellich = checks["rellich_rel"]
     return {"identities.json": {
         "height_derivative_rel_max": float(np.max(checks["height_derivative_rel"])),

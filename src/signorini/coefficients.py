@@ -2,8 +2,9 @@
 
 B acts on the thin directions only and never depends on y; the extension
 slot of A is identically 1 with zero coupling. Scalar data (obstacle,
-source, boundary) is accepted as constants, polynomials in x, callables,
-or tabulated node values.
+source, boundary) is accepted as constants, polynomials, callables, or
+tabulated values; the obstacle lives on the thin points x, the source
+and the boundary data on the nodes (x, y).
 """
 
 from __future__ import annotations
@@ -192,11 +193,6 @@ class ProblemSpec:
     psi: np.ndarray  # obstacle on thin nodes, thin_shape
     f: np.ndarray  # source on nodes, node_shape
     boundary: np.ndarray  # Dirichlet values on nodes (used on the outer boundary)
-    f_independent_of_y: bool = True
-
-    # descriptions kept for exact re-evaluation under changes of variables
-    psi_spec: object = None
-    f_spec: object = None
 
 
 def make_problem(
@@ -205,9 +201,13 @@ def make_problem(
     psi=0.0,
     f=0.0,
     boundary=0.0,
-    f_independent_of_y: bool = True,
 ) -> ProblemSpec:
-    """Assemble a validated ProblemSpec from descriptions or tables."""
+    """Assemble a validated ProblemSpec from descriptions or tables.
+
+    The obstacle is described over the thin points (..., n); the source
+    and the boundary data over the nodes (..., n+1), so a source may
+    depend on y.
+    """
     a = grid.a
     if not (0.0 <= a < 1.0):
         raise InvalidConfigurationError(f"the artifact restricts a to [0, 1), got a={a}")
@@ -221,11 +221,7 @@ def make_problem(
     if psi_arr.shape != thin_pts.shape[:-1]:
         raise InvalidConfigurationError("obstacle table has wrong shape")
 
-    if isinstance(f, np.ndarray):
-        f_arr = f
-    else:
-        # y-independent sources are described over thin variables only
-        f_arr = eval_scalar_spec(f, node_pts[..., : grid.n] if f_independent_of_y else node_pts)
+    f_arr = f if isinstance(f, np.ndarray) else eval_scalar_spec(f, node_pts)
     f_arr = np.broadcast_to(f_arr, grid.node_shape).copy()
 
     bnd_arr = boundary if isinstance(boundary, np.ndarray) else eval_scalar_spec(boundary, node_pts)
@@ -234,16 +230,8 @@ def make_problem(
     for name, arr in (("obstacle", psi_arr), ("source", f_arr), ("boundary", bnd_arr)):
         if not np.all(np.isfinite(arr)):
             raise InvalidConfigurationError(f"{name} data contains non-finite values")
-    if f_independent_of_y and isinstance(f, np.ndarray):
-        if np.abs(f_arr - f_arr[..., :1]).max() > 0.0:
-            raise InvalidConfigurationError("source flagged y-independent but varies with y")
 
-    return ProblemSpec(
-        grid=grid, a=a, coeff=coeff, psi=psi_arr, f=f_arr, boundary=bnd_arr,
-        f_independent_of_y=f_independent_of_y,
-        psi_spec=None if isinstance(psi, np.ndarray) else psi,
-        f_spec=None if isinstance(f, np.ndarray) else f,
-    )
+    return ProblemSpec(grid=grid, a=a, coeff=coeff, psi=psi_arr, f=f_arr, boundary=bnd_arr)
 
 
 # ---------------------------------------------------------------------------
@@ -298,17 +286,11 @@ def normalize_at(problem: ProblemSpec, U: np.ndarray, x0) -> tuple:
     # mapped thin points, clamped to the box; y stays on the nodes, so node
     # fields are resampled along the thin axes only
     mapped = np.clip(map_thin(thin_pts), -grid.R, grid.R)
-    psi_new = (
-        eval_scalar_spec(problem.psi_spec, map_thin(thin_pts))
-        if problem.psi_spec is not None
-        else interpolate(grid.xs, problem.psi, mapped)
-    )
+    psi_new = interpolate(grid.xs, problem.psi, mapped)
     nodes = np.stack([problem.f, problem.boundary, U], axis=-1)
     resampled = interpolate(grid.xs, nodes, mapped)
     f_new, bnd_new, U_new = (resampled[..., k].copy() for k in range(3))
     new_problem = ProblemSpec(
         grid=grid, a=problem.a, coeff=coeff, psi=psi_new, f=f_new, boundary=bnd_new,
-        f_independent_of_y=problem.f_independent_of_y,
-        psi_spec=None, f_spec=None,
     )
     return new_problem, U_new

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, UnsupportedRadiusError
 from .coefficients import ProblemSpec, normalize_at
-from .functionals import FieldSampler, _sphere_heights, geometry_fields, radial_profile
+from .functionals import FieldSampler, GeometryFields, radial_profile, sphere_heights
 from .grid import Grid, sphere_quadrature
 from .solver import SolutionField
 
@@ -46,8 +46,6 @@ def reduce_obstacle(U: np.ndarray, problem: ProblemSpec) -> tuple:
         psi=np.zeros_like(psi),
         f=f_new,
         boundary=problem.boundary - psi_ext,
-        psi_spec=None,
-        f_spec=None,
     )
     return U - psi_ext, problem0
 
@@ -200,9 +198,8 @@ def decay_fit(U: np.ndarray, problem: ProblemSpec, x0, r_grid: np.ndarray | None
     slope = float(np.polyfit(np.log(r_grid), np.log(np.maximum(sups, 1e-300)), 1)[0])
 
     # height-based variant around x0 (on the reduction)
-    geo = geometry_fields(grid, problem.coeff, problem.a)
     rules = [sphere_quadrature(grid, r, n_angles=48) for r in r_grid]
-    Hs = _sphere_heights(FieldSampler(grid, U), geo, rules, x0=x0)[0]
+    Hs = sphere_heights(U, GeometryFields(grid, problem.coeff), rules, x0=x0)[0]
     H_slope = float(np.polyfit(np.log(r_grid), np.log(np.maximum(Hs, 1e-300)), 1)[0])
     return {"slope": slope, "H_slope": H_slope, "r": r_grid, "sup": sups, "H": Hs}
 

@@ -1,5 +1,7 @@
 """Radial functionals of a solved field: height, mass, energy, generalized
-frequency, and the adjusted monotone quantities.
+frequency, and the adjusted monotone quantities. radial_profile computes
+the sphere and ball sums of a field once; the identity checks and the
+energy cross-check read its columns.
 
 All ball/sphere integrals treat the field as evenly reflected across the
 thin plane: upper-half quadratures are doubled. The weight |y|^a is
@@ -15,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidConfigurationError, InsufficientDataError, SignoriniError
 from .coefficients import CoefficientField, ProblemSpec
-from .grid import Grid, SphereRule, ball_sums, interpolate, sphere_quadrature
+from .grid import Grid, ball_sums, interpolate, sphere_quadrature
 from .operator import cell_average, cell_energy_density
 
 
@@ -26,56 +28,48 @@ from .operator import cell_average, cell_energy_density
 
 @dataclass(frozen=True)
 class GeometryFields:
-    """Point evaluators of mu~ = <A X, X>/|X|^2 and la_r / |y|^a, where
-    mu = mu~ |y|^a and la_r = div(|y|^a A grad |X|)."""
+    """Point evaluators of B, mu~ = <A X, X>/|X|^2 and la_r / |y|^a, where
+    mu = mu~ |y|^a and la_r = div(|y|^a A grad |X|); a is the grid's."""
 
     grid: Grid
-    a: float
-    _coeff: CoefficientField
+    coeff: CoefficientField
 
     @cached_property
     def _db_table(self) -> np.ndarray:
         """Central differences d_i b_ij of the thin-node table, (..., i, j)."""
-        table, xs = self._coeff.table, self.grid.xs
+        table, xs = self.coeff.table, self.grid.xs
         return np.stack([np.gradient(table[..., i, :], xs[i], axis=i)
                          for i in range(self.grid.n)], axis=-2)
 
-    def _quadratic(self, pts: np.ndarray, x0) -> tuple:
-        """x - x0, B(x), <A Z, Z> = <B (x - x0), x - x0> + y^2 and |Z|^2 at
-        the points X = (x, y), with Z = X - (x0, 0); B is taken at x."""
+    def quadratic_at(self, points: np.ndarray, x0=None) -> tuple:
+        """(x - x0, B(x), <A Z, Z>, |Z|^2, mu~) at the points X = (x, y), with
+        Z = X - (x0, 0), <A Z, Z> = <B (x - x0), x - x0> + y^2 and
+        mu~ = <A Z, Z>/|Z|^2; B is taken at x."""
+        pts = np.asarray(points, dtype=float)
         n = self.grid.n
         x = pts[..., :n]
-        B = self._coeff.eval_B(x)
+        B = self.coeff.eval_B(x)
         z = x if x0 is None else x - np.asarray(x0, dtype=float)
         y2 = pts[..., n] ** 2
-        bzz = np.einsum("...ij,...i,...j->...", B, z, z)
-        return z, B, bzz + y2, (z**2).sum(axis=-1) + y2
+        azz = np.einsum("...ij,...i,...j->...", B, z, z) + y2
+        r2 = (z**2).sum(axis=-1) + y2
+        return z, B, azz, r2, azz / r2
 
     def mu_tilde_at(self, points: np.ndarray, x0=None) -> np.ndarray:
         """mu~ = <A Z, Z>/|Z|^2 about the centre (x0, 0), Z = X - (x0, 0),
         with A evaluated at the points X themselves."""
-        _, _, azz, r2 = self._quadratic(np.asarray(points, dtype=float), x0)
-        return azz / r2
-
-    def la_r_reduced_at(self, points: np.ndarray) -> np.ndarray:
-        """la_r / |y|^a at arbitrary points (the weight-free factor)."""
-        return self.mu_tilde_and_la_r_at(points)[1]
+        return self.quadratic_at(points, x0)[4]
 
     def mu_tilde_and_la_r_at(self, points: np.ndarray, x0=None) -> tuple:
         """(mu~, la_r / |y|^a) about the centre (x0, 0) from one evaluation
         of B; la_r = div(|y|^a A grad |X - (x0, 0)|)."""
         pts = np.asarray(points, dtype=float)
-        z, B, azz, r2 = self._quadratic(pts, x0)
+        z, B, azz, r2, mu = self.quadratic_at(pts, x0)
         r = np.sqrt(r2)
         trB = np.trace(B, axis1=-2, axis2=-1)
         x = pts[..., : self.grid.n]
         dbz = np.einsum("...ij,...j->...", interpolate(self.grid.xs, self._db_table, x), z)
-        return azz / r2, (trB + 1.0 + self.a) / r - azz / r**3 + dbz / r
-
-
-def geometry_fields(grid: Grid, coeff: CoefficientField, a: float) -> GeometryFields:
-    """Evaluators of mu~ and la_r (closed form for the block matrix)."""
-    return GeometryFields(grid=grid, a=a, _coeff=coeff)
+        return mu, (trB + 1.0 + self.grid.a) / r - azz / r**3 + dbz / r
 
 
 # ---------------------------------------------------------------------------
@@ -118,20 +112,21 @@ def conjugate_variable(grid: Grid, U: np.ndarray, a: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# individual radial functionals
+# sphere and ball sums
 # ---------------------------------------------------------------------------
 
 
 H_FLOOR_FACTOR = 1e-14
 
 
-def _sphere_heights(sampler: FieldSampler, geo: GeometryFields, rules, x0=None,
-                    la_r: bool = False) -> tuple:
+def sphere_heights(U: np.ndarray, geo: GeometryFields, rules, x0=None,
+                   la_r: bool = False) -> tuple:
     """(H, L) per rule: H = 2 int_{S_r} U^2 mu~ |y|^a on the sphere about
     (x0, 0) (even reflection: doubled upper half) and, with la_r, the G
     numerator L = 2 int_{S_r} U^2 la_r; L is None without la_r. mu~ and
     la_r are taken about (x0, 0), with the coefficients evaluated at the
     shifted points."""
+    sampler = FieldSampler(geo.grid, U)
     H = np.empty(len(rules))
     L = np.empty(len(rules)) if la_r else None
     shift = 0.0 if x0 is None else np.append(x0, 0.0)
@@ -147,12 +142,7 @@ def _sphere_heights(sampler: FieldSampler, geo: GeometryFields, rules, x0=None,
     return H, L
 
 
-def height(U: np.ndarray, geo: GeometryFields, rule: SphereRule) -> float:
-    """H(r) = int_{S_r} U^2 mu dsigma (even reflection: doubled upper half)."""
-    return float(_sphere_heights(FieldSampler(geo.grid, U), geo, [rule])[0][0])
-
-
-def _ball_integrals(U: np.ndarray, problem: ProblemSpec, radii, nsub: int) -> np.ndarray:
+def ball_integrals(U: np.ndarray, problem: ProblemSpec, radii, nsub: int = 4) -> np.ndarray:
     """(3, len(radii)): D, B and int U f |y|^a over B_r for every radius.
 
     The cell densities (covered energies, cell-midpoint U^2 and U f) are
@@ -168,22 +158,6 @@ def _ball_integrals(U: np.ndarray, problem: ProblemSpec, radii, nsub: int) -> np
     return 2.0 * ball_sums(grid, densities, radii, nsub=nsub)
 
 
-def dirichlet(U: np.ndarray, problem: ProblemSpec, r: float, nsub: int = 4) -> float:
-    """D(r) = int_{B_r} <A grad U, grad U> |y|^a via covered cell energies."""
-    return float(_ball_integrals(U, problem, r, nsub)[0, 0])
-
-
-def mass(U: np.ndarray, problem: ProblemSpec, r: float, nsub: int = 4) -> float:
-    """B(r) = int_{B_r} U^2 |y|^a."""
-    return float(_ball_integrals(U, problem, r, nsub)[1, 0])
-
-
-def total_energy(U: np.ndarray, problem: ProblemSpec, r: float, nsub: int = 4) -> float:
-    """I(r) = D(r) + int_{B_r} U f |y|^a (solid formula; primary path)."""
-    D, _, F = _ball_integrals(U, problem, r, nsub)[:, 0]
-    return float(D + F)
-
-
 class _SurfaceSamplers:
     """Shared machinery for surface integrals with the weight split
     g = grad_x U (carries |y|^a), w = y^a U_y (carries |y|^-a after
@@ -193,8 +167,8 @@ class _SurfaceSamplers:
 
     def __init__(self, grid: Grid, problem: ProblemSpec, U: np.ndarray):
         self.grid = grid
-        self.problem = problem
         self.a = problem.a
+        self.geo = GeometryFields(grid, problem.coeff)
         self.sampler = FieldSampler(grid, U)
         # grad_x U and the conjugate variable, stacked on a trailing axis
         self._table = np.stack(
@@ -211,17 +185,15 @@ class _SurfaceSamplers:
         )
 
     def parts(self, rule):
-        """(s, wv, nu_y, mu_t, u) at the rule's points with
+        """(s, wv, nu_y, mu_t, u, grad_x U) at the rule's points with
         s = <B grad_x U, nu_x>."""
         pts = rule.points
         n = self.grid.n
-        B = self.problem.coeff.eval_B(pts[..., :n])
+        _, B, _, _, mu_t = self.geo.quadratic_at(pts)
         gw = interpolate(self.grid.xs + (self.grid.ys,), self._table, pts)
         gx, wv = gw[..., :n], gw[..., n]
         nu = pts / rule.r
         s = np.einsum("...ij,...j,...i->...", B, gx, nu[..., :n])
-        bxx = np.einsum("...ij,...i,...j->...", B, pts[..., :n], pts[..., :n])
-        mu_t = (bxx + pts[..., n] ** 2) / rule.r**2
         return s, wv, nu[..., n], mu_t, self.sampler(pts), gx
 
 
@@ -235,16 +207,6 @@ def total_energy_surface(U: np.ndarray, problem: ProblemSpec, r: float,
     s_a, w_a, nuy_a, _, u_a, _ = ss.parts(rule_a)
     s_0, w_0, nuy_0, _, u_0, _ = ss.parts(rule_0)
     return 2.0 * (rule_a.integrate(u_a * s_a) + rule_0.integrate(u_0 * w_0 * nuy_0))
-
-
-def g_ratio(U: np.ndarray, geo: GeometryFields, rule: SphereRule,
-            h_floor: float | None = None) -> float:
-    """G(r) = int U^2 la_r / int U^2 mu, with the (n+a)/r fallback when the
-    height is (numerically) zero."""
-    H, L = _sphere_heights(FieldSampler(geo.grid, U), geo, [rule], la_r=True)
-    if H[0] <= (0.0 if h_floor is None else h_floor):
-        return (geo.grid.n + geo.a) / rule.r
-    return float(L[0] / H[0])
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +359,7 @@ class RadialProfile:
     D: np.ndarray
     I: np.ndarray
     G: np.ndarray
+    L: np.ndarray  # G numerator 2 int_{S_r} U^2 la_r; not a COLUMNS entry
     psi: np.ndarray
     sigma: np.ndarray
     M: np.ndarray
@@ -480,14 +443,13 @@ def radial_profile(
     if r_grid is None:
         r_grid = default_r_grid(grid)
     r = np.asarray(r_grid, dtype=float)
-    geo = geometry_fields(grid, problem.coeff, problem.a)
     rules = [sphere_quadrature(grid, ri, n_angles=n_angles) for ri in r]
-    Hs, Gn = _sphere_heights(FieldSampler(grid, U), geo, rules, la_r=True)
+    Hs, Ls = sphere_heights(U, GeometryFields(grid, problem.coeff), rules, la_r=True)
     h_floor = H_FLOOR_FACTOR * max(Hs.max(), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        G = np.where(Hs > h_floor, Gn / np.where(Hs > 0, Hs, 1.0), (grid.n + problem.a) / r)
+        G = np.where(Hs > h_floor, Ls / np.where(Hs > 0, Hs, 1.0), (grid.n + problem.a) / r)
 
-    Ds, Bs, Fs = _ball_integrals(U, problem, r, nsub)
+    Ds, Bs, Fs = ball_integrals(U, problem, r, nsub)
     Is = Ds + Fs
 
     ps = integrate_psi_sigma(r, G, grid.n, problem.a)
@@ -520,7 +482,7 @@ def radial_profile(
     W, weiss_margin = weiss(r, freq.M, freq.J, ps, problem.a, C_weiss=cw)
 
     return RadialProfile(
-        r=r, H=Hs, B=Bs, D=Ds, I=Is, G=G, psi=ps.psi, sigma=ps.sigma,
+        r=r, H=Hs, B=Bs, D=Ds, I=Is, G=G, L=Ls, psi=ps.psi, sigma=ps.sigma,
         M=freq.M, J=freq.J, Phi=freq.Phi, N=freq.N, Ntilde=freq.Ntilde, W=W,
         mask_lambda=freq.mask_lambda, mask_gamma=freq.mask_gamma,
         alpha=ps.alpha, alpha_err=ps.alpha_err, beta_est=ps.beta_est,
@@ -534,11 +496,15 @@ def radial_profile(
 # ---------------------------------------------------------------------------
 
 
-def identity_checks(U: np.ndarray, problem: ProblemSpec, r_grid: np.ndarray | None = None,
-                    n_angles: int = 64, nsub: int = 4) -> dict:
+def identity_checks(U: np.ndarray, problem: ProblemSpec, profile: RadialProfile,
+                    n_angles: int = 64) -> dict:
     """Relative errors of the first-variation identities and the trace
-    inequalities, on the given radii.
+    inequalities, checked on the columns H, L, D, B and I of the field's
+    radial profile (built with the same n_angles).
 
+    The radii are the profile's radii in [0.2 R, 0.8 R], or all of them
+    when fewer than 3 lie there. Only H(r +- dr) and the surface terms of
+    (ii) are evaluated here.
     (i)  H'(r) vs 2 I(r) + int_{S_r} U^2 la_r   (H' by small central step)
     (ii) for A=I, f=0: D'(r) vs 2 int (U_nu)^2 |y|^a + (n-1+a)/r D(r),
          with D'(r) evaluated by the coarea form int_{S_r} |grad U|^2 |y|^a
@@ -546,25 +512,23 @@ def identity_checks(U: np.ndarray, problem: ProblemSpec, r_grid: np.ndarray | No
     """
     grid = problem.grid
     a = problem.a
-    if r_grid is None:
-        r_grid = default_r_grid(grid, count=13)
-    r_grid = np.asarray(r_grid, dtype=float)
-    geo = geometry_fields(grid, problem.coeff, a)
-    sampler = FieldSampler(grid, U)
+    sel = (profile.r >= 0.2 * grid.R) & (profile.r <= 0.8 * grid.R)
+    if np.count_nonzero(sel) < 3:
+        sel = np.ones_like(sel)
+    r_grid, Hs, Ls, Ds, Bs, Is = (getattr(profile, c)[sel] for c in ("r", "H", "L", "D", "B", "I"))
+    geo = GeometryFields(grid, problem.coeff)
 
-    def heights(radii, la_r=False):
+    def heights(radii):
         rules = [sphere_quadrature(grid, ri, n_angles=n_angles) for ri in radii]
-        return _sphere_heights(sampler, geo, rules, la_r=la_r)
+        return sphere_heights(U, geo, rules)[0]
 
-    Ds, Bs, Fs = _ball_integrals(U, problem, r_grid, nsub)
-    Hs, Ls = heights(r_grid, la_r=True)
     # H' by a small central step, one-sided at the resolution floor
     dr = np.minimum(1e-3 * grid.R, 0.05 * r_grid)
     central = r_grid - dr > 2.0 * max(grid.hx, grid.hy)
     H_lo = Hs.copy()
-    H_lo[central] = heights(r_grid[central] - dr[central])[0]
-    Hp = (heights(r_grid + dr)[0] - H_lo) / np.where(central, 2.0 * dr, dr)
-    rhs = 2.0 * (Ds + Fs) + Ls
+    H_lo[central] = heights(r_grid[central] - dr[central])
+    Hp = (heights(r_grid + dr) - H_lo) / np.where(central, 2.0 * dr, dr)
+    rhs = 2.0 * Is + Ls
     rel_i = np.abs(Hp - rhs) / np.maximum(np.abs(rhs), 1e-300)
     rel_ii = []
     if problem.coeff.is_identity and np.abs(problem.f).max() == 0.0:
@@ -602,21 +566,26 @@ def identity_checks(U: np.ndarray, problem: ProblemSpec, r_grid: np.ndarray | No
     }
 
 
-# ---------------------------------------------------------------------------
-# decay diagnostics
-# ---------------------------------------------------------------------------
-
-
-def surface_cross_check(U: np.ndarray, problem: ProblemSpec, r: float, nsub: int = 4,
+def surface_cross_check(U: np.ndarray, problem: ProblemSpec, profile: RadialProfile,
                         n_angles: int = 64) -> dict:
-    """Solid vs surface evaluation of the total energy at one radius."""
-    solid = total_energy(U, problem, r, nsub=nsub)
+    """The profile's solid total energy I against its surface evaluation,
+    at the profile's middle radius r[len // 2] (a radius nearest the
+    median)."""
+    k = len(profile.r) // 2
+    r = float(profile.r[k])
+    solid = float(profile.I[k])
     surf = total_energy_surface(U, problem, r, n_angles=n_angles)
     return {
+        "r": r,
         "solid": solid,
         "surface": surf,
         "rel": abs(solid - surf) / max(abs(solid), 1e-300),
     }
+
+
+# ---------------------------------------------------------------------------
+# decay diagnostics
+# ---------------------------------------------------------------------------
 
 
 def oscillation_decay(U: np.ndarray, problem: ProblemSpec, x0, r_grid: np.ndarray) -> dict:

@@ -135,13 +135,13 @@ def _embedded(A: sp.csr_matrix, fixed: np.ndarray) -> sp.csr_matrix:
     return masked + sp.diags(fixed.astype(float), format="csr")
 
 
-def _vcycle(A: sp.csr_matrix, fixed: np.ndarray, grid: Grid):
+def _vcycle(A: sp.csr_matrix, fixed: np.ndarray, levels: list):
     """Symmetric V(MG_SWEEPS, MG_SWEEPS)-cycle for the embedded matrix A,
-    as a function of the residual. Coarse operators are P'AP plus the
-    identity on coarse fixed nodes, with P masked to zero on fine and
-    coarse fixed rows."""
+    as a function of the residual; levels are the grid's _prolongations.
+    Coarse operators are P'AP plus the identity on coarse fixed nodes,
+    with P masked to zero on fine and coarse fixed rows."""
     ops = []
-    for P, coarse in _prolongations(grid):
+    for P, coarse in levels:
         fixed_c = fixed[coarse]
         P = sp.diags((~fixed).astype(float)) @ P @ sp.diags((~fixed_c).astype(float))
         R = P.T.tocsr()
@@ -165,19 +165,20 @@ def _vcycle(A: sp.csr_matrix, fixed: np.ndarray, grid: Grid):
     return cycle
 
 
-def _linear_solve(A, fixed: np.ndarray, load: np.ndarray, U: np.ndarray, grid: Grid,
+def _linear_solve(A, fixed: np.ndarray, load: np.ndarray, U: np.ndarray, levels: list,
                   rtol: float) -> tuple:
     """Solve for x = U on the fixed nodes and (A x + load) = 0 on the rest.
 
     Runs CG from U on the embedded system D A D + I_fixed, D = diag(~fixed),
-    preconditioned by one Galerkin multigrid V-cycle on the tensor grid,
-    to a residual of rtol times the right-hand side. A must be symmetric
-    and positive definite on the free nodes. Returns (x, iterations), with
-    x None when CG does not converge.
+    preconditioned by one Galerkin multigrid V-cycle on the tensor grid
+    (levels: its _prolongations, built once per solve), to a residual of
+    rtol times the right-hand side. A must be symmetric and positive
+    definite on the free nodes. Returns (x, iterations), with x None when
+    CG does not converge.
     """
     M = _embedded(A, fixed)
     b = np.where(fixed, U, -(load + A @ np.where(fixed, U, 0.0)))
-    cycle = _vcycle(M, fixed, grid)
+    cycle = _vcycle(M, fixed, levels)
     count = [0]
 
     def tick(_):
@@ -221,12 +222,13 @@ def _active_set_start(form: SymmetricForm, U: np.ndarray, psi_full: np.ndarray) 
     c = K.diagonal()[thin]
     psi = psi_full[thin]
     active = np.zeros(len(thin), dtype=bool)
+    levels = _prolongations(form.grid)
     step = inner = 0
     for step in range(1, ACTIVE_SET_MAX_STEPS + 1):
         fixed = form.dirichlet.copy()
         fixed[thin[active]] = True
         U[thin[active]] = psi[active]
-        x, its = _linear_solve(K, fixed, load, U, form.grid, ACTIVE_SET_RTOL)
+        x, its = _linear_solve(K, fixed, load, U, levels, ACTIVE_SET_RTOL)
         inner += its
         if x is None:
             break
@@ -380,9 +382,10 @@ def solve_penalized(
     areas = grid.thin_weighted(np.ones(grid.node_shape[:-1])).ravel()[thin // ny]
     psi_thin = problem.psi.ravel()[thin // ny]
 
+    levels = _prolongations(grid)
     U = np.where(dirichlet, problem.boundary.ravel(), 0.0)
     scale = max(np.linalg.norm(np.where(dirichlet, 0.0, K @ U + load)), 1.0)
-    U, inner = _linear_solve(K, dirichlet, load, U, grid, rtol=cg_tol)
+    U, inner = _linear_solve(K, dirichlet, load, U, levels, rtol=cg_tol)
     if U is None:
         raise NonconvergedError(
             "inner CG failed on the unconstrained start", last_iterate=None, final_residual=np.inf,
@@ -403,7 +406,7 @@ def solve_penalized(
             break
         dpen = areas * penalty_derivative(U[thin] - psi_thin, eps)
         Jac = K + sp.csr_matrix((dpen, (thin, thin)), shape=K.shape)
-        dU, its = _linear_solve(Jac, dirichlet, r, zero, grid, rtol=cg_tol)
+        dU, its = _linear_solve(Jac, dirichlet, r, zero, levels, rtol=cg_tol)
         inner += its
         if dU is None:
             raise NonconvergedError(

@@ -184,18 +184,24 @@ def test_criterion_6_weiss():
 
 def test_criterion_7_identities():
     grid, problem, form, sol, _ = solved_profile(0.0, 1 / 128)
-    rs = np.linspace(0.2, 0.8, 9)
-    checks = sg.identity_checks(sol.U, problem, r_grid=rs)
+    # radii 0.2, 0.25, ..., 0.8: the surface energy is compared with the
+    # profile's solid I at 0.3, 0.5 (the middle radius) and 0.7
+    prof = sg.radial_profile(sol.U, problem, r_grid=np.linspace(0.2, 0.8, 13))
+    checks = sg.identity_checks(sol.U, problem, prof)
     h_err = checks["height_derivative_rel"].max()
     assert h_err <= 0.02, h_err
-    cross = [sg.functionals.surface_cross_check(sol.U, problem, r)["rel"] for r in (0.3, 0.5, 0.7)]
+    cross = [abs(sg.total_energy_surface(sol.U, problem, prof.r[k]) - prof.I[k]) / prof.I[k]
+             for k in (2, 10)]
+    cross.append(sg.surface_cross_check(sol.U, problem, prof)["rel"])
     assert max(cross) <= 0.02, cross
 
     a = 0.5
     grid2 = sg.build_grid(1, 1.0, 1 / 128, 1 / 128, a)
     problem2 = sg.make_problem(grid2)
     _, Y = grid2.node_mesh()
-    checks2 = sg.identity_checks(Y ** (1 - a), problem2, r_grid=np.linspace(0.2, 0.8, 7))
+    U2 = Y ** (1 - a)
+    prof2 = sg.radial_profile(U2, problem2, r_grid=np.linspace(0.2, 0.8, 7))
+    checks2 = sg.identity_checks(U2, problem2, prof2)
     r_err = checks2["rellich_rel"].max()
     assert r_err <= 0.02, r_err
     report(

@@ -57,6 +57,48 @@ def test_unknown_solver_and_r_grid_keys_rejected(tmp_path, capsys, name, value, 
     assert repr(key) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,value", [
+    ("a", "x"), ("hx", None), ("delta", True), ("n", True), ("seed", 1.5),
+    ("Kprime", "bogus"), ("C_weiss", [1]), ("r_grid", {"count": "40"}),
+])
+def test_config_type_errors_exit_before_the_solve(tmp_path, capsys, name, value):
+    path = write_config(tmp_path, **{name: value})
+    out = tmp_path / "out"
+    rc = cli.main(["diagnose", "--config", str(path), "--out", str(out)])
+    assert rc == 2
+    assert f"'{name}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_diagnose_evaluates_each_field_density_once(tmp_path, monkeypatch):
+    # one evaluation per field: the profile's, and one per classified point;
+    # the identities stage reads the profile's columns
+    import signorini.functionals as functionals
+
+    stage, calls = [None], []
+    density = functionals.cell_energy_density
+
+    def counted(*args, **kwargs):
+        calls.append(stage[0])
+        return density(*args, **kwargs)
+
+    def entered(name, run):
+        def wrapped(cfg, res):
+            stage[0] = name
+            return run(cfg, res)
+        return wrapped
+
+    monkeypatch.setattr(functionals, "cell_energy_density", counted)
+    for name, run in list(cli.STAGES.items()):
+        monkeypatch.setitem(cli.STAGES, name, entered(name, run))
+    out = tmp_path / "run"
+    rc = cli.main(["diagnose", "--config", str(write_config(tmp_path)), "--out", str(out),
+                   "--quiet"])
+    assert rc == 0
+    assert len(json.loads((out / "freeboundary.json").read_text())["points"]) == 1
+    assert calls == ["profile", "freeboundary"]
+
+
 def test_diagnose_profile_pipeline(tmp_path, capsys):
     path = write_config(tmp_path)
     out = tmp_path / "run1"

@@ -111,9 +111,9 @@ def test_blowup_self_similarity_and_height():
     inner = grid.node_radii() <= 0.9
     scale = np.abs(bl1[inner]).max()
     assert np.abs(bl1[inner] - bl2[inner]).max() <= 0.02 * scale
-    geo = sg.geometry_fields(grid, problem.coeff, a)
+    geo = sg.GeometryFields(grid, problem.coeff)
     rule = sg.sphere_quadrature(grid, 1.0, 64)
-    assert sg.height(bl1, geo, rule) == pytest.approx(1.0, rel=0.02)
+    assert sg.sphere_heights(bl1, geo, [rule])[0][0] == pytest.approx(1.0, rel=0.02)
 
 
 def test_blowup_ladder_converges_to_profile():
@@ -122,8 +122,8 @@ def test_blowup_ladder_converges_to_profile():
     grid, problem, form, sol, _ = solved_profile(0.0, 1.0 / 96, mix=0.6)
     inner = grid.node_radii() <= 0.8
     U0 = profile_boundary(grid, 0.0)
-    geo = sg.geometry_fields(grid, problem.coeff, 0.0)
-    H1 = sg.height(U0, geo, sg.sphere_quadrature(grid, 1.0, 64))
+    geo = sg.GeometryFields(grid, problem.coeff)
+    H1 = sg.sphere_heights(U0, geo, [sg.sphere_quadrature(grid, 1.0, 64)])[0][0]
     target = U0 / np.sqrt(H1)
     dists = []
     for r in (0.6, 0.4, 0.25, 0.15):

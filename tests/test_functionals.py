@@ -1,15 +1,15 @@
 """Radial functionals: geometry fields, H/B/D/I, psi/sigma, frequency, Weiss,
 identity checks, decay diagnostics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import signorini as sg
 from signorini.errors import InvalidConfigurationError
-from signorini.functionals import (
-    FieldSampler, PsiSigma, _sphere_heights, frequency_columns, integrate_psi_sigma,
-)
+from signorini.functionals import PsiSigma, frequency_columns, integrate_psi_sigma
 
 from conftest import profile_boundary, solved_profile
 
@@ -25,7 +25,7 @@ def identity_grid(h=1 / 32, a=0.0, n=1):
 
 def test_geometry_identity_closed_forms():
     grid, problem = identity_grid(1 / 10, 0.0)
-    geo = sg.geometry_fields(grid, problem.coeff, 0.0)
+    geo = sg.GeometryFields(grid, problem.coeff)
     X, Y = grid.node_mesh()
     off = np.hypot(X, Y) > 0
     nodes = np.stack([X, Y], axis=-1)[off]
@@ -34,21 +34,20 @@ def test_geometry_identity_closed_forms():
     i = np.where(np.isclose(grid.xs[0], 0.6))[0][0]
     j = np.where(np.isclose(grid.ys, 0.8))[0][0]
     node = np.array([[X[i, j], Y[i, j]]])
-    assert geo.la_r_reduced_at(node)[0] == pytest.approx(1.0, rel=1e-12)
+    assert geo.mu_tilde_and_la_r_at(node)[1][0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_geometry_perturbed_bounds():
     h = 1 / 32
     grid = sg.build_grid(1, 1.0, h, h, 0.0)
     coeff = sg.build_coefficients(grid, [[{"poly": [[1.0, [0]], [0.1, [1]]]}]])
-    geo = sg.geometry_fields(grid, coeff, 0.0)
+    geo = sg.GeometryFields(grid, coeff)
     X, Y = grid.node_mesh()
     r = np.hypot(X, Y)
     off = r > 0.1
     nodes = np.stack([X, Y], axis=-1)[off]
     mu_tilde, la_r = geo.mu_tilde_and_la_r_at(nodes)
     assert np.array_equal(mu_tilde, geo.mu_tilde_at(nodes))
-    assert np.array_equal(la_r, geo.la_r_reduced_at(nodes))
     # la_r * r / |y|^a stays within O(1) of (n + a)
     dev = np.abs(la_r * r[off] - 1.0)
     assert dev.max() <= 0.5
@@ -62,7 +61,7 @@ def test_geometry_about_shifted_centre_closed_forms(n):
     a = 0.5
     grid = sg.build_grid(n, 1.0, 1 / 16, 1 / 16, a)
     Bc = np.array([[3.0]]) if n == 1 else np.array([[2.0, 0.5], [0.5, 1.0]])
-    geo = sg.geometry_fields(grid, sg.build_coefficients(grid, Bc.tolist()), a)
+    geo = sg.GeometryFields(grid, sg.build_coefficients(grid, Bc.tolist()))
     x0 = np.array([0.25, -0.125])[:n]
     rule = sg.sphere_quadrature(grid, 0.4, 32)
     Z = rule.points
@@ -77,8 +76,7 @@ def test_geometry_about_shifted_centre_closed_forms(n):
     assert np.allclose(got_mu, mu_tilde, rtol=1e-13, atol=0.0)
     assert np.allclose(got_la, la_r, rtol=1e-12, atol=0.0)
     # the height about x0 of U = 1 is 2 int mu~ |y|^a on that sphere
-    ones = FieldSampler(grid, np.ones(grid.node_shape))
-    H = _sphere_heights(ones, geo, [rule], x0=x0)[0][0]
+    H = sg.sphere_heights(np.ones(grid.node_shape), geo, [rule], x0=x0)[0][0]
     assert H == pytest.approx(2.0 * rule.integrate(mu_tilde), rel=1e-13)
 
 
@@ -87,20 +85,19 @@ def test_geometry_about_shifted_centre_closed_forms(n):
 
 def test_height_zero_field():
     grid, problem = identity_grid(1 / 16, 0.0)
-    geo = sg.geometry_fields(grid, problem.coeff, 0.0)
-    rule = sg.sphere_quadrature(grid, 0.5, 48)
-    assert sg.height(np.zeros(grid.node_shape), geo, rule) == 0.0
+    prof = sg.radial_profile(np.zeros(grid.node_shape), problem,
+                             r_grid=np.linspace(0.3, 0.7, 5), n_angles=48)
+    assert np.all(prof.H == 0.0)
 
 
 def test_height_profile_value_and_scaling():
     grid, problem = identity_grid(1 / 96, 0.0)
-    geo = sg.geometry_fields(grid, problem.coeff, 0.0)
+    geo = sg.GeometryFields(grid, problem.coeff)
     U = profile_boundary(grid, 0.0)
-    rule1 = sg.sphere_quadrature(grid, 1.0, 64)
-    H1 = sg.height(U, geo, rule1)
+    rules = [sg.sphere_quadrature(grid, r, 64) for r in (1.0, 0.3, 0.6)]
+    H1, H03, H06 = sg.sphere_heights(U, geo, rules)[0]
     assert H1 == pytest.approx(np.pi, abs=1e-3)
-    for r in (0.3, 0.6):
-        Hr = sg.height(U, geo, sg.sphere_quadrature(grid, r, 64))
+    for r, Hr in ((0.3, H03), (0.6, H06)):
         assert Hr / H1 == pytest.approx(r**4, rel=0.01)
 
 
@@ -110,11 +107,12 @@ def test_height_profile_value_and_scaling():
 def test_constant_field_energy_and_mass():
     grid, problem = identity_grid(1 / 32, 0.5)
     U = np.full(grid.node_shape, 2.0)
-    assert sg.dirichlet(U, problem, 0.5) == 0.0
+    prof = sg.radial_profile(U, problem, r_grid=np.linspace(0.3, 0.7, 5), nsub=8)
+    assert np.all(prof.D == 0.0)
     from signorini.grid import ball_weighted_measure
 
     exact = 4.0 * 2.0 * ball_weighted_measure(1, 0.5, 0.5)
-    assert sg.mass(U, problem, 0.5, nsub=8) == pytest.approx(exact, rel=5e-3)
+    assert prof.B[2] == pytest.approx(exact, rel=5e-3)
 
 
 @pytest.mark.parametrize("a", [0.0, 0.5])
@@ -124,29 +122,27 @@ def test_ypower_dirichlet_closed_form(a):
     U = Y ** (1 - a)
     angular = quad(lambda t: np.sin(t) ** (-a), 0, np.pi, limit=400)[0]
     exact = 2 * (1 - a) ** 2 / (2 - a) * angular  # 2 (1-a)^2 int_{B_1^+} y^{-a}
-    val = sg.dirichlet(U, problem, 1.0, nsub=8)
-    assert val == pytest.approx(exact, rel=0.02)
+    D, _, _ = sg.ball_integrals(U, problem, [1.0], nsub=8)[:, 0]
+    assert D == pytest.approx(exact, rel=0.02)
 
 
 def test_profile_energy_height_identity():
     grid, problem = identity_grid(1 / 96, 0.0)
-    geo = sg.geometry_fields(grid, problem.coeff, 0.0)
     U = profile_boundary(grid, 0.0)
-    for r in (0.4, 0.7):
-        D = sg.dirichlet(U, problem, r, nsub=8)
-        H = sg.height(U, geo, sg.sphere_quadrature(grid, r, 64))
-        assert D == pytest.approx(1.5 * H / r, rel=0.02)
+    prof = sg.radial_profile(U, problem, r_grid=np.linspace(0.4, 0.7, 5), nsub=8)
+    assert np.allclose(prof.D, 1.5 * prof.H / prof.r, rtol=0.02, atol=0.0)
 
 
 def test_total_energy_f_zero_and_surface_cross_check():
     grid, problem, form, sol, _ = solved_profile(0.0, 1.0 / 96)
-    r = 0.5
-    assert sg.total_energy(sol.U, problem, r) == sg.dirichlet(sol.U, problem, r)
-    from signorini.functionals import surface_cross_check
-
-    res = surface_cross_check(sol.U, problem, r)
+    rg = np.linspace(0.3, 0.7, 5)
+    prof = sg.radial_profile(sol.U, problem, r_grid=rg)
+    assert np.array_equal(prof.I, prof.D)
+    res = sg.surface_cross_check(sol.U, problem, prof)
+    assert res["r"] == rg[2] and res["solid"] == prof.I[2]
     assert res["rel"] <= 0.02
-    assert sg.total_energy(np.zeros(grid.node_shape), problem, r) == 0.0
+    zero = sg.radial_profile(np.zeros(grid.node_shape), problem, r_grid=rg)
+    assert np.all(zero.I == 0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -159,9 +155,10 @@ def test_profile_ball_columns_equal_one_radius_functionals(n):
     rg = np.geomspace(0.3, 0.9, 6)
     prof = sg.radial_profile(U, problem, r_grid=rg, Kprime=0.0, C_weiss=0.0)
     for i, r in enumerate(rg):
-        assert prof.B[i] == sg.mass(U, problem, r)
-        assert prof.D[i] == sg.dirichlet(U, problem, r)
-        assert prof.I[i] == sg.total_energy(U, problem, r)
+        D, B, F = sg.ball_integrals(U, problem, [r])[:, 0]
+        assert prof.B[i] == B
+        assert prof.D[i] == D
+        assert prof.I[i] == D + F
 
 
 def test_total_energy_includes_source_pairing():
@@ -172,7 +169,8 @@ def test_total_energy_includes_source_pairing():
     from signorini.grid import ball_weighted_measure
 
     exact = 2.0 * ball_weighted_measure(1, 0.5, 0.0)  # int U f over the full ball
-    assert sg.total_energy(U, problem, 0.5, nsub=8) == pytest.approx(exact, rel=5e-3)
+    prof = sg.radial_profile(U, problem, r_grid=np.linspace(0.3, 0.7, 5), nsub=8)
+    assert prof.I[2] == pytest.approx(exact, rel=5e-3)
 
 
 # -- G ratio ------------------------------------------------------------------
@@ -180,20 +178,18 @@ def test_total_energy_includes_source_pairing():
 
 def test_g_ratio_identity_exact():
     grid, problem = identity_grid(1 / 32, 0.25)
-    geo = sg.geometry_fields(grid, problem.coeff, 0.25)
     X, Y = grid.node_mesh()
     U = np.cos(X) + Y**2  # arbitrary field
-    for r in (0.3, 0.8):
-        rule = sg.sphere_quadrature(grid, r, 48)
-        assert sg.g_ratio(U, geo, rule) == pytest.approx((1 + 0.25) / r, rel=1e-10)
+    prof = sg.radial_profile(U, problem, r_grid=np.linspace(0.3, 0.8, 5), n_angles=48)
+    assert np.allclose(prof.G, (1 + 0.25) / prof.r, rtol=1e-10, atol=0.0)
+    assert np.array_equal(prof.G, prof.L / prof.H)  # L is the stored numerator
 
 
 def test_g_ratio_zero_height_branch():
     grid, problem = identity_grid(1 / 32, 0.25)
-    geo = sg.geometry_fields(grid, problem.coeff, 0.25)
-    rule = sg.sphere_quadrature(grid, 0.5, 48)
-    val = sg.g_ratio(np.zeros(grid.node_shape), geo, rule)
-    assert val == pytest.approx((1 + 0.25) / 0.5)
+    prof = sg.radial_profile(np.zeros(grid.node_shape), problem,
+                             r_grid=np.linspace(0.3, 0.7, 5), n_angles=48)
+    assert np.allclose(prof.G, (1 + 0.25) / prof.r, rtol=1e-15, atol=0.0)
 
 
 def test_g_ratio_perturbed_within_beta_band():
@@ -201,10 +197,9 @@ def test_g_ratio_perturbed_within_beta_band():
     grid = sg.build_grid(1, 1.0, h, h, 0.0)
     coeff = sg.build_coefficients(grid, [[{"poly": [[1.0, [0]], [0.1, [1]]]}]])
     problem = sg.make_problem(grid, coeff=coeff, boundary=profile_boundary(grid, 0.0))
-    geo = sg.geometry_fields(grid, coeff, 0.0)
     U = profile_boundary(grid, 0.0)
     rs = np.geomspace(0.15, 0.85, 12)
-    G = np.array([sg.g_ratio(U, geo, sg.sphere_quadrature(grid, r, 64)) for r in rs])
+    G = sg.radial_profile(U, problem, r_grid=rs, Kprime=0.0, C_weiss=0.0).G
     beta = np.abs(G - 1.0 / rs).max()
     assert beta <= 1.0  # universal-constant band, O(1)
     assert np.all(G >= 1.0 / rs - beta - 1e-12)
@@ -345,8 +340,8 @@ def test_weiss_homogeneous_formula_match():
     X, Y = grid.node_mesh()
     U = X**2 - Y**2 / (1 + a)
     prof = sg.radial_profile(U, problem, r_grid=np.geomspace(0.2, 0.9, 20), nsub=8)
-    geo = sg.geometry_fields(grid, problem.coeff, a)
-    H1 = sg.height(U, geo, sg.sphere_quadrature(grid, 1.0, 64))
+    geo = sg.GeometryFields(grid, problem.coeff)
+    H1 = sg.sphere_heights(U, geo, [sg.sphere_quadrature(grid, 1.0, 64)])[0][0]
     cols = sg.homogeneous_functionals(2.0, 1, a, H1)
     expected = cols["W"](prof.r)
     assert np.abs(prof.W - expected).max() <= 0.03 * np.abs(expected).max()
@@ -396,7 +391,9 @@ def test_calibration_on_perturbed_coefficients():
 def test_identity_checks_profile(profile_a0):
     grid, problem, form, sol, _ = profile_a0
     rs = np.linspace(0.2, 0.8, 7)
-    checks = sg.identity_checks(sol.U, problem, r_grid=rs)
+    prof = sg.radial_profile(sol.U, problem, r_grid=rs)
+    checks = sg.identity_checks(sol.U, problem, prof)
+    assert np.array_equal(checks["r"], rs)
     assert checks["height_derivative_rel"].max() <= 0.02
     assert checks["rellich_rel"].max() <= 0.02
     assert np.isfinite(checks["trace_C1"]) and np.isfinite(checks["trace_C2"])
@@ -407,7 +404,9 @@ def test_identity_checks_ypower_rellich():
     grid = sg.build_grid(1, 1.0, 1 / 64, 1 / 64, a)
     problem = sg.make_problem(grid)
     _, Y = grid.node_mesh()
-    checks = sg.identity_checks(Y ** (1 - a), problem, r_grid=np.linspace(0.3, 0.8, 5))
+    U = Y ** (1 - a)
+    prof = sg.radial_profile(U, problem, r_grid=np.linspace(0.3, 0.8, 5))
+    checks = sg.identity_checks(U, problem, prof)
     assert checks["rellich_rel"].max() <= 0.02
     assert checks["height_derivative_rel"].max() <= 0.02
 
@@ -415,7 +414,9 @@ def test_identity_checks_ypower_rellich():
 def test_identity_checks_variable_coefficients():
     # the height first-variation identity holds for any coefficients
     grid, problem, form, sol, _ = solved_profile(0.0, 1.0 / 96, b11_slope=0.1)
-    checks = sg.identity_checks(sol.U, problem, r_grid=np.linspace(0.2, 0.8, 7))
+    prof = sg.radial_profile(sol.U, problem, r_grid=np.linspace(0.2, 0.8, 7),
+                             Kprime=0.0, C_weiss=0.0)
+    checks = sg.identity_checks(sol.U, problem, prof)
     assert checks["height_derivative_rel"].max() <= 0.02
     assert checks["rellich_rel"] is None  # exact variant requires A = I
 
@@ -423,9 +424,27 @@ def test_identity_checks_variable_coefficients():
 def test_identity_checks_zero_field():
     grid = sg.build_grid(1, 1.0, 1 / 32, 1 / 32, 0.0)
     problem = sg.make_problem(grid)
-    checks = sg.identity_checks(np.zeros(grid.node_shape), problem,
-                                r_grid=np.linspace(0.3, 0.7, 4))
+    U = np.zeros(grid.node_shape)
+    prof = sg.radial_profile(U, problem, r_grid=np.linspace(0.3, 0.7, 5))
+    checks = sg.identity_checks(U, problem, prof)
     assert np.all(np.isfinite(checks["height_derivative_rel"]))
+
+
+def test_identity_checks_radii_and_columns_come_from_the_profile():
+    grid = sg.build_grid(1, 1.0, 1 / 32, 1 / 32, 0.0)
+    problem = sg.make_problem(grid)
+    X, Y = grid.node_mesh()
+    U = X**2 - Y**2
+    # the profile radii in [0.2 R, 0.8 R], or all of them when fewer than 3 lie there
+    prof = sg.radial_profile(U, problem, r_grid=np.geomspace(0.1, 0.95, 12))
+    inside = prof.r[(prof.r >= 0.2) & (prof.r <= 0.8)]
+    assert np.array_equal(sg.identity_checks(U, problem, prof)["r"], inside)
+    near = sg.radial_profile(U, problem, r_grid=np.geomspace(0.1, 0.3, 5))
+    assert np.array_equal(sg.identity_checks(U, problem, near)["r"], near.r)
+    # the H' identity is checked against the profile's own I and L columns
+    checks = sg.identity_checks(U, problem, prof)
+    doubled = sg.identity_checks(U, problem, replace(prof, I=2.0 * prof.I, L=2.0 * prof.L))
+    assert np.all(doubled["height_derivative_rel"] > checks["height_derivative_rel"])
 
 
 # -- oscillation / campanato decay -----------------------------------------------

@@ -61,11 +61,10 @@ def test_solve_chain_invariants(seed):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_g_ratio_band_random_coefficients(seed):
     grid, problem = random_problem(seed, a=0.25)
-    geo = sg.geometry_fields(grid, problem.coeff, 0.25)
     rng = np.random.default_rng(seed + 100)
     U = rng.standard_normal(grid.node_shape)
     rs = np.geomspace(0.2, 0.8, 8)
-    G = np.array([sg.g_ratio(U, geo, sg.sphere_quadrature(grid, r, 48)) for r in rs])
+    G = sg.radial_profile(U, problem, r_grid=rs, Kprime=0.0, C_weiss=0.0, n_angles=48).G
     beta = np.abs(G - (grid.n + 0.25) / rs).max()
     assert np.isfinite(beta)
     lam, Lam, _ = sg.ellipticity_report(problem.coeff)

@@ -232,7 +232,8 @@ def _embedded_system(n, h, a, graded=False):
 def test_multigrid_cg_matches_direct_solve(n, h, a, graded):
     grid, form, fixed, U = _embedded_system(n, h, a, graded)
     K, free = form.stiffness, ~fixed
-    x, its = solver_mod._linear_solve(K, fixed, form.load, U, grid, solver_mod.ACTIVE_SET_RTOL)
+    x, its = solver_mod._linear_solve(K, fixed, form.load, U, solver_mod._prolongations(grid),
+                                      solver_mod.ACTIVE_SET_RTOL)
     ref = U.copy()
     ref[free] = spla.spsolve(K[free][:, free].tocsc(),
                              -(form.load[free] + K[free][:, fixed] @ U[fixed]))
@@ -254,8 +255,8 @@ def test_axis_prolongation_interpolates_linearly_in_coordinates(m):
 
 def test_multigrid_cg_iterations_do_not_grow_with_resolution():
     grid, form, fixed, U = _embedded_system(1, 1 / 128, 0.5)
-    x, its = solver_mod._linear_solve(form.stiffness, fixed, form.load, U, grid,
-                                      solver_mod.ACTIVE_SET_RTOL)
+    x, its = solver_mod._linear_solve(form.stiffness, fixed, form.load, U,
+                                      solver_mod._prolongations(grid), solver_mod.ACTIVE_SET_RTOL)
     assert x is not None
     assert its <= 30
 
