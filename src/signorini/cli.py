@@ -48,12 +48,16 @@ SOLVER_KEYS = {
     "penalized": {"method", "eps", "tol"},
 }
 R_GRID_KEYS = {"count", "r_min", "r_max"}
+# the type of every solver and r_grid key but solver.method
+KEY_TYPES = {"tol": Real, "omega": Real, "eps": Real, "max_iter": Integral, "warm_start": bool,
+             "count": Integral, "r_min": Real, "r_max": Real}
 
 
 def _require(name: str, value, kind) -> None:
-    """Reject a value that is not an Integral/Real number (a bool is neither)."""
-    if not isinstance(value, kind) or isinstance(value, bool):
-        what = "an integer" if kind is Integral else "a number"
+    """Reject a value that is not of kind: a bool, or an Integral/Real
+    number (a bool is neither)."""
+    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+        what = {Integral: "an integer", Real: "a number", bool: "true or false"}[kind]
         raise InvalidConfigurationError(f"field '{name}' must be {what}, got {value!r}")
 
 
@@ -70,9 +74,9 @@ class ExperimentConfig:
     boundary: object = 0.0  # scalar spec or "oracle:<kind>"
     solver: dict = field(default_factory=lambda: {"method": "psor"})
     r_grid: dict = field(default_factory=dict)  # {count, r_min, r_max}
-    Kprime: object = "auto"
+    Kprime: object = "calibrate"
     delta: float = 0.5
-    C_weiss: object = "auto"
+    C_weiss: object = "calibrate"
     output: object = None  # default output directory (--out overrides)
     seed: int = 0
     schema: int = CONFIG_SCHEMA
@@ -111,7 +115,7 @@ class ExperimentConfig:
             _require(name, getattr(self, name), Real)
         for name in ("Kprime", "C_weiss"):
             v = getattr(self, name)
-            if not (isinstance(v, str) and v in ("auto", "calibrate")):
+            if v != "calibrate":
                 _require(name, v, Real)
         if self.n not in (1, 2):
             raise InvalidConfigurationError(f"field 'n' must be 1 or 2, got {self.n}")
@@ -127,15 +131,19 @@ class ExperimentConfig:
             if not isinstance(getattr(self, name), dict):
                 raise InvalidConfigurationError(f"field '{name}' must be an object")
         method = self.solver.get("method", "psor")
-        if method not in SOLVER_KEYS:
-            raise InvalidConfigurationError(f"solver.method must be psor|penalized, got {method}")
+        if not (isinstance(method, str) and method in SOLVER_KEYS):
+            raise InvalidConfigurationError(
+                f"field 'solver.method' must be psor|penalized, got {method!r}")
         for name, allowed in (("solver", SOLVER_KEYS[method]), ("r_grid", R_GRID_KEYS)):
-            unknown = set(getattr(self, name)) - allowed
+            spec = getattr(self, name)
+            unknown = set(spec) - allowed
             if unknown:
                 raise InvalidConfigurationError(f"unknown {name} keys {sorted(unknown)}")
-        for key, kind in (("count", Integral), ("r_min", Real), ("r_max", Real)):
-            if self.r_grid.get(key) is not None:
-                _require(f"r_grid.{key}", self.r_grid[key], kind)
+            for key, value in spec.items():
+                if key != "method":
+                    _require(f"{name}.{key}", value, KEY_TYPES[key])
+        if self.r_grid:  # a set r_grid must give the profile stage its radii on this grid
+            default_r_grid(build_grid(self.n, self.R, self.hx, self.hy, self.a), **self.r_grid)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -243,11 +251,7 @@ def _solve(cfg: ExperimentConfig, res: dict) -> dict:
 
 
 def _profile(cfg: ExperimentConfig, res: dict) -> dict:
-    rg_spec = cfg.r_grid
-    r_grid = default_r_grid(
-        res["problem"].grid, count=rg_spec.get("count", 40),
-        r_min=rg_spec.get("r_min"), r_max=rg_spec.get("r_max"),
-    )
+    r_grid = default_r_grid(res["problem"].grid, **cfg.r_grid)
     # all radial diagnostics run on the zero-obstacle reduction U - psi
     U0, problem0 = reduce_obstacle(res["sol"].U, res["problem"])
     prof = radial_profile(

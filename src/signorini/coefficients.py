@@ -185,10 +185,9 @@ def ellipticity_report(field: CoefficientField) -> tuple:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Weighted thin obstacle problem data on a grid."""
+    """Weighted thin obstacle problem data on a grid (weight exponent grid.a)."""
 
     grid: Grid
-    a: float
     coeff: CoefficientField
     psi: np.ndarray  # obstacle on thin nodes, thin_shape
     f: np.ndarray  # source on nodes, node_shape
@@ -208,9 +207,8 @@ def make_problem(
     and the boundary data over the nodes (..., n+1), so a source may
     depend on y.
     """
-    a = grid.a
-    if not (0.0 <= a < 1.0):
-        raise InvalidConfigurationError(f"the artifact restricts a to [0, 1), got a={a}")
+    if not (0.0 <= grid.a < 1.0):
+        raise InvalidConfigurationError(f"the artifact restricts a to [0, 1), got a={grid.a}")
     if coeff is None:
         coeff = build_coefficients(grid, None)
 
@@ -231,7 +229,7 @@ def make_problem(
         if not np.all(np.isfinite(arr)):
             raise InvalidConfigurationError(f"{name} data contains non-finite values")
 
-    return ProblemSpec(grid=grid, a=a, coeff=coeff, psi=psi_arr, f=f_arr, boundary=bnd_arr)
+    return ProblemSpec(grid=grid, coeff=coeff, psi=psi_arr, f=f_arr, boundary=bnd_arr)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +288,4 @@ def normalize_at(problem: ProblemSpec, U: np.ndarray, x0) -> tuple:
     nodes = np.stack([problem.f, problem.boundary, U], axis=-1)
     resampled = interpolate(grid.xs, nodes, mapped)
     f_new, bnd_new, U_new = (resampled[..., k].copy() for k in range(3))
-    new_problem = ProblemSpec(
-        grid=grid, a=problem.a, coeff=coeff, psi=psi_new, f=f_new, boundary=bnd_new,
-    )
-    return new_problem, U_new
+    return ProblemSpec(grid=grid, coeff=coeff, psi=psi_new, f=f_new, boundary=bnd_new), U_new

@@ -50,12 +50,12 @@ def reduce_obstacle(U: np.ndarray, problem: ProblemSpec) -> tuple:
     return U - psi_ext, problem0
 
 
-def default_trace_tol(grid: Grid, trace_scale: float, a: float) -> float:
+def default_trace_tol(grid: Grid, trace_scale: float) -> float:
     """Resolution-matched trace threshold: near a regular point the trace
     vanishes like dist^{(1-a)/2}, so at one-or-two-cell resolution the
     smallest resolvable magnitude is ~ (4 h / R)^{(1-a)/2} of its scale."""
     h = max(grid.hx, grid.hy)
-    return trace_scale * (4.0 * h / grid.R) ** ((1.0 - a) / 2.0)
+    return trace_scale * (4.0 * h / grid.R) ** ((1.0 - grid.a) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -63,15 +63,13 @@ def default_trace_tol(grid: Grid, trace_scale: float, a: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def contact_set(sol: SolutionField, problem: ProblemSpec, tol_c: float | None = None,
-                trace_tol: float | None = None) -> dict:
-    """Masks for the coincidence set, its boundary, and the extended
-    free boundary (small slack AND small weighted flux)."""
+def contact_set(sol: SolutionField, problem: ProblemSpec) -> dict:
+    """Masks for the coincidence set (slack <= tol_c = 10 tol max(|psi|, 1)),
+    its boundary, and the extended free boundary (small slack AND a trace
+    below default_trace_tol)."""
     grid = problem.grid
     slack = sol.U[..., 0] - problem.psi
-    if tol_c is None:
-        scale = max(float(np.abs(problem.psi).max()), 1.0)
-        tol_c = 10.0 * sol.tol * scale
+    tol_c = 10.0 * sol.tol * max(float(np.abs(problem.psi).max()), 1.0)
     contact = slack <= tol_c
     gamma = np.zeros_like(contact)
     for d in range(grid.n):
@@ -83,9 +81,7 @@ def contact_set(sol: SolutionField, problem: ProblemSpec, tol_c: float | None = 
         edge = contact[tuple(lo)] != contact[tuple(hi)]
         gamma[tuple(lo)] |= edge & contact[tuple(lo)]
         gamma[tuple(hi)] |= edge & contact[tuple(hi)]
-    if trace_tol is None:
-        trace_scale = max(float(np.abs(sol.trace).max()), 1e-300)
-        trace_tol = default_trace_tol(grid, trace_scale, problem.a)
+    trace_tol = default_trace_tol(grid, max(float(np.abs(sol.trace).max()), 1e-300))
     gamma_star = contact & (np.abs(sol.trace) <= trace_tol)
     return {
         "contact": contact,
@@ -121,8 +117,7 @@ def classify_from_frequency(Ntilde_rmin: float, a: float, delta: float,
     return "Unresolved"
 
 
-def frequency_at(U: np.ndarray, problem: ProblemSpec, r_min: float, delta: float = 0.5,
-                 n_angles: int = 64, nsub: int = 4) -> float:
+def frequency_at(U: np.ndarray, problem: ProblemSpec, r_min: float, delta: float = 0.5) -> float:
     """Ntilde(r_min) on a local geometric ladder with r_min interior, so the
     derivative of log M there is a central (not one-sided) difference."""
     grid = problem.grid
@@ -132,42 +127,33 @@ def frequency_at(U: np.ndarray, problem: ProblemSpec, r_min: float, delta: float
     lo = max(r_min / 1.6, floor * 1.02)
     hi = min(5.0 * r_min, 0.9 * grid.R)
     rg = np.unique(np.append(np.geomspace(lo, hi, 13), r_min))
-    prof = radial_profile(U, problem, r_grid=rg, Kprime=0.0, delta=delta,
-                          C_weiss=0.0, n_angles=n_angles, nsub=nsub)
+    prof = radial_profile(U, problem, r_grid=rg, Kprime=0.0, delta=delta, C_weiss=0.0)
     k = int(np.argmin(np.abs(prof.r - r_min)))
     return float(prof.Ntilde[k])
 
 
 @dataclass
 class Classification:
-    x0: np.ndarray
     label: str
     Ntilde: float
-    r_min: float
-    tau_gap: float
 
 
 def classify(U: np.ndarray, problem: ProblemSpec, x0, r_min: float | None = None,
-             tau_gap: float | None = None, delta: float = 0.5) -> Classification:
+             delta: float = 0.5) -> Classification:
     """Classify a free boundary point by its truncated frequency.
 
     Subtracts the obstacle and normalizes coordinates at x0 (so the
     coefficient matrix is the identity there), then evaluates the
-    adjusted frequency at r_min.
+    adjusted frequency at r_min (default 8 max(hx, hy)) and applies
+    classify_from_frequency with the default gap.
     """
     grid = problem.grid
     if r_min is None:
         r_min = 8.0 * max(grid.hx, grid.hy)
-    if tau_gap is None:
-        tau_gap = default_tau_gap(problem.a, delta)
     U0, problem0 = reduce_obstacle(U, problem)
     norm_problem, norm_U = normalize_at(problem0, U0, x0)
     nt = frequency_at(norm_U, norm_problem, r_min, delta=delta)
-    label = classify_from_frequency(nt, problem.a, delta, tau_gap)
-    return Classification(
-        x0=np.atleast_1d(np.asarray(x0, dtype=float)),
-        label=label, Ntilde=nt, r_min=float(r_min), tau_gap=float(tau_gap),
-    )
+    return Classification(label=classify_from_frequency(nt, grid.a, delta), Ntilde=nt)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +190,7 @@ def decay_fit(U: np.ndarray, problem: ProblemSpec, x0, r_grid: np.ndarray | None
     return {"slope": slope, "H_slope": H_slope, "r": r_grid, "sup": sups, "H": Hs}
 
 
-def blowup(U: np.ndarray, problem: ProblemSpec, x0, r: float,
-           delta: float = 0.5) -> np.ndarray:
+def blowup(U: np.ndarray, problem: ProblemSpec, x0, r: float) -> np.ndarray:
     """Frequency-normalized rescaling of the detachment V = U - psi:
     V(x0 + r x, r y) / M(r)^{1/2} resampled onto the reference grid
     (obstacle subtracted and coordinates normalized at x0 first)."""
@@ -215,8 +200,7 @@ def blowup(U: np.ndarray, problem: ProblemSpec, x0, r: float,
     lo = max(2.05 * max(grid.hx, grid.hy), r / 4.0)
     hi = min(4.0 * r, 0.9 * grid.R)
     rg = np.unique(np.append(np.geomspace(lo, hi, 9), np.clip(r, lo, hi)))
-    prof = radial_profile(norm_U, norm_problem, r_grid=rg, Kprime=0.0,
-                          delta=delta, C_weiss=0.0)
+    prof = radial_profile(norm_U, norm_problem, r_grid=rg, Kprime=0.0, C_weiss=0.0)
     k = int(np.argmin(np.abs(prof.r - r)))
     M_r = float(prof.M[k])
     h_floor = 1e-14 * float(prof.H.max())
@@ -237,21 +221,20 @@ def blowup(U: np.ndarray, problem: ProblemSpec, x0, r: float,
 # ---------------------------------------------------------------------------
 
 
-def graph_fit(points: np.ndarray, gammas=None) -> dict:
+def graph_fit(points: np.ndarray) -> dict:
     """Fit the regular free-boundary point cloud as a rotated graph
     x2' = g(x1') and scan Hoelder quotients of g'.
 
     points: (m, 2) regular-point coordinates. The rotation aligns the
     first axis with the principal direction of the cloud. gamma_est is
-    the largest exponent in the scan whose difference quotient stays
-    within 3x the quotient at the smallest exponent (a diagnostic scan,
-    not a certified estimate).
+    the largest exponent in the scan 0.1, 0.2, ..., 0.9 whose difference
+    quotient stays within 3x the quotient at the smallest exponent (a
+    diagnostic scan, not a certified estimate).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 5:
         raise InsufficientDataError("graph fit needs at least 5 regular points in the plane")
-    if gammas is None:
-        gammas = np.arange(0.1, 0.91, 0.1)
+    gammas = np.arange(0.1, 0.91, 0.1)
     center = pts.mean(axis=0)
     Xc = pts - center
     cov = Xc.T @ Xc / len(pts)
@@ -319,9 +302,6 @@ class FreeBoundaryReport:
 def free_boundary_report(
     sol: SolutionField,
     problem: ProblemSpec,
-    tol_c: float | None = None,
-    r_min: float | None = None,
-    tau_gap: float | None = None,
     delta: float = 0.5,
     max_points: int = 16,
 ) -> FreeBoundaryReport:
@@ -329,7 +309,7 @@ def free_boundary_report(
     decay slopes, and (n=2, enough regular points) fit the graph. The
     obstacle is subtracted once, for all points."""
     grid = problem.grid
-    masks = contact_set(sol, problem, tol_c=tol_c)
+    masks = contact_set(sol, problem)
     pts = gamma_points(grid, masks["gamma"])
     # keep points away from the lateral boundary where radii fit
     if len(pts):
@@ -339,11 +319,11 @@ def free_boundary_report(
         sel = np.linspace(0, len(pts) - 1, max_points).astype(int)
         pts = pts[sel]
     records = []
-    reg_expected = (3.0 - problem.a) / 2.0
+    reg_expected = (3.0 - grid.a) / 2.0
     U0, problem0 = reduce_obstacle(sol.U, problem)
     for x0 in pts:
         try:
-            cls = classify(U0, problem0, x0, r_min=r_min, tau_gap=tau_gap, delta=delta)
+            cls = classify(U0, problem0, x0, delta=delta)
             fit = decay_fit(U0, problem0, x0)
             slope_label = "Regular" if abs(fit["slope"] - reg_expected) <= 0.25 else "Other"
             records.append(
@@ -377,6 +357,6 @@ def free_boundary_report(
             "tol_c": masks["tol_c"],
             "trace_tol": masks["trace_tol"],
             "delta": delta,
-            "tau_gap": tau_gap if tau_gap is not None else default_tau_gap(problem.a, delta),
+            "tau_gap": default_tau_gap(grid.a, delta),
         },
     )

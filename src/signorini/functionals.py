@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidConfigurationError, InsufficientDataError, SignoriniError
 from .coefficients import CoefficientField, ProblemSpec
 from .grid import Grid, ball_sums, interpolate, sphere_quadrature
-from .operator import cell_average, cell_energy_density
+from .operator import cell_average, cell_energy_density, neumann_trace
 
 
 # ---------------------------------------------------------------------------
@@ -93,18 +93,18 @@ class FieldSampler:
                            first_layer_power=1.0 - self.grid.a)
 
 
-def conjugate_variable(grid: Grid, U: np.ndarray, a: float) -> np.ndarray:
+def conjugate_variable(grid: Grid, U: np.ndarray) -> np.ndarray:
     """Nodal w = y^a U_y by the kernel-consistent difference quotient
     (1-a)(U_{j+1}-U_{j-1})/(y_{j+1}^{1-a}-y_{j-1}^{1-a}): exact on
     span{1, y^{1-a}} (so exact up to the thin set for the natural singular
     expansion), an O(h^2) estimator on smooth fields, plain central
-    differences at a=0. Row j=0 is the Neumann trace."""
+    differences at a=0. Row j=0 is neumann_trace."""
     U = np.asarray(U, dtype=float)
-    ys = grid.ys
+    ys, a = grid.ys, grid.a
     w = np.empty_like(U)
     denom = ys[2:] ** (1.0 - a) - ys[:-2] ** (1.0 - a)
     w[..., 1:-1] = (1.0 - a) * (U[..., 2:] - U[..., :-2]) / denom
-    w[..., 0] = (1.0 - a) * (U[..., 1] - U[..., 0]) / ys[1] ** (1.0 - a)
+    w[..., 0] = neumann_trace(grid, U)
     w[..., -1] = (1.0 - a) * (U[..., -1] - U[..., -2]) / (
         ys[-1] ** (1.0 - a) - ys[-2] ** (1.0 - a)
     )
@@ -167,22 +167,18 @@ class _SurfaceSamplers:
 
     def __init__(self, grid: Grid, problem: ProblemSpec, U: np.ndarray):
         self.grid = grid
-        self.a = problem.a
         self.geo = GeometryFields(grid, problem.coeff)
         self.sampler = FieldSampler(grid, U)
         # grad_x U and the conjugate variable, stacked on a trailing axis
         self._table = np.stack(
             [np.gradient(U, grid.xs[d], axis=d) for d in range(grid.n)]
-            + [conjugate_variable(grid, U, self.a)], axis=-1,
+            + [conjugate_variable(grid, U)], axis=-1,
         )
 
-    def rules(self, r: float, n_angles: int):
-        a = self.a
-        return (
-            sphere_quadrature(self.grid, r, n_angles, a=a),
-            sphere_quadrature(self.grid, r, n_angles, a=0.0),
-            sphere_quadrature(self.grid, r, n_angles, a=-a),
-        )
+    def rules(self, r: float):
+        """Rules of weights |y|^a, 1 and |y|^-a on S_r (64 angles)."""
+        a = self.grid.a
+        return tuple(sphere_quadrature(self.grid, r, 64, a=e) for e in (a, 0.0, -a))
 
     def parts(self, rule):
         """(s, wv, nu_y, mu_t, u, grad_x U) at the rule's points with
@@ -197,13 +193,12 @@ class _SurfaceSamplers:
         return s, wv, nu[..., n], mu_t, self.sampler(pts), gx
 
 
-def total_energy_surface(U: np.ndarray, problem: ProblemSpec, r: float,
-                         n_angles: int = 64) -> float:
+def total_energy_surface(U: np.ndarray, problem: ProblemSpec, r: float) -> float:
     """Cross-check path: I(r) = int_{S_r} U <A grad U, nu> |y|^a dsigma,
     computed as int U s |y|^a + int U w nu_y (weight-0 rule)."""
     grid = problem.grid
     ss = _SurfaceSamplers(grid, problem, U)
-    rule_a, rule_0, _ = ss.rules(r, n_angles)
+    rule_a, rule_0, _ = ss.rules(r)
     s_a, w_a, nuy_a, _, u_a, _ = ss.parts(rule_a)
     s_0, w_0, nuy_0, _, u_0, _ = ss.parts(rule_0)
     return 2.0 * (rule_a.integrate(u_a * s_a) + rule_0.integrate(u_0 * w_0 * nuy_0))
@@ -397,25 +392,24 @@ class RadialProfile:
 
 def default_r_grid(grid: Grid, count: int = 40, r_min: float | None = None,
                    r_max: float | None = None) -> np.ndarray:
-    """Geometric radii inside [4 max(hx,hy), 0.9 R] by default."""
+    """count >= 5 geometric radii, inside [4 max(hx,hy), 0.9 R] by default."""
     lo = 4.0 * max(grid.hx, grid.hy) if r_min is None else r_min
     hi = 0.9 * grid.R if r_max is None else r_max
-    if not (0 < lo < hi <= grid.R):
-        raise InvalidConfigurationError(f"invalid radial range [{lo}, {hi}]")
+    if not (count >= 5 and 0 < lo < hi <= grid.R):
+        raise InvalidConfigurationError(
+            f"'r_grid' needs count >= 5 and 0 < r_min < r_max <= R={grid.R},"
+            f" got count={count}, r_min={lo}, r_max={hi}")
     return np.geomspace(lo, hi, count)
 
 
-def calibrate_constant(adjust, values_mask: np.ndarray, tol_frac: float = 0.01,
-                       ladder=None) -> float:
-    """Smallest ladder value k making adjust(k) nondecreasing on the mask
-    up to tol_frac of its range; inf if none works."""
-    if ladder is None:
-        ladder = np.arange(0.0, 2.0001, 0.1)
+def calibrate_constant(adjust, values_mask: np.ndarray) -> float:
+    """Smallest k in {0, 0.1, ..., 2} making adjust(k) nondecreasing on the
+    mask up to 1% of its range; inf if none works."""
     base = adjust(0.0)[values_mask]
     rng = float(base.max() - base.min()) if len(base) else 0.0
-    for k in ladder:
+    for k in np.arange(0.0, 2.0001, 0.1):
         v = adjust(float(k))[values_mask]
-        if len(v) < 2 or np.diff(v).min() >= -tol_frac * max(rng, 1e-300):
+        if len(v) < 2 or np.diff(v).min() >= -0.01 * max(rng, 1e-300):
             return float(k)
     return float("inf")
 
@@ -424,22 +418,19 @@ def radial_profile(
     U: np.ndarray,
     problem: ProblemSpec,
     r_grid: np.ndarray | None = None,
-    Kprime="auto",
+    Kprime="calibrate",
     delta: float = 0.5,
-    C_weiss="auto",
+    C_weiss="calibrate",
     n_angles: int = 64,
     nsub: int = 4,
 ) -> RadialProfile:
     """Compute every radial column on one r grid.
 
-    Kprime / C_weiss: numeric values are used as-is ('auto' = 0 for
-    identity coefficients, calibrated over {0, 0.1, ...} otherwise).
+    Kprime / C_weiss: numeric values are used as-is ('calibrate' = 0 for
+    identity coefficients, calibrate_constant otherwise).
     """
-    if Kprime == "calibrate":
-        Kprime = "auto"
-    if C_weiss == "calibrate":
-        C_weiss = "auto"
     grid = problem.grid
+    a = grid.a
     if r_grid is None:
         r_grid = default_r_grid(grid)
     r = np.asarray(r_grid, dtype=float)
@@ -447,23 +438,23 @@ def radial_profile(
     Hs, Ls = sphere_heights(U, GeometryFields(grid, problem.coeff), rules, la_r=True)
     h_floor = H_FLOOR_FACTOR * max(Hs.max(), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        G = np.where(Hs > h_floor, Ls / np.where(Hs > 0, Hs, 1.0), (grid.n + problem.a) / r)
+        G = np.where(Hs > h_floor, Ls / np.where(Hs > 0, Hs, 1.0), (grid.n + a) / r)
 
     Ds, Bs, Fs = ball_integrals(U, problem, r, nsub)
     Is = Ds + Fs
 
-    ps = integrate_psi_sigma(r, G, grid.n, problem.a)
+    ps = integrate_psi_sigma(r, G, grid.n, a)
 
     identity_coeff = problem.coeff.is_identity
-    kp = 0.0 if (Kprime == "auto" and identity_coeff) else Kprime
-    freq0 = frequency_columns(r, Hs, Is, ps, grid.n, problem.a, Kprime=0.0, delta=delta)
+    kp = 0.0 if (Kprime == "calibrate" and identity_coeff) else Kprime
+    freq0 = frequency_columns(r, Hs, Is, ps, grid.n, a, Kprime=0.0, delta=delta)
 
-    if kp == "auto":
+    if kp == "calibrate":
         def adj(k):
             return np.exp(k * r ** ((1.0 - delta) / 2.0)) * freq0.Phi
         kp = calibrate_constant(adj, freq0.mask_gamma)
     kp = float(kp)
-    freq = freq0 if kp == 0.0 else frequency_columns(r, Hs, Is, ps, grid.n, problem.a,
+    freq = freq0 if kp == 0.0 else frequency_columns(r, Hs, Is, ps, grid.n, a,
                                                      Kprime=kp, delta=delta)
 
     # an infinite K' (calibration failed) leaves no margin to report
@@ -472,14 +463,14 @@ def radial_profile(
         masked = (np.exp(kp * r ** ((1.0 - delta) / 2.0)) * freq.Phi)[freq.mask_gamma]
         phi_margin = float(np.diff(masked).min()) if len(masked) > 1 else 0.0
 
-    cw = 0.0 if (C_weiss == "auto" and identity_coeff) else C_weiss
-    if cw == "auto":
+    cw = 0.0 if (C_weiss == "calibrate" and identity_coeff) else C_weiss
+    if cw == "calibrate":
         def adjw(c):
-            W0, _ = weiss(r, freq.M, freq.J, ps, problem.a, C_weiss=0.0)
-            return W0 + c * r ** ((1.0 + problem.a) / 2.0)
+            W0, _ = weiss(r, freq.M, freq.J, ps, a, C_weiss=0.0)
+            return W0 + c * r ** ((1.0 + a) / 2.0)
         cw = calibrate_constant(adjw, np.ones(len(r), dtype=bool))
     cw = float(cw)
-    W, weiss_margin = weiss(r, freq.M, freq.J, ps, problem.a, C_weiss=cw)
+    W, weiss_margin = weiss(r, freq.M, freq.J, ps, a, C_weiss=cw)
 
     return RadialProfile(
         r=r, H=Hs, B=Bs, D=Ds, I=Is, G=G, L=Ls, psi=ps.psi, sigma=ps.sigma,
@@ -496,11 +487,10 @@ def radial_profile(
 # ---------------------------------------------------------------------------
 
 
-def identity_checks(U: np.ndarray, problem: ProblemSpec, profile: RadialProfile,
-                    n_angles: int = 64) -> dict:
+def identity_checks(U: np.ndarray, problem: ProblemSpec, profile: RadialProfile) -> dict:
     """Relative errors of the first-variation identities and the trace
     inequalities, checked on the columns H, L, D, B and I of the field's
-    radial profile (built with the same n_angles).
+    radial profile (built with the default 64 angles).
 
     The radii are the profile's radii in [0.2 R, 0.8 R], or all of them
     when fewer than 3 lie there. Only H(r +- dr) and the surface terms of
@@ -511,7 +501,7 @@ def identity_checks(U: np.ndarray, problem: ProblemSpec, profile: RadialProfile,
     (iii) smallest constants C in H <= C (B/r + r D), B/r <= C (H + r D).
     """
     grid = problem.grid
-    a = problem.a
+    a = grid.a
     sel = (profile.r >= 0.2 * grid.R) & (profile.r <= 0.8 * grid.R)
     if np.count_nonzero(sel) < 3:
         sel = np.ones_like(sel)
@@ -519,7 +509,7 @@ def identity_checks(U: np.ndarray, problem: ProblemSpec, profile: RadialProfile,
     geo = GeometryFields(grid, problem.coeff)
 
     def heights(radii):
-        rules = [sphere_quadrature(grid, ri, n_angles=n_angles) for ri in radii]
+        rules = [sphere_quadrature(grid, ri) for ri in radii]
         return sphere_heights(U, geo, rules)[0]
 
     # H' by a small central step, one-sided at the resolution floor
@@ -536,7 +526,7 @@ def identity_checks(U: np.ndarray, problem: ProblemSpec, profile: RadialProfile,
         for ri, Di in zip(r_grid, Ds):
             # each surface term split by its exact weight: grad_x parts
             # carry |y|^a, conjugate-variable squares |y|^{-a}, crosses 1
-            rule_a, rule_0, rule_m = ss.rules(ri, n_angles)
+            rule_a, rule_0, rule_m = ss.rules(ri)
             s_a, w_a, nuy_a, mt_a, _, gx_a = ss.parts(rule_a)
             s_0, w_0, nuy_0, mt_0, _, _ = ss.parts(rule_0)
             s_m, w_m, nuy_m, mt_m, _, _ = ss.parts(rule_m)
@@ -566,15 +556,14 @@ def identity_checks(U: np.ndarray, problem: ProblemSpec, profile: RadialProfile,
     }
 
 
-def surface_cross_check(U: np.ndarray, problem: ProblemSpec, profile: RadialProfile,
-                        n_angles: int = 64) -> dict:
+def surface_cross_check(U: np.ndarray, problem: ProblemSpec, profile: RadialProfile) -> dict:
     """The profile's solid total energy I against its surface evaluation,
     at the profile's middle radius r[len // 2] (a radius nearest the
     median)."""
     k = len(profile.r) // 2
     r = float(profile.r[k])
     solid = float(profile.I[k])
-    surf = total_energy_surface(U, problem, r, n_angles=n_angles)
+    surf = total_energy_surface(U, problem, r)
     return {
         "r": r,
         "solid": solid,
@@ -595,11 +584,11 @@ def oscillation_decay(U: np.ndarray, problem: ProblemSpec, x0, r_grid: np.ndarra
     Slopes above n+1-a indicate Hoelder decay of the conjugate variable.
     """
     grid = problem.grid
-    a = problem.a
+    a = grid.a
     r_grid = np.asarray(r_grid, dtype=float)
     if len(r_grid) < 4:
         raise InsufficientDataError("need at least 4 radii for the oscillation fit")
-    w = conjugate_variable(grid, U, a)
+    w = conjugate_variable(grid, U)
     masses = grid.lumped_node_weights(exponent=-a)
     radii = grid.node_radii(x0)
     vals = []
@@ -617,16 +606,16 @@ def oscillation_decay(U: np.ndarray, problem: ProblemSpec, x0, r_grid: np.ndarra
     return {"slope": slope, "values": vals, "r": r_grid}
 
 
-def campanato_decay(V: np.ndarray, grid: Grid, a: float, x0, r_grid: np.ndarray,
-                    beta_target: float = 0.5) -> dict:
+def campanato_decay(V: np.ndarray, grid: Grid, x0, r_grid: np.ndarray) -> dict:
     """Least-squares fit of V by b * y^{1-a} in weighted balls around x0.
 
     For each radius, b minimizes sum (V_i - b y_i^{1-a})^2 over nodes in
     B_r^+(x0) with lumped y^a weights (a discrete quadrature of the
     weighted L2 projection, exact when V is the ansatz at the nodes).
     Returns the log-log slope of the minimized residual, the target
-    exponent n+1+a+2(1+beta_target), and b at the smallest radius.
+    exponent n+1+a+2(1+beta) with beta = 1/2, and b at the smallest radius.
     """
+    a = grid.a
     V = np.asarray(V, dtype=float)
     r_grid = np.asarray(r_grid, dtype=float)
     if len(r_grid) < 4:
@@ -647,7 +636,7 @@ def campanato_decay(V: np.ndarray, grid: Grid, a: float, x0, r_grid: np.ndarray,
         residuals.append(res)
         bs.append(b)
     residuals = np.asarray(residuals)
-    target = grid.n + 1 + a + 2.0 * (1.0 + beta_target)
+    target = grid.n + 1 + a + 2.0 * (1.0 + 0.5)
     floor = 1e-28 * max(np.abs(V).max(), 1.0) ** 2
     if residuals.max() <= floor:
         slope = float("inf")

@@ -118,7 +118,7 @@ class Grid:
         """(order, dist, centers): flat cell indices sorted by the distance
         of their centres to the origin, those distances, and the centres
         (n_cells, n+1) in the same order. Read-only."""
-        dist = _cell_distances(self, np.zeros(self.n)).ravel()
+        dist = _cell_distances(self).ravel()
         order = np.argsort(dist, kind="stable")
         centers = np.stack([c.ravel()[order] for c in self.cell_centers()], axis=-1)
         return _read_only(order), _read_only(dist[order]), _read_only(centers)
@@ -363,17 +363,14 @@ def _half_diagonal(grid: Grid) -> float:
     return 0.5 * np.sqrt(grid.n * grid.hx**2 + grid.hy**2)
 
 
-def _cell_distances(grid: Grid, center: np.ndarray) -> np.ndarray:
-    """|cell centre - (center, 0)| over the cell grid."""
-    centers = grid.cell_centers()
-    sq = sum((centers[d] - center[d]) ** 2 for d in range(grid.n)) + centers[-1] ** 2
-    return np.sqrt(sq)
+def _cell_distances(grid: Grid) -> np.ndarray:
+    """|cell centre| over the cell grid."""
+    return np.sqrt(sum(c**2 for c in grid.cell_centers()))
 
 
-def _coverage(grid: Grid, centers: np.ndarray, origin: np.ndarray, r: float,
-              nsub: int) -> np.ndarray:
-    """Fraction of each cell (centres (m, n+1)) inside |X - origin| <= r,
-    from a fixed nsub^(n+1)-point midpoint subsample per cell."""
+def _coverage(grid: Grid, centers: np.ndarray, r: float, nsub: int) -> np.ndarray:
+    """Fraction of each cell (centres (m, n+1)) inside |X| <= r, from a
+    fixed nsub^(n+1)-point midpoint subsample per cell."""
     fr = (np.arange(nsub) + 0.5) / nsub - 0.5
     m = len(centers)
     r2 = 0.0
@@ -381,30 +378,28 @@ def _coverage(grid: Grid, centers: np.ndarray, origin: np.ndarray, r: float,
         h = grid.hy if d == grid.n else grid.hx
         shape = [m] + [1] * (grid.n + 1)
         shape[d + 1] = nsub
-        r2 = r2 + (((centers[:, d, None] + fr * h) - origin[d]) ** 2).reshape(shape)
+        r2 = r2 + ((centers[:, d, None] + fr * h) ** 2).reshape(shape)
     inside = (r2 <= r * r).reshape(m, -1)
     return np.count_nonzero(inside, axis=1) / inside.shape[1]
 
 
-def ball_cells(grid: Grid, r: float, center=None, nsub: int = 4) -> BallCells:
-    """Cells intersecting B_r^+((center,0)) with subsampled coverage fractions.
+def ball_cells(grid: Grid, r: float, nsub: int = 4) -> BallCells:
+    """Cells intersecting B_r^+ about the origin with subsampled coverage
+    fractions.
 
     Coverage uses a fixed nsub^(n+1)-point midpoint subsample per
     straddling cell (nsub=4 by default); interior cells get fraction 1
     from a bounding-sphere test without subsampling. ball_sums is the
-    all-radii form of the same rule about the origin.
+    all-radii form of the same rule.
     """
     _check_radius(grid, r)
-    if center is None:
-        center = np.zeros(grid.n)
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    dist = _cell_distances(grid, center)
+    dist = _cell_distances(grid)
     half_diag = _half_diagonal(grid)
     idx_in = np.where(dist <= r - half_diag)
     idx_sh = np.where((dist > r - half_diag) & (dist < r + half_diag))
     centers = grid.cell_centers()
     sh_centers = np.stack([centers[d][idx_sh] for d in range(grid.n + 1)], axis=-1)
-    fr_sh = _coverage(grid, sh_centers, np.append(center, 0.0), r, nsub)
+    fr_sh = _coverage(grid, sh_centers, r, nsub)
     keep = fr_sh > 0.0
     indices = tuple(
         np.concatenate([idx_in[d], idx_sh[d][keep]]) for d in range(grid.n + 1)
@@ -433,10 +428,9 @@ def ball_sums(grid: Grid, densities: np.ndarray, radii, nsub: int = 4) -> np.nda
     half_diag = _half_diagonal(grid)
     lo = np.searchsorted(dist, radii - half_diag, side="right")
     hi = np.searchsorted(dist, radii + half_diag, side="left")
-    origin = np.zeros(grid.n + 1)
     out = np.empty((flat.shape[0], len(radii)))
     for i, r in enumerate(radii):
-        fr = _coverage(grid, centers[lo[i]:hi[i]], origin, r, nsub)
+        fr = _coverage(grid, centers[lo[i]:hi[i]], r, nsub)
         out[:, i] = prefix[:, lo[i]] + (flat[:, lo[i]:hi[i]] * fr).sum(axis=1)
     return out if dens.ndim > grid.n + 1 else out[0]
 

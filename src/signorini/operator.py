@@ -172,17 +172,18 @@ def residual_l2(form: SymmetricForm, U: np.ndarray) -> float:
     return float(np.sqrt((ri**2).sum() * grid.thin_cell_area * grid.hy))
 
 
-def neumann_trace(grid: Grid, U: np.ndarray, a: float) -> np.ndarray:
+def neumann_trace(grid: Grid, U: np.ndarray) -> np.ndarray:
     """Weighted Neumann trace lim_{y->0+} y^a U_y at thin nodes.
 
-    Discretized as (1-a)(U(.,hy) - U(.,0))/hy^{1-a}: the coefficient of
+    Discretized as (1-a)(U(.,y_1) - U(.,0))/y_1^{1-a}: the coefficient of
     y^{1-a} in the two-point fit through the first layer, times (1-a).
-    Exact on U = c0 + c1 y^{1-a}; first order on smooth even fields; at
-    a=0 it is the one-sided difference quotient. Positive when U grows
-    off the thin set. Matches the natural flux of the assembled energy.
+    Exact on U = c0 + c1 y^{1-a} for any ys; first order on smooth even
+    fields; at a=0 it is the one-sided difference quotient. Positive when
+    U grows off the thin set. Matches the natural flux of the assembled
+    energy.
     """
     U = np.asarray(U, dtype=float)
-    return (1.0 - a) * (U[..., 1] - U[..., 0]) / grid.hy ** (1.0 - a)
+    return (1.0 - grid.a) * (U[..., 1] - U[..., 0]) / grid.ys[1] ** (1.0 - grid.a)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ class AngularProfile:
         return self._spline(th)
 
 
-def profile_ode(a: float, kappa: float | None = None, n_steps: int = 2000,
+def profile_ode(a: float, kappa: float | None = None,
                 residual_tol: float = 1e-6) -> AngularProfile:
     """Angular equation ((sin t)^a phi')' + k(k+n-1+a)(sin t)^a phi = 0, n=1.
 
@@ -78,7 +78,7 @@ def profile_ode(a: float, kappa: float | None = None, n_steps: int = 2000,
             f"(a={a}, kappa={kappa})"
         )
     # tabulate on theta in [0, pi]; theta = pi - s
-    ss = np.linspace(s0, s_end, n_steps)
+    ss = np.linspace(s0, s_end, 2000)
     pv = sol.sol(ss)[0]
     theta = np.pi - ss[::-1]
     phi = pv[::-1]

@@ -33,7 +33,6 @@ class SolutionField:
     iterations: int
     final_residual: float
     tol: float
-    method: str
     active_set_iterations: int = 0  # linear solves of the active-set start
     inner_iterations: int = 0  # CG iterations of all inner linear solves
 
@@ -87,6 +86,9 @@ CG_MAX_ITER = 500
 # |b| grows with the fixed values: at n=2, h=1/32 a relative residual of
 # 1e-12 left 10 certifying sweeps, 1e-13 and below one.
 ACTIVE_SET_RTOL = 1e-14
+# Newton steps and CG tolerance of the penalized solve.
+NEWTON_MAX_STEPS = 60
+NEWTON_CG_RTOL = 1e-12
 
 
 def _axis_prolongation(z: np.ndarray) -> tuple:
@@ -338,11 +340,10 @@ def solve_psor(
     return SolutionField(
         U=Un,
         active=active,
-        trace=neumann_trace(grid, Un, problem.a),
+        trace=neumann_trace(grid, Un),
         iterations=it,
         final_residual=float(delta),
         tol=tol,
-        method="psor",
         active_set_iterations=active_steps,
         inner_iterations=inner,
     )
@@ -358,15 +359,13 @@ def solve_penalized(
     problem: ProblemSpec,
     eps: float,
     tol: float | None = None,
-    max_newton: int = 60,
-    cg_tol: float = 1e-12,
 ) -> SolutionField:
     """Damped Newton on K U + load + T' beta_eps(U - psi) = 0.
 
     T samples thin nodes scaled by thin cell area; the Jacobian
     K + T' diag(beta_eps') T stays symmetric positive definite because
     beta_eps' >= 0. Every inner solve is the multigrid-preconditioned CG
-    of _linear_solve, run to cg_tol.
+    of _linear_solve, run to NEWTON_CG_RTOL.
     Complementarity of the result only holds up to O(eps).
     """
     if eps <= 0:
@@ -385,7 +384,7 @@ def solve_penalized(
     levels = _prolongations(grid)
     U = np.where(dirichlet, problem.boundary.ravel(), 0.0)
     scale = max(np.linalg.norm(np.where(dirichlet, 0.0, K @ U + load)), 1.0)
-    U, inner = _linear_solve(K, dirichlet, load, U, levels, rtol=cg_tol)
+    U, inner = _linear_solve(K, dirichlet, load, U, levels, rtol=NEWTON_CG_RTOL)
     if U is None:
         raise NonconvergedError(
             "inner CG failed on the unconstrained start", last_iterate=None, final_residual=np.inf,
@@ -401,12 +400,12 @@ def solve_penalized(
     rnorm = np.linalg.norm(r)
     zero = np.zeros(grid.n_nodes)
     it = 0
-    for it in range(1, max_newton + 1):
+    for it in range(1, NEWTON_MAX_STEPS + 1):
         if rnorm <= tol * scale:
             break
         dpen = areas * penalty_derivative(U[thin] - psi_thin, eps)
         Jac = K + sp.csr_matrix((dpen, (thin, thin)), shape=K.shape)
-        dU, its = _linear_solve(Jac, dirichlet, r, zero, levels, rtol=cg_tol)
+        dU, its = _linear_solve(Jac, dirichlet, r, zero, levels, rtol=NEWTON_CG_RTOL)
         inner += its
         if dU is None:
             raise NonconvergedError(
@@ -429,7 +428,7 @@ def solve_penalized(
         rnorm = np.linalg.norm(r)
     else:
         raise NonconvergedError(
-            f"penalized Newton did not converge in {max_newton} steps",
+            f"penalized Newton did not converge in {NEWTON_MAX_STEPS} steps",
             last_iterate=None, final_residual=rnorm,
         )
 
@@ -439,11 +438,10 @@ def solve_penalized(
     return SolutionField(
         U=Un,
         active=active,
-        trace=neumann_trace(grid, Un, problem.a),
+        trace=neumann_trace(grid, Un),
         iterations=it,
         final_residual=float(rnorm),
         tol=tol,
-        method=f"penalized(eps={eps:g})",
         inner_iterations=inner,
     )
 

@@ -1,11 +1,13 @@
 """Shared fixtures: cached solves of standard test problems."""
 
+import dataclasses
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
 import signorini as sg
+from signorini.grid import _layer_transmissibilities, _weighted_layer_integrals
 from signorini.solver import near_optimal_omega
 
 
@@ -22,6 +24,15 @@ def profile_boundary(grid, a: float, mix: float = 0.0) -> np.ndarray:
         th = np.arctan2(y, x1)
         g = g + mix * r**2.5 * np.cos(2.5 * th)
     return g
+
+
+def graded_grid(n: int, h: float, a: float):
+    """build_grid(n, 1, h, h, a) with the quadratically graded layers
+    y_j = R (j/M)^2 in place of the uniform ones."""
+    grid = sg.build_grid(n, 1.0, h, h, a)
+    ys = grid.ys[-1] * (np.arange(len(grid.ys)) / (len(grid.ys) - 1)) ** 2
+    return dataclasses.replace(grid, ys=ys, cell_y_weights=_weighted_layer_integrals(ys, a),
+                               cell_y_trans=_layer_transmissibilities(ys, a))
 
 
 @lru_cache(maxsize=32)

@@ -137,7 +137,7 @@ def test_criterion_5_almgren_monotonicity():
 
     grid2, problem2, form2, sol2, _ = solved_profile(0.0, 1 / 96, b11_slope=0.1)
     prof2 = sg.radial_profile(sol2.U, problem2, r_grid=np.geomspace(0.1, 0.9, 40),
-                              Kprime="auto", nsub=8)
+                              Kprime="calibrate", nsub=8)
     assert np.isfinite(prof2.Kprime) and prof2.Kprime <= 1.0
     report(
         5,
@@ -168,7 +168,7 @@ def test_criterion_6_weiss():
 
     grid2, problem2, form2, sol2, _ = solved_profile(0.0, 1 / 96, b11_slope=0.1)
     prof2 = sg.radial_profile(sol2.U, problem2, r_grid=np.geomspace(0.1, 0.9, 40),
-                              C_weiss="auto", nsub=8)
+                              C_weiss="calibrate", nsub=8)
     assert np.isfinite(prof2.C_weiss) and prof2.C_weiss <= 1.0
     report(
         6,
@@ -295,7 +295,7 @@ def test_criterion_10_decay_diagnostics():
     grid = sg.build_grid(1, 1.0, 1 / 64, 1 / 64, a)
     _, Y = grid.node_mesh()
     c = 1.7
-    out = sg.campanato_decay(c * Y ** (1 - a), grid, a, [0.0], np.geomspace(0.1, 0.5, 6))
+    out = sg.campanato_decay(c * Y ** (1 - a), grid, [0.0], np.geomspace(0.1, 0.5, 6))
     assert abs(out["b"] - c) <= 1e-10
     assert out["residuals"].max() <= 1e-10
     details.append(f"campanato: |b - c| = {abs(out['b']-c):.1e}, residual {out['residuals'].max():.1e}")

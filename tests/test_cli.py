@@ -59,7 +59,13 @@ def test_unknown_solver_and_r_grid_keys_rejected(tmp_path, capsys, name, value, 
 
 @pytest.mark.parametrize("name,value", [
     ("a", "x"), ("hx", None), ("delta", True), ("n", True), ("seed", 1.5),
-    ("Kprime", "bogus"), ("C_weiss", [1]), ("r_grid", {"count": "40"}),
+    ("Kprime", "bogus"), ("C_weiss", [1]), ("r_grid", {"count": "40"}), ("Kprime", "auto"),
+    ("solver", {"method": "psor", "omega": "x"}), ("solver", {"method": "penalized", "eps": "x"}),
+    ("solver", {"method": "psor", "tol": True}), ("solver", {"method": "psor", "max_iter": 2.5}),
+    ("solver", {"method": "psor", "warm_start": "no"}), ("solver", {"method": ["psor"]}),
+    ("r_grid", {"count": 0}), ("r_grid", {"count": -1}), ("r_grid", {"count": 3}),
+    ("r_grid", {"r_min": 0.0}), ("r_grid", {"r_max": 1.5}),
+    ("r_grid", {"r_min": 0.5, "r_max": 0.2}), ("r_grid", {"r_min": 0.95}),
 ])
 def test_config_type_errors_exit_before_the_solve(tmp_path, capsys, name, value):
     path = write_config(tmp_path, **{name: value})

@@ -379,7 +379,7 @@ def test_phi_monotone_on_mixed_solve():
 def test_calibration_on_perturbed_coefficients():
     grid, problem, form, sol, _ = solved_profile(0.0, 1.0 / 64, b11_slope=0.1)
     prof = sg.radial_profile(sol.U, problem, r_grid=np.geomspace(0.1, 0.9, 40),
-                             Kprime="auto", C_weiss="auto", nsub=8)
+                             Kprime="calibrate", C_weiss="calibrate", nsub=8)
     assert np.isfinite(prof.Kprime) and prof.Kprime <= 1.0
     assert np.isfinite(prof.C_weiss) and prof.C_weiss <= 1.0
     assert prof.beta_est <= 0.5
@@ -478,7 +478,7 @@ def test_campanato_exact_ansatz():
     grid = sg.build_grid(1, 1.0, 1 / 32, 1 / 32, a)
     _, Y = grid.node_mesh()
     V = 2.5 * Y ** (1 - a)
-    out = sg.campanato_decay(V, grid, a, [0.0], np.geomspace(0.1, 0.5, 6))
+    out = sg.campanato_decay(V, grid, [0.0], np.geomspace(0.1, 0.5, 6))
     assert out["b"] == pytest.approx(2.5, abs=1e-10)
     assert out["residuals"].max() <= 1e-10
     assert out["slope"] == float("inf")
@@ -490,7 +490,7 @@ def test_campanato_even_field_contract_note():
     a = 0.5
     grid = sg.build_grid(1, 1.0, 1 / 32, 1 / 32, a)
     _, Y = grid.node_mesh()
-    out = sg.campanato_decay(1.0 + Y**2, grid, a, [0.0], np.geomspace(0.1, 0.5, 6))
+    out = sg.campanato_decay(1.0 + Y**2, grid, [0.0], np.geomspace(0.1, 0.5, 6))
     assert np.isfinite(out["slope"]) and np.isfinite(out["b"])
     assert out["slope"] < out["target"]
 
@@ -502,8 +502,7 @@ def test_campanato_manufactured_correction_slope():
     grid = sg.build_grid(1, 1.0, 1 / 96, 1 / 96, a)
     _, Y = grid.node_mesh()
     V = Y ** (1 - a) + Y ** (3 - a)
-    out = sg.campanato_decay(V, grid, a, [0.0], np.geomspace(0.15, 0.6, 8),
-                             beta_target=0.5)
+    out = sg.campanato_decay(V, grid, [0.0], np.geomspace(0.15, 0.6, 8))
     expected = 1 + 1 + a + 2 * (3 - a)
     assert out["slope"] == pytest.approx(expected, abs=0.25)
     assert out["slope"] >= out["target"]

@@ -8,7 +8,7 @@ import signorini as sg
 from signorini.operator import energy, interior_mask
 from signorini.solver import near_optimal_omega
 
-from conftest import profile_boundary
+from conftest import graded_grid, profile_boundary
 
 
 def make_identity_problem(n, h, a):
@@ -167,8 +167,28 @@ def test_galerkin_pairing_symmetry():
 def test_trace_of_singular_power_is_exact(a):
     grid = sg.build_grid(1, 1.0, 1 / 16, 1 / 16, a)
     _, Y = grid.node_mesh()
-    tr = sg.neumann_trace(grid, Y ** (1.0 - a), a)
+    tr = sg.neumann_trace(grid, Y ** (1.0 - a))
     assert np.allclose(tr, 1.0 - a, atol=1e-12)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.25, 0.75])
+def test_trace_of_singular_power_is_exact_on_graded_layers(a):
+    grid = graded_grid(1, 1 / 33, a)
+    _, Y = grid.node_mesh()
+    assert grid.ys[1] < 0.1 * grid.hy
+    tr = sg.neumann_trace(grid, 2.0 + 3.0 * Y ** (1.0 - a))
+    assert np.allclose(tr, 3.0 * (1.0 - a), rtol=1e-12)
+
+
+@pytest.mark.parametrize("n, h", [(1, 1 / 32), (1, 1 / 97), (2, 1 / 13)])
+@pytest.mark.parametrize("a", [0.0, 0.5])
+def test_trace_on_uniform_layers_is_the_hy_quotient_bit_for_bit(n, h, a):
+    # ys[1] is the float hy on a uniform grid; conjugate_variable's row 0 is the trace
+    grid = sg.build_grid(n, 1.0, h, h, a)
+    U = np.random.default_rng(n).standard_normal(grid.node_shape)
+    old = (1.0 - a) * (U[..., 1] - U[..., 0]) / grid.hy ** (1.0 - a)
+    assert np.array_equal(sg.neumann_trace(grid, U), old)
+    assert np.array_equal(sg.conjugate_variable(grid, U)[..., 0], old)
 
 
 def test_trace_of_even_field_vanishes_under_refinement():
@@ -177,7 +197,7 @@ def test_trace_of_even_field_vanishes_under_refinement():
     for h in (1 / 16, 1 / 32, 1 / 64):
         grid = sg.build_grid(1, 1.0, h, h, a)
         _, Y = grid.node_mesh()
-        vals.append(np.abs(sg.neumann_trace(grid, 1.0 + Y**2, a)).max())
+        vals.append(np.abs(sg.neumann_trace(grid, 1.0 + Y**2)).max())
     assert vals[2] < vals[1] < vals[0]
     assert vals[2] < 0.07
 
@@ -188,7 +208,7 @@ def test_trace_profile_neumann_side():
     for h in (1 / 32, 1 / 64, 1 / 128):
         grid = sg.build_grid(1, 1.0, h, h, a)
         U = profile_boundary(grid, a)
-        tr = sg.neumann_trace(grid, U, a)
+        tr = sg.neumann_trace(grid, U)
         xs = grid.xs[0]
         vals.append(np.abs(tr[xs >= 0.2]).max())
     assert vals[2] < vals[1] < vals[0]

@@ -91,7 +91,7 @@ def test_profile_solves_signorini_sign_conditions():
     thin = U[:, 0]
     assert np.all(thin[xs > 0] > 0)  # detached side positive
     assert np.abs(thin[xs <= 0]).max() <= 1e-10  # contact side zero
-    tr = sg.neumann_trace(grid, U, a)
+    tr = sg.neumann_trace(grid, U)
     assert np.all(tr[xs < -2 * grid.hx] < 0)  # flux pushes down on contact
 
 

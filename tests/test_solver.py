@@ -1,7 +1,5 @@
 """PSOR reference solver, penalization, complementarity certification."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -9,11 +7,10 @@ import scipy.sparse.linalg as spla
 import signorini as sg
 import signorini.solver as solver_mod
 from signorini.errors import InvalidParameterError, NonconvergedError
-from signorini.grid import _layer_transmissibilities, _weighted_layer_integrals
 from signorini.operator import energy
 from signorini.solver import near_optimal_omega
 
-from conftest import profile_boundary, solved_profile
+from conftest import graded_grid, profile_boundary, solved_profile
 
 
 # -- penalty family -----------------------------------------------------------
@@ -203,11 +200,7 @@ def test_failed_cg_falls_back_to_psor(monkeypatch):
 def _embedded_system(n, h, a, graded=False):
     """Stiffness, load, Dirichlet and every third thin node fixed, and the
     fixed values (profile boundary data, 0.05 on the fixed thin nodes)."""
-    grid = sg.build_grid(n, 1.0, h, h, a)
-    if graded:
-        ys = grid.ys[-1] * (np.arange(len(grid.ys)) / (len(grid.ys) - 1)) ** 2
-        grid = dataclasses.replace(grid, ys=ys, cell_y_weights=_weighted_layer_integrals(ys, a),
-                                   cell_y_trans=_layer_transmissibilities(ys, a))
+    grid = graded_grid(n, h, a) if graded else sg.build_grid(n, 1.0, h, h, a)
     coeff = None
     if n == 2:
         off = {"poly": [[0.25, [0, 0]], [0.1, [1, 0]]]}
