@@ -161,7 +161,7 @@ def _resolve_boundary(cfg: ExperimentConfig, grid):
 
 def build_experiment(cfg: ExperimentConfig):
     grid = build_grid(cfg.n, cfg.R, cfg.hx, cfg.hy, cfg.a)
-    coeff = build_coefficients(grid, cfg.coefficients, seed=cfg.seed)
+    coeff = build_coefficients(grid, cfg.coefficients)
     boundary, ref = _resolve_boundary(cfg, grid)
     problem = make_problem(grid, coeff=coeff, psi=cfg.obstacle, f=cfg.source, boundary=boundary)
     return grid, problem, ref
@@ -251,11 +251,10 @@ def _solve(cfg: ExperimentConfig, res: dict) -> dict:
 
 
 def _profile(cfg: ExperimentConfig, res: dict) -> dict:
-    r_grid = default_r_grid(res["problem"].grid, **cfg.r_grid)
     # all radial diagnostics run on the zero-obstacle reduction U - psi
     U0, problem0 = reduce_obstacle(res["sol"].U, res["problem"])
     prof = radial_profile(
-        U0, problem0, r_grid=r_grid, Kprime=cfg.Kprime, delta=cfg.delta,
+        U0, problem0, r_grid=res["r_grid"], Kprime=cfg.Kprime, delta=cfg.delta,
         C_weiss=cfg.C_weiss,
     )
     res.update(profile=prof, reduced=(U0, problem0), summary=prof.summary())
@@ -326,6 +325,8 @@ def _pipeline(cfg: ExperimentConfig, out_dir, verb: str, quiet: bool = True,
     t0 = time.time()
     manifest = {"config": cfg.to_dict(), "version": __version__, "stage_s": {}}
     res = {"manifest": manifest, "blowup_at": blowup_at}
+    if "profile" in VERBS[verb]:  # radii that miss the grid exit before the solve
+        res["r_grid"] = default_r_grid(build_grid(cfg.n, cfg.R, cfg.hx, cfg.hy, cfg.a), **cfg.r_grid)
     for name in VERBS[verb]:
         t = time.perf_counter()
         _write(out_dir, STAGES[name](cfg, res))
@@ -339,7 +340,7 @@ def _pipeline(cfg: ExperimentConfig, out_dir, verb: str, quiet: bool = True,
 
 def run(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> dict:
     """The diagnose pipeline: solve -> radial profile -> identities -> free
-    boundary. Deterministic given config and seed; returns the manifest."""
+    boundary. Deterministic given the config; returns the manifest."""
     return _pipeline(cfg, out_dir, "diagnose", quiet=quiet)["manifest"]
 
 
@@ -398,7 +399,6 @@ def _make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="JSON experiment config")
         sp.add_argument("--out", default=None,
                         help="output directory (default: the config's 'output' field)")
-        sp.add_argument("--seed", type=int, default=None, help="override config seed")
         sp.add_argument("--quiet", action="store_true")
 
     for verb, stages in VERBS.items():
@@ -476,8 +476,6 @@ def _dispatch(args) -> int:
         return 0
 
     cfg = ExperimentConfig.from_json(args.config)
-    if args.seed is not None:
-        cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
     out = args.out if args.out is not None else cfg.output
     if out is None:
         raise InvalidConfigurationError(

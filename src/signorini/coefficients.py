@@ -94,7 +94,7 @@ class CoefficientField:
         return bool(np.all(self.table == eye))
 
 
-def build_coefficients(grid: Grid, description=None, seed: int = 0) -> CoefficientField:
+def build_coefficients(grid: Grid, description=None) -> CoefficientField:
     """Validate a coefficient description and compute ellipticity data.
 
     description: None or "identity"; an (n x n) nested list of scalar
@@ -161,14 +161,6 @@ def build_coefficients(grid: Grid, description=None, seed: int = 0) -> Coefficie
         if diff.size:
             norms = np.linalg.norm(diff.reshape(-1, n, n), ord=2, axis=(1, 2))
             lip = max(lip, float(norms.max()) / grid.hx)
-
-    # sampled ellipticity sanity with random directions (seeded)
-    rng = np.random.default_rng(seed)
-    xi = rng.standard_normal((8, n))
-    xi /= np.linalg.norm(xi, axis=1, keepdims=True)
-    quad = np.einsum("...ij,kj,ki->...k", table, xi, xi)
-    if quad.min() < lam - 1e-12 or quad.max() > Lam + 1e-12:
-        raise InvalidCoefficientError("sampled ellipticity outside eigenvalue bounds")
 
     return CoefficientField(n=n, table=table, lam=lam, Lam=Lam, lip=lip, _evaluator=ev)
 

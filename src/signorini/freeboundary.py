@@ -9,7 +9,9 @@ import numpy as np
 
 from .errors import InsufficientDataError, UnsupportedRadiusError
 from .coefficients import ProblemSpec, normalize_at
-from .functionals import FieldSampler, GeometryFields, radial_profile, sphere_heights
+from .functionals import (
+    H_FLOOR_FACTOR, FieldSampler, GeometryFields, loglog_slope, radial_profile, sphere_heights,
+)
 from .grid import Grid, sphere_quadrature
 from .solver import SolutionField
 
@@ -179,14 +181,14 @@ def decay_fit(U: np.ndarray, problem: ProblemSpec, x0, r_grid: np.ndarray | None
     diff = np.abs(U)
     radii = grid.node_radii(x0)
     sups = np.array([diff[radii <= r].max() for r in r_grid])
-    if sups.max() <= 1e-14 * max(1.0, np.abs(U).max()):
-        return {"slope": float("inf"), "H_slope": float("inf"), "r": r_grid, "sup": sups}
-    slope = float(np.polyfit(np.log(r_grid), np.log(np.maximum(sups, 1e-300)), 1)[0])
+    slope = loglog_slope(r_grid, sups, 1e-14 * max(1.0, np.abs(U).max()))
+    if slope == float("inf"):
+        return {"slope": slope, "H_slope": slope, "r": r_grid, "sup": sups}
 
     # height-based variant around x0 (on the reduction)
     rules = [sphere_quadrature(grid, r, n_angles=48) for r in r_grid]
     Hs = sphere_heights(U, GeometryFields(grid, problem.coeff), rules, x0=x0)[0]
-    H_slope = float(np.polyfit(np.log(r_grid), np.log(np.maximum(Hs, 1e-300)), 1)[0])
+    H_slope = loglog_slope(r_grid, Hs, 0.0)
     return {"slope": slope, "H_slope": H_slope, "r": r_grid, "sup": sups, "H": Hs}
 
 
@@ -203,7 +205,7 @@ def blowup(U: np.ndarray, problem: ProblemSpec, x0, r: float) -> np.ndarray:
     prof = radial_profile(norm_U, norm_problem, r_grid=rg, Kprime=0.0, C_weiss=0.0)
     k = int(np.argmin(np.abs(prof.r - r)))
     M_r = float(prof.M[k])
-    h_floor = 1e-14 * float(prof.H.max())
+    h_floor = H_FLOOR_FACTOR * float(prof.H.max())
     if not np.isfinite(M_r) or float(prof.H[k]) <= h_floor:
         raise UnsupportedRadiusError(f"degenerate height at scale r={r}")
     d_r = np.sqrt(M_r)

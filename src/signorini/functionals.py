@@ -233,10 +233,9 @@ def integrate_psi_sigma(r_grid: np.ndarray, G: np.ndarray, n: int, a: float) -> 
     # so identity-coefficient runs (G == (n+a)/r) give psi = r^{n+a} with no
     # quadrature drift, and only the O(beta) deviation sees the trapezoid.
     dev = G - (n + a) / r
-    corr = np.empty_like(r)
-    corr[-1] = 0.0  # tail (r_max, 1] uses the (n+a)/r default exactly
-    for i in range(len(r) - 2, -1, -1):
-        corr[i] = corr[i + 1] - 0.5 * (dev[i] + dev[i + 1]) * (r[i + 1] - r[i])
+    trapezoids = 0.5 * (dev[:-1] + dev[1:]) * np.diff(r)
+    # summed from r_max inward; the tail (r_max, 1] uses the (n+a)/r default exactly
+    corr = np.append(-np.cumsum(trapezoids[::-1])[::-1], 0.0)
     psi = r ** (n + a) * np.exp(corr)
     if not np.all(psi > 0):
         raise SignoriniError("internal error: nonpositive psi")
@@ -248,23 +247,6 @@ def integrate_psi_sigma(r_grid: np.ndarray, G: np.ndarray, n: int, a: float) -> 
         alpha_err=float(beta_est * np.exp(beta_est) * r[0]),
         beta_est=beta_est,
     )
-
-
-def _nonuniform_derivative(r: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Three-point first derivative on a nonuniform grid (one-sided ends)."""
-    r = np.asarray(r, dtype=float)
-    f = np.asarray(f, dtype=float)
-    out = np.empty_like(f)
-    hm = r[1:-1] - r[:-2]
-    hp = r[2:] - r[1:-1]
-    out[1:-1] = (
-        -hp / (hm * (hm + hp)) * f[:-2]
-        + (hp - hm) / (hm * hp) * f[1:-1]
-        + hm / (hp * (hm + hp)) * f[2:]
-    )
-    out[0] = (f[1] - f[0]) / (r[1] - r[0])
-    out[-1] = (f[-1] - f[-2]) / (r[-1] - r[-2])
-    return out
 
 
 @dataclass(frozen=True)
@@ -291,7 +273,8 @@ def frequency_columns(
     """M = H/psi, J = I/psi, Phi = sigma J / M, and the adjusted frequency
 
     N = (sigma/2) e^{K' r^{(1-delta)/2}} d/dr log max(M, r^{3+delta}),
-    Ntilde = (r/sigma) N, with three-point derivatives on the r grid.
+    Ntilde = (r/sigma) N, with np.gradient's derivative on the r grid
+    (three-point inside, one-sided at the ends).
     """
     r = np.asarray(r_grid, dtype=float)
     if len(r) < 5:
@@ -307,7 +290,7 @@ def frequency_columns(
     with np.errstate(divide="ignore", invalid="ignore"):
         Phi = ps.sigma * J / M
     trunc = np.maximum(M, r ** (3.0 + delta))
-    dlog = _nonuniform_derivative(r, np.log(trunc))
+    dlog = np.gradient(np.log(trunc), r)
     adj = np.exp(Kprime * r ** ((1.0 - delta) / 2.0))
     N = 0.5 * ps.sigma * adj * dlog
     Ntilde = r / ps.sigma * N
@@ -427,8 +410,13 @@ def radial_profile(
     """Compute every radial column on one r grid.
 
     Kprime / C_weiss: numeric values are used as-is ('calibrate' = 0 for
-    identity coefficients, calibrate_constant otherwise).
+    identity coefficients, calibrate_constant otherwise); any other
+    string is an InvalidConfigurationError.
     """
+    for name, value in (("Kprime", Kprime), ("C_weiss", C_weiss)):
+        if isinstance(value, str) and value != "calibrate":
+            raise InvalidConfigurationError(
+                f"{name} must be a number or 'calibrate', got {value!r}")
     grid = problem.grid
     a = grid.a
     if r_grid is None:
@@ -577,33 +565,46 @@ def surface_cross_check(U: np.ndarray, problem: ProblemSpec, profile: RadialProf
 # ---------------------------------------------------------------------------
 
 
+def loglog_slope(r_grid: np.ndarray, values: np.ndarray, floor: float) -> float:
+    """Least-squares slope of log values (floored at 1e-300) against log r;
+    inf when no value exceeds floor (the quantity vanishes at every r)."""
+    if values.max() <= floor:
+        return float("inf")
+    return float(np.polyfit(np.log(r_grid), np.log(np.maximum(values, 1e-300)), 1)[0])
+
+
+def _ball_fit(grid: Grid, x0, V: np.ndarray, basis: np.ndarray, exponent: float,
+              r_grid: np.ndarray) -> tuple:
+    """Weighted least-squares fit of V by b * basis on every node ball
+    |X - (x0, 0)| <= rho, with the lumped |y|^exponent node weights:
+    (b, minimized residual) per rho; b = 0 where the basis has no mass."""
+    masses = grid.lumped_node_weights(exponent=exponent)
+    radii = grid.node_radii(x0)
+    bs, residuals = np.empty(len(r_grid)), np.empty(len(r_grid))
+    for i, rho in enumerate(r_grid):
+        sel = radii <= rho
+        m, v, p = masses[sel], V[sel], basis[sel]
+        denom = float((p**2 * m).sum())
+        bs[i] = float((v * p * m).sum() / denom) if denom > 0 else 0.0
+        residuals[i] = float(((v - bs[i] * p) ** 2 * m).sum())
+    return bs, residuals
+
+
 def oscillation_decay(U: np.ndarray, problem: ProblemSpec, x0, r_grid: np.ndarray) -> dict:
     """Fitted slope of log int_{B_rho^+(x0)} (w - <w>_rho)^2 y^{-a} vs log rho
-    where w = y^a U_y and <.>_rho is the y^{-a} dX-weighted ball average.
+    where w = y^a U_y and <.>_rho is the y^{-a} dX-weighted ball average
+    (the ball fit of w by a constant).
 
     Slopes above n+1-a indicate Hoelder decay of the conjugate variable.
     """
     grid = problem.grid
-    a = grid.a
     r_grid = np.asarray(r_grid, dtype=float)
     if len(r_grid) < 4:
         raise InsufficientDataError("need at least 4 radii for the oscillation fit")
     w = conjugate_variable(grid, U)
-    masses = grid.lumped_node_weights(exponent=-a)
-    radii = grid.node_radii(x0)
-    vals = []
-    for rho in r_grid:
-        sel = radii <= rho
-        m = masses[sel]
-        wl = w[sel]
-        avg = float((wl * m).sum() / m.sum())
-        vals.append(float(((wl - avg) ** 2 * m).sum()))
-    vals = np.asarray(vals)
+    _, vals = _ball_fit(grid, x0, w, np.broadcast_to(1.0, grid.node_shape), -grid.a, r_grid)
     floor = 1e-28 * max(np.abs(w).max(), 1.0) ** 2
-    if vals.max() <= floor:
-        return {"slope": float("inf"), "values": vals, "r": r_grid}
-    slope = float(np.polyfit(np.log(r_grid), np.log(np.maximum(vals, 1e-300)), 1)[0])
-    return {"slope": slope, "values": vals, "r": r_grid}
+    return {"slope": loglog_slope(r_grid, vals, floor), "values": vals, "r": r_grid}
 
 
 def campanato_decay(V: np.ndarray, grid: Grid, x0, r_grid: np.ndarray) -> dict:
@@ -620,32 +621,13 @@ def campanato_decay(V: np.ndarray, grid: Grid, x0, r_grid: np.ndarray) -> dict:
     r_grid = np.asarray(r_grid, dtype=float)
     if len(r_grid) < 4:
         raise InsufficientDataError("need at least 4 radii for the decay fit")
-    masses = grid.lumped_node_weights()
-    radii = grid.node_radii(x0)
     ypow = np.broadcast_to(grid.ys ** (1.0 - a), grid.node_shape)
-    residuals = []
-    bs = []
-    for rho in r_grid:
-        sel = radii <= rho
-        m = masses[sel]
-        v = V[sel]
-        yp = ypow[sel]
-        denom = float((yp**2 * m).sum())
-        b = float((v * yp * m).sum() / denom) if denom > 0 else 0.0
-        res = float(((v - b * yp) ** 2 * m).sum())
-        residuals.append(res)
-        bs.append(b)
-    residuals = np.asarray(residuals)
-    target = grid.n + 1 + a + 2.0 * (1.0 + 0.5)
+    bs, residuals = _ball_fit(grid, x0, V, ypow, a, r_grid)
     floor = 1e-28 * max(np.abs(V).max(), 1.0) ** 2
-    if residuals.max() <= floor:
-        slope = float("inf")
-    else:
-        slope = float(np.polyfit(np.log(r_grid), np.log(np.maximum(residuals, 1e-300)), 1)[0])
     return {
-        "slope": slope,
-        "target": target,
-        "b": bs[0],
+        "slope": loglog_slope(r_grid, residuals, floor),
+        "target": grid.n + 1 + a + 2.0 * (1.0 + 0.5),
+        "b": float(bs[0]),
         "residuals": residuals,
         "r": r_grid,
     }

@@ -90,48 +90,43 @@ def _local_matrices(n: int, hx: float):
     return thin_E, cross_G, y_E
 
 
-def _cell_coefficients(grid: Grid, problem: ProblemSpec):
-    """Per-cell scalars: weighted measure, b_ij at thin cell centers, k_j."""
+def _energy_terms(grid: Grid, problem: ProblemSpec) -> list:
+    """The weighted energy's per-cell terms as triples (E, c, m): a cell's
+    energy is sum c * m * u'Eu over its corner values u. Thin terms take
+    c = b_dd (and b_01 at n = 2) at the thin cell centre and m the cell
+    measure; the y term takes c = k_y * thin cell area and m = 1."""
+    n = grid.n
+    thin_E, cross_G, y_E = _local_matrices(n, grid.hx)
     centers = grid.cell_centers()
-    thin_c = np.stack([centers[d] for d in range(grid.n)], axis=-1)[..., 0, :]
+    thin_c = np.stack([centers[d] for d in range(n)], axis=-1)[..., 0, :]
     B = problem.coeff.eval_B(thin_c)  # thin cell-shape + (n, n)
-    m_cell = grid.cell_measures
+    m_flat = grid.cell_measures.reshape(-1)
+
+    def per_cell(b):  # broadcast a thin-cell entry over the y cell axis
+        return np.repeat(b.reshape(-1), grid.cell_shape[-1])
+
+    terms = [(thin_E[d], per_cell(B[..., d, d]), m_flat) for d in range(n)]
+    if cross_G is not None:
+        terms.append((cross_G, per_cell(B[..., 0, 1]), m_flat))
     ky = np.broadcast_to(grid.cell_y_trans, grid.cell_shape)
-    return m_cell, B, ky
+    terms.append((y_E, (ky * grid.thin_cell_area).reshape(-1), 1.0))
+    return terms
 
 
 def assemble_energy(grid: Grid, problem: ProblemSpec) -> SymmetricForm:
     """Assemble stiffness and load of the weighted energy."""
     if problem.grid is not grid and problem.grid.node_shape != grid.node_shape:
         raise AssemblyError("grid and problem have inconsistent shapes")
-    n = grid.n
-    thin_E, cross_G, y_E = _local_matrices(n, grid.hx)
     corner_idx = grid.cell_corners
-    m_cell, B, ky = _cell_coefficients(grid, problem)
-
+    terms = _energy_terms(grid, problem)
     n_loc = corner_idx.shape[1]
-    m_flat = m_cell.reshape(-1)
-    ky_flat = (ky * grid.thin_cell_area).reshape(-1)
-    # broadcast thin-block entries over the y cell axis
-    b_entries = {}
-    for d in range(n):
-        b = B[..., d, d]
-        b_entries[(d, d)] = np.repeat(b.reshape(-1), grid.cell_shape[-1])
-    if n == 2:
-        b01 = B[..., 0, 1]
-        b_entries[(0, 1)] = np.repeat(b01.reshape(-1), grid.cell_shape[-1])
-
     rows, cols, vals = [], [], []
     for p in range(n_loc):
         for q in range(n_loc):
-            coef = np.zeros(len(m_flat))
-            for d in range(n):
-                if thin_E[d][p, q]:
-                    coef += thin_E[d][p, q] * b_entries[(d, d)] * m_flat
-            if cross_G is not None and cross_G[p, q]:
-                coef += cross_G[p, q] * b_entries[(0, 1)] * m_flat
-            if y_E[p, q]:
-                coef += y_E[p, q] * ky_flat
+            coef = np.zeros(len(corner_idx))
+            for E, c, m in terms:
+                if E[p, q]:
+                    coef += E[p, q] * c * m
             nz = coef != 0.0
             if nz.any():
                 rows.append(corner_idx[nz, p])
@@ -197,23 +192,10 @@ def cell_energy_density(grid: Grid, problem: ProblemSpec, U: np.ndarray) -> np.n
     Uses exactly the assembly's quadratic form, so summing over all
     cells reproduces <KU, U> to round-off.
     """
-    n = grid.n
-    thin_E, cross_G, y_E = _local_matrices(n, grid.hx)
-    m_cell, B, ky = _cell_coefficients(grid, problem)
     Uc = np.asarray(U, dtype=float).ravel()[grid.cell_corners]  # (n_cells, n_loc)
-
-    m_flat = m_cell.reshape(-1)
-    e = np.zeros(len(m_flat))
-    for d in range(n):
-        quad = ((Uc @ thin_E[d]) * Uc).sum(1)
-        b = np.repeat(B[..., d, d].reshape(-1), grid.cell_shape[-1])
-        e += b * m_flat * quad
-    if cross_G is not None:
-        quad = ((Uc @ cross_G) * Uc).sum(1)
-        b = np.repeat(B[..., 0, 1].reshape(-1), grid.cell_shape[-1])
-        e += b * m_flat * quad
-    quad_y = ((Uc @ y_E) * Uc).sum(1)
-    e += (ky * grid.thin_cell_area).reshape(-1) * quad_y
+    e = np.zeros(len(Uc))
+    for E, c, m in _energy_terms(grid, problem):
+        e += c * m * ((Uc @ E) * Uc).sum(1)
     return e.reshape(grid.cell_shape)
 
 

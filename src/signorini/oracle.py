@@ -22,18 +22,23 @@ KINDS = ("y_power", "even_poly", "signorini_profile")
 
 @dataclass(frozen=True)
 class AngularProfile:
-    """Angular factor phi(theta) on (0, pi), normalized with phi(0)=1."""
+    """Angular factor phi(theta) on [0, pi], normalized with phi(0)=1.
+
+    Evaluated as s^{1-a} g(theta), s = pi - theta, with g a cubic spline
+    of the regular part phi / s^{1-a}: phi itself behaves like s^{1-a}
+    at the contact ray, which a spline of phi cannot follow.
+    """
 
     a: float
     kappa: float
-    theta: np.ndarray
+    theta: np.ndarray  # tabulation, theta = 0 and pi included
     phi: np.ndarray
     residual: float  # weighted-derivative defect at theta=0, relative
-    _spline: object
+    _spline: object  # regular part g on the knots theta[1:-1]
 
     def __call__(self, theta):
         th = np.clip(np.asarray(theta, dtype=float), 0.0, np.pi)
-        return self._spline(th)
+        return (np.pi - th) ** (1.0 - self.a) * self._spline(th)
 
 
 def profile_ode(a: float, kappa: float | None = None,
@@ -79,21 +84,19 @@ def profile_ode(a: float, kappa: float | None = None,
         )
     # tabulate on theta in [0, pi]; theta = pi - s
     ss = np.linspace(s0, s_end, 2000)
-    pv = sol.sol(ss)[0]
-    theta = np.pi - ss[::-1]
-    phi = pv[::-1]
     scale = sol.y[0, -1]  # value at theta -> 0
-    phi = phi / scale
-    theta = np.concatenate([[0.0], theta, [np.pi]])
-    phi = np.concatenate([[1.0], phi, [0.0]])
-    spline = CubicSpline(theta, phi)
+    phi_s = sol.sol(ss)[0] / scale
+    # the regular part phi / s^{1-a} on the ODE's knots, in increasing theta
+    spline = CubicSpline(np.pi - ss[::-1], (phi_s / ss ** (1.0 - a))[::-1])
+    theta = np.concatenate([[0.0], np.pi - ss[::-1], [np.pi]])
+    phi = np.concatenate([[1.0], phi_s[::-1], [0.0]])
     return AngularProfile(a=a, kappa=float(kappa), theta=theta, phi=phi,
                           residual=residual, _spline=spline)
 
 
 @dataclass(frozen=True)
 class ReferenceSolution:
-    """Closed-form or ODE-backed reference field with contact metadata."""
+    """Closed-form or ODE-backed reference field."""
 
     kind: str
     a: float
@@ -114,14 +117,6 @@ class ReferenceSolution:
         if self.a == 0.0:
             return r**1.5 * np.cos(1.5 * theta)
         return r**self.kappa * self.angular(theta)
-
-    def contact_indicator(self, thin_points: np.ndarray):
-        """True where the reference touches the zero obstacle."""
-        if self.kind == "signorini_profile":
-            return np.asarray(thin_points, dtype=float)[..., 0] <= 0.0
-        if self.kind == "even_poly":
-            return np.abs(np.asarray(thin_points, dtype=float)[..., 0]) == 0.0
-        return np.zeros(np.asarray(thin_points).shape[:-1], dtype=bool)
 
 
 def exact_solution(kind: str, a: float) -> ReferenceSolution:

@@ -76,6 +76,18 @@ def test_criterion_2_signorini_solve():
     )
 
 
+
+@pytest.mark.parametrize("a", [0.0, 0.5])
+def test_criterion_2_linf_order_against_the_oracle(a):
+    # the contact profile is (3-a)/2-homogeneous: the max error, at the free
+    # boundary, falls like h^{(3-a)/2} against the closed form or the ODE profile
+    errs = [np.abs(sol.U - g).max()
+            for *_, sol, g in (solved_profile(a, h) for h in (1 / 32, 1 / 64, 1 / 128))]
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.abs(orders - (3 - a) / 2).max() <= 0.1, (errs, orders)
+    report(2, f"Linf order a={a}",
+           f"orders {np.round(orders, 3).tolist()} = {(3 - a) / 2} +/- 0.1")
+
 # -- 3. optimal exponent ---------------------------------------------------------
 
 

@@ -76,6 +76,17 @@ def test_config_type_errors_exit_before_the_solve(tmp_path, capsys, name, value)
     assert not out.exists()
 
 
+
+def test_default_radii_off_the_grid_exit_before_the_solve(tmp_path, capsys):
+    # at hx = hy = 1/4 the default r_min = 4 max(hx, hy) = 1 exceeds 0.9 R
+    path = write_config(tmp_path, hx=0.25, hy=0.25, r_grid={})
+    out = tmp_path / "out"
+    assert cli.main(["diagnose", "--config", str(path), "--out", str(out)]) == 2
+    assert "'r_grid'" in capsys.readouterr().err
+    assert not out.exists()
+    # the radii only matter to verbs that run the profile stage
+    assert cli.main(["solve", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+
 def test_diagnose_evaluates_each_field_density_once(tmp_path, monkeypatch):
     # one evaluation per field: the profile's, and one per classified point;
     # the identities stage reads the profile's columns

@@ -36,6 +36,14 @@ def test_nonpositive_rejected():
         sg.build_coefficients(grid, [[-1.0]])
 
 
+
+@pytest.mark.parametrize("k", range(9))
+def test_large_constant_coefficients_accepted(k):
+    # the eigenvalues are the ellipticity bounds; no sampled check can fail on round-off
+    grid = sg.build_grid(2, 1.0, 0.25, 0.25, 0.0)
+    field = sg.build_coefficients(grid, [[10.0**k, 0.0], [0.0, 10.0**k]])
+    assert sg.ellipticity_report(field) == (10.0**k, 10.0**k, 0.0)
+
 def test_block_structure_of_full_matrix():
     grid = sg.build_grid(2, 1.0, 0.25, 0.25, 0.0)
     field = sg.build_coefficients(grid, [[1.5, 0.2], [0.2, 1.0]])

@@ -506,3 +506,11 @@ def test_campanato_manufactured_correction_slope():
     expected = 1 + 1 + a + 2 * (3 - a)
     assert out["slope"] == pytest.approx(expected, abs=0.25)
     assert out["slope"] >= out["target"]
+
+
+@pytest.mark.parametrize("name", ["Kprime", "C_weiss"])
+def test_radial_profile_rejects_unknown_calibration_strings(name):
+    grid = sg.build_grid(1, 1.0, 1 / 16, 1 / 16, 0.5)
+    problem = sg.make_problem(grid)
+    with pytest.raises(InvalidConfigurationError, match=name):
+        sg.radial_profile(np.zeros(grid.node_shape), problem, **{name: "auto"})

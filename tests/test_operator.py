@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import signorini as sg
-from signorini.operator import energy, interior_mask
+from signorini.operator import cell_energy_density, energy, interior_mask
 from signorini.solver import near_optimal_omega
 
 from conftest import graded_grid, profile_boundary
@@ -158,6 +158,23 @@ def test_galerkin_pairing_symmetry():
     lhs = u @ (form.stiffness @ v)
     rhs = v @ (form.stiffness @ u)
     assert lhs == pytest.approx(rhs, rel=1e-13)
+
+
+
+@pytest.mark.parametrize("n, coefficients", [
+    (1, [[{"poly": [[1.0, [0]], [0.3, [1]]]}]]),
+    # the benchmark's tilted B: off-diagonal, so K is not an M-matrix
+    (2, [[{"poly": [[1.0, [0, 0]], [0.1, [0, 1]]]}, {"poly": [[0.25, [0, 0]], [0.1, [1, 0]]]}],
+         [{"poly": [[0.25, [0, 0]], [0.1, [1, 0]]]}, 1.0]]),
+])
+def test_cell_energy_densities_sum_to_the_stiffness_form(n, coefficients):
+    # the per-cell densities behind D and I use the assembly's quadratic form
+    grid = sg.build_grid(n, 1.0, 1 / 8, 1 / 8, 0.5)
+    problem = sg.make_problem(grid, coeff=sg.build_coefficients(grid, coefficients))
+    K = sg.assemble_energy(grid, problem).stiffness
+    U = np.random.default_rng(0).standard_normal(grid.node_shape)
+    total = cell_energy_density(grid, problem, U).sum()
+    assert total == pytest.approx(U.ravel() @ (K @ U.ravel()), rel=1e-12)
 
 
 # -- traces -------------------------------------------------------------------

@@ -53,6 +53,46 @@ def test_profile_ode_boundary_conditions(a):
     assert np.all(prof(th) > 0)
 
 
+
+def _series_start(a):
+    """(lam, c2) of the start phi ~ s^{1-a}(1 + c2 s^2), s = pi - theta."""
+    kappa = (3 - a) / 2
+    lam = kappa * (kappa + a)
+    return lam, (a * (1 - a) / 3 - lam) / (2 * (3 - a))
+
+
+@pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
+def test_profile_regular_part_matches_series_start(a):
+    prof = sg.profile_ode(a)
+    _, c2 = _series_start(a)
+    s = np.geomspace(1e-6, 1e-2, 40)
+    regular = prof(np.pi - s) / s ** (1 - a)
+    series = 1 + c2 * s**2
+    assert np.abs(regular / regular[0] * series[0] - series).max() <= 1e-8
+
+
+@pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
+def test_profile_matches_ode_dense_output(a):
+    # an independent integration of the angular ODE from the contact ray
+    from scipy.integrate import solve_ivp
+
+    lam, c2 = _series_start(a)
+    s0, s_end = 1e-6, np.pi - 1e-12
+
+    def rhs(s, z):
+        return [z[1] / np.sin(s) ** a, -lam * np.sin(s) ** a * z[0]]
+
+    z0 = [s0 ** (1 - a) + c2 * s0 ** (3 - a),
+          np.sin(s0) ** a * ((1 - a) * s0 ** -a + c2 * (3 - a) * s0 ** (2 - a))]
+    sol = solve_ivp(rhs, [s0, s_end], z0, method="LSODA", rtol=1e-12, atol=1e-14,
+                    dense_output=True)
+    scale = sol.y[0, -1]
+    s = np.linspace(s0, s_end, 10007)
+    near = np.geomspace(1e-10, s0, 50)  # inside the first step: the series itself
+    prof = sg.profile_ode(a)
+    assert np.abs(prof(np.pi - s) - sol.sol(s)[0] / scale).max() <= 1e-8
+    assert np.abs(prof(np.pi - near) - (near ** (1 - a) + c2 * near ** (3 - a)) / scale).max() <= 1e-8
+
 def test_profile_ode_flags_wrong_homogeneity():
     with pytest.raises(OracleFailureError):
         sg.profile_ode(0.5, kappa=1.4)

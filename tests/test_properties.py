@@ -17,7 +17,7 @@ def random_problem(seed, n=1, a=None):
     # random SPD constant thin block
     M = rng.standard_normal((n, n)) * 0.3
     B = M @ M.T + np.eye(n)
-    coeff = sg.build_coefficients(grid, B.tolist(), seed=seed)
+    coeff = sg.build_coefficients(grid, B.tolist())
     mesh = np.stack(grid.node_mesh(), axis=-1)
     # random low-order polynomial boundary data, nonnegative on the thin set
     c = rng.uniform(-0.5, 0.5, size=3)
