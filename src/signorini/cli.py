@@ -14,12 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import platform
 import sys
 import time
 from dataclasses import asdict, dataclass, field
 from numbers import Integral, Real
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .errors import (
@@ -323,7 +325,9 @@ def _pipeline(cfg: ExperimentConfig, out_dir, verb: str, quiet: bool = True,
     ends, then manifest.json; returns the in-memory results. blowup_at is
     the (x0, scale) of the blowup stage."""
     t0 = time.time()
-    manifest = {"config": cfg.to_dict(), "version": __version__, "stage_s": {}}
+    manifest = {"config": cfg.to_dict(), "version": __version__, "stage_s": {},
+                "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                                "scipy": scipy.__version__}}
     res = {"manifest": manifest, "blowup_at": blowup_at}
     if "profile" in VERBS[verb]:  # radii that miss the grid exit before the solve
         res["r_grid"] = default_r_grid(build_grid(cfg.n, cfg.R, cfg.hx, cfg.hy, cfg.a), **cfg.r_grid)

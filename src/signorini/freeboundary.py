@@ -13,7 +13,7 @@ from .functionals import (
     H_FLOOR_FACTOR, FieldSampler, GeometryFields, loglog_slope, radial_profile, sphere_heights,
 )
 from .grid import Grid, sphere_quadrature
-from .solver import SolutionField
+from .solver import SolutionField, contact_tol
 
 
 def default_tau_gap(a: float, delta: float) -> float:
@@ -71,7 +71,7 @@ def contact_set(sol: SolutionField, problem: ProblemSpec) -> dict:
     below default_trace_tol)."""
     grid = problem.grid
     slack = sol.U[..., 0] - problem.psi
-    tol_c = 10.0 * sol.tol * max(float(np.abs(problem.psi).max()), 1.0)
+    tol_c = contact_tol(sol.tol, problem.psi)
     contact = slack <= tol_c
     gamma = np.zeros_like(contact)
     for d in range(grid.n):

@@ -9,6 +9,12 @@ use the layer transmissibilities (1-a)/(y_{j+1}^{1-a}-y_j^{1-a}), which
 are exact on span{1, y^{1-a}} and therefore consistent with the
 degenerate weight down to y=0 (at a=0 both reduce to the classical
 5-point / 7-point stencil scaled by cell volume).
+
+The stiffness is assembled by stencil offset: on the tensor grid every
+pair of cell corners couples nodes at a fixed offset (5 offsets carry
+terms at n=1, 27 at n=2), so the cell terms are summed into one array
+column per offset by slicing the node grid, and the CSR arrays are read
+off that array's nonzeros.
 """
 
 from __future__ import annotations
@@ -114,29 +120,46 @@ def _energy_terms(grid: Grid, problem: ProblemSpec) -> list:
 
 
 def assemble_energy(grid: Grid, problem: ProblemSpec) -> SymmetricForm:
-    """Assemble stiffness and load of the weighted energy."""
+    """Assemble stiffness and load of the weighted energy.
+
+    On the tensor grid a corner pair (p, q) couples every node with the
+    node at the fixed offset c_q - c_p. Each pair's cell coefficients are
+    added into that offset's column of an (n_nodes, n_offsets) array, on
+    the slice of nodes that are the cells' p-corners, in the order of p;
+    with the offsets sorted, the nonzero entries of each row are its CSR
+    row.
+    """
     if problem.grid is not grid and problem.grid.node_shape != grid.node_shape:
         raise AssemblyError("grid and problem have inconsistent shapes")
-    corner_idx = grid.cell_corners
     terms = _energy_terms(grid, problem)
-    n_loc = corner_idx.shape[1]
-    rows, cols, vals = [], [], []
-    for p in range(n_loc):
-        for q in range(n_loc):
-            coef = np.zeros(len(corner_idx))
-            for E, c, m in terms:
-                if E[p, q]:
-                    coef += E[p, q] * c * m
-            nz = coef != 0.0
-            if nz.any():
-                rows.append(corner_idx[nz, p])
-                cols.append(corner_idx[nz, q])
-                vals.append(coef[nz])
-    K = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.n_nodes, grid.n_nodes),
-    )
-    K.sum_duplicates()
+    corners = np.array(corner_offsets(grid.n))
+    shape, cells = grid.node_shape, grid.cell_shape
+    n_cells = int(np.prod(cells))
+    strides = np.cumprod((1,) + shape[:0:-1])[::-1]  # of the flat node index
+    pair_offset = {(p, q): (corners[q] - corners[p]) @ strides
+                   for p in range(len(corners)) for q in range(len(corners))
+                   if any(E[p, q] for E, _, _ in terms)}
+    offsets = np.unique(list(pair_offset.values()))
+    acc = np.zeros((len(offsets),) + shape)
+    for (p, q), offset in pair_offset.items():
+        coef = np.zeros(n_cells)
+        for E, c, m in terms:
+            if E[p, q]:
+                coef += E[p, q] * c * m
+        column = np.searchsorted(offsets, offset)
+        block = tuple(slice(o, o + s) for o, s in zip(corners[p], cells))
+        acc[(column,) + block] += coef.reshape(cells)
+    acc = acc.reshape(len(offsets), grid.n_nodes).T
+    nz = acc != 0.0  # the box faces' missing neighbours are zero too
+    data = acc[nz]
+    del acc
+    counts = nz.sum(axis=1)
+    idx = np.int32 if nz.size < 2**31 else np.int64
+    indices = np.broadcast_to(offsets.astype(idx), nz.shape)[nz]
+    del nz
+    indices += np.repeat(np.arange(grid.n_nodes, dtype=idx), counts)
+    indptr = np.r_[0, np.cumsum(counts)].astype(idx)
+    K = sp.csr_matrix((data, indices, indptr), shape=(grid.n_nodes, grid.n_nodes))
 
     load = (grid.lumped_node_weights() * problem.f).ravel()
 

@@ -12,6 +12,7 @@ beta_eps, solved by damped Newton.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,7 +29,7 @@ class SolutionField:
     """Converged nodal solution with contact bookkeeping."""
 
     U: np.ndarray  # node_shape
-    active: np.ndarray  # thin-shape bool, U = psi
+    active: np.ndarray  # thin-shape bool, U = psi off the Dirichlet boundary
     trace: np.ndarray  # thin-shape weighted Neumann trace
     iterations: int
     final_residual: float
@@ -126,45 +127,52 @@ def _prolongations(grid: Grid) -> list:
     return levels
 
 
-def _embedded(A: sp.csr_matrix, fixed: np.ndarray) -> sp.csr_matrix:
-    """D A D + I_fixed with D = diag(~fixed): A on the free block, identity
-    on the fixed rows."""
-    A = A.tocsr()
+def _masked(A: sp.csr_matrix, fixed: np.ndarray):
+    """The product with the embedded matrix D A D + I_fixed, D = diag(~fixed),
+    as x -> where(free, A (D x), x), without forming it: A on the free
+    block, identity on the fixed rows."""
     free = ~fixed
-    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    masked = sp.csr_matrix((A.data * (free[rows] & free[A.indices]), A.indices, A.indptr),
-                           shape=A.shape)
-    return masked + sp.diags(fixed.astype(float), format="csr")
+    return lambda x: np.where(free, A @ np.where(free, x, 0.0), x)
 
 
 def _vcycle(A: sp.csr_matrix, fixed: np.ndarray, levels: list):
-    """Symmetric V(MG_SWEEPS, MG_SWEEPS)-cycle for the embedded matrix A,
-    as a function of the residual; levels are the grid's _prolongations.
+    """Symmetric V(MG_SWEEPS, MG_SWEEPS)-cycle for the embedded matrix of A
+    (see _masked), as a function of the residual; levels are the grid's
+    _prolongations. The finest level smooths with the masked product.
     Coarse operators are P'AP plus the identity on coarse fixed nodes,
-    with P masked to zero on fine and coarse fixed rows."""
+    with P masked to zero on fine and coarse fixed rows, which makes P'AP
+    equal to the product with the embedded matrix. A grid with no coarse
+    level factors the embedded matrix itself."""
+    free = ~fixed
+    matvec, diag = _masked(A, fixed), np.where(free, A.diagonal(), 1.0)
     ops = []
     for P, coarse in levels:
         fixed_c = fixed[coarse]
-        P = sp.diags((~fixed).astype(float)) @ P @ sp.diags((~fixed_c).astype(float))
+        P = sp.diags(free.astype(float)) @ P @ sp.diags((~fixed_c).astype(float))
         R = P.T.tocsr()
-        ops.append((A, MG_DAMPING / A.diagonal(), P, R))
+        ops.append((matvec, MG_DAMPING / diag, P, R))
         A = (R @ A @ P + sp.diags(fixed_c.astype(float))).tocsr()
-        fixed = fixed_c
-    coarsest = spla.splu(A.tocsc())
+        fixed, free = fixed_c, ~fixed_c
+        matvec, diag = A.dot, A.diagonal()
+    if not levels:
+        D = sp.diags(free.astype(float))
+        A = D @ A @ D + sp.diags(fixed.astype(float))
+    return partial(_cycle, ops, spla.splu(A.tocsc()))
 
-    def cycle(b, level=0):
-        if level == len(ops):
-            return coarsest.solve(b)
-        A, wdinv, P, R = ops[level]
-        x = wdinv * b
-        for _ in range(MG_SWEEPS - 1):
-            x += wdinv * (b - A @ x)
-        x += P @ cycle(R @ (b - A @ x), level + 1)
-        for _ in range(MG_SWEEPS):
-            x += wdinv * (b - A @ x)
-        return x
 
-    return cycle
+def _cycle(ops: list, coarsest, b: np.ndarray, level: int = 0) -> np.ndarray:
+    """One V-cycle from the given level down. A module-level function, so
+    that a hierarchy holds no reference cycle and is freed with its solve."""
+    if level == len(ops):
+        return coarsest.solve(b)
+    matvec, wdinv, P, R = ops[level]
+    x = wdinv * b
+    for _ in range(MG_SWEEPS - 1):
+        x += wdinv * (b - matvec(x))
+    x += P @ _cycle(ops, coarsest, R @ (b - matvec(x)), level + 1)
+    for _ in range(MG_SWEEPS):
+        x += wdinv * (b - matvec(x))
+    return x
 
 
 def _linear_solve(A, fixed: np.ndarray, load: np.ndarray, U: np.ndarray, levels: list,
@@ -172,22 +180,23 @@ def _linear_solve(A, fixed: np.ndarray, load: np.ndarray, U: np.ndarray, levels:
     """Solve for x = U on the fixed nodes and (A x + load) = 0 on the rest.
 
     Runs CG from U on the embedded system D A D + I_fixed, D = diag(~fixed),
-    preconditioned by one Galerkin multigrid V-cycle on the tensor grid
-    (levels: its _prolongations, built once per solve), to a residual of
-    rtol times the right-hand side. A must be symmetric and positive
-    definite on the free nodes. Returns (x, iterations), with x None when
-    CG does not converge.
+    applied by _masked without a copy of A, preconditioned by one Galerkin
+    multigrid V-cycle on the tensor grid (levels: its _prolongations, built
+    once per solve), to a residual of rtol times the right-hand side. A
+    must be symmetric and positive definite on the free nodes. Returns
+    (x, iterations), with x None when CG does not converge.
     """
-    M = _embedded(A, fixed)
+    matvec = _masked(A, fixed)
     b = np.where(fixed, U, -(load + A @ np.where(fixed, U, 0.0)))
-    cycle = _vcycle(M, fixed, levels)
+    cycle = _vcycle(A, fixed, levels)
     count = [0]
 
     def tick(_):
         count[0] += 1
 
-    x, info = spla.cg(M, b, x0=U, rtol=rtol, atol=0.0,
-                      M=spla.LinearOperator(M.shape, matvec=cycle, dtype=float),
+    x, info = spla.cg(spla.LinearOperator(A.shape, matvec=matvec, dtype=float), b, x0=U,
+                      rtol=rtol, atol=0.0,
+                      M=spla.LinearOperator(A.shape, matvec=cycle, dtype=float),
                       maxiter=CG_MAX_ITER, callback=tick)
     return (x if info == 0 else None), count[0]
 
@@ -273,6 +282,12 @@ def _default_tol(problem: ProblemSpec, tol: float | None) -> float:
     return 1e-10 * max(scale, 1.0)
 
 
+def contact_tol(tol: float, psi: np.ndarray) -> float:
+    """Slack U - psi at or below which a thin node is in contact:
+    10 tol max(|psi|, 1), for a solve stopped at tol."""
+    return 10.0 * tol * max(float(np.abs(psi).max()), 1.0)
+
+
 def solve_psor(
     form: SymmetricForm,
     problem: ProblemSpec,
@@ -287,8 +302,9 @@ def solve_psor(
     iterate, which they certify (usually in one sweep) or finish when the
     active set does not settle; otherwise they start from zero. omega
     defaults to near_optimal_omega(grid). Stops when the largest nodal
-    update in a sweep is <= tol. Raises NonconvergedError (carrying the
-    last iterate) at max_iter.
+    update in a sweep is <= tol. The active set holds the thin
+    non-Dirichlet nodes whose slack is at most contact_tol. Raises
+    NonconvergedError (carrying the last iterate) at max_iter.
     """
     grid = form.grid
     if omega is None:
@@ -336,7 +352,8 @@ def solve_psor(
         )
 
     Un = U.reshape(grid.node_shape)
-    active = (Un[..., 0] - problem.psi) <= 0.0
+    slack = Un[..., 0] - problem.psi
+    active = (slack <= contact_tol(tol, problem.psi)) & ~grid.dirichlet_mask[..., 0]
     return SolutionField(
         U=Un,
         active=active,

@@ -2,9 +2,11 @@
 
 import csv
 import json
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 import signorini.cli as cli
 
@@ -128,6 +130,8 @@ def test_diagnose_profile_pipeline(tmp_path, capsys):
     assert manifest["classification_at_origin"] == "Regular"
     assert set(manifest["stage_s"]) == {"solve", "profile", "identities", "freeboundary"}
     assert all(t >= 0.0 for t in manifest["stage_s"].values())
+    assert manifest["environment"] == {"python": platform.python_version(),
+                                       "numpy": np.__version__, "scipy": scipy.__version__}
     comp = json.loads((out / "identities.json").read_text())["complementarity"]
     assert comp["min_gap_max"] <= 1e-8
 

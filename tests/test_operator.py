@@ -1,11 +1,14 @@
 """Assembly, residual consistency, traces."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import quad
 
 import signorini as sg
-from signorini.operator import cell_energy_density, energy, interior_mask
+from signorini.operator import _energy_terms, cell_energy_density, energy, interior_mask
 from signorini.solver import near_optimal_omega
 
 from conftest import graded_grid, profile_boundary
@@ -40,6 +43,69 @@ def test_seven_point_stencil_n2_a0():
     assert np.count_nonzero(row) == 7
     vol = grid.hx**2 * grid.hy
     assert row[mid] == pytest.approx(vol * (4 / grid.hx**2 + 2 / grid.hy**2))
+
+
+def _coo_assembly(grid, problem):
+    """Reference stiffness from per-cell COO triplets: every cell's
+    coefficient for every corner pair (p, q), in the order of p, then q,
+    summed into CSR by scipy."""
+    corner_idx = grid.cell_corners
+    terms = _energy_terms(grid, problem)
+    rows, cols, vals = [], [], []
+    for p in range(corner_idx.shape[1]):
+        for q in range(corner_idx.shape[1]):
+            coef = np.zeros(len(corner_idx))
+            for E, c, m in terms:
+                if E[p, q]:
+                    coef += E[p, q] * c * m
+            nz = coef != 0.0
+            rows.append(corner_idx[nz, p])
+            cols.append(corner_idx[nz, q])
+            vals.append(coef[nz])
+    K = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(grid.n_nodes, grid.n_nodes))
+    K.sum_duplicates()
+    return K
+
+
+# the benchmark's tilted B: off-diagonal, so K is not an M-matrix
+TILTED_B = [[{"poly": [[1.0, [0, 0]], [0.1, [0, 1]]]}, {"poly": [[0.25, [0, 0]], [0.1, [1, 0]]]}],
+            [{"poly": [[0.25, [0, 0]], [0.1, [1, 0]]]}, 1.0]]
+
+
+@pytest.mark.parametrize("n, h, a, coefficients", [
+    (1, 1 / 32, 0.5, None),
+    (1, 1 / 24, 0.25, [[{"poly": [[1.0, [0]], [0.3, [1]]]}]]),
+    (2, 1 / 8, 0.5, TILTED_B),
+    (2, 1 / 16, 0.0, None),
+], ids=["n1_identity", "n1_b11", "n2_tilted", "n2_identity"])
+def test_stencil_assembly_matches_coo_triplets(n, h, a, coefficients):
+    grid = sg.build_grid(n, 1.0, h, h, a)
+    problem = sg.make_problem(grid, coeff=sg.build_coefficients(grid, coefficients))
+    K = sg.assemble_energy(grid, problem).stiffness
+    ref = _coo_assembly(grid, problem)
+    assert K.has_canonical_format
+    assert np.array_equal(K.indptr, ref.indptr) and np.array_equal(K.indices, ref.indices)
+    if n == 1:
+        # a row holds at most 16 triplets, which scipy's index sort keeps in
+        # input order, so both sum each entry's terms in the order of p
+        assert np.array_equal(K.data, ref.data)
+    else:
+        # up to 64 triplets per row, whose order scipy's unstable sort
+        # changes: each entry's up to 8 terms sum in another order
+        assert np.all(np.abs(K.data - ref.data) <= 4 * np.spacing(np.abs(ref.data)))
+
+
+def test_assembly_peak_memory_is_a_small_multiple_of_the_matrix():
+    grid = sg.build_grid(2, 1.0, 1 / 16, 1 / 16, 0.5)
+    problem = sg.make_problem(grid, coeff=sg.build_coefficients(grid, TILTED_B))
+    tracemalloc.start()
+    try:
+        K = sg.assemble_energy(grid, problem).stiffness
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
 
 
 def test_symmetry_and_psd():
@@ -163,9 +229,7 @@ def test_galerkin_pairing_symmetry():
 
 @pytest.mark.parametrize("n, coefficients", [
     (1, [[{"poly": [[1.0, [0]], [0.3, [1]]]}]]),
-    # the benchmark's tilted B: off-diagonal, so K is not an M-matrix
-    (2, [[{"poly": [[1.0, [0, 0]], [0.1, [0, 1]]]}, {"poly": [[0.25, [0, 0]], [0.1, [1, 0]]]}],
-         [{"poly": [[0.25, [0, 0]], [0.1, [1, 0]]]}, 1.0]]),
+    (2, TILTED_B),
 ])
 def test_cell_energy_densities_sum_to_the_stiffness_form(n, coefficients):
     # the per-cell densities behind D and I use the assembly's quadratic form

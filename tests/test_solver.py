@@ -1,7 +1,10 @@
 """PSOR reference solver, penalization, complementarity certification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import signorini as sg
@@ -216,12 +219,40 @@ def _embedded_system(n, h, a, graded=False):
     return grid, form, fixed, U
 
 
-@pytest.mark.parametrize(
+EMBEDDED_CASES = pytest.mark.parametrize(
     "n, h, a, graded",
     [(1, 1 / 7, 0.0, False), (1, 1 / 7, 0.75, False), (1, 1 / 96, 0.0, False),
      (1, 1 / 96, 0.75, False), (1, 1 / 97, 0.0, False), (1, 1 / 97, 0.75, False),
      (1, 1 / 33, 0.5, True), (2, 1 / 8, 0.5, False), (2, 1 / 13, 0.5, False)],
 )
+
+
+def _embedded_matrix(A, fixed):
+    """Reference D A D + I_fixed, D = diag(~fixed), formed as a copy of A."""
+    A = A.tocsr()
+    free = ~fixed
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    masked = sp.csr_matrix((A.data * (free[rows] & free[A.indices]), A.indices, A.indptr),
+                           shape=A.shape)
+    return masked + sp.diags(fixed.astype(float), format="csr")
+
+
+@EMBEDDED_CASES
+def test_masked_product_equals_the_embedded_matrix(n, h, a, graded):
+    grid, form, fixed, U = _embedded_system(n, h, a, graded)
+    K = form.stiffness
+    M = _embedded_matrix(K, fixed)
+    masked = solver_mod._masked(K, fixed)
+    for x in (U, np.random.default_rng(n).standard_normal(grid.n_nodes)):
+        assert np.array_equal(masked(x), M @ x)
+    # with P masked on fixed rows, the first Galerkin product needs no copy of K
+    for P, coarse in solver_mod._prolongations(grid)[:1]:
+        P = sp.diags((~fixed).astype(float)) @ P @ sp.diags((~fixed[coarse]).astype(float))
+        R = P.T.tocsr()
+        assert np.array_equal((R @ K @ P).toarray(), (R @ M @ P).toarray())
+
+
+@EMBEDDED_CASES
 def test_multigrid_cg_matches_direct_solve(n, h, a, graded):
     grid, form, fixed, U = _embedded_system(n, h, a, graded)
     K, free = form.stiffness, ~fixed
@@ -233,6 +264,22 @@ def test_multigrid_cg_matches_direct_solve(n, h, a, graded):
     assert its > 0
     assert np.array_equal(x[fixed], U[fixed])
     assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("case", [_profile_problem_a05, _tilted_n2_problem],
+                         ids=["n1_a05", "n2_tilted"])
+def test_active_set_ignores_round_off_in_the_boundary_data(case):
+    # an oracle once gave 1.66e-19 for the exact 0 at x1 = -R, y = 0
+    grid, problem, form = case()
+    actives = []
+    for value in (1.66e-19, 0.0):
+        boundary = problem.boundary.copy()
+        boundary[0, ..., 0] = value
+        sol = sg.solve_psor(form, dataclasses.replace(problem, boundary=boundary))
+        actives.append(sol.active)
+    assert np.array_equal(actives[0], actives[1])
+    assert actives[1].any()
+    assert not (actives[1] & grid.dirichlet_mask[..., 0]).any()
 
 
 @pytest.mark.parametrize("m", [2, 3, 8, 9])
