@@ -42,11 +42,11 @@ from .functionals import (
     campanato_decay,
     conjugate_variable,
     default_r_grid,
-    frequency_columns,
     identity_checks,
     integrate_psi_sigma,
     oscillation_decay,
     radial_profile,
+    sphere_columns,
     sphere_heights,
     surface_cross_check,
     total_energy_surface,

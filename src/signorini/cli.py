@@ -294,7 +294,6 @@ def _freeboundary(cfg: ExperimentConfig, res: dict) -> dict:
         "params": fb.params,
         "n_contact": int(fb.contact_mask.sum()),
         "n_gamma": int(fb.gamma_mask.sum()),
-        "n_gamma_star": int(fb.gamma_star_mask.sum()),
         "points": fb.points,
         "gamma_est": None if fb.graph is None else fb.graph["gamma_est"],
     }}

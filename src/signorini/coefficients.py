@@ -4,7 +4,8 @@ B acts on the thin directions only and never depends on y; the extension
 slot of A is identically 1 with zero coupling. Scalar data (obstacle,
 source, boundary) is accepted as constants, polynomials, callables, or
 tabulated values; the obstacle lives on the thin points x, the source
-and the boundary data on the nodes (x, y).
+and the boundary data on the nodes (x, y). normalize_at changes the
+coefficients alone to the thin variables in which B(x0) = I.
 """
 
 from __future__ import annotations
@@ -229,55 +230,38 @@ def make_problem(
 # ---------------------------------------------------------------------------
 
 
-def normalize_at(problem: ProblemSpec, U: np.ndarray, x0) -> tuple:
+def normalize_at(grid: Grid, coeff: CoefficientField, x0) -> tuple:
     """Change thin variables so the coefficient matrix is I at x0.
 
-    With S = B(x0)^{1/2}, the returned (problem, U) are the originals
-    composed with x -> x0 + S x; the new thin block is
-    S^{-1} B(x0 + S x) S^{-1}, which is the identity at the origin.
-    Fields are resampled onto the reference grid by multilinear
-    interpolation in the thin variables (mapped coordinates clamped to
-    the box).
+    With S = B(x0)^{1/2}, returns (coefficients, S): the thin block of the
+    coordinates x -> x0 + S x is S^{-1} B(x0 + S x) S^{-1}, the identity at
+    the origin, tabulated on the grid's thin nodes. Fields are not
+    resampled: FieldSampler samples them in this frame.
     """
-    grid = problem.grid
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if np.any(np.abs(x0) > grid.R + 1e-12):
         raise OutOfDomainError(f"normalization point {x0} outside the box")
 
-    B0 = problem.coeff.eval_B(x0)
-    B0 = np.atleast_2d(B0)
+    B0 = np.atleast_2d(coeff.eval_B(x0))
     w, V = np.linalg.eigh(B0)
     if w.min() <= 0:
         raise InvalidCoefficientError("coefficient matrix not positive definite at x0")
     S = (V * np.sqrt(w)) @ V.T
     S_inv = (V / np.sqrt(w)) @ V.T
-
-    def map_thin(points):
-        return x0 + points @ S.T
-
-    base_ev = problem.coeff.eval_B
+    base_ev = coeff.eval_B
 
     def new_ev(points):
-        B = base_ev(map_thin(np.asarray(points, dtype=float)))
+        B = base_ev(x0 + np.asarray(points, dtype=float) @ S.T)
         return S_inv @ B @ S_inv
 
-    thin_pts = _thin_points(grid)
-    new_table = new_ev(thin_pts)
+    new_table = new_ev(_thin_points(grid))
     eigs = np.linalg.eigvalsh(new_table)
-    coeff = CoefficientField(
+    normalized = CoefficientField(
         n=grid.n,
         table=new_table,
         lam=float(eigs.min()),
         Lam=float(eigs.max()),
-        lip=problem.coeff.lip * float(np.linalg.norm(S_inv, 2)) ** 2 * float(np.linalg.norm(S, 2)),
+        lip=coeff.lip * float(np.linalg.norm(S_inv, 2)) ** 2 * float(np.linalg.norm(S, 2)),
         _evaluator=new_ev,
     )
-
-    # mapped thin points, clamped to the box; y stays on the nodes, so node
-    # fields are resampled along the thin axes only
-    mapped = np.clip(map_thin(thin_pts), -grid.R, grid.R)
-    psi_new = interpolate(grid.xs, problem.psi, mapped)
-    nodes = np.stack([problem.f, problem.boundary, U], axis=-1)
-    resampled = interpolate(grid.xs, nodes, mapped)
-    f_new, bnd_new, U_new = (resampled[..., k].copy() for k in range(3))
-    return ProblemSpec(grid=grid, coeff=coeff, psi=psi_new, f=f_new, boundary=bnd_new), U_new
+    return normalized, S

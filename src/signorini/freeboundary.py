@@ -10,7 +10,7 @@ import numpy as np
 from .errors import InsufficientDataError, UnsupportedRadiusError
 from .coefficients import ProblemSpec, normalize_at
 from .functionals import (
-    H_FLOOR_FACTOR, FieldSampler, GeometryFields, loglog_slope, radial_profile, sphere_heights,
+    H_FLOOR_FACTOR, FieldSampler, GeometryFields, loglog_slope, sphere_columns, sphere_heights,
 )
 from .grid import Grid, sphere_quadrature
 from .solver import SolutionField, contact_tol
@@ -52,23 +52,15 @@ def reduce_obstacle(U: np.ndarray, problem: ProblemSpec) -> tuple:
     return U - psi_ext, problem0
 
 
-def default_trace_tol(grid: Grid, trace_scale: float) -> float:
-    """Resolution-matched trace threshold: near a regular point the trace
-    vanishes like dist^{(1-a)/2}, so at one-or-two-cell resolution the
-    smallest resolvable magnitude is ~ (4 h / R)^{(1-a)/2} of its scale."""
-    h = max(grid.hx, grid.hy)
-    return trace_scale * (4.0 * h / grid.R) ** ((1.0 - grid.a) / 2.0)
-
-
 # ---------------------------------------------------------------------------
 # contact set / free boundary masks
 # ---------------------------------------------------------------------------
 
 
 def contact_set(sol: SolutionField, problem: ProblemSpec) -> dict:
-    """Masks for the coincidence set (slack <= tol_c = 10 tol max(|psi|, 1)),
-    its boundary, and the extended free boundary (small slack AND a trace
-    below default_trace_tol)."""
+    """Masks for the coincidence set (slack <= tol_c = 10 tol max(|psi|, 1))
+    and its boundary gamma: the contact nodes with a non-contact axis
+    neighbour."""
     grid = problem.grid
     slack = sol.U[..., 0] - problem.psi
     tol_c = contact_tol(sol.tol, problem.psi)
@@ -83,15 +75,7 @@ def contact_set(sol: SolutionField, problem: ProblemSpec) -> dict:
         edge = contact[tuple(lo)] != contact[tuple(hi)]
         gamma[tuple(lo)] |= edge & contact[tuple(lo)]
         gamma[tuple(hi)] |= edge & contact[tuple(hi)]
-    trace_tol = default_trace_tol(grid, max(float(np.abs(sol.trace).max()), 1e-300))
-    gamma_star = contact & (np.abs(sol.trace) <= trace_tol)
-    return {
-        "contact": contact,
-        "gamma": gamma,
-        "gamma_star": gamma_star,
-        "tol_c": tol_c,
-        "trace_tol": trace_tol,
-    }
+    return {"contact": contact, "gamma": gamma, "tol_c": tol_c}
 
 
 def gamma_points(grid: Grid, gamma_mask: np.ndarray) -> np.ndarray:
@@ -119,43 +103,59 @@ def classify_from_frequency(Ntilde_rmin: float, a: float, delta: float,
     return "Unresolved"
 
 
-def frequency_at(U: np.ndarray, problem: ProblemSpec, r_min: float, delta: float = 0.5) -> float:
-    """Ntilde(r_min) on a local geometric ladder with r_min interior, so the
-    derivative of log M there is a central (not one-sided) difference."""
+def local_columns(U: np.ndarray, problem: ProblemSpec, x0, r: float,
+                  delta: float = 0.5) -> tuple:
+    """Sphere columns (K' = 0) about x0 in the coordinates normalised there
+    (normalize_at), on a local geometric ladder with r interior, so the
+    derivative of log M at r is a central (not one-sided) difference.
+
+    Returns (columns, k, sampler, clamp_r): columns.r[k] = r, sampler is
+    U's FieldSampler in that frame (S = B(x0)^{1/2}), and clamp_r is the
+    smallest ladder radius whose mapped sphere has a sample clamped to the
+    box (None when there is none).
+    """
     grid = problem.grid
     floor = 2.0 * max(grid.hx, grid.hy)
-    if r_min < floor:
-        raise UnsupportedRadiusError(f"r_min={r_min} below grid resolution {floor}")
-    lo = max(r_min / 1.6, floor * 1.02)
-    hi = min(5.0 * r_min, 0.9 * grid.R)
-    rg = np.unique(np.append(np.geomspace(lo, hi, 13), r_min))
-    prof = radial_profile(U, problem, r_grid=rg, Kprime=0.0, delta=delta, C_weiss=0.0)
-    k = int(np.argmin(np.abs(prof.r - r_min)))
-    return float(prof.Ntilde[k])
+    if r < floor:
+        raise UnsupportedRadiusError(f"r={r} below grid resolution {floor}")
+    lo = max(r / 1.6, floor * 1.02)
+    hi = min(5.0 * r, 0.9 * grid.R)
+    rg = np.unique(np.append(np.geomspace(lo, hi, 13), r))
+    rules = [sphere_quadrature(grid, ri) for ri in rg]
+    coeff, S = normalize_at(grid, problem.coeff, x0)
+    H, L = sphere_heights(U, GeometryFields(grid, coeff), rules, la_r=True, frame=(x0, S))
+    sampler = FieldSampler(grid, U, (x0, S))
+    clamp_r = next((float(rule.r) for rule in rules if sampler.clamped(rule.points)), None)
+    cols = sphere_columns(rg, H, L, grid.n, grid.a, delta=delta)
+    return cols, int(np.argmin(np.abs(rg - r))), sampler, clamp_r
 
 
 @dataclass
 class Classification:
     label: str
     Ntilde: float
+    clamp_r: float | None
 
 
 def classify(U: np.ndarray, problem: ProblemSpec, x0, r_min: float | None = None,
              delta: float = 0.5) -> Classification:
     """Classify a free boundary point by its truncated frequency.
 
-    Subtracts the obstacle and normalizes coordinates at x0 (so the
-    coefficient matrix is the identity there), then evaluates the
-    adjusted frequency at r_min (default 8 max(hx, hy)) and applies
-    classify_from_frequency with the default gap.
+    Subtracts the obstacle and evaluates the adjusted frequency Ntilde
+    (K' = 0) at r_min (default 8 max(hx, hy)) on the local ladder of
+    local_columns, in the coordinates normalised at x0 (the coefficient
+    matrix is the identity there), from samples of the field itself; then
+    applies classify_from_frequency with the default gap. clamp_r is
+    local_columns'.
     """
     grid = problem.grid
     if r_min is None:
         r_min = 8.0 * max(grid.hx, grid.hy)
     U0, problem0 = reduce_obstacle(U, problem)
-    norm_problem, norm_U = normalize_at(problem0, U0, x0)
-    nt = frequency_at(norm_U, norm_problem, r_min, delta=delta)
-    return Classification(label=classify_from_frequency(nt, grid.a, delta), Ntilde=nt)
+    cols, k, _, clamp_r = local_columns(U0, problem0, x0, r_min, delta=delta)
+    nt = float(cols.Ntilde[k])
+    return Classification(label=classify_from_frequency(nt, grid.a, delta), Ntilde=nt,
+                          clamp_r=clamp_r)
 
 
 # ---------------------------------------------------------------------------
@@ -193,28 +193,19 @@ def decay_fit(U: np.ndarray, problem: ProblemSpec, x0, r_grid: np.ndarray | None
 
 
 def blowup(U: np.ndarray, problem: ProblemSpec, x0, r: float) -> np.ndarray:
-    """Frequency-normalized rescaling of the detachment V = U - psi:
-    V(x0 + r x, r y) / M(r)^{1/2} resampled onto the reference grid
-    (obstacle subtracted and coordinates normalized at x0 first)."""
+    """Frequency-normalized rescaling of the detachment V = U - psi at the
+    reference nodes (x, y): V(x0 + r S x, r y) / M(r)^{1/2}, with
+    S = B(x0)^{1/2} and M(r) from classify's local ladder (local_columns);
+    samples outside the box are clamped to it."""
     grid = problem.grid
     U0, problem0 = reduce_obstacle(U, problem)
-    norm_problem, norm_U = normalize_at(problem0, U0, x0)
-    lo = max(2.05 * max(grid.hx, grid.hy), r / 4.0)
-    hi = min(4.0 * r, 0.9 * grid.R)
-    rg = np.unique(np.append(np.geomspace(lo, hi, 9), np.clip(r, lo, hi)))
-    prof = radial_profile(norm_U, norm_problem, r_grid=rg, Kprime=0.0, C_weiss=0.0)
-    k = int(np.argmin(np.abs(prof.r - r)))
-    M_r = float(prof.M[k])
-    h_floor = H_FLOOR_FACTOR * float(prof.H.max())
-    if not np.isfinite(M_r) or float(prof.H[k]) <= h_floor:
+    cols, k, sampler, _ = local_columns(U0, problem0, x0, r)
+    M_r = float(cols.M[k])
+    h_floor = H_FLOOR_FACTOR * float(cols.H.max())
+    if not np.isfinite(M_r) or float(cols.H[k]) <= h_floor:
         raise UnsupportedRadiusError(f"degenerate height at scale r={r}")
     d_r = np.sqrt(M_r)
-    sampler = FieldSampler(grid, norm_U)
-    mesh = grid.node_mesh()
-    pts = np.stack(mesh, axis=-1).reshape(-1, grid.n + 1) * r
-    for d in range(grid.n):
-        pts[:, d] = np.clip(pts[:, d], -grid.R, grid.R)
-    pts[:, -1] = np.clip(pts[:, -1], 0.0, grid.R)
+    pts = np.stack(grid.node_mesh(), axis=-1).reshape(-1, grid.n + 1) * r
     return (sampler(pts) / d_r).reshape(grid.node_shape)
 
 
@@ -294,7 +285,6 @@ def graph_fit(points: np.ndarray) -> dict:
 class FreeBoundaryReport:
     contact_mask: np.ndarray
     gamma_mask: np.ndarray
-    gamma_star_mask: np.ndarray
     points: list  # per-gamma-point dicts
     graph: dict | None
     params: dict
@@ -333,6 +323,7 @@ def free_boundary_report(
                     "x0": np.atleast_1d(x0).tolist(),
                     "class": cls.label,
                     "Ntilde_rmin": cls.Ntilde,
+                    "clamp_r": cls.clamp_r,
                     "decay_slope": fit["slope"],
                     "H_slope": fit["H_slope"],
                     "slope_class": slope_label,
@@ -352,12 +343,10 @@ def free_boundary_report(
     return FreeBoundaryReport(
         contact_mask=masks["contact"],
         gamma_mask=masks["gamma"],
-        gamma_star_mask=masks["gamma_star"],
         points=records,
         graph=graph,
         params={
             "tol_c": masks["tol_c"],
-            "trace_tol": masks["trace_tol"],
             "delta": delta,
             "tau_gap": default_tau_gap(grid.a, delta),
         },

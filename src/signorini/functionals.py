@@ -1,7 +1,9 @@
 """Radial functionals of a solved field: height, mass, energy, generalized
 frequency, and the adjusted monotone quantities. radial_profile computes
 the sphere and ball sums of a field once; the identity checks and the
-energy cross-check read its columns.
+energy cross-check read its columns. sphere_columns turns the sphere sums
+H and L into G, psi, M and Ntilde, for radial_profile and for the
+free-boundary classification alike.
 
 All ball/sphere integrals treat the field as evenly reflected across the
 thin plane: upper-half quadratures are doubled. The weight |y|^a is
@@ -81,14 +83,33 @@ class FieldSampler:
     """Samples a node field off the nodes by grid.interpolate; inside the
     first y-layer the y profile uses the (1, y^{1-a}) basis so fields with
     the natural singular expansion are sampled without the O(h^{1-a}) bias
-    of a linear interpolant (multilinear at a=0)."""
+    of a linear interpolant (multilinear at a=0).
 
-    def __init__(self, grid: Grid, U: np.ndarray):
+    With frame = (x0, S) (normalize_at's S) the points p are coordinates
+    normalised at x0, and U is sampled at (x0 + S p_x, p_y). Thin
+    coordinates outside the box are clamped to it."""
+
+    def __init__(self, grid: Grid, U: np.ndarray, frame=None):
         self.grid = grid
         self._U = np.asarray(U, dtype=float)
+        self.frame = frame
+
+    def _mapped(self, points: np.ndarray) -> np.ndarray:
+        """The points in the field's coordinates, before the clamp."""
+        pts = np.array(points, dtype=float, ndmin=2)
+        if self.frame is not None:
+            x0, S = self.frame
+            pts[..., : self.grid.n] = x0 + pts[..., : self.grid.n] @ S.T
+        return pts
+
+    def clamped(self, points: np.ndarray) -> bool:
+        """Whether any sample at the points is clamped to the box."""
+        return bool((np.abs(self._mapped(points)[..., : self.grid.n]) > self.grid.R).any())
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = self._mapped(points)
+        n, R = self.grid.n, self.grid.R
+        pts[..., :n] = np.clip(pts[..., :n], -R, R)
         return interpolate(self.grid.xs + (self.grid.ys,), self._U, pts,
                            first_layer_power=1.0 - self.grid.a)
 
@@ -120,13 +141,15 @@ H_FLOOR_FACTOR = 1e-14
 
 
 def sphere_heights(U: np.ndarray, geo: GeometryFields, rules, x0=None,
-                   la_r: bool = False) -> tuple:
+                   la_r: bool = False, frame=None) -> tuple:
     """(H, L) per rule: H = 2 int_{S_r} U^2 mu~ |y|^a on the sphere about
     (x0, 0) (even reflection: doubled upper half) and, with la_r, the G
     numerator L = 2 int_{S_r} U^2 la_r; L is None without la_r. mu~ and
-    la_r are taken about (x0, 0), with the coefficients evaluated at the
-    shifted points."""
-    sampler = FieldSampler(geo.grid, U)
+    la_r are taken about (x0, 0), with geo's coefficients evaluated at the
+    shifted points. With frame = (x0, S) the rules sit about the origin of
+    the coordinates normalised at x0, geo holds normalize_at's
+    coefficients, and U is sampled through FieldSampler's frame."""
+    sampler = FieldSampler(geo.grid, U, frame)
     H = np.empty(len(rules))
     L = np.empty(len(rules)) if la_r else None
     shift = 0.0 if x0 is None else np.append(x0, 0.0)
@@ -250,27 +273,30 @@ def integrate_psi_sigma(r_grid: np.ndarray, G: np.ndarray, n: int, a: float) -> 
 
 
 @dataclass(frozen=True)
-class FrequencyColumns:
+class SphereColumns:
+    r: np.ndarray
+    H: np.ndarray
+    G: np.ndarray
+    ps: PsiSigma
     M: np.ndarray
-    J: np.ndarray
-    Phi: np.ndarray
     N: np.ndarray
     Ntilde: np.ndarray
     mask_lambda: np.ndarray  # H > psi r^{3+delta}
     mask_gamma: np.ndarray  # H > e^{-beta} r^{3+delta+n+a}
 
 
-def frequency_columns(
+def sphere_columns(
     r_grid: np.ndarray,
     H: np.ndarray,
-    I: np.ndarray,
-    ps: PsiSigma,
+    L: np.ndarray,
     n: int,
     a: float,
     Kprime: float = 0.0,
     delta: float = 0.5,
-) -> FrequencyColumns:
-    """M = H/psi, J = I/psi, Phi = sigma J / M, and the adjusted frequency
+) -> SphereColumns:
+    """The columns that read only the sphere sums H and L: G = L/H (the
+    (n+a)/r default where H is below H_FLOOR_FACTOR max H), psi and sigma
+    by integrate_psi_sigma, M = H/psi, and the adjusted frequency
 
     N = (sigma/2) e^{K' r^{(1-delta)/2}} d/dr log max(M, r^{3+delta}),
     Ntilde = (r/sigma) N, with np.gradient's derivative on the r grid
@@ -284,11 +310,11 @@ def frequency_columns(
     if 3.0 + delta <= 3.0 - a:
         raise InvalidConfigurationError("delta must satisfy 3+delta > 3-a")
     H = np.asarray(H, dtype=float)
-    I = np.asarray(I, dtype=float)
-    M = H / ps.psi
-    J = I / ps.psi
+    h_floor = H_FLOOR_FACTOR * max(H.max(), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        Phi = ps.sigma * J / M
+        G = np.where(H > h_floor, L / np.where(H > 0, H, 1.0), (n + a) / r)
+    ps = integrate_psi_sigma(r, G, n, a)
+    M = H / ps.psi
     trunc = np.maximum(M, r ** (3.0 + delta))
     dlog = np.gradient(np.log(trunc), r)
     adj = np.exp(Kprime * r ** ((1.0 - delta) / 2.0))
@@ -296,8 +322,8 @@ def frequency_columns(
     Ntilde = r / ps.sigma * N
     mask_lambda = H > ps.psi * r ** (3.0 + delta)
     mask_gamma = H > np.exp(-ps.beta_est) * r ** (3.0 + delta + n + a)
-    return FrequencyColumns(
-        M=M, J=J, Phi=Phi, N=N, Ntilde=Ntilde,
+    return SphereColumns(
+        r=r, H=H, G=G, ps=ps, M=M, N=N, Ntilde=Ntilde,
         mask_lambda=mask_lambda, mask_gamma=mask_gamma,
     )
 
@@ -424,46 +450,43 @@ def radial_profile(
     r = np.asarray(r_grid, dtype=float)
     rules = [sphere_quadrature(grid, ri, n_angles=n_angles) for ri in r]
     Hs, Ls = sphere_heights(U, GeometryFields(grid, problem.coeff), rules, la_r=True)
-    h_floor = H_FLOOR_FACTOR * max(Hs.max(), 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        G = np.where(Hs > h_floor, Ls / np.where(Hs > 0, Hs, 1.0), (grid.n + a) / r)
-
     Ds, Bs, Fs = ball_integrals(U, problem, r, nsub)
     Is = Ds + Fs
 
-    ps = integrate_psi_sigma(r, G, grid.n, a)
+    sph0 = sphere_columns(r, Hs, Ls, grid.n, a, Kprime=0.0, delta=delta)
+    ps = sph0.ps
+    J = Is / ps.psi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Phi = ps.sigma * J / sph0.M
 
     identity_coeff = problem.coeff.is_identity
     kp = 0.0 if (Kprime == "calibrate" and identity_coeff) else Kprime
-    freq0 = frequency_columns(r, Hs, Is, ps, grid.n, a, Kprime=0.0, delta=delta)
-
     if kp == "calibrate":
         def adj(k):
-            return np.exp(k * r ** ((1.0 - delta) / 2.0)) * freq0.Phi
-        kp = calibrate_constant(adj, freq0.mask_gamma)
+            return np.exp(k * r ** ((1.0 - delta) / 2.0)) * Phi
+        kp = calibrate_constant(adj, sph0.mask_gamma)
     kp = float(kp)
-    freq = freq0 if kp == 0.0 else frequency_columns(r, Hs, Is, ps, grid.n, a,
-                                                     Kprime=kp, delta=delta)
+    sph = sph0 if kp == 0.0 else sphere_columns(r, Hs, Ls, grid.n, a, Kprime=kp, delta=delta)
 
     # an infinite K' (calibration failed) leaves no margin to report
     phi_margin = float("nan")
     if np.isfinite(kp):
-        masked = (np.exp(kp * r ** ((1.0 - delta) / 2.0)) * freq.Phi)[freq.mask_gamma]
+        masked = (np.exp(kp * r ** ((1.0 - delta) / 2.0)) * Phi)[sph.mask_gamma]
         phi_margin = float(np.diff(masked).min()) if len(masked) > 1 else 0.0
 
     cw = 0.0 if (C_weiss == "calibrate" and identity_coeff) else C_weiss
     if cw == "calibrate":
         def adjw(c):
-            W0, _ = weiss(r, freq.M, freq.J, ps, a, C_weiss=0.0)
+            W0, _ = weiss(r, sph.M, J, ps, a, C_weiss=0.0)
             return W0 + c * r ** ((1.0 + a) / 2.0)
         cw = calibrate_constant(adjw, np.ones(len(r), dtype=bool))
     cw = float(cw)
-    W, weiss_margin = weiss(r, freq.M, freq.J, ps, a, C_weiss=cw)
+    W, weiss_margin = weiss(r, sph.M, J, ps, a, C_weiss=cw)
 
     return RadialProfile(
-        r=r, H=Hs, B=Bs, D=Ds, I=Is, G=G, L=Ls, psi=ps.psi, sigma=ps.sigma,
-        M=freq.M, J=freq.J, Phi=freq.Phi, N=freq.N, Ntilde=freq.Ntilde, W=W,
-        mask_lambda=freq.mask_lambda, mask_gamma=freq.mask_gamma,
+        r=r, H=Hs, B=Bs, D=Ds, I=Is, G=sph.G, L=Ls, psi=ps.psi, sigma=ps.sigma,
+        M=sph.M, J=J, Phi=Phi, N=sph.N, Ntilde=sph.Ntilde, W=W,
+        mask_lambda=sph.mask_lambda, mask_gamma=sph.mask_gamma,
         alpha=ps.alpha, alpha_err=ps.alpha_err, beta_est=ps.beta_est,
         Kprime=kp, delta=delta, C_weiss=cw,
         phi_margin=phi_margin, weiss_margin=weiss_margin,

@@ -11,6 +11,11 @@ from signorini.grid import _layer_transmissibilities, _weighted_layer_integrals
 from signorini.solver import near_optimal_omega
 
 
+# the benchmark's tilted B: off-diagonal, so K is not an M-matrix
+TILTED_B = [[{"poly": [[1.0, [0, 0]], [0.1, [0, 1]]]}, {"poly": [[0.25, [0, 0]], [0.1, [1, 0]]]}],
+            [{"poly": [[0.25, [0, 0]], [0.1, [1, 0]]]}, 1.0]]
+
+
 def profile_boundary(grid, a: float, mix: float = 0.0) -> np.ndarray:
     """Boundary data of the regular contact profile, optionally mixed with
     the next Signorini-compatible homogeneous mode (a=0 only)."""

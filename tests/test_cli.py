@@ -90,16 +90,17 @@ def test_default_radii_off_the_grid_exit_before_the_solve(tmp_path, capsys):
     assert cli.main(["solve", "--config", str(path), "--out", str(out), "--quiet"]) == 0
 
 def test_diagnose_evaluates_each_field_density_once(tmp_path, monkeypatch):
-    # one evaluation per field: the profile's, and one per classified point;
-    # the identities stage reads the profile's columns
+    # one evaluation per field, the profile's: the identities stage reads its
+    # columns, and classification reads only sphere sums
     import signorini.functionals as functionals
 
     stage, calls = [None], []
-    density = functionals.cell_energy_density
 
-    def counted(*args, **kwargs):
-        calls.append(stage[0])
-        return density(*args, **kwargs)
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls.append((name, stage[0]))
+            return fn(*args, **kwargs)
+        return counted
 
     def entered(name, run):
         def wrapped(cfg, res):
@@ -107,7 +108,8 @@ def test_diagnose_evaluates_each_field_density_once(tmp_path, monkeypatch):
             return run(cfg, res)
         return wrapped
 
-    monkeypatch.setattr(functionals, "cell_energy_density", counted)
+    for name in ("cell_energy_density", "ball_sums"):
+        monkeypatch.setattr(functionals, name, counting(name, getattr(functionals, name)))
     for name, run in list(cli.STAGES.items()):
         monkeypatch.setitem(cli.STAGES, name, entered(name, run))
     out = tmp_path / "run"
@@ -115,7 +117,7 @@ def test_diagnose_evaluates_each_field_density_once(tmp_path, monkeypatch):
                    "--quiet"])
     assert rc == 0
     assert len(json.loads((out / "freeboundary.json").read_text())["points"]) == 1
-    assert calls == ["profile", "freeboundary"]
+    assert calls == [("cell_energy_density", "profile"), ("ball_sums", "profile")]
 
 
 def test_diagnose_profile_pipeline(tmp_path, capsys):

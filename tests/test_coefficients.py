@@ -80,23 +80,24 @@ def test_normalize_identity_is_exact():
     problem = sg.make_problem(grid, boundary={"poly": [[1.0, [1]]]})
     X, Y = grid.node_mesh()
     U = X + 0.5 * Y
-    new_problem, new_U = sg.normalize_at(problem, U, [0.0])
-    assert np.allclose(new_U, U, atol=1e-13)
-    B0 = new_problem.coeff.eval_B(np.zeros((1, 1)))
+    coeff, S = sg.normalize_at(grid, problem.coeff, [0.0])
+    pts = np.stack([X, Y], axis=-1).reshape(-1, 2)
+    assert np.allclose(sg.FieldSampler(grid, U, ([0.0], S))(pts), U.ravel(), atol=1e-13)
+    B0 = coeff.eval_B(np.zeros((1, 1)))
     assert np.abs(B0 - 1.0).max() <= 1e-12
 
 
 def test_normalize_constant_coefficient_rescales_axis():
     grid = sg.build_grid(1, 1.0, 1 / 32, 1 / 32, 0.0)
     coeff = sg.build_coefficients(grid, [[4.0]])
-    problem = sg.make_problem(grid, coeff=coeff)
     X, Y = grid.node_mesh()
-    U = X.copy()
-    new_problem, new_U = sg.normalize_at(problem, U, [0.0])
-    # linear field: U'(x, y) = U(2x) = 2x where the map stays in the box
-    sel = np.abs(X) <= 0.5
-    assert np.allclose(new_U[sel], 2.0 * X[sel], atol=1e-12)
-    B0 = new_problem.coeff.eval_B(np.zeros(1))
+    new_coeff, S = sg.normalize_at(grid, coeff, [0.0])
+    # linear field: U'(x, y) = U(2x) = 2x where the map stays in the box,
+    # and the box's edge value where it leaves it
+    p = np.stack([X, Y], axis=-1).reshape(-1, 2)
+    samples = sg.FieldSampler(grid, X.copy(), ([0.0], S))(p)
+    assert np.allclose(samples, np.clip(2.0 * p[:, 0], -1.0, 1.0), atol=1e-12)
+    B0 = new_coeff.eval_B(np.zeros(1))
     assert np.abs(B0 - np.eye(1)).max() <= 1e-12
 
 
@@ -104,8 +105,14 @@ def test_normalize_defining_property_generic():
     grid = sg.build_grid(2, 1.0, 1 / 8, 1 / 8, 0.25)
     desc = [[{"poly": [[1.3, [0, 0]], [0.1, [1, 0]]]}, 0.2], [0.2, {"poly": [[1.0, [0, 0]], [-0.05, [0, 1]]]}]]
     coeff = sg.build_coefficients(grid, desc)
-    problem = sg.make_problem(grid, coeff=coeff)
-    X1, X2, Y = grid.node_mesh()
-    new_problem, _ = sg.normalize_at(problem, X1**2 + X2 + Y ** 0.75, [0.25, -0.25])
-    B0 = new_problem.coeff.eval_B(np.zeros((1, 2)))
+    x0 = np.array([0.25, -0.25])
+    new_coeff, S = sg.normalize_at(grid, coeff, x0)
+    B0 = new_coeff.eval_B(np.zeros((1, 2)))
     assert np.abs(B0 - np.eye(2)).max() <= 1e-12
+    assert np.abs(S @ S - coeff.eval_B(x0)).max() <= 1e-12
+    # the sampler reads a field at x0 + S p: a linear field exactly
+    X1, X2, Y = grid.node_mesh()
+    p = np.array([[0.1, -0.2, 0.3], [-0.3, 0.05, 0.0]])
+    q = x0 + p[:, :2] @ S.T
+    got = sg.FieldSampler(grid, 2.0 * X1 - X2 + Y, (x0, S))(p)
+    assert np.allclose(got, 2.0 * q[:, 0] - q[:, 1] + p[:, 2], atol=1e-12)

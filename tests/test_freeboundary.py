@@ -5,10 +5,11 @@ import pytest
 
 import signorini as sg
 from signorini.errors import InsufficientDataError
-from signorini.freeboundary import frequency_at, gamma_points
+from signorini.freeboundary import gamma_points, local_columns
+from signorini.grid import interpolate
 from signorini.solver import near_optimal_omega
 
-from conftest import profile_boundary, solved_profile
+from conftest import TILTED_B, profile_boundary, solved_profile
 
 
 def test_contact_masks_inactive():
@@ -46,12 +47,15 @@ def test_profile_contact_and_gamma_location(profile_a0):
     assert not masks["contact"][(xs > 2 * grid.hx) & (xs < 0.9)].any()
 
 
-def test_gamma_subset_gamma_star(profile_a0):
+def test_gamma_is_the_contact_boundary(profile_a0):
     grid, problem, form, sol, _ = profile_a0
     masks = sg.contact_set(sol, problem)
-    inner = np.abs(grid.xs[0]) < 0.9
-    gm = masks["gamma"] & inner
-    assert np.all(masks["gamma_star"][gm])
+    contact, gamma = masks["contact"], masks["gamma"]
+    assert gamma.any()
+    assert np.all(contact[gamma])
+    open_left = np.append(False, ~contact[:-1])
+    open_right = np.append(~contact[1:], False)
+    assert np.all((open_left | open_right)[gamma])
 
 
 def test_classify_threshold_branches():
@@ -82,9 +86,55 @@ def test_classify_degenerate_even_poly():
 def test_classification_scale_stability(profile_a0):
     grid, problem, form, sol, _ = profile_a0
     r1 = 16 * grid.hy
-    n1 = frequency_at(sol.U, problem, r1)
-    n2 = frequency_at(sol.U, problem, r1 / 2)
+    n1 = sg.classify(sol.U, problem, [0.0], r_min=r1).Ntilde
+    n2 = sg.classify(sol.U, problem, [0.0], r_min=r1 / 2).Ntilde
     assert abs(n2 - n1) < sg.freeboundary.default_tau_gap(0.0, 0.5) / 2
+
+
+def _resampled_frequency(U, problem, x0):
+    """Ntilde(8 h) by the resample-then-profile path: U resampled onto the
+    grid in the coordinates normalised at x0 (mapped nodes clamped to the
+    box), then radial_profile on local_columns' ladder. Reference for the
+    local evaluation; K' = 0 Ntilde reads only the sphere sums."""
+    grid = problem.grid
+    coeff, S = sg.normalize_at(grid, problem.coeff, x0)
+    thin = np.stack(np.meshgrid(*grid.xs, indexing="ij"), axis=-1)
+    resampled = interpolate(grid.xs, U, np.clip(x0 + thin @ S.T, -grid.R, grid.R))
+    cols, k, _, _ = local_columns(U, problem, x0, 8 * max(grid.hx, grid.hy))
+    prof = sg.radial_profile(resampled, sg.make_problem(grid, coeff=coeff), r_grid=cols.r,
+                             Kprime=0.0, C_weiss=0.0)
+    return cols.Ntilde[k], prof.Ntilde[k]
+
+
+def test_local_frequency_matches_resampling_at_a_node(profile_a05):
+    grid, problem, form, sol, _ = profile_a05
+    local, reference = _resampled_frequency(sol.U, problem, np.array([-grid.hx]))
+    assert local == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+
+def test_local_frequency_matches_resampling_tilted():
+    a = 0.5
+    grid = sg.build_grid(2, 1.0, 1 / 16, 1 / 16, a)
+    problem = sg.make_problem(grid, coeff=sg.build_coefficients(grid, TILTED_B))
+    U = sg.exact_solution("signorini_profile", a)(np.stack(grid.node_mesh(), axis=-1))
+    for x0 in ([-1 / 16, 0.0], [-1 / 16, 0.25], [0.0, -0.5]):
+        local, reference = _resampled_frequency(U, problem, np.array(x0))
+        assert abs(local - reference) <= 1e-3
+
+
+def test_classify_reports_the_box_clamp():
+    # B = 2.25 maps the sphere of radius r about x0 to one of radius 1.5 r;
+    # the ladder through r_min = 0.125 reaches 0.625
+    grid = sg.build_grid(1, 1.0, 1 / 32, 1 / 32, 0.0)
+    problem = sg.make_problem(grid, coeff=sg.build_coefficients(grid, [[2.25]]))
+    U = profile_boundary(grid, 0.0)
+    assert sg.classify(U, problem, [0.0], r_min=0.125).clamp_r is None
+    cls = sg.classify(U, problem, [0.25], r_min=0.125)
+    cols, _, _, _ = local_columns(U, problem, [0.25], 0.125)
+    reach = [0.25 + 1.5 * np.abs(sg.sphere_quadrature(grid, r).points[:, 0]).max()
+             for r in cols.r]
+    first = next(i for i, x in enumerate(reach) if x > 1.0)
+    assert first > 0 and cls.clamp_r == cols.r[first]
 
 
 def test_decay_fit_regular_slopes(profile_a0):
@@ -114,6 +164,17 @@ def test_blowup_self_similarity_and_height():
     geo = sg.GeometryFields(grid, problem.coeff)
     rule = sg.sphere_quadrature(grid, 1.0, 64)
     assert sg.sphere_heights(bl1, geo, [rule])[0][0] == pytest.approx(1.0, rel=0.02)
+
+
+def test_blowup_height_beyond_the_classification_ladder():
+    # r = 0.95 lies above 0.9 R, the top of the ladder's geometric part
+    a = 0.0
+    grid = sg.build_grid(1, 1.0, 1 / 64, 1 / 64, a)
+    problem = sg.make_problem(grid)
+    bl = sg.blowup(profile_boundary(grid, a), problem, [0.0], 0.95)
+    geo = sg.GeometryFields(grid, problem.coeff)
+    rule = sg.sphere_quadrature(grid, 1.0, 64)
+    assert sg.sphere_heights(bl, geo, [rule])[0][0] == pytest.approx(1.0, rel=0.02)
 
 
 def test_blowup_ladder_converges_to_profile():

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 import signorini as sg
 from signorini.errors import InvalidConfigurationError
-from signorini.functionals import PsiSigma, frequency_columns, integrate_psi_sigma
+from signorini.functionals import integrate_psi_sigma, sphere_columns
 
 from conftest import profile_boundary, solved_profile
 
@@ -280,9 +280,8 @@ def test_frequency_truncation_branch_zero_field():
 
 
 def test_frequency_needs_enough_radii():
-    ps = PsiSigma(psi=np.ones(3), sigma=np.ones(3), alpha=1.0, alpha_err=0.0, beta_est=0.0)
     with pytest.raises(InvalidConfigurationError):
-        frequency_columns(np.array([0.1, 0.2, 0.3]), np.ones(3), np.ones(3), ps, 1, 0.0)
+        sphere_columns(np.array([0.1, 0.2, 0.3]), np.ones(3), np.ones(3), 1, 0.0)
 
 
 def test_solved_profile_frequency_plateau(profile_a0):
@@ -294,9 +293,7 @@ def test_solved_profile_frequency_plateau(profile_a0):
 
 def test_frequency_floor_at_contact_point(profile_a0):
     grid, problem, form, sol, _ = profile_a0
-    from signorini.freeboundary import frequency_at
-
-    nt = frequency_at(sol.U, problem, 8 * grid.hy)
+    nt = sg.classify(sol.U, problem, [0.0], r_min=8 * grid.hy).Ntilde
     assert nt >= 1.5 - 0.05
 
 

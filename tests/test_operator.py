@@ -11,7 +11,7 @@ import signorini as sg
 from signorini.operator import _energy_terms, cell_energy_density, energy, interior_mask
 from signorini.solver import near_optimal_omega
 
-from conftest import graded_grid, profile_boundary
+from conftest import TILTED_B, graded_grid, profile_boundary
 
 
 def make_identity_problem(n, h, a):
@@ -66,11 +66,6 @@ def _coo_assembly(grid, problem):
                       shape=(grid.n_nodes, grid.n_nodes))
     K.sum_duplicates()
     return K
-
-
-# the benchmark's tilted B: off-diagonal, so K is not an M-matrix
-TILTED_B = [[{"poly": [[1.0, [0, 0]], [0.1, [0, 1]]]}, {"poly": [[0.25, [0, 0]], [0.1, [1, 0]]]}],
-            [{"poly": [[0.25, [0, 0]], [0.1, [1, 0]]]}, 1.0]]
 
 
 @pytest.mark.parametrize("n, h, a, coefficients", [

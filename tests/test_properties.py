@@ -52,10 +52,12 @@ def test_solve_chain_invariants(seed):
                           max_iter=k)
         e.append(energy(form, stop.value.last_iterate))
     assert np.all(np.diff(e) <= 1e-11 * (abs(e[0]) + abs(e[-1])))
-    # free boundary inside the extended free boundary
+    # the free boundary: contact nodes with a non-contact neighbour
     masks = sg.contact_set(sol, problem)
-    inner = np.abs(grid.xs[0]) < 0.9
-    assert np.all(masks["gamma_star"][masks["gamma"] & inner])
+    contact, gamma = masks["contact"], masks["gamma"]
+    assert np.all(contact[gamma])
+    open_side = np.append(False, ~contact[:-1]) | np.append(~contact[1:], False)
+    assert np.all(open_side[gamma])
 
 
 @pytest.mark.parametrize("seed", [0, 1])
