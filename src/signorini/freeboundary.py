@@ -106,8 +106,10 @@ def classify_from_frequency(Ntilde_rmin: float, a: float, delta: float,
 def local_columns(U: np.ndarray, problem: ProblemSpec, x0, r: float,
                   delta: float = 0.5) -> tuple:
     """Sphere columns (K' = 0) about x0 in the coordinates normalised there
-    (normalize_at), on a local geometric ladder with r interior, so the
-    derivative of log M at r is a central (not one-sided) difference.
+    (normalize_at), on the local ladder r q^j, q = (hi/lo)^{1/12}, over the
+    integers j that keep it in [lo, hi]: geometric through r, so the
+    derivative of log M at r is a central difference. r is kept when it
+    lies outside [lo, hi] (blowup scales above 0.9 R).
 
     Returns (columns, k, sampler, clamp_r): columns.r[k] = r, sampler is
     U's FieldSampler in that frame (S = B(x0)^{1/2}), and clamp_r is the
@@ -120,14 +122,18 @@ def local_columns(U: np.ndarray, problem: ProblemSpec, x0, r: float,
         raise UnsupportedRadiusError(f"r={r} below grid resolution {floor}")
     lo = max(r / 1.6, floor * 1.02)
     hi = min(5.0 * r, 0.9 * grid.R)
-    rg = np.unique(np.append(np.geomspace(lo, hi, 13), r))
+    q = (hi / lo) ** (1.0 / 12)
+    j = np.arange(np.ceil(np.log(lo / r) / np.log(q)), np.floor(np.log(hi / r) / np.log(q)) + 1)
+    j = np.union1d(j, 0.0)
+    k = int(np.searchsorted(j, 0.0))
+    rg = r * q**j
     rules = [sphere_quadrature(grid, ri) for ri in rg]
     coeff, S = normalize_at(grid, problem.coeff, x0)
     H, L = sphere_heights(U, GeometryFields(grid, coeff), rules, la_r=True, frame=(x0, S))
     sampler = FieldSampler(grid, U, (x0, S))
     clamp_r = next((float(rule.r) for rule in rules if sampler.clamped(rule.points)), None)
     cols = sphere_columns(rg, H, L, grid.n, grid.a, delta=delta)
-    return cols, int(np.argmin(np.abs(rg - r))), sampler, clamp_r
+    return cols, k, sampler, clamp_r
 
 
 @dataclass
@@ -166,8 +172,10 @@ def classify(U: np.ndarray, problem: ProblemSpec, x0, r_min: float | None = None
 def decay_fit(U: np.ndarray, problem: ProblemSpec, x0, r_grid: np.ndarray | None = None) -> dict:
     """Slopes of log sup_{B_r^+(x0)} |U - psi| and of log H_{x0}(r) vs log r.
 
-    At a regular point the sup slope is (3-a)/2 and the height slope is
-    n + 3 (height scales with the square of the field).
+    The sup is over the nodes of the ball about (x0, 0); the heights are
+    taken in the coordinates normalised at x0 (normalize_at), like
+    classify's. At a regular point the sup slope is (3-a)/2 and the height
+    slope is n + 3 (height scales with the square of the field).
     """
     grid = problem.grid
     if r_grid is None:
@@ -187,7 +195,8 @@ def decay_fit(U: np.ndarray, problem: ProblemSpec, x0, r_grid: np.ndarray | None
 
     # height-based variant around x0 (on the reduction)
     rules = [sphere_quadrature(grid, r, n_angles=48) for r in r_grid]
-    Hs = sphere_heights(U, GeometryFields(grid, problem.coeff), rules, x0=x0)[0]
+    coeff, S = normalize_at(grid, problem.coeff, x0)
+    Hs = sphere_heights(U, GeometryFields(grid, coeff), rules, frame=(x0, S))[0]
     H_slope = loglog_slope(r_grid, Hs, 0.0)
     return {"slope": slope, "H_slope": H_slope, "r": r_grid, "sup": sups, "H": Hs}
 
@@ -291,25 +300,16 @@ class FreeBoundaryReport:
 
 
 
-def free_boundary_report(
-    sol: SolutionField,
-    problem: ProblemSpec,
-    delta: float = 0.5,
-    max_points: int = 16,
-) -> FreeBoundaryReport:
-    """Extract masks, classify up to max_points free boundary nodes, fit
-    decay slopes, and (n=2, enough regular points) fit the graph. The
+def free_boundary_report(sol: SolutionField, problem: ProblemSpec,
+                         delta: float = 0.5) -> FreeBoundaryReport:
+    """Extract masks, classify every free boundary node with |x| <= R/2,
+    fit decay slopes, and (n=2, enough regular points) fit the graph. The
     obstacle is subtracted once, for all points."""
     grid = problem.grid
     masks = contact_set(sol, problem)
     pts = gamma_points(grid, masks["gamma"])
     # keep points away from the lateral boundary where radii fit
-    if len(pts):
-        keep = np.all(np.abs(pts) <= 0.5 * grid.R, axis=-1)
-        pts = pts[keep]
-    if len(pts) > max_points:
-        sel = np.linspace(0, len(pts) - 1, max_points).astype(int)
-        pts = pts[sel]
+    pts = pts[np.all(np.abs(pts) <= 0.5 * grid.R, axis=-1)]
     records = []
     reg_expected = (3.0 - grid.a) / 2.0
     U0, problem0 = reduce_obstacle(sol.U, problem)

@@ -43,35 +43,30 @@ class GeometryFields:
         return np.stack([np.gradient(table[..., i, :], xs[i], axis=i)
                          for i in range(self.grid.n)], axis=-2)
 
-    def quadratic_at(self, points: np.ndarray, x0=None) -> tuple:
-        """(x - x0, B(x), <A Z, Z>, |Z|^2, mu~) at the points X = (x, y), with
-        Z = X - (x0, 0), <A Z, Z> = <B (x - x0), x - x0> + y^2 and
-        mu~ = <A Z, Z>/|Z|^2; B is taken at x."""
+    def quadratic_at(self, points: np.ndarray) -> tuple:
+        """(x, B(x), <A X, X>, |X|^2, mu~) at the points X = (x, y), with
+        <A X, X> = <B x, x> + y^2 and mu~ = <A X, X>/|X|^2."""
         pts = np.asarray(points, dtype=float)
         n = self.grid.n
         x = pts[..., :n]
         B = self.coeff.eval_B(x)
-        z = x if x0 is None else x - np.asarray(x0, dtype=float)
         y2 = pts[..., n] ** 2
-        azz = np.einsum("...ij,...i,...j->...", B, z, z) + y2
-        r2 = (z**2).sum(axis=-1) + y2
-        return z, B, azz, r2, azz / r2
+        axx = np.einsum("...ij,...i,...j->...", B, x, x) + y2
+        r2 = (x**2).sum(axis=-1) + y2
+        return x, B, axx, r2, axx / r2
 
-    def mu_tilde_at(self, points: np.ndarray, x0=None) -> np.ndarray:
-        """mu~ = <A Z, Z>/|Z|^2 about the centre (x0, 0), Z = X - (x0, 0),
-        with A evaluated at the points X themselves."""
-        return self.quadratic_at(points, x0)[4]
+    def mu_tilde_at(self, points: np.ndarray) -> np.ndarray:
+        """mu~ = <A X, X>/|X|^2, with A evaluated at the points X themselves."""
+        return self.quadratic_at(points)[4]
 
-    def mu_tilde_and_la_r_at(self, points: np.ndarray, x0=None) -> tuple:
-        """(mu~, la_r / |y|^a) about the centre (x0, 0) from one evaluation
-        of B; la_r = div(|y|^a A grad |X - (x0, 0)|)."""
-        pts = np.asarray(points, dtype=float)
-        z, B, azz, r2, mu = self.quadratic_at(pts, x0)
+    def mu_tilde_and_la_r_at(self, points: np.ndarray) -> tuple:
+        """(mu~, la_r / |y|^a) from one evaluation of B; la_r =
+        div(|y|^a A grad |X|)."""
+        x, B, axx, r2, mu = self.quadratic_at(points)
         r = np.sqrt(r2)
         trB = np.trace(B, axis1=-2, axis2=-1)
-        x = pts[..., : self.grid.n]
-        dbz = np.einsum("...ij,...j->...", interpolate(self.grid.xs, self._db_table, x), z)
-        return mu, (trB + 1.0 + self.grid.a) / r - azz / r**3 + dbz / r
+        dbx = np.einsum("...ij,...j->...", interpolate(self.grid.xs, self._db_table, x), x)
+        return mu, (trB + 1.0 + self.grid.a) / r - axx / r**3 + dbx / r
 
 
 # ---------------------------------------------------------------------------
@@ -140,27 +135,24 @@ def conjugate_variable(grid: Grid, U: np.ndarray) -> np.ndarray:
 H_FLOOR_FACTOR = 1e-14
 
 
-def sphere_heights(U: np.ndarray, geo: GeometryFields, rules, x0=None,
-                   la_r: bool = False, frame=None) -> tuple:
+def sphere_heights(U: np.ndarray, geo: GeometryFields, rules, la_r: bool = False,
+                   frame=None) -> tuple:
     """(H, L) per rule: H = 2 int_{S_r} U^2 mu~ |y|^a on the sphere about
-    (x0, 0) (even reflection: doubled upper half) and, with la_r, the G
-    numerator L = 2 int_{S_r} U^2 la_r; L is None without la_r. mu~ and
-    la_r are taken about (x0, 0), with geo's coefficients evaluated at the
-    shifted points. With frame = (x0, S) the rules sit about the origin of
-    the coordinates normalised at x0, geo holds normalize_at's
-    coefficients, and U is sampled through FieldSampler's frame."""
+    the origin (even reflection: doubled upper half) and, with la_r, the G
+    numerator L = 2 int_{S_r} U^2 la_r; L is None without la_r. With
+    frame = (x0, S) the rules sit about the origin of the coordinates
+    normalised at x0, geo holds normalize_at's coefficients, and U is
+    sampled through FieldSampler's frame."""
     sampler = FieldSampler(geo.grid, U, frame)
     H = np.empty(len(rules))
     L = np.empty(len(rules)) if la_r else None
-    shift = 0.0 if x0 is None else np.append(x0, 0.0)
     for i, rule in enumerate(rules):
-        pts = rule.points + shift
-        u2 = sampler(pts) ** 2
+        u2 = sampler(rule.points) ** 2
         if la_r:
-            mut, lar = geo.mu_tilde_and_la_r_at(pts, x0)
+            mut, lar = geo.mu_tilde_and_la_r_at(rule.points)
             L[i] = 2.0 * rule.integrate(u2 * lar)
         else:
-            mut = geo.mu_tilde_at(pts, x0)
+            mut = geo.mu_tilde_at(rule.points)
         H[i] = 2.0 * rule.integrate(u2 * mut)
     return H, L
 

@@ -83,12 +83,10 @@ class Grid:
         return np.meshgrid(*self.xs, self.ys, indexing="ij")
 
     def node_radii(self, x0=None) -> np.ndarray:
-        """|X - (x0, 0)| at every node."""
-        mesh = self.node_mesh()
-        if x0 is None:
-            x0 = np.zeros(self.n)
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        sq = sum((mesh[d] - x0[d]) ** 2 for d in range(self.n)) + mesh[-1] ** 2
+        """|X - (x0, 0)| at every node, from the open mesh of the axes."""
+        x0 = np.zeros(self.n) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
+        axes = np.ix_(*self.xs, self.ys)
+        sq = sum((axes[d] - x0[d]) ** 2 for d in range(self.n)) + axes[-1] ** 2
         return np.sqrt(sq)
 
     @property

@@ -91,15 +91,21 @@ def test_classification_scale_stability(profile_a0):
     assert abs(n2 - n1) < sg.freeboundary.default_tau_gap(0.0, 0.5) / 2
 
 
-def _resampled_frequency(U, problem, x0):
-    """Ntilde(8 h) by the resample-then-profile path: U resampled onto the
-    grid in the coordinates normalised at x0 (mapped nodes clamped to the
-    box), then radial_profile on local_columns' ladder. Reference for the
-    local evaluation; K' = 0 Ntilde reads only the sphere sums."""
+def _resampled(U, problem, x0):
+    """(coefficients, U) in the coordinates normalised at x0: U resampled
+    onto the grid there, mapped nodes clamped to the box."""
     grid = problem.grid
     coeff, S = sg.normalize_at(grid, problem.coeff, x0)
     thin = np.stack(np.meshgrid(*grid.xs, indexing="ij"), axis=-1)
-    resampled = interpolate(grid.xs, U, np.clip(x0 + thin @ S.T, -grid.R, grid.R))
+    return coeff, interpolate(grid.xs, U, np.clip(x0 + thin @ S.T, -grid.R, grid.R))
+
+
+def _resampled_frequency(U, problem, x0):
+    """Ntilde(8 h) by the resample-then-profile path: U resampled in the
+    frame of x0, then radial_profile on local_columns' ladder. Reference for
+    the local evaluation; K' = 0 Ntilde reads only the sphere sums."""
+    grid = problem.grid
+    coeff, resampled = _resampled(U, problem, x0)
     cols, k, _, _ = local_columns(U, problem, x0, 8 * max(grid.hx, grid.hy))
     prof = sg.radial_profile(resampled, sg.make_problem(grid, coeff=coeff), r_grid=cols.r,
                              Kprime=0.0, C_weiss=0.0)
@@ -122,6 +128,20 @@ def test_local_frequency_matches_resampling_tilted():
         assert abs(local - reference) <= 1e-3
 
 
+def test_local_ladder_is_geometric_through_r(profile_a0):
+    grid, problem, form, sol, _ = profile_a0
+    for r in (8 * grid.hx, 0.3):
+        cols, k, _, _ = local_columns(sol.U, problem, [0.0], r)
+        assert cols.r[k] == r
+        steps = np.diff(np.log(cols.r))
+        assert np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
+        assert 0 < k < len(cols.r) - 1
+    # above 0.9 R, r is kept past the top of the ladder
+    cols, k, _, _ = local_columns(sol.U, problem, [0.0], 0.95)
+    assert k == len(cols.r) - 1 and cols.r[k] == 0.95
+    assert cols.r[k - 1] <= 0.9 * grid.R
+
+
 def test_classify_reports_the_box_clamp():
     # B = 2.25 maps the sphere of radius r about x0 to one of radius 1.5 r;
     # the ladder through r_min = 0.125 reaches 0.625
@@ -142,6 +162,47 @@ def test_decay_fit_regular_slopes(profile_a0):
     fit = sg.decay_fit(sol.U, problem, [0.0])
     assert fit["slope"] == pytest.approx(1.5, abs=0.05)
     assert fit["H_slope"] == pytest.approx(4.0, abs=0.1)
+
+
+def _shifted_heights(U, problem, x0, r_grid):
+    """decay_fit's heights by a plain shift: the rules moved to (x0, 0) and
+    mu~ about that centre with the raw coefficients. Reference for the
+    normalised frame at identity B, where mu~ = 1 on both paths."""
+    grid = problem.grid
+    sampler = sg.FieldSampler(grid, U)
+    heights = []
+    for r in r_grid:
+        rule = sg.sphere_quadrature(grid, r, n_angles=48)
+        pts = rule.points + np.append(x0, 0.0)
+        Z = rule.points
+        z = Z[:, :grid.n]
+        B = problem.coeff.eval_B(pts[:, :grid.n])
+        azz = np.einsum("kij,ki,kj->k", B, z, z) + Z[:, grid.n] ** 2
+        heights.append(2.0 * rule.integrate(sampler(pts) ** 2 * azz / (Z**2).sum(axis=1)))
+    return np.array(heights)
+
+
+def test_decay_fit_heights_at_identity_equal_the_shift(profile_a05):
+    grid, problem, form, sol, _ = profile_a05
+    x0 = np.array([-grid.hx])
+    fit = sg.decay_fit(sol.U, problem, x0)
+    assert np.array_equal(fit["H"], _shifted_heights(sol.U, problem, x0, fit["r"]))
+
+
+def test_decay_fit_heights_tilted_match_resampling():
+    # the heights in the frame normalised at x0 are those of U resampled
+    # onto the grid in that frame, about the origin (measured: at most
+    # 1.5e-3 relative, the resampling's interpolation error)
+    a = 0.5
+    grid = sg.build_grid(2, 1.0, 1 / 16, 1 / 16, a)
+    problem = sg.make_problem(grid, coeff=sg.build_coefficients(grid, TILTED_B))
+    U = sg.exact_solution("signorini_profile", a)(np.stack(grid.node_mesh(), axis=-1))
+    for x0 in ([-1 / 16, 0.0], [-1 / 16, 0.25], [0.0, -0.5]):
+        fit = sg.decay_fit(U, problem, np.array(x0))
+        coeff, resampled = _resampled(U, problem, np.array(x0))
+        rules = [sg.sphere_quadrature(grid, r, n_angles=48) for r in fit["r"]]
+        reference = sg.sphere_heights(resampled, sg.GeometryFields(grid, coeff), rules)[0]
+        assert np.allclose(fit["H"], reference, rtol=5e-3, atol=0.0)
 
 
 def test_decay_fit_identically_zero():
@@ -280,9 +341,24 @@ def test_n2_line_contact_set(n2_line_solve):
     assert np.abs(pts[inner, 0]).max() <= 2 * grid.hx
 
 
+def _eligible_gamma(sol, problem):
+    """The Gamma nodes the report classifies: |x| <= R/2 in every thin axis."""
+    grid = problem.grid
+    pts = gamma_points(grid, sg.contact_set(sol, problem)["gamma"])
+    return pts[np.all(np.abs(pts) <= 0.5 * grid.R, axis=-1)]
+
+
+def test_report_classifies_every_eligible_gamma_node(n2_line_solve):
+    grid, problem, form, sol = n2_line_solve
+    eligible = _eligible_gamma(sol, problem)
+    assert len(eligible) == 17
+    rep = sg.free_boundary_report(sol, problem)
+    assert [p["x0"] for p in rep.points] == eligible.tolist()
+
+
 def test_n2_line_graph_fit(n2_line_solve):
     grid, problem, form, sol = n2_line_solve
-    rep = sg.free_boundary_report(sol, problem, max_points=9)
+    rep = sg.free_boundary_report(sol, problem)
     regs = [p for p in rep.points if p.get("class") == "Regular"]
     assert len(regs) >= 5
     assert rep.graph is not None
@@ -337,8 +413,8 @@ def test_report_reduces_the_obstacle_once(n2_circle_solve, monkeypatch):
         return out
 
     monkeypatch.setattr(sg.freeboundary, "reduce_obstacle", counting)
-    rep = sg.free_boundary_report(sol, problem, max_points=4)
-    assert len(rep.points) == 4
+    rep = sg.free_boundary_report(sol, problem)
+    assert len(rep.points) == len(_eligible_gamma(sol, problem))
     assert len(built) == 1
 
 

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 import signorini as sg
 from signorini.errors import InvalidConfigurationError
 from signorini.functionals import integrate_psi_sigma, sphere_columns
+from signorini.grid import halfsphere_weighted_area
 
 from conftest import profile_boundary, solved_profile
 
@@ -56,28 +57,24 @@ def test_geometry_perturbed_bounds():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_geometry_about_shifted_centre_closed_forms(n):
-    # constant B: mu~ = (<B z, z> + y^2)/|Z|^2 and la_r/|y|^a =
-    # (tr B + 1 + a)/|Z| - <A Z, Z>/|Z|^3 with Z = X - (x0, 0)
+    # constant B normalised at x0 is the identity: mu~ = 1 and
+    # la_r/|y|^a = (n + a)/rho on the sphere about the frame's origin
     a = 0.5
     grid = sg.build_grid(n, 1.0, 1 / 16, 1 / 16, a)
     Bc = np.array([[3.0]]) if n == 1 else np.array([[2.0, 0.5], [0.5, 1.0]])
-    geo = sg.GeometryFields(grid, sg.build_coefficients(grid, Bc.tolist()))
     x0 = np.array([0.25, -0.125])[:n]
-    rule = sg.sphere_quadrature(grid, 0.4, 32)
-    Z = rule.points
-    pts = Z + np.append(x0, 0.0)
-    z, y = Z[:, :n], Z[:, n]
-    azz = np.einsum("ij,ki,kj->k", Bc, z, z) + y**2
-    rho = np.sqrt((Z**2).sum(axis=1))
-    mu_tilde = azz / rho**2
-    la_r = (np.trace(Bc) + 1.0 + a) / rho - azz / rho**3
-    assert np.allclose(geo.mu_tilde_at(pts, x0), mu_tilde, rtol=1e-13, atol=0.0)
-    got_mu, got_la = geo.mu_tilde_and_la_r_at(pts, x0)
-    assert np.allclose(got_mu, mu_tilde, rtol=1e-13, atol=0.0)
-    assert np.allclose(got_la, la_r, rtol=1e-12, atol=0.0)
-    # the height about x0 of U = 1 is 2 int mu~ |y|^a on that sphere
-    H = sg.sphere_heights(np.ones(grid.node_shape), geo, [rule], x0=x0)[0][0]
-    assert H == pytest.approx(2.0 * rule.integrate(mu_tilde), rel=1e-13)
+    coeff, S = sg.normalize_at(grid, sg.build_coefficients(grid, Bc.tolist()), x0)
+    geo = sg.GeometryFields(grid, coeff)
+    r = 0.4
+    rule = sg.sphere_quadrature(grid, r, 32)
+    rho = np.sqrt((rule.points**2).sum(axis=1))
+    assert np.allclose(geo.mu_tilde_at(rule.points), 1.0, rtol=1e-13, atol=0.0)
+    got_mu, got_la = geo.mu_tilde_and_la_r_at(rule.points)
+    assert np.allclose(got_mu, 1.0, rtol=1e-13, atol=0.0)
+    assert np.allclose(got_la, (n + a) / rho, rtol=1e-12, atol=0.0)
+    # the height about x0 of U = 1 is twice the weighted half-sphere area
+    H = sg.sphere_heights(np.ones(grid.node_shape), geo, [rule], frame=(x0, S))[0][0]
+    assert H == pytest.approx(2.0 * halfsphere_weighted_area(n, r, a), rel=1e-6)
 
 
 # -- height -------------------------------------------------------------------
