@@ -178,7 +178,8 @@ def _shifted_heights(U, problem, x0, r_grid):
         z = Z[:, :grid.n]
         B = problem.coeff.eval_B(pts[:, :grid.n])
         azz = np.einsum("kij,ki,kj->k", B, z, z) + Z[:, grid.n] ** 2
-        heights.append(2.0 * rule.integrate(sampler(pts) ** 2 * azz / (Z**2).sum(axis=1)))
+        mu_tilde = azz / (Z**2).sum(axis=1)
+        heights.append(2.0 * rule.integrate(sampler(pts) ** 2 * mu_tilde))
     return np.array(heights)
 
 
