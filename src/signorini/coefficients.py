@@ -249,10 +249,13 @@ def normalize_at(grid: Grid, coeff: CoefficientField, x0) -> tuple:
     S = (V * np.sqrt(w)) @ V.T
     S_inv = (V / np.sqrt(w)) @ V.T
     base_ev = coeff.eval_B
+    n = grid.n
+    # row-major vec(S^-1 B S^-1) = kron(S^-1, S^-1^T) vec(B): one product per batch
+    congruence = np.kron(S_inv, S_inv.T).T
 
     def new_ev(points):
         B = base_ev(x0 + np.asarray(points, dtype=float) @ S.T)
-        return S_inv @ B @ S_inv
+        return (B.reshape(-1, n * n) @ congruence).reshape(B.shape)
 
     new_table = new_ev(_thin_points(grid))
     eigs = np.linalg.eigvalsh(new_table)

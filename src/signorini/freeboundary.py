@@ -104,17 +104,23 @@ def classify_from_frequency(Ntilde_rmin: float, a: float, delta: float,
 
 
 def local_columns(U: np.ndarray, problem: ProblemSpec, x0, r: float,
-                  delta: float = 0.5) -> tuple:
+                  delta: float = 0.5, normalized=None) -> tuple:
     """Sphere columns (K' = 0) about x0 in the coordinates normalised there
     (normalize_at), on the local ladder r q^j, q = (hi/lo)^{1/12}, over the
     integers j that keep it in [lo, hi]: geometric through r, so the
     derivative of log M at r is a central difference. r is kept when it
     lies outside [lo, hi] (blowup scales above 0.9 R).
 
-    Returns (columns, k, sampler, clamp_r): columns.r[k] = r, sampler is
-    U's FieldSampler in that frame (S = B(x0)^{1/2}), and clamp_r is the
-    smallest ladder radius whose mapped sphere has a sample clamped to the
-    box (None when there is none).
+    The ladder starts at r/q, or lower when that leaves fewer than the
+    five radii sphere_columns needs: psi sums G from the top of the
+    ladder down, and the derivative at r reads r/q and r q, so Ntilde and
+    M at r read no radius below r/q.
+
+    normalized is normalize_at(grid, problem.coeff, x0), computed here
+    when None. Returns (columns, k, sampler, clamp_r): columns.r[k] = r,
+    sampler is U's FieldSampler in that frame (S = B(x0)^{1/2}), and
+    clamp_r is the smallest ladder radius whose mapped sphere has a sample
+    clamped to the box (None when there is none).
     """
     grid = problem.grid
     floor = 2.0 * max(grid.hx, grid.hy)
@@ -126,9 +132,11 @@ def local_columns(U: np.ndarray, problem: ProblemSpec, x0, r: float,
     j = np.arange(np.ceil(np.log(lo / r) / np.log(q)), np.floor(np.log(hi / r) / np.log(q)) + 1)
     j = np.union1d(j, 0.0)
     k = int(np.searchsorted(j, 0.0))
+    start = max(0, min(k - 1, len(j) - 5))
+    j, k = j[start:], k - start
     rg = r * q**j
     rules = [sphere_quadrature(grid, ri) for ri in rg]
-    coeff, S = normalize_at(grid, problem.coeff, x0)
+    coeff, S = normalize_at(grid, problem.coeff, x0) if normalized is None else normalized
     H, L = sphere_heights(U, GeometryFields(grid, coeff), rules, la_r=True, frame=(x0, S))
     sampler = FieldSampler(grid, U, (x0, S))
     clamp_r = next((float(rule.r) for rule in rules if sampler.clamped(rule.points)), None)
@@ -144,21 +152,22 @@ class Classification:
 
 
 def classify(U: np.ndarray, problem: ProblemSpec, x0, r_min: float | None = None,
-             delta: float = 0.5) -> Classification:
+             delta: float = 0.5, normalized=None) -> Classification:
     """Classify a free boundary point by its truncated frequency.
 
     Subtracts the obstacle and evaluates the adjusted frequency Ntilde
     (K' = 0) at r_min (default 8 max(hx, hy)) on the local ladder of
     local_columns, in the coordinates normalised at x0 (the coefficient
     matrix is the identity there), from samples of the field itself; then
-    applies classify_from_frequency with the default gap. clamp_r is
-    local_columns'.
+    applies classify_from_frequency with the default gap. clamp_r and
+    normalized are local_columns'.
     """
     grid = problem.grid
     if r_min is None:
         r_min = 8.0 * max(grid.hx, grid.hy)
     U0, problem0 = reduce_obstacle(U, problem)
-    cols, k, _, clamp_r = local_columns(U0, problem0, x0, r_min, delta=delta)
+    cols, k, _, clamp_r = local_columns(U0, problem0, x0, r_min, delta=delta,
+                                        normalized=normalized)
     nt = float(cols.Ntilde[k])
     return Classification(label=classify_from_frequency(nt, grid.a, delta), Ntilde=nt,
                           clamp_r=clamp_r)
@@ -169,13 +178,15 @@ def classify(U: np.ndarray, problem: ProblemSpec, x0, r_min: float | None = None
 # ---------------------------------------------------------------------------
 
 
-def decay_fit(U: np.ndarray, problem: ProblemSpec, x0, r_grid: np.ndarray | None = None) -> dict:
+def decay_fit(U: np.ndarray, problem: ProblemSpec, x0, r_grid: np.ndarray | None = None,
+              normalized=None) -> dict:
     """Slopes of log sup_{B_r^+(x0)} |U - psi| and of log H_{x0}(r) vs log r.
 
-    The sup is over the nodes of the ball about (x0, 0); the heights are
-    taken in the coordinates normalised at x0 (normalize_at), like
-    classify's. At a regular point the sup slope is (3-a)/2 and the height
-    slope is n + 3 (height scales with the square of the field).
+    The sup is over the nodes of the ball about (x0, 0), read on the node
+    block of the largest ball (grid.node_block); the heights are taken in
+    the coordinates normalised at x0, like classify's (normalized as in
+    local_columns). At a regular point the sup slope is (3-a)/2 and the
+    height slope is n + 3 (height scales with the square of the field).
     """
     grid = problem.grid
     if r_grid is None:
@@ -187,15 +198,16 @@ def decay_fit(U: np.ndarray, problem: ProblemSpec, x0, r_grid: np.ndarray | None
         raise InsufficientDataError("need at least 4 radii for the decay fit")
     U, _ = reduce_obstacle(U, problem)  # detachment field, obstacle extended constant in y
     diff = np.abs(U)
-    radii = grid.node_radii(x0)
-    sups = np.array([diff[radii <= r].max() for r in r_grid])
-    slope = loglog_slope(r_grid, sups, 1e-14 * max(1.0, np.abs(U).max()))
+    block, radii = grid.node_block(x0, r_grid.max())
+    near = diff[block]
+    sups = np.array([near[radii <= r].max() for r in r_grid])
+    slope = loglog_slope(r_grid, sups, 1e-14 * max(1.0, diff.max()))
     if slope == float("inf"):
         return {"slope": slope, "H_slope": slope, "r": r_grid, "sup": sups}
 
     # height-based variant around x0 (on the reduction)
     rules = [sphere_quadrature(grid, r, n_angles=48) for r in r_grid]
-    coeff, S = normalize_at(grid, problem.coeff, x0)
+    coeff, S = normalize_at(grid, problem.coeff, x0) if normalized is None else normalized
     Hs = sphere_heights(U, GeometryFields(grid, coeff), rules, frame=(x0, S))[0]
     H_slope = loglog_slope(r_grid, Hs, 0.0)
     return {"slope": slope, "H_slope": H_slope, "r": r_grid, "sup": sups, "H": Hs}
@@ -304,7 +316,8 @@ def free_boundary_report(sol: SolutionField, problem: ProblemSpec,
                          delta: float = 0.5) -> FreeBoundaryReport:
     """Extract masks, classify every free boundary node with |x| <= R/2,
     fit decay slopes, and (n=2, enough regular points) fit the graph. The
-    obstacle is subtracted once, for all points."""
+    obstacle is subtracted once, for all points, and the coefficients are
+    normalised once per point, for its classification and decay fit."""
     grid = problem.grid
     masks = contact_set(sol, problem)
     pts = gamma_points(grid, masks["gamma"])
@@ -315,8 +328,9 @@ def free_boundary_report(sol: SolutionField, problem: ProblemSpec,
     U0, problem0 = reduce_obstacle(sol.U, problem)
     for x0 in pts:
         try:
-            cls = classify(U0, problem0, x0, delta=delta)
-            fit = decay_fit(U0, problem0, x0)
+            normalized = normalize_at(grid, problem0.coeff, x0)
+            cls = classify(U0, problem0, x0, delta=delta, normalized=normalized)
+            fit = decay_fit(U0, problem0, x0, normalized=normalized)
             slope_label = "Regular" if abs(fit["slope"] - reg_expected) <= 0.25 else "Other"
             records.append(
                 {

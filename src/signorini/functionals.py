@@ -51,8 +51,8 @@ class GeometryFields:
         x = pts[..., :n]
         B = self.coeff.eval_B(x)
         y2 = pts[..., n] ** 2
-        axx = np.einsum("...ij,...i,...j->...", B, x, x) + y2
-        r2 = (x**2).sum(axis=-1) + y2
+        axx = sum(B[..., i, j] * x[..., i] * x[..., j] for i in range(n) for j in range(n)) + y2
+        r2 = sum(x[..., i] * x[..., i] for i in range(n)) + y2
         return x, B, axx, r2, axx / r2
 
     def mu_tilde_at(self, points: np.ndarray) -> np.ndarray:
@@ -63,9 +63,11 @@ class GeometryFields:
         """(mu~, la_r / |y|^a) from one evaluation of B; la_r =
         div(|y|^a A grad |X|)."""
         x, B, axx, r2, mu = self.quadratic_at(points)
+        n = self.grid.n
         r = np.sqrt(r2)
-        trB = np.trace(B, axis1=-2, axis2=-1)
-        dbx = np.einsum("...ij,...j->...", interpolate(self.grid.xs, self._db_table, x), x)
+        trB = sum(B[..., i, i] for i in range(n))
+        db = interpolate(self.grid.xs, self._db_table, x)
+        dbx = sum(db[..., i, j] * x[..., j] for i in range(n) for j in range(n))
         return mu, (trB + 1.0 + self.grid.a) / r - axx / r**3 + dbx / r
 
 

@@ -84,10 +84,19 @@ class Grid:
 
     def node_radii(self, x0=None) -> np.ndarray:
         """|X - (x0, 0)| at every node, from the open mesh of the axes."""
-        x0 = np.zeros(self.n) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
-        axes = np.ix_(*self.xs, self.ys)
-        sq = sum((axes[d] - x0[d]) ** 2 for d in range(self.n)) + axes[-1] ** 2
-        return np.sqrt(sq)
+        x0 = np.zeros(self.n) if x0 is None else x0
+        return self.node_block(x0, np.inf)[1]
+
+    def node_block(self, x0, r: float) -> tuple:
+        """(block, radii): the slices of the node block with |x_d - x0_d| <= r
+        and y <= r, the bounding box of the ball |X - (x0, 0)| <= r, and
+        |X - (x0, 0)| on that block. Every node of the ball lies in it."""
+        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+        centred = [ax - c for ax, c in zip(self.xs, x0)] + [self.ys]
+        block = tuple(slice(np.searchsorted(d, -r, side="left"), np.searchsorted(d, r, side="right"))
+                      for d in centred)
+        axes = np.ix_(*(d[b] for d, b in zip(centred, block)))
+        return block, np.sqrt(sum(ax**2 for ax in axes))
 
     @property
     def cell_measures(self) -> np.ndarray:
@@ -228,29 +237,37 @@ def interpolate(axes, values, points, first_layer_power: float | None = None) ->
     [0, 1) of the last axis's first cell becomes t**p; p = 1-a gives the
     first-layer profile u0 + (u1 - u0) (y/y1)^{1-a}, exact on the
     (1, y^{1-a}) basis.
+
+    The corner weights are a product tree over the axes, in the order of
+    itertools.product((0, 1), repeat=len(axes)): the weight of a corner
+    is the left-to-right product of its per-axis factors (1 - t or t),
+    and its flat offset is the dot product of the corner with the table's
+    strides.
     """
     vals = np.asarray(values, dtype=float)
     shape = vals.shape[: len(axes)]
     pts = np.asarray(points, dtype=float)
     flat = pts.reshape(-1, len(axes))
-    idx, ts = [], []
+    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
+    base, factors = 0, []
     for d, ax in enumerate(axes):
-        i = np.clip(np.searchsorted(ax, flat[:, d], side="right") - 1, 0, len(ax) - 2)
-        idx.append(i)
-        ts.append((flat[:, d] - ax[i]) / (ax[i + 1] - ax[i]))
-    if first_layer_power is not None:
-        t = ts[-1]
-        first = (idx[-1] == 0) & (t >= 0.0) & (t < 1.0)
-        ts[-1] = np.where(first, np.clip(t, 0.0, 1.0) ** first_layer_power, t)
+        x = np.ascontiguousarray(flat[:, d])
+        i = np.searchsorted(ax[1:-1], x, side="right")  # the cell, clamped to the end cells
+        t = (x - ax[i]) / (ax[i + 1] - ax[i])
+        if first_layer_power is not None and d == len(axes) - 1:
+            first = (i == 0) & (t >= 0.0) & (t < 1.0)
+            t[first] = t[first] ** first_layer_power
+        base = base + i * strides[d]
+        factors.append((1.0 - t, t))
+    weights, offsets = list(factors[0]), [0, int(strides[0])]
+    for pair, stride in zip(factors[1:], strides[1:]):
+        weights = [w * f for w in weights for f in pair]
+        offsets = [o + c for o in offsets for c in (0, int(stride))]
     table = vals.reshape((-1,) + vals.shape[len(axes):])
-    base = np.ravel_multi_index(idx, shape)
+    trailing = (1,) * (table.ndim - 1)
     out = 0.0
-    for corner in itertools.product((0, 1), repeat=len(axes)):
-        w = 1.0
-        for c, t in zip(corner, ts):
-            w = w * (t if c else 1.0 - t)
-        term = table[base + np.ravel_multi_index(corner, shape)]
-        out = out + term * w.reshape(w.shape + (1,) * (table.ndim - 1))
+    for w, offset in zip(weights, offsets):
+        out = out + table[base + offset] * w.reshape(w.shape + trailing)
     return out.reshape(pts.shape[:-1] + vals.shape[len(axes):])
 
 

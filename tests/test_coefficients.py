@@ -6,6 +6,8 @@ import pytest
 import signorini as sg
 from signorini.errors import InvalidCoefficientError, InvalidConfigurationError
 
+from conftest import TILTED_B
+
 
 def test_identity_report():
     grid = sg.build_grid(1, 1.0, 1 / 16, 1 / 16, 0.0)
@@ -116,3 +118,24 @@ def test_normalize_defining_property_generic():
     q = x0 + p[:, :2] @ S.T
     got = sg.FieldSampler(grid, 2.0 * X1 - X2 + Y, (x0, S))(p)
     assert np.allclose(got, 2.0 * q[:, 0] - q[:, 1] + p[:, 2], atol=1e-12)
+
+
+def test_normalize_kron_evaluator_matches_the_congruence():
+    # one product with kron(S^-1, S^-1^T)^T against S^-1 B S^-1 as stacked
+    # matmuls, in ulps of each matrix's largest entry
+    grid = sg.build_grid(2, 1.0, 1 / 16, 1 / 16, 0.5)
+    coeff = sg.build_coefficients(grid, TILTED_B)
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-1.0, 1.0, (4096, 2))
+    for x0 in ([-1 / 16, 0.0], [-1 / 16, 0.25], [0.0, -0.5]):
+        x0 = np.array(x0)
+        new_coeff, S = sg.normalize_at(grid, coeff, x0)
+        w, V = np.linalg.eigh(coeff.eval_B(x0))
+        S_inv = (V / np.sqrt(w)) @ V.T
+        ref = S_inv @ coeff.eval_B(x0 + pts @ S.T) @ S_inv
+        got = new_coeff.eval_B(pts)
+        assert got.shape == ref.shape == (4096, 2, 2)
+        ulp = np.spacing(np.abs(ref).max(axis=(-2, -1)))[:, None, None]
+        assert (np.abs(got - ref) <= 4 * ulp).all()
+        thin = np.stack(np.meshgrid(*grid.xs, indexing="ij"), axis=-1)
+        assert np.array_equal(new_coeff.table, new_coeff.eval_B(thin))

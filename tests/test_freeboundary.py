@@ -135,11 +135,53 @@ def test_local_ladder_is_geometric_through_r(profile_a0):
         assert cols.r[k] == r
         steps = np.diff(np.log(cols.r))
         assert np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
-        assert 0 < k < len(cols.r) - 1
-    # above 0.9 R, r is kept past the top of the ladder
+        # the ladder starts at r/q, the lowest radius Ntilde(r) reads
+        assert k == 1 and len(cols.r) > 5
+    # above 0.9 R, r is kept past the top of the ladder, over the five
+    # radii sphere_columns needs
     cols, k, _, _ = local_columns(sol.U, problem, [0.0], 0.95)
-    assert k == len(cols.r) - 1 and cols.r[k] == 0.95
+    assert k == len(cols.r) - 1 == 4 and cols.r[k] == 0.95
     assert cols.r[k - 1] <= 0.9 * grid.R
+
+
+def _full_ladder_columns(U, problem, x0, r):
+    """(columns, k, sampler) of local_columns on its whole ladder [lo, hi],
+    before the ladder started at r/q. Reference for the shortened ladder."""
+    grid = problem.grid
+    floor = 2.0 * max(grid.hx, grid.hy)
+    lo = max(r / 1.6, floor * 1.02)
+    hi = min(5.0 * r, 0.9 * grid.R)
+    q = (hi / lo) ** (1.0 / 12)
+    j = np.arange(np.ceil(np.log(lo / r) / np.log(q)), np.floor(np.log(hi / r) / np.log(q)) + 1)
+    j = np.union1d(j, 0.0)
+    rg = r * q**j
+    coeff, S = sg.normalize_at(grid, problem.coeff, x0)
+    rules = [sg.sphere_quadrature(grid, ri) for ri in rg]
+    H, L = sg.sphere_heights(U, sg.GeometryFields(grid, coeff), rules, la_r=True, frame=(x0, S))
+    cols = sg.sphere_columns(rg, H, L, grid.n, grid.a)
+    return cols, int(np.searchsorted(j, 0.0)), sg.FieldSampler(grid, U, (x0, S))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_short_ladder_reads_what_the_full_ladder_reads(n):
+    # Ntilde(r), M(r) and the blow-up read no radius below r/q: bitwise
+    # equal to the whole ladder's, at 0.95 above 0.9 R too (five radii)
+    a = 0.5
+    grid = sg.build_grid(n, 1.0, 1 / 16, 1 / 16, a)
+    coeff = sg.build_coefficients(grid, TILTED_B if n == 2 else [[{"poly": [[1.0, [0]], [0.1, [1]]]}]])
+    problem = sg.make_problem(grid, coeff=coeff)
+    U = sg.exact_solution("signorini_profile", a)(np.stack(grid.node_mesh(), axis=-1))
+    nodes = np.stack(grid.node_mesh(), axis=-1).reshape(-1, n + 1)
+    for x0 in ([-1 / 16, 0.25][:n], [0.0, -0.5][:n]):
+        x0 = np.array(x0)
+        for r in (0.2, 0.5, 0.95):
+            cols, k, _, _ = local_columns(U, problem, x0, r)
+            ref, kr, sampler = _full_ladder_columns(U, problem, x0, r)
+            assert np.array_equal(cols.r, ref.r[kr - 1:] if len(ref.r) - kr >= 4 else ref.r[-5:])
+            assert cols.r[k] == ref.r[kr] == r
+            assert cols.Ntilde[k] == ref.Ntilde[kr] and cols.M[k] == ref.M[kr]
+            expected = (sampler(nodes * r) / np.sqrt(ref.M[kr])).reshape(grid.node_shape)
+            assert np.array_equal(sg.blowup(U, problem, x0, r), expected)
 
 
 def test_classify_reports_the_box_clamp():
@@ -204,6 +246,19 @@ def test_decay_fit_heights_tilted_match_resampling():
         rules = [sg.sphere_quadrature(grid, r, n_angles=48) for r in fit["r"]]
         reference = sg.sphere_heights(resampled, sg.GeometryFields(grid, coeff), rules)[0]
         assert np.allclose(fit["H"], reference, rtol=5e-3, atol=0.0)
+
+
+def test_decay_fit_sups_on_the_block_equal_the_full_grid():
+    # the sups read only the node block of the largest ball
+    a = 0.5
+    grid = sg.build_grid(2, 1.0, 1 / 16, 1 / 16, a)
+    problem = sg.make_problem(grid, coeff=sg.build_coefficients(grid, TILTED_B))
+    U = sg.exact_solution("signorini_profile", a)(np.stack(grid.node_mesh(), axis=-1))
+    for x0 in ([-1 / 16, 0.0], [-1 / 16, 0.5], [0.0, -0.5]):
+        fit = sg.decay_fit(U, problem, np.array(x0))
+        radii = grid.node_radii(x0)
+        sups = [np.abs(U)[radii <= r].max() for r in fit["r"]]
+        assert np.array_equal(fit["sup"], sups)
 
 
 def test_decay_fit_identically_zero():
@@ -355,6 +410,22 @@ def test_report_classifies_every_eligible_gamma_node(n2_line_solve):
     assert len(eligible) == 17
     rep = sg.free_boundary_report(sol, problem)
     assert [p["x0"] for p in rep.points] == eligible.tolist()
+
+
+def test_report_normalizes_once_per_point(n2_line_solve, monkeypatch):
+    # one frame per point serves its classification and its decay fit
+    grid, problem, form, sol = n2_line_solve
+    normalize_at = sg.freeboundary.normalize_at
+    calls = []
+
+    def counting(grid, coeff, x0):
+        calls.append(np.atleast_1d(x0).tolist())
+        return normalize_at(grid, coeff, x0)
+
+    monkeypatch.setattr(sg.freeboundary, "normalize_at", counting)
+    rep = sg.free_boundary_report(sol, problem)
+    assert calls == [p["x0"] for p in rep.points]
+    assert len(calls) == 17
 
 
 def test_n2_line_graph_fit(n2_line_solve):

@@ -347,3 +347,65 @@ def test_field_sampler_matches_first_layer_formula(n, a):
         ref[first] = u0 + (u1 - u0) * (pts[first, -1] / grid.hy) ** (1.0 - a)
     assert first.sum() >= 100
     assert np.abs(sg.FieldSampler(grid, U)(pts) - ref).max() <= 1e-14
+
+
+def _corner_loop_interpolate(axes, values, points, first_layer_power=None):
+    """interpolate's corner loop before the product tree: every corner's
+    weight multiplied up from 1.0 and its offset by ravel_multi_index.
+    Reference for the product tree."""
+    import itertools
+
+    vals = np.asarray(values, dtype=float)
+    shape = vals.shape[: len(axes)]
+    pts = np.asarray(points, dtype=float)
+    flat = pts.reshape(-1, len(axes))
+    idx, ts = [], []
+    for d, ax in enumerate(axes):
+        i = np.clip(np.searchsorted(ax, flat[:, d], side="right") - 1, 0, len(ax) - 2)
+        idx.append(i)
+        ts.append((flat[:, d] - ax[i]) / (ax[i + 1] - ax[i]))
+    if first_layer_power is not None:
+        t = ts[-1]
+        first = (idx[-1] == 0) & (t >= 0.0) & (t < 1.0)
+        ts[-1] = np.where(first, np.clip(t, 0.0, 1.0) ** first_layer_power, t)
+    table = vals.reshape((-1,) + vals.shape[len(axes):])
+    base = np.ravel_multi_index(idx, shape)
+    out = 0.0
+    for corner in itertools.product((0, 1), repeat=len(axes)):
+        w = 1.0
+        for c, t in zip(corner, ts):
+            w = w * (t if c else 1.0 - t)
+        term = table[base + np.ravel_multi_index(corner, shape)]
+        out = out + term * w.reshape(w.shape + (1,) * (table.ndim - 1))
+    return out.reshape(pts.shape[:-1] + vals.shape[len(axes):])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_interpolate_product_tree_equals_the_corner_loop(n):
+    grid = sg.build_grid(n, 1.0, 1 / 8, 1 / 6, 0.5)
+    rng = np.random.default_rng(5 + n)
+    axes = grid.xs + (grid.ys,)
+    U = rng.standard_normal(grid.node_shape)
+    T = rng.standard_normal(grid.node_shape + (n, n))
+    pts = _random_points(rng, grid, 2000, pad=0.4)  # inside and outside the box
+    pts[:300, -1] = rng.uniform(0.0, grid.ys[1], 300)  # the first layer
+    for vals in (U, T):
+        for p in (None, 0.5, 0.75):
+            assert np.array_equal(interpolate(axes, vals, pts, first_layer_power=p),
+                                  _corner_loop_interpolate(axes, vals, pts, p))
+    thin = T[..., 0, :, :]
+    for q in (pts[:, :n], pts[0, :n]):
+        assert np.array_equal(interpolate(grid.xs, thin, q),
+                              _corner_loop_interpolate(grid.xs, thin, q))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_node_block_holds_every_node_of_the_ball(n):
+    grid = sg.build_grid(n, 1.0, 1 / 8, 1 / 8, 0.5)
+    x0 = np.array([-0.375, 0.8125][:n])
+    full = grid.node_radii(x0)
+    for r in (0.2, 0.5):
+        block, radii = grid.node_block(x0, r)
+        assert np.array_equal(radii, full[block]) and radii.size < full.size
+        assert np.count_nonzero(radii <= r) == np.count_nonzero(full <= r) > 0
+    assert np.array_equal(grid.node_block(x0, np.inf)[1], full)
