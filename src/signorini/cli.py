@@ -245,6 +245,7 @@ def _solve(cfg: ExperimentConfig, res: dict) -> dict:
         solver_iterations=sol.iterations,
         solver_active_set_iterations=sol.active_set_iterations,
         solver_inner_iterations=sol.inner_iterations,
+        solver_steps=sol.steps,
         solver_final_update=sol.final_residual,
         complementarity=complementarity_report(sol, problem, form),
         oracle_linf_error=None if ref is None else float(np.abs(sol.U - problem.boundary).max()),

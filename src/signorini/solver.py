@@ -11,8 +11,7 @@ beta_eps, solved by damped Newton.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,6 +35,9 @@ class SolutionField:
     tol: float
     active_set_iterations: int = 0  # linear solves of the active-set start
     inner_iterations: int = 0  # CG iterations of all inner linear solves
+    # one record per inner linear solve: {"active": thin nodes fixed (PDAS)
+    # or penalized (Newton), "cg_iterations": ..., "rtol": its CG tolerance}
+    steps: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -74,10 +76,10 @@ def penalty_derivative(s, eps: float):
 # ---------------------------------------------------------------------------
 
 
-# Galerkin multigrid: levels are coarsened until at most MG_COARSEST_NODES
-# nodes remain, which SuperLU then solves; each level smooths with
-# MG_SWEEPS damped-Jacobi sweeps (damping MG_DAMPING) before and after its
-# coarse correction.
+# Galerkin multigrid (_Multigrid): levels are coarsened until at most
+# MG_COARSEST_NODES nodes remain, which SuperLU then solves; each level
+# smooths with MG_SWEEPS damped-Jacobi sweeps (damping MG_DAMPING) before
+# and after its coarse correction.
 MG_COARSEST_NODES = 500
 MG_SWEEPS = 2
 MG_DAMPING = 0.7
@@ -87,6 +89,12 @@ CG_MAX_ITER = 500
 # |b| grows with the fixed values: at n=2, h=1/32 a relative residual of
 # 1e-12 left 10 certifying sweeps, 1e-13 and below one.
 ACTIVE_SET_RTOL = 1e-14
+# CG tolerance of an active set's first solve: only its predicted active
+# set is read, and ACTIVE_SET_RTOL certifies the set it settles on. 1e-6
+# took the fewest CG iterations over the benchmark configs at h = 1/64 to
+# 1/256 (n = 1) and 1/8 to 1/32 (n = 2); from 1e-5 up, a loose solve can
+# stop before its set has settled, and each false repeat costs a tight solve.
+ACTIVE_SET_LOOSE_RTOL = 1e-6
 # Newton steps and CG tolerance of the penalized solve.
 NEWTON_MAX_STEPS = 60
 NEWTON_CG_RTOL = 1e-12
@@ -109,10 +117,11 @@ def _axis_prolongation(z: np.ndarray) -> tuple:
 
 
 def _prolongations(grid: Grid) -> list:
-    """Full prolongations [(P, coarse_nodes), ...] from the finest level
-    down: P is the Kronecker product of the axis prolongations (an axis
-    of two nodes maps to itself) and coarse_nodes the flat fine indices
-    of the coarse nodes."""
+    """Full prolongations [(P, coarse_nodes, coarse_ny), ...] from the
+    finest level down: P is the Kronecker product of the axis
+    prolongations (an axis of two nodes maps to itself), coarse_nodes the
+    flat fine indices of the coarse nodes and coarse_ny the coarse level's
+    number of y layers (the last, fastest axis)."""
     axes = list(grid.xs) + [grid.ys]
     levels = []
     while np.prod([len(z) for z in axes]) > MG_COARSEST_NODES and max(len(z) for z in axes) > 2:
@@ -122,83 +131,155 @@ def _prolongations(grid: Grid) -> list:
             P = sp.kron(P, Q, format="csr")
         coarse = np.ravel_multi_index(np.meshgrid(*keeps, indexing="ij"),
                                       [len(z) for z in axes]).ravel()
-        levels.append((P, coarse))
+        levels.append((P, coarse, len(keeps[-1])))
         axes = [z[keep] for z, keep in zip(axes, keeps)]
     return levels
 
 
-def _masked(A: sp.csr_matrix, fixed: np.ndarray):
-    """The product with the embedded matrix D A D + I_fixed, D = diag(~fixed),
-    as x -> where(free, A (D x), x), without forming it: A on the free
-    block, identity on the fixed rows."""
-    free = ~fixed
-    return lambda x: np.where(free, A @ np.where(free, x, 0.0), x)
+def _scaled(M: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
+    """Copy of M with entry (i, j) multiplied by rows[i] cols[j]."""
+    M = M.copy()
+    M.data *= np.repeat(rows, np.diff(M.indptr)) * cols[M.indices]
+    return M
 
 
-def _vcycle(A: sp.csr_matrix, fixed: np.ndarray, levels: list):
-    """Symmetric V(MG_SWEEPS, MG_SWEEPS)-cycle for the embedded matrix of A
-    (see _masked), as a function of the residual; levels are the grid's
-    _prolongations. The finest level smooths with the masked product.
-    Coarse operators are P'AP plus the identity on coarse fixed nodes,
-    with P masked to zero on fine and coarse fixed rows, which makes P'AP
-    equal to the product with the embedded matrix. A grid with no coarse
-    level factors the embedded matrix itself."""
-    free = ~fixed
-    matvec, diag = _masked(A, fixed), np.where(free, A.diagonal(), 1.0)
-    ops = []
-    for P, coarse in levels:
-        fixed_c = fixed[coarse]
-        P = sp.diags(free.astype(float)) @ P @ sp.diags((~fixed_c).astype(float))
-        R = P.T.tocsr()
-        ops.append((matvec, MG_DAMPING / diag, P, R))
-        A = (R @ A @ P + sp.diags(fixed_c.astype(float))).tocsr()
-        fixed, free = fixed_c, ~fixed_c
-        matvec, diag = A.dot, A.diagonal()
-    if not levels:
-        D = sp.diags(free.astype(float))
-        A = D @ A @ D + sp.diags(fixed.astype(float))
-    return partial(_cycle, ops, spla.splu(A.tocsc()))
+def _galerkin(R: sp.csr_matrix, A, P: sp.csr_matrix, keep: np.ndarray,
+              keep_c: np.ndarray) -> sp.csr_matrix:
+    """The rows that R holds of D_c R D A D P D_c, D = diag(keep) on the
+    fine level and D_c = diag(keep_c) on the coarse one, for R already
+    scaled to D_c R D."""
+    X = R @ A
+    X.data *= keep[X.indices]
+    X = X @ P
+    X.data *= keep_c[X.indices]
+    return X
 
 
-def _cycle(ops: list, coarsest, b: np.ndarray, level: int = 0) -> np.ndarray:
-    """One V-cycle from the given level down. A module-level function, so
-    that a hierarchy holds no reference cycle and is freed with its solve."""
-    if level == len(ops):
-        return coarsest.solve(b)
-    matvec, wdinv, P, R = ops[level]
-    x = wdinv * b
-    for _ in range(MG_SWEEPS - 1):
-        x += wdinv * (b - matvec(x))
-    x += P @ _cycle(ops, coarsest, R @ (b - matvec(x)), level + 1)
-    for _ in range(MG_SWEEPS):
-        x += wdinv * (b - matvec(x))
-    return x
+@dataclass
+class _Transfer:
+    """One coarsening step of a _Multigrid: the prolongation P, the flat
+    fine indices of the coarse nodes, the rows of P' at the two lowest
+    coarse y layers (other rows empty), and the coarse Galerkin operator
+    off those layers, Dirichlet nodes masked (those rows empty)."""
+
+    P: sp.csr_matrix
+    coarse: np.ndarray
+    R_low: sp.csr_matrix
+    base: sp.csr_matrix
 
 
-def _linear_solve(A, fixed: np.ndarray, load: np.ndarray, U: np.ndarray, levels: list,
-                  rtol: float) -> tuple:
-    """Solve for x = U on the fixed nodes and (A x + load) = 0 on the rest.
+class _Multigrid:
+    """Galerkin multigrid V-cycle for D A D, D = diag(keep): A is the
+    stiffness K or K plus a diagonal on thin nodes, and the boolean keep
+    is False on the fixed nodes (the Dirichlet nodes and any thin nodes).
 
-    Runs CG from U on the embedded system D A D + I_fixed, D = diag(~fixed),
-    applied by _masked without a copy of A, preconditioned by one Galerkin
-    multigrid V-cycle on the tensor grid (levels: its _prolongations, built
-    once per solve), to a residual of rtol times the right-hand side. A
-    must be symmetric and positive definite on the free nodes. Returns
-    (x, iterations), with x None when CG does not converge.
+    Built once per solve from K and the Dirichlet mask: the grid's
+    _prolongations and each coarse level's Galerkin product off its two
+    lowest y layers. A coarse row above those layers reads only fine rows
+    above the fine level's two lowest layers, and the operators couple
+    only adjacent layers, so no such row sees a thin node; update(A,
+    fixed) recomputes just the rows of the two lowest layers, which hold
+    every thin row and every thin column. The masks act on vectors: the
+    matvec is y = A x; y *= keep, restricted residuals and prolonged
+    corrections are multiplied by keep, and no masked copy of A or P is
+    made.
     """
-    matvec = _masked(A, fixed)
-    b = np.where(fixed, U, -(load + A @ np.where(fixed, U, 0.0)))
-    cycle = _vcycle(A, fixed, levels)
+
+    def __init__(self, K: sp.csr_matrix, dirichlet: np.ndarray, grid: Grid):
+        keep = ~dirichlet
+        G = K
+        self.transfers = []
+        for P, coarse, ny in _prolongations(grid):
+            keep_c = keep[coarse]
+            low = np.arange(len(coarse)) % ny <= 1
+            # P' split by layer, with each row's entries in order
+            R_low, R_up = (_scaled(P.T.tocsr(), w, cols) for w, cols in
+                           ((low, np.ones(len(keep), dtype=bool)), (~low & keep_c, keep)))
+            R_low.eliminate_zeros()
+            R_up.eliminate_zeros()
+            G = _galerkin(R_up, G, P, keep, keep_c)
+            self.transfers.append(_Transfer(P, coarse, R_low, G))
+            keep = keep_c
+
+    def update(self, A, fixed: np.ndarray) -> None:
+        """Set the operator to D A D, D = diag(~fixed). fixed holds the
+        Dirichlet nodes the hierarchy was built with and may add thin
+        nodes; A may differ from that K only on the thin diagonal."""
+        keep = ~fixed
+        self.keeps, self.ops, self.wdinv = [keep], [A], []
+        for t in self.transfers:
+            self.wdinv.append(MG_DAMPING * keep / np.where(keep, A.diagonal(), 1.0))
+            keep_c = keep[t.coarse]
+            A = t.base + _galerkin(_scaled(t.R_low, keep_c, keep), A, t.P, keep, keep_c)
+            keep = keep_c
+            self.keeps.append(keep)
+            self.ops.append(A)
+        A = _scaled(A, keep, keep) + sp.diags((~keep).astype(float))
+        self.coarsest = spla.splu(A.tocsc())
+
+    def matvec(self, x: np.ndarray, level: int = 0) -> np.ndarray:
+        y = self.ops[level] @ x
+        y *= self.keeps[level]
+        return y
+
+    def _residual(self, b: np.ndarray, x: np.ndarray, level: int) -> np.ndarray:
+        r = self.matvec(x, level)
+        np.subtract(b, r, out=r)
+        return r
+
+    def _smooth(self, b: np.ndarray, x: np.ndarray, level: int) -> None:
+        """One damped-Jacobi sweep on x, in place."""
+        r = self._residual(b, x, level)
+        r *= self.wdinv[level]
+        x += r
+
+    def cycle(self, b: np.ndarray, level: int = 0) -> np.ndarray:
+        """One V-cycle from the given level down, for a residual b that is
+        zero on the fixed nodes; the result is zero there too."""
+        if level == len(self.transfers):
+            return self.coarsest.solve(b)
+        t = self.transfers[level]
+        x = self.wdinv[level] * b
+        for _ in range(MG_SWEEPS - 1):
+            self._smooth(b, x, level)
+        r = t.P.T @ self._residual(b, x, level)
+        r *= self.keeps[level + 1]
+        e = t.P @ self.cycle(r, level + 1)
+        e *= self.keeps[level]
+        x += e
+        for _ in range(MG_SWEEPS):
+            self._smooth(b, x, level)
+        return x
+
+
+def _linear_solve(mg: _Multigrid, load: np.ndarray, U: np.ndarray, rtol: float) -> tuple:
+    """Solve for x = U on the fixed nodes of mg's last update and
+    (A x + load) = 0 on the rest.
+
+    Runs CG on D A D, D = diag(~fixed), with the fixed values moved to the
+    right-hand side, from U's free values, preconditioned by one V-cycle
+    of mg. It stops at a residual of rtol times the norm of the right-hand
+    side of the embedded system D A D + I_fixed, whose fixed rows carry
+    U's fixed values. A must be symmetric and positive definite on the
+    free nodes. Returns (x, iterations), with x None when CG does not
+    converge.
+    """
+    keep = mg.keeps[0]
+    fixed = ~keep
+    b = -(load + mg.ops[0] @ np.where(fixed, U, 0.0))
+    b *= keep
+    atol = rtol * np.hypot(np.linalg.norm(b), np.linalg.norm(U[fixed]))
     count = [0]
 
     def tick(_):
         count[0] += 1
 
-    x, info = spla.cg(spla.LinearOperator(A.shape, matvec=matvec, dtype=float), b, x0=U,
-                      rtol=rtol, atol=0.0,
-                      M=spla.LinearOperator(A.shape, matvec=cycle, dtype=float),
+    shape = mg.ops[0].shape
+    x, info = spla.cg(spla.LinearOperator(shape, matvec=mg.matvec, dtype=float), b, x0=U * keep,
+                      rtol=0.0, atol=atol,
+                      M=spla.LinearOperator(shape, matvec=mg.cycle, dtype=float),
                       maxiter=CG_MAX_ITER, callback=tick)
-    return (x if info == 0 else None), count[0]
+    return (np.where(fixed, U, x) if info == 0 else None), count[0]
 
 
 # ---------------------------------------------------------------------------
@@ -217,38 +298,47 @@ def near_optimal_omega(grid: Grid) -> float:
     return 2.0 / (1.0 + np.sin(np.pi * grid.hy / grid.R))
 
 
-def _active_set_start(form: SymmetricForm, U: np.ndarray, psi_full: np.ndarray) -> tuple:
+def _active_set_start(form: SymmetricForm, U: np.ndarray, psi_full: np.ndarray) -> list:
     """Primal-dual active-set iteration for the complementarity system, in place on U.
 
     U holds the Dirichlet values on entry. The first step solves without
     the obstacle; each later step fixes U = psi on the active set
     {lambda - K_ii (U - psi) > 0}, lambda = (KU + load) on thin rows, and
-    solves for the remaining free nodes. Stops when the active set
-    repeats, after ACTIVE_SET_MAX_STEPS solves, or when CG fails (U then
+    solves for the remaining free nodes. A new active set is solved to
+    ACTIVE_SET_LOOSE_RTOL; when it repeats, it is solved again to
+    ACTIVE_SET_RTOL on the same multigrid hierarchy, and the iteration
+    stops when such a tight solve reproduces its own active set. It also
+    stops after ACTIVE_SET_MAX_STEPS solves, or when CG fails (U then
     keeps the previous iterate, set to psi on the current active set).
-    Returns (solves attempted, total CG iterations).
+    Returns the SolutionField.steps record of the solves attempted.
     """
     K, load, thin = form.stiffness, form.load, form.thin_rows
     K_thin = K[thin]
     c = K.diagonal()[thin]
     psi = psi_full[thin]
     active = np.zeros(len(thin), dtype=bool)
-    levels = _prolongations(form.grid)
-    step = inner = 0
-    for step in range(1, ACTIVE_SET_MAX_STEPS + 1):
-        fixed = form.dirichlet.copy()
-        fixed[thin[active]] = True
+    mg = _Multigrid(K, form.dirichlet, form.grid)
+    mg.update(K, form.dirichlet)
+    rtol = ACTIVE_SET_LOOSE_RTOL
+    steps = []
+    for _ in range(ACTIVE_SET_MAX_STEPS):
         U[thin[active]] = psi[active]
-        x, its = _linear_solve(K, fixed, load, U, levels, ACTIVE_SET_RTOL)
-        inner += its
+        x, its = _linear_solve(mg, load, U, rtol)
+        steps.append({"active": int(active.sum()), "cg_iterations": its, "rtol": rtol})
         if x is None:
             break
         U[:] = x
         new_active = (K_thin @ U + load[thin]) - c * (U[thin] - psi) > 0.0
-        if np.array_equal(new_active, active):
+        if not np.array_equal(new_active, active):
+            active, rtol = new_active, ACTIVE_SET_LOOSE_RTOL
+            fixed = form.dirichlet.copy()
+            fixed[thin[active]] = True
+            mg.update(K, fixed)
+        elif rtol == ACTIVE_SET_RTOL:
             break
-        active = new_active
-    return step, inner
+        else:
+            rtol = ACTIVE_SET_RTOL
+    return steps
 
 
 def _color_classes(grid: Grid, free: np.ndarray):
@@ -321,7 +411,7 @@ def solve_psor(
     psi_full[grid.thin_mask.ravel()] = problem.psi.ravel()
 
     U = np.where(dirichlet, problem.boundary.ravel(), 0.0)
-    active_steps, inner = _active_set_start(form, U, psi_full) if warm_start else (0, 0)
+    steps = _active_set_start(form, U, psi_full) if warm_start else []
     U[thin_flat] = np.maximum(U[thin_flat], psi_full[thin_flat])
 
     classes = _color_classes(grid, free)
@@ -361,8 +451,9 @@ def solve_psor(
         iterations=it,
         final_residual=float(delta),
         tol=tol,
-        active_set_iterations=active_steps,
-        inner_iterations=inner,
+        active_set_iterations=len(steps),
+        inner_iterations=sum(s["cg_iterations"] for s in steps),
+        steps=steps,
     )
 
 
@@ -381,8 +472,9 @@ def solve_penalized(
 
     T samples thin nodes scaled by thin cell area; the Jacobian
     K + T' diag(beta_eps') T stays symmetric positive definite because
-    beta_eps' >= 0. Every inner solve is the multigrid-preconditioned CG
-    of _linear_solve, run to NEWTON_CG_RTOL.
+    beta_eps' >= 0, and differs from K only on the thin diagonal. Every
+    inner solve is the multigrid-preconditioned CG of _linear_solve, run
+    to NEWTON_CG_RTOL on one hierarchy updated with each Jacobian.
     Complementarity of the result only holds up to O(eps).
     """
     if eps <= 0:
@@ -398,10 +490,12 @@ def solve_penalized(
     areas = grid.thin_weighted(np.ones(grid.node_shape[:-1])).ravel()[thin // ny]
     psi_thin = problem.psi.ravel()[thin // ny]
 
-    levels = _prolongations(grid)
+    mg = _Multigrid(K, dirichlet, grid)
+    mg.update(K, dirichlet)
     U = np.where(dirichlet, problem.boundary.ravel(), 0.0)
     scale = max(np.linalg.norm(np.where(dirichlet, 0.0, K @ U + load)), 1.0)
-    U, inner = _linear_solve(K, dirichlet, load, U, levels, rtol=NEWTON_CG_RTOL)
+    U, its = _linear_solve(mg, load, U, NEWTON_CG_RTOL)
+    steps = [{"active": 0, "cg_iterations": its, "rtol": NEWTON_CG_RTOL}]
     if U is None:
         raise NonconvergedError(
             "inner CG failed on the unconstrained start", last_iterate=None, final_residual=np.inf,
@@ -422,8 +516,10 @@ def solve_penalized(
             break
         dpen = areas * penalty_derivative(U[thin] - psi_thin, eps)
         Jac = K + sp.csr_matrix((dpen, (thin, thin)), shape=K.shape)
-        dU, its = _linear_solve(Jac, dirichlet, r, zero, levels, rtol=NEWTON_CG_RTOL)
-        inner += its
+        mg.update(Jac, dirichlet)
+        dU, its = _linear_solve(mg, r, zero, NEWTON_CG_RTOL)
+        steps.append({"active": int(np.count_nonzero(dpen)), "cg_iterations": its,
+                      "rtol": NEWTON_CG_RTOL})
         if dU is None:
             raise NonconvergedError(
                 f"inner CG failed at Newton step {it}",
@@ -459,7 +555,8 @@ def solve_penalized(
         iterations=it,
         final_residual=float(rnorm),
         tol=tol,
-        inner_iterations=inner,
+        inner_iterations=sum(s["cg_iterations"] for s in steps),
+        steps=steps,
     )
 
 

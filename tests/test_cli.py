@@ -9,6 +9,7 @@ import pytest
 import scipy
 
 import signorini.cli as cli
+import signorini.solver as solver_mod
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -157,8 +158,13 @@ def test_manifest_reports_point_nearest_origin(tmp_path):
     assert manifest["classification_x0"] == nearest["x0"]
     assert manifest["classification_at_origin"] == nearest["class"] == "Regular"
     assert manifest["solver_active_set_iterations"] >= 2
-    # at least one CG iteration per active-set solve
-    assert manifest["solver_inner_iterations"] >= manifest["solver_active_set_iterations"]
+    # one record per active-set solve; the last is the tight one
+    steps = manifest["solver_steps"]
+    assert len(steps) == manifest["solver_active_set_iterations"]
+    assert all(set(s) == {"active", "cg_iterations", "rtol"} for s in steps)
+    assert sum(s["cg_iterations"] for s in steps) == manifest["solver_inner_iterations"] > 0
+    assert steps[0]["active"] == 0 and steps[-1]["active"] > 0
+    assert steps[-1]["rtol"] == solver_mod.ACTIVE_SET_RTOL
 
 
 def test_profile_csv_schema(tmp_path):
@@ -417,6 +423,11 @@ def test_penalized_solver_via_config(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["complementarity"]["min_gap_max"] <= 0.05
     assert manifest["solver_inner_iterations"] > 0
+    # the unconstrained start, then one record per Newton step before the
+    # one whose residual passes (solver_iterations counts that one too)
+    steps = manifest["solver_steps"]
+    assert len(steps) == manifest["solver_iterations"]
+    assert sum(s["cg_iterations"] for s in steps) == manifest["solver_inner_iterations"]
 
 
 def test_tilted_n2_summary_is_strict_json(tmp_path):

@@ -237,26 +237,71 @@ def _embedded_matrix(A, fixed):
     return masked + sp.diags(fixed.astype(float), format="csr")
 
 
+def _multigrid(form, fixed):
+    """The solver's hierarchy for form, updated to K and fixed."""
+    mg = solver_mod._Multigrid(form.stiffness, form.dirichlet, form.grid)
+    mg.update(form.stiffness, fixed)
+    return mg
+
+
+def _fresh_masked_levels(A, fixed, grid):
+    """Reference hierarchy built from scratch: D A D on the finest level,
+    then R~ A_l P~ with the prolongations masked to D_f P D_c."""
+    levels = [_embedded_matrix(A, fixed) - sp.diags(fixed.astype(float))]
+    for P, coarse, _ in solver_mod._prolongations(grid):
+        fixed_c = fixed[coarse]
+        P = sp.diags((~fixed).astype(float)) @ P @ sp.diags((~fixed_c).astype(float))
+        levels.append((P.T.tocsr() @ levels[-1] @ P).tocsr())
+        fixed = fixed_c
+    return levels
+
+
 @EMBEDDED_CASES
 def test_masked_product_equals_the_embedded_matrix(n, h, a, graded):
+    # CG runs on D K D with the fixed values on the right-hand side, so its
+    # vectors vanish on fixed nodes, where y = K x; y *= keep is the
+    # embedded matrix's product
     grid, form, fixed, U = _embedded_system(n, h, a, graded)
-    K = form.stiffness
-    M = _embedded_matrix(K, fixed)
-    masked = solver_mod._masked(K, fixed)
+    M = _embedded_matrix(form.stiffness, fixed)
+    mg = _multigrid(form, fixed)
     for x in (U, np.random.default_rng(n).standard_normal(grid.n_nodes)):
-        assert np.array_equal(masked(x), M @ x)
-    # with P masked on fixed rows, the first Galerkin product needs no copy of K
-    for P, coarse in solver_mod._prolongations(grid)[:1]:
-        P = sp.diags((~fixed).astype(float)) @ P @ sp.diags((~fixed[coarse]).astype(float))
-        R = P.T.tocsr()
-        assert np.array_equal((R @ K @ P).toarray(), (R @ M @ P).toarray())
+        x = np.where(fixed, 0.0, x)
+        assert np.array_equal(mg.matvec(x), M @ x)
+
+
+@EMBEDDED_CASES
+def test_updated_hierarchy_equals_a_fresh_masked_build(n, h, a, graded):
+    # one hierarchy, updated through changing fixed sets and a penalized
+    # Jacobian (K plus a thin diagonal), against a fresh masked Galerkin
+    # build at every level; the two sum the same products in possibly
+    # different orders, so every entry must agree within 4 ulps of the
+    # largest entry in its row of the fresh build
+    grid, form, fixed, U = _embedded_system(n, h, a, graded)
+    K, thin, dirichlet = form.stiffness, form.thin_rows, form.dirichlet
+    rng = np.random.default_rng(7)
+    jacobian = K + sp.csr_matrix((rng.uniform(0.0, 2.0, len(thin)) * K.diagonal()[thin],
+                                  (thin, thin)), shape=K.shape)
+    mg = solver_mod._Multigrid(K, dirichlet, grid)
+    assert len(mg.transfers) == len(solver_mod._prolongations(grid))
+    sequence = [(K, thin[::3]), (K, thin[1::2]), (K, thin[:0]), (jacobian, thin[:0]),
+                (K, thin[: len(thin) // 2]), (jacobian, thin[::3])]
+    for A, extra in sequence:
+        fixed = dirichlet.copy()
+        fixed[extra] = True
+        mg.update(A, fixed)
+        fresh = _fresh_masked_levels(A, fixed, grid)
+        assert len(mg.ops) == len(fresh)
+        for ours, ref in zip(mg.ops[1:], fresh[1:]):
+            row_max = abs(ref).max(axis=1).toarray().ravel()
+            err = abs(ours - ref).max(axis=1).toarray().ravel()
+            assert np.all(err <= 4 * np.finfo(float).eps * row_max)
 
 
 @EMBEDDED_CASES
 def test_multigrid_cg_matches_direct_solve(n, h, a, graded):
     grid, form, fixed, U = _embedded_system(n, h, a, graded)
     K, free = form.stiffness, ~fixed
-    x, its = solver_mod._linear_solve(K, fixed, form.load, U, solver_mod._prolongations(grid),
+    x, its = solver_mod._linear_solve(_multigrid(form, fixed), form.load, U,
                                       solver_mod.ACTIVE_SET_RTOL)
     ref = U.copy()
     ref[free] = spla.spsolve(K[free][:, free].tocsc(),
@@ -264,6 +309,45 @@ def test_multigrid_cg_matches_direct_solve(n, h, a, graded):
     assert its > 0
     assert np.array_equal(x[fixed], U[fixed])
     assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("case", [_profile_problem_a05, _tilted_n2_problem],
+                         ids=["n1_a05", "n2_tilted"])
+def test_loose_then_tight_active_set_matches_tight_only(case, monkeypatch):
+    grid, problem, form = case()
+    sol = sg.solve_psor(form, problem)
+    *loose, last = sol.steps
+    # every new set is solved loosely; the last solve re-solves the set
+    # the loose solve before it repeated, at ACTIVE_SET_RTOL
+    assert all(s["rtol"] == solver_mod.ACTIVE_SET_LOOSE_RTOL for s in loose)
+    assert solver_mod.ACTIVE_SET_LOOSE_RTOL > solver_mod.ACTIVE_SET_RTOL == last["rtol"]
+    assert loose[-1]["active"] == last["active"] > 0
+    assert sol.inner_iterations == sum(s["cg_iterations"] for s in sol.steps)
+    assert sol.active_set_iterations == len(sol.steps)
+    monkeypatch.setattr(solver_mod, "ACTIVE_SET_LOOSE_RTOL", solver_mod.ACTIVE_SET_RTOL)
+    tight = sg.solve_psor(form, problem)
+    assert all(s["rtol"] == solver_mod.ACTIVE_SET_RTOL for s in tight.steps)
+    assert sol.iterations == tight.iterations == 1
+    assert np.array_equal(sol.active, tight.active)
+    assert np.abs(sol.U - tight.U).max() <= 1e-12
+
+
+@pytest.mark.parametrize("case", [_profile_problem_a05, _tilted_n2_problem],
+                         ids=["n1_a05", "n2_tilted"])
+def test_loose_set_rejected_by_the_tight_solve_keeps_iterating(case, monkeypatch):
+    # at 1e-2 a loose solve repeats a set that its tight re-solve changes
+    grid, problem, form = case()
+    ref = sg.solve_psor(form, problem)
+    monkeypatch.setattr(solver_mod, "ACTIVE_SET_LOOSE_RTOL", 1e-2)
+    sol = sg.solve_psor(form, problem)
+    rtols = [s["rtol"] for s in sol.steps]
+    tight = [i for i, r in enumerate(rtols) if r == solver_mod.ACTIVE_SET_RTOL]
+    assert tight[0] < len(rtols) - 1 and rtols[tight[0] + 1] == 1e-2
+    assert sol.steps[tight[0] + 1]["active"] != sol.steps[tight[0]]["active"]
+    assert tight[-1] == len(rtols) - 1
+    assert sol.iterations == 1
+    assert np.array_equal(sol.active, ref.active)
+    assert np.abs(sol.U - ref.U).max() <= 1e-12
 
 
 @pytest.mark.parametrize("case", [_profile_problem_a05, _tilted_n2_problem],
@@ -294,11 +378,19 @@ def test_axis_prolongation_interpolates_linearly_in_coordinates(m):
 
 
 def test_multigrid_cg_iterations_do_not_grow_with_resolution():
-    grid, form, fixed, U = _embedded_system(1, 1 / 128, 0.5)
-    x, its = solver_mod._linear_solve(form.stiffness, fixed, form.load, U,
-                                      solver_mod._prolongations(grid), solver_mod.ACTIVE_SET_RTOL)
-    assert x is not None
-    assert its <= 30
+    # the hierarchy is updated, not rebuilt, for each fixed set; a tight
+    # solve must still take at most 16 CG iterations at every h, and the
+    # finest at most 2 more than the coarsest
+    counts = []
+    for h in (1 / 64, 1 / 128, 1 / 256):
+        grid, form, fixed, U = _embedded_system(1, h, 0.5)
+        mg = _multigrid(form, form.dirichlet)
+        mg.update(form.stiffness, fixed)
+        x, its = solver_mod._linear_solve(mg, form.load, U, solver_mod.ACTIVE_SET_RTOL)
+        assert x is not None
+        counts.append(its)
+    assert max(counts) <= 16
+    assert counts[-1] - counts[0] <= 2
 
 
 def test_default_omega_is_near_optimal():
