@@ -290,6 +290,7 @@ def _freeboundary(cfg: ExperimentConfig, res: dict) -> dict:
     res["manifest"].update(
         classification_at_origin=None if nearest is None else nearest["class"],
         classification_x0=None if nearest is None else nearest["x0"],
+        freeboundary_processes=fb.processes,
     )
     artifacts = {"freeboundary.json": {
         "params": fb.params,

@@ -11,6 +11,7 @@ coefficients alone to the thin variables in which B(x0) = I.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,14 +68,28 @@ def _node_points(grid: Grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Symmetric uniformly elliptic thin-block coefficient b_ij(x)."""
+    """Symmetric uniformly elliptic thin-block coefficient b_ij(x).
+
+    lam and Lam, the extreme eigenvalues of the table, are computed when
+    first read."""
 
     n: int
     table: np.ndarray  # B at thin nodes, thin_shape + (n, n)
-    lam: float
-    Lam: float
     lip: float
     _evaluator: object  # callable points (...,n) -> (...,n,n)
+
+    @cached_property
+    def _eig_range(self) -> tuple:
+        eigs = np.linalg.eigvalsh(self.table)
+        return float(eigs.min()), float(eigs.max())
+
+    @property
+    def lam(self) -> float:
+        return self._eig_range[0]
+
+    @property
+    def Lam(self) -> float:
+        return self._eig_range[1]
 
     def eval_B(self, points: np.ndarray) -> np.ndarray:
         """B at arbitrary thin points (..., n) -> (..., n, n)."""
@@ -112,7 +127,7 @@ def build_coefficients(grid: Grid, description=None) -> CoefficientField:
             points = np.asarray(points, dtype=float)
             return np.broadcast_to(np.eye(n), points.shape[:-1] + (n, n)).copy()
 
-        return CoefficientField(n=n, table=table, lam=1.0, Lam=1.0, lip=0.0, _evaluator=ev)
+        return CoefficientField(n=n, table=table, lip=0.0, _evaluator=ev)
 
     if callable(description):
         def ev(points):
@@ -149,12 +164,6 @@ def build_coefficients(grid: Grid, description=None) -> CoefficientField:
     if asym > 0.0:
         raise InvalidCoefficientError(f"coefficient matrix is asymmetric (max |b_ij-b_ji| = {asym:g})")
 
-    eigs = np.linalg.eigvalsh(table)
-    lam = float(eigs.min())
-    Lam = float(eigs.max())
-    if lam <= 0.0:
-        raise InvalidCoefficientError(f"coefficient matrix is not positive definite (min eig = {lam:g})")
-
     # Lipschitz estimate: max finite-difference quotient over axis neighbors
     lip = 0.0
     for d in range(n):
@@ -163,7 +172,11 @@ def build_coefficients(grid: Grid, description=None) -> CoefficientField:
             norms = np.linalg.norm(diff.reshape(-1, n, n), ord=2, axis=(1, 2))
             lip = max(lip, float(norms.max()) / grid.hx)
 
-    return CoefficientField(n=n, table=table, lam=lam, Lam=Lam, lip=lip, _evaluator=ev)
+    field = CoefficientField(n=n, table=table, lip=lip, _evaluator=ev)
+    if field.lam <= 0.0:
+        raise InvalidCoefficientError(
+            f"coefficient matrix is not positive definite (min eig = {field.lam:g})")
+    return field
 
 
 def ellipticity_report(field: CoefficientField) -> tuple:
@@ -257,13 +270,9 @@ def normalize_at(grid: Grid, coeff: CoefficientField, x0) -> tuple:
         B = base_ev(x0 + np.asarray(points, dtype=float) @ S.T)
         return (B.reshape(-1, n * n) @ congruence).reshape(B.shape)
 
-    new_table = new_ev(_thin_points(grid))
-    eigs = np.linalg.eigvalsh(new_table)
     normalized = CoefficientField(
         n=grid.n,
-        table=new_table,
-        lam=float(eigs.min()),
-        Lam=float(eigs.max()),
+        table=new_ev(_thin_points(grid)),
         lip=coeff.lip * float(np.linalg.norm(S_inv, 2)) ** 2 * float(np.linalg.norm(S, 2)),
         _evaluator=new_ev,
     )

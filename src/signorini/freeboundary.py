@@ -3,11 +3,12 @@ regular-set graph fit."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InsufficientDataError, UnsupportedRadiusError
+from .errors import InsufficientDataError, SignoriniError, UnsupportedRadiusError
 from .coefficients import ProblemSpec, normalize_at
 from .functionals import (
     H_FLOOR_FACTOR, FieldSampler, GeometryFields, loglog_slope, sphere_columns, sphere_heights,
@@ -309,46 +310,122 @@ class FreeBoundaryReport:
     points: list  # per-gamma-point dicts
     graph: dict | None
     params: dict
+    processes: int  # processes that computed the point records
 
+
+def point_record(U0: np.ndarray, problem0: ProblemSpec, x0, delta: float) -> dict:
+    """The report's record of one free-boundary point: its classification
+    and decay fit on the reduction (U0, problem0), in the coordinates
+    normalised once at x0. A point whose radii the grid cannot resolve,
+    or whose fit lacks data, is recorded as Unresolved with the error."""
+    reg_expected = (3.0 - problem0.grid.a) / 2.0
+    try:
+        normalized = normalize_at(problem0.grid, problem0.coeff, x0)
+        cls = classify(U0, problem0, x0, delta=delta, normalized=normalized)
+        fit = decay_fit(U0, problem0, x0, normalized=normalized)
+    except (UnsupportedRadiusError, InsufficientDataError) as exc:
+        return {"x0": np.atleast_1d(x0).tolist(), "class": "Unresolved", "error": str(exc)}
+    slope_label = "Regular" if abs(fit["slope"] - reg_expected) <= 0.25 else "Other"
+    return {
+        "x0": np.atleast_1d(x0).tolist(),
+        "class": cls.label,
+        "Ntilde_rmin": cls.Ntilde,
+        "clamp_r": cls.clamp_r,
+        "decay_slope": fit["slope"],
+        "H_slope": fit["H_slope"],
+        "slope_class": slope_label,
+        "definitions_agree": bool((cls.label == "Regular") == (slope_label == "Regular")),
+    }
+
+
+def _send_records(conn, U0, problem0, pts, delta) -> None:
+    """A forked worker's body: send ("ok", records) of its points, or
+    ("error", exc) for the first point that raised."""
+    try:
+        out = ("ok", [point_record(U0, problem0, x0, delta) for x0 in pts])
+    except Exception as exc:  # re-raised by the parent
+        out = ("error", exc)
+    conn.send(out)
+    conn.close()
+
+
+def _point_records(U0: np.ndarray, problem0: ProblemSpec, pts: np.ndarray,
+                   delta: float) -> tuple:
+    """point_record of every point, in order, and the number of processes
+    that computed them.
+
+    The points are dealt out in interleaved slices to one process per CPU
+    of this process's affinity mask (at most one per point): this process
+    computes slice 0 and k - 1 forked children the others, each sending
+    its records through a pipe. Every point runs the same code on the same
+    arrays, so the records equal those of the inline loop, which runs when
+    k == 1, where fork is unavailable and in a daemonic process. A child's
+    exception is re-raised here with its type; a child that exits without
+    sending raises SignoriniError with its exit code. No child outlives
+    the call.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    k = min(len(pts), cpus or 1)
+    if k > 1:
+        import multiprocessing  # here, so that `import signorini` does not load it
+
+        # a daemonic process (a multiprocessing pool's worker) may not have children
+        if ("fork" not in multiprocessing.get_all_start_methods()
+                or multiprocessing.current_process().daemon):
+            k = 1
+    if k <= 1:
+        return [point_record(U0, problem0, x0, delta) for x0 in pts], 1
+
+    # fork, not spawn: a child reads U0 and problem0 from the parent's
+    # memory, with no pickling and no fresh import
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for i in range(1, k):
+            recv_end, send_end = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_send_records, args=(send_end, U0, problem0, pts[i::k], delta))
+            proc.start()
+            children.append((proc, recv_end))
+            send_end.close()  # so a child that dies leaves its pipe at EOF
+        slices = [[point_record(U0, problem0, x0, delta) for x0 in pts[0::k]]]
+        for proc, conn in children:
+            try:
+                status, payload = conn.recv()
+            except EOFError:
+                proc.join()
+                raise SignoriniError(
+                    f"free-boundary worker exited with code {proc.exitcode} before sending"
+                    " its records") from None
+            if status == "error":
+                raise payload
+            slices.append(payload)
+    except BaseException:
+        for proc, _ in children:
+            proc.kill()
+        raise
+    finally:
+        for proc, conn in children:
+            conn.close()
+            proc.join()
+    records = [None] * len(pts)
+    for i, part in enumerate(slices):
+        records[i::k] = part
+    return records, k
 
 
 def free_boundary_report(sol: SolutionField, problem: ProblemSpec,
                          delta: float = 0.5) -> FreeBoundaryReport:
     """Extract masks, classify every free boundary node with |x| <= R/2,
     fit decay slopes, and (n=2, enough regular points) fit the graph. The
-    obstacle is subtracted once, for all points, and the coefficients are
-    normalised once per point, for its classification and decay fit."""
+    obstacle is subtracted once, for all points; each point's record is
+    point_record's, computed on this process's CPUs (_point_records)."""
     grid = problem.grid
     masks = contact_set(sol, problem)
     pts = gamma_points(grid, masks["gamma"])
     # keep points away from the lateral boundary where radii fit
     pts = pts[np.all(np.abs(pts) <= 0.5 * grid.R, axis=-1)]
-    records = []
-    reg_expected = (3.0 - grid.a) / 2.0
     U0, problem0 = reduce_obstacle(sol.U, problem)
-    for x0 in pts:
-        try:
-            normalized = normalize_at(grid, problem0.coeff, x0)
-            cls = classify(U0, problem0, x0, delta=delta, normalized=normalized)
-            fit = decay_fit(U0, problem0, x0, normalized=normalized)
-            slope_label = "Regular" if abs(fit["slope"] - reg_expected) <= 0.25 else "Other"
-            records.append(
-                {
-                    "x0": np.atleast_1d(x0).tolist(),
-                    "class": cls.label,
-                    "Ntilde_rmin": cls.Ntilde,
-                    "clamp_r": cls.clamp_r,
-                    "decay_slope": fit["slope"],
-                    "H_slope": fit["H_slope"],
-                    "slope_class": slope_label,
-                    "definitions_agree": bool(
-                        (cls.label == "Regular") == (slope_label == "Regular")
-                    ),
-                }
-            )
-        except (UnsupportedRadiusError, InsufficientDataError) as exc:
-            records.append({"x0": np.atleast_1d(x0).tolist(), "class": "Unresolved",
-                            "error": str(exc)})
+    records, processes = _point_records(U0, problem0, pts, delta)
     graph = None
     if grid.n == 2:
         reg_pts = np.array([r["x0"] for r in records if r.get("class") == "Regular"])
@@ -364,4 +441,5 @@ def free_boundary_report(sol: SolutionField, problem: ProblemSpec,
             "delta": delta,
             "tau_gap": default_tau_gap(grid.a, delta),
         },
+        processes=processes,
     )

@@ -1,6 +1,7 @@
 """Shared fixtures: cached solves of standard test problems."""
 
 import dataclasses
+import multiprocessing
 from functools import lru_cache
 
 import numpy as np
@@ -38,6 +39,13 @@ def graded_grid(n: int, h: float, a: float):
     ys = grid.ys[-1] * (np.arange(len(grid.ys)) / (len(grid.ys) - 1)) ** 2
     return dataclasses.replace(grid, ys=ys, cell_y_weights=_weighted_layer_integrals(ys, a),
                                cell_y_trans=_layer_transmissibilities(ys, a))
+
+
+@pytest.fixture(autouse=True)
+def no_process_left():
+    """No test leaves a child process running (the free-boundary report forks)."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @lru_cache(maxsize=32)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import platform
 
 import numpy as np
@@ -408,6 +409,10 @@ def test_n2_classify_writes_graph(tmp_path):
     assert rc == 0
     fb = json.loads((out / "freeboundary.json").read_text())
     assert fb["n_gamma"] > 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    # one process per CPU of the affinity mask, at most one per point
+    assert manifest["freeboundary_processes"] == min(len(fb["points"]),
+                                                     len(os.sched_getaffinity(0)))
     assert (out / "graph.csv").exists()
     rows = (out / "graph.csv").read_text().strip().split("\n")
     assert rows[0] == "s,g"

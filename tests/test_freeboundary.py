@@ -1,10 +1,19 @@
-"""Contact masks, classification, decay fits, blow-ups, graph fit."""
+"""Contact masks, classification, decay fits, blow-ups, graph fit, and the
+report's forked workers."""
+
+import contextlib
+import multiprocessing
+import os
+import pathlib
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import signorini as sg
-from signorini.errors import InsufficientDataError
+from signorini.errors import InsufficientDataError, OutOfDomainError, SignoriniError
 from signorini.freeboundary import gamma_points, local_columns
 from signorini.grid import interpolate
 from signorini.solver import near_optimal_omega
@@ -412,7 +421,18 @@ def test_report_classifies_every_eligible_gamma_node(n2_line_solve):
     assert [p["x0"] for p in rep.points] == eligible.tolist()
 
 
-def test_report_normalizes_once_per_point(n2_line_solve, monkeypatch):
+def _cpus(monkeypatch, k):
+    """Make this process's affinity mask hold k CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """The report's inline path: the counters below do not see forked workers."""
+    _cpus(monkeypatch, 1)
+
+
+def test_report_normalizes_once_per_point(n2_line_solve, monkeypatch, one_cpu):
     # one frame per point serves its classification and its decay fit
     grid, problem, form, sol = n2_line_solve
     normalize_at = sg.freeboundary.normalize_at
@@ -472,7 +492,7 @@ def test_n2_circle_points_classify_regular(n2_circle_solve):
         assert cls.Ntilde == pytest.approx(1.5, abs=0.1)
 
 
-def test_report_reduces_the_obstacle_once(n2_circle_solve, monkeypatch):
+def test_report_reduces_the_obstacle_once(n2_circle_solve, monkeypatch, one_cpu):
     # psi != 0: one reduced problem serves every classified point
     grid, problem, form, sol = n2_circle_solve
     reduce = sg.freeboundary.reduce_obstacle
@@ -498,3 +518,144 @@ def test_n2_circle_arc_graph_fit(n2_circle_solve):
     out = sg.graph_fit(arc)
     assert np.isfinite(out["gprime"]).all()
     assert out["gamma_est"] >= 0.5
+
+
+# -- the report's points on several processes --------------------------------
+
+
+@pytest.fixture(scope="module")
+def n2_tilted_obstacle_solve():
+    # the benchmark's tilted B under an elliptic obstacle at h = 1/16: 28
+    # points, 6 of them Unresolved, and a graph fit
+    a = 0.5
+    grid = sg.build_grid(2, 1.0, 1 / 16, 1 / 16, a)
+    X1, X2, _ = grid.node_mesh()
+    psi = 0.3 - X1[..., 0] ** 2 - 2 * X2[..., 0] ** 2
+    problem = sg.make_problem(grid, coeff=sg.build_coefficients(grid, TILTED_B), psi=psi,
+                              boundary=profile_boundary(grid, a))
+    sol = sg.solve_psor(sg.assemble_energy(grid, problem), problem, tol=1e-10)
+    return problem, sol
+
+
+def _bitwise_equal(a, b) -> bool:
+    """Equal structure and types, with floats and arrays equal to the bit."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_bitwise_equal(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_bitwise_equal, a, b))
+    if isinstance(a, (float, np.ndarray, np.generic)):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return a == b
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Fail the block with TimeoutError, instead of hanging, after seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _no_child_process() -> bool:
+    """True when this process has no child, running or exited unreaped: the
+    report joined every worker it forked."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def test_forked_report_equals_inline(n2_tilted_obstacle_solve, monkeypatch):
+    problem, sol = n2_tilted_obstacle_solve
+    _cpus(monkeypatch, 1)
+    inline = sg.free_boundary_report(sol, problem)
+    _cpus(monkeypatch, 3)
+    with _deadline(60):
+        forked = sg.free_boundary_report(sol, problem)
+    assert _no_child_process()
+    assert (inline.processes, forked.processes) == (1, 3)
+    classes = [p["class"] for p in inline.points]
+    assert len(classes) >= 5 and "Unresolved" in classes and "Regular" in classes
+    assert inline.graph is not None
+    assert _bitwise_equal(forked.points, inline.points)
+    assert _bitwise_equal(forked.graph, inline.graph)
+
+
+def _in_children(monkeypatch, action):
+    """Make point_record run action(x0) in forked workers only."""
+    parent, record = os.getpid(), sg.freeboundary.point_record
+
+    def patched(U0, problem0, x0, delta):
+        if os.getpid() != parent:
+            action(x0)
+        return record(U0, problem0, x0, delta)
+
+    monkeypatch.setattr(sg.freeboundary, "point_record", patched)
+
+
+def test_child_exception_reaches_the_parent_with_its_type(n2_tilted_obstacle_solve,
+                                                          monkeypatch):
+    problem, sol = n2_tilted_obstacle_solve
+
+    def fail(x0):
+        raise OutOfDomainError(f"worker failed at {list(x0)}")
+
+    _in_children(monkeypatch, fail)
+    _cpus(monkeypatch, 2)
+    with _deadline(60), pytest.raises(OutOfDomainError, match="worker failed at") as info:
+        sg.free_boundary_report(sol, problem)
+    assert info.type is OutOfDomainError
+    assert _no_child_process()
+
+
+def test_child_that_dies_raises_with_its_exit_code(n2_tilted_obstacle_solve, monkeypatch):
+    problem, sol = n2_tilted_obstacle_solve
+    _in_children(monkeypatch, lambda x0: os._exit(1))
+    _cpus(monkeypatch, 2)
+    with _deadline(60), pytest.raises(SignoriniError, match="code 1") as info:
+        sg.free_boundary_report(sol, problem)
+    assert info.type is SignoriniError
+    assert _no_child_process()
+
+
+def test_report_in_a_daemonic_process_runs_inline(n2_line_solve, monkeypatch):
+    # a multiprocessing pool's workers are daemonic and may not have children
+    grid, problem, form, sol = n2_line_solve
+    _cpus(monkeypatch, 2)
+    ctx = multiprocessing.get_context("fork")
+    recv_end, send_end = ctx.Pipe(duplex=False)
+
+    def report():
+        rep = sg.free_boundary_report(sol, problem)
+        send_end.send((rep.processes, rep.points))
+
+    proc = ctx.Process(target=report, daemon=True)
+    proc.start()
+    send_end.close()
+    with _deadline(60):
+        processes, points = recv_end.recv()
+    proc.join(timeout=60)
+    assert not proc.is_alive() and proc.exitcode == 0
+    assert processes == 1
+    assert points == sg.free_boundary_report(sol, problem).points
+
+
+def test_import_loads_no_multiprocessing():
+    # only the report's forking path imports it
+    src = pathlib.Path(sg.__file__).resolve().parents[1]
+    code = ("import sys, signorini; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
