@@ -64,11 +64,9 @@ from .freeboundary import (
     reduce_obstacle,
 )
 from .oracle import (
-    AngularProfile,
     ReferenceSolution,
     exact_solution,
     homogeneous_functionals,
-    profile_ode,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -6,7 +6,7 @@ and one manifest.json; oracle tabulates a reference solution and sweep
 runs diagnose once per parameter value. This module is the only one
 that writes files.
 Exit codes: 0 success, 2 invalid config or arguments (malformed JSON
-included), 3 nonconvergence, 4 oracle failure.
+included), 3 nonconvergence.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .errors import (
     InvalidConfigurationError,
     InvalidParameterError,
     NonconvergedError,
-    OracleFailureError,
     OutOfDomainError,
     SignoriniError,
     UnsupportedRadiusError,
@@ -41,7 +40,7 @@ from .functionals import (
 )
 from .grid import build_grid
 from .operator import assemble_energy
-from .oracle import exact_solution, profile_ode
+from .oracle import exact_solution
 from .solver import complementarity_report, solve_penalized, solve_psor
 
 CONFIG_SCHEMA = 1
@@ -298,6 +297,7 @@ def _freeboundary(cfg: ExperimentConfig, res: dict) -> dict:
         "n_gamma": int(fb.gamma_mask.sum()),
         "points": fb.points,
         "gamma_est": None if fb.graph is None else fb.graph["gamma_est"],
+        "graph_error": fb.graph_error,
     }}
     if fb.graph is not None:
         artifacts["graph.csv"] = (("s", "g"), zip(fb.graph["s"], fb.graph["g"]))
@@ -416,7 +416,6 @@ def _make_parser() -> argparse.ArgumentParser:
     op.add_argument("--kind", required=True)
     op.add_argument("--a", type=float, required=True)
     op.add_argument("--out", required=True)
-    op.add_argument("--tol", type=float, default=1e-6, help="oracle residual tolerance")
     op.add_argument("--quiet", action="store_true")
 
     sp = sub.add_parser("sweep", help="run a config across parameter values")
@@ -437,23 +436,17 @@ def main(argv=None) -> int:
     except NonconvergedError as exc:
         print(f"nonconvergence: {exc}", file=sys.stderr)
         return 3
-    except OracleFailureError as exc:
-        print(f"oracle failure: {exc}", file=sys.stderr)
-        return 4
 
 
 def _oracle(args) -> None:
-    if args.kind == "signorini_profile" and args.a > 0:
-        prof = profile_ode(args.a, residual_tol=args.tol)
-        theta, phi, residual, kappa = prof.theta, prof.phi, prof.residual, prof.kappa
-    else:
-        ref = exact_solution(args.kind, args.a)
-        theta = np.linspace(0, np.pi, 721)
-        phi = ref(np.stack([np.cos(theta), np.sin(theta)], axis=-1))
-        residual, kappa = 0.0, ref.kappa
+    ref = exact_solution(args.kind, args.a)
+    theta = np.linspace(0, np.pi, 721)
+    xy = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    xy[-1, 1] = 0.0  # on the contact ray itself: np.sin(np.pi) is 1.2e-16
+    phi = ref(xy)
     _write(args.out, {
         "angular_profile.csv": (("theta", "phi"), zip(theta, phi)),
-        "oracle.json": {"a": args.a, "kind": args.kind, "residual": residual, "kappa": kappa},
+        "oracle.json": {"a": args.a, "kind": args.kind, "residual": 0.0, "kappa": ref.kappa},
     })
     if not args.quiet:
         print(f"oracle written: {args.out}")

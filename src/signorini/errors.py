@@ -42,9 +42,5 @@ class NonconvergedError(SignoriniError):
         self.final_residual = final_residual
 
 
-class OracleFailureError(SignoriniError):
-    """A reference solution failed its own consistency check."""
-
-
 class InsufficientDataError(SignoriniError):
     """Not enough points/radii to perform the requested fit."""

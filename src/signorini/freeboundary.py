@@ -309,6 +309,7 @@ class FreeBoundaryReport:
     gamma_mask: np.ndarray
     points: list  # per-gamma-point dicts
     graph: dict | None
+    graph_error: str | None  # at n = 2, why graph_fit gave no graph
     params: dict
     processes: int  # processes that computed the point records
 
@@ -416,8 +417,9 @@ def _point_records(U0: np.ndarray, problem0: ProblemSpec, pts: np.ndarray,
 def free_boundary_report(sol: SolutionField, problem: ProblemSpec,
                          delta: float = 0.5) -> FreeBoundaryReport:
     """Extract masks, classify every free boundary node with |x| <= R/2,
-    fit decay slopes, and (n=2, enough regular points) fit the graph. The
-    obstacle is subtracted once, for all points; each point's record is
+    fit decay slopes, and (n=2) fit the graph of the regular points or
+    record why graph_fit could not (graph_error). The obstacle is
+    subtracted once, for all points; each point's record is
     point_record's, computed on this process's CPUs (_point_records)."""
     grid = problem.grid
     masks = contact_set(sol, problem)
@@ -426,16 +428,18 @@ def free_boundary_report(sol: SolutionField, problem: ProblemSpec,
     pts = pts[np.all(np.abs(pts) <= 0.5 * grid.R, axis=-1)]
     U0, problem0 = reduce_obstacle(sol.U, problem)
     records, processes = _point_records(U0, problem0, pts, delta)
-    graph = None
+    graph = graph_error = None
     if grid.n == 2:
-        reg_pts = np.array([r["x0"] for r in records if r.get("class") == "Regular"])
-        if len(reg_pts) >= 5:
-            graph = graph_fit(reg_pts)
+        try:
+            graph = graph_fit(np.array([r["x0"] for r in records if r.get("class") == "Regular"]))
+        except InsufficientDataError as exc:
+            graph_error = str(exc)
     return FreeBoundaryReport(
         contact_mask=masks["contact"],
         gamma_mask=masks["gamma"],
         points=records,
         graph=graph,
+        graph_error=graph_error,
         params={
             "tol_c": masks["tol_c"],
             "delta": delta,

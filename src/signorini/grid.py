@@ -9,11 +9,11 @@ handled exactly down to the thin set.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import InvalidConfigurationError, UnsupportedRadiusError
 
@@ -298,15 +298,36 @@ def _check_radius(grid: Grid, r: float) -> None:
         raise UnsupportedRadiusError(f"radius {r} outside (0, R={grid.R}]")
 
 
+def _gauss_jacobi(m: int, alpha: float, beta: float) -> tuple:
+    """Nodes and weights of the m-point Gauss rule for the weight
+    (1-t)^alpha (1+t)^beta on [-1, 1], alpha, beta > -1 (Golub and
+    Welsch, Math. Comp. 23, 1969): the nodes are the eigenvalues of the
+    symmetric tridiagonal matrix of the orthonormal Jacobi recurrence and
+    the weights mu0 = int (1-t)^alpha (1+t)^beta dt times the squared
+    first components of its unit eigenvectors."""
+    ab = alpha + beta
+    k = np.arange(1, m, dtype=float)
+    s = 2.0 * k + ab
+    diag = np.r_[(beta - alpha) / (ab + 2.0), (beta**2 - alpha**2) / (s * (s + 2.0))]
+    # off-diagonal k carries (k + ab) / (s - 1): 1 at k = 1, where it is 0/0 when ab = -1
+    q = np.ones_like(k)
+    q[1:] = (k[1:] + ab) / (s[1:] - 1.0)
+    off = np.sqrt(4.0 * k * (k + alpha) * (k + beta) * q / (s**2 * (s + 1.0)))
+    J = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    t, v = np.linalg.eigh(J)
+    mu0 = 2.0 ** (ab + 1.0) * math.gamma(alpha + 1.0) * math.gamma(beta + 1.0) / math.gamma(ab + 2.0)
+    return t, mu0 * v[0] ** 2
+
+
 @lru_cache(maxsize=32)
 def _unit_sphere_rule(n: int, n_angles: int, a: float) -> tuple:
     """Read-only (points, weights) of the rule on the unit half sphere."""
     if n == 1:
-        t, w = roots_jacobi(n_angles, (a - 1.0) / 2.0, (a - 1.0) / 2.0)
+        t, w = _gauss_jacobi(n_angles, (a - 1.0) / 2.0, (a - 1.0) / 2.0)
         theta = np.arccos(t)
         return _read_only(np.column_stack([np.cos(theta), np.sin(theta)])), _read_only(w)
     # n == 2: y = u with u in (0,1], thin radius sqrt(1-u^2)
-    t, w = roots_jacobi(n_angles, 0.0, a)
+    t, w = _gauss_jacobi(n_angles, 0.0, a)
     u = (t + 1.0) / 2.0
     wu = w * 2.0 ** (-(a + 1.0))
     lam = 2.0 * np.pi * np.arange(n_angles) / n_angles
@@ -345,13 +366,15 @@ def sphere_quadrature(grid: Grid, r: float, n_angles: int = 64, a: float | None 
     )
 
 
+def _sine_power_integral(a: float) -> float:
+    """int_0^pi (sin t)^a dt = sqrt(pi) Gamma((a+1)/2) / Gamma(a/2+1)."""
+    return math.sqrt(math.pi) * math.gamma((a + 1.0) / 2.0) / math.gamma(a / 2.0 + 1.0)
+
+
 def halfsphere_weighted_area(n: int, r: float, a: float) -> float:
     """Closed form int_{S_r^+} |y|^a dsigma."""
     if n == 1:
-        from scipy.special import gamma
-
-        # int_0^pi (sin t)^a dt = sqrt(pi) Gamma((a+1)/2) / Gamma(a/2+1)
-        return r ** (1.0 + a) * np.sqrt(np.pi) * gamma((a + 1.0) / 2.0) / gamma(a / 2.0 + 1.0)
+        return r ** (1.0 + a) * _sine_power_integral(a)
     return 2.0 * np.pi * r ** (2.0 + a) / (1.0 + a)
 
 
@@ -452,10 +475,7 @@ def ball_sums(grid: Grid, densities: np.ndarray, radii, nsub: int = 4) -> np.nda
 
 def ball_weighted_measure(n: int, r: float, a: float) -> float:
     """Closed form int_{B_r^+} y^a dX (upper half ball)."""
-    from scipy.special import gamma
-
     # integrate the half-sphere area in the radius
     if n == 1:
-        area1 = np.sqrt(np.pi) * gamma((a + 1.0) / 2.0) / gamma(a / 2.0 + 1.0)
-        return area1 * r ** (2.0 + a) / (2.0 + a)
+        return _sine_power_integral(a) * r ** (2.0 + a) / (2.0 + a)
     return 2.0 * np.pi / (1.0 + a) * r ** (3.0 + a) / (3.0 + a)

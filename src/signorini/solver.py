@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import InvalidParameterError, NonconvergedError
 from .coefficients import ProblemSpec
@@ -82,9 +81,10 @@ def penalty_derivative(s, eps: float):
 
 
 # Galerkin multigrid (_Multigrid): levels are coarsened until at most
-# MG_COARSEST_NODES nodes remain, which SuperLU then solves; each level
-# smooths with MG_SWEEPS damped-Jacobi sweeps (damping MG_DAMPING) before
-# and after its coarse correction.
+# MG_COARSEST_NODES nodes remain, whose free block is solved by its dense
+# inverse, recomputed at every update; each level smooths with MG_SWEEPS
+# damped-Jacobi sweeps (damping MG_DAMPING) before and after its coarse
+# correction.
 MG_COARSEST_NODES = 500
 MG_SWEEPS = 2
 MG_DAMPING = 0.7
@@ -222,8 +222,8 @@ class _Multigrid:
             keep = keep_c
             self.keeps.append(keep)
             self.ops.append(A)
-        A = _scaled(A, keep, keep) + sp.diags((~keep).astype(float))
-        self.coarsest = spla.splu(A.tocsc())
+        free = np.flatnonzero(keep)
+        self.coarsest = free, np.linalg.inv(A[free][:, free].toarray())
 
     def matvec(self, x: np.ndarray, level: int = 0) -> np.ndarray:
         y = self.ops[level] @ x
@@ -245,7 +245,10 @@ class _Multigrid:
         """One V-cycle from the given level down, for a residual b that is
         zero on the fixed nodes; the result is zero there too."""
         if level == len(self.transfers):
-            return self.coarsest.solve(b)
+            free, inverse = self.coarsest
+            x = np.zeros_like(b)
+            x[free] = inverse @ b[free]
+            return x
         t = self.transfers[level]
         x = self.wdinv[level] * b
         for _ in range(MG_SWEEPS - 1):
@@ -258,6 +261,30 @@ class _Multigrid:
         for _ in range(MG_SWEEPS):
             self._smooth(b, x, level)
         return x
+
+
+def _cg(matvec, psolve, b: np.ndarray, x: np.ndarray, atol: float) -> tuple:
+    """Conjugate gradients for matvec(x) = b, preconditioned by psolve,
+    from x (updated in place) until the recurred residual's norm is at
+    most atol. Returns (x, iterations), with x None when CG_MAX_ITER
+    iterations do not reach atol."""
+    r = b - matvec(x)
+    for it in range(CG_MAX_ITER):
+        if np.linalg.norm(r) <= atol:
+            return x, it
+        z = psolve(r)
+        rho = np.dot(r, z)
+        if it:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = matvec(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return None, CG_MAX_ITER
 
 
 def _linear_solve(mg: _Multigrid, load: np.ndarray, U: np.ndarray, rtol: float,
@@ -280,17 +307,8 @@ def _linear_solve(mg: _Multigrid, load: np.ndarray, U: np.ndarray, rtol: float,
     atol = rtol * np.hypot(np.linalg.norm(b), np.linalg.norm(U[fixed]))
     if loose:
         atol = max(atol, loose * np.linalg.norm(b - mg.matvec(U * keep)))
-    count = [0]
-
-    def tick(_):
-        count[0] += 1
-
-    shape = mg.ops[0].shape
-    x, info = spla.cg(spla.LinearOperator(shape, matvec=mg.matvec, dtype=float), b, x0=U * keep,
-                      rtol=0.0, atol=atol,
-                      M=spla.LinearOperator(shape, matvec=mg.cycle, dtype=float),
-                      maxiter=CG_MAX_ITER, callback=tick)
-    return (np.where(fixed, U, x) if info == 0 else None), count[0]
+    x, its = _cg(mg.matvec, mg.cycle, b, U * keep, atol)
+    return (None if x is None else np.where(fixed, U, x)), its
 
 
 # ---------------------------------------------------------------------------

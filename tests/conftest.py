@@ -32,6 +32,42 @@ def profile_boundary(grid, a: float, mix: float = 0.0) -> np.ndarray:
     return g
 
 
+def angular_system(a: float, kappa: float | None = None) -> tuple:
+    """The contact profile's angular equation ((sin t)^a phi')' + lam
+    (sin t)^a phi = 0, lam = kappa (kappa + a), kappa = (3-a)/2 by default,
+    as (rhs, lam, c2): rhs(t, z) of the first-order system in z = (phi,
+    (sin t)^a phi'), and c2 of its series start phi ~ s^{1-a} (1 + c2 s^2)
+    at the contact ray, s = pi - theta."""
+    if kappa is None:
+        kappa = (3 - a) / 2
+    lam = kappa * (kappa + a)
+
+    def rhs(t, z):
+        return [z[1] / np.sin(t) ** a, -lam * np.sin(t) ** a * z[0]]
+
+    return rhs, lam, (a * (1 - a) / 3 - lam) / (2 * (3 - a))
+
+
+def angular_ode(a: float, kappa: float | None = None) -> tuple:
+    """Test-local reference for the contact profile's angular factor:
+    angular_system integrated by LSODA from s = 1e-6 (the series start) to
+    s = pi - 1e-12, in s = pi - theta (the equation is symmetric under
+    theta -> pi - theta). Returns (phi, defect): phi(s) the dense solution
+    normalised to 1 at theta = 0, and defect the weighted derivative at
+    theta = 0 relative to max |phi|, which vanishes only at the profile's
+    kappa."""
+    from scipy.integrate import solve_ivp
+
+    rhs, _, c2 = angular_system(a, kappa)
+    s0 = 1e-6
+    z0 = [s0 ** (1 - a) + c2 * s0 ** (3 - a),
+          np.sin(s0) ** a * ((1 - a) * s0 ** -a + c2 * (3 - a) * s0 ** (2 - a))]
+    sol = solve_ivp(rhs, [s0, np.pi - 1e-12], z0, method="LSODA", rtol=1e-12, atol=1e-14,
+                    dense_output=True)
+    scale = sol.y[0, -1]
+    return (lambda s: sol.sol(s)[0] / scale), abs(sol.y[1, -1]) / np.abs(sol.y[0]).max()
+
+
 def graded_grid(n: int, h: float, a: float):
     """build_grid(n, 1, h, h, a) with the quadratically graded layers
     y_j = R (j/M)^2 in place of the uniform ones."""

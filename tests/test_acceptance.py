@@ -8,7 +8,7 @@ import signorini as sg
 from signorini.operator import interior_mask
 from signorini.solver import near_optimal_omega
 
-from conftest import profile_boundary, solved_profile
+from conftest import angular_ode, profile_boundary, solved_profile
 
 
 def report(num, name, detail):
@@ -259,17 +259,26 @@ def test_criterion_8_penalization():
 
 
 def test_criterion_9_oracle_integrity():
-    prof0 = sg.profile_ode(0.0)
+    # the closed-form contact profile against cos(3 theta/2) at a = 0, and
+    # against a test-local integration of its angular equation at a > 0
     th = np.linspace(0, np.pi, 721)
-    cos_dev = np.abs(prof0(th) - np.cos(1.5 * th)).max()
-    assert cos_dev <= 1e-6
+    circle = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    cos_dev = np.abs(sg.exact_solution("signorini_profile", 0.0)(circle) - np.cos(1.5 * th)).max()
+    assert cos_dev <= 1e-14
 
-    residuals = {}
+    ode_devs = {}
     for a in (0.25, 0.5, 0.75):
-        residuals[a] = sg.profile_ode(a).residual
-        assert residuals[a] <= 1e-6
+        phi, defect = angular_ode(a)
+        assert defect <= 1e-6
+        s = np.linspace(1e-6, np.pi - 1e-12, 2001)
+        contact_side = np.stack([-np.cos(s), np.sin(s)], axis=-1)  # theta = pi - s
+        ode_devs[a] = np.abs(sg.exact_solution("signorini_profile", a)(contact_side)
+                             - phi(s)).max()
+        assert ode_devs[a] <= 1e-8
 
         ref = sg.exact_solution("signorini_profile", a)
+        assert ref(np.array([-1.0, 0.0])) == 0.0  # Dirichlet on the contact ray
+        assert ref(np.array([1.0, 0.0])) == pytest.approx(1.0, abs=1e-15)
         norms = []
         for h in (1 / 24, 1 / 48, 1 / 96):
             grid = sg.build_grid(1, 1.0, h, h, a)
@@ -285,9 +294,9 @@ def test_criterion_9_oracle_integrity():
     report(
         9,
         "oracle integrity",
-        f"a=0 vs cos(3 theta/2): {cos_dev:.2e} <= 1e-6; residuals "
-        + ", ".join(f"a={a}: {v:.1e}" for a, v in residuals.items())
-        + " <= 1e-6; off-ray residual order >= 1.9",
+        f"a=0 vs cos(3 theta/2): {cos_dev:.2e} <= 1e-14; vs the angular ODE "
+        + ", ".join(f"a={a}: {v:.1e}" for a, v in ode_devs.items())
+        + " <= 1e-8; off-ray residual order >= 1.9",
     )
 
 

@@ -3,14 +3,19 @@
 import csv
 import json
 import os
+import pathlib
 import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy
 
+import signorini as sg
 import signorini.cli as cli
 import signorini.solver as solver_mod
+from signorini.errors import InvalidConfigurationError
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -326,10 +331,39 @@ def test_oracle_verb_and_failure_exit_code(tmp_path):
                    "--out", str(out), "--quiet"])
     assert rc == 0
     meta = json.loads((out / "oracle.json").read_text())
-    assert meta["residual"] <= 1e-6
-    rc = cli.main(["oracle", "--kind", "signorini_profile", "--a", "0.5",
-                   "--out", str(tmp_path / "o2"), "--tol", "1e-18", "--quiet"])
-    assert rc == 4
+    assert meta == {"a": 0.5, "kind": "signorini_profile", "residual": 0.0, "kappa": 1.25}
+    # the closed form cannot fail; an exponent outside (-1, 1) is a configuration error
+    rc = cli.main(["oracle", "--kind", "signorini_profile", "--a", "1.0",
+                   "--out", str(tmp_path / "o2"), "--quiet"])
+    assert rc == 2 and not (tmp_path / "o2").exists()
+
+
+def test_module_entry_point_exits_with_main_code(tmp_path):
+    # `python -m signorini.cli` runs _console_entry, which exits with main's code
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def entry(*args):
+        return subprocess.run([sys.executable, "-m", "signorini.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=120).returncode
+
+    out = tmp_path / "oracle"
+    assert entry("oracle", "--kind", "signorini_profile", "--a", "0.5", "--out", str(out),
+                 "--quiet") == 0
+    assert (out / "angular_profile.csv").is_file() and (out / "oracle.json").is_file()
+    assert entry("oracle", "--kind", "bogus", "--a", "0.5", "--out", str(out)) == 2
+
+
+def test_oracle_takes_the_grid_range_of_a_but_experiments_keep_0_to_1(tmp_path):
+    assert cli.main(["oracle", "--kind", "signorini_profile", "--a", "-0.5",
+                     "--out", str(tmp_path / "oracle"), "--quiet"]) == 0
+    meta = json.loads((tmp_path / "oracle" / "oracle.json").read_text())
+    assert meta["kappa"] == 1.75
+    path = write_config(tmp_path, a=-0.5)
+    assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    grid = sg.build_grid(1, 1.0, 0.25, 0.25, -0.5)
+    with pytest.raises(InvalidConfigurationError):
+        sg.make_problem(grid)
 
 
 def test_nonconvergence_exit_code(tmp_path):
@@ -414,6 +448,7 @@ def test_n2_classify_writes_graph(tmp_path):
     assert manifest["freeboundary_processes"] == min(len(fb["points"]),
                                                      len(os.sched_getaffinity(0)))
     assert (out / "graph.csv").exists()
+    assert fb["graph_error"] is None and fb["gamma_est"] is not None
     rows = (out / "graph.csv").read_text().strip().split("\n")
     assert rows[0] == "s,g"
     assert len(rows) >= 6

@@ -2,6 +2,7 @@
 report's forked workers."""
 
 import contextlib
+import json
 import multiprocessing
 import os
 import pathlib
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import signorini as sg
+import signorini.cli as cli
 from signorini.errors import InsufficientDataError, OutOfDomainError, SignoriniError
 from signorini.freeboundary import gamma_points, local_columns
 from signorini.grid import interpolate
@@ -339,6 +341,20 @@ def test_graph_fit_circle_arc():
 def test_graph_fit_insufficient_points():
     with pytest.raises(InsufficientDataError):
         sg.graph_fit(np.zeros((3, 2)))
+
+
+def test_degenerate_regular_cloud_writes_a_null_graph(tmp_path):
+    # 6 regular points on 4 distinct abscissae of their principal axis:
+    # graph_fit's InsufficientDataError becomes the report's graph_error
+    cfg = cli.ExperimentConfig.from_dict({
+        "n": 2, "a": 0.5, "hx": 1 / 10, "hy": 1 / 10, "coefficients": TILTED_B,
+        "obstacle": {"poly": [[0.3, [0, 0]], [-1.0, [2, 0]], [-2.0, [0, 2]]]}, "boundary": 0.0})
+    cli.run(cfg, tmp_path, quiet=True)
+    out = json.loads((tmp_path / "freeboundary.json").read_text())
+    assert sum(p["class"] == "Regular" for p in out["points"]) >= 5
+    assert out["gamma_est"] is None
+    assert out["graph_error"] == "degenerate point cloud for the graph fit"
+    assert not (tmp_path / "graph.csv").exists()
 
 
 def test_report_on_profile(profile_a0):

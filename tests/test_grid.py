@@ -7,6 +7,7 @@ from scipy.integrate import quad
 import signorini as sg
 from signorini.errors import InvalidConfigurationError, UnsupportedRadiusError
 from signorini.grid import (
+    _gauss_jacobi,
     _weighted_layer_integrals,
     ball_sums,
     ball_weighted_measure,
@@ -102,6 +103,39 @@ def test_sphere_rule_radius_checks():
         sg.sphere_quadrature(grid, 0.05, 32)
     with pytest.raises(InvalidConfigurationError):
         sg.sphere_quadrature(grid, 0.5, 4)
+
+
+def _jacobi_norms(m, alpha, beta):
+    """h_k = int P_k^2 (1-t)^alpha (1+t)^beta dt of the Jacobi polynomials, k < m."""
+    from math import exp, lgamma
+
+    ab = alpha + beta
+    h = [2 ** (ab + 1) * exp(lgamma(alpha + 1) + lgamma(beta + 1) - lgamma(ab + 2))]
+    for k in range(1, m):
+        h.append(2 ** (ab + 1) / (2 * k + ab + 1) * exp(
+            lgamma(k + alpha + 1) + lgamma(k + beta + 1) - lgamma(k + ab + 1) - lgamma(k + 1)))
+    return np.array(h)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.25, 0.5, 0.75])
+@pytest.mark.parametrize("n", [1, 2])
+def test_gauss_jacobi_rule_against_scipy(n, a):
+    # every (alpha, beta) that sphere_quadrature builds: n = 1 and 2, the
+    # exponents a, 0 and -a of the sphere columns; at n = 1 exponent 0
+    # gives alpha + beta = -1, where the first off-diagonal is special
+    from scipy.special import eval_jacobi, roots_jacobi
+
+    for e in (a, 0.0, -a):
+        alpha, beta = ((e - 1) / 2, (e - 1) / 2) if n == 1 else (0.0, e)
+        for m in (8, 48, 64):
+            t, w = _gauss_jacobi(m, alpha, beta)
+            t_ref, w_ref = roots_jacobi(m, alpha, beta)
+            assert np.abs(t - t_ref).max() <= 1e-15
+            assert np.abs(w / w_ref - 1).max() <= 1e-10
+            h = _jacobi_norms(m, alpha, beta)
+            assert abs(w.sum() - h[0]) <= 1e-14 * h[0]
+            P = np.array([eval_jacobi(k, alpha, beta, t) for k in range(m)])
+            assert np.abs((P * w) @ P.T - np.diag(h)).max() <= 1e-13
 
 
 def test_sphere_quadrature_refinement_order():

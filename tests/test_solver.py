@@ -194,7 +194,7 @@ def test_active_set_cap_falls_back_to_psor(monkeypatch):
 def test_failed_cg_falls_back_to_psor(monkeypatch):
     grid, problem, form = _tilted_n2_problem()
     ref = sg.solve_psor(form, problem, warm_start=False, tol=1e-13)
-    monkeypatch.setattr(spla, "cg", lambda A, b, x0=None, **kw: (np.full_like(b, np.nan), 1))
+    monkeypatch.setattr(solver_mod, "_cg", lambda *args: (None, solver_mod.CG_MAX_ITER))
     sol = sg.solve_psor(form, problem, tol=1e-12)
     assert sol.active_set_iterations == 1
     assert np.abs(sol.U - ref.U).max() <= 1e-9
@@ -309,6 +309,39 @@ def test_multigrid_cg_matches_direct_solve(n, h, a, graded):
     assert its > 0
     assert np.array_equal(x[fixed], U[fixed])
     assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@EMBEDDED_CASES
+def test_cg_repeats_scipy_cg(n, h, a, graded):
+    # the in-module CG runs scipy's preconditioned CG recurrence: the same
+    # iterates bitwise and the same iteration count at every stop
+    grid, form, fixed, U = _embedded_system(n, h, a, graded)
+    mg = _multigrid(form, fixed)
+    keep = ~fixed
+    b = -(form.load + form.stiffness @ np.where(fixed, U, 0.0)) * keep
+    shape = form.stiffness.shape
+    A = spla.LinearOperator(shape, matvec=mg.matvec, dtype=float)
+    M = spla.LinearOperator(shape, matvec=mg.cycle, dtype=float)
+    for rel in (1e-1, 1e-6, 1e-14):
+        atol = rel * np.linalg.norm(b)
+        count = [0]
+        ref, info = spla.cg(A, b, x0=U * keep, rtol=0.0, atol=atol, M=M,
+                            maxiter=solver_mod.CG_MAX_ITER,
+                            callback=lambda _: count.__setitem__(0, count[0] + 1))
+        x, its = solver_mod._cg(mg.matvec, mg.cycle, b, U * keep, atol)
+        assert info == 0 and its == count[0] > 0
+        assert np.array_equal(x, ref)
+
+
+def test_cg_reports_failure_at_its_iteration_budget(monkeypatch):
+    grid, form, fixed, U = _embedded_system(1, 1 / 16, 0.5)
+    mg = _multigrid(form, fixed)
+    monkeypatch.setattr(solver_mod, "CG_MAX_ITER", 2)
+    b = -(form.load + form.stiffness @ np.where(fixed, U, 0.0)) * ~fixed
+    assert solver_mod._cg(mg.matvec, mg.cycle, b, U * ~fixed, 0.0) == (None, 2)
+    # a zero right-hand side from a zero start: solved before any iteration
+    x, its = solver_mod._cg(mg.matvec, mg.cycle, 0.0 * b, 0.0 * b, 0.0)
+    assert its == 0 and not x.any()
 
 
 @EMBEDDED_CASES
