@@ -31,8 +31,8 @@ from .solver import (
     complementarity_report,
     penalty,
     penalty_derivative,
+    solve_active_set,
     solve_penalized,
-    solve_psor,
 )
 from .functionals import (
     FieldSampler,

@@ -41,24 +41,26 @@ from .functionals import (
 from .grid import build_grid
 from .operator import assemble_energy
 from .oracle import exact_solution
-from .solver import complementarity_report, solve_penalized, solve_psor
+from .solver import complementarity_report, solve_active_set, solve_penalized
 
 CONFIG_SCHEMA = 1
+# "psor" names the active-set solver; its "omega", once the PSOR relaxation,
+# is type-checked and ignored
 SOLVER_KEYS = {
-    "psor": {"method", "tol", "max_iter", "omega", "warm_start"},
+    "psor": {"method", "tol", "omega"},
     "penalized": {"method", "eps", "tol"},
 }
 R_GRID_KEYS = {"count", "r_min", "r_max"}
 # the type of every solver and r_grid key but solver.method
-KEY_TYPES = {"tol": Real, "omega": Real, "eps": Real, "max_iter": Integral, "warm_start": bool,
-             "count": Integral, "r_min": Real, "r_max": Real}
+KEY_TYPES = {"tol": Real, "omega": Real, "eps": Real, "count": Integral, "r_min": Real,
+             "r_max": Real}
 
 
 def _require(name: str, value, kind) -> None:
-    """Reject a value that is not of kind: a bool, or an Integral/Real
-    number (a bool is neither)."""
-    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
-        what = {Integral: "an integer", Real: "a number", bool: "true or false"}[kind]
+    """Reject a value that is not of kind, an Integral or Real number (a
+    bool is neither)."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        what = {Integral: "an integer", Real: "a number"}[kind]
         raise InvalidConfigurationError(f"field '{name}' must be {what}, got {value!r}")
 
 
@@ -172,15 +174,10 @@ def run_solve(cfg: ExperimentConfig):
     grid, problem, ref = build_experiment(cfg)
     form = assemble_energy(grid, problem)
     s = cfg.solver
-    method = s.get("method", "psor")
-    if method == "penalized":
-        eps = s.get("eps", 1e-3)
-        sol = solve_penalized(form, problem, eps=eps, tol=s.get("tol"))
+    if s.get("method", "psor") == "penalized":
+        sol = solve_penalized(form, problem, eps=s.get("eps", 1e-3), tol=s.get("tol"))
     else:
-        sol = solve_psor(
-            form, problem, tol=s.get("tol"), max_iter=s.get("max_iter", 100_000),
-            omega=s.get("omega"), warm_start=s.get("warm_start", True),
-        )
+        sol = solve_active_set(form, problem, tol=s.get("tol"))
     return grid, problem, form, sol, ref
 
 
@@ -242,7 +239,6 @@ def _solve(cfg: ExperimentConfig, res: dict) -> dict:
     res.update(problem=problem, sol=sol)
     res["manifest"].update(
         solver_iterations=sol.iterations,
-        solver_active_set_iterations=sol.active_set_iterations,
         solver_inner_iterations=sol.inner_iterations,
         solver_steps=sol.steps,
         solver_final_update=sol.final_residual,

@@ -1,10 +1,10 @@
 """Solvers for the discrete thin obstacle problem.
 
-Reference solver: projected SOR on the complementarity system
+Obstacle solver: the primal-dual active-set method on the complementarity
+system
     min { 1/2 <KU,U> + <load,U> : U >= psi on thin nodes, U = g outside },
-started from a primal-dual active-set iterate (Hintermueller, Ito and
-Kunisch, SIAM J. Optim. 13, 2002); the sweeps certify that iterate and
-take over when the active set does not settle.
+which stops when its natural residual (the largest projected Jacobi
+update) is at most tol.
 Cross-validation solver: the smooth penalization with boundary term
 beta_eps, solved by damped Newton.
 """
@@ -29,13 +29,13 @@ class SolutionField:
     U: np.ndarray  # node_shape
     active: np.ndarray  # thin-shape bool, U = psi off the Dirichlet boundary
     trace: np.ndarray  # thin-shape weighted Neumann trace
-    iterations: int
+    iterations: int  # linear solves
     final_residual: float
     tol: float
-    active_set_iterations: int = 0  # linear solves of the active-set start
     # one record per inner linear solve: {"active": thin nodes fixed (PDAS)
-    # or penalized (Newton), "cg_iterations": ..., "rtol": its CG tolerance,
-    # for a loose PDAS solve relative to its starting residual}
+    # or penalized (Newton), "cg_iterations": ..., and "rtol", its CG
+    # tolerance (for a loose PDAS solve relative to its starting residual),
+    # or for a tight PDAS solve "tol", its natural-residual stop}
     steps: list = field(default_factory=list)
 
     @property
@@ -89,18 +89,13 @@ MG_COARSEST_NODES = 500
 MG_SWEEPS = 2
 MG_DAMPING = 0.7
 CG_MAX_ITER = 500
-# CG tolerance of the active-set solves. The PSOR update at a node is its
-# residual over the diagonal, and the diagonal scales like h^(n-1) while
-# |b| grows with the fixed values: at n=2, h=1/32 a relative residual of
-# 1e-12 left 10 certifying sweeps, 1e-13 and below one.
-ACTIVE_SET_RTOL = 1e-14
 # CG tolerance of an active set's first solve, relative to the residual it
-# starts from (and never below the ACTIVE_SET_RTOL stop): only its predicted
-# active set is read, and ACTIVE_SET_RTOL certifies the set it settles on.
-# Over the benchmark configs at h = 1/64 to 1/256 (n = 1) and 1/8 to 1/32
-# (n = 2), 1e-1 took the fewest CG iterations, 108 in 37 solves (tight
-# only: 340 in 34; 1e-2: 127 in 35; 1e-6: 228 in 34), and no tight solve
-# rejected a set at any value from 1e-8 to 1e-1.
+# starts from: only its predicted active set is read, and the tight solve
+# of the set it settles on certifies it. Over the benchmark configs at
+# h = 1/64 to 1/256 (n = 1) and 1/8 to 1/32 (n = 2), 1e-1 took the fewest
+# CG iterations, 108 in 37 solves (tight only: 340 in 34; 1e-2: 127 in 35;
+# 1e-6: 228 in 34), and no tight solve rejected a set at any value from
+# 1e-8 to 1e-1.
 ACTIVE_SET_LOOSE_RTOL = 1e-1
 # Newton steps and CG tolerance of the penalized solve.
 NEWTON_MAX_STEPS = 60
@@ -263,14 +258,23 @@ class _Multigrid:
         return x
 
 
-def _cg(matvec, psolve, b: np.ndarray, x: np.ndarray, atol: float) -> tuple:
+def _cg(matvec, psolve, b: np.ndarray, x: np.ndarray, atol: float,
+        scale: np.ndarray | None = None) -> tuple:
     """Conjugate gradients for matvec(x) = b, preconditioned by psolve,
-    from x (updated in place) until the recurred residual's norm is at
-    most atol. Returns (x, iterations), with x None when CG_MAX_ITER
-    iterations do not reach atol."""
+    from x (updated in place) until the recurred residual r has a norm of
+    at most atol, or with scale, until max |scale r| is at most atol.
+    Returns (x, iterations), with x None when CG_MAX_ITER iterations do not
+    reach atol."""
     r = b - matvec(x)
+    if scale is not None:
+        # the stop test writes scale r over q, which CG has used by then
+        q = np.empty_like(r)
     for it in range(CG_MAX_ITER):
-        if np.linalg.norm(r) <= atol:
+        if scale is None:
+            size = np.linalg.norm(r)
+        else:
+            size = np.abs(np.multiply(scale, r, out=q), out=q).max()
+        if size <= atol:
             return x, it
         z = psolve(r)
         rho = np.dot(r, z)
@@ -287,188 +291,145 @@ def _cg(matvec, psolve, b: np.ndarray, x: np.ndarray, atol: float) -> tuple:
     return None, CG_MAX_ITER
 
 
-def _linear_solve(mg: _Multigrid, load: np.ndarray, U: np.ndarray, rtol: float,
-                  loose: float = 0.0) -> tuple:
+def _linear_solve(mg: _Multigrid, load: np.ndarray, U: np.ndarray, tol: float,
+                  loose: bool = False, scale: np.ndarray | None = None) -> tuple:
     """Solve for x = U on the fixed nodes of mg's last update and
     (A x + load) = 0 on the rest.
 
     Runs CG on D A D, D = diag(~fixed), with the fixed values moved to the
     right-hand side, from U's free values, preconditioned by one V-cycle
-    of mg. It stops at a residual of rtol times the norm of the right-hand
+    of mg. It stops at a residual norm of tol times that of the right-hand
     side of the embedded system D A D + I_fixed, whose fixed rows carry
-    U's fixed values, or at loose times the residual of U if that is
-    larger. A must be symmetric and positive definite on the free nodes.
+    U's fixed values, or with loose, tol times that of U's own residual.
+    With scale it stops instead when every free node's residual times
+    scale is at most tol in size. A must be symmetric and positive
+    definite on the free nodes.
     Returns (x, iterations), with x None when CG does not converge.
     """
     keep = mg.keeps[0]
     fixed = ~keep
     b = -(load + mg.ops[0] @ np.where(fixed, U, 0.0))
     b *= keep
-    atol = rtol * np.hypot(np.linalg.norm(b), np.linalg.norm(U[fixed]))
-    if loose:
-        atol = max(atol, loose * np.linalg.norm(b - mg.matvec(U * keep)))
-    x, its = _cg(mg.matvec, mg.cycle, b, U * keep, atol)
+    x = U * keep
+    if scale is not None:
+        atol = tol
+    elif loose:
+        atol = tol * np.linalg.norm(b - mg.matvec(x))
+    else:
+        atol = tol * np.hypot(np.linalg.norm(b), np.linalg.norm(U[fixed]))
+    x, its = _cg(mg.matvec, mg.cycle, b, x, atol, scale)
     return (None if x is None else np.where(fixed, U, x)), its
 
 
 # ---------------------------------------------------------------------------
-# projected SOR
+# primal-dual active-set solver
 # ---------------------------------------------------------------------------
 
-# Most linear solves of the active-set start before PSOR takes over. With an
-# off-diagonal thin coefficient K is not an M-matrix, and the active-set
-# iteration may then cycle instead of settling.
+# Most linear solves of the active-set iteration. With an off-diagonal thin
+# coefficient K is not an M-matrix, and the iteration is then not known to
+# settle; 54 surveyed configs (n = 1, 2, a up to 0.9, tilts up to 0.45,
+# three obstacle shapes) settled within 9 solves.
 ACTIVE_SET_MAX_STEPS = 20
 
 
-def near_optimal_omega(grid: Grid) -> float:
-    """Relaxation 2/(1 + sin(pi hy/R)), the SOR optimum for the model
-    Laplacian at this resolution."""
-    return 2.0 / (1.0 + np.sin(np.pi * grid.hy / grid.R))
+def _default_tol(problem: ProblemSpec, tol: float | None) -> float:
+    if tol is not None:
+        return tol
+    scale = max(float(np.abs(v).max()) for v in (problem.boundary, problem.psi, problem.f))
+    return 1e-10 * max(scale, 1.0)
 
 
-def _active_set_start(form: SymmetricForm, U: np.ndarray, psi_full: np.ndarray) -> list:
-    """Primal-dual active-set iteration for the complementarity system, in place on U.
+def contact_tol(tol: float, psi: np.ndarray) -> float:
+    """Slack U - psi at or below which a thin node is in contact:
+    10 tol max(|psi|, 1), for a solve whose natural residual is at most
+    tol."""
+    return 10.0 * tol * max(float(np.abs(psi).max()), 1.0)
 
-    U holds the Dirichlet values on entry. The first step solves without
-    the obstacle; each later step fixes U = psi on the active set
-    {lambda - K_ii (U - psi) > 0}, lambda = (KU + load) on thin rows, and
-    solves for the remaining free nodes. A new active set is solved until
-    its residual falls by ACTIVE_SET_LOOSE_RTOL from its start; when it
-    repeats, it is solved again to ACTIVE_SET_RTOL on the same multigrid
-    hierarchy, and the iteration stops when such a tight solve reproduces
-    its own active set. It also stops after ACTIVE_SET_MAX_STEPS solves,
-    or when CG fails (U then keeps the previous iterate, set to psi on
-    the current active set).
-    Returns the SolutionField.steps record of the solves attempted.
+
+def _natural_residual(form: SymmetricForm, dinv: np.ndarray, psi: np.ndarray,
+                      U: np.ndarray) -> float:
+    """max |U_i - max(U_i - r_i / K_ii, psi_i)|, r = K U + load, over the
+    non-Dirichlet nodes, psi given on the thin rows (-inf elsewhere): the
+    largest update one projected Jacobi step would make."""
+    thin = form.thin_rows
+    r = form.stiffness @ U
+    r += form.load
+    r *= dinv
+    r[form.dirichlet] = 0.0
+    u = U[thin]
+    r[thin] = u - np.maximum(u - r[thin], psi)
+    return float(np.abs(r, out=r).max())
+
+
+def solve_active_set(
+    form: SymmetricForm,
+    problem: ProblemSpec,
+    tol: float | None = None,
+) -> SolutionField:
+    """Primal-dual active-set method (Hintermueller, Ito and Kunisch, SIAM
+    J. Optim. 13, 2002) for the complementarity system
+        min { 1/2 <KU,U> + <load,U> : U >= psi on thin nodes, U = g outside }.
+
+    The first step solves without the obstacle; each later step fixes
+    U = psi on the active set {lambda - K_ii (U - psi) > 0}, lambda =
+    (KU + load) on thin rows, and solves for the remaining free nodes, all
+    on one multigrid hierarchy. A new active set is solved until its
+    residual falls by ACTIVE_SET_LOOSE_RTOL from its start. A repeated set
+    is solved until every free node's residual over its diagonal is at
+    most tol, and the solve ends when such a tight solve reproduces its
+    own set and the recomputed natural residual (_natural_residual, in
+    solution units), reported as final_residual, is at most tol. On a set
+    that reproduces itself the two agree. The active set holds the thin
+    non-Dirichlet nodes whose slack is at most contact_tol. Raises
+    NonconvergedError, carrying the last iterate, when the set does not
+    settle within ACTIVE_SET_MAX_STEPS solves or CG fails.
     """
+    grid = form.grid
+    tol = _default_tol(problem, tol)
     K, load, thin = form.stiffness, form.load, form.thin_rows
     K_thin = K[thin]
     c = K.diagonal()[thin]
-    psi = psi_full[thin]
+    # flat node index of a thin node is (thin ravel position) * ny
+    psi = problem.psi.ravel()[thin // len(grid.ys)]
+    U = np.where(form.dirichlet, problem.boundary.ravel(), 0.0)
     active = np.zeros(len(thin), dtype=bool)
-    mg = _Multigrid(K, form.dirichlet, form.grid)
+    mg = _Multigrid(K, form.dirichlet, grid)
+    dinv = 1.0 / K.diagonal()  # made after the hierarchy, whose build is the peak
     loose = True
     steps = []
     for _ in range(ACTIVE_SET_MAX_STEPS):
         U[thin[active]] = psi[active]
-        rtol = ACTIVE_SET_LOOSE_RTOL if loose else ACTIVE_SET_RTOL
-        x, its = _linear_solve(mg, load, U, ACTIVE_SET_RTOL, rtol if loose else 0.0)
-        steps.append({"active": int(active.sum()), "cg_iterations": its, "rtol": rtol})
+        if loose:
+            x, its = _linear_solve(mg, load, U, ACTIVE_SET_LOOSE_RTOL, loose=True)
+            steps.append({"active": int(active.sum()), "cg_iterations": its,
+                          "rtol": ACTIVE_SET_LOOSE_RTOL})
+        else:
+            x, its = _linear_solve(mg, load, U, tol, scale=dinv)
+            steps.append({"active": int(active.sum()), "cg_iterations": its, "tol": tol})
         if x is None:
-            break
-        U[:] = x
+            raise NonconvergedError(
+                f"inner CG failed at active-set step {len(steps)}",
+                last_iterate=U.reshape(grid.node_shape),
+                final_residual=_natural_residual(form, dinv, psi, U),
+            )
+        U = x
         new_active = (K_thin @ U + load[thin]) - c * (U[thin] - psi) > 0.0
         if not np.array_equal(new_active, active):
             active, loose = new_active, True
             fixed = form.dirichlet.copy()
             fixed[thin[active]] = True
             mg.update(K, fixed)
-        elif not loose:
-            break
-        else:
+        elif loose:
             loose = False
-    return steps
-
-
-def _color_classes(grid: Grid, free: np.ndarray):
-    """Multicolor partition of free nodes so same-color nodes never couple.
-
-    n=1: checkerboard on i+j. n=2: four colors on ((i+k) mod 2,
-    (j+k) mod 2), which separates axis neighbors and the in-plane
-    diagonal couplings produced by off-diagonal thin coefficients.
-    """
-    shape = grid.node_shape
-    idx = np.indices(shape)
-    if grid.n == 1:
-        labels = (idx[0] + idx[1]) % 2
-        n_colors = 2
-    else:
-        labels = 2 * ((idx[0] + idx[2]) % 2) + ((idx[1] + idx[2]) % 2)
-        n_colors = 4
-    labels = labels.ravel()
-    return [np.where((labels == c) & free)[0] for c in range(n_colors)]
-
-
-def _default_tol(problem: ProblemSpec, tol: float | None) -> float:
-    if tol is not None:
-        return tol
-    scale = max(
-        1e-30,
-        float(np.abs(problem.boundary).max()),
-        float(np.abs(problem.psi).max()),
-        float(np.abs(problem.f).max()),
-    )
-    return 1e-10 * max(scale, 1.0)
-
-
-def contact_tol(tol: float, psi: np.ndarray) -> float:
-    """Slack U - psi at or below which a thin node is in contact:
-    10 tol max(|psi|, 1), for a solve stopped at tol."""
-    return 10.0 * tol * max(float(np.abs(psi).max()), 1.0)
-
-
-def solve_psor(
-    form: SymmetricForm,
-    problem: ProblemSpec,
-    tol: float | None = None,
-    max_iter: int = 100_000,
-    omega: float | None = None,
-    warm_start: bool = True,
-) -> SolutionField:
-    """Projected successive over-relaxation (multicolor ordering).
-
-    With warm_start the sweeps start from the primal-dual active-set
-    iterate, which they certify (usually in one sweep) or finish when the
-    active set does not settle; otherwise they start from zero. omega
-    defaults to near_optimal_omega(grid). Stops when the largest nodal
-    update in a sweep is <= tol. The active set holds the thin
-    non-Dirichlet nodes whose slack is at most contact_tol. Raises
-    NonconvergedError (carrying the last iterate) at max_iter.
-    """
-    grid = form.grid
-    if omega is None:
-        omega = near_optimal_omega(grid)
-    if not (0.0 < omega < 2.0):
-        raise InvalidParameterError(f"relaxation omega must lie in (0, 2), got {omega}")
-    tol = _default_tol(problem, tol)
-    K = form.stiffness
-    load = form.load
-    dirichlet = form.dirichlet
-    free = ~dirichlet
-    thin_flat = grid.thin_mask.ravel() & free
-    psi_full = np.full(grid.n_nodes, -np.inf)
-    psi_full[grid.thin_mask.ravel()] = problem.psi.ravel()
-
-    U = np.where(dirichlet, problem.boundary.ravel(), 0.0)
-    steps = _active_set_start(form, U, psi_full) if warm_start else []
-    U[thin_flat] = np.maximum(U[thin_flat], psi_full[thin_flat])
-
-    classes = _color_classes(grid, free)
-    diag = form.diag
-    blocks = []
-    for ids in classes:
-        if len(ids):
-            blocks.append((ids, K[ids], load[ids], diag[ids], thin_flat[ids], psi_full[ids]))
-
-    it = 0
-    delta = np.inf
-    for it in range(1, max_iter + 1):
-        delta = 0.0
-        for ids, Kc, lc, dc, tc, pc in blocks:
-            r = Kc @ U + lc
-            unew = U[ids] - omega * r / dc
-            unew = np.where(tc, np.maximum(unew, pc), unew)
-            step = np.abs(unew - U[ids]).max() if len(ids) else 0.0
-            delta = max(delta, float(step))
-            U[ids] = unew
-        if delta <= tol:
-            break
+        else:
+            residual = _natural_residual(form, dinv, psi, U)
+            if residual <= tol:
+                break
     else:
         raise NonconvergedError(
-            f"projected SOR did not reach tol={tol:g} in {max_iter} sweeps (last update {delta:g})",
+            f"active set did not settle in {ACTIVE_SET_MAX_STEPS} solves",
             last_iterate=U.reshape(grid.node_shape),
-            final_residual=delta,
+            final_residual=_natural_residual(form, dinv, psi, U),
         )
 
     Un = U.reshape(grid.node_shape)
@@ -478,10 +439,9 @@ def solve_psor(
         U=Un,
         active=active,
         trace=neumann_trace(grid, Un),
-        iterations=it,
-        final_residual=float(delta),
+        iterations=len(steps),
+        final_residual=residual,
         tol=tol,
-        active_set_iterations=len(steps),
         steps=steps,
     )
 
@@ -600,8 +560,10 @@ def complementarity_report(sol: SolutionField, problem: ProblemSpec, form: Symme
     min(U - psi, lambda) and (U - psi) * lambda vanish at an exact
     discrete solution. The gaps are in multiplier units: lambda is a
     weak-form residual that scales with the cell measure, so small gaps
-    do not bound the solution error (PSOR stopped at tol=1e-10 has given
-    a min_gap_max of 6e-12 with a max error of 7e-8).
+    do not bound the solution error (a solve whose last update was 1e-10
+    has given a min_gap_max of 6e-12 with a max error of 7e-8). The
+    active-set solver's final_residual holds min(U - psi, lambda / K_ii)
+    on thin rows, the same gap in solution units.
     """
     grid = form.grid
     ny = len(grid.ys)

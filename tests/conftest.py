@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import signorini as sg
+import signorini.solver as solver_mod
 from signorini.grid import _layer_transmissibilities, _weighted_layer_integrals
-from signorini.solver import near_optimal_omega
+from signorini.operator import energy
 
 
 # the benchmark's tilted B: off-diagonal, so K is not an M-matrix
@@ -77,6 +78,65 @@ def graded_grid(n: int, h: float, a: float):
                                cell_y_trans=_layer_transmissibilities(ys, a))
 
 
+def psor_reference(form, problem, tol: float) -> np.ndarray:
+    """Test-local reference, independent of the package's solver: projected
+    SOR from zero off the Dirichlet nodes, stopped when a sweep's largest
+    update is at most tol. Sweeps go colour by colour, so that same-colour
+    nodes never couple: a checkerboard on i+j at n = 1, four colours
+    ((i+k) mod 2, (j+k) mod 2) at n = 2, which also separate the in-plane
+    diagonal couplings of an off-diagonal thin coefficient. The relaxation
+    is 2/(1 + sin(pi hy/R)), the SOR optimum for the model Laplacian.
+    Returns U in node shape."""
+    grid = form.grid
+    K, load, free = form.stiffness, form.load, ~form.dirichlet
+    thin = grid.thin_mask.ravel() & free
+    psi = np.full(grid.n_nodes, -np.inf)
+    psi[grid.thin_mask.ravel()] = problem.psi.ravel()
+    omega = 2.0 / (1.0 + np.sin(np.pi * grid.hy / grid.R))
+    idx = np.indices(grid.node_shape)
+    if grid.n == 1:
+        labels = (idx[0] + idx[1]) % 2
+    else:
+        labels = 2 * ((idx[0] + idx[2]) % 2) + ((idx[1] + idx[2]) % 2)
+    blocks = []
+    for color in np.unique(labels):
+        ids = np.flatnonzero((labels.ravel() == color) & free)
+        blocks.append((ids, K[ids], load[ids], K.diagonal()[ids], thin[ids], psi[ids]))
+    U = np.where(form.dirichlet, problem.boundary.ravel(), 0.0)
+    for _ in range(100_000):
+        delta = 0.0
+        for ids, Kc, lc, dc, tc, pc in blocks:
+            unew = U[ids] - omega * (Kc @ U + lc) / dc
+            unew = np.where(tc, np.maximum(unew, pc), unew)
+            delta = max(delta, np.abs(unew - U[ids]).max())
+            U[ids] = unew
+        if delta <= tol:
+            return U.reshape(grid.node_shape)
+    raise AssertionError(f"reference PSOR did not reach tol={tol:g}")
+
+
+def active_set_energies(form, problem, monkeypatch) -> list:
+    """Energies of solve_active_set's iterates, one per linear solve, each
+    projected onto U >= psi; the iterates are read by wrapping
+    solver._linear_solve."""
+    iterates = []
+    solve = solver_mod._linear_solve
+
+    def recording(*args, **kwargs):
+        x, its = solve(*args, **kwargs)
+        iterates.append(x.copy())
+        return x, its
+
+    monkeypatch.setattr(solver_mod, "_linear_solve", recording)
+    sg.solve_active_set(form, problem)
+    monkeypatch.setattr(solver_mod, "_linear_solve", solve)
+    thin = form.thin_rows
+    psi = problem.psi.ravel()[thin // len(form.grid.ys)]
+    for U in iterates:
+        U[thin] = np.maximum(U[thin], psi)
+    return [energy(form, U) for U in iterates]
+
+
 @pytest.fixture(autouse=True)
 def no_process_left():
     """No test leaves a child process running (the free-boundary report forks)."""
@@ -86,7 +146,7 @@ def no_process_left():
 
 @lru_cache(maxsize=32)
 def solved_profile(a: float, h: float, mix: float = 0.0, b11_slope: float = 0.0):
-    """PSOR solve with profile boundary data, zero obstacle and source."""
+    """Active-set solve with profile boundary data, zero obstacle and source."""
     grid = sg.build_grid(1, 1.0, h, h, a)
     coeff = None
     if b11_slope:
@@ -96,7 +156,7 @@ def solved_profile(a: float, h: float, mix: float = 0.0, b11_slope: float = 0.0)
     g = profile_boundary(grid, a, mix)
     problem = sg.make_problem(grid, coeff=coeff, psi=0.0, f=0.0, boundary=g)
     form = sg.assemble_energy(grid, problem)
-    sol = sg.solve_psor(form, problem, omega=near_optimal_omega(grid))
+    sol = sg.solve_active_set(form, problem)
     return grid, problem, form, sol, g
 
 

@@ -6,7 +6,6 @@ import pytest
 
 import signorini as sg
 from signorini.operator import interior_mask
-from signorini.solver import near_optimal_omega
 
 from conftest import angular_ode, profile_boundary, solved_profile
 
@@ -239,7 +238,7 @@ def test_criterion_8_penalization():
     _, Y = grid.node_mesh()
     problem = sg.make_problem(grid, psi=-1.0, boundary=Y**0.75)
     form = sg.assemble_energy(grid, problem)
-    sol = sg.solve_psor(form, problem, omega=near_optimal_omega(grid))
+    sol = sg.solve_active_set(form, problem)
     cases.append((grid, problem, form, sol, None))
 
     details = []

@@ -26,7 +26,7 @@ def write_config(tmp_path, name="config.json", **overrides):
         "hx": 1 / 32,
         "hy": 1 / 32,
         "boundary": "oracle:signorini_profile",
-        "solver": {"method": "psor", "omega": 1.9, "max_iter": 60000},
+        "solver": {"method": "psor", "omega": 1.9},
         "r_grid": {"count": 15, "r_min": 0.15},
         "seed": 0,
     }
@@ -58,6 +58,8 @@ def test_unknown_field_rejected(tmp_path):
     ("solver", {"method": "penalized", "omega": 1.9}, "omega"),
     ("r_grid", {"cout": 12}, "cout"),
     ("solver", "psor", "solver"),
+    ("solver", {"method": "psor", "max_iter": 2}, "max_iter"),
+    ("solver", {"method": "psor", "warm_start": False}, "warm_start"),
 ])
 def test_unknown_solver_and_r_grid_keys_rejected(tmp_path, capsys, name, value, key):
     path = write_config(tmp_path, **{name: value})
@@ -70,8 +72,8 @@ def test_unknown_solver_and_r_grid_keys_rejected(tmp_path, capsys, name, value, 
     ("a", "x"), ("hx", None), ("delta", True), ("n", True), ("seed", 1.5),
     ("Kprime", "bogus"), ("C_weiss", [1]), ("r_grid", {"count": "40"}), ("Kprime", "auto"),
     ("solver", {"method": "psor", "omega": "x"}), ("solver", {"method": "penalized", "eps": "x"}),
-    ("solver", {"method": "psor", "tol": True}), ("solver", {"method": "psor", "max_iter": 2.5}),
-    ("solver", {"method": "psor", "warm_start": "no"}), ("solver", {"method": ["psor"]}),
+    ("solver", {"method": "psor", "tol": True}), ("solver", {"method": "psor", "omega": None}),
+    ("solver", {"method": "penalized", "tol": "x"}), ("solver", {"method": ["psor"]}),
     ("r_grid", {"count": 0}), ("r_grid", {"count": -1}), ("r_grid", {"count": 3}),
     ("r_grid", {"r_min": 0.0}), ("r_grid", {"r_max": 1.5}),
     ("r_grid", {"r_min": 0.5, "r_max": 0.2}), ("r_grid", {"r_min": 0.95}),
@@ -163,15 +165,18 @@ def test_manifest_reports_point_nearest_origin(tmp_path):
     assert np.linalg.norm(nearest["x0"]) > 2.1 / 96
     assert manifest["classification_x0"] == nearest["x0"]
     assert manifest["classification_at_origin"] == nearest["class"] == "Regular"
-    assert manifest["solver_active_set_iterations"] >= 2
+    assert manifest["solver_iterations"] >= 2
     # at least one CG iteration per active-set solve
-    assert manifest["solver_inner_iterations"] >= manifest["solver_active_set_iterations"]
-    # one record per active-set solve; the last is the tight one
-    steps = manifest["solver_steps"]
-    assert len(steps) == manifest["solver_active_set_iterations"]
-    assert all(set(s) == {"active", "cg_iterations", "rtol"} for s in steps)
-    assert steps[0]["active"] == 0 and steps[-1]["active"] > 0
-    assert steps[-1]["rtol"] == solver_mod.ACTIVE_SET_RTOL
+    assert manifest["solver_inner_iterations"] >= manifest["solver_iterations"]
+    # one record per active-set solve; the last is the tight one, whose
+    # stop is the natural residual at the config's tol
+    *loose, last = manifest["solver_steps"]
+    assert len(loose) + 1 == manifest["solver_iterations"]
+    assert all(s == {"active": s["active"], "cg_iterations": s["cg_iterations"],
+                     "rtol": solver_mod.ACTIVE_SET_LOOSE_RTOL} for s in loose)
+    assert last == {"active": last["active"], "cg_iterations": last["cg_iterations"], "tol": 1e-10}
+    assert loose[0]["active"] == 0 and last["active"] > 0
+    assert manifest["solver_final_update"] <= 1e-10
 
 
 def test_profile_csv_schema(tmp_path):
@@ -366,13 +371,14 @@ def test_oracle_takes_the_grid_range_of_a_but_experiments_keep_0_to_1(tmp_path):
         sg.make_problem(grid)
 
 
-def test_nonconvergence_exit_code(tmp_path):
-    path = write_config(
-        tmp_path, solver={"method": "psor", "omega": 1.7, "max_iter": 2,
-                          "warm_start": False},
-    )
-    rc = cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "out")])
-    assert rc == 3
+def test_nonconvergence_exit_code(tmp_path, monkeypatch):
+    # one solve cannot settle the active set; a failed CG ends the solve
+    path = write_config(tmp_path)
+    with monkeypatch.context() as m:
+        m.setattr(solver_mod, "ACTIVE_SET_MAX_STEPS", 1)
+        assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    monkeypatch.setattr(solver_mod, "_cg", lambda *args: (None, solver_mod.CG_MAX_ITER))
+    assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
 
 
 def test_sweep_over_exponent(tmp_path):

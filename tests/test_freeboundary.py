@@ -18,7 +18,6 @@ import signorini.cli as cli
 from signorini.errors import InsufficientDataError, OutOfDomainError, SignoriniError
 from signorini.freeboundary import gamma_points, local_columns
 from signorini.grid import interpolate
-from signorini.solver import near_optimal_omega
 
 from conftest import TILTED_B, profile_boundary, solved_profile
 
@@ -28,7 +27,7 @@ def test_contact_masks_inactive():
     _, Y = grid.node_mesh()
     problem = sg.make_problem(grid, psi=-1.0, boundary=Y**0.5)
     form = sg.assemble_energy(grid, problem)
-    sol = sg.solve_psor(form, problem, omega=near_optimal_omega(grid))
+    sol = sg.solve_active_set(form, problem)
     masks = sg.contact_set(sol, problem)
     assert not masks["contact"].any()
     assert not masks["gamma"].any()
@@ -38,7 +37,7 @@ def test_contact_masks_fully_active():
     grid = sg.build_grid(1, 1.0, 1 / 32, 1 / 32, 0.0)
     problem = sg.make_problem(grid, psi=1.0, boundary=0.0)
     form = sg.assemble_energy(grid, problem)
-    sol = sg.solve_psor(form, problem, omega=near_optimal_omega(grid))
+    sol = sg.solve_active_set(form, problem)
     masks = sg.contact_set(sol, problem)
     inner = np.abs(grid.xs[0]) < 1.0
     assert masks["contact"][inner].all()
@@ -371,7 +370,7 @@ def test_report_empty_for_inactive():
     _, Y = grid.node_mesh()
     problem = sg.make_problem(grid, psi=-1.0, boundary=1.0 + Y)
     form = sg.assemble_energy(grid, problem)
-    sol = sg.solve_psor(form, problem, omega=near_optimal_omega(grid))
+    sol = sg.solve_active_set(form, problem)
     rep = sg.free_boundary_report(sol, problem)
     assert rep.points == []
     assert not rep.contact_mask.any()
@@ -410,7 +409,7 @@ def n2_line_solve():
     g = ref(pts)  # depends on (x1, y) only
     problem = sg.make_problem(grid, psi=0.0, boundary=g)
     form = sg.assemble_energy(grid, problem)
-    sol = sg.solve_psor(form, problem, omega=near_optimal_omega(grid), tol=1e-9)
+    sol = sg.solve_active_set(form, problem, tol=1e-9)
     return grid, problem, form, sol
 
 
@@ -485,7 +484,7 @@ def n2_circle_solve():
     psi = 0.4 - (X1[..., 0] ** 2 + X2[..., 0] ** 2)
     problem = sg.make_problem(grid, psi=psi, boundary=0.0)
     form = sg.assemble_energy(grid, problem)
-    sol = sg.solve_psor(form, problem, omega=near_optimal_omega(grid), tol=1e-9)
+    sol = sg.solve_active_set(form, problem, tol=1e-9)
     return grid, problem, form, sol
 
 
@@ -549,7 +548,7 @@ def n2_tilted_obstacle_solve():
     psi = 0.3 - X1[..., 0] ** 2 - 2 * X2[..., 0] ** 2
     problem = sg.make_problem(grid, coeff=sg.build_coefficients(grid, TILTED_B), psi=psi,
                               boundary=profile_boundary(grid, a))
-    sol = sg.solve_psor(sg.assemble_energy(grid, problem), problem, tol=1e-10)
+    sol = sg.solve_active_set(sg.assemble_energy(grid, problem), problem, tol=1e-10)
     return problem, sol
 
 

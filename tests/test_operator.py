@@ -9,7 +9,6 @@ from scipy.integrate import quad
 
 import signorini as sg
 from signorini.operator import _energy_terms, cell_energy_density, energy, interior_mask
-from signorini.solver import near_optimal_omega
 
 from conftest import TILTED_B, graded_grid, profile_boundary
 
@@ -299,8 +298,7 @@ def test_trace_flux_compatibility():
         grid = sg.build_grid(1, 1.0, h, h, a)
         problem = sg.make_problem(grid, boundary=profile_boundary(grid, a))
         form = sg.assemble_energy(grid, problem)
-        sol = sg.solve_psor(form, problem, omega=near_optimal_omega(grid),
-                            tol=1e-13, max_iter=200000)
+        sol = sg.solve_active_set(form, problem, tol=1e-13)
         r = sg.apply_operator(form, sol.U).ravel()[form.thin_rows]
         ny = len(grid.ys)
         tr = sol.trace.ravel()[form.thin_rows // ny]

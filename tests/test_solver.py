@@ -1,4 +1,4 @@
-"""PSOR reference solver, penalization, complementarity certification."""
+"""Active-set solver, penalization, complementarity certification."""
 
 import dataclasses
 
@@ -8,12 +8,17 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import signorini as sg
+import signorini.cli as cli
 import signorini.solver as solver_mod
-from signorini.errors import InvalidParameterError, NonconvergedError
-from signorini.operator import energy
-from signorini.solver import near_optimal_omega
+from signorini.errors import InvalidConfigurationError, InvalidParameterError, NonconvergedError
 
-from conftest import graded_grid, profile_boundary, solved_profile
+from conftest import (
+    TILTED_B, active_set_energies, graded_grid, profile_boundary, psor_reference, solved_profile,
+)
+
+# CG tolerance of the multigrid tests' linear solves, relative to the
+# right-hand side
+TIGHT_RTOL = 1e-14
 
 
 # -- penalty family -----------------------------------------------------------
@@ -56,7 +61,7 @@ def test_penalty_rejects_bad_eps():
         sg.solve_penalized(None, None, eps=-1.0)
 
 
-# -- projected SOR -------------------------------------------------------------
+# -- active-set solver ---------------------------------------------------------
 
 
 def test_inactive_obstacle_matches_unconstrained():
@@ -66,7 +71,7 @@ def test_inactive_obstacle_matches_unconstrained():
     g = Y ** (1 - a)
     problem = sg.make_problem(grid, psi=-1.0, boundary=g)
     form = sg.assemble_energy(grid, problem)
-    sol = sg.solve_psor(form, problem, omega=near_optimal_omega(grid), tol=1e-12)
+    sol = sg.solve_active_set(form, problem, tol=1e-12)
     assert not sol.active.any()
     free = ~form.dirichlet
     U0 = np.where(form.dirichlet, g.ravel(), 0.0)
@@ -91,7 +96,7 @@ def test_fully_active_configuration():
     grid = sg.build_grid(1, 1.0, 1 / 32, 1 / 32, 0.0)
     problem = sg.make_problem(grid, psi=1.0, boundary=0.0)
     form = sg.assemble_energy(grid, problem)
-    sol = sg.solve_psor(form, problem, omega=near_optimal_omega(grid))
+    sol = sg.solve_active_set(form, problem)
     assert np.all(sol.active[1:-1])
     assert np.allclose(sol.U[1:-1, 0], 1.0)
     comp = sg.complementarity_report(sol, problem, form)
@@ -111,22 +116,19 @@ def test_full_contact_min_gap_ignores_trace_magnitude():
     grid = sg.build_grid(1, 1.0, 1 / 16, 1 / 16, 0.0)
     problem = sg.make_problem(grid, psi=1.0, boundary=0.0)
     form = sg.assemble_energy(grid, problem)
-    sol = sg.solve_psor(form, problem, omega=near_optimal_omega(grid))
+    sol = sg.solve_active_set(form, problem)
     comp = sg.complementarity_report(sol, problem, form)
     assert comp["multiplier_min"] >= -10 * sol.tol
     assert comp["min_gap_max"] <= 10 * sol.tol
 
 
-def test_energy_monotone_across_sweeps():
+def test_energy_monotone_across_active_set_steps(monkeypatch):
     grid = sg.build_grid(1, 1.0, 1 / 32, 1 / 32, 0.25)
     problem = sg.make_problem(grid, boundary=profile_boundary(grid, 0.25))
     form = sg.assemble_energy(grid, problem)
-    # cold PSOR stopped after k sweeps (738 converge) hands back its iterate
-    e = []
-    for k in 2 ** np.arange(10):
-        with pytest.raises(NonconvergedError) as stop:
-            sg.solve_psor(form, problem, omega=1.7, warm_start=False, tol=1e-11, max_iter=k)
-        e.append(energy(form, stop.value.last_iterate))
+    # the iterate of every linear solve, projected onto U >= psi
+    e = active_set_energies(form, problem, monkeypatch)
+    assert len(e) >= 3
     scale = abs(e[0]) + abs(e[-1])
     assert np.all(np.diff(e) <= 1e-12 * scale)
 
@@ -137,18 +139,8 @@ def test_maximum_principle_sanity():
     g = 1.0 + 0.5 * np.cos(np.pi * X) * (Y + 0.1) / 1.1  # nonnegative boundary
     problem = sg.make_problem(grid, psi=0.0, boundary=np.maximum(g, 0.0))
     form = sg.assemble_energy(grid, problem)
-    sol = sg.solve_psor(form, problem, omega=near_optimal_omega(grid))
+    sol = sg.solve_active_set(form, problem)
     assert sol.U.min() >= -1e-12
-
-
-def test_nonconvergence_raises_with_iterate():
-    grid = sg.build_grid(1, 1.0, 1 / 32, 1 / 32, 0.0)
-    problem = sg.make_problem(grid, boundary=profile_boundary(grid, 0.0))
-    form = sg.assemble_energy(grid, problem)
-    with pytest.raises(NonconvergedError) as exc:
-        sg.solve_psor(form, problem, omega=1.7, warm_start=False, max_iter=3)
-    assert exc.value.last_iterate is not None
-    assert exc.value.final_residual > 0
 
 
 def _tilted_n2_problem():
@@ -172,32 +164,79 @@ def _profile_problem_a05():
                          ids=["n1_a05", "n2_tilted"])
 def test_active_set_start_matches_cold_psor(case):
     grid, problem, form = case()
-    sol = sg.solve_psor(form, problem)
-    cold = sg.solve_psor(form, problem, warm_start=False, tol=1e-13)
+    sol = sg.solve_active_set(form, problem)
+    ref = psor_reference(form, problem, 1e-13)
     assert sol.active.any() and not sol.active.all()
-    assert 2 <= sol.active_set_iterations < solver_mod.ACTIVE_SET_MAX_STEPS
-    assert sol.iterations <= 2  # the sweeps only certify the active-set iterate
-    assert cold.active_set_iterations == 0
-    assert np.abs(sol.U - cold.U).max() <= 1e-9
+    assert 2 <= sol.iterations == len(sol.steps) < solver_mod.ACTIVE_SET_MAX_STEPS
+    assert sol.final_residual <= sol.tol
+    assert np.abs(sol.U - ref).max() <= 1e-9
 
 
-def test_active_set_cap_falls_back_to_psor(monkeypatch):
+def test_natural_residual_certifies_the_solve():
+    # the natural residual, recomputed here from K, load and psi, is at most
+    # tol, and the error against a tol = 1e-14 solve is at most 3 tol
+    grid = sg.build_grid(2, 1.0, 1 / 32, 1 / 32, 0.5)
+    coeff = sg.build_coefficients(grid, TILTED_B)
+    problem = sg.make_problem(grid, coeff=coeff, boundary=profile_boundary(grid, 0.5))
+    form = sg.assemble_energy(grid, problem)
+    tol = 1e-13
+    sol = sg.solve_active_set(form, problem, tol=tol)
+    U = sol.U.ravel()
+    K = form.stiffness
+    jacobi = U - (K @ U + form.load) / K.diagonal()
+    thin = grid.thin_mask.ravel()
+    jacobi[thin] = np.maximum(jacobi[thin], problem.psi.ravel())
+    natural = np.abs(U - jacobi)[~form.dirichlet].max()
+    assert natural <= tol
+    assert sol.final_residual <= tol
+    ref = sg.solve_active_set(form, problem, tol=1e-14)
+    assert np.array_equal(sol.active, ref.active)
+    assert np.abs(sol.U - ref.U).max() <= 3 * tol
+
+
+def test_dome_obstacle_under_a_steep_tilt_settles():
+    # the steepest surveyed tilt, 0.45, with the dome obstacle 0.3 - x1^2 - 2 x2^2
+    grid = sg.build_grid(2, 1.0, 1 / 16, 1 / 16, 0.5)
+    off = {"poly": [[0.45, [0, 0]], [0.1, [1, 0]]]}
+    coeff = sg.build_coefficients(grid, [[TILTED_B[0][0], off], [off, 1.0]])
+    dome = {"poly": [[0.3, [0, 0]], [-1.0, [2, 0]], [-2.0, [0, 2]]]}
+    problem = sg.make_problem(grid, coeff=coeff, psi=dome, boundary=0.0)
+    sol = sg.solve_active_set(sg.assemble_energy(grid, problem), problem)
+    assert sol.active.any() and not sol.active.all()
+    assert sol.iterations <= 10
+    assert sol.final_residual <= sol.tol
+
+
+def test_nonconvergence_raises_with_iterate(monkeypatch):
+    # a cap of one solve: the unconstrained first solve predicts a new set
     grid, problem, form = _profile_problem_a05()
-    ref = sg.solve_psor(form, problem, warm_start=False, tol=1e-13)
     monkeypatch.setattr(solver_mod, "ACTIVE_SET_MAX_STEPS", 1)
-    sol = sg.solve_psor(form, problem, tol=1e-12)
-    assert sol.active_set_iterations == 1
-    assert sol.iterations > 2
-    assert np.abs(sol.U - ref.U).max() <= 1e-9
+    with pytest.raises(NonconvergedError, match="did not settle") as exc:
+        sg.solve_active_set(form, problem)
+    U = exc.value.last_iterate
+    assert U.shape == grid.node_shape and np.all(np.isfinite(U))
+    assert (U[..., 0] < problem.psi).any()  # the obstacle is not yet imposed
+    assert exc.value.final_residual > 0
 
 
-def test_failed_cg_falls_back_to_psor(monkeypatch):
+def test_failed_cg_raises_with_iterate(monkeypatch):
+    # CG fails on the second solve: the last iterate is the first solve's,
+    # set to psi on the active set it predicted
     grid, problem, form = _tilted_n2_problem()
-    ref = sg.solve_psor(form, problem, warm_start=False, tol=1e-13)
-    monkeypatch.setattr(solver_mod, "_cg", lambda *args: (None, solver_mod.CG_MAX_ITER))
-    sol = sg.solve_psor(form, problem, tol=1e-12)
-    assert sol.active_set_iterations == 1
-    assert np.abs(sol.U - ref.U).max() <= 1e-9
+    cg, calls = solver_mod._cg, []
+
+    def failing_second(*args):
+        calls.append(args)
+        return (None, solver_mod.CG_MAX_ITER) if len(calls) == 2 else cg(*args)
+
+    monkeypatch.setattr(solver_mod, "_cg", failing_second)
+    with pytest.raises(NonconvergedError, match="CG failed") as exc:
+        sg.solve_active_set(form, problem)
+    U = exc.value.last_iterate
+    free_thin = grid.thin_mask & ~grid.dirichlet_mask
+    assert U.shape == grid.node_shape and np.all(np.isfinite(U))
+    assert (U[free_thin] == 0.0).any()
+    assert exc.value.final_residual > 0
 
 
 def _embedded_system(n, h, a, graded=False):
@@ -301,8 +340,7 @@ def test_updated_hierarchy_equals_a_fresh_masked_build(n, h, a, graded):
 def test_multigrid_cg_matches_direct_solve(n, h, a, graded):
     grid, form, fixed, U = _embedded_system(n, h, a, graded)
     K, free = form.stiffness, ~fixed
-    x, its = solver_mod._linear_solve(_multigrid(form, fixed), form.load, U,
-                                      solver_mod.ACTIVE_SET_RTOL)
+    x, its = solver_mod._linear_solve(_multigrid(form, fixed), form.load, U, TIGHT_RTOL)
     ref = U.copy()
     ref[free] = spla.spsolve(K[free][:, free].tocsc(),
                              -(form.load[free] + K[free][:, fixed] @ U[fixed]))
@@ -350,7 +388,7 @@ def test_loose_solve_reduces_its_own_residual(n, h, a, graded):
     # to the start's residual, not to the fixed values, so CG still runs
     grid, form, fixed, U = _embedded_system(n, h, a, graded)
     mg = _multigrid(form, fixed)
-    x, _ = solver_mod._linear_solve(mg, form.load, U, solver_mod.ACTIVE_SET_RTOL)
+    x, _ = solver_mod._linear_solve(mg, form.load, U, TIGHT_RTOL)
     start = x.copy()
     free = np.flatnonzero(~fixed)
     start[free[len(free) // 3]] += 1e-9
@@ -359,7 +397,7 @@ def test_loose_solve_reduces_its_own_residual(n, h, a, graded):
         return np.linalg.norm(np.where(fixed, 0.0, form.stiffness @ v + form.load))
 
     loose = solver_mod.ACTIVE_SET_LOOSE_RTOL
-    y, its = solver_mod._linear_solve(mg, form.load, start, solver_mod.ACTIVE_SET_RTOL, loose)
+    y, its = solver_mod._linear_solve(mg, form.load, start, loose, loose=True)
     assert its > 0
     assert residual(y) <= loose * residual(start)
 
@@ -368,19 +406,18 @@ def test_loose_solve_reduces_its_own_residual(n, h, a, graded):
                          ids=["n1_a05", "n2_tilted"])
 def test_loose_then_tight_active_set_matches_tight_only(case, monkeypatch):
     grid, problem, form = case()
-    sol = sg.solve_psor(form, problem)
+    sol = sg.solve_active_set(form, problem, tol=1e-13)
     *loose, last = sol.steps
     # every new set is solved loosely; the last solve re-solves the set
-    # the loose solve before it repeated, at ACTIVE_SET_RTOL
+    # the loose solve before it repeated, to the natural-residual stop
     assert all(s["rtol"] == solver_mod.ACTIVE_SET_LOOSE_RTOL for s in loose)
-    assert solver_mod.ACTIVE_SET_LOOSE_RTOL > solver_mod.ACTIVE_SET_RTOL == last["rtol"]
+    assert last["tol"] == 1e-13 and "rtol" not in last
     assert loose[-1]["active"] == last["active"] > 0
     assert all(s["cg_iterations"] > 0 for s in loose)
-    assert sol.active_set_iterations == len(sol.steps)
-    monkeypatch.setattr(solver_mod, "ACTIVE_SET_LOOSE_RTOL", solver_mod.ACTIVE_SET_RTOL)
-    tight = sg.solve_psor(form, problem)
-    assert all(s["rtol"] == solver_mod.ACTIVE_SET_RTOL for s in tight.steps)
-    assert sol.iterations == tight.iterations == 1
+    assert sol.iterations == len(sol.steps)
+    monkeypatch.setattr(solver_mod, "ACTIVE_SET_LOOSE_RTOL", 1e-14)
+    tight = sg.solve_active_set(form, problem, tol=1e-13)
+    assert all(s["rtol"] == 1e-14 for s in tight.steps[:-1])
     assert np.array_equal(sol.active, tight.active)
     assert np.abs(sol.U - tight.U).max() <= 1e-12
 
@@ -391,15 +428,13 @@ def test_loose_set_rejected_by_the_tight_solve_keeps_iterating(case, monkeypatch
     # above 1 a loose solve stops where it starts, so a set repeats before
     # it has settled and its tight re-solve changes it
     grid, problem, form = case()
-    ref = sg.solve_psor(form, problem)
+    ref = sg.solve_active_set(form, problem, tol=1e-13)
     monkeypatch.setattr(solver_mod, "ACTIVE_SET_LOOSE_RTOL", 2.0)
-    sol = sg.solve_psor(form, problem)
-    rtols = [s["rtol"] for s in sol.steps]
-    tight = [i for i, r in enumerate(rtols) if r == solver_mod.ACTIVE_SET_RTOL]
-    assert tight[0] < len(rtols) - 1 and rtols[tight[0] + 1] == 2.0
+    sol = sg.solve_active_set(form, problem, tol=1e-13)
+    tight = [i for i, s in enumerate(sol.steps) if "tol" in s]
+    assert tight[0] < len(sol.steps) - 1 and sol.steps[tight[0] + 1]["rtol"] == 2.0
     assert sol.steps[tight[0] + 1]["active"] != sol.steps[tight[0]]["active"]
-    assert tight[-1] == len(rtols) - 1
-    assert sol.iterations == 1
+    assert tight[-1] == len(sol.steps) - 1
     assert np.array_equal(sol.active, ref.active)
     assert np.abs(sol.U - ref.U).max() <= 1e-12
 
@@ -413,7 +448,7 @@ def test_active_set_ignores_round_off_in_the_boundary_data(case):
     for value in (1.66e-19, 0.0):
         boundary = problem.boundary.copy()
         boundary[0, ..., 0] = value
-        sol = sg.solve_psor(form, dataclasses.replace(problem, boundary=boundary))
+        sol = sg.solve_active_set(form, dataclasses.replace(problem, boundary=boundary))
         actives.append(sol.active)
     assert np.array_equal(actives[0], actives[1])
     assert actives[1].any()
@@ -440,29 +475,23 @@ def test_multigrid_cg_iterations_do_not_grow_with_resolution():
         grid, form, fixed, U = _embedded_system(1, h, 0.5)
         mg = _multigrid(form, form.dirichlet)
         mg.update(form.stiffness, fixed)
-        x, its = solver_mod._linear_solve(mg, form.load, U, solver_mod.ACTIVE_SET_RTOL)
+        x, its = solver_mod._linear_solve(mg, form.load, U, TIGHT_RTOL)
         assert x is not None
         counts.append(its)
     assert max(counts) <= 16
     assert counts[-1] - counts[0] <= 2
 
 
-def test_default_omega_is_near_optimal():
-    grid = sg.build_grid(1, 1.0, 1 / 16, 1 / 16, 0.0)
-    problem = sg.make_problem(grid, boundary=profile_boundary(grid, 0.0))
-    form = sg.assemble_energy(grid, problem)
-    default = sg.solve_psor(form, problem, warm_start=False)
-    explicit = sg.solve_psor(form, problem, warm_start=False, omega=near_optimal_omega(grid))
-    assert default.iterations == explicit.iterations
-    assert np.array_equal(default.U, explicit.U)
-
-
 def test_bad_omega_rejected():
-    grid = sg.build_grid(1, 1.0, 1 / 16, 1 / 16, 0.0)
-    problem = sg.make_problem(grid)
-    form = sg.assemble_energy(grid, problem)
-    with pytest.raises(InvalidParameterError):
-        sg.solve_psor(form, problem, omega=2.5)
+    # a config's omega, once the PSOR relaxation, is type-checked and leaves
+    # the solve unchanged
+    raw = {"n": 1, "a": 0.5, "hx": 1 / 16, "hy": 1 / 16, "boundary": "oracle:signorini_profile"}
+    with pytest.raises(InvalidConfigurationError, match="'solver.omega'"):
+        cli.ExperimentConfig.from_dict(dict(raw, solver={"method": "psor", "omega": "x"}))
+    Us = [cli.run_solve(cli.ExperimentConfig.from_dict(dict(raw, solver=solver)))[3].U
+          for solver in ({"method": "psor"}, {"method": "psor", "omega": 1.95},
+                         {"method": "psor", "omega": 2.5})]
+    assert all(np.array_equal(Us[0], U) for U in Us[1:])
 
 
 @pytest.mark.parametrize("a", [0.0, 0.5])
@@ -479,7 +508,7 @@ def test_variable_coefficient_manufactured_solution(a):
         g = np.log(1 + 0.1 * X) / 0.1 + Y**2 / 2
         problem = sg.make_problem(grid, coeff=coeff, psi=-10.0, f=float(1 + a), boundary=g)
         form = sg.assemble_energy(grid, problem)
-        sol = sg.solve_psor(form, problem, omega=near_optimal_omega(grid), tol=1e-12)
+        sol = sg.solve_active_set(form, problem, tol=1e-12)
         errs.append(np.abs(sol.U - g).max())
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert orders.min() >= 1.8
@@ -496,7 +525,7 @@ def test_penalized_inactive_matches_unconstrained():
     problem = sg.make_problem(grid, psi=-1.0, boundary=g)
     form = sg.assemble_energy(grid, problem)
     pen = sg.solve_penalized(form, problem, eps=1e-2)
-    ref = sg.solve_psor(form, problem, omega=near_optimal_omega(grid))
+    ref = sg.solve_active_set(form, problem)
     assert np.abs(pen.U - ref.U).max() <= 1e-8
 
 
