@@ -78,9 +78,9 @@ def graded_grid(n: int, h: float, a: float):
                                cell_y_trans=_layer_transmissibilities(ys, a))
 
 
-def psor_reference(form, problem, tol: float) -> np.ndarray:
+def psor_reference(form, problem, tol: float, start=None) -> np.ndarray:
     """Test-local reference, independent of the package's solver: projected
-    SOR from zero off the Dirichlet nodes, stopped when a sweep's largest
+    SOR from start (zero if None) off the Dirichlet nodes, stopped when a sweep's largest
     update is at most tol. Sweeps go colour by colour, so that same-colour
     nodes never couple: a checkerboard on i+j at n = 1, four colours
     ((i+k) mod 2, (j+k) mod 2) at n = 2, which also separate the in-plane
@@ -102,7 +102,8 @@ def psor_reference(form, problem, tol: float) -> np.ndarray:
     for color in np.unique(labels):
         ids = np.flatnonzero((labels.ravel() == color) & free)
         blocks.append((ids, K[ids], load[ids], K.diagonal()[ids], thin[ids], psi[ids]))
-    U = np.where(form.dirichlet, problem.boundary.ravel(), 0.0)
+    U = np.where(form.dirichlet, problem.boundary.ravel(),
+                 0.0 if start is None else np.ravel(start))
     for _ in range(100_000):
         delta = 0.0
         for ids, Kc, lc, dc, tc, pc in blocks:

@@ -219,6 +219,19 @@ def test_nonconvergence_raises_with_iterate(monkeypatch):
     assert exc.value.final_residual > 0
 
 
+def test_active_set_cap_falls_back_to_psor(monkeypatch):
+    # the solve has no fallback of its own: at a cap of one solve it raises,
+    # and projected SOR started from its last iterate reaches the cold
+    # reference
+    grid, problem, form = _profile_problem_a05()
+    ref = psor_reference(form, problem, 1e-13)
+    monkeypatch.setattr(solver_mod, "ACTIVE_SET_MAX_STEPS", 1)
+    with pytest.raises(NonconvergedError, match="did not settle") as exc:
+        sg.solve_active_set(form, problem)
+    warm = psor_reference(form, problem, 1e-13, start=exc.value.last_iterate)
+    assert np.abs(warm - ref).max() <= 1e-9
+
+
 def test_failed_cg_raises_with_iterate(monkeypatch):
     # CG fails on the second solve: the last iterate is the first solve's,
     # set to psi on the active set it predicted
@@ -482,16 +495,28 @@ def test_multigrid_cg_iterations_do_not_grow_with_resolution():
     assert counts[-1] - counts[0] <= 2
 
 
+OMEGA_CONFIG = {"n": 1, "a": 0.5, "hx": 1 / 16, "hy": 1 / 16,
+                "boundary": "oracle:signorini_profile"}
+
+
+def test_default_omega_is_near_optimal():
+    # a config's omega, once the PSOR relaxation, leaves the solve unchanged:
+    # the default and the model Laplacian's SOR optimum give the same solves
+    near_optimal = 2.0 / (1.0 + np.sin(np.pi / 16))
+    default, explicit = (
+        cli.run_solve(cli.ExperimentConfig.from_dict(dict(OMEGA_CONFIG, solver=solver)))[3]
+        for solver in ({"method": "psor"}, {"method": "psor", "omega": near_optimal}))
+    assert default.iterations == explicit.iterations
+    assert np.array_equal(default.U, explicit.U)
+
+
 def test_bad_omega_rejected():
-    # a config's omega, once the PSOR relaxation, is type-checked and leaves
-    # the solve unchanged
-    raw = {"n": 1, "a": 0.5, "hx": 1 / 16, "hy": 1 / 16, "boundary": "oracle:signorini_profile"}
+    # a config's omega is type-checked; an out-of-range value is ignored
     with pytest.raises(InvalidConfigurationError, match="'solver.omega'"):
-        cli.ExperimentConfig.from_dict(dict(raw, solver={"method": "psor", "omega": "x"}))
-    Us = [cli.run_solve(cli.ExperimentConfig.from_dict(dict(raw, solver=solver)))[3].U
-          for solver in ({"method": "psor"}, {"method": "psor", "omega": 1.95},
-                         {"method": "psor", "omega": 2.5})]
-    assert all(np.array_equal(Us[0], U) for U in Us[1:])
+        cli.ExperimentConfig.from_dict(dict(OMEGA_CONFIG, solver={"method": "psor", "omega": "x"}))
+    Us = [cli.run_solve(cli.ExperimentConfig.from_dict(dict(OMEGA_CONFIG, solver=solver)))[3].U
+          for solver in ({"method": "psor"}, {"method": "psor", "omega": 2.5})]
+    assert np.array_equal(*Us)
 
 
 @pytest.mark.parametrize("a", [0.0, 0.5])
