@@ -256,6 +256,7 @@ def _profile(cfg: ExperimentConfig, res: dict) -> dict:
         C_weiss=cfg.C_weiss,
     )
     res.update(profile=prof, reduced=(U0, problem0), summary=prof.summary())
+    res["manifest"]["profile_processes"] = prof.processes
     cols = [getattr(prof, c) for c in COLUMNS]
     cols += [prof.mask_lambda.astype(int), prof.mask_gamma.astype(int)]
     header = COLUMNS + ["in_lambda_mask", "in_gamma_mask"]
@@ -267,6 +268,7 @@ def _identities(cfg: ExperimentConfig, res: dict) -> dict:
     U0, problem0 = res["reduced"]
     checks = identity_checks(U0, problem0, res["profile"])
     cross = surface_cross_check(U0, problem0, res["profile"])
+    res["manifest"]["identities_processes"] = checks["processes"]
     rellich = checks["rellich_rel"]
     return {"identities.json": {
         "height_derivative_rel_max": float(np.max(checks["height_derivative_rel"])),

@@ -38,14 +38,14 @@ def eval_scalar_spec(spec, points: np.ndarray) -> np.ndarray:
     if np.isscalar(spec) or isinstance(spec, (int, float)):
         return np.full(points.shape[:-1], float(spec))
     if isinstance(spec, dict) and "poly" in spec:
-        out = np.zeros(points.shape[:-1])
+        out = 0.0
         for coef, exps in spec["poly"]:
-            term = np.full(points.shape[:-1], float(coef))
+            term = float(coef)
             for d, e in enumerate(exps):
                 if e:
-                    term = term * points[..., d] ** e
-            out += term
-        return out
+                    term = term * (points[..., d] if e == 1 else points[..., d] ** e)
+            out = out + term
+        return out if isinstance(out, np.ndarray) else np.full(points.shape[:-1], out)
     if callable(spec):
         return np.asarray(spec(points), dtype=float)
     raise InvalidConfigurationError(f"unrecognized scalar field description: {spec!r}")
@@ -265,9 +265,13 @@ def normalize_at(grid: Grid, coeff: CoefficientField, x0) -> tuple:
     n = grid.n
     # row-major vec(S^-1 B S^-1) = kron(S^-1, S^-1^T) vec(B): one product per batch
     congruence = np.kron(S_inv, S_inv.T).T
+    ST = np.ascontiguousarray(S.T)
 
     def new_ev(points):
-        B = base_ev(x0 + np.asarray(points, dtype=float) @ S.T)
+        X = np.asarray(points, dtype=float) @ ST
+        for d in range(n):  # x0 + X, one column at a time
+            X[..., d] += x0[d]
+        B = base_ev(X)
         return (B.reshape(-1, n * n) @ congruence).reshape(B.shape)
 
     normalized = CoefficientField(

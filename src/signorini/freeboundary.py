@@ -3,15 +3,15 @@ regular-set graph fit."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InsufficientDataError, SignoriniError, UnsupportedRadiusError
+from .errors import InsufficientDataError, UnsupportedRadiusError
 from .coefficients import ProblemSpec, normalize_at
 from .functionals import (
-    H_FLOOR_FACTOR, FieldSampler, GeometryFields, loglog_slope, sphere_columns, sphere_heights,
+    H_FLOOR_FACTOR, FieldSampler, GeometryFields, deal, loglog_slope, sphere_columns,
+    sphere_heights,
 )
 from .grid import Grid, sphere_quadrature
 from .solver import SolutionField, contact_tol
@@ -138,11 +138,11 @@ def local_columns(U: np.ndarray, problem: ProblemSpec, x0, r: float,
     rg = r * q**j
     rules = [sphere_quadrature(grid, ri) for ri in rg]
     coeff, S = normalize_at(grid, problem.coeff, x0) if normalized is None else normalized
-    H, L = sphere_heights(U, GeometryFields(grid, coeff), rules, la_r=True, frame=(x0, S))
-    sampler = FieldSampler(grid, U, (x0, S))
-    clamp_r = next((float(rule.r) for rule in rules if sampler.clamped(rule.points)), None)
+    H, L, clamped, _ = sphere_heights(U, GeometryFields(grid, coeff), rules, la_r=True,
+                                      frame=(x0, S))
+    clamp_r = next((float(ri) for ri, c in zip(rg, clamped) if c), None)
     cols = sphere_columns(rg, H, L, grid.n, grid.a, delta=delta)
-    return cols, k, sampler, clamp_r
+    return cols, k, FieldSampler(grid, U, (x0, S)), clamp_r
 
 
 @dataclass
@@ -228,7 +228,7 @@ def blowup(U: np.ndarray, problem: ProblemSpec, x0, r: float) -> np.ndarray:
         raise UnsupportedRadiusError(f"degenerate height at scale r={r}")
     d_r = np.sqrt(M_r)
     pts = np.stack(grid.node_mesh(), axis=-1).reshape(-1, grid.n + 1) * r
-    return (sampler(pts) / d_r).reshape(grid.node_shape)
+    return (sampler.sample(pts) / d_r).reshape(grid.node_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -339,95 +339,20 @@ def point_record(U0: np.ndarray, problem0: ProblemSpec, x0, delta: float) -> dic
     }
 
 
-def _send_records(conn, U0, problem0, pts, delta) -> None:
-    """A forked worker's body: send ("ok", records) of its points, or
-    ("error", exc) for the first point that raised."""
-    try:
-        out = ("ok", [point_record(U0, problem0, x0, delta) for x0 in pts])
-    except Exception as exc:  # re-raised by the parent
-        out = ("error", exc)
-    conn.send(out)
-    conn.close()
-
-
-def _point_records(U0: np.ndarray, problem0: ProblemSpec, pts: np.ndarray,
-                   delta: float) -> tuple:
-    """point_record of every point, in order, and the number of processes
-    that computed them.
-
-    The points are dealt out in interleaved slices to one process per CPU
-    of this process's affinity mask (at most one per point): this process
-    computes slice 0 and k - 1 forked children the others, each sending
-    its records through a pipe. Every point runs the same code on the same
-    arrays, so the records equal those of the inline loop, which runs when
-    k == 1, where fork is unavailable and in a daemonic process. A child's
-    exception is re-raised here with its type; a child that exits without
-    sending raises SignoriniError with its exit code. No child outlives
-    the call.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    k = min(len(pts), cpus or 1)
-    if k > 1:
-        import multiprocessing  # here, so that `import signorini` does not load it
-
-        # a daemonic process (a multiprocessing pool's worker) may not have children
-        if ("fork" not in multiprocessing.get_all_start_methods()
-                or multiprocessing.current_process().daemon):
-            k = 1
-    if k <= 1:
-        return [point_record(U0, problem0, x0, delta) for x0 in pts], 1
-
-    # fork, not spawn: a child reads U0 and problem0 from the parent's
-    # memory, with no pickling and no fresh import
-    ctx = multiprocessing.get_context("fork")
-    children = []
-    try:
-        for i in range(1, k):
-            recv_end, send_end = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_send_records, args=(send_end, U0, problem0, pts[i::k], delta))
-            proc.start()
-            children.append((proc, recv_end))
-            send_end.close()  # so a child that dies leaves its pipe at EOF
-        slices = [[point_record(U0, problem0, x0, delta) for x0 in pts[0::k]]]
-        for proc, conn in children:
-            try:
-                status, payload = conn.recv()
-            except EOFError:
-                proc.join()
-                raise SignoriniError(
-                    f"free-boundary worker exited with code {proc.exitcode} before sending"
-                    " its records") from None
-            if status == "error":
-                raise payload
-            slices.append(payload)
-    except BaseException:
-        for proc, _ in children:
-            proc.kill()
-        raise
-    finally:
-        for proc, conn in children:
-            conn.close()
-            proc.join()
-    records = [None] * len(pts)
-    for i, part in enumerate(slices):
-        records[i::k] = part
-    return records, k
-
-
 def free_boundary_report(sol: SolutionField, problem: ProblemSpec,
                          delta: float = 0.5) -> FreeBoundaryReport:
     """Extract masks, classify every free boundary node with |x| <= R/2,
     fit decay slopes, and (n=2) fit the graph of the regular points or
     record why graph_fit could not (graph_error). The obstacle is
     subtracted once, for all points; each point's record is
-    point_record's, computed on this process's CPUs (_point_records)."""
+    point_record's, computed on this process's CPUs (deal)."""
     grid = problem.grid
     masks = contact_set(sol, problem)
     pts = gamma_points(grid, masks["gamma"])
     # keep points away from the lateral boundary where radii fit
     pts = pts[np.all(np.abs(pts) <= 0.5 * grid.R, axis=-1)]
     U0, problem0 = reduce_obstacle(sol.U, problem)
-    records, processes = _point_records(U0, problem0, pts, delta)
+    records, processes = deal(lambda x0: point_record(U0, problem0, x0, delta), pts)
     graph = graph_error = None
     if grid.n == 2:
         try:

@@ -12,14 +12,16 @@ carried exactly by the sphere rules and the cell measures.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidConfigurationError, InsufficientDataError, SignoriniError
 from .coefficients import CoefficientField, ProblemSpec
-from .grid import Grid, ball_sums, interpolate, sphere_quadrature
+from .grid import Grid, ball_sums, interpolate, locate, read, sphere_quadrature
 from .operator import cell_average, cell_energy_density, neumann_trace
 
 
@@ -37,11 +39,12 @@ class GeometryFields:
     coeff: CoefficientField
 
     @cached_property
-    def _db_table(self) -> np.ndarray:
-        """Central differences d_i b_ij of the thin-node table, (..., i, j)."""
-        table, xs = self.coeff.table, self.grid.xs
-        return np.stack([np.gradient(table[..., i, :], xs[i], axis=i)
-                         for i in range(self.grid.n)], axis=-2)
+    def _divergence(self) -> np.ndarray:
+        """(n,) + thin shape: for each j the scalar table sum_i d_i b_ij of
+        the thin-node table, by central differences."""
+        table, xs, n = self.coeff.table, self.grid.xs, self.grid.n
+        return np.stack([sum(np.gradient(table[..., i, j], xs[i], axis=i) for i in range(n))
+                         for j in range(n)])
 
     def quadratic_at(self, points: np.ndarray) -> tuple:
         """(x, B(x), <A X, X>, |X|^2, mu~) at the points X = (x, y), with
@@ -51,64 +54,178 @@ class GeometryFields:
         x = pts[..., :n]
         B = self.coeff.eval_B(x)
         y2 = pts[..., n] ** 2
-        axx = sum(B[..., i, j] * x[..., i] * x[..., j] for i in range(n) for j in range(n)) + y2
-        r2 = sum(x[..., i] * x[..., i] for i in range(n)) + y2
+        xx = [[x[..., i] * x[..., j] for j in range(n)] for i in range(n)]
+        axx = sum(B[..., i, i] * xx[i][i] for i in range(n)) + y2
+        for i in range(n):
+            for j in range(i + 1, n):
+                axx += (B[..., i, j] + B[..., j, i]) * xx[i][j]
+        r2 = sum(xx[i][i] for i in range(n)) + y2
         return x, B, axx, r2, axx / r2
 
-    def mu_tilde_at(self, points: np.ndarray) -> np.ndarray:
-        """mu~ = <A X, X>/|X|^2, with A evaluated at the points X themselves."""
-        return self.quadratic_at(points)[4]
-
-    def mu_tilde_and_la_r_at(self, points: np.ndarray) -> tuple:
-        """(mu~, la_r / |y|^a) from one evaluation of B; la_r =
-        div(|y|^a A grad |X|)."""
-        x, B, axx, r2, mu = self.quadratic_at(points)
+    def factors_at(self, points: np.ndarray, la_r: bool = False) -> tuple:
+        """(mu~, la_r / |y|^a) from one evaluation of B, la_r None without
+        la_r; la_r = div(|y|^a A grad |X|) = |y|^a (tr B + 1 + a - mu~
+        + sum_j (sum_i d_i b_ij) x_j) / r."""
+        x, B, _, r2, mu = self.quadratic_at(points)
+        if not la_r:
+            return mu, None
         n = self.grid.n
-        r = np.sqrt(r2)
-        trB = sum(B[..., i, i] for i in range(n))
-        db = interpolate(self.grid.xs, self._db_table, x)
-        dbx = sum(db[..., i, j] * x[..., j] for i in range(n) for j in range(n))
-        return mu, (trB + 1.0 + self.grid.a) / r - axx / r**3 + dbx / r
+        stencil = locate(self.grid.xs, x)
+        div = self._divergence
+        lar = sum(B[..., i, i] for i in range(n)) + (1.0 + self.grid.a) - mu
+        for j in range(n):
+            lar += read(stencil, div[j]) * x[..., j]
+        return mu, lar / np.sqrt(r2)
 
 
 # ---------------------------------------------------------------------------
-# field sampling (thin-layer aware)
+# field sampling (thin-layer aware) and the fused sphere pass
 # ---------------------------------------------------------------------------
 
 
 class FieldSampler:
-    """Samples a node field off the nodes by grid.interpolate; inside the
-    first y-layer the y profile uses the (1, y^{1-a}) basis so fields with
-    the natural singular expansion are sampled without the O(h^{1-a}) bias
-    of a linear interpolant (multilinear at a=0).
+    """Samples a node field off the nodes by grid.locate and grid.read;
+    inside the first y-layer the y profile uses the (1, y^{1-a}) basis so
+    fields with the natural singular expansion are sampled without the
+    O(h^{1-a}) bias of a linear interpolant (multilinear at a=0).
 
     With frame = (x0, S) (normalize_at's S) the points p are coordinates
     normalised at x0, and U is sampled at (x0 + S p_x, p_y). Thin
-    coordinates outside the box are clamped to it."""
+    coordinates outside the box are clamped to it.
+
+    Calling the sampler on a sphere rule is sphere_heights' pass over that
+    rule: the rule's points are mapped into U's coordinates once, U is read
+    there once, and B and the divergence table once at the points."""
 
     def __init__(self, grid: Grid, U: np.ndarray, frame=None):
         self.grid = grid
         self._U = np.asarray(U, dtype=float)
         self.frame = frame
 
-    def _mapped(self, points: np.ndarray) -> np.ndarray:
-        """The points in the field's coordinates, before the clamp."""
+    def _stencil(self, points: np.ndarray) -> tuple:
+        """(U's stencil at the points, whether any sample is clamped to the
+        box)."""
+        n, R = self.grid.n, self.grid.R
         pts = np.array(points, dtype=float, ndmin=2)
+        cols = pts.reshape(-1, n + 1).T  # a column per coordinate: no op runs along a short axis
         if self.frame is not None:
             x0, S = self.frame
-            pts[..., : self.grid.n] = x0 + pts[..., : self.grid.n] @ S.T
-        return pts
+            mapped = cols[:n].T @ S.T
+            for d in range(n):
+                np.add(mapped[:, d], x0[d], out=cols[d])
+        clamped = any(cols[d].max() > R or cols[d].min() < -R for d in range(n))
+        if clamped:
+            np.clip(cols[:n], -R, R, out=cols[:n])
+        stencil = locate(self.grid.xs + (self.grid.ys,), pts, first_layer_power=1.0 - self.grid.a)
+        return stencil, clamped
 
-    def clamped(self, points: np.ndarray) -> bool:
-        """Whether any sample at the points is clamped to the box."""
-        return bool((np.abs(self._mapped(points)[..., : self.grid.n]) > self.grid.R).any())
+    def sample(self, points: np.ndarray) -> np.ndarray:
+        """U at the points."""
+        return read(self._stencil(points)[0], self._U)
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        pts = self._mapped(points)
-        n, R = self.grid.n, self.grid.R
-        pts[..., :n] = np.clip(pts[..., :n], -R, R)
-        return interpolate(self.grid.xs + (self.grid.ys,), self._U, pts,
-                           first_layer_power=1.0 - self.grid.a)
+    def __call__(self, rule, geo: GeometryFields, la_r: bool = False) -> tuple:
+        """(H, L, clamped) of one rule: H = 2 int_{S_r} U^2 mu~ |y|^a, L =
+        2 int_{S_r} U^2 la_r (nan without la_r), and whether any sample is
+        clamped to the box."""
+        stencil, clamped = self._stencil(rule.points)
+        u2 = read(stencil, self._U) ** 2
+        mut, lar = geo.factors_at(rule.points, la_r)
+        L = 2.0 * rule.integrate(u2 * lar) if la_r else float("nan")
+        return 2.0 * rule.integrate(u2 * mut), L, clamped
+
+
+# ---------------------------------------------------------------------------
+# dealing work over this process's CPUs
+# ---------------------------------------------------------------------------
+
+
+# A sphere_heights call is dealt out when it has at least this many samples:
+# one fork-and-pipe round trip of a 66-94 MB diagnose process took 4.4-6.3 ms
+# on 2 vCPUs, about the time of the fused pass over 30,000 samples.
+DEAL_MIN_SAMPLES = 30_000
+
+_dealing = False  # set while this process deals, in it and in its children
+
+
+def _send(conn, task, items) -> None:
+    """A forked worker's body: send ("ok", [task(item) ...]), or ("error",
+    exc) for the first item that raised."""
+    try:
+        out = ("ok", [task(item) for item in items])
+    except Exception as exc:  # re-raised by the parent
+        out = ("error", exc)
+    conn.send(out)
+    conn.close()
+
+
+def deal(task, items, samples: int | None = None) -> tuple:
+    """[task(item) for item in items], in order, and the number of
+    processes that computed it.
+
+    The items are dealt out in interleaved slices to one process per CPU
+    of this process's affinity mask (at most one per item): this process
+    computes slice 0 and k - 1 forked children the others, each sending
+    its results through a pipe. Every item runs the same code on the same
+    arrays, so the results equal those of the inline loop, which runs
+    when k == 1, where fork is unavailable, in a daemonic process, inside
+    a dealt task (a dealt task never deals again), and when samples, the
+    call's sphere samples, are fewer than DEAL_MIN_SAMPLES. A child's
+    exception is re-raised here with its type; a child that exits without
+    sending raises SignoriniError with its exit code. No child outlives
+    the call.
+    """
+    global _dealing
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    k = min(len(items), cpus or 1)
+    if _dealing or (samples is not None and samples < DEAL_MIN_SAMPLES):
+        k = 1
+    if k > 1:
+        import multiprocessing  # here, so that `import signorini` does not load it
+
+        # a daemonic process (a multiprocessing pool's worker) may not have children
+        if ("fork" not in multiprocessing.get_all_start_methods()
+                or multiprocessing.current_process().daemon):
+            k = 1
+    if k <= 1:
+        return [task(item) for item in items], 1
+
+    # fork, not spawn: a child reads the task's arrays from the parent's
+    # memory, with no pickling and no fresh import
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    _dealing = True
+    try:
+        for i in range(1, k):
+            recv_end, send_end = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_send, args=(send_end, task, items[i::k]))
+            proc.start()
+            children.append((proc, recv_end))
+            send_end.close()  # so a child that dies leaves its pipe at EOF
+        slices = [[task(item) for item in items[0::k]]]
+        for proc, conn in children:
+            try:
+                status, payload = conn.recv()
+            except EOFError:
+                proc.join()
+                raise SignoriniError(
+                    f"worker exited with code {proc.exitcode} before sending its results"
+                ) from None
+            if status == "error":
+                raise payload
+            slices.append(payload)
+    except BaseException:
+        for proc, _ in children:
+            proc.kill()
+        raise
+    finally:
+        _dealing = False
+        for proc, conn in children:
+            conn.close()
+            proc.join()
+    results = [None] * len(items)
+    for i, part in enumerate(slices):
+        results[i::k] = part
+    return results, k
 
 
 def conjugate_variable(grid: Grid, U: np.ndarray) -> np.ndarray:
@@ -137,26 +254,27 @@ def conjugate_variable(grid: Grid, U: np.ndarray) -> np.ndarray:
 H_FLOOR_FACTOR = 1e-14
 
 
+class SphereHeights(NamedTuple):
+    H: np.ndarray
+    L: np.ndarray | None  # None without la_r
+    clamped: np.ndarray  # per rule: whether a sample is clamped to the box
+    processes: int  # processes that computed the rules (deal)
+
+
 def sphere_heights(U: np.ndarray, geo: GeometryFields, rules, la_r: bool = False,
-                   frame=None) -> tuple:
-    """(H, L) per rule: H = 2 int_{S_r} U^2 mu~ |y|^a on the sphere about
-    the origin (even reflection: doubled upper half) and, with la_r, the G
-    numerator L = 2 int_{S_r} U^2 la_r; L is None without la_r. With
-    frame = (x0, S) the rules sit about the origin of the coordinates
-    normalised at x0, geo holds normalize_at's coefficients, and U is
-    sampled through FieldSampler's frame."""
+                   frame=None) -> SphereHeights:
+    """(H, L, clamped, processes) per rule: H = 2 int_{S_r} U^2 mu~ |y|^a
+    on the sphere about the origin (even reflection: doubled upper half)
+    and, with la_r, the G numerator L = 2 int_{S_r} U^2 la_r. With frame =
+    (x0, S) the rules sit about the origin of the coordinates normalised
+    at x0, geo holds normalize_at's coefficients, and U is sampled through
+    FieldSampler's frame. Each rule is one FieldSampler pass; the rules
+    are dealt out over this process's CPUs (deal)."""
     sampler = FieldSampler(geo.grid, U, frame)
-    H = np.empty(len(rules))
-    L = np.empty(len(rules)) if la_r else None
-    for i, rule in enumerate(rules):
-        u2 = sampler(rule.points) ** 2
-        if la_r:
-            mut, lar = geo.mu_tilde_and_la_r_at(rule.points)
-            L[i] = 2.0 * rule.integrate(u2 * lar)
-        else:
-            mut = geo.mu_tilde_at(rule.points)
-        H[i] = 2.0 * rule.integrate(u2 * mut)
-    return H, L
+    samples = sum(len(rule.weights) for rule in rules)
+    out, processes = deal(lambda rule: sampler(rule, geo, la_r), rules, samples)
+    table = np.array(out, dtype=float).reshape(len(rules), 3)
+    return SphereHeights(table[:, 0], table[:, 1] if la_r else None, table[:, 2] > 0.0, processes)
 
 
 def ball_integrals(U: np.ndarray, problem: ProblemSpec, radii, nsub: int = 4) -> np.ndarray:
@@ -207,7 +325,7 @@ class _SurfaceSamplers:
         gx, wv = gw[..., :n], gw[..., n]
         nu = pts / rule.r
         s = np.einsum("...ij,...j,...i->...", B, gx, nu[..., :n])
-        return s, wv, nu[..., n], mu_t, self.sampler(pts), gx
+        return s, wv, nu[..., n], mu_t, self.sampler.sample(pts), gx
 
 
 def total_energy_surface(U: np.ndarray, problem: ProblemSpec, r: float) -> float:
@@ -376,6 +494,7 @@ class RadialProfile:
     C_weiss: float
     phi_margin: float  # worst drop of e^{K' r^{(1-d)/2}} Phi on the gamma mask
     weiss_margin: float  # worst drop of W + C_weiss r^{(1+a)/2}
+    processes: int  # processes that computed the sphere sums (deal)
 
     def summary(self) -> dict:
         return {
@@ -443,7 +562,7 @@ def radial_profile(
         r_grid = default_r_grid(grid)
     r = np.asarray(r_grid, dtype=float)
     rules = [sphere_quadrature(grid, ri, n_angles=n_angles) for ri in r]
-    Hs, Ls = sphere_heights(U, GeometryFields(grid, problem.coeff), rules, la_r=True)
+    Hs, Ls, _, processes = sphere_heights(U, GeometryFields(grid, problem.coeff), rules, la_r=True)
     Ds, Bs, Fs = ball_integrals(U, problem, r, nsub)
     Is = Ds + Fs
 
@@ -483,7 +602,7 @@ def radial_profile(
         mask_lambda=sph.mask_lambda, mask_gamma=sph.mask_gamma,
         alpha=ps.alpha, alpha_err=ps.alpha_err, beta_est=ps.beta_est,
         Kprime=kp, delta=delta, C_weiss=cw,
-        phi_margin=phi_margin, weiss_margin=weiss_margin,
+        phi_margin=phi_margin, weiss_margin=weiss_margin, processes=processes,
     )
 
 
@@ -511,18 +630,17 @@ def identity_checks(U: np.ndarray, problem: ProblemSpec, profile: RadialProfile)
     if np.count_nonzero(sel) < 3:
         sel = np.ones_like(sel)
     r_grid, Hs, Ls, Ds, Bs, Is = (getattr(profile, c)[sel] for c in ("r", "H", "L", "D", "B", "I"))
-    geo = GeometryFields(grid, problem.coeff)
 
-    def heights(radii):
-        rules = [sphere_quadrature(grid, ri) for ri in radii]
-        return sphere_heights(U, geo, rules)[0]
-
-    # H' by a small central step, one-sided at the resolution floor
+    # H' by a small central step, one-sided at the resolution floor; the
+    # heights at r + dr and at the central r - dr come from one call
     dr = np.minimum(1e-3 * grid.R, 0.05 * r_grid)
     central = r_grid - dr > 2.0 * max(grid.hx, grid.hy)
+    radii = np.concatenate([r_grid + dr, r_grid[central] - dr[central]])
+    rules = [sphere_quadrature(grid, ri) for ri in radii]
+    H, _, _, processes = sphere_heights(U, GeometryFields(grid, problem.coeff), rules)
     H_lo = Hs.copy()
-    H_lo[central] = heights(r_grid[central] - dr[central])
-    Hp = (heights(r_grid + dr) - H_lo) / np.where(central, 2.0 * dr, dr)
+    H_lo[central] = H[len(r_grid):]
+    Hp = (H[:len(r_grid)] - H_lo) / np.where(central, 2.0 * dr, dr)
     rhs = 2.0 * Is + Ls
     rel_i = np.abs(Hp - rhs) / np.maximum(np.abs(rhs), 1e-300)
     rel_ii = []
@@ -558,6 +676,7 @@ def identity_checks(U: np.ndarray, problem: ProblemSpec, profile: RadialProfile)
         "rellich_rel": np.array(rel_ii) if rel_ii else None,
         "trace_C1": float(c1),
         "trace_C2": float(c2),
+        "processes": processes,
     }
 
 

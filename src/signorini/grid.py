@@ -226,49 +226,92 @@ def total_weighted_measure(grid: Grid) -> float:
 # ---------------------------------------------------------------------------
 
 
-def interpolate(axes, values, points, first_layer_power: float | None = None) -> np.ndarray:
-    """Multilinear interpolation of a tensor-grid table at arbitrary points.
+@dataclass(frozen=True)
+class Stencil:
+    """Where locate found points in a tensor grid: the flat index of each
+    point's cell (its lowest corner), and for each of the 2^d cell
+    corners, in the order of itertools.product((0, 1), repeat=d), its
+    flat offset from that index and the weight of every point."""
 
-    values has shape tuple(len(ax) for ax in axes) + trailing and points
-    (..., len(axes)); the result has shape points.shape[:-1] + trailing.
-    Cells are found by searchsorted on the axis arrays and the cell index
-    is clamped, so points outside the box extrapolate linearly from the
-    boundary cell. With first_layer_power=p the local coordinate t in
-    [0, 1) of the last axis's first cell becomes t**p; p = 1-a gives the
-    first-layer profile u0 + (u1 - u0) (y/y1)^{1-a}, exact on the
+    shape: tuple  # the points' shape without their coordinate axis
+    grid_shape: tuple  # tuple(len(ax) for ax in axes)
+    base: np.ndarray  # (m,) flat cell indices
+    offsets: list  # 2^d ints
+    weights: list  # 2^d float arrays (m,)
+
+
+def locate(axes, points, first_layer_power: float | None = None) -> Stencil:
+    """The multilinear stencil of points (..., len(axes)) in the tensor
+    grid of axes, for read.
+
+    A point's cell is the one whose left node is the last at or below it
+    (on an evenly spaced axis, floor((x - x_0)/h), so a point within
+    rounding of a node may take either neighbouring cell), clamped to
+    the end cells, so points outside the box extrapolate linearly from
+    the boundary cell. With first_layer_power=p the local coordinate t
+    in [0, 1) of the last axis's first cell becomes t**p; p = 1-a gives
+    the first-layer profile u0 + (u1 - u0) (y/y1)^{1-a}, exact on the
     (1, y^{1-a}) basis.
 
-    The corner weights are a product tree over the axes, in the order of
-    itertools.product((0, 1), repeat=len(axes)): the weight of a corner
-    is the left-to-right product of its per-axis factors (1 - t or t),
-    and its flat offset is the dot product of the corner with the table's
-    strides.
+    The corner weights are a product tree over the axes: the weight of a
+    corner is the left-to-right product of its per-axis factors (1 - t
+    or t), and its flat offset is the dot product of the corner with the
+    table's strides.
     """
-    vals = np.asarray(values, dtype=float)
-    shape = vals.shape[: len(axes)]
     pts = np.asarray(points, dtype=float)
+    shape = tuple(len(ax) for ax in axes)
     flat = pts.reshape(-1, len(axes))
-    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
-    base, factors = 0, []
+    strides = [int(s) for s in np.cumprod((1,) + shape[:0:-1])[::-1]]
+    base, factors = None, []
     for d, ax in enumerate(axes):
         x = np.ascontiguousarray(flat[:, d])
-        i = np.searchsorted(ax[1:-1], x, side="right")  # the cell, clamped to the end cells
-        t = (x - ax[i]) / (ax[i + 1] - ax[i])
+        width = ax[1:] - ax[:-1]
+        if width.max() - width.min() <= 1e-9 * width.min():  # evenly spaced
+            i = ((x - ax[0]) * ((len(ax) - 1) / (ax[-1] - ax[0]))).astype(np.intp)
+            # truncation is floor above x_0; then clamp to the end cells
+            np.minimum(np.maximum(i, 0, out=i), len(ax) - 2, out=i)
+        else:
+            i = np.searchsorted(ax[1:-1], x, side="right")
+        t = (x - ax[i]) / width[i]
         if first_layer_power is not None and d == len(axes) - 1:
-            first = (i == 0) & (t >= 0.0) & (t < 1.0)
-            t[first] = t[first] ** first_layer_power
-        base = base + i * strides[d]
+            np.power(t, first_layer_power, out=t, where=(i == 0) & (t >= 0.0) & (t < 1.0))
+        if base is None:
+            base = i * strides[d] if strides[d] != 1 else i
+        else:
+            base += i * strides[d] if strides[d] != 1 else i
         factors.append((1.0 - t, t))
-    weights, offsets = list(factors[0]), [0, int(strides[0])]
+    weights, offsets = list(factors[0]), [0, strides[0]]
     for pair, stride in zip(factors[1:], strides[1:]):
         weights = [w * f for w in weights for f in pair]
-        offsets = [o + c for o in offsets for c in (0, int(stride))]
-    table = vals.reshape((-1,) + vals.shape[len(axes):])
-    trailing = (1,) * (table.ndim - 1)
-    out = 0.0
-    for w, offset in zip(weights, offsets):
-        out = out + table[base + offset] * w.reshape(w.shape + trailing)
-    return out.reshape(pts.shape[:-1] + vals.shape[len(axes):])
+        offsets = [o + c for o in offsets for c in (0, stride)]
+    return Stencil(pts.shape[:-1], shape, base, offsets, weights)
+
+
+def read(stencil: Stencil, values) -> np.ndarray:
+    """A table of shape stencil.grid_shape + trailing, interpolated at the
+    stencil's points: shape stencil.shape + trailing. The corners'
+    weighted values are summed in the stencil's corner order."""
+    vals = np.asarray(values, dtype=float)
+    trailing = vals.shape[len(stencil.grid_shape):]
+    table = vals.reshape((-1,) + trailing)
+    ones = (1,) * len(trailing)
+    out = None
+    for offset, w in zip(stencil.offsets, stencil.weights):
+        term = table[offset:][stencil.base]  # the corner's values: table[base + offset]
+        term *= w.reshape(w.shape + ones) if ones else w
+        if out is None:
+            out = term
+        else:
+            out += term
+    return out.reshape(stencil.shape + trailing)
+
+
+def interpolate(axes, values, points, first_layer_power: float | None = None) -> np.ndarray:
+    """Multilinear interpolation of a tensor-grid table at arbitrary points:
+    read(locate(axes, points, first_layer_power), values). values has
+    shape tuple(len(ax) for ax in axes) + trailing and points
+    (..., len(axes)); the result has shape points.shape[:-1] + trailing."""
+    return read(locate(axes, points, first_layer_power), values)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import multiprocessing
+import os
 from functools import lru_cache
 
 import numpy as np
@@ -76,6 +77,119 @@ def graded_grid(n: int, h: float, a: float):
     ys = grid.ys[-1] * (np.arange(len(grid.ys)) / (len(grid.ys) - 1)) ** 2
     return dataclasses.replace(grid, ys=ys, cell_y_weights=_weighted_layer_integrals(ys, a),
                                cell_y_trans=_layer_transmissibilities(ys, a))
+
+
+def _linear(axes, values):
+    """scipy's multilinear interpolant of a tensor-grid table, extrapolating
+    linearly outside the box."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    return RegularGridInterpolator(axes, values, method="linear", bounds_error=False,
+                                   fill_value=None)
+
+
+class ReferenceSampler:
+    """Test-local reference for the field sampling of the fused sphere pass,
+    as the per-rule path sampled before it: U at points in the frame
+    (x0, S) (at (x0 + S p_x, p_y)), thin coordinates clamped to the box,
+    multilinear by scipy, and u0 + (u1 - u0) (y/y1)^{1-a} in the first
+    y-layer."""
+
+    def __init__(self, grid, U, frame=None):
+        self.grid, self.U, self.frame = grid, np.asarray(U, dtype=float), frame
+
+    def mapped(self, points):
+        """The points in U's coordinates, before the clamp."""
+        pts = np.array(points, dtype=float, ndmin=2)
+        if self.frame is not None:
+            x0, S = self.frame
+            pts[..., :self.grid.n] = x0 + pts[..., :self.grid.n] @ S.T
+        return pts
+
+    def clamped(self, points) -> bool:
+        return bool((np.abs(self.mapped(points)[..., :self.grid.n]) > self.grid.R).any())
+
+    def __call__(self, points):
+        grid, n = self.grid, self.grid.n
+        pts = self.mapped(points)
+        pts[..., :n] = np.clip(pts[..., :n], -grid.R, grid.R)
+        out = _linear(grid.xs + (grid.ys,), self.U)(pts)
+        first = (pts[..., n] >= 0.0) & (pts[..., n] < grid.ys[1])
+        if first.any():
+            u0 = _linear(grid.xs, self.U[..., 0])(pts[first][:, :n])
+            u1 = _linear(grid.xs, self.U[..., 1])(pts[first][:, :n])
+            out[first] = u0 + (u1 - u0) * (pts[first][:, n] / grid.ys[1]) ** (1.0 - grid.a)
+        return out
+
+
+def reference_factors(grid, coeff, points, la_r: bool = False) -> tuple:
+    """Test-local reference for (mu~, la_r / |y|^a) at the points X = (x, y),
+    as the per-rule path computed them: mu~ = <A X, X>/|X|^2 summed over
+    every (i, j), and la_r / |y|^a = (tr B + 1 + a)/r - <A X, X>/r^3 +
+    sum_ij (d_i b_ij) x_j / r with the (n, n) table of central differences
+    d_i b_ij interpolated (scipy)."""
+    pts = np.asarray(points, dtype=float)
+    n = grid.n
+    x = pts[..., :n]
+    B = coeff.eval_B(x)
+    y2 = pts[..., n] ** 2
+    axx = sum(B[..., i, j] * x[..., i] * x[..., j] for i in range(n) for j in range(n)) + y2
+    r2 = sum(x[..., i] * x[..., i] for i in range(n)) + y2
+    if not la_r:
+        return axx / r2, None
+    r = np.sqrt(r2)
+    table = np.stack([np.gradient(coeff.table[..., i, :], grid.xs[i], axis=i)
+                      for i in range(n)], axis=-2)
+    db = _linear(grid.xs, table)(x)
+    dbx = sum(db[..., i, j] * x[..., j] for i in range(n) for j in range(n))
+    trB = sum(B[..., i, i] for i in range(n))
+    return axx / r2, (trB + 1.0 + grid.a) / r - axx / r**3 + dbx / r
+
+
+def reference_heights(U, grid, coeff, rules, la_r: bool = False, frame=None) -> tuple:
+    """(H, L, clamped) per rule by the per-rule path: ReferenceSampler and
+    reference_factors, rule by rule (L is None without la_r)."""
+    sampler = ReferenceSampler(grid, U, frame)
+    H, L = [], []
+    for rule in rules:
+        u2 = sampler(rule.points) ** 2
+        mu, lar = reference_factors(grid, coeff, rule.points, la_r)
+        H.append(2.0 * rule.integrate(u2 * mu))
+        if la_r:
+            L.append(2.0 * rule.integrate(u2 * lar))
+    clamped = np.array([sampler.clamped(rule.points) for rule in rules])
+    return np.array(H), (np.array(L) if la_r else None), clamped
+
+
+def _cpus(monkeypatch, k):
+    """Make this process's affinity mask hold k CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+
+def _bitwise_equal(a, b) -> bool:
+    """Equal structure and types, with floats and arrays equal to the bit."""
+    if type(a) is not type(b):
+        return False
+    if dataclasses.is_dataclass(a):
+        return _bitwise_equal(vars(a), vars(b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_bitwise_equal(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_bitwise_equal, a, b))
+    if isinstance(a, (float, np.ndarray, np.generic)):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return a == b
+
+
+def _no_child_process() -> bool:
+    """True when this process has no child, running or exited unreaped: every
+    worker forked was joined."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def psor_reference(form, problem, tol: float, start=None) -> np.ndarray:

@@ -84,7 +84,7 @@ def test_normalize_identity_is_exact():
     U = X + 0.5 * Y
     coeff, S = sg.normalize_at(grid, problem.coeff, [0.0])
     pts = np.stack([X, Y], axis=-1).reshape(-1, 2)
-    assert np.allclose(sg.FieldSampler(grid, U, ([0.0], S))(pts), U.ravel(), atol=1e-13)
+    assert np.allclose(sg.FieldSampler(grid, U, ([0.0], S)).sample(pts), U.ravel(), atol=1e-13)
     B0 = coeff.eval_B(np.zeros((1, 1)))
     assert np.abs(B0 - 1.0).max() <= 1e-12
 
@@ -97,7 +97,7 @@ def test_normalize_constant_coefficient_rescales_axis():
     # linear field: U'(x, y) = U(2x) = 2x where the map stays in the box,
     # and the box's edge value where it leaves it
     p = np.stack([X, Y], axis=-1).reshape(-1, 2)
-    samples = sg.FieldSampler(grid, X.copy(), ([0.0], S))(p)
+    samples = sg.FieldSampler(grid, X.copy(), ([0.0], S)).sample(p)
     assert np.allclose(samples, np.clip(2.0 * p[:, 0], -1.0, 1.0), atol=1e-12)
     B0 = new_coeff.eval_B(np.zeros(1))
     assert np.abs(B0 - np.eye(1)).max() <= 1e-12
@@ -116,7 +116,7 @@ def test_normalize_defining_property_generic():
     X1, X2, Y = grid.node_mesh()
     p = np.array([[0.1, -0.2, 0.3], [-0.3, 0.05, 0.0]])
     q = x0 + p[:, :2] @ S.T
-    got = sg.FieldSampler(grid, 2.0 * X1 - X2 + Y, (x0, S))(p)
+    got = sg.FieldSampler(grid, 2.0 * X1 - X2 + Y, (x0, S)).sample(p)
     assert np.allclose(got, 2.0 * q[:, 0] - q[:, 1] + p[:, 2], atol=1e-12)
 
 

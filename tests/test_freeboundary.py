@@ -19,7 +19,9 @@ from signorini.errors import InsufficientDataError, OutOfDomainError, SignoriniE
 from signorini.freeboundary import gamma_points, local_columns
 from signorini.grid import interpolate
 
-from conftest import TILTED_B, profile_boundary, solved_profile
+from conftest import (
+    TILTED_B, _bitwise_equal, _cpus, _no_child_process, profile_boundary, solved_profile,
+)
 
 
 def test_contact_masks_inactive():
@@ -167,7 +169,8 @@ def _full_ladder_columns(U, problem, x0, r):
     rg = r * q**j
     coeff, S = sg.normalize_at(grid, problem.coeff, x0)
     rules = [sg.sphere_quadrature(grid, ri) for ri in rg]
-    H, L = sg.sphere_heights(U, sg.GeometryFields(grid, coeff), rules, la_r=True, frame=(x0, S))
+    H, L, _, _ = sg.sphere_heights(U, sg.GeometryFields(grid, coeff), rules, la_r=True,
+                                   frame=(x0, S))
     cols = sg.sphere_columns(rg, H, L, grid.n, grid.a)
     return cols, int(np.searchsorted(j, 0.0)), sg.FieldSampler(grid, U, (x0, S))
 
@@ -190,7 +193,7 @@ def test_short_ladder_reads_what_the_full_ladder_reads(n):
             assert np.array_equal(cols.r, ref.r[kr - 1:] if len(ref.r) - kr >= 4 else ref.r[-5:])
             assert cols.r[k] == ref.r[kr] == r
             assert cols.Ntilde[k] == ref.Ntilde[kr] and cols.M[k] == ref.M[kr]
-            expected = (sampler(nodes * r) / np.sqrt(ref.M[kr])).reshape(grid.node_shape)
+            expected = (sampler.sample(nodes * r) / np.sqrt(ref.M[kr])).reshape(grid.node_shape)
             assert np.array_equal(sg.blowup(U, problem, x0, r), expected)
 
 
@@ -231,7 +234,7 @@ def _shifted_heights(U, problem, x0, r_grid):
         B = problem.coeff.eval_B(pts[:, :grid.n])
         azz = np.einsum("kij,ki,kj->k", B, z, z) + Z[:, grid.n] ** 2
         mu_tilde = azz / (Z**2).sum(axis=1)
-        heights.append(2.0 * rule.integrate(sampler(pts) ** 2 * mu_tilde))
+        heights.append(2.0 * rule.integrate(sampler.sample(pts) ** 2 * mu_tilde))
     return np.array(heights)
 
 
@@ -436,11 +439,6 @@ def test_report_classifies_every_eligible_gamma_node(n2_line_solve):
     assert [p["x0"] for p in rep.points] == eligible.tolist()
 
 
-def _cpus(monkeypatch, k):
-    """Make this process's affinity mask hold k CPUs, whatever the machine has."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
-
-
 @pytest.fixture
 def one_cpu(monkeypatch):
     """The report's inline path: the counters below do not see forked workers."""
@@ -552,20 +550,6 @@ def n2_tilted_obstacle_solve():
     return problem, sol
 
 
-def _bitwise_equal(a, b) -> bool:
-    """Equal structure and types, with floats and arrays equal to the bit."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, dict):
-        return list(a) == list(b) and all(_bitwise_equal(a[k], b[k]) for k in a)
-    if isinstance(a, (list, tuple)):
-        return len(a) == len(b) and all(map(_bitwise_equal, a, b))
-    if isinstance(a, (float, np.ndarray, np.generic)):
-        a, b = np.asarray(a), np.asarray(b)
-        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-    return a == b
-
-
 @contextlib.contextmanager
 def _deadline(seconds: int):
     """Fail the block with TimeoutError, instead of hanging, after seconds."""
@@ -579,16 +563,6 @@ def _deadline(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-
-
-def _no_child_process() -> bool:
-    """True when this process has no child, running or exited unreaped: the
-    report joined every worker it forked."""
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
 
 
 def test_forked_report_equals_inline(n2_tilted_obstacle_solve, monkeypatch):

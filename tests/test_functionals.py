@@ -30,12 +30,12 @@ def test_geometry_identity_closed_forms():
     X, Y = grid.node_mesh()
     off = np.hypot(X, Y) > 0
     nodes = np.stack([X, Y], axis=-1)[off]
-    assert np.allclose(geo.mu_tilde_at(nodes), 1.0)
+    assert np.allclose(geo.factors_at(nodes)[0], 1.0)
     # la_r = (n+a)/r * |y|^a at the node (0.6, 0.8), r = 1
     i = np.where(np.isclose(grid.xs[0], 0.6))[0][0]
     j = np.where(np.isclose(grid.ys, 0.8))[0][0]
     node = np.array([[X[i, j], Y[i, j]]])
-    assert geo.mu_tilde_and_la_r_at(node)[1][0] == pytest.approx(1.0, rel=1e-12)
+    assert geo.factors_at(node, la_r=True)[1][0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_geometry_perturbed_bounds():
@@ -47,8 +47,8 @@ def test_geometry_perturbed_bounds():
     r = np.hypot(X, Y)
     off = r > 0.1
     nodes = np.stack([X, Y], axis=-1)[off]
-    mu_tilde, la_r = geo.mu_tilde_and_la_r_at(nodes)
-    assert np.array_equal(mu_tilde, geo.mu_tilde_at(nodes))
+    mu_tilde, la_r = geo.factors_at(nodes, la_r=True)
+    assert np.array_equal(mu_tilde, geo.factors_at(nodes)[0])
     # la_r * r / |y|^a stays within O(1) of (n + a)
     dev = np.abs(la_r * r[off] - 1.0)
     assert dev.max() <= 0.5
@@ -68,8 +68,8 @@ def test_geometry_about_shifted_centre_closed_forms(n):
     r = 0.4
     rule = sg.sphere_quadrature(grid, r, 32)
     rho = np.sqrt((rule.points**2).sum(axis=1))
-    assert np.allclose(geo.mu_tilde_at(rule.points), 1.0, rtol=1e-13, atol=0.0)
-    got_mu, got_la = geo.mu_tilde_and_la_r_at(rule.points)
+    assert np.allclose(geo.factors_at(rule.points)[0], 1.0, rtol=1e-13, atol=0.0)
+    got_mu, got_la = geo.factors_at(rule.points, la_r=True)
     assert np.allclose(got_mu, 1.0, rtol=1e-13, atol=0.0)
     assert np.allclose(got_la, (n + a) / rho, rtol=1e-12, atol=0.0)
     # the height about x0 of U = 1 is twice the weighted half-sphere area

@@ -158,7 +158,7 @@ def test_sphere_quadrature_refinement_order():
         X, Y = grid.node_mesh()
         sampler = sg.FieldSampler(grid, f(X, Y))
         rule = sg.sphere_quadrature(grid, r, 64)
-        errs.append(abs(rule.integrate(sampler(rule.points) ** 2) - exact))
+        errs.append(abs(rule.integrate(sampler.sample(rule.points) ** 2) - exact))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert orders.min() >= 1.9
 
@@ -380,7 +380,7 @@ def test_field_sampler_matches_first_layer_formula(n, a):
         u1 = rgi(grid.xs, U[..., 1])(pts[first, :n])
         ref[first] = u0 + (u1 - u0) * (pts[first, -1] / grid.hy) ** (1.0 - a)
     assert first.sum() >= 100
-    assert np.abs(sg.FieldSampler(grid, U)(pts) - ref).max() <= 1e-14
+    assert np.abs(sg.FieldSampler(grid, U).sample(pts) - ref).max() <= 1e-14
 
 
 def _corner_loop_interpolate(axes, values, points, first_layer_power=None):
