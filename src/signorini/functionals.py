@@ -104,20 +104,23 @@ class FieldSampler:
 
     def _stencil(self, points: np.ndarray) -> tuple:
         """(U's stencil at the points, whether any sample is clamped to the
-        box)."""
+        box). The coordinates are taken a column at a time: numpy is slow
+        along a short last axis."""
         n, R = self.grid.n, self.grid.R
-        pts = np.array(points, dtype=float, ndmin=2)
-        cols = pts.reshape(-1, n + 1).T  # a column per coordinate: no op runs along a short axis
-        if self.frame is not None:
+        pts = np.asarray(points, dtype=float)
+        flat = pts.reshape(-1, n + 1)
+        if self.frame is None:
+            cols = [flat[:, d] for d in range(n)]
+        else:
             x0, S = self.frame
-            mapped = cols[:n].T @ S.T
-            for d in range(n):
-                np.add(mapped[:, d], x0[d], out=cols[d])
-        clamped = any(cols[d].max() > R or cols[d].min() < -R for d in range(n))
+            mapped = flat[:, :n] @ S.T
+            cols = [mapped[:, d] + x0[d] for d in range(n)]
+        clamped = any(c.max() > R or c.min() < -R for c in cols)
         if clamped:
-            np.clip(cols[:n], -R, R, out=cols[:n])
-        stencil = locate(self.grid.xs + (self.grid.ys,), pts, first_layer_power=1.0 - self.grid.a)
-        return stencil, clamped
+            cols = [np.clip(c, -R, R) for c in cols]
+        cols = tuple(c.reshape(pts.shape[:-1]) for c in cols + [flat[:, n]])
+        stencil = locate(self.grid.xs + (self.grid.ys,), cols, first_layer_power=1.0 - self.grid.a)
+        return stencil, bool(clamped)
 
     def sample(self, points: np.ndarray) -> np.ndarray:
         """U at the points."""

@@ -242,7 +242,8 @@ class Stencil:
 
 def locate(axes, points, first_layer_power: float | None = None) -> Stencil:
     """The multilinear stencil of points (..., len(axes)) in the tensor
-    grid of axes, for read.
+    grid of axes, for read; points may also be a tuple of len(axes)
+    coordinate arrays of one shape.
 
     A point's cell is the one whose left node is the last at or below it
     (on an evenly spaced axis, floor((x - x_0)/h), so a point within
@@ -258,13 +259,17 @@ def locate(axes, points, first_layer_power: float | None = None) -> Stencil:
     or t), and its flat offset is the dot product of the corner with the
     table's strides.
     """
-    pts = np.asarray(points, dtype=float)
+    if isinstance(points, tuple):
+        columns = [np.ascontiguousarray(c, dtype=float).ravel() for c in points]
+        points_shape = np.shape(points[0])
+    else:
+        pts = np.asarray(points, dtype=float)
+        columns = [np.ascontiguousarray(c) for c in pts.reshape(-1, len(axes)).T]
+        points_shape = pts.shape[:-1]
     shape = tuple(len(ax) for ax in axes)
-    flat = pts.reshape(-1, len(axes))
     strides = [int(s) for s in np.cumprod((1,) + shape[:0:-1])[::-1]]
     base, factors = None, []
-    for d, ax in enumerate(axes):
-        x = np.ascontiguousarray(flat[:, d])
+    for d, (ax, x) in enumerate(zip(axes, columns)):
         width = ax[1:] - ax[:-1]
         if width.max() - width.min() <= 1e-9 * width.min():  # evenly spaced
             i = ((x - ax[0]) * ((len(ax) - 1) / (ax[-1] - ax[0]))).astype(np.intp)
@@ -284,7 +289,7 @@ def locate(axes, points, first_layer_power: float | None = None) -> Stencil:
     for pair, stride in zip(factors[1:], strides[1:]):
         weights = [w * f for w in weights for f in pair]
         offsets = [o + c for o in offsets for c in (0, stride)]
-    return Stencil(pts.shape[:-1], shape, base, offsets, weights)
+    return Stencil(points_shape, shape, base, offsets, weights)
 
 
 def read(stencil: Stencil, values) -> np.ndarray:

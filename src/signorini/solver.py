@@ -259,13 +259,15 @@ class _Multigrid:
 
 
 def _cg(matvec, psolve, b: np.ndarray, x: np.ndarray, atol: float,
-        scale: np.ndarray | None = None) -> tuple:
+        scale: np.ndarray | None = None, r: np.ndarray | None = None) -> tuple:
     """Conjugate gradients for matvec(x) = b, preconditioned by psolve,
     from x (updated in place) until the recurred residual r has a norm of
-    at most atol, or with scale, until max |scale r| is at most atol.
+    at most atol, or with scale, until max |scale r| is at most atol. r,
+    when given, is the starting residual b - matvec(x) (overwritten).
     Returns (x, iterations), with x None when CG_MAX_ITER iterations do not
     reach atol."""
-    r = b - matvec(x)
+    if r is None:
+        r = b - matvec(x)
     if scale is not None:
         # the stop test writes scale r over q, which CG has used by then
         q = np.empty_like(r)
@@ -311,13 +313,15 @@ def _linear_solve(mg: _Multigrid, load: np.ndarray, U: np.ndarray, tol: float,
     b = -(load + mg.ops[0] @ np.where(fixed, U, 0.0))
     b *= keep
     x = U * keep
+    r = None
     if scale is not None:
         atol = tol
     elif loose:
-        atol = tol * np.linalg.norm(b - mg.matvec(x))
+        r = b - mg.matvec(x)  # CG starts from this residual
+        atol = tol * np.linalg.norm(r)
     else:
         atol = tol * np.hypot(np.linalg.norm(b), np.linalg.norm(U[fixed]))
-    x, its = _cg(mg.matvec, mg.cycle, b, x, atol, scale)
+    x, its = _cg(mg.matvec, mg.cycle, b, x, atol, scale, r)
     return (None if x is None else np.where(fixed, U, x)), its
 
 

@@ -145,6 +145,8 @@ def test_diagnose_profile_pipeline(tmp_path, capsys):
                                        "numpy": np.__version__, "scipy": scipy.__version__}
     comp = json.loads((out / "identities.json").read_text())["complementarity"]
     assert comp["min_gap_max"] <= 1e-8
+    # n = 1's 64-point rules are too few samples to deal out
+    assert manifest["profile_processes"] == manifest["identities_processes"] == 1
 
 
 def test_manifest_reports_point_nearest_origin(tmp_path):
@@ -496,3 +498,12 @@ def test_tilted_n2_summary_is_strict_json(tmp_path):
     assert summary["phi_monotonicity_margin"] == summary["weiss_monotonicity_margin"] == "nan"
     for name in ("identities.json", "manifest.json"):
         json.loads((out / name).read_text(), parse_constant=reject)
+    # the sphere rules of the profile (40 radii) and of the identities (the
+    # profile's radii in [0.2, 0.8] at r +- dr) are dealt out over the CPUs
+    manifest = json.loads((out / "manifest.json").read_text())
+    with open(out / "profile.csv") as fh:
+        r = np.array([float(row["r"]) for row in csv.DictReader(fh)])
+    cpus = len(os.sched_getaffinity(0))
+    assert manifest["profile_processes"] == min(len(r), cpus)
+    assert manifest["identities_processes"] == min(2 * np.count_nonzero((r >= 0.2) & (r <= 0.8)),
+                                                   cpus)

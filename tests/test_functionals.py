@@ -1,6 +1,7 @@
 """Radial functionals: geometry fields, H/B/D/I, psi/sigma, frequency, Weiss,
 identity checks, decay diagnostics."""
 
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -8,11 +9,15 @@ import pytest
 from scipy.integrate import quad
 
 import signorini as sg
+import signorini.functionals as functionals
 from signorini.errors import InvalidConfigurationError
 from signorini.functionals import integrate_psi_sigma, sphere_columns
 from signorini.grid import halfsphere_weighted_area
 
-from conftest import profile_boundary, solved_profile
+from conftest import (
+    TILTED_B, _bitwise_equal, _cpus, _no_child_process, graded_grid, profile_boundary,
+    reference_heights, solved_profile,
+)
 
 
 def identity_grid(h=1 / 32, a=0.0, n=1):
@@ -75,6 +80,97 @@ def test_geometry_about_shifted_centre_closed_forms(n):
     # the height about x0 of U = 1 is twice the weighted half-sphere area
     H = sg.sphere_heights(np.ones(grid.node_shape), geo, [rule], frame=(x0, S))[0][0]
     assert H == pytest.approx(2.0 * halfsphere_weighted_area(n, r, a), rel=1e-6)
+
+
+# -- the fused sphere pass ---------------------------------------------------
+
+
+def _pass_case(n, a, graded):
+    """(grid, coefficients, U): the tilted B (n = 2) or a sloped b11 (n = 1),
+    and a smooth field with a y^{1-a} part, on a uniform or graded grid."""
+    grid = graded_grid(n, 1 / 16, a) if graded else sg.build_grid(n, 1.0, 1 / 16, 1 / 16, a)
+    desc = TILTED_B if n == 2 else [[{"poly": [[1.0, [0]], [0.1, [1]]]}]]
+    coeff = sg.build_coefficients(grid, desc)
+    nodes = np.stack(grid.node_mesh(), axis=-1)
+    x, y = nodes[..., :n], nodes[..., n]
+    U = np.cos(2.0 * x.sum(axis=-1)) * (1.0 + y) + (1.0 + x[..., 0]) * y ** (1.0 - a)
+    return grid, coeff, U
+
+
+@pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
+@pytest.mark.parametrize("framed", [False, True], ids=["origin", "frame"])
+@pytest.mark.parametrize("a", [0.0, 0.5])
+@pytest.mark.parametrize("n", [1, 2])
+def test_fused_pass_matches_the_per_rule_reference(n, a, framed, graded, monkeypatch):
+    # each rule's H and L within 1e-13 relative of the per-rule path
+    # (conftest.reference_heights), and the same clamp flags; the frame at
+    # x0 near the box edge clamps the samples of its larger spheres
+    _cpus(monkeypatch, 1)
+    grid, coeff, U = _pass_case(n, a, graded)
+    frame = None
+    if framed:
+        x0 = np.array([0.75, -0.25])[:n]
+        coeff, S = sg.normalize_at(grid, coeff, x0)
+        frame = (x0, S)
+    geo = sg.GeometryFields(grid, coeff)
+    rules = [sg.sphere_quadrature(grid, r, m) for r in (0.15, 0.3, 0.5) for m in (48, 64)]
+    for la_r in (False, True):
+        H, L, clamped, processes = sg.sphere_heights(U, geo, rules, la_r=la_r, frame=frame)
+        H_ref, L_ref, clamped_ref = reference_heights(U, grid, coeff, rules, la_r, frame)
+        assert processes == 1
+        assert np.abs(H / H_ref - 1.0).max() <= 1e-13
+        assert L is None if not la_r else np.abs(L / L_ref - 1.0).max() <= 1e-13
+        assert np.array_equal(clamped, clamped_ref)
+        assert clamped.any() and not clamped.all() if framed else not clamped.any()
+
+
+@pytest.fixture(scope="module")
+def tilted_n2_reduction():
+    # the benchmark's tilted B at h = 1/16 under an elliptic obstacle: its
+    # 40-radius profile and its identity checks have enough sphere samples
+    # to be dealt out
+    a = 0.5
+    grid = sg.build_grid(2, 1.0, 1 / 16, 1 / 16, a)
+    X1, X2, _ = grid.node_mesh()
+    problem = sg.make_problem(grid, coeff=sg.build_coefficients(grid, TILTED_B),
+                              psi=0.3 - X1[..., 0] ** 2 - 2 * X2[..., 0] ** 2,
+                              boundary=profile_boundary(grid, a))
+    sol = sg.solve_active_set(sg.assemble_energy(grid, problem), problem, tol=1e-10)
+    return sg.reduce_obstacle(sol.U, problem)
+
+
+def test_dealt_profile_and_identities_equal_inline(tilted_n2_reduction, monkeypatch):
+    U0, problem0 = tilted_n2_reduction
+    runs = {}
+    for k in (1, 3):
+        _cpus(monkeypatch, k)
+        prof = sg.radial_profile(U0, problem0)
+        runs[k] = prof, sg.identity_checks(U0, problem0, prof)
+        assert _no_child_process()
+    (prof1, checks1), (prof3, checks3) = runs[1], runs[3]
+    assert (prof1.processes, checks1["processes"]) == (1, 1)
+    assert (prof3.processes, checks3["processes"]) == (3, 3)
+    assert _bitwise_equal(replace(prof3, processes=1), prof1)
+    assert _bitwise_equal({**checks3, "processes": 1}, checks1)
+
+
+def test_a_dealt_task_deals_no_further(tilted_n2_reduction, monkeypatch):
+    # sphere calls inside a dealt task, in a child or in this process's own
+    # share, run inline; a call below DEAL_MIN_SAMPLES runs inline too
+    U0, problem0 = tilted_n2_reduction
+    grid = problem0.grid
+    geo = sg.GeometryFields(grid, problem0.coeff)
+    rules = [sg.sphere_quadrature(grid, r) for r in np.linspace(0.3, 0.8, 8)]
+    assert 8 * len(rules[0].weights) >= functionals.DEAL_MIN_SAMPLES
+    _cpus(monkeypatch, 3)
+    assert sg.sphere_heights(U0, geo, rules).processes == 3
+    assert sg.sphere_heights(U0, geo, rules[:1]).processes == 1
+    inner, k = functionals.deal(lambda i: (os.getpid(), sg.sphere_heights(U0, geo, rules)),
+                                list(range(3)))
+    assert k == 3 and len({pid for pid, _ in inner}) == 3
+    assert [out.processes for _, out in inner] == [1, 1, 1]
+    assert all(_bitwise_equal(out.H, inner[0][1].H) for _, out in inner)
+    assert _no_child_process()
 
 
 # -- height -------------------------------------------------------------------

@@ -415,6 +415,40 @@ def test_loose_solve_reduces_its_own_residual(n, h, a, graded):
     assert residual(y) <= loose * residual(start)
 
 
+@EMBEDDED_CASES
+def test_loose_solve_forms_its_starting_residual_once(n, h, a, graded):
+    # the residual that sets a loose solve's stop is the one CG starts from:
+    # outside the V-cycles, one finest-level product for it and one per CG
+    # iteration, with the iterate of CG started from scratch
+    grid, form, fixed, U = _embedded_system(n, h, a, graded)
+    mg = _multigrid(form, fixed)
+    start = 0.5 * solver_mod._linear_solve(mg, form.load, U, TIGHT_RTOL)[0]
+    products, cycling = [], [False]
+    matvec, cycle = mg.matvec, mg.cycle
+
+    def counting(x, level=0):
+        if not cycling[0]:
+            products.append(level)
+        return matvec(x, level)
+
+    def uncounted(r, level=0):
+        cycling[0] = True
+        try:
+            return cycle(r, level)
+        finally:
+            cycling[0] = level > 0
+
+    mg.matvec, mg.cycle = counting, uncounted
+    loose = solver_mod.ACTIVE_SET_LOOSE_RTOL
+    y, its = solver_mod._linear_solve(mg, form.load, start, loose, loose=True)
+    assert its > 0 and products == [0] * (its + 1)
+    keep = mg.keeps[0]
+    b = -(form.load + mg.ops[0] @ np.where(fixed, start, 0.0)) * keep
+    atol = loose * np.linalg.norm(b - matvec(start * keep))
+    x, its_cg = solver_mod._cg(matvec, cycle, b, start * keep, atol)
+    assert its_cg == its and np.array_equal(np.where(fixed, start, x), y)
+
+
 @pytest.mark.parametrize("case", [_profile_problem_a05, _tilted_n2_problem],
                          ids=["n1_a05", "n2_tilted"])
 def test_loose_then_tight_active_set_matches_tight_only(case, monkeypatch):
