@@ -130,11 +130,12 @@ class FieldSampler:
         """(H, L, clamped) of one rule: H = 2 int_{S_r} U^2 mu~ |y|^a, L =
         2 int_{S_r} U^2 la_r (nan without la_r), and whether any sample is
         clamped to the box."""
-        stencil, clamped = self._stencil(rule.points)
+        points, weights = rule.points, rule.weights
+        stencil, clamped = self._stencil(points)
         u2 = read(stencil, self._U) ** 2
-        mut, lar = geo.factors_at(rule.points, la_r)
-        L = 2.0 * rule.integrate(u2 * lar) if la_r else float("nan")
-        return 2.0 * rule.integrate(u2 * mut), L, clamped
+        mut, lar = geo.factors_at(points, la_r)
+        L = 2.0 * float(np.dot(weights, u2 * lar)) if la_r else float("nan")
+        return 2.0 * float(np.dot(weights, u2 * mut)), L, clamped
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +275,7 @@ def sphere_heights(U: np.ndarray, geo: GeometryFields, rules, la_r: bool = False
     FieldSampler's frame. Each rule is one FieldSampler pass; the rules
     are dealt out over this process's CPUs (deal)."""
     sampler = FieldSampler(geo.grid, U, frame)
-    samples = sum(len(rule.weights) for rule in rules)
+    samples = sum(rule.size for rule in rules)
     out, processes = deal(lambda rule: sampler(rule, geo, la_r), rules, samples)
     table = np.array(out, dtype=float).reshape(len(rules), 3)
     return SphereHeights(table[:, 0], table[:, 1] if la_r else None, table[:, 2] > 0.0, processes)

@@ -330,12 +330,28 @@ class SphereRule:
 
     Applying the rule to nodal samples of g returns
     int_{S_r^+} g |y|^a dsigma; callers double the result for evenly
-    reflected fields.
+    reflected fields. The points and weights are scaled from the shared
+    unit rule each time they are read, so a list of rules holds no
+    arrays of its own; they are read-only.
     """
 
     r: float
-    points: np.ndarray  # (m, n+1) coordinates
-    weights: np.ndarray  # (m,) includes surface measure and |y|^a
+    unit: tuple  # (points, weights) of the rule on the unit half sphere
+    weight_scale: float  # r^{n+a}
+
+    @property
+    def points(self) -> np.ndarray:
+        """(m, n+1) coordinates."""
+        return _read_only(self.unit[0] * self.r)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """(m,) weights, including the surface measure and |y|^a."""
+        return _read_only(self.unit[1] * self.weight_scale)
+
+    @property
+    def size(self) -> int:
+        return len(self.unit[1])
 
     def integrate(self, values: np.ndarray) -> float:
         return float(np.dot(self.weights, values))
@@ -406,12 +422,8 @@ def sphere_quadrature(grid: Grid, r: float, n_angles: int = 64, a: float | None 
         raise UnsupportedRadiusError(
             f"radius {r} below resolution floor 2*max(hx,hy)={2*max(grid.hx,grid.hy)}"
         )
-    pts, wts = _unit_sphere_rule(grid.n, int(n_angles), float(a))
-    return SphereRule(
-        r=float(r),
-        points=_read_only(pts * r),
-        weights=_read_only(wts * r ** (grid.n + a)),
-    )
+    return SphereRule(float(r), _unit_sphere_rule(grid.n, int(n_angles), float(a)),
+                      r ** (grid.n + a))
 
 
 def _sine_power_integral(a: float) -> float:

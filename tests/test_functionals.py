@@ -161,7 +161,7 @@ def test_a_dealt_task_deals_no_further(tilted_n2_reduction, monkeypatch):
     grid = problem0.grid
     geo = sg.GeometryFields(grid, problem0.coeff)
     rules = [sg.sphere_quadrature(grid, r) for r in np.linspace(0.3, 0.8, 8)]
-    assert 8 * len(rules[0].weights) >= functionals.DEAL_MIN_SAMPLES
+    assert 8 * rules[0].size >= functionals.DEAL_MIN_SAMPLES
     _cpus(monkeypatch, 3)
     assert sg.sphere_heights(U0, geo, rules).processes == 3
     assert sg.sphere_heights(U0, geo, rules[:1]).processes == 1
