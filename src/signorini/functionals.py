@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidConfigurationError, InsufficientDataError, SignoriniError
 from .coefficients import CoefficientField, ProblemSpec
-from .grid import Grid, ball_sums, interpolate, locate, read, sphere_quadrature
+from .grid import Grid, ball_sums, locate, read, sphere_quadrature
 from .operator import cell_average, cell_energy_density, neumann_trace
 
 
@@ -70,7 +70,7 @@ class GeometryFields:
         if not la_r:
             return mu, None
         n = self.grid.n
-        stencil = locate(self.grid.xs, x)
+        stencil = locate(self.grid.xs, x, even=self.grid.evenly_spaced[:n])
         div = self._divergence
         lar = sum(B[..., i, i] for i in range(n)) + (1.0 + self.grid.a) - mu
         for j in range(n):
@@ -119,7 +119,8 @@ class FieldSampler:
         if clamped:
             cols = [np.clip(c, -R, R) for c in cols]
         cols = tuple(c.reshape(pts.shape[:-1]) for c in cols + [flat[:, n]])
-        stencil = locate(self.grid.xs + (self.grid.ys,), cols, first_layer_power=1.0 - self.grid.a)
+        stencil = locate(self.grid.xs + (self.grid.ys,), cols, 1.0 - self.grid.a,
+                         self.grid.evenly_spaced)
         return stencil, bool(clamped)
 
     def sample(self, points: np.ndarray) -> np.ndarray:
@@ -308,11 +309,9 @@ class _SurfaceSamplers:
         self.grid = grid
         self.geo = GeometryFields(grid, problem.coeff)
         self.sampler = FieldSampler(grid, U)
-        # grad_x U and the conjugate variable, stacked on a trailing axis
-        self._table = np.stack(
-            [np.gradient(U, grid.xs[d], axis=d) for d in range(grid.n)]
-            + [conjugate_variable(grid, U)], axis=-1,
-        )
+        # grad_x U and the conjugate variable, scalar tables read at one stencil
+        self._tables = ([np.gradient(U, grid.xs[d], axis=d) for d in range(grid.n)]
+                        + [conjugate_variable(grid, U)])
 
     def rules(self, r: float):
         """Rules of weights |y|^a, 1 and |y|^-a on S_r (64 angles)."""
@@ -320,16 +319,16 @@ class _SurfaceSamplers:
         return tuple(sphere_quadrature(self.grid, r, 64, a=e) for e in (a, 0.0, -a))
 
     def parts(self, rule):
-        """(s, wv, nu_y, mu_t, u, grad_x U) at the rule's points with
-        s = <B grad_x U, nu_x>."""
+        """(s, wv, nu_y, mu_t, grad_x U) at the rule's points with
+        s = <B grad_x U, nu_x>; grad_x U is a list of n components."""
+        grid, n = self.grid, self.grid.n
         pts = rule.points
-        n = self.grid.n
         _, B, _, _, mu_t = self.geo.quadratic_at(pts)
-        gw = interpolate(self.grid.xs + (self.grid.ys,), self._table, pts)
-        gx, wv = gw[..., :n], gw[..., n]
+        stencil = locate(grid.xs + (grid.ys,), pts, even=grid.evenly_spaced)
+        *gx, wv = (read(stencil, table) for table in self._tables)
         nu = pts / rule.r
-        s = np.einsum("...ij,...j,...i->...", B, gx, nu[..., :n])
-        return s, wv, nu[..., n], mu_t, self.sampler.sample(pts), gx
+        s = sum(B[..., i, j] * gx[j] * nu[..., i] for i in range(n) for j in range(n))
+        return s, wv, nu[..., n], mu_t, gx
 
 
 def total_energy_surface(U: np.ndarray, problem: ProblemSpec, r: float) -> float:
@@ -338,8 +337,9 @@ def total_energy_surface(U: np.ndarray, problem: ProblemSpec, r: float) -> float
     grid = problem.grid
     ss = _SurfaceSamplers(grid, problem, U)
     rule_a, rule_0, _ = ss.rules(r)
-    s_a, w_a, nuy_a, _, u_a, _ = ss.parts(rule_a)
-    s_0, w_0, nuy_0, _, u_0, _ = ss.parts(rule_0)
+    s_a = ss.parts(rule_a)[0]
+    _, w_0, nuy_0, _, _ = ss.parts(rule_0)
+    u_a, u_0 = (ss.sampler.sample(rule.points) for rule in (rule_a, rule_0))
     return 2.0 * (rule_a.integrate(u_a * s_a) + rule_0.integrate(u_0 * w_0 * nuy_0))
 
 
@@ -654,12 +654,10 @@ def identity_checks(U: np.ndarray, problem: ProblemSpec, profile: RadialProfile)
             # each surface term split by its exact weight: grad_x parts
             # carry |y|^a, conjugate-variable squares |y|^{-a}, crosses 1
             rule_a, rule_0, rule_m = ss.rules(ri)
-            s_a, w_a, nuy_a, mt_a, _, gx_a = ss.parts(rule_a)
-            s_0, w_0, nuy_0, mt_0, _, _ = ss.parts(rule_0)
-            s_m, w_m, nuy_m, mt_m, _, _ = ss.parts(rule_m)
-            lhs = 2.0 * (
-                rule_a.integrate((gx_a**2).sum(axis=-1)) + rule_m.integrate(w_m**2)
-            )
+            s_a, w_a, nuy_a, mt_a, gx_a = ss.parts(rule_a)
+            s_0, w_0, nuy_0, mt_0, _ = ss.parts(rule_0)
+            s_m, w_m, nuy_m, mt_m, _ = ss.parts(rule_m)
+            lhs = 2.0 * (rule_a.integrate(sum(g**2 for g in gx_a)) + rule_m.integrate(w_m**2))
             flux_sq = (
                 rule_a.integrate(s_a**2 / mt_a)
                 + 2.0 * rule_0.integrate(s_0 * w_0 * nuy_0 / mt_0)

@@ -121,6 +121,12 @@ class Grid:
         return _read_only(np.stack(cols, axis=1))
 
     @cached_property
+    def evenly_spaced(self) -> tuple:
+        """For each node axis (thin axes, then y), whether its nodes are
+        evenly spaced (locate's test)."""
+        return tuple(_evenly_spaced(ax) for ax in self.xs + (self.ys,))
+
+    @cached_property
     def _cells_by_radius(self) -> tuple:
         """(order, dist, centers): flat cell indices sorted by the distance
         of their centres to the origin, those distances, and the centres
@@ -240,10 +246,16 @@ class Stencil:
     weights: list  # 2^d float arrays (m,)
 
 
-def locate(axes, points, first_layer_power: float | None = None) -> Stencil:
+def _evenly_spaced(ax: np.ndarray) -> bool:
+    width = ax[1:] - ax[:-1]
+    return bool(width.max() - width.min() <= 1e-9 * width.min())
+
+
+def locate(axes, points, first_layer_power: float | None = None, even=None) -> Stencil:
     """The multilinear stencil of points (..., len(axes)) in the tensor
     grid of axes, for read; points may also be a tuple of len(axes)
-    coordinate arrays of one shape.
+    coordinate arrays of one shape. even, when given, says for each axis
+    whether it is evenly spaced (Grid.evenly_spaced).
 
     A point's cell is the one whose left node is the last at or below it
     (on an evenly spaced axis, floor((x - x_0)/h), so a point within
@@ -268,10 +280,12 @@ def locate(axes, points, first_layer_power: float | None = None) -> Stencil:
         points_shape = pts.shape[:-1]
     shape = tuple(len(ax) for ax in axes)
     strides = [int(s) for s in np.cumprod((1,) + shape[:0:-1])[::-1]]
+    if even is None:
+        even = [_evenly_spaced(ax) for ax in axes]
     base, factors = None, []
     for d, (ax, x) in enumerate(zip(axes, columns)):
         width = ax[1:] - ax[:-1]
-        if width.max() - width.min() <= 1e-9 * width.min():  # evenly spaced
+        if even[d]:
             i = ((x - ax[0]) * ((len(ax) - 1) / (ax[-1] - ax[0]))).astype(np.intp)
             # truncation is floor above x_0; then clamp to the end cells
             np.minimum(np.maximum(i, 0, out=i), len(ax) - 2, out=i)
