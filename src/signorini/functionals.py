@@ -144,10 +144,12 @@ class FieldSampler:
 # ---------------------------------------------------------------------------
 
 
-# A sphere_heights call is dealt out when it has at least this many samples:
-# one fork-and-pipe round trip of a 66-94 MB diagnose process took 4.4-6.3 ms
-# on 2 vCPUs, about the time of the fused pass over 30,000 samples.
-DEAL_MIN_SAMPLES = 30_000
+# A sphere_heights call is dealt out when it has at least this many samples,
+# so that the half a second process takes outweighs the fork: one
+# fork-and-pipe round trip of a 63 MB (95 MB) diagnose process took 3.9 ms
+# (6.4 ms) on 2 vCPUs, and the fused pass 115 ns (H) to 290 ns (H and L in a
+# frame) per sample of an n = 2 rule; 2 x 4.4 ms / 115 ns is 76,000 samples.
+DEAL_MIN_SAMPLES = 76_000
 
 _dealing = False  # set while this process deals, in it and in its children
 

@@ -160,11 +160,11 @@ def test_a_dealt_task_deals_no_further(tilted_n2_reduction, monkeypatch):
     U0, problem0 = tilted_n2_reduction
     grid = problem0.grid
     geo = sg.GeometryFields(grid, problem0.coeff)
-    rules = [sg.sphere_quadrature(grid, r) for r in np.linspace(0.3, 0.8, 8)]
-    assert 8 * rules[0].size >= functionals.DEAL_MIN_SAMPLES
+    rules = [sg.sphere_quadrature(grid, r) for r in np.linspace(0.3, 0.8, 20)]
+    assert sum(rule.size for rule in rules) >= functionals.DEAL_MIN_SAMPLES
     _cpus(monkeypatch, 3)
     assert sg.sphere_heights(U0, geo, rules).processes == 3
-    assert sg.sphere_heights(U0, geo, rules[:1]).processes == 1
+    assert sg.sphere_heights(U0, geo, rules[:10]).processes == 1
     inner, k = functionals.deal(lambda i: (os.getpid(), sg.sphere_heights(U0, geo, rules)),
                                 list(range(3)))
     assert k == 3 and len({pid for pid, _ in inner}) == 3
