@@ -294,10 +294,7 @@ def locate(axes, points, first_layer_power: float | None = None, even=None) -> S
         t = (x - ax[i]) / width[i]
         if first_layer_power is not None and d == len(axes) - 1:
             np.power(t, first_layer_power, out=t, where=(i == 0) & (t >= 0.0) & (t < 1.0))
-        if base is None:
-            base = i * strides[d] if strides[d] != 1 else i
-        else:
-            base += i * strides[d] if strides[d] != 1 else i
+        base = i * strides[d] if base is None else base + i * strides[d]
         factors.append((1.0 - t, t))
     weights, offsets = list(factors[0]), [0, strides[0]]
     for pair, stride in zip(factors[1:], strides[1:]):
