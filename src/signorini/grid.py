@@ -310,15 +310,11 @@ def read(stencil: Stencil, values) -> np.ndarray:
     vals = np.asarray(values, dtype=float)
     trailing = vals.shape[len(stencil.grid_shape):]
     table = vals.reshape((-1,) + trailing)
-    ones = (1,) * len(trailing)
     out = None
     for offset, w in zip(stencil.offsets, stencil.weights):
         term = table[offset:][stencil.base]  # the corner's values: table[base + offset]
-        term *= w.reshape(w.shape + ones) if ones else w
-        if out is None:
-            out = term
-        else:
-            out += term
+        term *= w.reshape(w.shape + (1,) * len(trailing))
+        out = term if out is None else np.add(out, term, out=out)
     return out.reshape(stencil.shape + trailing)
 
 
