@@ -12,6 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -232,8 +233,7 @@ def total_weighted_measure(grid: Grid) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Stencil:
+class Stencil(NamedTuple):
     """Where locate found points in a tensor grid: the flat index of each
     point's cell (its lowest corner), and for each of the 2^d cell
     corners, in the order of itertools.product((0, 1), repeat=d), its
