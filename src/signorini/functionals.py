@@ -3,7 +3,9 @@ frequency, and the adjusted monotone quantities. radial_profile computes
 the sphere and ball sums of a field once; the identity checks and the
 energy cross-check read its columns. sphere_columns turns the sphere sums
 H and L into G, psi, M and Ntilde, for radial_profile and for the
-free-boundary classification alike.
+free-boundary classification alike. sphere_heights is one pass per
+sphere rule (FieldSampler), and deal spreads the rules of a large call,
+like the report's points, over this process's CPUs.
 
 All ball/sphere integrals treat the field as evenly reflected across the
 thin plane: upper-half quadratures are doubled. The weight |y|^a is
@@ -94,8 +96,10 @@ class FieldSampler:
     coordinates outside the box are clamped to it.
 
     Calling the sampler on a sphere rule is sphere_heights' pass over that
-    rule: the rule's points are mapped into U's coordinates once, U is read
-    there once, and B and the divergence table once at the points."""
+    rule: the rule's points are mapped into U's coordinates once, which
+    also tells whether a sample is clamped, U is read there once, and B
+    (through geo's coefficients, which map the points themselves in a
+    frame) and the divergence table once at the points."""
 
     def __init__(self, grid: Grid, U: np.ndarray, frame=None):
         self.grid = grid
@@ -121,7 +125,7 @@ class FieldSampler:
         cols = tuple(c.reshape(pts.shape[:-1]) for c in cols + [flat[:, n]])
         stencil = locate(self.grid.xs + (self.grid.ys,), cols, 1.0 - self.grid.a,
                          self.grid.evenly_spaced)
-        return stencil, bool(clamped)
+        return stencil, clamped
 
     def sample(self, points: np.ndarray) -> np.ndarray:
         """U at the points."""
@@ -623,8 +627,9 @@ def identity_checks(U: np.ndarray, problem: ProblemSpec, profile: RadialProfile)
     radial profile (built with the default 64 angles).
 
     The radii are the profile's radii in [0.2 R, 0.8 R], or all of them
-    when fewer than 3 lie there. Only H(r +- dr) and the surface terms of
-    (ii) are evaluated here.
+    when fewer than 3 lie there. Only H(r +- dr), in one sphere_heights
+    call whose process count is returned as processes, and the surface
+    terms of (ii) are evaluated here.
     (i)  H'(r) vs 2 I(r) + int_{S_r} U^2 la_r   (H' by small central step)
     (ii) for A=I, f=0: D'(r) vs 2 int (U_nu)^2 |y|^a + (n-1+a)/r D(r),
          with D'(r) evaluated by the coarea form int_{S_r} |grad U|^2 |y|^a
