@@ -419,7 +419,7 @@ def test_loose_solve_reduces_its_own_residual(n, h, a, graded):
 def test_loose_solve_forms_its_starting_residual_once(n, h, a, graded):
     # the residual that sets a loose solve's stop is the one CG starts from:
     # outside the V-cycles, one finest-level product for it and one per CG
-    # iteration, with the iterate of CG started from scratch
+    # iteration, with the iterate of a fresh CG run
     grid, form, fixed, U = _embedded_system(n, h, a, graded)
     mg = _multigrid(form, fixed)
     start = 0.5 * solver_mod._linear_solve(mg, form.load, U, TIGHT_RTOL)[0]
