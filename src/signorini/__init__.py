@@ -15,7 +15,6 @@ from .coefficients import (
     CoefficientField,
     ProblemSpec,
     build_coefficients,
-    ellipticity_report,
     make_problem,
     normalize_at,
 )

@@ -4,8 +4,9 @@ B acts on the thin directions only and never depends on y; the extension
 slot of A is identically 1 with zero coupling. Scalar data (obstacle,
 source, boundary) is accepted as constants, polynomials, callables, or
 tabulated values; the obstacle lives on the thin points x, the source
-and the boundary data on the nodes (x, y). normalize_at changes the
-coefficients alone to the thin variables in which B(x0) = I.
+and the boundary data on the nodes (x, y). normalize_at returns the
+matrix S = B(x0)^{1/2} of the frame (x0, S): the thin variables p of
+x = x0 + S p, in which the coefficient matrix is the identity at x0.
 """
 
 from __future__ import annotations
@@ -70,13 +71,17 @@ def _node_points(grid: Grid) -> np.ndarray:
 class CoefficientField:
     """Symmetric uniformly elliptic thin-block coefficient b_ij(x).
 
-    lam and Lam, the extreme eigenvalues of the table, are computed when
-    first read."""
+    lam and Lam, the extreme eigenvalues of the table, and the divergence
+    table are computed when first read."""
 
-    n: int
+    xs: tuple  # the grid's thin axes
     table: np.ndarray  # B at thin nodes, thin_shape + (n, n)
     lip: float
     _evaluator: object  # callable points (...,n) -> (...,n,n)
+
+    @property
+    def n(self) -> int:
+        return len(self.xs)
 
     @cached_property
     def _eig_range(self) -> tuple:
@@ -91,18 +96,17 @@ class CoefficientField:
     def Lam(self) -> float:
         return self._eig_range[1]
 
+    @cached_property
+    def divergence(self) -> np.ndarray:
+        """(n,) + thin shape: for each j the scalar table sum_i d_i b_ij of
+        the thin-node table, by central differences."""
+        table, xs, n = self.table, self.xs, self.n
+        return np.stack([sum(np.gradient(table[..., i, j], xs[i], axis=i) for i in range(n))
+                         for j in range(n)])
+
     def eval_B(self, points: np.ndarray) -> np.ndarray:
         """B at arbitrary thin points (..., n) -> (..., n, n)."""
         return self._evaluator(np.asarray(points, dtype=float))
-
-    def eval_A(self, points: np.ndarray) -> np.ndarray:
-        """Full (n+1)x(n+1) block matrix at thick points (..., n+1)."""
-        points = np.asarray(points, dtype=float)
-        B = self.eval_B(points[..., : self.n])
-        A = np.zeros(points.shape[:-1] + (self.n + 1, self.n + 1))
-        A[..., : self.n, : self.n] = B
-        A[..., self.n, self.n] = 1.0
-        return A
 
     @property
     def is_identity(self) -> bool:
@@ -127,7 +131,7 @@ def build_coefficients(grid: Grid, description=None) -> CoefficientField:
             points = np.asarray(points, dtype=float)
             return np.broadcast_to(np.eye(n), points.shape[:-1] + (n, n)).copy()
 
-        return CoefficientField(n=n, table=table, lip=0.0, _evaluator=ev)
+        return CoefficientField(xs=grid.xs, table=table, lip=0.0, _evaluator=ev)
 
     if callable(description):
         def ev(points):
@@ -172,16 +176,11 @@ def build_coefficients(grid: Grid, description=None) -> CoefficientField:
             norms = np.linalg.norm(diff.reshape(-1, n, n), ord=2, axis=(1, 2))
             lip = max(lip, float(norms.max()) / grid.hx)
 
-    field = CoefficientField(n=n, table=table, lip=lip, _evaluator=ev)
+    field = CoefficientField(xs=grid.xs, table=table, lip=lip, _evaluator=ev)
     if field.lam <= 0.0:
         raise InvalidCoefficientError(
             f"coefficient matrix is not positive definite (min eig = {field.lam:g})")
     return field
-
-
-def ellipticity_report(field: CoefficientField) -> tuple:
-    """Stored (lambda, Lambda, lip); deterministic."""
-    return (field.lam, field.Lam, field.lip)
 
 
 # ---------------------------------------------------------------------------
@@ -239,45 +238,23 @@ def make_problem(
 
 
 # ---------------------------------------------------------------------------
-# normalization at a thin point
+# the frame at a thin point
 # ---------------------------------------------------------------------------
 
 
-def normalize_at(grid: Grid, coeff: CoefficientField, x0) -> tuple:
-    """Change thin variables so the coefficient matrix is I at x0.
+def normalize_at(grid: Grid, coeff: CoefficientField, x0) -> np.ndarray:
+    """S = B(x0)^{1/2}, the matrix of the frame (x0, S) at a thin point.
 
-    With S = B(x0)^{1/2}, returns (coefficients, S): the thin block of the
-    coordinates x -> x0 + S x is S^{-1} B(x0 + S x) S^{-1}, the identity at
-    the origin, tabulated on the grid's thin nodes. Fields are not
-    resampled: FieldSampler samples them in this frame.
+    In the thin coordinates p of x = x0 + S p the coefficient matrix is
+    S^{-1} B(x0 + S p) S^{-1}, the identity at p = 0. Nothing is resampled
+    or tabulated here: FieldSampler maps the sample points into the frame
+    and GeometryFields evaluates B there.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if np.any(np.abs(x0) > grid.R + 1e-12):
         raise OutOfDomainError(f"normalization point {x0} outside the box")
 
-    B0 = np.atleast_2d(coeff.eval_B(x0))
-    w, V = np.linalg.eigh(B0)
+    w, V = np.linalg.eigh(np.atleast_2d(coeff.eval_B(x0)))
     if w.min() <= 0:
         raise InvalidCoefficientError("coefficient matrix not positive definite at x0")
-    S = (V * np.sqrt(w)) @ V.T
-    S_inv = (V / np.sqrt(w)) @ V.T
-    base_ev = coeff.eval_B
-    n = grid.n
-    # row-major vec(S^-1 B S^-1) = kron(S^-1, S^-1^T) vec(B): one product per batch
-    congruence = np.kron(S_inv, S_inv.T).T
-    ST = np.ascontiguousarray(S.T)
-
-    def new_ev(points):
-        X = np.asarray(points, dtype=float) @ ST
-        for d in range(n):  # x0 + X, one column at a time
-            X[..., d] += x0[d]
-        B = base_ev(X)
-        return (B.reshape(-1, n * n) @ congruence).reshape(B.shape)
-
-    normalized = CoefficientField(
-        n=grid.n,
-        table=new_ev(_thin_points(grid)),
-        lip=coeff.lip * float(np.linalg.norm(S_inv, 2)) ** 2 * float(np.linalg.norm(S, 2)),
-        _evaluator=new_ev,
-    )
-    return normalized, S
+    return (V * np.sqrt(w)) @ V.T

@@ -105,26 +105,27 @@ def classify_from_frequency(Ntilde_rmin: float, a: float, delta: float,
 
 
 def local_columns(U: np.ndarray, problem: ProblemSpec, x0, r: float,
-                  delta: float = 0.5, normalized=None) -> tuple:
-    """Sphere columns (K' = 0) about x0 in the coordinates normalised there
-    (normalize_at), on the local ladder r q^j, q = (hi/lo)^{1/12}, over the
-    integers j that keep it in [lo, hi]: geometric through r, so the
-    derivative of log M at r is a central difference. r is kept when it
-    lies outside [lo, hi] (blowup scales above 0.9 R).
+                  delta: float = 0.5) -> tuple:
+    """Sphere columns (K' = 0) about x0 in the frame (x0, S), S = B(x0)^{1/2}
+    (normalize_at), where the coefficient matrix is the identity at x0, on
+    the local ladder r q^j, q = (hi/lo)^{1/12}, over the integers j that
+    keep it in [lo, hi]: geometric through r, so the derivative of log M
+    at r is a central difference. r is kept when it lies outside [lo, hi]
+    (blowup scales above 0.9 R).
 
     The ladder starts at r/q, or lower when that leaves fewer than the
     five radii sphere_columns needs: psi sums G from the top of the
     ladder down, and the derivative at r reads r/q and r q, so Ntilde and
     M at r read no radius below r/q.
 
-    normalized is normalize_at(grid, problem.coeff, x0), computed here
-    when None. Returns (columns, k, sampler, clamp_r): columns.r[k] = r,
-    sampler is U's FieldSampler in that frame (S = B(x0)^{1/2}), and
-    clamp_r is the smallest ladder radius whose mapped sphere has a sample
-    clamped to the box (None when there is none).
+    The sphere sums are one sphere_heights call in the frame, on the
+    problem's own coefficients. Returns (columns, k, sampler, clamp_r):
+    columns.r[k] = r, sampler is U's FieldSampler in the frame, and clamp_r
+    is the smallest ladder radius whose mapped sphere has a sample clamped
+    to the box (None when there is none).
     """
     grid = problem.grid
-    floor = 2.0 * max(grid.hx, grid.hy)
+    floor = grid.resolution_floor
     if r < floor:
         raise UnsupportedRadiusError(f"r={r} below grid resolution {floor}")
     lo = max(r / 1.6, floor * 1.02)
@@ -137,12 +138,12 @@ def local_columns(U: np.ndarray, problem: ProblemSpec, x0, r: float,
     j, k = j[start:], k - start
     rg = r * q**j
     rules = [sphere_quadrature(grid, ri) for ri in rg]
-    coeff, S = normalize_at(grid, problem.coeff, x0) if normalized is None else normalized
-    H, L, clamped, _ = sphere_heights(U, GeometryFields(grid, coeff), rules, la_r=True,
-                                      frame=(x0, S))
+    frame = (x0, normalize_at(grid, problem.coeff, x0))
+    H, L, clamped, _ = sphere_heights(U, GeometryFields(grid, problem.coeff), rules, la_r=True,
+                                      frame=frame)
     clamp_r = next((float(ri) for ri, c in zip(rg, clamped) if c), None)
     cols = sphere_columns(rg, H, L, grid.n, grid.a, delta=delta)
-    return cols, k, FieldSampler(grid, U, (x0, S)), clamp_r
+    return cols, k, FieldSampler(grid, U, frame), clamp_r
 
 
 @dataclass
@@ -153,22 +154,21 @@ class Classification:
 
 
 def classify(U: np.ndarray, problem: ProblemSpec, x0, r_min: float | None = None,
-             delta: float = 0.5, normalized=None) -> Classification:
+             delta: float = 0.5) -> Classification:
     """Classify a free boundary point by its truncated frequency.
 
     Subtracts the obstacle and evaluates the adjusted frequency Ntilde
     (K' = 0) at r_min (default 8 max(hx, hy)) on the local ladder of
-    local_columns, in the coordinates normalised at x0 (the coefficient
-    matrix is the identity there), from samples of the field itself; then
-    applies classify_from_frequency with the default gap. clamp_r and
-    normalized are local_columns'.
+    local_columns, in the frame at x0 (the coefficient matrix is the
+    identity there), from samples of the field itself; then applies
+    classify_from_frequency with the default gap. clamp_r is
+    local_columns'.
     """
     grid = problem.grid
     if r_min is None:
         r_min = 8.0 * max(grid.hx, grid.hy)
     U0, problem0 = reduce_obstacle(U, problem)
-    cols, k, _, clamp_r = local_columns(U0, problem0, x0, r_min, delta=delta,
-                                        normalized=normalized)
+    cols, k, _, clamp_r = local_columns(U0, problem0, x0, r_min, delta=delta)
     nt = float(cols.Ntilde[k])
     return Classification(label=classify_from_frequency(nt, grid.a, delta), Ntilde=nt,
                           clamp_r=clamp_r)
@@ -179,15 +179,14 @@ def classify(U: np.ndarray, problem: ProblemSpec, x0, r_min: float | None = None
 # ---------------------------------------------------------------------------
 
 
-def decay_fit(U: np.ndarray, problem: ProblemSpec, x0, r_grid: np.ndarray | None = None,
-              normalized=None) -> dict:
+def decay_fit(U: np.ndarray, problem: ProblemSpec, x0, r_grid: np.ndarray | None = None) -> dict:
     """Slopes of log sup_{B_r^+(x0)} |U - psi| and of log H_{x0}(r) vs log r.
 
     The sup is over the nodes of the ball about (x0, 0), read on the node
     block of the largest ball (grid.node_block); the heights are taken in
-    the coordinates normalised at x0, like classify's (normalized as in
-    local_columns). At a regular point the sup slope is (3-a)/2 and the
-    height slope is n + 3 (height scales with the square of the field).
+    the frame at x0, like classify's. At a regular point the sup slope is
+    (3-a)/2 and the height slope is n + 3 (height scales with the square
+    of the field).
     """
     grid = problem.grid
     if r_grid is None:
@@ -208,8 +207,8 @@ def decay_fit(U: np.ndarray, problem: ProblemSpec, x0, r_grid: np.ndarray | None
 
     # height-based variant around x0 (on the reduction)
     rules = [sphere_quadrature(grid, r, n_angles=48) for r in r_grid]
-    coeff, S = normalize_at(grid, problem.coeff, x0) if normalized is None else normalized
-    Hs = sphere_heights(U, GeometryFields(grid, coeff), rules, frame=(x0, S))[0]
+    frame = (x0, normalize_at(grid, problem.coeff, x0))
+    Hs = sphere_heights(U, GeometryFields(grid, problem.coeff), rules, frame=frame)[0]
     H_slope = loglog_slope(r_grid, Hs, 0.0)
     return {"slope": slope, "H_slope": H_slope, "r": r_grid, "sup": sups, "H": Hs}
 
@@ -316,14 +315,13 @@ class FreeBoundaryReport:
 
 def point_record(U0: np.ndarray, problem0: ProblemSpec, x0, delta: float) -> dict:
     """The report's record of one free-boundary point: its classification
-    and decay fit on the reduction (U0, problem0), in the coordinates
-    normalised once at x0. A point whose radii the grid cannot resolve,
-    or whose fit lacks data, is recorded as Unresolved with the error."""
+    and decay fit on the reduction (U0, problem0), each in the frame at x0.
+    A point whose radii the grid cannot resolve, or whose fit lacks data,
+    is recorded as Unresolved with the error."""
     reg_expected = (3.0 - problem0.grid.a) / 2.0
     try:
-        normalized = normalize_at(problem0.grid, problem0.coeff, x0)
-        cls = classify(U0, problem0, x0, delta=delta, normalized=normalized)
-        fit = decay_fit(U0, problem0, x0, normalized=normalized)
+        cls = classify(U0, problem0, x0, delta=delta)
+        fit = decay_fit(U0, problem0, x0)
     except (UnsupportedRadiusError, InsufficientDataError) as exc:
         return {"x0": np.atleast_1d(x0).tolist(), "class": "Unresolved", "error": str(exc)}
     slope_label = "Regular" if abs(fit["slope"] - reg_expected) <= 0.25 else "Other"

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -35,48 +34,52 @@ from .operator import cell_average, cell_energy_density, neumann_trace
 @dataclass(frozen=True)
 class GeometryFields:
     """Point evaluators of B, mu~ = <A X, X>/|X|^2 and la_r / |y|^a, where
-    mu = mu~ |y|^a and la_r = div(|y|^a A grad |X|); a is the grid's."""
+    mu = mu~ |y|^a and la_r = div(|y|^a A grad |X|); a is the grid's. In
+    a frame (x0, S) they are those of the frame's coordinates (p, y), x =
+    x0 + S p, whose coefficient matrix is S^{-1} B(x0 + S p) S^{-1}."""
 
     grid: Grid
     coeff: CoefficientField
 
-    @cached_property
-    def _divergence(self) -> np.ndarray:
-        """(n,) + thin shape: for each j the scalar table sum_i d_i b_ij of
-        the thin-node table, by central differences."""
-        table, xs, n = self.coeff.table, self.grid.xs, self.grid.n
-        return np.stack([sum(np.gradient(table[..., i, j], xs[i], axis=i) for i in range(n))
-                         for j in range(n)])
-
-    def quadratic_at(self, points: np.ndarray) -> tuple:
-        """(x, B(x), <A X, X>, |X|^2, mu~) at the points X = (x, y), with
-        <A X, X> = <B x, x> + y^2 and mu~ = <A X, X>/|X|^2."""
+    def quadratic_at(self, points: np.ndarray, frame=None) -> tuple:
+        """(z, B, <A Z, Z>, |P|^2, mu~) at the points P = (p, y), Z = (z, y),
+        with <A Z, Z> = <B z, z> + y^2 and mu~ = <A Z, Z>/|P|^2: z = p and
+        B = B(p), or in the frame (X, S^{-1}), X = x0 + S p (..., n) from
+        FieldSampler, z = S^{-1} p and B = B(X), so <A Z, Z> = <A P, P>."""
         pts = np.asarray(points, dtype=float)
         n = self.grid.n
         x = pts[..., :n]
-        B = self.coeff.eval_B(x)
+        if frame is None:
+            z, B = x, self.coeff.eval_B(x)
+        else:
+            X, S_inv = frame
+            z, B = x @ S_inv.T, self.coeff.eval_B(X)
         y2 = pts[..., n] ** 2
-        xx = [[x[..., i] * x[..., j] for j in range(n)] for i in range(n)]
-        axx = sum(B[..., i, i] * xx[i][i] for i in range(n)) + y2
+        zz = [[z[..., i] * z[..., j] for j in range(n)] for i in range(n)]
+        azz = sum(B[..., i, i] * zz[i][i] for i in range(n)) + y2
         for i in range(n):
             for j in range(i + 1, n):
-                axx += (B[..., i, j] + B[..., j, i]) * xx[i][j]
-        r2 = sum(xx[i][i] for i in range(n)) + y2
-        return x, B, axx, r2, axx / r2
+                azz += (B[..., i, j] + B[..., j, i]) * zz[i][j]
+        r2 = sum(x[..., i] * x[..., i] for i in range(n)) + y2
+        return z, B, azz, r2, azz / r2
 
-    def factors_at(self, points: np.ndarray, la_r: bool = False) -> tuple:
+    def factors_at(self, points: np.ndarray, la_r: bool = False, frame=None) -> tuple:
         """(mu~, la_r / |y|^a) from one evaluation of B, la_r None without
         la_r; la_r = div(|y|^a A grad |X|) = |y|^a (tr B + 1 + a - mu~
-        + sum_j (sum_i d_i b_ij) x_j) / r."""
-        x, B, _, r2, mu = self.quadratic_at(points)
+        + sum_j (sum_i d_i b_ij) x_j) / r. In a frame (quadratic_at's) the
+        trace is tr(S^{-2} B(X)) and the divergence S^{-1} (sum_i d_i b_ij)
+        at X, read from the coefficients' table: exact for symmetric S."""
+        z, B, _, r2, mu = self.quadratic_at(points, frame)
         if not la_r:
             return mu, None
         n = self.grid.n
-        stencil = locate(self.grid.xs, x, even=self.grid.evenly_spaced[:n])
-        div = self._divergence
-        lar = sum(B[..., i, i] for i in range(n)) + (1.0 + self.grid.a) - mu
+        X, C = (z, np.eye(n)) if frame is None else (frame[0], frame[1] @ frame[1])
+        stencil = locate(self.grid.xs, X, even=self.grid.evenly_spaced[:n])
+        div = self.coeff.divergence
+        trace = sum(C[i, j] * B[..., i, j] for i in range(n) for j in range(n))
+        lar = trace + (1.0 + self.grid.a) - mu
         for j in range(n):
-            lar += read(stencil, div[j]) * x[..., j]
+            lar += read(stencil, div[j]) * z[..., j]
         return mu, lar / np.sqrt(r2)
 
 
@@ -91,41 +94,47 @@ class FieldSampler:
     fields with the natural singular expansion are sampled without the
     O(h^{1-a}) bias of a linear interpolant (multilinear at a=0).
 
-    With frame = (x0, S) (normalize_at's S) the points p are coordinates
-    normalised at x0, and U is sampled at (x0 + S p_x, p_y). Thin
-    coordinates outside the box are clamped to it.
+    With frame = (x0, S) (S from normalize_at) the points P = (p, y) are
+    coordinates of the frame, and U is sampled at (x0 + S p, y): this is
+    the one place where x0 + S p is computed. Thin coordinates outside
+    the box are clamped to it; S^{-1} is computed once per sampler.
 
     Calling the sampler on a sphere rule is sphere_heights' pass over that
     rule: the rule's points are mapped into U's coordinates once, which
-    also tells whether a sample is clamped, U is read there once, and B
-    (through geo's coefficients, which map the points themselves in a
-    frame) and the divergence table once at the points."""
+    also tells whether a sample is clamped, U is read there once, and geo
+    evaluates B and reads the divergence table once at the mapped points
+    (unclamped), in the frame's variables (GeometryFields)."""
 
     def __init__(self, grid: Grid, U: np.ndarray, frame=None):
         self.grid = grid
         self._U = np.asarray(U, dtype=float)
         self.frame = frame
+        self._S_inv = None if frame is None else np.linalg.inv(frame[1])
 
     def _stencil(self, points: np.ndarray) -> tuple:
         """(U's stencil at the points, whether any sample is clamped to the
-        box). The coordinates are taken a column at a time: numpy is slow
-        along a short last axis."""
+        box, GeometryFields' frame (X, S^{-1}) with X = x0 + S p (..., n)
+        before the clamp, None without a frame). The stencil's coordinates
+        are taken a column at a time: numpy is slow along a short last
+        axis."""
         n, R = self.grid.n, self.grid.R
         pts = np.asarray(points, dtype=float)
         flat = pts.reshape(-1, n + 1)
         if self.frame is None:
-            cols = [flat[:, d] for d in range(n)]
+            mapped, cols = None, [flat[:, d] for d in range(n)]
         else:
             x0, S = self.frame
-            mapped = flat[:, :n] @ S.T
-            cols = [mapped[:, d] + x0[d] for d in range(n)]
+            X = S @ flat[:, :n].T  # a row per thin axis
+            X += np.reshape(x0, (n, 1))
+            cols = list(X)
+            mapped = (X.T.reshape(pts.shape[:-1] + (n,)), self._S_inv)
         clamped = any(c.max() > R or c.min() < -R for c in cols)
         if clamped:
             cols = [np.clip(c, -R, R) for c in cols]
         cols = tuple(c.reshape(pts.shape[:-1]) for c in cols + [flat[:, n]])
         stencil = locate(self.grid.xs + (self.grid.ys,), cols, 1.0 - self.grid.a,
                          self.grid.evenly_spaced)
-        return stencil, clamped
+        return stencil, clamped, mapped
 
     def sample(self, points: np.ndarray) -> np.ndarray:
         """U at the points."""
@@ -136,9 +145,9 @@ class FieldSampler:
         2 int_{S_r} U^2 la_r (nan without la_r), and whether any sample is
         clamped to the box."""
         points, weights = rule.points, rule.weights
-        stencil, clamped = self._stencil(points)
+        stencil, clamped, mapped = self._stencil(points)
         u2 = read(stencil, self._U) ** 2
-        mut, lar = geo.factors_at(points, la_r)
+        mut, lar = geo.factors_at(points, la_r, mapped)
         L = 2.0 * float(np.dot(weights, u2 * lar)) if la_r else float("nan")
         return 2.0 * float(np.dot(weights, u2 * mut)), L, clamped
 
@@ -277,10 +286,12 @@ def sphere_heights(U: np.ndarray, geo: GeometryFields, rules, la_r: bool = False
     """(H, L, clamped, processes) per rule: H = 2 int_{S_r} U^2 mu~ |y|^a
     on the sphere about the origin (even reflection: doubled upper half)
     and, with la_r, the G numerator L = 2 int_{S_r} U^2 la_r. With frame =
-    (x0, S) the rules sit about the origin of the coordinates normalised
-    at x0, geo holds normalize_at's coefficients, and U is sampled through
-    FieldSampler's frame. Each rule is one FieldSampler pass; the rules
-    are dealt out over this process's CPUs (deal)."""
+    (x0, S) (S from normalize_at) the rules sit about the origin of the
+    frame's coordinates p, x = x0 + S p: FieldSampler maps their points
+    once, U is read there and geo, on the problem's own coefficients,
+    evaluates B there in the frame's variables. Each rule is one
+    FieldSampler pass; the rules are dealt out over this process's CPUs
+    (deal)."""
     sampler = FieldSampler(geo.grid, U, frame)
     samples = sum(rule.size for rule in rules)
     out, processes = deal(lambda rule: sampler(rule, geo, la_r), rules, samples)
@@ -524,13 +535,15 @@ class RadialProfile:
 
 def default_r_grid(grid: Grid, count: int = 40, r_min: float | None = None,
                    r_max: float | None = None) -> np.ndarray:
-    """count >= 5 geometric radii, inside [4 max(hx,hy), 0.9 R] by default."""
+    """count >= 5 geometric radii, inside [4 max(hx,hy), 0.9 R] by default;
+    each has a sphere rule (r_min at least grid.resolution_floor)."""
     lo = 4.0 * max(grid.hx, grid.hy) if r_min is None else r_min
     hi = 0.9 * grid.R if r_max is None else r_max
-    if not (count >= 5 and 0 < lo < hi <= grid.R):
+    floor = grid.resolution_floor
+    if not (count >= 5 and floor <= lo < hi <= grid.R):
         raise InvalidConfigurationError(
-            f"'r_grid' needs count >= 5 and 0 < r_min < r_max <= R={grid.R},"
-            f" got count={count}, r_min={lo}, r_max={hi}")
+            f"'r_grid' needs count >= 5 and 2 max(hx, hy) = {floor} <= r_min < r_max"
+            f" <= R={grid.R}, got count={count}, r_min={lo}, r_max={hi}")
     return np.geomspace(lo, hi, count)
 
 
@@ -630,7 +643,7 @@ def identity_checks(U: np.ndarray, problem: ProblemSpec, profile: RadialProfile)
     when fewer than 3 lie there. Only H(r +- dr), in one sphere_heights
     call whose process count is returned as processes, and the surface
     terms of (ii) are evaluated here.
-    (i)  H'(r) vs 2 I(r) + int_{S_r} U^2 la_r   (H' by small central step)
+    (i)  H'(r) vs 2 I(r) + int_{S_r} U^2 la_r   (H' by a small step)
     (ii) for A=I, f=0: D'(r) vs 2 int (U_nu)^2 |y|^a + (n-1+a)/r D(r),
          with D'(r) evaluated by the coarea form int_{S_r} |grad U|^2 |y|^a
     (iii) smallest constants C in H <= C (B/r + r D), B/r <= C (H + r D).
@@ -642,16 +655,18 @@ def identity_checks(U: np.ndarray, problem: ProblemSpec, profile: RadialProfile)
         sel = np.ones_like(sel)
     r_grid, Hs, Ls, Ds, Bs, Is = (getattr(profile, c)[sel] for c in ("r", "H", "L", "D", "B", "I"))
 
-    # H' by a small central step, one-sided at the resolution floor; the
-    # heights at r + dr and at the central r - dr come from one call
+    # H' by a small central step, one-sided (from r) at the resolution
+    # floor and at R; the heights at r + dr and r - dr come from one call
     dr = np.minimum(1e-3 * grid.R, 0.05 * r_grid)
-    central = r_grid - dr > 2.0 * max(grid.hx, grid.hy)
-    radii = np.concatenate([r_grid + dr, r_grid[central] - dr[central]])
+    up = r_grid + dr <= grid.R
+    down = r_grid - dr > grid.resolution_floor
+    radii = np.concatenate([r_grid[up] + dr[up], r_grid[down] - dr[down]])
     rules = [sphere_quadrature(grid, ri) for ri in radii]
     H, _, _, processes = sphere_heights(U, GeometryFields(grid, problem.coeff), rules)
-    H_lo = Hs.copy()
-    H_lo[central] = H[len(r_grid):]
-    Hp = (H[:len(r_grid)] - H_lo) / np.where(central, 2.0 * dr, dr)
+    H_hi, H_lo = Hs.copy(), Hs.copy()
+    H_hi[up] = H[:np.count_nonzero(up)]
+    H_lo[down] = H[np.count_nonzero(up):]
+    Hp = (H_hi - H_lo) / np.where(up & down, 2.0 * dr, dr)
     rhs = 2.0 * Is + Ls
     rel_i = np.abs(Hp - rhs) / np.maximum(np.abs(rhs), 1e-300)
     rel_ii = []

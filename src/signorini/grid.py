@@ -78,6 +78,11 @@ class Grid:
     def thin_cell_area(self) -> float:
         return self.hx**self.n
 
+    @property
+    def resolution_floor(self) -> float:
+        """2 max(hx, hy), the smallest radius of a sphere rule."""
+        return 2.0 * max(self.hx, self.hy)
+
     # -- node coordinate fields -----------------------------------------
     def node_mesh(self) -> tuple:
         """Meshgrid of node coordinates, thin axes first, y last."""
@@ -425,10 +430,9 @@ def sphere_quadrature(grid: Grid, r: float, n_angles: int = 64, a: float | None 
     if n_angles < 8:
         raise InvalidConfigurationError(f"n_angles must be >= 8, got {n_angles}")
     _check_radius(grid, r)
-    if r < 2.0 * max(grid.hx, grid.hy):
+    if r < grid.resolution_floor:
         raise UnsupportedRadiusError(
-            f"radius {r} below resolution floor 2*max(hx,hy)={2*max(grid.hx,grid.hy)}"
-        )
+            f"radius {r} below resolution floor 2*max(hx,hy)={grid.resolution_floor}")
     return SphereRule(float(r), _unit_sphere_rule(grid.n, int(n_angles), float(a)),
                       r ** (grid.n + a))
 

@@ -146,9 +146,34 @@ def reference_factors(grid, coeff, points, la_r: bool = False) -> tuple:
     return axx / r2, (trB + 1.0 + grid.a) / r - axx / r**3 + dbx / r
 
 
+def normalized_field(grid, coeff, x0):
+    """Test-local reference for the coefficients of the frame (x0, S), S =
+    normalize_at(grid, coeff, x0), as the per-point path built them: a
+    field on the frame's coordinates p whose thin block S^{-1} B(x0 + S p)
+    S^{-1} is one product of B's row-major entries with kron(S^{-1},
+    S^{-1}^T)^T, tabulated on the grid's thin nodes, so that its
+    divergence table (and reference_factors') differences that table.
+    It carries no Lipschitz bound (lip is nan)."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    S = sg.normalize_at(grid, coeff, x0)
+    w, V = np.linalg.eigh(np.atleast_2d(coeff.eval_B(x0)))
+    S_inv = (V / np.sqrt(w)) @ V.T
+    n = grid.n
+    congruence = np.kron(S_inv, S_inv.T).T
+
+    def ev(points):
+        X = np.asarray(points, dtype=float) @ S.T + x0
+        B = coeff.eval_B(X)
+        return (B.reshape(-1, n * n) @ congruence).reshape(B.shape)
+
+    thin = np.stack(np.meshgrid(*grid.xs, indexing="ij"), axis=-1)
+    return sg.CoefficientField(xs=grid.xs, table=ev(thin), lip=float("nan"), _evaluator=ev)
+
+
 def reference_heights(U, grid, coeff, rules, la_r: bool = False, frame=None) -> tuple:
     """(H, L, clamped) per rule by the per-rule path: ReferenceSampler and
-    reference_factors, rule by rule (L is None without la_r)."""
+    reference_factors, rule by rule (L is None without la_r). In a frame,
+    coeff holds the frame's coefficients (normalized_field)."""
     sampler = ReferenceSampler(grid, U, frame)
     H, L = [], []
     for rule in rules:

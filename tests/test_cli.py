@@ -98,6 +98,26 @@ def test_default_radii_off_the_grid_exit_before_the_solve(tmp_path, capsys):
     # the radii only matter to verbs that run the profile stage
     assert cli.main(["solve", "--config", str(path), "--out", str(out), "--quiet"]) == 0
 
+def test_radii_below_the_sphere_floor_exit_before_the_solve(tmp_path, capsys):
+    # at h = 1/32 a sphere rule needs r >= 2 max(hx, hy) = 0.0625
+    path = write_config(tmp_path, r_grid={"count": 8, "r_min": 0.01})
+    out = tmp_path / "out"
+    assert cli.main(["diagnose", "--config", str(path), "--out", str(out)]) == 2
+    assert "'r_grid'" in capsys.readouterr().err
+    assert not (out / "U.npy").exists()
+
+
+def test_identity_checks_step_down_at_R(tmp_path):
+    # fewer than 3 profile radii lie in [0.2 R, 0.8 R], so the checks read
+    # them all; H' at the top radius, R itself, is a one-sided step down
+    path = write_config(tmp_path, a=0.5, r_grid={"count": 5, "r_min": 0.85, "r_max": 1.0})
+    out = tmp_path / "out"
+    assert cli.main(["diagnose", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+    assert (out / "manifest.json").exists()
+    rel = json.loads((out / "identities.json").read_text())["height_derivative_rel_max"]
+    assert 0.0 < rel < 0.01  # measured 1.8e-3
+
+
 def test_diagnose_evaluates_each_field_density_once(tmp_path, monkeypatch):
     # one evaluation per field, the profile's: the identities stage reads its
     # columns, and classification reads only sphere sums

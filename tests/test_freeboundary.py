@@ -20,7 +20,8 @@ from signorini.freeboundary import gamma_points, local_columns
 from signorini.grid import interpolate
 
 from conftest import (
-    TILTED_B, _bitwise_equal, _cpus, _no_child_process, profile_boundary, solved_profile,
+    TILTED_B, _bitwise_equal, _cpus, _no_child_process, normalized_field, profile_boundary,
+    solved_profile,
 )
 
 
@@ -104,12 +105,14 @@ def test_classification_scale_stability(profile_a0):
 
 
 def _resampled(U, problem, x0):
-    """(coefficients, U) in the coordinates normalised at x0: U resampled
-    onto the grid there, mapped nodes clamped to the box."""
+    """(coefficients, U) in the frame at x0: the coefficients tabulated in
+    the frame's coordinates (normalized_field) and U resampled onto the
+    grid there, mapped nodes clamped to the box."""
     grid = problem.grid
-    coeff, S = sg.normalize_at(grid, problem.coeff, x0)
+    S = sg.normalize_at(grid, problem.coeff, x0)
     thin = np.stack(np.meshgrid(*grid.xs, indexing="ij"), axis=-1)
-    return coeff, interpolate(grid.xs, U, np.clip(x0 + thin @ S.T, -grid.R, grid.R))
+    return (normalized_field(grid, problem.coeff, x0),
+            interpolate(grid.xs, U, np.clip(x0 + thin @ S.T, -grid.R, grid.R)))
 
 
 def _resampled_frequency(U, problem, x0):
@@ -167,12 +170,12 @@ def _full_ladder_columns(U, problem, x0, r):
     j = np.arange(np.ceil(np.log(lo / r) / np.log(q)), np.floor(np.log(hi / r) / np.log(q)) + 1)
     j = np.union1d(j, 0.0)
     rg = r * q**j
-    coeff, S = sg.normalize_at(grid, problem.coeff, x0)
+    frame = (x0, sg.normalize_at(grid, problem.coeff, x0))
     rules = [sg.sphere_quadrature(grid, ri) for ri in rg]
-    H, L, _, _ = sg.sphere_heights(U, sg.GeometryFields(grid, coeff), rules, la_r=True,
-                                   frame=(x0, S))
+    H, L, _, _ = sg.sphere_heights(U, sg.GeometryFields(grid, problem.coeff), rules, la_r=True,
+                                   frame=frame)
     cols = sg.sphere_columns(rg, H, L, grid.n, grid.a)
-    return cols, int(np.searchsorted(j, 0.0)), sg.FieldSampler(grid, U, (x0, S))
+    return cols, int(np.searchsorted(j, 0.0)), sg.FieldSampler(grid, U, frame)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -445,20 +448,30 @@ def one_cpu(monkeypatch):
     _cpus(monkeypatch, 1)
 
 
-def test_report_normalizes_once_per_point(n2_line_solve, monkeypatch, one_cpu):
-    # one frame per point serves its classification and its decay fit
+def test_report_tabulates_nothing_per_point(n2_line_solve, monkeypatch, one_cpu):
+    # every point's frame reads the problem's own coefficients: the report
+    # builds no coefficient field, and differences thin tables only once,
+    # for the divergence table (sum_i d_i b_ij, 2 x 2 entries); each
+    # point's other difference is sphere_columns' derivative along r
     grid, problem, form, sol = n2_line_solve
-    normalize_at = sg.freeboundary.normalize_at
-    calls = []
+    problem = sg.make_problem(grid, coeff=sg.build_coefficients(grid, None),
+                              boundary=problem.boundary)
+    built, differenced = [], []
+    field_init, gradient = sg.CoefficientField.__init__, np.gradient
 
-    def counting(grid, coeff, x0):
-        calls.append(np.atleast_1d(x0).tolist())
-        return normalize_at(grid, coeff, x0)
+    def building(*args, **kwargs):
+        built.append(1)
+        return field_init(*args, **kwargs)
 
-    monkeypatch.setattr(sg.freeboundary, "normalize_at", counting)
+    def differencing(f, *args, **kwargs):
+        differenced.append(np.ndim(f))
+        return gradient(f, *args, **kwargs)
+
+    monkeypatch.setattr(sg.CoefficientField, "__init__", building)
+    monkeypatch.setattr(np, "gradient", differencing)
     rep = sg.free_boundary_report(sol, problem)
-    assert calls == [p["x0"] for p in rep.points]
-    assert len(calls) == 17
+    assert len(rep.points) == 17 and all("error" not in p for p in rep.points)
+    assert built == [] and differenced.count(2) == 4 and differenced.count(1) == 17
 
 
 def test_n2_line_graph_fit(n2_line_solve):

@@ -15,8 +15,8 @@ from signorini.functionals import integrate_psi_sigma, sphere_columns
 from signorini.grid import halfsphere_weighted_area
 
 from conftest import (
-    TILTED_B, _bitwise_equal, _cpus, _no_child_process, graded_grid, profile_boundary,
-    reference_heights, solved_profile,
+    TILTED_B, _bitwise_equal, _cpus, _no_child_process, graded_grid, normalized_field,
+    profile_boundary, reference_heights, solved_profile,
 )
 
 
@@ -62,19 +62,21 @@ def test_geometry_perturbed_bounds():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_geometry_about_shifted_centre_closed_forms(n):
-    # constant B normalised at x0 is the identity: mu~ = 1 and
+    # constant B in the frame at x0 is the identity: mu~ = 1 and
     # la_r/|y|^a = (n + a)/rho on the sphere about the frame's origin
     a = 0.5
     grid = sg.build_grid(n, 1.0, 1 / 16, 1 / 16, a)
     Bc = np.array([[3.0]]) if n == 1 else np.array([[2.0, 0.5], [0.5, 1.0]])
     x0 = np.array([0.25, -0.125])[:n]
-    coeff, S = sg.normalize_at(grid, sg.build_coefficients(grid, Bc.tolist()), x0)
+    coeff = sg.build_coefficients(grid, Bc.tolist())
+    S = sg.normalize_at(grid, coeff, x0)
     geo = sg.GeometryFields(grid, coeff)
     r = 0.4
     rule = sg.sphere_quadrature(grid, r, 32)
     rho = np.sqrt((rule.points**2).sum(axis=1))
-    assert np.allclose(geo.factors_at(rule.points)[0], 1.0, rtol=1e-13, atol=0.0)
-    got_mu, got_la = geo.factors_at(rule.points, la_r=True)
+    frame = (x0 + rule.points[:, :n] @ S.T, np.linalg.inv(S))
+    assert np.allclose(geo.factors_at(rule.points, frame=frame)[0], 1.0, rtol=1e-13, atol=0.0)
+    got_mu, got_la = geo.factors_at(rule.points, la_r=True, frame=frame)
     assert np.allclose(got_mu, 1.0, rtol=1e-13, atol=0.0)
     assert np.allclose(got_la, (n + a) / rho, rtol=1e-12, atol=0.0)
     # the height about x0 of U = 1 is twice the weighted half-sphere area
@@ -85,11 +87,13 @@ def test_geometry_about_shifted_centre_closed_forms(n):
 # -- the fused sphere pass ---------------------------------------------------
 
 
-def _pass_case(n, a, graded):
-    """(grid, coefficients, U): the tilted B (n = 2) or a sloped b11 (n = 1),
-    and a smooth field with a y^{1-a} part, on a uniform or graded grid."""
-    grid = graded_grid(n, 1 / 16, a) if graded else sg.build_grid(n, 1.0, 1 / 16, 1 / 16, a)
-    desc = TILTED_B if n == 2 else [[{"poly": [[1.0, [0]], [0.1, [1]]]}]]
+def _pass_case(n, a, graded, h=1 / 16, desc=None):
+    """(grid, coefficients, U): desc, by default the tilted B (n = 2) or a
+    sloped b11 (n = 1), and a smooth field with a y^{1-a} part, on a
+    uniform or graded grid."""
+    grid = graded_grid(n, h, a) if graded else sg.build_grid(n, 1.0, h, h, a)
+    if desc is None:
+        desc = TILTED_B if n == 2 else [[{"poly": [[1.0, [0]], [0.1, [1]]]}]]
     coeff = sg.build_coefficients(grid, desc)
     nodes = np.stack(grid.node_mesh(), axis=-1)
     x, y = nodes[..., :n], nodes[..., n]
@@ -104,24 +108,71 @@ def _pass_case(n, a, graded):
 def test_fused_pass_matches_the_per_rule_reference(n, a, framed, graded, monkeypatch):
     # each rule's H and L within 1e-13 relative of the per-rule path
     # (conftest.reference_heights), and the same clamp flags; the frame at
-    # x0 near the box edge clamps the samples of its larger spheres
+    # x0 near the box edge clamps the samples of its larger spheres. In the
+    # frame the reference is the per-point path: the coefficients tabulated
+    # in the frame's coordinates (conftest.normalized_field), which agree
+    # with the problem's own coefficients evaluated at the mapped points
+    # for B linear in x, as here
     _cpus(monkeypatch, 1)
     grid, coeff, U = _pass_case(n, a, graded)
-    frame = None
+    frame, ref_coeff = None, coeff
     if framed:
         x0 = np.array([0.75, -0.25])[:n]
-        coeff, S = sg.normalize_at(grid, coeff, x0)
-        frame = (x0, S)
+        frame = (x0, sg.normalize_at(grid, coeff, x0))
+        ref_coeff = normalized_field(grid, coeff, x0)
     geo = sg.GeometryFields(grid, coeff)
     rules = [sg.sphere_quadrature(grid, r, m) for r in (0.15, 0.3, 0.5) for m in (48, 64)]
     for la_r in (False, True):
         H, L, clamped, processes = sg.sphere_heights(U, geo, rules, la_r=la_r, frame=frame)
-        H_ref, L_ref, clamped_ref = reference_heights(U, grid, coeff, rules, la_r, frame)
+        H_ref, L_ref, clamped_ref = reference_heights(U, grid, ref_coeff, rules, la_r, frame)
         assert processes == 1
         assert np.abs(H / H_ref - 1.0).max() <= 1e-13
         assert L is None if not la_r else np.abs(L / L_ref - 1.0).max() <= 1e-13
         assert np.array_equal(clamped, clamped_ref)
         assert clamped.any() and not clamped.all() if framed else not clamped.any()
+
+
+# B cubic in x: central differences of its table are O(h^2) off
+CUBIC_B = {
+    1: [[{"poly": [[1.0, [0]], [0.1, [1]], [0.2, [3]]]}]],
+    2: [[{"poly": [[1.0, [0, 0]], [0.1, [0, 1]], [0.2, [3, 0]]]},
+         {"poly": [[0.25, [0, 0]], [0.1, [1, 0]], [0.1, [1, 2]]]}],
+        [{"poly": [[0.25, [0, 0]], [0.1, [1, 0]], [0.1, [1, 2]]]},
+         {"poly": [[1.0, [0, 0]], [0.1, [0, 3]]]}]],
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_frame_against_the_normalised_table_with_cubic_B(n):
+    # the frame evaluates B itself at the mapped points and reads the
+    # divergence of its table there; the per-point path tabulated the
+    # frame's coefficients and differenced that table. H reads no
+    # divergence and agrees to round-off. L differs by the two tables'
+    # differencing errors, O(h^2) while the mapped spheres stay in the box
+    # (measured 1.3e-6 at n = 1 and 3.5e-7 at n = 2 for h = 1/16, 3.5 and
+    # 7 times less at h = 1/32); where they leave it, the table's linear
+    # extrapolation stands in for B's own (measured up to 1.6e-3, in
+    # clamped rules only)
+    a = 0.5
+    gaps = []
+    for h in (1 / 16, 1 / 32):
+        grid, coeff, U = _pass_case(n, a, False, h, CUBIC_B[n])
+        geo = sg.GeometryFields(grid, coeff)
+        rules = [sg.sphere_quadrature(grid, r, m) for r in (0.15, 0.3, 0.5) for m in (48, 64)]
+        for x0, clamps in (([-0.125, 0.25], False), ([0.75, -0.25], True)):
+            x0 = np.array(x0[:n])
+            frame = (x0, sg.normalize_at(grid, coeff, x0))
+            H, L, clamped, _ = sg.sphere_heights(U, geo, rules, la_r=True, frame=frame)
+            H_ref, L_ref, clamped_ref = reference_heights(
+                U, grid, normalized_field(grid, coeff, x0), rules, True, frame)
+            assert np.array_equal(clamped, clamped_ref) and clamped.any() == clamps
+            assert np.abs(H / H_ref - 1.0).max() <= 1e-13
+            gap = np.abs(L / L_ref - 1.0)
+            if clamps:
+                assert gap[~clamped].max() <= 1e-5 and gap.max() <= 2e-3
+            else:
+                gaps.append(gap.max())
+    assert gaps[0] <= 5e-6 and gaps[1] <= gaps[0] / 2.5
 
 
 @pytest.fixture(scope="module")
