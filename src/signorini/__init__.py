@@ -35,7 +35,6 @@ from .solver import (
 )
 from .functionals import (
     FieldSampler,
-    GeometryFields,
     RadialProfile,
     ball_integrals,
     campanato_decay,

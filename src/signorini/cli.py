@@ -33,7 +33,7 @@ from .errors import (
     SignoriniError,
     UnsupportedRadiusError,
 )
-from .coefficients import build_coefficients, make_problem
+from .coefficients import build_coefficients, is_number, make_problem
 from .freeboundary import blowup, free_boundary_report, reduce_obstacle
 from .functionals import (
     COLUMNS, default_r_grid, identity_checks, radial_profile, surface_cross_check,
@@ -59,7 +59,7 @@ KEY_TYPES = {"tol": Real, "omega": Real, "eps": Real, "count": Integral, "r_min"
 def _require(name: str, value, kind) -> None:
     """Reject a value that is not of kind, an Integral or Real number (a
     bool is neither)."""
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if not is_number(value, kind):
         what = {Integral: "an integer", Real: "a number"}[kind]
         raise InvalidConfigurationError(f"field '{name}' must be {what}, got {value!r}")
 
@@ -133,6 +133,9 @@ class ExperimentConfig:
         for name in ("solver", "r_grid"):
             if not isinstance(getattr(self, name), dict):
                 raise InvalidConfigurationError(f"field '{name}' must be an object")
+        if not (self.output is None or isinstance(self.output, str)):
+            raise InvalidConfigurationError(
+                f"field 'output' must be a string or null, got {self.output!r}")
         method = self.solver.get("method", "psor")
         if not (isinstance(method, str) and method in SOLVER_KEYS):
             raise InvalidConfigurationError(

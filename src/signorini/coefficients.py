@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -29,26 +30,42 @@ from .grid import Grid, interpolate
 # ---------------------------------------------------------------------------
 
 
-def eval_scalar_spec(spec, points: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar description at points of shape (..., dim).
+def is_number(value, kind=Real) -> bool:
+    """Whether value is an Integral or Real number (a bool is neither)."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
-    Accepted forms: a number; {"poly": [[coef, [e1,...]], ...]} meaning
-    sum coef * prod x_d^{e_d}; a callable taking (..., dim) coordinates.
+
+def scalar_field(spec, dim: int):
+    """The evaluator points (..., dim) -> (...) of a scalar description,
+    checked once, here.
+
+    Accepted forms: a real number (not a bool); {"poly": [[coef, [e1,...]],
+    ...]} meaning sum coef * prod x_d^{e_d}, with a numeric coef and at
+    most dim integer exponents; a callable taking (..., dim) coordinates.
     """
-    points = np.asarray(points, dtype=float)
-    if np.isscalar(spec) or isinstance(spec, (int, float)):
-        return np.full(points.shape[:-1], float(spec))
+    if is_number(spec):
+        return lambda points: np.full(points.shape[:-1], float(spec))
     if isinstance(spec, dict) and "poly" in spec:
-        out = 0.0
-        for coef, exps in spec["poly"]:
-            term = float(coef)
-            for d, e in enumerate(exps):
-                if e:
-                    term = term * (points[..., d] if e == 1 else points[..., d] ** e)
-            out = out + term
-        return out if isinstance(out, np.ndarray) else np.full(points.shape[:-1], out)
+        terms = spec["poly"]
+        if not (isinstance(terms, (list, tuple)) and all(
+                isinstance(t, (list, tuple)) and len(t) == 2 and is_number(t[0])
+                and isinstance(t[1], (list, tuple)) and len(t[1]) <= dim
+                and all(is_number(e, Integral) for e in t[1]) for t in terms)):
+            raise InvalidConfigurationError(
+                f"'poly' must list [number, [at most {dim} integers]] terms, got {terms!r}")
+
+        def poly(points):
+            out = 0.0
+            for coef, exps in terms:
+                term = float(coef)
+                for d, e in enumerate(exps):
+                    if e:
+                        term = term * (points[..., d] if e == 1 else points[..., d] ** e)
+                out = out + term
+            return out if isinstance(out, np.ndarray) else np.full(points.shape[:-1], out)
+        return poly
     if callable(spec):
-        return np.asarray(spec(points), dtype=float)
+        return lambda points: np.asarray(spec(points), dtype=float)
     raise InvalidConfigurationError(f"unrecognized scalar field description: {spec!r}")
 
 
@@ -149,15 +166,19 @@ def build_coefficients(grid: Grid, description=None) -> CoefficientField:
             return interpolate(grid.xs, table, points)
     else:  # nested list of scalar specs
         entries = description
-        if len(entries) != n or any(len(row) != n for row in entries):
-            raise InvalidCoefficientError(f"coefficient description must be {n}x{n}")
+        if not (isinstance(entries, (list, tuple)) and len(entries) == n
+                and all(isinstance(row, (list, tuple)) and len(row) == n for row in entries)):
+            raise InvalidCoefficientError(
+                f"coefficient description must be {n}x{n}, got {description!r}")
+
+        fields = [[scalar_field(entry, n) for entry in row] for row in entries]
 
         def ev(points):
             points = np.asarray(points, dtype=float)
             out = np.empty(points.shape[:-1] + (n, n))
             for i in range(n):
                 for j in range(n):
-                    out[..., i, j] = eval_scalar_spec(entries[i][j], points)
+                    out[..., i, j] = fields[i][j](points)
             return out
 
         table = ev(pts)
@@ -220,14 +241,15 @@ def make_problem(
     thin_pts = _thin_points(grid)
     node_pts = _node_points(grid)
 
-    psi_arr = psi if isinstance(psi, np.ndarray) else eval_scalar_spec(psi, thin_pts)
+    psi_arr = psi if isinstance(psi, np.ndarray) else scalar_field(psi, grid.n)(thin_pts)
     if psi_arr.shape != thin_pts.shape[:-1]:
         raise InvalidConfigurationError("obstacle table has wrong shape")
 
-    f_arr = f if isinstance(f, np.ndarray) else eval_scalar_spec(f, node_pts)
+    f_arr = f if isinstance(f, np.ndarray) else scalar_field(f, grid.n + 1)(node_pts)
     f_arr = np.broadcast_to(f_arr, grid.node_shape).copy()
 
-    bnd_arr = boundary if isinstance(boundary, np.ndarray) else eval_scalar_spec(boundary, node_pts)
+    bnd_arr = (boundary if isinstance(boundary, np.ndarray)
+               else scalar_field(boundary, grid.n + 1)(node_pts))
     bnd_arr = np.broadcast_to(bnd_arr, grid.node_shape).copy()
 
     for name, arr in (("obstacle", psi_arr), ("source", f_arr), ("boundary", bnd_arr)):
@@ -246,9 +268,10 @@ def normalize_at(grid: Grid, coeff: CoefficientField, x0) -> np.ndarray:
     """S = B(x0)^{1/2}, the matrix of the frame (x0, S) at a thin point.
 
     In the thin coordinates p of x = x0 + S p the coefficient matrix is
-    S^{-1} B(x0 + S p) S^{-1}, the identity at p = 0. Nothing is resampled
-    or tabulated here: FieldSampler maps the sample points into the frame
-    and GeometryFields evaluates B there.
+    S^{-1} B(x0 + S p) S^{-1}, the identity at p = 0; the origin's frame
+    is (0, I). Nothing is resampled or tabulated here: FieldSampler maps
+    the sample points into the frame and functionals.frame_factors
+    evaluates B there.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if np.any(np.abs(x0) > grid.R + 1e-12):

@@ -10,8 +10,7 @@ import numpy as np
 from .errors import InsufficientDataError, UnsupportedRadiusError
 from .coefficients import ProblemSpec, normalize_at
 from .functionals import (
-    H_FLOOR_FACTOR, FieldSampler, GeometryFields, deal, loglog_slope, sphere_columns,
-    sphere_heights,
+    H_FLOOR_FACTOR, FieldSampler, deal, loglog_slope, sphere_columns, sphere_heights,
 )
 from .grid import Grid, sphere_quadrature
 from .solver import SolutionField, contact_tol
@@ -27,7 +26,8 @@ def reduce_obstacle(U: np.ndarray, problem: ProblemSpec) -> tuple:
     constant in y).
 
     V solves the inhomogeneous problem with zero obstacle and source
-    f - (b_ij d_ij psi + (d_i b_ij) d_j psi); the weighted trace and the
+    f - (b_ij d_ij psi + (d_i b_ij) d_j psi), the sums d_i b_ij read from
+    the coefficients' divergence table; the weighted trace and the
     contact bookkeeping are unchanged. All frequency/decay analysis runs
     on this reduction (a no-op when psi is identically zero).
     """
@@ -38,10 +38,10 @@ def reduce_obstacle(U: np.ndarray, problem: ProblemSpec) -> tuple:
     dpsi = [np.gradient(psi, grid.xs[d], axis=d) for d in range(grid.n)]
     B = problem.coeff.table
     thin_term = np.zeros_like(psi)
-    for i in range(grid.n):
-        for j in range(grid.n):
+    for j, div in enumerate(problem.coeff.divergence):
+        thin_term += div * dpsi[j]
+        for i in range(grid.n):
             thin_term += B[..., i, j] * np.gradient(dpsi[j], grid.xs[i], axis=i)
-            thin_term += np.gradient(B[..., i, j], grid.xs[i], axis=i) * dpsi[j]
     f_new = problem.f - thin_term[..., None]
     psi_ext = psi[..., None]
     problem0 = replace(
@@ -139,8 +139,7 @@ def local_columns(U: np.ndarray, problem: ProblemSpec, x0, r: float,
     rg = r * q**j
     rules = [sphere_quadrature(grid, ri) for ri in rg]
     frame = (x0, normalize_at(grid, problem.coeff, x0))
-    H, L, clamped, _ = sphere_heights(U, GeometryFields(grid, problem.coeff), rules, la_r=True,
-                                      frame=frame)
+    H, L, clamped, _ = sphere_heights(U, problem, rules, la_r=True, frame=frame)
     clamp_r = next((float(ri) for ri, c in zip(rg, clamped) if c), None)
     cols = sphere_columns(rg, H, L, grid.n, grid.a, delta=delta)
     return cols, k, FieldSampler(grid, U, frame), clamp_r
@@ -208,7 +207,7 @@ def decay_fit(U: np.ndarray, problem: ProblemSpec, x0, r_grid: np.ndarray | None
     # height-based variant around x0 (on the reduction)
     rules = [sphere_quadrature(grid, r, n_angles=48) for r in r_grid]
     frame = (x0, normalize_at(grid, problem.coeff, x0))
-    Hs = sphere_heights(U, GeometryFields(grid, problem.coeff), rules, frame=frame)[0]
+    Hs = sphere_heights(U, problem, rules, frame=frame)[0]
     H_slope = loglog_slope(r_grid, Hs, 0.0)
     return {"slope": slope, "H_slope": H_slope, "r": r_grid, "sup": sups, "H": Hs}
 

@@ -4,8 +4,11 @@ the sphere and ball sums of a field once; the identity checks and the
 energy cross-check read its columns. sphere_columns turns the sphere sums
 H and L into G, psi, M and Ntilde, for radial_profile and for the
 free-boundary classification alike. sphere_heights is one pass per
-sphere rule (FieldSampler), and deal spreads the rules of a large call,
-like the report's points, over this process's CPUs.
+sphere rule (FieldSampler) in a frame (x0, S), the origin's being
+(0, I), and deal spreads the rules of a large call, like the report's
+points, over this process's CPUs. frame_factors evaluates the
+coefficients' mu~ and la_r in a frame, for the pass and the surface
+terms alike.
 
 All ball/sphere integrals treat the field as evenly reflected across the
 thin plane: upper-half quadratures are doubled. The weight |y|^a is
@@ -27,60 +30,41 @@ from .operator import cell_average, cell_energy_density, neumann_trace
 
 
 # ---------------------------------------------------------------------------
-# geometry fields
+# the coefficients in a frame
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeometryFields:
-    """Point evaluators of B, mu~ = <A X, X>/|X|^2 and la_r / |y|^a, where
-    mu = mu~ |y|^a and la_r = div(|y|^a A grad |X|); a is the grid's. In
-    a frame (x0, S) they are those of the frame's coordinates (p, y), x =
-    x0 + S p, whose coefficient matrix is S^{-1} B(x0 + S p) S^{-1}."""
-
-    grid: Grid
-    coeff: CoefficientField
-
-    def quadratic_at(self, points: np.ndarray, frame=None) -> tuple:
-        """(z, B, <A Z, Z>, |P|^2, mu~) at the points P = (p, y), Z = (z, y),
-        with <A Z, Z> = <B z, z> + y^2 and mu~ = <A Z, Z>/|P|^2: z = p and
-        B = B(p), or in the frame (X, S^{-1}), X = x0 + S p (..., n) from
-        FieldSampler, z = S^{-1} p and B = B(X), so <A Z, Z> = <A P, P>."""
-        pts = np.asarray(points, dtype=float)
-        n = self.grid.n
-        x = pts[..., :n]
-        if frame is None:
-            z, B = x, self.coeff.eval_B(x)
-        else:
-            X, S_inv = frame
-            z, B = x @ S_inv.T, self.coeff.eval_B(X)
-        y2 = pts[..., n] ** 2
-        zz = [[z[..., i] * z[..., j] for j in range(n)] for i in range(n)]
-        azz = sum(B[..., i, i] * zz[i][i] for i in range(n)) + y2
-        for i in range(n):
-            for j in range(i + 1, n):
-                azz += (B[..., i, j] + B[..., j, i]) * zz[i][j]
-        r2 = sum(x[..., i] * x[..., i] for i in range(n)) + y2
-        return z, B, azz, r2, azz / r2
-
-    def factors_at(self, points: np.ndarray, la_r: bool = False, frame=None) -> tuple:
-        """(mu~, la_r / |y|^a) from one evaluation of B, la_r None without
-        la_r; la_r = div(|y|^a A grad |X|) = |y|^a (tr B + 1 + a - mu~
-        + sum_j (sum_i d_i b_ij) x_j) / r. In a frame (quadratic_at's) the
-        trace is tr(S^{-2} B(X)) and the divergence S^{-1} (sum_i d_i b_ij)
-        at X, read from the coefficients' table: exact for symmetric S."""
-        z, B, _, r2, mu = self.quadratic_at(points, frame)
-        if not la_r:
-            return mu, None
-        n = self.grid.n
-        X, C = (z, np.eye(n)) if frame is None else (frame[0], frame[1] @ frame[1])
-        stencil = locate(self.grid.xs, X, even=self.grid.evenly_spaced[:n])
-        div = self.coeff.divergence
-        trace = sum(C[i, j] * B[..., i, j] for i in range(n) for j in range(n))
-        lar = trace + (1.0 + self.grid.a) - mu
-        for j in range(n):
-            lar += read(stencil, div[j]) * z[..., j]
-        return mu, lar / np.sqrt(r2)
+def frame_factors(grid: Grid, coeff: CoefficientField, points: np.ndarray, X: np.ndarray,
+                  S_inv: np.ndarray, la_r: bool = False) -> tuple:
+    """(B, mu~, la_r / |y|^a) at the points P = (p, y) (..., n+1) of the
+    frame (x0, S), given X = x0 + S p (..., n) and S_inv = S^{-1}; la_r is
+    None without la_r, and a is the grid's. The frame's coefficient matrix
+    is A = S^{-1} B(X) S^{-1} (+) 1, so with B = B(X) and z = S^{-1} p,
+    mu~ = <A P, P>/|P|^2 = (<B z, z> + y^2)/|P|^2 (mu = mu~ |y|^a) and
+    la_r = div(|y|^a A grad |P|) = |y|^a (tr(S^{-2} B) + 1 + a - mu~
+    + sum_j (sum_i d_i b_ij)(X) z_j) / |P|, the divergence read from the
+    coefficients' table (exact for symmetric S). The origin's frame is
+    (0, I), where X = z = p."""
+    pts = np.asarray(points, dtype=float)
+    n = grid.n
+    # a row per thin axis: numpy is slow along a short last axis
+    z = (S_inv @ pts.reshape(-1, n + 1)[:, :n].T).reshape((n,) + pts.shape[:-1])
+    B = coeff.eval_B(X)
+    y2 = pts[..., n] ** 2
+    azz = sum(B[..., i, i] * (z[i] * z[i]) for i in range(n)) + y2
+    for i in range(n):
+        for j in range(i + 1, n):
+            azz += (B[..., i, j] + B[..., j, i]) * (z[i] * z[j])
+    r2 = sum(pts[..., i] * pts[..., i] for i in range(n)) + y2
+    mu = azz / r2
+    if not la_r:
+        return B, mu, None
+    C = S_inv @ S_inv
+    stencil = locate(grid.xs, X, even=grid.evenly_spaced[:n])
+    lar = sum(C[i, j] * B[..., i, j] for i in range(n) for j in range(n)) + (1.0 + grid.a) - mu
+    for j, div in enumerate(coeff.divergence):
+        lar += read(stencil, div) * z[j]
+    return B, mu, lar / np.sqrt(r2)
 
 
 # ---------------------------------------------------------------------------
@@ -94,60 +78,55 @@ class FieldSampler:
     fields with the natural singular expansion are sampled without the
     O(h^{1-a}) bias of a linear interpolant (multilinear at a=0).
 
-    With frame = (x0, S) (S from normalize_at) the points P = (p, y) are
-    coordinates of the frame, and U is sampled at (x0 + S p, y): this is
-    the one place where x0 + S p is computed. Thin coordinates outside
-    the box are clamped to it; S^{-1} is computed once per sampler.
+    The points P = (p, y) are coordinates of the frame (x0, S) (S from
+    normalize_at; None is the origin's frame (0, I)), and U is sampled at
+    (x0 + S p, y): this is the one place where x0 + S p is computed. Thin
+    coordinates outside the box are clamped to it; S^{-1} is computed once
+    per sampler.
 
     Calling the sampler on a sphere rule is sphere_heights' pass over that
     rule: the rule's points are mapped into U's coordinates once, which
-    also tells whether a sample is clamped, U is read there once, and geo
-    evaluates B and reads the divergence table once at the mapped points
-    (unclamped), in the frame's variables (GeometryFields)."""
+    also tells whether a sample is clamped, U is read there once, and
+    frame_factors evaluates B and reads the divergence table once at the
+    mapped points (unclamped), in the frame's variables."""
 
     def __init__(self, grid: Grid, U: np.ndarray, frame=None):
         self.grid = grid
         self._U = np.asarray(U, dtype=float)
-        self.frame = frame
-        self._S_inv = None if frame is None else np.linalg.inv(frame[1])
+        self.frame = frame or (np.zeros(grid.n), np.eye(grid.n))
+        self._S_inv = np.linalg.inv(self.frame[1])
 
     def _stencil(self, points: np.ndarray) -> tuple:
         """(U's stencil at the points, whether any sample is clamped to the
-        box, GeometryFields' frame (X, S^{-1}) with X = x0 + S p (..., n)
-        before the clamp, None without a frame). The stencil's coordinates
-        are taken a column at a time: numpy is slow along a short last
-        axis."""
+        box, X = x0 + S p (..., n) before the clamp). X is taken a row per
+        thin axis: numpy is slow along a short last axis."""
         n, R = self.grid.n, self.grid.R
         pts = np.asarray(points, dtype=float)
         flat = pts.reshape(-1, n + 1)
-        if self.frame is None:
-            mapped, cols = None, [flat[:, d] for d in range(n)]
-        else:
-            x0, S = self.frame
-            X = S @ flat[:, :n].T  # a row per thin axis
-            X += np.reshape(x0, (n, 1))
-            cols = list(X)
-            mapped = (X.T.reshape(pts.shape[:-1] + (n,)), self._S_inv)
+        x0, S = self.frame
+        X = S @ flat[:, :n].T
+        X += np.reshape(x0, (n, 1))
+        cols = list(X)
         clamped = any(c.max() > R or c.min() < -R for c in cols)
         if clamped:
             cols = [np.clip(c, -R, R) for c in cols]
         cols = tuple(c.reshape(pts.shape[:-1]) for c in cols + [flat[:, n]])
         stencil = locate(self.grid.xs + (self.grid.ys,), cols, 1.0 - self.grid.a,
                          self.grid.evenly_spaced)
-        return stencil, clamped, mapped
+        return stencil, clamped, X.T.reshape(pts.shape[:-1] + (n,))
 
     def sample(self, points: np.ndarray) -> np.ndarray:
         """U at the points."""
         return read(self._stencil(points)[0], self._U)
 
-    def __call__(self, rule, geo: GeometryFields, la_r: bool = False) -> tuple:
+    def __call__(self, rule, coeff: CoefficientField, la_r: bool = False) -> tuple:
         """(H, L, clamped) of one rule: H = 2 int_{S_r} U^2 mu~ |y|^a, L =
         2 int_{S_r} U^2 la_r (nan without la_r), and whether any sample is
-        clamped to the box."""
+        clamped to the box; mu~ and la_r are those of coeff in the frame."""
         points, weights = rule.points, rule.weights
-        stencil, clamped, mapped = self._stencil(points)
+        stencil, clamped, X = self._stencil(points)
         u2 = read(stencil, self._U) ** 2
-        mut, lar = geo.factors_at(points, la_r, mapped)
+        _, mut, lar = frame_factors(self.grid, coeff, points, X, self._S_inv, la_r)
         L = 2.0 * float(np.dot(weights, u2 * lar)) if la_r else float("nan")
         return 2.0 * float(np.dot(weights, u2 * mut)), L, clamped
 
@@ -281,20 +260,20 @@ class SphereHeights(NamedTuple):
     processes: int  # processes that computed the rules (deal)
 
 
-def sphere_heights(U: np.ndarray, geo: GeometryFields, rules, la_r: bool = False,
+def sphere_heights(U: np.ndarray, problem: ProblemSpec, rules, la_r: bool = False,
                    frame=None) -> SphereHeights:
     """(H, L, clamped, processes) per rule: H = 2 int_{S_r} U^2 mu~ |y|^a
     on the sphere about the origin (even reflection: doubled upper half)
     and, with la_r, the G numerator L = 2 int_{S_r} U^2 la_r. With frame =
-    (x0, S) (S from normalize_at) the rules sit about the origin of the
-    frame's coordinates p, x = x0 + S p: FieldSampler maps their points
-    once, U is read there and geo, on the problem's own coefficients,
-    evaluates B there in the frame's variables. Each rule is one
-    FieldSampler pass; the rules are dealt out over this process's CPUs
-    (deal)."""
-    sampler = FieldSampler(geo.grid, U, frame)
+    (x0, S) (S from normalize_at; None is the origin's frame (0, I)) the
+    rules sit about the origin of the frame's coordinates p, x = x0 + S p:
+    FieldSampler maps their points once, U is read there and frame_factors
+    evaluates the problem's own coefficients there in the frame's
+    variables. Each rule is one FieldSampler pass; the rules are dealt out
+    over this process's CPUs (deal)."""
+    sampler = FieldSampler(problem.grid, U, frame)
     samples = sum(rule.size for rule in rules)
-    out, processes = deal(lambda rule: sampler(rule, geo, la_r), rules, samples)
+    out, processes = deal(lambda rule: sampler(rule, problem.coeff, la_r), rules, samples)
     table = np.array(out, dtype=float).reshape(len(rules), 3)
     return SphereHeights(table[:, 0], table[:, 1] if la_r else None, table[:, 2] > 0.0, processes)
 
@@ -324,7 +303,7 @@ class _SurfaceSamplers:
 
     def __init__(self, grid: Grid, problem: ProblemSpec, U: np.ndarray):
         self.grid = grid
-        self.geo = GeometryFields(grid, problem.coeff)
+        self.coeff = problem.coeff
         self.sampler = FieldSampler(grid, U)
         # grad_x U and the conjugate variable, scalar tables read at one stencil
         self._tables = ([np.gradient(U, grid.xs[d], axis=d) for d in range(grid.n)]
@@ -337,10 +316,11 @@ class _SurfaceSamplers:
 
     def parts(self, rule):
         """(s, wv, nu_y, mu_t, grad_x U) at the rule's points with
-        s = <B grad_x U, nu_x>; grad_x U is a list of n components."""
+        s = <B grad_x U, nu_x>; grad_x U is a list of n components. B and
+        mu_t are frame_factors' in the origin's frame (0, I)."""
         grid, n = self.grid, self.grid.n
         pts = rule.points
-        _, B, _, _, mu_t = self.geo.quadratic_at(pts)
+        B, mu_t, _ = frame_factors(grid, self.coeff, pts, pts[..., :n], np.eye(n))
         stencil = locate(grid.xs + (grid.ys,), pts, even=grid.evenly_spaced)
         *gx, wv = (read(stencil, table) for table in self._tables)
         nu = pts / rule.r
@@ -585,7 +565,7 @@ def radial_profile(
         r_grid = default_r_grid(grid)
     r = np.asarray(r_grid, dtype=float)
     rules = [sphere_quadrature(grid, ri, n_angles=n_angles) for ri in r]
-    Hs, Ls, _, processes = sphere_heights(U, GeometryFields(grid, problem.coeff), rules, la_r=True)
+    Hs, Ls, _, processes = sphere_heights(U, problem, rules, la_r=True)
     Ds, Bs, Fs = ball_integrals(U, problem, r, nsub)
     Is = Ds + Fs
 
@@ -662,7 +642,7 @@ def identity_checks(U: np.ndarray, problem: ProblemSpec, profile: RadialProfile)
     down = r_grid - dr > grid.resolution_floor
     radii = np.concatenate([r_grid[up] + dr[up], r_grid[down] - dr[down]])
     rules = [sphere_quadrature(grid, ri) for ri in radii]
-    H, _, _, processes = sphere_heights(U, GeometryFields(grid, problem.coeff), rules)
+    H, _, _, processes = sphere_heights(U, problem, rules)
     H_hi, H_lo = Hs.copy(), Hs.copy()
     H_hi[up] = H[:np.count_nonzero(up)]
     H_lo[down] = H[np.count_nonzero(up):]

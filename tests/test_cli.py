@@ -87,6 +87,25 @@ def test_config_type_errors_exit_before_the_solve(tmp_path, capsys, name, value)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name,value", [
+    ("obstacle", "abc"), ("coefficients", "x"), ("obstacle", {"poly": "x"}),
+    ("obstacle", {"poly": [[1, [0, 0, 5]]]}), ("source", {"poly": [["a", [0]]]}),
+    ("output", 5), ("source", "2.5"), ("obstacle", True),
+])
+def test_malformed_data_specs_exit_before_the_solve(tmp_path, capsys, monkeypatch, name, value):
+    # a number is a real non-bool value, and a poly term a number with at
+    # most dim integer exponents; anything else exits 2 with a message
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(cli, "solve_active_set", no_solve)
+    path = write_config(tmp_path, hx=1 / 8, hy=1 / 8, r_grid={}, **{name: value})
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: ") and "r_grid" not in err
+    assert not out.exists()
+
 
 def test_default_radii_off_the_grid_exit_before_the_solve(tmp_path, capsys):
     # at hx = hy = 1/4 the default r_min = 4 max(hx, hy) = 1 exceeds 0.9 R

@@ -6,6 +6,7 @@ import pytest
 import signorini as sg
 from signorini.errors import InvalidCoefficientError, InvalidConfigurationError
 
+from signorini.functionals import frame_factors
 from signorini.grid import interpolate
 
 from conftest import TILTED_B
@@ -96,8 +97,7 @@ def test_normalize_constant_coefficient_rescales_axis():
     # the frame's coefficient matrix S^-1 B S^-1 is the identity everywhere:
     # mu~ = 1 at the samples off the origin
     p = p[np.hypot(p[:, 0], p[:, 1]) > 0]
-    geo = sg.GeometryFields(grid, coeff)
-    mu, _ = geo.factors_at(p, frame=(p[:, :1] @ S.T, np.linalg.inv(S)))
+    _, mu, _ = frame_factors(grid, coeff, p, p[:, :1] @ S.T, np.linalg.inv(S))
     assert np.abs(mu - 1.0).max() <= 1e-12
 
 
@@ -122,12 +122,11 @@ def test_normalize_defining_property_generic():
 def test_frame_factors_match_the_congruence():
     # in the frame (x0, S) the form <B(X) z, z>, z = S^-1 p, and the trace
     # and divergence terms of la_r against the frame's matrix S^-1 B(X) S^-1
-    # by stacked matmuls, X = x0 + S p: the form to a few ulps of its scale
-    # |S^-1 B S^-1| |P|^2, la_r to 1e-13 relative
+    # by stacked matmuls, X = x0 + S p: the form (mu~ |P|^2) to a few ulps
+    # of its scale |S^-1 B S^-1| |P|^2, la_r to 1e-13 relative
     a = 0.5
     grid = sg.build_grid(2, 1.0, 1 / 16, 1 / 16, a)
     coeff = sg.build_coefficients(grid, TILTED_B)
-    geo = sg.GeometryFields(grid, coeff)
     rng = np.random.default_rng(3)
     P = rng.uniform(-1.0, 1.0, (4096, 3))
     P[:, 2] = np.abs(P[:, 2])
@@ -139,13 +138,11 @@ def test_frame_factors_match_the_congruence():
         X = x0 + p @ S.T
         Bn = S_inv @ coeff.eval_B(X) @ S_inv
         form = np.einsum("kij,ki,kj->k", Bn, p, p) + y2
-        _, _, got, got_r2, _ = geo.quadratic_at(P, frame=(X, S_inv))
+        _, mu, got_lar = frame_factors(grid, coeff, P, X, S_inv, la_r=True)
         ulp = np.spacing(np.abs(Bn).max(axis=(-2, -1)) * r2)
-        assert (np.abs(got - form) <= 8 * ulp).all()
-        assert np.allclose(got_r2, r2, rtol=1e-15, atol=0.0)
+        assert (np.abs(mu * r2 - form) <= 8 * ulp).all()
+        assert np.allclose(mu, form / r2, rtol=1e-14, atol=0.0)
         div = np.stack([interpolate(grid.xs, d, X) for d in coeff.divergence], axis=-1)
         lar = (np.trace(Bn, axis1=-2, axis2=-1) + 1.0 + a - form / r2
                + np.einsum("kj,kj->k", div @ S_inv, p)) / np.sqrt(r2)
-        mu, got_lar = geo.factors_at(P, la_r=True, frame=(X, S_inv))
-        assert np.allclose(mu, form / r2, rtol=1e-14, atol=0.0)
         assert np.abs(got_lar / lar - 1.0).max() <= 1e-13

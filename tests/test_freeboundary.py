@@ -172,8 +172,7 @@ def _full_ladder_columns(U, problem, x0, r):
     rg = r * q**j
     frame = (x0, sg.normalize_at(grid, problem.coeff, x0))
     rules = [sg.sphere_quadrature(grid, ri) for ri in rg]
-    H, L, _, _ = sg.sphere_heights(U, sg.GeometryFields(grid, problem.coeff), rules, la_r=True,
-                                   frame=frame)
+    H, L, _, _ = sg.sphere_heights(U, problem, rules, la_r=True, frame=frame)
     cols = sg.sphere_columns(rg, H, L, grid.n, grid.a)
     return cols, int(np.searchsorted(j, 0.0)), sg.FieldSampler(grid, U, frame)
 
@@ -260,7 +259,7 @@ def test_decay_fit_heights_tilted_match_resampling():
         fit = sg.decay_fit(U, problem, np.array(x0))
         coeff, resampled = _resampled(U, problem, np.array(x0))
         rules = [sg.sphere_quadrature(grid, r, n_angles=48) for r in fit["r"]]
-        reference = sg.sphere_heights(resampled, sg.GeometryFields(grid, coeff), rules)[0]
+        reference = sg.sphere_heights(resampled, sg.make_problem(grid, coeff=coeff), rules)[0]
         assert np.allclose(fit["H"], reference, rtol=5e-3, atol=0.0)
 
 
@@ -294,9 +293,8 @@ def test_blowup_self_similarity_and_height():
     inner = grid.node_radii() <= 0.9
     scale = np.abs(bl1[inner]).max()
     assert np.abs(bl1[inner] - bl2[inner]).max() <= 0.02 * scale
-    geo = sg.GeometryFields(grid, problem.coeff)
     rule = sg.sphere_quadrature(grid, 1.0, 64)
-    assert sg.sphere_heights(bl1, geo, [rule])[0][0] == pytest.approx(1.0, rel=0.02)
+    assert sg.sphere_heights(bl1, problem, [rule])[0][0] == pytest.approx(1.0, rel=0.02)
 
 
 def test_blowup_height_beyond_the_classification_ladder():
@@ -305,9 +303,8 @@ def test_blowup_height_beyond_the_classification_ladder():
     grid = sg.build_grid(1, 1.0, 1 / 64, 1 / 64, a)
     problem = sg.make_problem(grid)
     bl = sg.blowup(profile_boundary(grid, a), problem, [0.0], 0.95)
-    geo = sg.GeometryFields(grid, problem.coeff)
     rule = sg.sphere_quadrature(grid, 1.0, 64)
-    assert sg.sphere_heights(bl, geo, [rule])[0][0] == pytest.approx(1.0, rel=0.02)
+    assert sg.sphere_heights(bl, problem, [rule])[0][0] == pytest.approx(1.0, rel=0.02)
 
 
 def test_blowup_ladder_converges_to_profile():
@@ -316,8 +313,7 @@ def test_blowup_ladder_converges_to_profile():
     grid, problem, form, sol, _ = solved_profile(0.0, 1.0 / 96, mix=0.6)
     inner = grid.node_radii() <= 0.8
     U0 = profile_boundary(grid, 0.0)
-    geo = sg.GeometryFields(grid, problem.coeff)
-    H1 = sg.sphere_heights(U0, geo, [sg.sphere_quadrature(grid, 1.0, 64)])[0][0]
+    H1 = sg.sphere_heights(U0, problem, [sg.sphere_quadrature(grid, 1.0, 64)])[0][0]
     target = U0 / np.sqrt(H1)
     dists = []
     for r in (0.6, 0.4, 0.25, 0.15):
@@ -400,6 +396,19 @@ def test_reduce_obstacle_source_term():
     assert np.allclose(problem0.f[inner], 4.0)
     assert np.all(problem0.psi == 0.0)
     assert np.allclose(U0, -psi[..., None] * np.ones_like(Y))
+
+
+def test_reduce_obstacle_source_term_tilted():
+    # psi = 0.4 - |x|^2 under the tilted B: b_ij d_ij psi = -4 - 0.2 x2 and
+    # (d_i b_ij) d_j psi = 0.1 d_2 psi = -0.2 x2, so f = 4 + 0.4 x2 (exact
+    # for the differences of the quadratic psi and the linear table)
+    grid = sg.build_grid(2, 1.0, 1 / 8, 1 / 8, 0.0)
+    X1, X2, Y = grid.node_mesh()
+    psi = 0.4 - (X1[..., 0] ** 2 + X2[..., 0] ** 2)
+    problem = sg.make_problem(grid, coeff=sg.build_coefficients(grid, TILTED_B), psi=psi)
+    _, problem0 = sg.reduce_obstacle(np.zeros(grid.node_shape), problem)
+    inner = (np.abs(X1) <= 0.75) & (np.abs(X2) <= 0.75)  # clear of one-sided edges
+    assert np.abs(problem0.f - (4.0 + 0.4 * X2))[inner].max() <= 1e-13
 
 
 # -- n = 2 end-to-end ---------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Radial functionals: geometry fields, H/B/D/I, psi/sigma, frequency, Weiss,
-identity checks, decay diagnostics."""
+"""Radial functionals: the coefficients in a frame, H/B/D/I, psi/sigma,
+frequency, Weiss, identity checks, decay diagnostics."""
 
 import os
 from dataclasses import replace
@@ -11,7 +11,7 @@ from scipy.integrate import quad
 import signorini as sg
 import signorini.functionals as functionals
 from signorini.errors import InvalidConfigurationError
-from signorini.functionals import integrate_psi_sigma, sphere_columns
+from signorini.functionals import frame_factors, integrate_psi_sigma, sphere_columns
 from signorini.grid import halfsphere_weighted_area
 
 from conftest import (
@@ -26,34 +26,38 @@ def identity_grid(h=1 / 32, a=0.0, n=1):
     return grid, problem
 
 
-# -- geometry fields ----------------------------------------------------------
+# -- the coefficients in a frame -----------------------------------------------
+
+
+def origin_factors(grid, coeff, points, la_r=False):
+    """(mu~, la_r / |y|^a) of frame_factors in the origin's frame (0, I)."""
+    return frame_factors(grid, coeff, points, points[..., :grid.n], np.eye(grid.n), la_r)[1:]
 
 
 def test_geometry_identity_closed_forms():
     grid, problem = identity_grid(1 / 10, 0.0)
-    geo = sg.GeometryFields(grid, problem.coeff)
     X, Y = grid.node_mesh()
     off = np.hypot(X, Y) > 0
     nodes = np.stack([X, Y], axis=-1)[off]
-    assert np.allclose(geo.factors_at(nodes)[0], 1.0)
+    assert np.allclose(origin_factors(grid, problem.coeff, nodes)[0], 1.0)
     # la_r = (n+a)/r * |y|^a at the node (0.6, 0.8), r = 1
     i = np.where(np.isclose(grid.xs[0], 0.6))[0][0]
     j = np.where(np.isclose(grid.ys, 0.8))[0][0]
     node = np.array([[X[i, j], Y[i, j]]])
-    assert geo.factors_at(node, la_r=True)[1][0] == pytest.approx(1.0, rel=1e-12)
+    la_r = origin_factors(grid, problem.coeff, node, la_r=True)[1]
+    assert la_r[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_geometry_perturbed_bounds():
     h = 1 / 32
     grid = sg.build_grid(1, 1.0, h, h, 0.0)
     coeff = sg.build_coefficients(grid, [[{"poly": [[1.0, [0]], [0.1, [1]]]}]])
-    geo = sg.GeometryFields(grid, coeff)
     X, Y = grid.node_mesh()
     r = np.hypot(X, Y)
     off = r > 0.1
     nodes = np.stack([X, Y], axis=-1)[off]
-    mu_tilde, la_r = geo.factors_at(nodes, la_r=True)
-    assert np.array_equal(mu_tilde, geo.factors_at(nodes)[0])
+    mu_tilde, la_r = origin_factors(grid, coeff, nodes, la_r=True)
+    assert np.array_equal(mu_tilde, origin_factors(grid, coeff, nodes)[0])
     # la_r * r / |y|^a stays within O(1) of (n + a)
     dev = np.abs(la_r * r[off] - 1.0)
     assert dev.max() <= 0.5
@@ -70,17 +74,18 @@ def test_geometry_about_shifted_centre_closed_forms(n):
     x0 = np.array([0.25, -0.125])[:n]
     coeff = sg.build_coefficients(grid, Bc.tolist())
     S = sg.normalize_at(grid, coeff, x0)
-    geo = sg.GeometryFields(grid, coeff)
     r = 0.4
     rule = sg.sphere_quadrature(grid, r, 32)
     rho = np.sqrt((rule.points**2).sum(axis=1))
-    frame = (x0 + rule.points[:, :n] @ S.T, np.linalg.inv(S))
-    assert np.allclose(geo.factors_at(rule.points, frame=frame)[0], 1.0, rtol=1e-13, atol=0.0)
-    got_mu, got_la = geo.factors_at(rule.points, la_r=True, frame=frame)
+    X, S_inv = x0 + rule.points[:, :n] @ S.T, np.linalg.inv(S)
+    assert np.allclose(frame_factors(grid, coeff, rule.points, X, S_inv)[1], 1.0,
+                       rtol=1e-13, atol=0.0)
+    _, got_mu, got_la = frame_factors(grid, coeff, rule.points, X, S_inv, la_r=True)
     assert np.allclose(got_mu, 1.0, rtol=1e-13, atol=0.0)
     assert np.allclose(got_la, (n + a) / rho, rtol=1e-12, atol=0.0)
     # the height about x0 of U = 1 is twice the weighted half-sphere area
-    H = sg.sphere_heights(np.ones(grid.node_shape), geo, [rule], frame=(x0, S))[0][0]
+    problem = sg.make_problem(grid, coeff=coeff)
+    H = sg.sphere_heights(np.ones(grid.node_shape), problem, [rule], frame=(x0, S))[0][0]
     assert H == pytest.approx(2.0 * halfsphere_weighted_area(n, r, a), rel=1e-6)
 
 
@@ -120,10 +125,10 @@ def test_fused_pass_matches_the_per_rule_reference(n, a, framed, graded, monkeyp
         x0 = np.array([0.75, -0.25])[:n]
         frame = (x0, sg.normalize_at(grid, coeff, x0))
         ref_coeff = normalized_field(grid, coeff, x0)
-    geo = sg.GeometryFields(grid, coeff)
+    problem = sg.make_problem(grid, coeff=coeff)
     rules = [sg.sphere_quadrature(grid, r, m) for r in (0.15, 0.3, 0.5) for m in (48, 64)]
     for la_r in (False, True):
-        H, L, clamped, processes = sg.sphere_heights(U, geo, rules, la_r=la_r, frame=frame)
+        H, L, clamped, processes = sg.sphere_heights(U, problem, rules, la_r=la_r, frame=frame)
         H_ref, L_ref, clamped_ref = reference_heights(U, grid, ref_coeff, rules, la_r, frame)
         assert processes == 1
         assert np.abs(H / H_ref - 1.0).max() <= 1e-13
@@ -157,12 +162,12 @@ def test_frame_against_the_normalised_table_with_cubic_B(n):
     gaps = []
     for h in (1 / 16, 1 / 32):
         grid, coeff, U = _pass_case(n, a, False, h, CUBIC_B[n])
-        geo = sg.GeometryFields(grid, coeff)
+        problem = sg.make_problem(grid, coeff=coeff)
         rules = [sg.sphere_quadrature(grid, r, m) for r in (0.15, 0.3, 0.5) for m in (48, 64)]
         for x0, clamps in (([-0.125, 0.25], False), ([0.75, -0.25], True)):
             x0 = np.array(x0[:n])
             frame = (x0, sg.normalize_at(grid, coeff, x0))
-            H, L, clamped, _ = sg.sphere_heights(U, geo, rules, la_r=True, frame=frame)
+            H, L, clamped, _ = sg.sphere_heights(U, problem, rules, la_r=True, frame=frame)
             H_ref, L_ref, clamped_ref = reference_heights(
                 U, grid, normalized_field(grid, coeff, x0), rules, True, frame)
             assert np.array_equal(clamped, clamped_ref) and clamped.any() == clamps
@@ -210,13 +215,12 @@ def test_a_dealt_task_deals_no_further(tilted_n2_reduction, monkeypatch):
     # share, run inline; a call below DEAL_MIN_SAMPLES runs inline too
     U0, problem0 = tilted_n2_reduction
     grid = problem0.grid
-    geo = sg.GeometryFields(grid, problem0.coeff)
     rules = [sg.sphere_quadrature(grid, r) for r in np.linspace(0.3, 0.8, 20)]
     assert sum(rule.size for rule in rules) >= functionals.DEAL_MIN_SAMPLES
     _cpus(monkeypatch, 3)
-    assert sg.sphere_heights(U0, geo, rules).processes == 3
-    assert sg.sphere_heights(U0, geo, rules[:10]).processes == 1
-    inner, k = functionals.deal(lambda i: (os.getpid(), sg.sphere_heights(U0, geo, rules)),
+    assert sg.sphere_heights(U0, problem0, rules).processes == 3
+    assert sg.sphere_heights(U0, problem0, rules[:10]).processes == 1
+    inner, k = functionals.deal(lambda i: (os.getpid(), sg.sphere_heights(U0, problem0, rules)),
                                 list(range(3)))
     assert k == 3 and len({pid for pid, _ in inner}) == 3
     assert [out.processes for _, out in inner] == [1, 1, 1]
@@ -236,10 +240,9 @@ def test_height_zero_field():
 
 def test_height_profile_value_and_scaling():
     grid, problem = identity_grid(1 / 96, 0.0)
-    geo = sg.GeometryFields(grid, problem.coeff)
     U = profile_boundary(grid, 0.0)
     rules = [sg.sphere_quadrature(grid, r, 64) for r in (1.0, 0.3, 0.6)]
-    H1, H03, H06 = sg.sphere_heights(U, geo, rules)[0]
+    H1, H03, H06 = sg.sphere_heights(U, problem, rules)[0]
     assert H1 == pytest.approx(np.pi, abs=1e-3)
     for r, Hr in ((0.3, H03), (0.6, H06)):
         assert Hr / H1 == pytest.approx(r**4, rel=0.01)
@@ -287,6 +290,20 @@ def test_total_energy_f_zero_and_surface_cross_check():
     assert res["rel"] <= 0.02
     zero = sg.radial_profile(np.zeros(grid.node_shape), problem, r_grid=rg)
     assert np.all(zero.I == 0.0)
+
+
+def test_surface_cross_check_with_tilted_coefficients():
+    # the tilted-B workload's seed-0 problem at h = 1/16: the surface terms
+    # evaluate B and mu~ in the origin's frame (measured 7.2e-3, and 4.4e-3
+    # at h = 1/32)
+    a = 0.5
+    grid = sg.build_grid(2, 1.0, 1 / 16, 1 / 16, a)
+    ref = sg.exact_solution("signorini_profile", a)
+    problem = sg.make_problem(grid, coeff=sg.build_coefficients(grid, TILTED_B),
+                              boundary=ref(np.stack(grid.node_mesh(), axis=-1)))
+    sol = sg.solve_active_set(sg.assemble_energy(grid, problem), problem, tol=1e-10)
+    prof = sg.radial_profile(sol.U, problem, r_grid=sg.default_r_grid(grid))
+    assert sg.surface_cross_check(sol.U, problem, prof)["rel"] <= 1e-2
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -481,8 +498,7 @@ def test_weiss_homogeneous_formula_match():
     X, Y = grid.node_mesh()
     U = X**2 - Y**2 / (1 + a)
     prof = sg.radial_profile(U, problem, r_grid=np.geomspace(0.2, 0.9, 20), nsub=8)
-    geo = sg.GeometryFields(grid, problem.coeff)
-    H1 = sg.sphere_heights(U, geo, [sg.sphere_quadrature(grid, 1.0, 64)])[0][0]
+    H1 = sg.sphere_heights(U, problem, [sg.sphere_quadrature(grid, 1.0, 64)])[0][0]
     cols = sg.homogeneous_functionals(2.0, 1, a, H1)
     expected = cols["W"](prof.r)
     assert np.abs(prof.W - expected).max() <= 0.03 * np.abs(expected).max()
