@@ -11,6 +11,7 @@ beta_eps, solved by damped Newton.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,19 +30,20 @@ class SolutionField:
     U: np.ndarray  # node_shape
     active: np.ndarray  # thin-shape bool, U = psi off the Dirichlet boundary
     trace: np.ndarray  # thin-shape weighted Neumann trace
-    iterations: int  # linear solves
+    iterations: int  # linear solves on the finest level
     final_residual: float
     tol: float
-    # one record per inner linear solve: {"active": thin nodes fixed (PDAS)
-    # or penalized (Newton), "cg_iterations": ..., and "rtol", its CG
-    # tolerance (for a loose PDAS solve relative to its starting residual),
-    # or for a tight PDAS solve "tol", its natural-residual stop}
+    # one record per inner linear solve: {"level": its multigrid level, 0
+    # the finest, "active": thin nodes fixed (PDAS) or penalized (Newton),
+    # "cg_iterations": ..., and "rtol", its CG tolerance (for a loose PDAS
+    # solve relative to its starting residual), or for a tight PDAS solve
+    # "tol", its natural-residual stop}
     steps: list = field(default_factory=list)
 
     @property
     def inner_iterations(self) -> int:
-        """CG iterations of all inner linear solves."""
-        return sum(s["cg_iterations"] for s in self.steps)
+        """CG iterations of the finest level's linear solves."""
+        return sum(s["cg_iterations"] for s in self.steps if s["level"] == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +98,7 @@ CG_MAX_ITER = 500
 # CG iterations, 108 in 37 solves (tight only: 340 in 34; 1e-2: 127 in 35;
 # 1e-6: 228 in 34), and no tight solve rejected a set at any value from
 # 1e-8 to 1e-1.
-ACTIVE_SET_LOOSE_RTOL = 1e-1
+ACTIVE_SET_LOOSE_RTOL = 1e-2
 # Newton steps and CG tolerance of the penalized solve.
 NEWTON_MAX_STEPS = 60
 NEWTON_CG_RTOL = 1e-12
@@ -190,7 +192,7 @@ class _Multigrid:
     def __init__(self, K: sp.csr_matrix, dirichlet: np.ndarray, grid: Grid):
         keep = ~dirichlet
         G = K
-        self.transfers = []
+        self.transfers, self.keeps, self.ops, self.wdinv = [], [], [], []
         for P, coarse, ny in _prolongations(grid):
             keep_c = keep[coarse]
             low = np.arange(len(coarse)) % ny <= 1
@@ -204,13 +206,19 @@ class _Multigrid:
             keep = keep_c
         self.update(K, dirichlet)
 
-    def update(self, A, fixed: np.ndarray) -> None:
-        """Set the operator to D A D, D = diag(~fixed). fixed holds the
-        Dirichlet nodes the hierarchy was built with and may add thin
-        nodes; A may differ from that K only on the thin diagonal."""
+    def update(self, A, fixed: np.ndarray, level: int = 0) -> None:
+        """Set the operator of the given level to D A D, D = diag(~fixed),
+        and recompute the coarser levels from it; the finer levels are
+        kept. fixed holds the level's Dirichlet nodes and may add thin
+        nodes. On the finest level A may differ from the K the hierarchy
+        was built with only on the thin diagonal; on a coarser one it is
+        that level's operator of the last update with the Dirichlet nodes
+        alone fixed."""
         keep = ~fixed
-        self.keeps, self.ops, self.wdinv = [keep], [A], []
-        for t in self.transfers:
+        del self.keeps[level:], self.ops[level:], self.wdinv[level:]
+        self.keeps.append(keep)
+        self.ops.append(A)
+        for t in self.transfers[level:]:
             self.wdinv.append(MG_DAMPING * keep / np.where(keep, A.diagonal(), 1.0))
             keep_c = keep[t.coarse]
             A = t.base + _galerkin(_scaled(t.R_low, keep_c, keep), A, t.P, keep, keep_c)
@@ -294,13 +302,14 @@ def _cg(matvec, psolve, b: np.ndarray, x: np.ndarray, atol: float,
 
 
 def _linear_solve(mg: _Multigrid, load: np.ndarray, U: np.ndarray, tol: float,
-                  loose: bool = False, scale: np.ndarray | None = None) -> tuple:
-    """Solve for x = U on the fixed nodes of mg's last update and
-    (A x + load) = 0 on the rest.
+                  loose: bool = False, scale: np.ndarray | None = None,
+                  level: int = 0) -> tuple:
+    """Solve for x = U on the fixed nodes of mg's last update of the level
+    and (A x + load) = 0 on the rest, A that level's operator.
 
     Runs CG on D A D, D = diag(~fixed), with the fixed values moved to the
     right-hand side, from U's free values, preconditioned by one V-cycle
-    of mg. It stops at a residual norm of tol times that of the right-hand
+    of mg from that level. It stops at a residual norm of tol times that of the right-hand
     side of the embedded system D A D + I_fixed, whose fixed rows carry
     U's fixed values, or with loose, tol times that of U's own residual.
     With scale it stops instead when every free node's residual times
@@ -308,20 +317,21 @@ def _linear_solve(mg: _Multigrid, load: np.ndarray, U: np.ndarray, tol: float,
     definite on the free nodes.
     Returns (x, iterations), with x None when CG does not converge.
     """
-    keep = mg.keeps[0]
+    keep = mg.keeps[level]
     fixed = ~keep
-    b = -(load + mg.ops[0] @ np.where(fixed, U, 0.0))
+    b = -(load + mg.ops[level] @ np.where(fixed, U, 0.0))
     b *= keep
     x = U * keep
+    matvec = functools.partial(mg.matvec, level=level)
     r = None
     if scale is not None:
         atol = tol
     elif loose:
-        r = b - mg.matvec(x)  # CG starts from this residual
+        r = b - matvec(x)  # CG starts from this residual
         atol = tol * np.linalg.norm(r)
     else:
         atol = tol * np.hypot(np.linalg.norm(b), np.linalg.norm(U[fixed]))
-    x, its = _cg(mg.matvec, mg.cycle, b, x, atol, scale, r)
+    x, its = _cg(matvec, functools.partial(mg.cycle, level=level), b, x, atol, scale, r)
     return (None if x is None else np.where(fixed, U, x)), its
 
 
@@ -365,6 +375,62 @@ def _natural_residual(form: SymmetricForm, dinv: np.ndarray, psi: np.ndarray,
     return float(np.abs(r, out=r).max())
 
 
+def _predicted(A_thin: sp.csr_matrix, c: np.ndarray, load: np.ndarray, U: np.ndarray,
+               thin: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """The active set {lambda - c (U - psi) > 0} of the thin rows, lambda =
+    (A U + load) there, for A's thin rows A_thin and their diagonal c."""
+    return (A_thin @ U + load[thin]) - c * (U[thin] - psi) > 0.0
+
+
+def _nested_start(mg: _Multigrid, load: np.ndarray, thin: np.ndarray, psi: np.ndarray,
+                  steps: list) -> np.ndarray:
+    """W on the finest level, from the obstacle problem solved level by level
+    on mg's coarse levels, coarsest first.
+
+    load is the finest level's load of W = U - G (K G + load, zero on the
+    Dirichlet nodes, G the Dirichlet values) and psi the obstacle on its
+    thin rows thin; mg holds the hierarchy of the Dirichlet nodes alone.
+    Each coarse level's problem is the Galerkin one: its load is the finer
+    load restricted by P' and masked by the level's Dirichlet nodes, and
+    psi is injected at its thin rows. From the coarser solution prolonged
+    by P, loose active-set steps run until the set repeats, each recorded
+    in steps with its level. A failed CG ends its level's steps. Returns
+    the first coarse level's W prolonged to the finest."""
+    levels = [(load, thin, psi)]
+    for t, keep in zip(mg.transfers, mg.keeps[1:]):
+        load, thin, psi = levels[-1]
+        # a coarse node's fine index is t.coarse[node], ascending
+        pos = np.minimum(np.searchsorted(t.coarse, thin), len(t.coarse) - 1)
+        hit = t.coarse[pos] == thin
+        load = t.P.T @ load
+        load *= keep
+        levels.append((load, pos[hit], psi[hit]))
+    W = np.zeros(len(levels[-1][0]))
+    for level in range(len(mg.transfers), 0, -1):
+        load, thin, psi = levels[level]
+        A, dirichlet = mg.ops[level], ~mg.keeps[level]
+        A_thin, c = A[thin], A.diagonal()[thin]
+        active = None
+        for _ in range(ACTIVE_SET_MAX_STEPS):
+            new_active = _predicted(A_thin, c, load, W, thin, psi)
+            if np.array_equal(new_active, active):
+                break
+            active = new_active
+            fixed = dirichlet.copy()
+            fixed[thin[active]] = True
+            mg.update(A, fixed, level)
+            W[thin[active]] = psi[active]
+            x, its = _linear_solve(mg, load, W, ACTIVE_SET_LOOSE_RTOL, loose=True, level=level)
+            steps.append({"level": level, "active": int(active.sum()), "cg_iterations": its,
+                          "rtol": ACTIVE_SET_LOOSE_RTOL})
+            if x is None:
+                break
+            W = x
+        W = mg.transfers[level - 1].P @ W
+        W *= mg.keeps[level - 1]
+    return W
+
+
 def solve_active_set(
     form: SymmetricForm,
     problem: ProblemSpec,
@@ -372,21 +438,26 @@ def solve_active_set(
 ) -> SolutionField:
     """Primal-dual active-set method (Hintermueller, Ito and Kunisch, SIAM
     J. Optim. 13, 2002) for the complementarity system
-        min { 1/2 <KU,U> + <load,U> : U >= psi on thin nodes, U = g outside }.
+        min { 1/2 <KU,U> + <load,U> : U >= psi on thin nodes, U = g outside },
+    started by nested iteration (Kornhuber, Numer. Math. 69, 1994) on the
+    solve's own multigrid hierarchy.
 
-    The first step solves without the obstacle; each later step fixes
+    _nested_start solves the problem on every coarse Galerkin level,
+    coarsest first, and prolongs the result. From it, each step fixes
     U = psi on the active set {lambda - K_ii (U - psi) > 0}, lambda =
     (KU + load) on thin rows, and solves for the remaining free nodes, all
-    on one multigrid hierarchy. A new active set is solved until its
-    residual falls by ACTIVE_SET_LOOSE_RTOL from its start. A repeated set
-    is solved until every free node's residual over its diagonal is at
-    most tol, and the solve ends when such a tight solve reproduces its
-    own set and the recomputed natural residual (_natural_residual, in
-    solution units), reported as final_residual, is at most tol. On a set
-    that reproduces itself the two agree. The active set holds the thin
-    non-Dirichlet nodes whose slack is at most contact_tol. Raises
-    NonconvergedError, carrying the last iterate, when the set does not
-    settle within ACTIVE_SET_MAX_STEPS solves or CG fails.
+    on the one hierarchy. A new active set is solved until its residual
+    falls by ACTIVE_SET_LOOSE_RTOL from its start. A repeated set is
+    solved until every free node's residual over its diagonal is at most
+    tol, and the solve ends when such a tight solve reproduces its own set
+    and the recomputed natural residual (_natural_residual, in solution
+    units), reported as final_residual, is at most tol. On a set that
+    reproduces itself the two agree. The active set holds the thin
+    non-Dirichlet nodes whose slack is at most contact_tol. iterations
+    counts the finest level's solves; steps records every level's, each
+    with its level (0 the finest). Raises NonconvergedError, carrying the
+    last iterate, when the set does not settle within
+    ACTIVE_SET_MAX_STEPS finest-level solves or a finest-level CG fails.
     """
     grid = form.grid
     tol = _default_tol(problem, tol)
@@ -396,33 +467,41 @@ def solve_active_set(
     # flat node index of a thin node is (thin ravel position) * ny
     psi = problem.psi.ravel()[thin // len(grid.ys)]
     U = np.where(form.dirichlet, problem.boundary.ravel(), 0.0)
-    active = np.zeros(len(thin), dtype=bool)
     mg = _Multigrid(K, form.dirichlet, grid)
-    dinv = 1.0 / K.diagonal()  # made after the hierarchy, whose build is the peak
-    loose = True
     steps = []
-    for _ in range(ACTIVE_SET_MAX_STEPS):
+    U += _nested_start(mg, np.where(form.dirichlet, 0.0, K @ U + load), thin, psi, steps)
+    dinv = 1.0 / K.diagonal()  # made after the hierarchy, whose build is the peak
+
+    def fix(active):
+        fixed = form.dirichlet.copy()
+        fixed[thin[active]] = True
+        mg.update(K, fixed)
+
+    active = _predicted(K_thin, c, load, U, thin, psi)
+    fix(active)
+    loose = True
+    fine = 0
+    for fine in range(1, ACTIVE_SET_MAX_STEPS + 1):
         U[thin[active]] = psi[active]
         if loose:
             x, its = _linear_solve(mg, load, U, ACTIVE_SET_LOOSE_RTOL, loose=True)
-            steps.append({"active": int(active.sum()), "cg_iterations": its,
+            steps.append({"level": 0, "active": int(active.sum()), "cg_iterations": its,
                           "rtol": ACTIVE_SET_LOOSE_RTOL})
         else:
             x, its = _linear_solve(mg, load, U, tol, scale=dinv)
-            steps.append({"active": int(active.sum()), "cg_iterations": its, "tol": tol})
+            steps.append({"level": 0, "active": int(active.sum()), "cg_iterations": its,
+                          "tol": tol})
         if x is None:
             raise NonconvergedError(
-                f"inner CG failed at active-set step {len(steps)}",
+                f"inner CG failed at active-set step {fine}",
                 last_iterate=U.reshape(grid.node_shape),
                 final_residual=_natural_residual(form, dinv, psi, U),
             )
         U = x
-        new_active = (K_thin @ U + load[thin]) - c * (U[thin] - psi) > 0.0
+        new_active = _predicted(K_thin, c, load, U, thin, psi)
         if not np.array_equal(new_active, active):
             active, loose = new_active, True
-            fixed = form.dirichlet.copy()
-            fixed[thin[active]] = True
-            mg.update(K, fixed)
+            fix(active)
         elif loose:
             loose = False
         else:
@@ -443,7 +522,7 @@ def solve_active_set(
         U=Un,
         active=active,
         trace=neumann_trace(grid, Un),
-        iterations=len(steps),
+        iterations=fine,
         final_residual=residual,
         tol=tol,
         steps=steps,
@@ -487,7 +566,7 @@ def solve_penalized(
     U = np.where(dirichlet, problem.boundary.ravel(), 0.0)
     scale = max(np.linalg.norm(np.where(dirichlet, 0.0, K @ U + load)), 1.0)
     U, its = _linear_solve(mg, load, U, NEWTON_CG_RTOL)
-    steps = [{"active": 0, "cg_iterations": its, "rtol": NEWTON_CG_RTOL}]
+    steps = [{"level": 0, "active": 0, "cg_iterations": its, "rtol": NEWTON_CG_RTOL}]
     if U is None:
         raise NonconvergedError(
             "inner CG failed on the unconstrained start", last_iterate=None, final_residual=np.inf,
@@ -510,7 +589,7 @@ def solve_penalized(
         Jac = K + sp.csr_matrix((dpen, (thin, thin)), shape=K.shape)
         mg.update(Jac, dirichlet)
         dU, its = _linear_solve(mg, r, zero, NEWTON_CG_RTOL)
-        steps.append({"active": int(np.count_nonzero(dpen)), "cg_iterations": its,
+        steps.append({"level": 0, "active": int(np.count_nonzero(dpen)), "cg_iterations": its,
                       "rtol": NEWTON_CG_RTOL})
         if dU is None:
             raise NonconvergedError(

@@ -256,15 +256,17 @@ def psor_reference(form, problem, tol: float, start=None) -> np.ndarray:
 
 
 def active_set_energies(form, problem, monkeypatch) -> list:
-    """Energies of solve_active_set's iterates, one per linear solve, each
-    projected onto U >= psi; the iterates are read by wrapping
-    solver._linear_solve."""
+    """Energies of solve_active_set's iterates, one per finest-level linear
+    solve, each projected onto U >= psi; the iterates are read by wrapping
+    solver._linear_solve (the coarse levels' solves, made with a level, are
+    left out)."""
     iterates = []
     solve = solver_mod._linear_solve
 
     def recording(*args, **kwargs):
         x, its = solve(*args, **kwargs)
-        iterates.append(x.copy())
+        if kwargs.get("level", 0) == 0:
+            iterates.append(x.copy())
         return x, its
 
     monkeypatch.setattr(solver_mod, "_linear_solve", recording)

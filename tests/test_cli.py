@@ -207,16 +207,22 @@ def test_manifest_reports_point_nearest_origin(tmp_path):
     assert manifest["classification_x0"] == nearest["x0"]
     assert manifest["classification_at_origin"] == nearest["class"] == "Regular"
     assert manifest["solver_iterations"] >= 2
-    # at least one CG iteration per active-set solve
+    # at least one CG iteration per finest-level solve
     assert manifest["solver_inner_iterations"] >= manifest["solver_iterations"]
-    # one record per active-set solve; the last is the tight one, whose
-    # stop is the natural residual at the config's tol
-    *loose, last = manifest["solver_steps"]
+    # one record per active-set solve, the coarse levels' first, coarsest
+    # first; the finest level's last is the tight one, whose stop is the
+    # natural residual at the config's tol
+    steps = manifest["solver_steps"]
+    levels = [s["level"] for s in steps]
+    assert levels == sorted(levels, reverse=True) and levels[0] > 0
+    *loose, last = [s for s in steps if s["level"] == 0]
     assert len(loose) + 1 == manifest["solver_iterations"]
-    assert all(s == {"active": s["active"], "cg_iterations": s["cg_iterations"],
-                     "rtol": solver_mod.ACTIVE_SET_LOOSE_RTOL} for s in loose)
-    assert last == {"active": last["active"], "cg_iterations": last["cg_iterations"], "tol": 1e-10}
-    assert loose[0]["active"] == 0 and last["active"] > 0
+    assert all(s == {"level": s["level"], "active": s["active"], "cg_iterations": s["cg_iterations"],
+                     "rtol": solver_mod.ACTIVE_SET_LOOSE_RTOL} for s in steps[:-1])
+    assert last == steps[-1] == {"level": 0, "active": last["active"],
+                                 "cg_iterations": last["cg_iterations"], "tol": 1e-10}
+    # the first finest-level set is predicted from the nested start
+    assert loose[0]["active"] > 0 and last["active"] > 0
     assert manifest["solver_final_update"] <= 1e-10
 
 

@@ -123,10 +123,11 @@ def test_full_contact_min_gap_ignores_trace_magnitude():
 
 
 def test_energy_monotone_across_active_set_steps(monkeypatch):
-    grid = sg.build_grid(1, 1.0, 1 / 32, 1 / 32, 0.25)
-    problem = sg.make_problem(grid, boundary=profile_boundary(grid, 0.25))
+    # from the nested start, a grid fine enough for three finest-level solves
+    grid = sg.build_grid(1, 1.0, 1 / 128, 1 / 128, 0.5)
+    problem = sg.make_problem(grid, boundary=profile_boundary(grid, 0.5))
     form = sg.assemble_energy(grid, problem)
-    # the iterate of every linear solve, projected onto U >= psi
+    # the iterate of every finest-level linear solve, projected onto U >= psi
     e = active_set_energies(form, problem, monkeypatch)
     assert len(e) >= 3
     scale = abs(e[0]) + abs(e[-1])
@@ -160,6 +161,21 @@ def _profile_problem_a05():
     return grid, problem, sg.assemble_energy(grid, problem)
 
 
+def _steep_dome_problem():
+    # the steepest surveyed tilt, 0.45, with the dome obstacle 0.3 - x1^2 - 2 x2^2
+    grid = sg.build_grid(2, 1.0, 1 / 16, 1 / 16, 0.5)
+    off = {"poly": [[0.45, [0, 0]], [0.1, [1, 0]]]}
+    coeff = sg.build_coefficients(grid, [[TILTED_B[0][0], off], [off, 1.0]])
+    dome = {"poly": [[0.3, [0, 0]], [-1.0, [2, 0]], [-2.0, [0, 2]]]}
+    problem = sg.make_problem(grid, coeff=coeff, psi=dome, boundary=0.0)
+    return grid, problem, sg.assemble_energy(grid, problem)
+
+
+def _fine_steps(sol):
+    """The records of the finest level's solves."""
+    return [s for s in sol.steps if s["level"] == 0]
+
+
 @pytest.mark.parametrize("case", [_profile_problem_a05, _tilted_n2_problem],
                          ids=["n1_a05", "n2_tilted"])
 def test_active_set_start_matches_cold_psor(case):
@@ -167,7 +183,7 @@ def test_active_set_start_matches_cold_psor(case):
     sol = sg.solve_active_set(form, problem)
     ref = psor_reference(form, problem, 1e-13)
     assert sol.active.any() and not sol.active.all()
-    assert 2 <= sol.iterations == len(sol.steps) < solver_mod.ACTIVE_SET_MAX_STEPS
+    assert 2 <= sol.iterations == len(_fine_steps(sol)) < solver_mod.ACTIVE_SET_MAX_STEPS
     assert sol.final_residual <= sol.tol
     assert np.abs(sol.U - ref).max() <= 1e-9
 
@@ -195,21 +211,18 @@ def test_natural_residual_certifies_the_solve():
 
 
 def test_dome_obstacle_under_a_steep_tilt_settles():
-    # the steepest surveyed tilt, 0.45, with the dome obstacle 0.3 - x1^2 - 2 x2^2
-    grid = sg.build_grid(2, 1.0, 1 / 16, 1 / 16, 0.5)
-    off = {"poly": [[0.45, [0, 0]], [0.1, [1, 0]]]}
-    coeff = sg.build_coefficients(grid, [[TILTED_B[0][0], off], [off, 1.0]])
-    dome = {"poly": [[0.3, [0, 0]], [-1.0, [2, 0]], [-2.0, [0, 2]]]}
-    problem = sg.make_problem(grid, coeff=coeff, psi=dome, boundary=0.0)
-    sol = sg.solve_active_set(sg.assemble_energy(grid, problem), problem)
+    grid, problem, form = _steep_dome_problem()
+    sol = sg.solve_active_set(form, problem)
     assert sol.active.any() and not sol.active.all()
     assert sol.iterations <= 10
     assert sol.final_residual <= sol.tol
 
 
 def test_nonconvergence_raises_with_iterate(monkeypatch):
-    # a cap of one solve: the unconstrained first solve predicts a new set
-    grid, problem, form = _profile_problem_a05()
+    # a cap of one solve per level: the first finest-level solve, from a
+    # nested start capped too, predicts a new set; on the dome it still
+    # leaves free thin nodes below the obstacle
+    grid, problem, form = _steep_dome_problem()
     monkeypatch.setattr(solver_mod, "ACTIVE_SET_MAX_STEPS", 1)
     with pytest.raises(NonconvergedError, match="did not settle") as exc:
         sg.solve_active_set(form, problem)
@@ -233,14 +246,18 @@ def test_active_set_cap_falls_back_to_psor(monkeypatch):
 
 
 def test_failed_cg_raises_with_iterate(monkeypatch):
-    # CG fails on the second solve: the last iterate is the first solve's,
-    # set to psi on the active set it predicted
+    # CG fails on the second finest-level solve (a right-hand side of the
+    # grid's length): the last iterate is the first solve's, set to psi on
+    # the active set it predicted
     grid, problem, form = _tilted_n2_problem()
     cg, calls = solver_mod._cg, []
 
-    def failing_second(*args):
-        calls.append(args)
-        return (None, solver_mod.CG_MAX_ITER) if len(calls) == 2 else cg(*args)
+    def failing_second(matvec, psolve, b, *args):
+        if len(b) == grid.n_nodes:
+            calls.append(b)
+            if len(calls) == 2:
+                return None, solver_mod.CG_MAX_ITER
+        return cg(matvec, psolve, b, *args)
 
     monkeypatch.setattr(solver_mod, "_cg", failing_second)
     with pytest.raises(NonconvergedError, match="CG failed") as exc:
@@ -250,6 +267,44 @@ def test_failed_cg_raises_with_iterate(monkeypatch):
     assert U.shape == grid.node_shape and np.all(np.isfinite(U))
     assert (U[free_thin] == 0.0).any()
     assert exc.value.final_residual > 0
+
+
+def test_failed_coarse_cg_leaves_the_solve_to_the_finest_level(monkeypatch):
+    # every coarse-level CG fails: each ends its level's steps, and the
+    # finest level still reaches and certifies the same solution
+    grid, problem, form = _tilted_n2_problem()
+    ref = sg.solve_active_set(form, problem)
+    cg = solver_mod._cg
+
+    def failing_coarse(matvec, psolve, b, *args):
+        if len(b) < grid.n_nodes:
+            return None, solver_mod.CG_MAX_ITER
+        return cg(matvec, psolve, b, *args)
+
+    monkeypatch.setattr(solver_mod, "_cg", failing_coarse)
+    sol = sg.solve_active_set(form, problem)
+    coarse = [s for s in sol.steps if s["level"] > 0]
+    # one failed step per coarse level, coarsest first
+    assert [s["level"] for s in coarse] == list(range(len(coarse), 0, -1))
+    assert all(s["cg_iterations"] == solver_mod.CG_MAX_ITER for s in coarse)
+    assert sol.final_residual <= sol.tol
+    assert np.array_equal(sol.active, ref.active)
+    assert np.abs(sol.U - ref.U).max() <= 5 * sol.tol
+
+
+def test_nested_start_keeps_the_finest_solves_few():
+    # the step count of the finest level stops growing with 1/h (it was 6,
+    # 7 and 7 from the unconstrained start); the coarse levels' steps come
+    # first, coarsest first, each level's ending when its set repeats
+    for h in (1 / 32, 1 / 64, 1 / 128):
+        grid = sg.build_grid(1, 1.0, h, h, 0.5)
+        problem = sg.make_problem(grid, boundary=profile_boundary(grid, 0.5))
+        sol = sg.solve_active_set(sg.assemble_energy(grid, problem), problem, tol=1e-10)
+        levels = [s["level"] for s in sol.steps]
+        assert levels == sorted(levels, reverse=True)
+        assert set(levels) == set(range(len(solver_mod._prolongations(grid)) + 1))
+        assert sol.iterations == levels.count(0) <= 3
+        assert sol.final_residual <= sol.tol
 
 
 def _embedded_system(n, h, a, graded=False):
@@ -296,11 +351,11 @@ def _multigrid(form, fixed):
     return mg
 
 
-def _fresh_masked_levels(A, fixed, grid):
-    """Reference hierarchy built from scratch: D A D on the finest level,
+def _fresh_masked_levels(A, fixed, grid, level=0):
+    """Reference hierarchy built from scratch: D A D on the given level,
     then R~ A_l P~ with the prolongations masked to D_f P D_c."""
     levels = [_embedded_matrix(A, fixed) - sp.diags(fixed.astype(float))]
-    for P, coarse, _ in solver_mod._prolongations(grid):
+    for P, coarse, _ in solver_mod._prolongations(grid)[level:]:
         fixed_c = fixed[coarse]
         P = sp.diags((~fixed).astype(float)) @ P @ sp.diags((~fixed_c).astype(float))
         levels.append((P.T.tocsr() @ levels[-1] @ P).tocsr())
@@ -347,6 +402,42 @@ def test_updated_hierarchy_equals_a_fresh_masked_build(n, h, a, graded):
             row_max = abs(ref).max(axis=1).toarray().ravel()
             err = abs(ours - ref).max(axis=1).toarray().ravel()
             assert np.all(err <= 4 * np.finfo(float).eps * row_max)
+
+
+# the embedded cases whose grid has a coarse level
+@pytest.mark.parametrize("n, h, a, graded", [
+    (1, 1 / 96, 0.0, False), (1, 1 / 96, 0.75, False), (1, 1 / 97, 0.0, False),
+    (1, 1 / 97, 0.75, False), (1, 1 / 33, 0.5, True), (2, 1 / 8, 0.5, False),
+    (2, 1 / 13, 0.5, False)])
+def test_coarse_level_update_equals_a_fresh_masked_build(n, h, a, graded):
+    # an update of level 1 with every third of its thin rows fixed keeps
+    # the finest level and rebuilds the coarser ones from level 1's
+    # operator; a linear solve on level 1 then matches a direct solve
+    grid, form, _, _ = _embedded_system(n, h, a, graded)
+    mg = solver_mod._Multigrid(form.stiffness, form.dirichlet, grid)
+    ops0, keep0 = mg.ops[0], mg.keeps[0]
+    A = mg.ops[1]
+    ny = solver_mod._prolongations(grid)[0][2]  # level 1's y layers
+    fixed = ~mg.keeps[1]
+    thin = np.flatnonzero(~fixed & (np.arange(A.shape[0]) % ny == 0))
+    fixed[thin[::3]] = True
+    mg.update(A, fixed, level=1)
+    assert mg.ops[0] is ops0 and mg.keeps[0] is keep0 and mg.ops[1] is A
+    fresh = _fresh_masked_levels(A, fixed, grid, level=1)
+    assert len(mg.ops) == len(fresh) + 1
+    for ours, ref in zip(mg.ops[2:], fresh[1:]):
+        row_max = abs(ref).max(axis=1).toarray().ravel()
+        err = abs(ours - ref).max(axis=1).toarray().ravel()
+        assert np.all(err <= 4 * np.finfo(float).eps * row_max)
+    load = np.random.default_rng(3).standard_normal(A.shape[0]) * ~fixed
+    W = np.zeros(A.shape[0])
+    W[thin[::3]] = 0.05
+    x, its = solver_mod._linear_solve(mg, load, W, TIGHT_RTOL, level=1)
+    free = ~fixed
+    ref = W.copy()
+    ref[free] = spla.spsolve(A[free][:, free].tocsc(), -(load[free] + A[free][:, fixed] @ W[fixed]))
+    assert its > 0 and np.array_equal(x[fixed], W[fixed])
+    assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 @EMBEDDED_CASES
@@ -454,14 +545,15 @@ def test_loose_solve_forms_its_starting_residual_once(n, h, a, graded):
 def test_loose_then_tight_active_set_matches_tight_only(case, monkeypatch):
     grid, problem, form = case()
     sol = sg.solve_active_set(form, problem, tol=1e-13)
-    *loose, last = sol.steps
-    # every new set is solved loosely; the last solve re-solves the set
-    # the loose solve before it repeated, to the natural-residual stop
-    assert all(s["rtol"] == solver_mod.ACTIVE_SET_LOOSE_RTOL for s in loose)
-    assert last["tol"] == 1e-13 and "rtol" not in last
+    *loose, last = _fine_steps(sol)
+    # every new set is solved loosely, on every level; the last solve
+    # re-solves the set the loose solve before it repeated, to the
+    # natural-residual stop
+    assert all(s["rtol"] == solver_mod.ACTIVE_SET_LOOSE_RTOL for s in sol.steps[:-1])
+    assert last == sol.steps[-1] and last["tol"] == 1e-13 and "rtol" not in last
     assert loose[-1]["active"] == last["active"] > 0
     assert all(s["cg_iterations"] > 0 for s in loose)
-    assert sol.iterations == len(sol.steps)
+    assert sol.iterations == len(loose) + 1
     monkeypatch.setattr(solver_mod, "ACTIVE_SET_LOOSE_RTOL", 1e-14)
     tight = sg.solve_active_set(form, problem, tol=1e-13)
     assert all(s["rtol"] == 1e-14 for s in tight.steps[:-1])
