@@ -149,7 +149,7 @@ class ExperimentConfig:
                 if key != "method":
                     _require(f"{name}.{key}", value, KEY_TYPES[key])
         if self.r_grid:  # a set r_grid must give the profile stage its radii on this grid
-            default_r_grid(build_grid(self.n, self.R, self.hx, self.hy, self.a), **self.r_grid)
+            default_r_grid(_grid(self), **self.r_grid)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -165,16 +165,23 @@ def _resolve_boundary(cfg: ExperimentConfig, grid):
     return spec, None
 
 
-def build_experiment(cfg: ExperimentConfig):
-    grid = build_grid(cfg.n, cfg.R, cfg.hx, cfg.hy, cfg.a)
+def _grid(cfg: ExperimentConfig):
+    return build_grid(cfg.n, cfg.R, cfg.hx, cfg.hy, cfg.a)
+
+
+def build_experiment(cfg: ExperimentConfig, grid=None):
+    """(grid, problem, reference) of the config; grid, when given, is the
+    config's grid, already built."""
+    if grid is None:
+        grid = _grid(cfg)
     coeff = build_coefficients(grid, cfg.coefficients)
     boundary, ref = _resolve_boundary(cfg, grid)
     problem = make_problem(grid, coeff=coeff, psi=cfg.obstacle, f=cfg.source, boundary=boundary)
     return grid, problem, ref
 
 
-def run_solve(cfg: ExperimentConfig):
-    grid, problem, ref = build_experiment(cfg)
+def run_solve(cfg: ExperimentConfig, grid=None):
+    grid, problem, ref = build_experiment(cfg, grid)
     form = assemble_energy(grid, problem)
     s = cfg.solver
     if s.get("method", "psor") == "penalized":
@@ -234,11 +241,12 @@ def _csv_cell(v) -> str:
 
 
 # The pipeline. Each stage reads and extends `res`, the run's in-memory
-# results, adds its entries to res["manifest"], and returns its artifacts.
+# results (the config's grid, built once, among them), adds its entries to
+# res["manifest"], and returns its artifacts.
 
 
 def _solve(cfg: ExperimentConfig, res: dict) -> dict:
-    _, problem, form, sol, ref = run_solve(cfg)
+    _, problem, form, sol, ref = run_solve(cfg, res["grid"])
     res.update(problem=problem, sol=sol)
     res["manifest"].update(
         solver_iterations=sol.iterations,
@@ -330,9 +338,9 @@ def _pipeline(cfg: ExperimentConfig, out_dir, verb: str, quiet: bool = True,
     manifest = {"config": cfg.to_dict(), "version": __version__, "stage_s": {},
                 "environment": {"python": platform.python_version(), "numpy": np.__version__,
                                 "scipy": scipy.__version__}}
-    res = {"manifest": manifest, "blowup_at": blowup_at}
+    res = {"manifest": manifest, "blowup_at": blowup_at, "grid": _grid(cfg)}
     if "profile" in VERBS[verb]:  # radii that miss the grid exit before the solve
-        res["r_grid"] = default_r_grid(build_grid(cfg.n, cfg.R, cfg.hx, cfg.hy, cfg.a), **cfg.r_grid)
+        res["r_grid"] = default_r_grid(res["grid"], **cfg.r_grid)
     for name in VERBS[verb]:
         t = time.perf_counter()
         _write(out_dir, STAGES[name](cfg, res))

@@ -169,7 +169,7 @@ def build_coefficients(grid: Grid, description=None) -> CoefficientField:
         if not (isinstance(entries, (list, tuple)) and len(entries) == n
                 and all(isinstance(row, (list, tuple)) and len(row) == n for row in entries)):
             raise InvalidCoefficientError(
-                f"coefficient description must be {n}x{n}, got {description!r}")
+                f"field 'coefficients' must be {n}x{n}, got {description!r}")
 
         fields = [[scalar_field(entry, n) for entry in row] for row in entries]
 
@@ -241,16 +241,22 @@ def make_problem(
     thin_pts = _thin_points(grid)
     node_pts = _node_points(grid)
 
-    psi_arr = psi if isinstance(psi, np.ndarray) else scalar_field(psi, grid.n)(thin_pts)
+    def values(name, spec, points):
+        """A table as given, or a description's values at the points; a
+        malformed description's message names its field."""
+        if isinstance(spec, np.ndarray):
+            return spec
+        try:
+            evaluate = scalar_field(spec, points.shape[-1])
+        except InvalidConfigurationError as exc:
+            raise InvalidConfigurationError(f"field '{name}': {exc}") from None
+        return evaluate(points)
+
+    psi_arr = values("obstacle", psi, thin_pts)
     if psi_arr.shape != thin_pts.shape[:-1]:
         raise InvalidConfigurationError("obstacle table has wrong shape")
-
-    f_arr = f if isinstance(f, np.ndarray) else scalar_field(f, grid.n + 1)(node_pts)
-    f_arr = np.broadcast_to(f_arr, grid.node_shape).copy()
-
-    bnd_arr = (boundary if isinstance(boundary, np.ndarray)
-               else scalar_field(boundary, grid.n + 1)(node_pts))
-    bnd_arr = np.broadcast_to(bnd_arr, grid.node_shape).copy()
+    f_arr = np.broadcast_to(values("source", f, node_pts), grid.node_shape).copy()
+    bnd_arr = np.broadcast_to(values("boundary", boundary, node_pts), grid.node_shape).copy()
 
     for name, arr in (("obstacle", psi_arr), ("source", f_arr), ("boundary", bnd_arr)):
         if not np.all(np.isfinite(arr)):

@@ -39,10 +39,6 @@ class SymmetricForm:
     thin_rows: np.ndarray  # flat indices of thin non-Dirichlet unknowns
     dirichlet: np.ndarray  # flat bool mask
 
-    @property
-    def diag(self) -> np.ndarray:
-        return self.stiffness.diagonal()
-
 
 def _local_matrices(n: int, hx: float):
     """Constant local quadratic forms on the reference cell.
@@ -225,9 +221,3 @@ def cell_energy_density(grid: Grid, problem: ProblemSpec, U: np.ndarray) -> np.n
 def cell_average(grid: Grid, U: np.ndarray) -> np.ndarray:
     """Corner-average of a node field per cell."""
     return np.asarray(U, dtype=float).ravel()[grid.cell_corners].mean(axis=1).reshape(grid.cell_shape)
-
-
-def energy(form: SymmetricForm, U: np.ndarray) -> float:
-    """Objective 1/2 <KU,U> + <load,U>."""
-    u = np.asarray(U, dtype=float).ravel()
-    return float(0.5 * u @ (form.stiffness @ u) + form.load @ u)

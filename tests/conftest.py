@@ -11,7 +11,6 @@ import pytest
 import signorini as sg
 import signorini.solver as solver_mod
 from signorini.grid import _layer_transmissibilities, _weighted_layer_integrals
-from signorini.operator import energy
 
 
 # the benchmark's tilted B: off-diagonal, so K is not an M-matrix
@@ -253,6 +252,12 @@ def psor_reference(form, problem, tol: float, start=None) -> np.ndarray:
         if delta <= tol:
             return U.reshape(grid.node_shape)
     raise AssertionError(f"reference PSOR did not reach tol={tol:g}")
+
+
+def energy(form, U) -> float:
+    """Test-local objective of the discrete problem, 1/2 <KU,U> + <load,U>."""
+    u = np.asarray(U, dtype=float).ravel()
+    return float(0.5 * u @ (form.stiffness @ u) + form.load @ u)
 
 
 def active_set_energies(form, problem, monkeypatch) -> list:

@@ -27,7 +27,7 @@ def write_config(tmp_path, name="config.json", **overrides):
         "hy": 1 / 32,
         "boundary": "oracle:signorini_profile",
         "solver": {"method": "psor", "omega": 1.9},
-        "r_grid": {"count": 15, "r_min": 0.15},
+        "r_grid": {"count": 15},
         "seed": 0,
     }
     cfg.update(overrides)
@@ -43,13 +43,14 @@ def test_invalid_config_names_field(tmp_path, capsys):
     assert "'a'" in capsys.readouterr().err
 
 
-def test_unknown_field_rejected(tmp_path):
+def test_unknown_field_rejected(tmp_path, capsys):
     path = write_config(tmp_path)
     raw = json.loads(path.read_text())
     raw["bogus_field"] = 1
     path.write_text(json.dumps(raw))
     rc = cli.main(["diagnose", "--config", str(path), "--out", str(tmp_path / "out")])
     assert rc == 2
+    assert "'bogus_field'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name,value,key", [
@@ -90,20 +91,22 @@ def test_config_type_errors_exit_before_the_solve(tmp_path, capsys, name, value)
 @pytest.mark.parametrize("name,value", [
     ("obstacle", "abc"), ("coefficients", "x"), ("obstacle", {"poly": "x"}),
     ("obstacle", {"poly": [[1, [0, 0, 5]]]}), ("source", {"poly": [["a", [0]]]}),
-    ("output", 5), ("source", "2.5"), ("obstacle", True),
+    ("output", 5), ("source", "2.5"), ("obstacle", True), ("boundary", "oracle"),
+    ("boundary", {"poly": [[1, [0.5]]]}),
 ])
 def test_malformed_data_specs_exit_before_the_solve(tmp_path, capsys, monkeypatch, name, value):
     # a number is a real non-bool value, and a poly term a number with at
     # most dim integer exponents; anything else exits 2 with a message
+    # that names the field
     def no_solve(*args, **kwargs):
         raise AssertionError("the solver ran")
 
     monkeypatch.setattr(cli, "solve_active_set", no_solve)
-    path = write_config(tmp_path, hx=1 / 8, hy=1 / 8, r_grid={}, **{name: value})
+    path = write_config(tmp_path, hx=1 / 8, hy=1 / 8, **{name: value})
     out = tmp_path / "out"
     assert cli.main(["solve", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("invalid configuration: ") and "r_grid" not in err
+    assert err.startswith(f"invalid configuration: field '{name}'")
     assert not out.exists()
 
 
@@ -186,6 +189,26 @@ def test_diagnose_profile_pipeline(tmp_path, capsys):
     assert comp["min_gap_max"] <= 1e-8
     # n = 1's 64-point rules are too few samples to deal out
     assert manifest["profile_processes"] == manifest["identities_processes"] == 1
+
+
+def test_diagnose_builds_the_grid_once(tmp_path, monkeypatch):
+    # the profile stage's radii and the solve read one grid, in a run of a
+    # config with radii (whose check builds a grid when the config is read)
+    # and in one without
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return sg.build_grid(*args)
+
+    cfg = cli.ExperimentConfig.from_json(write_config(tmp_path, hx=1 / 16, hy=1 / 16))
+    monkeypatch.setattr(cli, "build_grid", counting)
+    cli.run(cfg, tmp_path / "run", quiet=True)
+    assert calls == [(1, 1.0, 1 / 16, 1 / 16, 0.0)]
+    path = write_config(tmp_path, hx=1 / 16, hy=1 / 16, r_grid={})
+    assert cli.main(["diagnose", "--config", str(path), "--out", str(tmp_path / "main"),
+                     "--quiet"]) == 0
+    assert len(calls) == 2
 
 
 def test_manifest_reports_point_nearest_origin(tmp_path):
@@ -377,7 +400,7 @@ def test_sweep_csv_quotes_cells_with_commas(tmp_path):
     assert rows[2][1] == "ok"
 
 
-def test_oracle_verb_and_failure_exit_code(tmp_path):
+def test_oracle_verb_and_failure_exit_code(tmp_path, capsys):
     out = tmp_path / "oracle"
     rc = cli.main(["oracle", "--kind", "signorini_profile", "--a", "0.5",
                    "--out", str(out), "--quiet"])
@@ -388,6 +411,7 @@ def test_oracle_verb_and_failure_exit_code(tmp_path):
     rc = cli.main(["oracle", "--kind", "signorini_profile", "--a", "1.0",
                    "--out", str(tmp_path / "o2"), "--quiet"])
     assert rc == 2 and not (tmp_path / "o2").exists()
+    assert "a must lie in (-1,1)" in capsys.readouterr().err
 
 
 def test_module_entry_point_exits_with_main_code(tmp_path):
@@ -397,22 +421,24 @@ def test_module_entry_point_exits_with_main_code(tmp_path):
 
     def entry(*args):
         return subprocess.run([sys.executable, "-m", "signorini.cli", *args], env=env,
-                              capture_output=True, text=True, timeout=120).returncode
+                              capture_output=True, text=True, timeout=120)
 
     out = tmp_path / "oracle"
     assert entry("oracle", "--kind", "signorini_profile", "--a", "0.5", "--out", str(out),
-                 "--quiet") == 0
+                 "--quiet").returncode == 0
     assert (out / "angular_profile.csv").is_file() and (out / "oracle.json").is_file()
-    assert entry("oracle", "--kind", "bogus", "--a", "0.5", "--out", str(out)) == 2
+    bad = entry("oracle", "--kind", "bogus", "--a", "0.5", "--out", str(out))
+    assert bad.returncode == 2 and "kind 'bogus'" in bad.stderr
 
 
-def test_oracle_takes_the_grid_range_of_a_but_experiments_keep_0_to_1(tmp_path):
+def test_oracle_takes_the_grid_range_of_a_but_experiments_keep_0_to_1(tmp_path, capsys):
     assert cli.main(["oracle", "--kind", "signorini_profile", "--a", "-0.5",
                      "--out", str(tmp_path / "oracle"), "--quiet"]) == 0
     meta = json.loads((tmp_path / "oracle" / "oracle.json").read_text())
     assert meta["kappa"] == 1.75
     path = write_config(tmp_path, a=-0.5)
     assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "field 'a'" in capsys.readouterr().err
     grid = sg.build_grid(1, 1.0, 0.25, 0.25, -0.5)
     with pytest.raises(InvalidConfigurationError):
         sg.make_problem(grid)
@@ -478,11 +504,12 @@ def test_sweep_empty_values(tmp_path):
     assert len(lines) == 1  # header only
 
 
-def test_sweep_unknown_parameter(tmp_path):
+def test_sweep_unknown_parameter(tmp_path, capsys):
     path = write_config(tmp_path)
     rc = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "s"),
                    "--param", "nope", "--values", "1", "--quiet"])
     assert rc == 2
+    assert "'nope'" in capsys.readouterr().err
 
 
 def test_n2_classify_writes_graph(tmp_path):

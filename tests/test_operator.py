@@ -8,9 +8,9 @@ import scipy.sparse as sp
 from scipy.integrate import quad
 
 import signorini as sg
-from signorini.operator import _energy_terms, cell_energy_density, energy, interior_mask
+from signorini.operator import _energy_terms, cell_energy_density, interior_mask
 
-from conftest import TILTED_B, graded_grid, profile_boundary
+from conftest import TILTED_B, energy, graded_grid, profile_boundary
 
 
 def make_identity_problem(n, h, a):
