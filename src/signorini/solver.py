@@ -3,8 +3,10 @@
 Obstacle solver: the primal-dual active-set method on the complementarity
 system
     min { 1/2 <KU,U> + <load,U> : U >= psi on thin nodes, U = g outside },
-which stops when its natural residual (the largest projected Jacobi
-update) is at most tol.
+started from the same problem solved on each coarse level of the solve's
+multigrid hierarchy, coarsest first (nested iteration), and stopped when
+its natural residual (the largest projected Jacobi update) is at most
+tol.
 Cross-validation solver: the smooth penalization with boundary term
 beta_eps, solved by damped Newton.
 """
@@ -91,13 +93,16 @@ MG_COARSEST_NODES = 500
 MG_SWEEPS = 2
 MG_DAMPING = 0.7
 CG_MAX_ITER = 500
-# CG tolerance of an active set's first solve, relative to the residual it
-# starts from: only its predicted active set is read, and the tight solve
-# of the set it settles on certifies it. Over the benchmark configs at
-# h = 1/64 to 1/256 (n = 1) and 1/8 to 1/32 (n = 2), 1e-1 took the fewest
-# CG iterations, 108 in 37 solves (tight only: 340 in 34; 1e-2: 127 in 35;
-# 1e-6: 228 in 34), and no tight solve rejected a set at any value from
-# 1e-8 to 1e-1.
+# CG tolerance of an active set's first solve, on every level, relative to
+# the residual it starts from: only its predicted active set is read, and
+# the tight solve of the set it settles on certifies it. From the nested
+# start, over the benchmark configs (seed 0, tol 1e-10) at h = 1/64 to
+# 1/256 (n = 1) and 1/8 to 1/32 (n = 2), the finest level took 67 CG
+# iterations in 14 solves at 1e-2 (50 more in 33 coarse-level solves);
+# 3e-2 to 1e-3 took 67 or 68 in 14, 1e-4 75 in 15, 1e-6 90 in 16 and
+# 1e-8 105 in 16. At 1e-1 a one-iteration loose solve confirmed a wrong
+# set, which a tight solve rejected: 76 in 18. No tight solve rejected a
+# set at any value from 1e-8 to 3e-2.
 ACTIVE_SET_LOOSE_RTOL = 1e-2
 # Newton steps and CG tolerance of the penalized solve.
 NEWTON_MAX_STEPS = 60
@@ -309,9 +314,10 @@ def _linear_solve(mg: _Multigrid, load: np.ndarray, U: np.ndarray, tol: float,
 
     Runs CG on D A D, D = diag(~fixed), with the fixed values moved to the
     right-hand side, from U's free values, preconditioned by one V-cycle
-    of mg from that level. It stops at a residual norm of tol times that of the right-hand
-    side of the embedded system D A D + I_fixed, whose fixed rows carry
-    U's fixed values, or with loose, tol times that of U's own residual.
+    of mg from that level. It stops at a residual norm of tol times that
+    of the right-hand side of the embedded system D A D + I_fixed, whose
+    fixed rows carry U's fixed values, or with loose, tol times that of
+    U's own residual.
     With scale it stops instead when every free node's residual times
     scale is at most tol in size. A must be symmetric and positive
     definite on the free nodes.
@@ -339,10 +345,12 @@ def _linear_solve(mg: _Multigrid, load: np.ndarray, U: np.ndarray, tol: float,
 # primal-dual active-set solver
 # ---------------------------------------------------------------------------
 
-# Most linear solves of the active-set iteration. With an off-diagonal thin
-# coefficient K is not an M-matrix, and the iteration is then not known to
-# settle; 54 surveyed configs (n = 1, 2, a up to 0.9, tilts up to 0.45,
-# three obstacle shapes) settled within 9 solves.
+# Most linear solves of the active-set iteration on each level. With an
+# off-diagonal thin coefficient K is not an M-matrix, and the iteration is
+# then not known to settle; 54 surveyed configs (n = 1, 2, a up to 0.9,
+# tilts up to 0.45, three obstacle shapes) settled within 5 finest-level
+# solves from the nested start (9 from the unconstrained one), and within
+# 10 solves over all levels.
 ACTIVE_SET_MAX_STEPS = 20
 
 
@@ -480,7 +488,6 @@ def solve_active_set(
     active = _predicted(K_thin, c, load, U, thin, psi)
     fix(active)
     loose = True
-    fine = 0
     for fine in range(1, ACTIVE_SET_MAX_STEPS + 1):
         U[thin[active]] = psi[active]
         if loose:
