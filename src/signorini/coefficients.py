@@ -171,7 +171,10 @@ def build_coefficients(grid: Grid, description=None) -> CoefficientField:
             raise InvalidCoefficientError(
                 f"field 'coefficients' must be {n}x{n}, got {description!r}")
 
-        fields = [[scalar_field(entry, n) for entry in row] for row in entries]
+        try:
+            fields = [[scalar_field(entry, n) for entry in row] for row in entries]
+        except InvalidConfigurationError as exc:
+            raise InvalidConfigurationError(f"field 'coefficients': {exc}") from None
 
         def ev(points):
             points = np.asarray(points, dtype=float)

@@ -184,14 +184,16 @@ class _Multigrid:
 
     Built once per solve from K and the Dirichlet mask: the grid's
     _prolongations and each coarse level's Galerkin product off its two
-    lowest y layers, then updated to D K D with the Dirichlet nodes fixed. A coarse row above those layers reads only fine rows
-    above the fine level's two lowest layers, and the operators couple
-    only adjacent layers, so no such row sees a thin node; update(A,
-    fixed) recomputes just the rows of the two lowest layers, which hold
-    every thin row and every thin column. The masks act on vectors: the
-    matvec is y = A x; y *= keep, restricted residuals and prolonged
-    corrections are multiplied by keep, and no masked copy of A or P is
-    made.
+    lowest y layers, then updated to D K D with the Dirichlet nodes
+    fixed. A coarse row above those layers reads only fine rows above the
+    fine level's two lowest layers, and the operators couple only
+    adjacent layers, so no such row sees a thin node; update(A, fixed,
+    level) recomputes just the rows of the two lowest layers below the
+    level, which hold every thin row and every thin column, and the
+    V-cycle and linear solves can start at any level. The masks act on
+    vectors: the matvec is y = A x; y *= keep, restricted residuals and
+    prolonged corrections are multiplied by keep, and no masked copy of A
+    or P is made.
     """
 
     def __init__(self, K: sp.csr_matrix, dirichlet: np.ndarray, grid: Grid):

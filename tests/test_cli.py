@@ -92,7 +92,7 @@ def test_config_type_errors_exit_before_the_solve(tmp_path, capsys, name, value)
     ("obstacle", "abc"), ("coefficients", "x"), ("obstacle", {"poly": "x"}),
     ("obstacle", {"poly": [[1, [0, 0, 5]]]}), ("source", {"poly": [["a", [0]]]}),
     ("output", 5), ("source", "2.5"), ("obstacle", True), ("boundary", "oracle"),
-    ("boundary", {"poly": [[1, [0.5]]]}),
+    ("boundary", {"poly": [[1, [0.5]]]}), ("coefficients", [["abc"]]),
 ])
 def test_malformed_data_specs_exit_before_the_solve(tmp_path, capsys, monkeypatch, name, value):
     # a number is a real non-bool value, and a poly term a number with at
