@@ -293,9 +293,8 @@ def test_failed_coarse_cg_leaves_the_solve_to_the_finest_level(monkeypatch):
 
 
 def test_nested_start_keeps_the_finest_solves_few():
-    # the step count of the finest level stops growing with 1/h (it was 6,
-    # 7 and 7 from the unconstrained start); the coarse levels' steps come
-    # first, coarsest first, each level's ending when its set repeats
+    # the finest level's step count does not grow with 1/h; the coarse
+    # levels' steps come first, coarsest first
     for h in (1 / 32, 1 / 64, 1 / 128):
         grid = sg.build_grid(1, 1.0, h, h, 0.5)
         problem = sg.make_problem(grid, boundary=profile_boundary(grid, 0.5))
