@@ -116,17 +116,6 @@ class Grid:
         return np.meshgrid(*axes, indexing="ij")
 
     @cached_property
-    def cell_corners(self) -> np.ndarray:
-        """(n_cells, 2^{n+1}) flat node indices of each cell's corners, in
-        the order of corner_offsets(n); built once per grid, read-only."""
-        base = np.meshgrid(*[np.arange(s) for s in self.cell_shape], indexing="ij")
-        cols = []
-        for c in corner_offsets(self.n):
-            idx = tuple(base[d] + c[d] for d in range(self.n + 1))
-            cols.append(np.ravel_multi_index(idx, self.node_shape).ravel())
-        return _read_only(np.stack(cols, axis=1))
-
-    @cached_property
     def evenly_spaced(self) -> tuple:
         """For each node axis (thin axes, then y), whether its nodes are
         evenly spaced (locate's test)."""

@@ -136,15 +136,24 @@ def assemble_energy(grid: Grid, problem: ProblemSpec) -> SymmetricForm:
                    for p in range(len(corners)) for q in range(len(corners))
                    if any(E[p, q] for E, _, _ in terms)}
     offsets = np.unique(list(pair_offset.values()))
+    # pairs whose entries agree in every term share one coefficient array,
+    # kept until its last pair
+    keys = {pair: tuple(E[pair] for E, _, _ in terms) for pair in pair_offset}
+    last = {key: pair for pair, key in keys.items()}
+    coefs = {}
     acc = np.zeros((len(offsets),) + shape)
     for (p, q), offset in pair_offset.items():
-        coef = np.zeros(n_cells)
-        for E, c, m in terms:
-            if E[p, q]:
-                coef += E[p, q] * c * m
+        key = keys[p, q]
+        if key not in coefs:
+            coefs[key] = np.zeros(n_cells)
+            for (E, c, m), e in zip(terms, key):
+                if e:
+                    coefs[key] += e * c * m
         column = np.searchsorted(offsets, offset)
         block = tuple(slice(o, o + s) for o, s in zip(corners[p], cells))
-        acc[(column,) + block] += coef.reshape(cells)
+        acc[(column,) + block] += coefs[key].reshape(cells)
+        if last[key] == (p, q):
+            del coefs[key]
     acc = acc.reshape(len(offsets), grid.n_nodes).T
     nz = acc != 0.0  # the box faces' missing neighbours are zero too
     data = acc[nz]
@@ -205,13 +214,22 @@ def neumann_trace(grid: Grid, U: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _corner_values(grid: Grid, U: np.ndarray) -> np.ndarray:
+    """(n_cells, 2^{n+1}) values of U at each cell's corners, in the order
+    of corner_offsets(n), stacked from corner slices of the node array."""
+    U = np.asarray(U, dtype=float).reshape(grid.node_shape)
+    corners = corner_offsets(grid.n)
+    return np.stack([U[tuple(slice(o, o + s) for o, s in zip(corner, grid.cell_shape))]
+                     for corner in corners], axis=-1).reshape(-1, len(corners))
+
+
 def cell_energy_density(grid: Grid, problem: ProblemSpec, U: np.ndarray) -> np.ndarray:
     """Per-cell approximation of int_cell <A grad U, grad U> y^a dX.
 
     Uses exactly the assembly's quadratic form, so summing over all
     cells reproduces <KU, U> to round-off.
     """
-    Uc = np.asarray(U, dtype=float).ravel()[grid.cell_corners]  # (n_cells, n_loc)
+    Uc = _corner_values(grid, U)
     e = np.zeros(len(Uc))
     for E, c, m in _energy_terms(grid, problem):
         e += c * m * ((Uc @ E) * Uc).sum(1)
@@ -220,4 +238,4 @@ def cell_energy_density(grid: Grid, problem: ProblemSpec, U: np.ndarray) -> np.n
 
 def cell_average(grid: Grid, U: np.ndarray) -> np.ndarray:
     """Corner-average of a node field per cell."""
-    return np.asarray(U, dtype=float).ravel()[grid.cell_corners].mean(axis=1).reshape(grid.cell_shape)
+    return _corner_values(grid, U).mean(axis=1).reshape(grid.cell_shape)

@@ -112,8 +112,9 @@ NEWTON_CG_RTOL = 1e-12
 def _axis_prolongation(z: np.ndarray) -> tuple:
     """Linear interpolation along one axis from its coarse nodes (the
     even-index nodes plus the last) to all of z, in z's own coordinates.
-    Returns (P, keep): the (len(z), len(keep)) CSR matrix and the fine
-    indices of the coarse nodes."""
+    Returns (P, keep, t): the (len(z), len(keep)) CSR matrix, the fine
+    indices of the coarse nodes, and the weight t of the upper coarse
+    node at each node between two (fine nodes 1, 3, ..., 2 len(t) - 1)."""
     m = len(z)
     keep = np.unique(np.r_[np.arange(0, m, 2), m - 1])
     zc = z[keep]
@@ -122,59 +123,141 @@ def _axis_prolongation(z: np.ndarray) -> tuple:
     P = sp.csr_matrix((np.r_[1.0 - t, t], (np.r_[np.arange(m), np.arange(m)], np.r_[k, k + 1])),
                       shape=(m, len(zc)))
     P.eliminate_zeros()
-    return P, keep
+    return P, keep, t[1:m - 1 - (m + 1) % 2:2]
 
 
-def _prolongations(grid: Grid) -> list:
-    """Full prolongations [(P, coarse_nodes, coarse_ny), ...] from the
-    finest level down: P is the Kronecker product of the axis
-    prolongations (an axis of two nodes maps to itself), coarse_nodes the
-    flat fine indices of the coarse nodes and coarse_ny the coarse level's
-    number of y layers (the last, fastest axis)."""
-    axes = list(grid.xs) + [grid.ys]
-    levels = []
-    while np.prod([len(z) for z in axes]) > MG_COARSEST_NODES and max(len(z) for z in axes) > 2:
-        mats, keeps = zip(*(_axis_prolongation(z) for z in axes))
-        P = mats[0]
-        for Q in mats[1:]:
-            P = sp.kron(P, Q, format="csr")
-        coarse = np.ravel_multi_index(np.meshgrid(*keeps, indexing="ij"),
-                                      [len(z) for z in axes]).ravel()
-        levels.append((P, coarse, len(keeps[-1])))
-        axes = [z[keep] for z, keep in zip(axes, keeps)]
-    return levels
+def _coarsenings(grid: Grid):
+    """The multigrid's coarsening steps, finest first, one at a time, as
+    (T, y, coarse): T the Kronecker product of the thin axes'
+    prolongations, y the _axis_prolongation of the y axis (the last and
+    fastest), and coarse the flat fine indices of the coarse nodes. The
+    full prolongation is kron(T, y[0]); an axis of two nodes maps to
+    itself."""
+    xs, ys = list(grid.xs), grid.ys
+    while np.prod([len(z) for z in xs + [ys]]) > MG_COARSEST_NODES \
+            and max(len(z) for z in xs + [ys]) > 2:
+        thin = [_axis_prolongation(z) for z in xs]
+        y = _axis_prolongation(ys)
+        keep = np.ravel_multi_index(np.meshgrid(*(k for _, k, _ in thin), indexing="ij"),
+                                    [len(z) for z in xs]).ravel()
+        T = functools.reduce(lambda A, B: sp.kron(A, B, format="csr"), [P for P, _, _ in thin])
+        yield T, y, (keep[:, None] * len(ys) + y[1]).ravel()
+        xs, ys = [z[k] for z, (_, k, _) in zip(xs, thin)], ys[y[1]]
 
 
-def _scaled(M: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
-    """Copy of M with entry (i, j) multiplied by rows[i] cols[j]."""
-    M = M.copy()
+def _prolong_y(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Each row of x, given on the coarse y nodes, interpolated to all the
+    y nodes, t the y axis's weights as _axis_prolongation returns them."""
+    q = len(t)
+    out = np.empty((len(x), x.shape[1] + q))
+    out[:, :2 * q + 1:2] = x[:, :q + 1]
+    out[:, -1] = x[:, -1]
+    between, lower = out[:, 1:2 * q:2], x[:, :q]
+    np.subtract(x[:, 1:q + 1], lower, out=between)
+    between *= t
+    between += lower
+    return out
+
+
+def _restrict_y(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The transpose of _prolong_y: each row of y summed onto the coarse y
+    nodes. Overwrites y."""
+    q = len(t)
+    out = np.empty((len(y), y.shape[1] - q))
+    out[:, :q + 1] = y[:, :2 * q + 1:2]
+    out[:, -1] = y[:, -1]
+    between = y[:, 1:2 * q:2]
+    out[:, :q] += between
+    between *= t
+    out[:, :q] -= between
+    out[:, 1:q + 1] += between
+    return out
+
+
+def _scale(M: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
+    """M with entry (i, j) multiplied by rows[i] cols[j], in place."""
     M.data *= np.repeat(rows, np.diff(M.indptr)) * cols[M.indices]
     return M
 
 
-def _galerkin(R: sp.csr_matrix, A, P: sp.csr_matrix, keep: np.ndarray,
-              keep_c: np.ndarray) -> sp.csr_matrix:
-    """The rows that R holds of D_c R D A D P D_c, D = diag(keep) on the
-    fine level and D_c = diag(keep_c) on the coarse one, for R already
-    scaled to D_c R D."""
-    X = R @ A
-    X.data *= keep[X.indices]
-    X = X @ P
-    X.data *= keep_c[X.indices]
-    return X
+# Products of an entry of P' with a row of A per block (at least one
+# coarse y line) of the hierarchy build's Galerkin products, or a quarter
+# of A's entries if more: a block's P' A, the build's largest
+# intermediate, then holds 2 to 4 MB or about a twelfth of A's bytes.
+GALERKIN_BLOCK_PRODUCTS = 2**19
 
 
-@dataclass
 class _Transfer:
-    """One coarsening step of a _Multigrid: the prolongation P, the flat
-    fine indices of the coarse nodes, the rows of P' at the two lowest
-    coarse y layers (other rows empty), and the coarse Galerkin operator
-    off those layers, Dirichlet nodes masked (those rows empty)."""
+    """One coarsening step of a _Multigrid: P = kron(T, Py) by its factors,
+    T the Kronecker product of the thin axes' prolongations (with its
+    transpose TT) and Py the y axis's, with the weights t of Py's rows
+    between two coarse nodes (_axis_prolongation); the flat fine indices
+    of the coarse nodes; and what low_rows reads: the mask of the coarse
+    nodes in the two lowest coarse y layers, the rows of P' there, and the
+    rows of P at the fine layers that those rows of P' A reach.
 
-    P: sp.csr_matrix
-    coarse: np.ndarray
-    R_low: sp.csr_matrix
-    base: sp.csr_matrix
+    restrict and prolong apply T by one sparse product over all y lines
+    and Py by strided slices."""
+
+    def __init__(self, T: sp.csr_matrix, y: tuple, coarse: np.ndarray):
+        self.T, (self.Py, ky, self.t), self.coarse = T, y, coarse
+        self.TT = T.T.tocsr()
+        self.low = np.arange(len(coarse)) % len(ky) <= 1
+        self.R_low = sp.kron(self.TT, self.Py.T.tocsr()[:2], format="csr")
+        # R_low's columns lie at most one fine layer above coarse layer 1,
+        # and an operator couples only adjacent layers
+        self.P_low = sp.kron(T, self.Py[:ky[1] + 3], format="csr")
+
+    def prolong(self, x: np.ndarray) -> np.ndarray:
+        """P x."""
+        return (self.T @ _prolong_y(x.reshape(self.T.shape[1], -1), self.t)).ravel()
+
+    def restrict(self, y: np.ndarray) -> np.ndarray:
+        """P' y."""
+        return _restrict_y(self.TT @ y.reshape(self.T.shape[0], -1), self.t).ravel()
+
+    def galerkin(self, A, keep: np.ndarray, keep_c: np.ndarray) -> sp.csr_matrix:
+        """The coarse operator D_c P' D A D P D_c, D = diag(keep) on the
+        fine level and D_c = diag(keep_c) on the coarse one, formed in
+        blocks of whole coarse y lines: a block's rows of P' and the rows
+        of P that those reach through A are Kronecker products of pieces
+        of T and Py, so the full P is never formed."""
+        PyT = self.Py.T.tocsr()
+        cy, my = self.Py.shape[1], self.Py.shape[0]
+        lines = self.TT.shape[0]
+        products = max(GALERKIN_BLOCK_PRODUCTS, A.nnz // 4)
+        step = max(int(products * lines * A.shape[0] / (self.TT.nnz * PyT.nnz * A.nnz)), 1)
+        step = -(-lines // -(-lines // step))  # blocks of equal size
+        blocks = []
+        for a in range(0, lines, step):
+            R = sp.kron(self.TT[a:a + step], PyT, format="csr")
+            R = _scale(R, keep_c[a * cy:(a + step) * cy], keep)
+            R.eliminate_zeros()
+            X = R @ A
+            del R
+            X.data *= keep[X.indices]
+            lo, hi = (X.indices.min() // my, X.indices.max() // my + 1) if X.nnz else (0, 0)
+            X.indices -= lo * my
+            X = sp.csr_matrix((X.data, X.indices, X.indptr), shape=(X.shape[0], (hi - lo) * my))
+            X = X @ sp.kron(self.T[lo:hi], self.Py, format="csr")
+            X.data *= keep_c[X.indices]
+            blocks.append(X)
+        return blocks[0] if len(blocks) == 1 else sp.vstack(blocks, format="csr")
+
+    def low_rows(self, A, keep: np.ndarray, keep_c: np.ndarray) -> sp.csr_matrix:
+        """The rows of the two lowest coarse y layers of galerkin(A, keep,
+        keep_c), the other rows empty."""
+        X = _scale(self.R_low.copy(), keep_c[self.low], keep) @ A
+        X.data *= keep[X.indices]
+        thin, layer = np.divmod(X.indices, self.Py.shape[0])
+        layers = self.P_low.shape[0] // self.T.shape[0]
+        X = sp.csr_matrix((X.data, thin * layers + layer, X.indptr),
+                          shape=(X.shape[0], self.P_low.shape[0])) @ self.P_low
+        X.data *= keep_c[X.indices]
+        counts = np.zeros(len(keep_c), dtype=X.indptr.dtype)
+        counts[self.low] = np.diff(X.indptr)
+        return sp.csr_matrix((X.data, X.indices, np.r_[0, np.cumsum(counts)]),
+                             shape=(len(keep_c), len(keep_c)))
 
 
 class _Multigrid:
@@ -182,36 +265,45 @@ class _Multigrid:
     stiffness K or K plus a diagonal on thin nodes, and the boolean keep
     is False on the fixed nodes (the Dirichlet nodes and any thin nodes).
 
-    Built once per solve from K and the Dirichlet mask: the grid's
-    _prolongations and each coarse level's Galerkin product off its two
-    lowest y layers, then updated to D K D with the Dirichlet nodes
-    fixed. A coarse row above those layers reads only fine rows above the
-    fine level's two lowest layers, and the operators couple only
-    adjacent layers, so no such row sees a thin node; update(A, fixed,
-    level) recomputes just the rows of the two lowest layers below the
-    level, which hold every thin row and every thin column, and the
+    Each level stores one CSR operator (ops; the finest is the A of the
+    last update, K itself after the build), its keep mask, its diagonal
+    and, above the coarsest, its damped inverse diagonal; the coarsest
+    also stores the inverse of its free block. Each coarsening step
+    stores a _Transfer: the thin axes' and the y axis's factors of the
+    prolongation P, by which the V-cycle and the nested start restrict
+    and prolong, and the few rows of P' and P that an update reads. No
+    full prolongation is stored or formed.
+
+    Built once per solve from K and the Dirichlet mask, each coarse
+    operator the masked Galerkin product of the level above
+    (_Transfer.galerkin). A coarse row above the two lowest y layers reads
+    only fine rows above the fine level's two lowest layers, and the
+    operators couple only adjacent layers, so no such row sees a thin
+    node: update(A, fixed, level) zeroes the rows of those two layers in
+    each operator below the level and adds them recomputed, and the
     V-cycle and linear solves can start at any level. The masks act on
     vectors: the matvec is y = A x; y *= keep, restricted residuals and
     prolonged corrections are multiplied by keep, and no masked copy of A
-    or P is made.
+    is made.
     """
 
     def __init__(self, K: sp.csr_matrix, dirichlet: np.ndarray, grid: Grid):
-        keep = ~dirichlet
-        G = K
-        self.transfers, self.keeps, self.ops, self.wdinv = [], [], [], []
-        for P, coarse, ny in _prolongations(grid):
+        keep, A, diagonal = ~dirichlet, K, K.diagonal()
+        self.transfers, self.ops, self.keeps, self.diagonals, self.wdinv = [], [], [], [], []
+        for T, y, coarse in _coarsenings(grid):
+            self.ops.append(A)
+            self.keeps.append(keep)
+            self.diagonals.append(diagonal)
+            self.wdinv.append(MG_DAMPING * keep / np.where(keep, diagonal, 1.0))
+            self.transfers.append(_Transfer(T, y, coarse))
             keep_c = keep[coarse]
-            low = np.arange(len(coarse)) % ny <= 1
-            # P' split by layer, with each row's entries in order
-            R_low, R_up = (_scaled(P.T.tocsr(), w, cols) for w, cols in
-                           ((low, np.ones(len(keep), dtype=bool)), (~low & keep_c, keep)))
-            R_low.eliminate_zeros()
-            R_up.eliminate_zeros()
-            G = _galerkin(R_up, G, P, keep, keep_c)
-            self.transfers.append(_Transfer(P, coarse, R_low, G))
-            keep = keep_c
-        self.update(K, dirichlet)
+            A = self.transfers[-1].galerkin(A, keep, keep_c)
+            keep, diagonal = keep_c, A.diagonal()
+        self.ops.append(A)
+        self.keeps.append(keep)
+        self.diagonals.append(diagonal)
+        free = np.flatnonzero(keep)
+        self.coarsest = free, np.linalg.inv(A[free][:, free].toarray())
 
     def update(self, A, fixed: np.ndarray, level: int = 0) -> None:
         """Set the operator of the given level to D A D, D = diag(~fixed),
@@ -220,20 +312,21 @@ class _Multigrid:
         nodes. On the finest level A may differ from the K the hierarchy
         was built with only on the thin diagonal; on a coarser one it is
         that level's operator of the last update with the Dirichlet nodes
-        alone fixed."""
-        keep = ~fixed
-        del self.keeps[level:], self.ops[level:], self.wdinv[level:]
-        self.keeps.append(keep)
-        self.ops.append(A)
-        for t in self.transfers[level:]:
-            self.wdinv.append(MG_DAMPING * keep / np.where(keep, A.diagonal(), 1.0))
+        alone fixed. A's diagonal is read only when A is not the level's
+        stored operator."""
+        if A is not self.ops[level]:
+            self.ops[level], self.diagonals[level] = A, A.diagonal()
+        self.keeps[level] = ~fixed
+        for lv in range(level, len(self.transfers)):
+            t, keep = self.transfers[lv], self.keeps[lv]
+            self.wdinv[lv] = MG_DAMPING * keep / np.where(keep, self.diagonals[lv], 1.0)
             keep_c = keep[t.coarse]
-            A = t.base + _galerkin(_scaled(t.R_low, keep_c, keep), A, t.P, keep, keep_c)
-            keep = keep_c
-            self.keeps.append(keep)
-            self.ops.append(A)
-        free = np.flatnonzero(keep)
-        self.coarsest = free, np.linalg.inv(A[free][:, free].toarray())
+            C = self.ops[lv + 1]
+            C.data[np.repeat(t.low, np.diff(C.indptr))] = 0.0
+            C = C + t.low_rows(self.ops[lv], keep, keep_c)
+            self.ops[lv + 1], self.keeps[lv + 1], self.diagonals[lv + 1] = C, keep_c, C.diagonal()
+        free = np.flatnonzero(self.keeps[-1])
+        self.coarsest = free, np.linalg.inv(self.ops[-1][free][:, free].toarray())
 
     def matvec(self, x: np.ndarray, level: int = 0) -> np.ndarray:
         y = self.ops[level] @ x
@@ -263,9 +356,9 @@ class _Multigrid:
         x = self.wdinv[level] * b
         for _ in range(MG_SWEEPS - 1):
             self._smooth(b, x, level)
-        r = t.P.T @ self._residual(b, x, level)
+        r = t.restrict(self._residual(b, x, level))
         r *= self.keeps[level + 1]
-        e = t.P @ self.cycle(r, level + 1)
+        e = t.prolong(self.cycle(r, level + 1))
         e *= self.keeps[level]
         x += e
         for _ in range(MG_SWEEPS):
@@ -273,24 +366,16 @@ class _Multigrid:
         return x
 
 
-def _cg(matvec, psolve, b: np.ndarray, x: np.ndarray, atol: float,
-        scale: np.ndarray | None = None, r: np.ndarray | None = None) -> tuple:
-    """Conjugate gradients for matvec(x) = b, preconditioned by psolve,
-    from x (updated in place) until the recurred residual r has a norm of
-    at most atol, or with scale, until max |scale r| is at most atol. r,
-    when given, is the starting residual b - matvec(x) (overwritten).
+def _cg(matvec, psolve, x: np.ndarray, r: np.ndarray, atol: float,
+        scale: np.ndarray | None = None) -> tuple:
+    """Conjugate gradients for matvec(x) = b, preconditioned by psolve
+    (which returns a new array), from x and its residual r = b - matvec(x),
+    both updated in place, until the recurred residual r has a norm of at
+    most atol, or with scale, until max |scale r| is at most atol.
     Returns (x, iterations), with x None when CG_MAX_ITER iterations do not
     reach atol."""
-    if r is None:
-        r = b - matvec(x)
-    if scale is not None:
-        # the stop test writes scale r over q, which CG has used by then
-        q = np.empty_like(r)
     for it in range(CG_MAX_ITER):
-        if scale is None:
-            size = np.linalg.norm(r)
-        else:
-            size = np.abs(np.multiply(scale, r, out=q), out=q).max()
+        size = np.linalg.norm(r) if scale is None else np.abs(scale * r).max()
         if size <= atol:
             return x, it
         z = psolve(r)
@@ -299,11 +384,12 @@ def _cg(matvec, psolve, b: np.ndarray, x: np.ndarray, atol: float,
             p *= rho / rho_prev
             p += z
         else:
-            p = z.copy()
+            p = z
         q = matvec(p)
         alpha = rho / np.dot(p, q)
         x += alpha * p
         r -= alpha * q
+        del z, q  # the next psolve holds only x, r and p
         rho_prev = rho
     return None, CG_MAX_ITER
 
@@ -327,19 +413,19 @@ def _linear_solve(mg: _Multigrid, load: np.ndarray, U: np.ndarray, tol: float,
     """
     keep = mg.keeps[level]
     fixed = ~keep
-    b = -(load + mg.ops[level] @ np.where(fixed, U, 0.0))
-    b *= keep
+    r = -(load + mg.ops[level] @ np.where(fixed, U, 0.0))  # the right-hand side b
+    r *= keep
+    b_norm = np.linalg.norm(r)
     x = U * keep
     matvec = functools.partial(mg.matvec, level=level)
-    r = None
+    r -= matvec(x)  # the residual CG starts from
     if scale is not None:
         atol = tol
     elif loose:
-        r = b - matvec(x)  # CG starts from this residual
         atol = tol * np.linalg.norm(r)
     else:
-        atol = tol * np.hypot(np.linalg.norm(b), np.linalg.norm(U[fixed]))
-    x, its = _cg(matvec, functools.partial(mg.cycle, level=level), b, x, atol, scale, r)
+        atol = tol * np.hypot(b_norm, np.linalg.norm(U[fixed]))
+    x, its = _cg(matvec, functools.partial(mg.cycle, level=level), x, r, atol, scale)
     return (None if x is None else np.where(fixed, U, x)), its
 
 
@@ -412,14 +498,14 @@ def _nested_start(mg: _Multigrid, load: np.ndarray, thin: np.ndarray, psi: np.nd
         # a coarse node's fine index is t.coarse[node], ascending
         pos = np.minimum(np.searchsorted(t.coarse, thin), len(t.coarse) - 1)
         hit = t.coarse[pos] == thin
-        load = t.P.T @ load
+        load = t.restrict(load)
         load *= keep
         levels.append((load, pos[hit], psi[hit]))
     W = np.zeros(len(levels[-1][0]))
     for level in range(len(mg.transfers), 0, -1):
         load, thin, psi = levels[level]
         A, dirichlet = mg.ops[level], ~mg.keeps[level]
-        A_thin, c = A[thin], A.diagonal()[thin]
+        A_thin, c = A[thin], mg.diagonals[level][thin]
         active = None
         for _ in range(ACTIVE_SET_MAX_STEPS):
             new_active = _predicted(A_thin, c, load, W, thin, psi)
@@ -436,7 +522,7 @@ def _nested_start(mg: _Multigrid, load: np.ndarray, thin: np.ndarray, psi: np.nd
             if x is None:
                 break
             W = x
-        W = mg.transfers[level - 1].P @ W
+        W = mg.transfers[level - 1].prolong(W)
         W *= mg.keeps[level - 1]
     return W
 
@@ -473,14 +559,14 @@ def solve_active_set(
     tol = _default_tol(problem, tol)
     K, load, thin = form.stiffness, form.load, form.thin_rows
     K_thin = K[thin]
-    c = K.diagonal()[thin]
     # flat node index of a thin node is (thin ravel position) * ny
     psi = problem.psi.ravel()[thin // len(grid.ys)]
     U = np.where(form.dirichlet, problem.boundary.ravel(), 0.0)
     mg = _Multigrid(K, form.dirichlet, grid)
+    c = mg.diagonals[0][thin]
     steps = []
     U += _nested_start(mg, np.where(form.dirichlet, 0.0, K @ U + load), thin, psi, steps)
-    dinv = 1.0 / K.diagonal()  # made after the hierarchy, whose build is the peak
+    dinv = 1.0 / mg.diagonals[0]
 
     def fix(active):
         fixed = form.dirichlet.copy()

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from scipy.integrate import quad
 
 import signorini as sg
+from signorini.grid import corner_offsets
 from signorini.operator import _energy_terms, cell_energy_density, interior_mask
 
 from conftest import TILTED_B, energy, graded_grid, profile_boundary
@@ -48,7 +49,10 @@ def _coo_assembly(grid, problem):
     """Reference stiffness from per-cell COO triplets: every cell's
     coefficient for every corner pair (p, q), in the order of p, then q,
     summed into CSR by scipy."""
-    corner_idx = grid.cell_corners
+    base = np.meshgrid(*[np.arange(s) for s in grid.cell_shape], indexing="ij")
+    corner_idx = np.stack([np.ravel_multi_index(tuple(b + o for b, o in zip(base, c)),
+                                                grid.node_shape).ravel()
+                           for c in corner_offsets(grid.n)], axis=1)
     terms = _energy_terms(grid, problem)
     rows, cols, vals = [], [], []
     for p in range(corner_idx.shape[1]):

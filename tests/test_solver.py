@@ -246,18 +246,18 @@ def test_active_set_cap_falls_back_to_psor(monkeypatch):
 
 
 def test_failed_cg_raises_with_iterate(monkeypatch):
-    # CG fails on the second finest-level solve (a right-hand side of the
-    # grid's length): the last iterate is the first solve's, set to psi on
-    # the active set it predicted
+    # CG fails on the second finest-level solve (an iterate of the grid's
+    # length): the last iterate is the first solve's, set to psi on the
+    # active set it predicted
     grid, problem, form = _tilted_n2_problem()
     cg, calls = solver_mod._cg, []
 
-    def failing_second(matvec, psolve, b, *args):
-        if len(b) == grid.n_nodes:
-            calls.append(b)
+    def failing_second(matvec, psolve, x, *args):
+        if len(x) == grid.n_nodes:
+            calls.append(x)
             if len(calls) == 2:
                 return None, solver_mod.CG_MAX_ITER
-        return cg(matvec, psolve, b, *args)
+        return cg(matvec, psolve, x, *args)
 
     monkeypatch.setattr(solver_mod, "_cg", failing_second)
     with pytest.raises(NonconvergedError, match="CG failed") as exc:
@@ -276,10 +276,10 @@ def test_failed_coarse_cg_leaves_the_solve_to_the_finest_level(monkeypatch):
     ref = sg.solve_active_set(form, problem)
     cg = solver_mod._cg
 
-    def failing_coarse(matvec, psolve, b, *args):
-        if len(b) < grid.n_nodes:
+    def failing_coarse(matvec, psolve, x, *args):
+        if len(x) < grid.n_nodes:
             return None, solver_mod.CG_MAX_ITER
-        return cg(matvec, psolve, b, *args)
+        return cg(matvec, psolve, x, *args)
 
     monkeypatch.setattr(solver_mod, "_cg", failing_coarse)
     sol = sg.solve_active_set(form, problem)
@@ -301,9 +301,18 @@ def test_nested_start_keeps_the_finest_solves_few():
         sol = sg.solve_active_set(sg.assemble_energy(grid, problem), problem, tol=1e-10)
         levels = [s["level"] for s in sol.steps]
         assert levels == sorted(levels, reverse=True)
-        assert set(levels) == set(range(len(solver_mod._prolongations(grid)) + 1))
+        assert set(levels) == set(range(len(_prolongations(grid)) + 1))
         assert sol.iterations == levels.count(0) <= 3
         assert sol.final_residual <= sol.tol
+
+
+def _prolongations(grid):
+    """Full prolongations [(P, coarse_nodes, coarse_ny), ...] from the
+    finest level down: P the Kronecker product of the solver's axis
+    prolongations, coarse_nodes the flat fine indices of the coarse nodes
+    and coarse_ny the coarse level's number of y layers."""
+    return [(sp.kron(T, Py, format="csr"), coarse, len(ky))
+            for T, (Py, ky, _), coarse in solver_mod._coarsenings(grid)]
 
 
 def _embedded_system(n, h, a, graded=False):
@@ -354,7 +363,7 @@ def _fresh_masked_levels(A, fixed, grid, level=0):
     """Reference hierarchy built from scratch: D A D on the given level,
     then R~ A_l P~ with the prolongations masked to D_f P D_c."""
     levels = [_embedded_matrix(A, fixed) - sp.diags(fixed.astype(float))]
-    for P, coarse, _ in solver_mod._prolongations(grid)[level:]:
+    for P, coarse, _ in _prolongations(grid)[level:]:
         fixed_c = fixed[coarse]
         P = sp.diags((~fixed).astype(float)) @ P @ sp.diags((~fixed_c).astype(float))
         levels.append((P.T.tocsr() @ levels[-1] @ P).tocsr())
@@ -376,6 +385,81 @@ def test_masked_product_equals_the_embedded_matrix(n, h, a, graded):
 
 
 @EMBEDDED_CASES
+def test_axis_wise_transfers_equal_the_kronecker_prolongation(n, h, a, graded):
+    # the V-cycle and the nested start restrict and prolong factor by
+    # factor, with no P stored; with the masks applied, on grids with odd
+    # and even axes and graded layers, the results must equal the full
+    # Kronecker prolongation's products within 1e-15 of their largest entry
+    grid, form, fixed, _ = _embedded_system(n, h, a, graded)
+    mg = _multigrid(form, fixed)
+    rng = np.random.default_rng(11)
+    levels = _prolongations(grid)
+    assert len(mg.transfers) == len(levels)
+    for t, (P, _, _), keep, keep_c in zip(mg.transfers, levels, mg.keeps, mg.keeps[1:]):
+        x = rng.standard_normal(P.shape[1]) * keep_c
+        y = rng.standard_normal(P.shape[0]) * keep
+        for ours, ref in ((t.prolong(x) * keep, (P @ x) * keep),
+                          (t.restrict(y) * keep_c, (P.T @ y) * keep_c)):
+            assert np.abs(ours - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@EMBEDDED_CASES
+def test_blocked_galerkin_build_equals_one_block(n, h, a, graded, monkeypatch):
+    # the build forms each coarse operator in blocks of coarse y lines; a
+    # row's products do not depend on its block, so small blocks give the
+    # one-block operators bit for bit
+    grid, form, _, _ = _embedded_system(n, h, a, graded)
+    whole = solver_mod._Multigrid(form.stiffness, form.dirichlet, grid)
+    monkeypatch.setattr(solver_mod, "GALERKIN_BLOCK_PRODUCTS", 0)
+    blocked = solver_mod._Multigrid(form.stiffness, form.dirichlet, grid)
+    for A, B in zip(whole.ops[1:], blocked.ops[1:]):
+        for x, y in ((A.data, B.data), (A.indices, B.indices), (A.indptr, B.indptr)):
+            assert np.array_equal(x, y)
+
+
+def _held_bytes(obj, exclude) -> int:
+    """Bytes of the distinct arrays that obj holds through its attributes,
+    lists, tuples and sparse matrices, the arrays of exclude left out."""
+    def root(a):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        return a
+
+    seen = {id(root(a)) for a in (exclude.data, exclude.indices, exclude.indptr)}
+
+    def walk(o):
+        if isinstance(o, np.ndarray):
+            o = root(o)
+            if id(o) in seen:
+                return 0
+            seen.add(id(o))
+            return o.nbytes
+        if sp.issparse(o):
+            return walk(o.data) + walk(o.indices) + walk(o.indptr)
+        if isinstance(o, (list, tuple)):
+            return sum(walk(v) for v in o)
+        return sum(walk(v) for v in vars(o).values()) if hasattr(o, "__dict__") else 0
+
+    return walk(obj)
+
+
+# the benchmark workloads' seed-0 grids and coefficients (perfbench/workloads.py)
+@pytest.mark.parametrize("n, h, coefficients", [(1, 1 / 256, None), (2, 1 / 16, TILTED_B)],
+                         ids=["diag1d_fine", "diag2d_tilt"])
+def test_hierarchy_stores_little_beside_the_stiffness(n, h, coefficients):
+    # one operator per coarse level and no stored prolongation: every array
+    # the hierarchy holds after its build, K itself aside, totals at most
+    # 1.25 times K's bytes
+    grid = sg.build_grid(n, 1.0, h, h, 0.5)
+    coeff = sg.build_coefficients(grid, coefficients)
+    problem = sg.make_problem(grid, coeff=coeff, boundary=profile_boundary(grid, 0.5))
+    K = sg.assemble_energy(grid, problem).stiffness
+    mg = solver_mod._Multigrid(K, grid.dirichlet_mask.ravel(), grid)
+    assert mg.ops[0] is K
+    assert _held_bytes(mg, K) <= 1.25 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
+
+
+@EMBEDDED_CASES
 def test_updated_hierarchy_equals_a_fresh_masked_build(n, h, a, graded):
     # one hierarchy, updated through changing fixed sets and a penalized
     # Jacobian (K plus a thin diagonal), against a fresh masked Galerkin
@@ -388,7 +472,7 @@ def test_updated_hierarchy_equals_a_fresh_masked_build(n, h, a, graded):
     jacobian = K + sp.csr_matrix((rng.uniform(0.0, 2.0, len(thin)) * K.diagonal()[thin],
                                   (thin, thin)), shape=K.shape)
     mg = solver_mod._Multigrid(K, dirichlet, grid)
-    assert len(mg.transfers) == len(solver_mod._prolongations(grid))
+    assert len(mg.transfers) == len(_prolongations(grid))
     sequence = [(K, thin[::3]), (K, thin[1::2]), (K, thin[:0]), (jacobian, thin[:0]),
                 (K, thin[: len(thin) // 2]), (jacobian, thin[::3])]
     for A, extra in sequence:
@@ -416,7 +500,7 @@ def test_coarse_level_update_equals_a_fresh_masked_build(n, h, a, graded):
     mg = solver_mod._Multigrid(form.stiffness, form.dirichlet, grid)
     ops0, keep0 = mg.ops[0], mg.keeps[0]
     A = mg.ops[1]
-    ny = solver_mod._prolongations(grid)[0][2]  # level 1's y layers
+    ny = _prolongations(grid)[0][2]  # level 1's y layers
     fixed = ~mg.keeps[1]
     thin = np.flatnonzero(~fixed & (np.arange(A.shape[0]) % ny == 0))
     fixed[thin[::3]] = True
@@ -469,7 +553,8 @@ def test_cg_repeats_scipy_cg(n, h, a, graded):
         ref, info = spla.cg(A, b, x0=U * keep, rtol=0.0, atol=atol, M=M,
                             maxiter=solver_mod.CG_MAX_ITER,
                             callback=lambda _: count.__setitem__(0, count[0] + 1))
-        x, its = solver_mod._cg(mg.matvec, mg.cycle, b, U * keep, atol)
+        x0 = U * keep
+        x, its = solver_mod._cg(mg.matvec, mg.cycle, x0, b - mg.matvec(x0), atol)
         assert info == 0 and its == count[0] > 0
         assert np.array_equal(x, ref)
 
@@ -479,7 +564,8 @@ def test_cg_reports_failure_at_its_iteration_budget(monkeypatch):
     mg = _multigrid(form, fixed)
     monkeypatch.setattr(solver_mod, "CG_MAX_ITER", 2)
     b = -(form.load + form.stiffness @ np.where(fixed, U, 0.0)) * ~fixed
-    assert solver_mod._cg(mg.matvec, mg.cycle, b, U * ~fixed, 0.0) == (None, 2)
+    x0 = U * ~fixed
+    assert solver_mod._cg(mg.matvec, mg.cycle, x0, b - mg.matvec(x0), 0.0) == (None, 2)
     # a zero right-hand side from a zero start: solved before any iteration
     x, its = solver_mod._cg(mg.matvec, mg.cycle, 0.0 * b, 0.0 * b, 0.0)
     assert its == 0 and not x.any()
@@ -535,7 +621,7 @@ def test_loose_solve_forms_its_starting_residual_once(n, h, a, graded):
     keep = mg.keeps[0]
     b = -(form.load + mg.ops[0] @ np.where(fixed, start, 0.0)) * keep
     atol = loose * np.linalg.norm(b - matvec(start * keep))
-    x, its_cg = solver_mod._cg(matvec, cycle, b, start * keep, atol)
+    x, its_cg = solver_mod._cg(matvec, cycle, start * keep, b - matvec(start * keep), atol)
     assert its_cg == its and np.array_equal(np.where(fixed, start, x), y)
 
 
@@ -598,7 +684,7 @@ def test_axis_prolongation_interpolates_linearly_in_coordinates(m):
     # graded axis, odd and even node counts: coarse nodes are the even
     # indices plus the last, and linear functions of z are reproduced
     z = (np.arange(m) / (m - 1)) ** 2
-    P, keep = solver_mod._axis_prolongation(z)
+    P, keep, _ = solver_mod._axis_prolongation(z)
     assert keep[0] == 0 and keep[-1] == m - 1 and np.all(keep[:-1] % 2 == 0)
     assert np.allclose(P @ z[keep], z, rtol=0.0, atol=1e-15)
     assert np.allclose(P.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
