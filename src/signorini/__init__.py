@@ -28,10 +28,7 @@ from .operator import (
 from .solver import (
     SolutionField,
     complementarity_report,
-    penalty,
-    penalty_derivative,
     solve_active_set,
-    solve_penalized,
 )
 from .functionals import (
     FieldSampler,
@@ -61,10 +58,6 @@ from .freeboundary import (
     graph_fit,
     reduce_obstacle,
 )
-from .oracle import (
-    ReferenceSolution,
-    exact_solution,
-    homogeneous_functionals,
-)
+from .oracle import ReferenceSolution, exact_solution
 
 __all__ = [name for name in dir() if not name.startswith("_")]

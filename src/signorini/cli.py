@@ -41,19 +41,15 @@ from .functionals import (
 from .grid import build_grid
 from .operator import assemble_energy
 from .oracle import exact_solution
-from .solver import complementarity_report, solve_active_set, solve_penalized
+from .solver import complementarity_report, solve_active_set
 
 CONFIG_SCHEMA = 1
-# "psor" names the active-set solver; its "omega", once the PSOR relaxation,
-# is type-checked and ignored
-SOLVER_KEYS = {
-    "psor": {"method", "tol", "omega"},
-    "penalized": {"method", "eps", "tol"},
-}
+# the one method, "psor", names the active-set solver; its "omega", once
+# the PSOR relaxation, is type-checked and ignored
+SOLVER_KEYS = {"method", "tol", "omega"}
 R_GRID_KEYS = {"count", "r_min", "r_max"}
 # the type of every solver and r_grid key but solver.method
-KEY_TYPES = {"tol": Real, "omega": Real, "eps": Real, "count": Integral, "r_min": Real,
-             "r_max": Real}
+KEY_TYPES = {"tol": Real, "omega": Real, "count": Integral, "r_min": Real, "r_max": Real}
 
 
 def _require(name: str, value, kind) -> None:
@@ -137,10 +133,9 @@ class ExperimentConfig:
             raise InvalidConfigurationError(
                 f"field 'output' must be a string or null, got {self.output!r}")
         method = self.solver.get("method", "psor")
-        if not (isinstance(method, str) and method in SOLVER_KEYS):
-            raise InvalidConfigurationError(
-                f"field 'solver.method' must be psor|penalized, got {method!r}")
-        for name, allowed in (("solver", SOLVER_KEYS[method]), ("r_grid", R_GRID_KEYS)):
+        if method != "psor":
+            raise InvalidConfigurationError(f"field 'solver.method' must be psor, got {method!r}")
+        for name, allowed in (("solver", SOLVER_KEYS), ("r_grid", R_GRID_KEYS)):
             spec = getattr(self, name)
             unknown = set(spec) - allowed
             if unknown:
@@ -148,6 +143,9 @@ class ExperimentConfig:
             for key, value in spec.items():
                 if key != "method":
                     _require(f"{name}.{key}", value, KEY_TYPES[key])
+        tol = self.solver.get("tol")
+        if tol is not None and not (np.isfinite(tol) and tol > 0):
+            raise InvalidConfigurationError(f"field 'solver.tol' must be positive finite, got {tol}")
         if self.r_grid:  # a set r_grid must give the profile stage its radii on this grid
             default_r_grid(_grid(self), **self.r_grid)
 
@@ -183,11 +181,7 @@ def build_experiment(cfg: ExperimentConfig, grid=None):
 def run_solve(cfg: ExperimentConfig, grid=None):
     grid, problem, ref = build_experiment(cfg, grid)
     form = assemble_energy(grid, problem)
-    s = cfg.solver
-    if s.get("method", "psor") == "penalized":
-        sol = solve_penalized(form, problem, eps=s.get("eps", 1e-3), tol=s.get("tol"))
-    else:
-        sol = solve_active_set(form, problem, tol=s.get("tol"))
+    sol = solve_active_set(form, problem, tol=cfg.solver.get("tol"))
     return grid, problem, form, sol, ref
 
 

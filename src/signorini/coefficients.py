@@ -88,8 +88,8 @@ def _node_points(grid: Grid) -> np.ndarray:
 class CoefficientField:
     """Symmetric uniformly elliptic thin-block coefficient b_ij(x).
 
-    lam and Lam, the extreme eigenvalues of the table, and the divergence
-    table are computed when first read."""
+    lam, the smallest eigenvalue of the table, and the divergence table
+    are computed when first read."""
 
     xs: tuple  # the grid's thin axes
     table: np.ndarray  # B at thin nodes, thin_shape + (n, n)
@@ -101,17 +101,8 @@ class CoefficientField:
         return len(self.xs)
 
     @cached_property
-    def _eig_range(self) -> tuple:
-        eigs = np.linalg.eigvalsh(self.table)
-        return float(eigs.min()), float(eigs.max())
-
-    @property
     def lam(self) -> float:
-        return self._eig_range[0]
-
-    @property
-    def Lam(self) -> float:
-        return self._eig_range[1]
+        return float(np.linalg.eigvalsh(self.table).min())
 
     @cached_property
     def divergence(self) -> np.ndarray:

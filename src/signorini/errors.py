@@ -14,7 +14,7 @@ class InvalidCoefficientError(SignoriniError):
 
 
 class InvalidParameterError(SignoriniError):
-    """A numerical parameter (penalty width, relaxation, ...) is invalid."""
+    """A command-line parameter (--x0, --scale) is invalid."""
 
 
 class UnsupportedRadiusError(SignoriniError):

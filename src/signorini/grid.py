@@ -217,11 +217,6 @@ def build_grid(n: int, R: float, hx: float, hy: float, a: float) -> Grid:
     )
 
 
-def total_weighted_measure(grid: Grid) -> float:
-    """Closed form int_box y^a dX = (2R)^n R^{1+a}/(1+a)."""
-    return (2.0 * grid.R) ** grid.n * grid.R ** (1.0 + grid.a) / (1.0 + grid.a)
-
-
 # ---------------------------------------------------------------------------
 # off-node sampling
 # ---------------------------------------------------------------------------
@@ -426,18 +421,6 @@ def sphere_quadrature(grid: Grid, r: float, n_angles: int = 64, a: float | None 
                       r ** (grid.n + a))
 
 
-def _sine_power_integral(a: float) -> float:
-    """int_0^pi (sin t)^a dt = sqrt(pi) Gamma((a+1)/2) / Gamma(a/2+1)."""
-    return math.sqrt(math.pi) * math.gamma((a + 1.0) / 2.0) / math.gamma(a / 2.0 + 1.0)
-
-
-def halfsphere_weighted_area(n: int, r: float, a: float) -> float:
-    """Closed form int_{S_r^+} |y|^a dsigma."""
-    if n == 1:
-        return r ** (1.0 + a) * _sine_power_integral(a)
-    return 2.0 * np.pi * r ** (2.0 + a) / (1.0 + a)
-
-
 # ---------------------------------------------------------------------------
 # ball coverage
 # ---------------------------------------------------------------------------
@@ -450,11 +433,6 @@ class BallCells:
     r: float
     indices: tuple  # arrays of cell multi-indices
     fractions: np.ndarray
-
-    def coverage_field(self, cell_shape: tuple) -> np.ndarray:
-        cov = np.zeros(cell_shape)
-        cov[self.indices] = self.fractions
-        return cov
 
 
 def _half_diagonal(grid: Grid) -> float:
@@ -531,11 +509,3 @@ def ball_sums(grid: Grid, densities: np.ndarray, radii, nsub: int = 4) -> np.nda
         fr = _coverage(grid, centers[lo[i]:hi[i]], r, nsub)
         out[:, i] = prefix[:, lo[i]] + (flat[:, lo[i]:hi[i]] * fr).sum(axis=1)
     return out if dens.ndim > grid.n + 1 else out[0]
-
-
-def ball_weighted_measure(n: int, r: float, a: float) -> float:
-    """Closed form int_{B_r^+} y^a dX (upper half ball)."""
-    # integrate the half-sphere area in the radius
-    if n == 1:
-        return _sine_power_integral(a) * r ** (2.0 + a) / (2.0 + a)
-    return 2.0 * np.pi / (1.0 + a) * r ** (3.0 + a) / (3.0 + a)

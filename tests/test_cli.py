@@ -56,7 +56,7 @@ def test_unknown_field_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("name,value,key", [
     ("solver", {"method": "psor", "omgea": 1.9}, "omgea"),
     ("solver", {"method": "psor", "eps": 1e-3}, "eps"),
-    ("solver", {"method": "penalized", "omega": 1.9}, "omega"),
+    ("solver", {"method": "psor", "omega": 1.9, "relaxation": 1.9}, "relaxation"),
     ("r_grid", {"cout": 12}, "cout"),
     ("solver", "psor", "solver"),
     ("solver", {"method": "psor", "max_iter": 2}, "max_iter"),
@@ -72,12 +72,14 @@ def test_unknown_solver_and_r_grid_keys_rejected(tmp_path, capsys, name, value, 
 @pytest.mark.parametrize("name,value", [
     ("a", "x"), ("hx", None), ("delta", True), ("n", True), ("seed", 1.5),
     ("Kprime", "bogus"), ("C_weiss", [1]), ("r_grid", {"count": "40"}), ("Kprime", "auto"),
-    ("solver", {"method": "psor", "omega": "x"}), ("solver", {"method": "penalized", "eps": "x"}),
+    ("solver", {"method": "psor", "omega": "x"}), ("solver", {"method": "psor", "tol": [1e-10]}),
     ("solver", {"method": "psor", "tol": True}), ("solver", {"method": "psor", "omega": None}),
-    ("solver", {"method": "penalized", "tol": "x"}), ("solver", {"method": ["psor"]}),
+    ("solver", {"method": "psor", "tol": "x"}), ("solver", {"method": ["psor"]}),
     ("r_grid", {"count": 0}), ("r_grid", {"count": -1}), ("r_grid", {"count": 3}),
     ("r_grid", {"r_min": 0.0}), ("r_grid", {"r_max": 1.5}),
     ("r_grid", {"r_min": 0.5, "r_max": 0.2}), ("r_grid", {"r_min": 0.95}),
+    ("solver", {"method": "psor", "tol": -1}), ("solver", {"method": "psor", "tol": 0}),
+    ("solver", {"method": "psor", "tol": float("nan")}),
 ])
 def test_config_type_errors_exit_before_the_solve(tmp_path, capsys, name, value):
     path = write_config(tmp_path, **{name: value})
@@ -534,19 +536,17 @@ def test_n2_classify_writes_graph(tmp_path):
     assert len(rows) >= 6
 
 
-def test_penalized_solver_via_config(tmp_path):
+def test_penalized_solver_via_config(tmp_path, capsys):
+    # the active-set solve is the one obstacle solver: "penalized", once a
+    # second method, exits 2 before the solve and names the field
     path = write_config(
         tmp_path, solver={"method": "penalized", "eps": 1e-3}, hx=1 / 24, hy=1 / 24
     )
     out = tmp_path / "out"
     rc = cli.main(["solve", "--config", str(path), "--out", str(out), "--quiet"])
-    assert rc == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["complementarity"]["min_gap_max"] <= 0.05
-    assert manifest["solver_inner_iterations"] > 0
-    # the unconstrained start, then one record per Newton step before the
-    # one whose residual passes (solver_iterations counts that one too)
-    assert len(manifest["solver_steps"]) == manifest["solver_iterations"]
+    assert rc == 2
+    assert "'solver.method'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tilted_n2_summary_is_strict_json(tmp_path):

@@ -12,10 +12,10 @@ import signorini as sg
 import signorini.functionals as functionals
 from signorini.errors import InvalidConfigurationError
 from signorini.functionals import frame_factors, integrate_psi_sigma, sphere_columns
-from signorini.grid import halfsphere_weighted_area
 
 from conftest import (
-    TILTED_B, _bitwise_equal, _cpus, _no_child_process, graded_grid, normalized_field,
+    TILTED_B, Lam_of, _bitwise_equal, _cpus, _no_child_process, ball_weighted_measure,
+    graded_grid, halfsphere_weighted_area, homogeneous_functionals, normalized_field,
     profile_boundary, reference_heights, solved_profile,
 )
 
@@ -61,7 +61,7 @@ def test_geometry_perturbed_bounds():
     # la_r * r / |y|^a stays within O(1) of (n + a)
     dev = np.abs(la_r * r[off] - 1.0)
     assert dev.max() <= 0.5
-    assert np.all((mu_tilde >= coeff.lam - 1e-12) & (mu_tilde <= coeff.Lam + 1e-12))
+    assert np.all((mu_tilde >= coeff.lam - 1e-12) & (mu_tilde <= Lam_of(coeff) + 1e-12))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -256,8 +256,6 @@ def test_constant_field_energy_and_mass():
     U = np.full(grid.node_shape, 2.0)
     prof = sg.radial_profile(U, problem, r_grid=np.linspace(0.3, 0.7, 5), nsub=8)
     assert np.all(prof.D == 0.0)
-    from signorini.grid import ball_weighted_measure
-
     exact = 4.0 * 2.0 * ball_weighted_measure(1, 0.5, 0.5)
     assert prof.B[2] == pytest.approx(exact, rel=5e-3)
 
@@ -327,8 +325,6 @@ def test_total_energy_includes_source_pairing():
     problem = sg.make_problem(grid, f=1.0, boundary=0.0)
     X, Y = grid.node_mesh()
     U = 1.0 + 0.0 * X
-    from signorini.grid import ball_weighted_measure
-
     exact = 2.0 * ball_weighted_measure(1, 0.5, 0.0)  # int U f over the full ball
     prof = sg.radial_profile(U, problem, r_grid=np.linspace(0.3, 0.7, 5), nsub=8)
     assert prof.I[2] == pytest.approx(exact, rel=5e-3)
@@ -499,7 +495,7 @@ def test_weiss_homogeneous_formula_match():
     U = X**2 - Y**2 / (1 + a)
     prof = sg.radial_profile(U, problem, r_grid=np.geomspace(0.2, 0.9, 20), nsub=8)
     H1 = sg.sphere_heights(U, problem, [sg.sphere_quadrature(grid, 1.0, 64)])[0][0]
-    cols = sg.homogeneous_functionals(2.0, 1, a, H1)
+    cols = homogeneous_functionals(2.0, 1, a, H1)
     expected = cols["W"](prof.r)
     assert np.abs(prof.W - expected).max() <= 0.03 * np.abs(expected).max()
 

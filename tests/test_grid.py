@@ -6,14 +6,10 @@ from scipy.integrate import quad
 
 import signorini as sg
 from signorini.errors import InvalidConfigurationError, UnsupportedRadiusError
-from signorini.grid import (
-    _gauss_jacobi,
-    _weighted_layer_integrals,
-    ball_sums,
-    ball_weighted_measure,
-    halfsphere_weighted_area,
-    interpolate,
-    total_weighted_measure,
+from signorini.grid import _gauss_jacobi, _weighted_layer_integrals, ball_sums, interpolate
+
+from conftest import (
+    ball_weighted_measure, coverage_field, halfsphere_weighted_area, total_weighted_measure,
 )
 
 
@@ -169,7 +165,7 @@ def test_sphere_quadrature_refinement_order():
 def test_ball_cells_full_radius():
     grid = sg.build_grid(1, 1.0, 1 / 8, 1 / 8, 0.0)
     cells = sg.ball_cells(grid, 1.0)
-    cov = cells.coverage_field(grid.cell_shape)
+    cov = coverage_field(cells, grid.cell_shape)
     centers = grid.cell_centers()
     dist = np.hypot(centers[0], centers[1])
     inside = dist <= 1.0 - np.hypot(grid.hx, grid.hy) / 2
@@ -180,7 +176,7 @@ def test_ball_cells_full_radius():
 def test_ball_cells_small_radius_contains_origin_cells():
     grid = sg.build_grid(1, 1.0, 1 / 8, 1 / 8, 0.0)
     cells = sg.ball_cells(grid, 2.5 * grid.hx / 8 + 0.26)  # any small-ish radius
-    cov = cells.coverage_field(grid.cell_shape)
+    cov = coverage_field(cells, grid.cell_shape)
     # the two cells touching the origin at y=0
     i0 = len(grid.xs[0]) // 2
     assert cov[i0, 0] > 0 and cov[i0 - 1, 0] > 0

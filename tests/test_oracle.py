@@ -14,7 +14,7 @@ import signorini.cli as cli
 from signorini.errors import InvalidConfigurationError
 from signorini.operator import interior_mask
 
-from conftest import angular_ode, angular_system
+from conftest import angular_ode, angular_system, homogeneous_functionals
 
 
 def test_y_power_evaluation():
@@ -172,14 +172,14 @@ def test_profile_solves_signorini_sign_conditions():
 
 def test_homogeneous_functionals_critical_weiss():
     a = 0.25
-    cols = sg.homogeneous_functionals((3 - a) / 2, 1, a, H1=2.0)
+    cols = homogeneous_functionals((3 - a) / 2, 1, a, H1=2.0)
     r = np.geomspace(0.1, 1.0, 10)
     assert np.allclose(cols["W"](r), 0.0)
     assert np.allclose(cols["Ntilde"](r), (3 - a) / 2)
 
 
 def test_homogeneous_functionals_profile_height():
-    cols = sg.homogeneous_functionals(1.5, 1, 0.0, H1=np.pi)
+    cols = homogeneous_functionals(1.5, 1, 0.0, H1=np.pi)
     r = np.array([0.25, 0.5, 1.0])
     assert np.allclose(cols["H"](r), np.pi * r**4)
     assert np.allclose(cols["I"](r), 1.5 * np.pi * r**3)

@@ -5,7 +5,7 @@ import pytest
 
 import signorini as sg
 
-from conftest import active_set_energies
+from conftest import Lam_of, active_set_energies
 
 
 def random_problem(seed, n=1, a=None):
@@ -64,7 +64,7 @@ def test_g_ratio_band_random_coefficients(seed):
     G = sg.radial_profile(U, problem, r_grid=rs, Kprime=0.0, C_weiss=0.0, n_angles=48).G
     beta = np.abs(G - (grid.n + 0.25) / rs).max()
     assert np.isfinite(beta)
-    lam, Lam = problem.coeff.lam, problem.coeff.Lam
+    lam, Lam = problem.coeff.lam, Lam_of(problem.coeff)
     # crude magnitude bound implied by ellipticity: G stays within an O(1)
     # band around (n+a)/r on fixed radii
     assert beta <= 2.0 * (Lam / lam) * (grid.n + 1.25) / rs[0]
