@@ -349,7 +349,6 @@ def penalized_reference(form, problem, eps: float, tol=None):
     )
 
 
-
 def total_weighted_measure(grid) -> float:
     """Closed form int_box y^a dX = (2R)^n R^{1+a}/(1+a)."""
     return (2.0 * grid.R) ** grid.n * grid.R ** (1.0 + grid.a) / (1.0 + grid.a)
