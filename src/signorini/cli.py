@@ -60,6 +60,15 @@ def _require(name: str, value, kind) -> None:
         raise InvalidConfigurationError(f"field '{name}' must be {what}, got {value!r}")
 
 
+def _positive_finite(value) -> bool:
+    """Whether a number is positive and finite as a float; an integer
+    beyond the float range is not."""
+    try:
+        return bool(np.isfinite(float(value)) and value > 0)
+    except OverflowError:
+        return False
+
+
 @dataclass
 class ExperimentConfig:
     n: int = 1
@@ -122,7 +131,7 @@ class ExperimentConfig:
             raise InvalidConfigurationError(f"field 'a' must lie in [0, 1), got {self.a}")
         for name in ("R", "hx", "hy", "delta"):
             v = getattr(self, name)
-            if not np.isfinite(v) or v <= 0:
+            if not _positive_finite(v):
                 raise InvalidConfigurationError(f"field '{name}' must be positive finite, got {v}")
         if not (0.0 < self.delta < 1.0):
             raise InvalidConfigurationError(f"field 'delta' must lie in (0,1), got {self.delta}")
@@ -144,7 +153,7 @@ class ExperimentConfig:
                 if key != "method":
                     _require(f"{name}.{key}", value, KEY_TYPES[key])
         tol = self.solver.get("tol")
-        if tol is not None and not (np.isfinite(tol) and tol > 0):
+        if tol is not None and not _positive_finite(tol):
             raise InvalidConfigurationError(f"field 'solver.tol' must be positive finite, got {tol}")
         if self.r_grid:  # a set r_grid must give the profile stage its radii on this grid
             default_r_grid(_grid(self), **self.r_grid)
@@ -247,6 +256,7 @@ def _solve(cfg: ExperimentConfig, res: dict) -> dict:
         solver_inner_iterations=sol.inner_iterations,
         solver_steps=sol.steps,
         solver_final_update=sol.final_residual,
+        solver_hierarchy={k: round(v, 4) for k, v in sol.hierarchy_s.items()},
         complementarity=complementarity_report(sol, problem, form),
         oracle_linf_error=None if ref is None else float(np.abs(sol.U - problem.boundary).max()),
     )

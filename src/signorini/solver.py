@@ -6,12 +6,16 @@ system
 started from the same problem solved on each coarse level of the solve's
 multigrid hierarchy, coarsest first (nested iteration), and stopped when
 its natural residual (the largest projected Jacobi update) is at most
-tol.
+tol. Its linear solves are conjugate gradients preconditioned by a
+Galerkin multigrid V-cycle, whose hierarchy is built once per solve and,
+as the active set changes, updated in place by probing the rows it
+reaches.
 """
 
 from __future__ import annotations
 
 import functools
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +42,8 @@ class SolutionField:
     # "rtol", its CG tolerance relative to its starting residual (a loose
     # solve), or "tol", its natural-residual stop (a tight solve)}
     steps: list = field(default_factory=list)
+    # seconds of the multigrid hierarchy's build and of all its updates
+    hierarchy_s: dict = field(default_factory=dict)
 
     @property
     def inner_iterations(self) -> int:
@@ -54,21 +60,25 @@ class SolutionField:
 # MG_COARSEST_NODES nodes remain, whose free block is solved by its dense
 # inverse, recomputed at every update; each level smooths with MG_SWEEPS
 # damped-Jacobi sweeps (damping MG_DAMPING) before and after its coarse
-# correction.
+# correction. Chosen by the wall time of solve_active_set on the benchmark
+# configs at several h (BENCH_29.json): V(2,2) at 0.8 beat 0.7 by 4 to
+# 15% in each of four rounds; V(1,1) was as fast but needs up to 22 CG
+# iterations for a tight solve, and damped Jacobi diverges from 1 on
+# (lambda_max(D^-1 A) = 2).
 MG_COARSEST_NODES = 500
 MG_SWEEPS = 2
-MG_DAMPING = 0.7
+MG_DAMPING = 0.8
 CG_MAX_ITER = 500
 # CG tolerance of an active set's first solve, on every level, relative to
 # the residual it starts from: only its predicted active set is read, and
 # the tight solve of the set it settles on certifies it. From the nested
 # start, over the benchmark configs (seed 0, tol 1e-10) at h = 1/64 to
-# 1/256 (n = 1) and 1/8 to 1/32 (n = 2), the finest level took 67 CG
+# 1/256 (n = 1) and 1/8 to 1/32 (n = 2), the finest level took 64 CG
 # iterations in 14 solves at 1e-2 (50 more in 33 coarse-level solves);
-# 3e-2 to 1e-3 took 67 or 68 in 14, 1e-4 75 in 15, 1e-6 90 in 16 and
-# 1e-8 105 in 16. At 1e-1 a one-iteration loose solve confirmed a wrong
-# set, which a tight solve rejected: 76 in 18. No tight solve rejected a
-# set at any value from 1e-8 to 3e-2.
+# 3e-3 to 1e-4 also took 64 in 14, 3e-2 64 in 15, 1e-6 83 in 16 and 1e-8
+# 99 in 16. At 1e-1 a loose solve confirmed a wrong set, which a tight
+# solve rejected: 72 in 17. No tight solve rejected a set at any value
+# from 1e-8 to 3e-2.
 ACTIVE_SET_LOOSE_RTOL = 1e-2
 
 
@@ -109,10 +119,12 @@ def _coarsenings(grid: Grid):
 
 
 def _prolong_y(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Each row of x, given on the coarse y nodes, interpolated to all the
-    y nodes, t the y axis's weights as _axis_prolongation returns them."""
-    q = len(t)
-    out = np.empty((len(x), x.shape[1] + q))
+    """x, given along its axis 1 on the coarse y nodes (all of them, or the
+    lowest few), interpolated to the y nodes those span, t the y axis's
+    weights as _axis_prolongation returns them."""
+    q = min(len(t), x.shape[1] - 1)
+    t = t[:q].reshape((q,) + (1,) * (x.ndim - 2))
+    out = np.empty((len(x), x.shape[1] + q) + x.shape[2:])
     out[:, :2 * q + 1:2] = x[:, :q + 1]
     out[:, -1] = x[:, -1]
     between, lower = out[:, 1:2 * q:2], x[:, :q]
@@ -123,24 +135,62 @@ def _prolong_y(x: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _restrict_y(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The transpose of _prolong_y: each row of y summed onto the coarse y
-    nodes. Overwrites y."""
-    q = len(t)
-    out = np.empty((len(y), y.shape[1] - q))
+    """The transpose of _prolong_y: y, given along its axis 1 on the y
+    nodes that some coarse y nodes span, summed onto those. Overwrites
+    y."""
+    q = min(len(t), (y.shape[1] - 1) // 2)
+    t = t[:q].reshape((q,) + (1,) * (y.ndim - 2))
+    out = np.empty((len(y), y.shape[1] - q) + y.shape[2:])
     out[:, :q + 1] = y[:, :2 * q + 1:2]
     out[:, -1] = y[:, -1]
     between = y[:, 1:2 * q:2]
-    out[:, :q] += between
+    out[:, :q] += (1.0 - t) * between
     between *= t
-    out[:, :q] -= between
     out[:, 1:q + 1] += between
     return out
 
 
-def _scale(M: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
-    """M with entry (i, j) multiplied by rows[i] cols[j], in place."""
-    M.data *= np.repeat(rows, np.diff(M.indptr)) * cols[M.indices]
-    return M
+def _colours(nodes: np.ndarray, shape: tuple) -> np.ndarray:
+    """The colour of each given flat node index on a grid of the given
+    shape: its indices mod 3, read as one base-3 number. Nodes that differ
+    by at most one index on every axis differ in colour."""
+    return np.ravel_multi_index(tuple(i % 3 for i in np.unravel_index(nodes, shape)), (3,) * len(shape))
+
+
+def _low(x: np.ndarray, ny: int, layers: int = 2) -> np.ndarray:
+    """The view of x's rows at the lowest layers of ny y layers, as
+    (y lines, layers) and any further axes of x."""
+    return x.reshape(-1, ny, *x.shape[1:])[:, :layers]
+
+
+def _entries(A: sp.csr_matrix, ny: int, layers: int) -> tuple:
+    """(pos, row): the positions in A.data of the entries of A's rows at
+    the lowest layers of its level's ny y layers, row by row, and each
+    one's row among those."""
+    idx = A.indices.dtype
+    rows = (np.arange(A.shape[0] // ny, dtype=idx)[:, None] * ny + np.arange(layers, dtype=idx)).ravel()
+    counts = np.diff(A.indptr)[rows]
+    row = np.repeat(np.arange(len(rows), dtype=idx), counts)
+    pos = np.arange(len(row), dtype=idx)
+    pos += (A.indptr[rows] - np.cumsum(counts, dtype=idx) + counts)[row]
+    return pos, row
+
+
+def _layers(A: sp.csr_matrix, ny: int, layers: int) -> tuple:
+    """(S, pos): S the rows and columns of A at the lowest layers of its
+    level's ny y layers, a CSR matrix with sorted indices, and pos the
+    positions of S's entries in A.data."""
+    pos, row = _entries(A, ny, layers)
+    line, layer = np.divmod(A.indices[pos], ny)
+    inside = layer < layers
+    line *= layers
+    line += layer
+    n = A.shape[0] // ny * layers
+    S = sp.csr_matrix((pos[inside], line[inside], np.r_[0, np.cumsum(np.bincount(row[inside], minlength=n))]),
+                      shape=(n, n))
+    del pos, row, line, layer, inside
+    S.sort_indices()  # whatever the order of A's rows
+    return sp.csr_matrix((A.data[S.data], S.indices, S.indptr), shape=S.shape), S.data
 
 
 # Products of an entry of P' with a row of A per block (at least one
@@ -153,31 +203,55 @@ GALERKIN_BLOCK_PRODUCTS = 2**19
 class _Transfer:
     """One coarsening step of a _Multigrid: P = kron(T, Py) by its factors,
     T the Kronecker product of the thin axes' prolongations (with its
-    transpose TT) and Py the y axis's, with the weights t of Py's rows
+    transpose TT) and Py the y axis's, given by the weights t of its rows
     between two coarse nodes (_axis_prolongation); the flat fine indices
-    of the coarse nodes; and what low_rows reads: the mask of the coarse
-    nodes in the two lowest coarse y layers, the rows of P' there, and the
-    rows of P at the fine layers that those rows of P' A reach.
+    of the coarse nodes; and the coarse level's node shape.
 
     restrict and prolong apply T by one sparse product over all y lines
-    and Py by strided slices."""
+    and Py by strided slices, to a vector or to one column per vector,
+    given on the whole level or on its lowest y layers (probe)."""
 
-    def __init__(self, T: sp.csr_matrix, y: tuple, coarse: np.ndarray):
-        self.T, (self.Py, ky, self.t), self.coarse = T, y, coarse
+    def __init__(self, T: sp.csr_matrix, y: tuple, coarse: np.ndarray, shape: tuple):
+        self.T, (self.Py, _, self.t), self.coarse, self.shape = T, y, coarse, shape
         self.TT = T.T.tocsr()
-        self.low = np.arange(len(coarse)) % len(ky) <= 1
-        self.R_low = sp.kron(self.TT, self.Py.T.tocsr()[:2], format="csr")
-        # R_low's columns lie at most one fine layer above coarse layer 1,
-        # and an operator couples only adjacent layers
-        self.P_low = sp.kron(T, self.Py[:ky[1] + 3], format="csr")
 
     def prolong(self, x: np.ndarray) -> np.ndarray:
         """P x."""
-        return (self.T @ _prolong_y(x.reshape(self.T.shape[1], -1), self.t)).ravel()
+        y = _prolong_y(x.reshape(self.T.shape[1], -1, *x.shape[1:]), self.t)
+        return (self.T @ y.reshape(len(y), -1)).reshape(-1, *x.shape[1:])
 
     def restrict(self, y: np.ndarray) -> np.ndarray:
         """P' y."""
-        return _restrict_y(self.TT @ y.reshape(self.T.shape[0], -1), self.t).ravel()
+        x = self.TT @ y.reshape(self.T.shape[0], -1)
+        return _restrict_y(x.reshape(len(x), -1, *y.shape[1:]), self.t).reshape(-1, *y.shape[1:])
+
+    def probe(self, S: sp.csr_matrix, keep: np.ndarray, keep_c: np.ndarray) -> np.ndarray:
+        """The rows of the two lowest coarse y layers of D_c P' D A D P D_c
+        (see galerkin) times the indicator of each colour (_colours) of the
+        coarse nodes, one column per colour. That operator couples only
+        nodes within one index on every axis, which differ in colour, so a
+        column holds one entry of each row: the one in the column of the
+        row's neighbour of that colour. S is A on the fine layers that the
+        three lowest coarse layers span (_layers), all those rows read;
+        keep and keep_c are the whole levels' masks."""
+        ny, layers = self.shape[-1], min(3, self.shape[-1])
+        keep_c = _low(keep_c, ny, layers).reshape(-1, 1)
+        keep = _low(keep, len(keep) // self.T.shape[0], S.shape[0] // self.T.shape[0]).reshape(-1, 1)
+        shape = self.shape[:-1] + (layers,)
+        colour = _colours(np.arange(np.prod(shape)), shape)
+        r = []
+        # nine colours at a time (one index mod 3 on each axis but the last
+        # two), so that at n = 2 the fine arrays hold a third of the columns
+        for colours in np.arange(3 ** len(shape)).reshape(-1, 9):
+            x = self.prolong(((colour[:, None] == colours) & keep_c).astype(float))
+            x *= keep
+            y = S @ x
+            del x
+            y *= keep
+            r.append(self.restrict(y))
+        r = np.hstack(r)
+        r *= keep_c
+        return _low(r, layers).reshape(-1, r.shape[1])
 
     def galerkin(self, A, keep: np.ndarray, keep_c: np.ndarray) -> sp.csr_matrix:
         """The coarse operator D_c P' D A D P D_c, D = diag(keep) on the
@@ -194,7 +268,7 @@ class _Transfer:
         blocks = []
         for a in range(0, lines, step):
             R = sp.kron(self.TT[a:a + step], PyT, format="csr")
-            R = _scale(R, keep_c[a * cy:(a + step) * cy], keep)
+            R.data *= np.repeat(keep_c[a * cy:(a + step) * cy], np.diff(R.indptr)) * keep[R.indices]
             R.eliminate_zeros()
             X = R @ A
             del R
@@ -207,21 +281,6 @@ class _Transfer:
             blocks.append(X)
         return blocks[0] if len(blocks) == 1 else sp.vstack(blocks, format="csr")
 
-    def low_rows(self, A, keep: np.ndarray, keep_c: np.ndarray) -> sp.csr_matrix:
-        """The rows of the two lowest coarse y layers of galerkin(A, keep,
-        keep_c), the other rows empty."""
-        X = _scale(self.R_low.copy(), keep_c[self.low], keep) @ A
-        X.data *= keep[X.indices]
-        thin, layer = np.divmod(X.indices, self.Py.shape[0])
-        layers = self.P_low.shape[0] // self.T.shape[0]
-        X = sp.csr_matrix((X.data, thin * layers + layer, X.indptr),
-                          shape=(X.shape[0], self.P_low.shape[0])) @ self.P_low
-        X.data *= keep_c[X.indices]
-        counts = np.zeros(len(keep_c), dtype=X.indptr.dtype)
-        counts[self.low] = np.diff(X.indptr)
-        return sp.csr_matrix((X.data, X.indices, np.r_[0, np.cumsum(counts)]),
-                             shape=(len(keep_c), len(keep_c)))
-
 
 class _Multigrid:
     """Galerkin multigrid V-cycle for D K D, D = diag(keep): K is the
@@ -229,44 +288,60 @@ class _Multigrid:
     Dirichlet nodes and any thin nodes).
 
     Each level stores one CSR operator (ops; the finest is K itself), its
-    keep mask, its diagonal
-    and, above the coarsest, its damped inverse diagonal; the coarsest
-    also stores the inverse of its free block. Each coarsening step
-    stores a _Transfer: the thin axes' and the y axis's factors of the
-    prolongation P, by which the V-cycle and the nested start restrict
-    and prolong, and the few rows of P' and P that an update reads. No
-    full prolongation is stored or formed.
+    keep mask, its diagonal and, above the coarsest, its damped inverse
+    diagonal; the coarsest also stores the inverse of its free block.
+    Each coarsening step stores a _Transfer: the thin axes' and the y
+    axis's factors of the prolongation P, by which the V-cycle and the
+    nested start restrict and prolong. No full prolongation is stored or
+    formed.
 
     Built once per solve from K and the Dirichlet mask, each coarse
     operator the masked Galerkin product of the level above
     (_Transfer.galerkin). A coarse row above the two lowest y layers reads
     only fine rows above the fine level's two lowest layers, and the
     operators couple only adjacent layers, so no such row sees a thin
-    node: update(fixed, level) zeroes the rows of those two layers in
-    each operator below the level and adds them recomputed, and the
-    V-cycle and linear solves can start at any level. The masks act on
-    vectors: the matvec is y = A x; y *= keep, restricted residuals and
-    prolonged corrections are multiplied by keep, and no masked copy of A
-    is made.
+    node. update(fixed, level) therefore recomputes, below the level, only
+    the rows of the two lowest layers, by probing (_Transfer.probe): it
+    needs the fine operator on the few layers those rows read, kept per
+    step with where its entries lie in the level's data (slabs), and it
+    overwrites those rows' data, diagonals and damped inverse diagonals in
+    place (lows: where the rows' entries lie in the data and in the
+    probes), so the CSR arrays never change shape. The V-cycle and linear
+    solves can start at any level. The masks act on vectors: the matvec
+    is y = A x; y *= keep, restricted residuals and prolonged corrections
+    are multiplied by keep, and no masked copy of A is made.
+    build_s and update_s total the seconds of the build and the updates.
     """
 
     def __init__(self, K: sp.csr_matrix, dirichlet: np.ndarray, grid: Grid):
-        keep, A, diagonal = ~dirichlet, K, K.diagonal()
+        start = time.perf_counter()
+        keep, A, diagonal, shape = ~dirichlet, K, K.diagonal(), grid.node_shape
         self.transfers, self.ops, self.keeps, self.diagonals, self.wdinv = [], [], [], [], []
+        self.slabs, self.lows = [], []
         for T, y, coarse in _coarsenings(grid):
             self.ops.append(A)
             self.keeps.append(keep)
             self.diagonals.append(diagonal)
             self.wdinv.append(MG_DAMPING * keep / np.where(keep, diagonal, 1.0))
-            self.transfers.append(_Transfer(T, y, coarse))
+            shape_c = tuple(m // 2 + 1 for m in shape)
+            transfer = _Transfer(T, y, coarse, shape_c)
+            self.transfers.append(transfer)
+            self.slabs.append(_layers(A, shape[-1], y[1][min(3, len(y[1])) - 1] + 1))
             keep_c = keep[coarse]
-            A = self.transfers[-1].galerkin(A, keep, keep_c)
-            keep, diagonal = keep_c, A.diagonal()
+            A = transfer.galerkin(A, keep, keep_c)
+            # the entries of the two lowest coarse layers' rows: their
+            # positions in A.data and in the array of an update's probes
+            at, row = _entries(A, shape_c[-1], 2)
+            low, probes = _low(np.arange(len(coarse)), shape_c[-1]).ravel(), 3 ** len(shape_c)
+            self.lows.append((at, row * probes + _colours(A.indices[at], shape_c),
+                              np.arange(len(low)) * probes + _colours(low, shape_c)))
+            keep, diagonal, shape = keep_c, A.diagonal(), shape_c
         self.ops.append(A)
         self.keeps.append(keep)
         self.diagonals.append(diagonal)
         free = np.flatnonzero(keep)
         self.coarsest = free, np.linalg.inv(A[free][:, free].toarray())
+        self.build_s, self.update_s = time.perf_counter() - start, 0.0
 
     def update(self, fixed: np.ndarray, level: int = 0) -> None:
         """Set the given level's mask to D = diag(~fixed), so that it
@@ -275,17 +350,24 @@ class _Multigrid:
         Dirichlet nodes and may add thin nodes. A coarse level's stored
         operator must be one formed with the Dirichlet nodes alone fixed on
         every finer level, as after the build."""
+        start = time.perf_counter()
         self.keeps[level] = ~fixed
         for lv in range(level, len(self.transfers)):
-            t, keep = self.transfers[lv], self.keeps[lv]
-            self.wdinv[lv] = MG_DAMPING * keep / np.where(keep, self.diagonals[lv], 1.0)
+            t, keep, (S, pos) = self.transfers[lv], self.keeps[lv], self.slabs[lv]
+            ny, cy = len(keep) // t.T.shape[0], t.shape[-1]
+            low = _low(keep, ny)
+            _low(self.wdinv[lv], ny)[:] = MG_DAMPING * low / np.where(low, _low(self.diagonals[lv], ny), 1.0)
+            if lv > level:  # this update rewrote the level's two lowest layers
+                S.data[:] = self.ops[lv].data[pos]
             keep_c = keep[t.coarse]
-            C = self.ops[lv + 1]
-            C.data[np.repeat(t.low, np.diff(C.indptr))] = 0.0
-            C = C + t.low_rows(self.ops[lv], keep, keep_c)
-            self.ops[lv + 1], self.keeps[lv + 1], self.diagonals[lv + 1] = C, keep_c, C.diagonal()
+            r = t.probe(S, keep, keep_c).ravel()
+            at, entries, diagonal = self.lows[lv]
+            self.ops[lv + 1].data[at] = r[entries]
+            _low(self.diagonals[lv + 1], cy)[:] = r[diagonal].reshape(-1, 2)
+            self.keeps[lv + 1] = keep_c
         free = np.flatnonzero(self.keeps[-1])
-        self.coarsest = free, np.linalg.inv(self.ops[-1][free][:, free].toarray())
+        self.coarsest = free, np.linalg.inv(self.ops[-1].toarray()[np.ix_(free, free)])
+        self.update_s += time.perf_counter() - start
 
     def matvec(self, x: np.ndarray, level: int = 0) -> np.ndarray:
         y = self.ops[level] @ x
@@ -298,8 +380,10 @@ class _Multigrid:
         return r
 
     def _smooth(self, b: np.ndarray, x: np.ndarray, level: int) -> None:
-        """One damped-Jacobi sweep on x, in place."""
-        r = self._residual(b, x, level)
+        """One damped-Jacobi sweep on x, in place; wdinv is zero on the
+        fixed nodes, so the product needs no mask."""
+        r = self.ops[level] @ x
+        np.subtract(b, r, out=r)
         r *= self.wdinv[level]
         x += r
 
@@ -394,10 +478,11 @@ def _linear_solve(mg: _Multigrid, load: np.ndarray, U: np.ndarray, tol: float,
 
 # Most linear solves of the active-set iteration on each level. With an
 # off-diagonal thin coefficient K is not an M-matrix, and the iteration is
-# then not known to settle; 54 surveyed configs (n = 1, 2, a up to 0.9,
-# tilts up to 0.45, three obstacle shapes) settled within 5 finest-level
-# solves from the nested start (9 from the unconstrained one), and within
-# 10 solves over all levels.
+# then not known to settle; 54 surveyed configs (n = 1 at h = 1/64 and
+# n = 2 at h = 1/16; a = 0, 0.5, 0.9; tilts, or at n = 1 slopes of b_11,
+# of 0, 0.25 and 0.45; three obstacle shapes) settled within 5
+# finest-level solves from the nested start, and within 10 solves over
+# all levels.
 ACTIVE_SET_MAX_STEPS = 20
 
 
@@ -580,6 +665,7 @@ def solve_active_set(
         final_residual=residual,
         tol=tol,
         steps=steps,
+        hierarchy_s={"build_s": mg.build_s, "update_s": mg.update_s},
     )
 
 

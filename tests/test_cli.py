@@ -80,6 +80,9 @@ def test_unknown_solver_and_r_grid_keys_rejected(tmp_path, capsys, name, value, 
     ("r_grid", {"r_min": 0.5, "r_max": 0.2}), ("r_grid", {"r_min": 0.95}),
     ("solver", {"method": "psor", "tol": -1}), ("solver", {"method": "psor", "tol": 0}),
     ("solver", {"method": "psor", "tol": float("nan")}),
+    # integers beyond the float range
+    *(pytest.param(name, 10**400, id=f"{name}-1e400") for name in ("R", "hx", "hy", "delta")),
+    pytest.param("solver", {"method": "psor", "tol": 10**400}, id="solver-tol-1e400"),
 ])
 def test_config_type_errors_exit_before_the_solve(tmp_path, capsys, name, value):
     path = write_config(tmp_path, **{name: value})
@@ -185,6 +188,10 @@ def test_diagnose_profile_pipeline(tmp_path, capsys):
     assert manifest["classification_at_origin"] == "Regular"
     assert set(manifest["stage_s"]) == {"solve", "profile", "identities", "freeboundary"}
     assert all(t >= 0.0 for t in manifest["stage_s"].values())
+    # the solve's multigrid hierarchy: its build and the total of its updates
+    hierarchy = manifest["solver_hierarchy"]
+    assert set(hierarchy) == {"build_s", "update_s"}
+    assert 0.0 < hierarchy["build_s"] + hierarchy["update_s"] <= manifest["stage_s"]["solve"]
     assert manifest["environment"] == {"python": platform.python_version(),
                                        "numpy": np.__version__, "scipy": scipy.__version__}
     comp = json.loads((out / "identities.json").read_text())["complementarity"]

@@ -418,6 +418,47 @@ def test_blocked_galerkin_build_equals_one_block(n, h, a, graded, monkeypatch):
             assert np.array_equal(x, y)
 
 
+def _assert_within_4_ulps_per_row(ours, ref):
+    """Every entry within 4 ulps of the largest entry in its row of ref."""
+    row_max = abs(ref).max(axis=1).toarray().ravel()
+    err = abs(ours - ref).max(axis=1).toarray().ravel()
+    assert np.all(err <= 4 * np.finfo(float).eps * row_max)
+
+
+@EMBEDDED_CASES
+def test_built_hierarchy_equals_the_kronecker_galerkin_products(n, h, a, graded):
+    # with only the Dirichlet nodes fixed, every coarse operator of the
+    # build equals the masked Galerkin product of the full Kronecker
+    # prolongation, applied level by level, on odd, even and graded axes
+    grid, form, _, _ = _embedded_system(n, h, a, graded)
+    mg = solver_mod._Multigrid(form.stiffness, form.dirichlet, grid)
+    fresh = _fresh_masked_levels(form.stiffness, form.dirichlet, grid)
+    assert len(mg.ops) == len(fresh)
+    for ours, ref in zip(mg.ops[1:], fresh[1:]):
+        _assert_within_4_ulps_per_row(ours, ref)
+
+
+@EMBEDDED_CASES
+def test_update_rewrites_only_the_low_rows_in_place(n, h, a, graded):
+    # an update at level 1, then one at level 0, each overwrite the data of
+    # every coarser operator's two lowest y layers: the CSR arrays stay the
+    # same objects, and every other row keeps its bits
+    grid, form, fixed, _ = _embedded_system(n, h, a, graded)
+    mg = solver_mod._Multigrid(form.stiffness, form.dirichlet, grid)
+    coarse_ny = [ny for _, _, ny in _prolongations(grid)]
+    before = [(A.indptr, A.indices, A.data, A.data.copy()) for A in mg.ops[1:]]
+    if len(mg.ops) > 2:
+        fixed1 = ~mg.keeps[1]
+        fixed1[np.flatnonzero(~fixed1 & (np.arange(len(fixed1)) % coarse_ny[0] == 0))[::3]] = True
+        mg.update(fixed1, level=1)
+    mg.update(fixed)
+    for (indptr, indices, data, old), A, ny in zip(before, mg.ops[1:], coarse_ny):
+        assert A.indptr is indptr and A.indices is indices and A.data is data
+        high = np.repeat(np.arange(A.shape[0]) % ny >= 2, np.diff(A.indptr))
+        assert high.any() or ny == 2
+        assert np.array_equal(A.data[high], old[high])
+
+
 def _held_bytes(obj, exclude) -> int:
     """Bytes of the distinct arrays that obj holds through its attributes,
     lists, tuples and sparse matrices, the arrays of exclude left out."""
@@ -477,9 +518,7 @@ def test_updated_hierarchy_equals_a_fresh_masked_build(n, h, a, graded):
         fresh = _fresh_masked_levels(K, fixed, grid)
         assert len(mg.ops) == len(fresh)
         for ours, ref in zip(mg.ops[1:], fresh[1:]):
-            row_max = abs(ref).max(axis=1).toarray().ravel()
-            err = abs(ours - ref).max(axis=1).toarray().ravel()
-            assert np.all(err <= 4 * np.finfo(float).eps * row_max)
+            _assert_within_4_ulps_per_row(ours, ref)
 
 
 # the embedded cases whose grid has a coarse level
@@ -504,9 +543,7 @@ def test_coarse_level_update_equals_a_fresh_masked_build(n, h, a, graded):
     fresh = _fresh_masked_levels(A, fixed, grid, level=1)
     assert len(mg.ops) == len(fresh) + 1
     for ours, ref in zip(mg.ops[2:], fresh[1:]):
-        row_max = abs(ref).max(axis=1).toarray().ravel()
-        err = abs(ours - ref).max(axis=1).toarray().ravel()
-        assert np.all(err <= 4 * np.finfo(float).eps * row_max)
+        _assert_within_4_ulps_per_row(ours, ref)
     load = np.random.default_rng(3).standard_normal(A.shape[0]) * ~fixed
     W = np.zeros(A.shape[0])
     W[thin[::3]] = 0.05
