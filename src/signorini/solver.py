@@ -214,6 +214,8 @@ class _Transfer:
     def __init__(self, T: sp.csr_matrix, y: tuple, coarse: np.ndarray, shape: tuple):
         self.T, (self.Py, _, self.t), self.coarse, self.shape = T, y, coarse, shape
         self.TT = T.T.tocsr()
+        low = shape[:-1] + (min(3, shape[-1]),)  # the coarse layers a probe covers
+        self.colour = _colours(np.arange(np.prod(low)), low)
 
     def prolong(self, x: np.ndarray) -> np.ndarray:
         """P x."""
@@ -237,13 +239,11 @@ class _Transfer:
         ny, layers = self.shape[-1], min(3, self.shape[-1])
         keep_c = _low(keep_c, ny, layers).reshape(-1, 1)
         keep = _low(keep, len(keep) // self.T.shape[0], S.shape[0] // self.T.shape[0]).reshape(-1, 1)
-        shape = self.shape[:-1] + (layers,)
-        colour = _colours(np.arange(np.prod(shape)), shape)
         r = []
         # nine colours at a time (one index mod 3 on each axis but the last
         # two), so that at n = 2 the fine arrays hold a third of the columns
-        for colours in np.arange(3 ** len(shape)).reshape(-1, 9):
-            x = self.prolong(((colour[:, None] == colours) & keep_c).astype(float))
+        for colours in np.arange(3 ** len(self.shape)).reshape(-1, 9):
+            x = self.prolong(((self.colour[:, None] == colours) & keep_c).astype(float))
             x *= keep
             y = S @ x
             del x
