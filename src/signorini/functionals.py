@@ -4,9 +4,9 @@ the sphere and ball sums of a field once; the identity checks and the
 energy cross-check read its columns. sphere_columns turns the sphere sums
 H and L into G, psi, M and Ntilde, for radial_profile and for the
 free-boundary classification alike. sphere_heights is one pass per
-sphere rule (FieldSampler) in a frame (x0, S), the origin's being
-(0, I), and deal spreads the rules of a large call, like the report's
-points, over this process's CPUs. frame_factors evaluates the
+chunk of sphere rules (FieldSampler) in a frame (x0, S), the origin's
+being (0, I), and deal spreads the chunks of a large call, like the
+report's points, over this process's CPUs. frame_factors evaluates the
 coefficients' mu~ and la_r in a frame, for the pass and the surface
 terms alike.
 
@@ -84,11 +84,11 @@ class FieldSampler:
     coordinates outside the box are clamped to it; S^{-1} is computed once
     per sampler.
 
-    Calling the sampler on a sphere rule is sphere_heights' pass over that
-    rule: the rule's points are mapped into U's coordinates once, which
-    also tells whether a sample is clamped, U is read there once, and
-    frame_factors evaluates B and reads the divergence table once at the
-    mapped points (unclamped), in the frame's variables."""
+    Calling the sampler on consecutive sphere rules is sphere_heights'
+    pass over them: their points are mapped into U's coordinates once,
+    which also tells whether a rule has a clamped sample, U is read there
+    once, and frame_factors evaluates B and reads the divergence table
+    once at the mapped points (unclamped), in the frame's variables."""
 
     def __init__(self, grid: Grid, U: np.ndarray, frame=None):
         self.grid = grid
@@ -96,39 +96,59 @@ class FieldSampler:
         self.frame = frame or (np.zeros(grid.n), np.eye(grid.n))
         self._S_inv = np.linalg.inv(self.frame[1])
 
-    def _stencil(self, points: np.ndarray) -> tuple:
-        """(U's stencil at the points, whether any sample is clamped to the
-        box, X = x0 + S p (..., n) before the clamp). X is taken a row per
-        thin axis: numpy is slow along a short last axis."""
-        n, R = self.grid.n, self.grid.R
-        pts = np.asarray(points, dtype=float)
-        flat = pts.reshape(-1, n + 1)
-        x0, S = self.frame
-        X = S @ flat[:, :n].T
-        X += np.reshape(x0, (n, 1))
-        cols = list(X)
-        clamped = any(c.max() > R or c.min() < -R for c in cols)
-        if clamped:
-            cols = [np.clip(c, -R, R) for c in cols]
-        cols = tuple(c.reshape(pts.shape[:-1]) for c in cols + [flat[:, n]])
-        stencil = locate(self.grid.xs + (self.grid.ys,), cols, 1.0 - self.grid.a,
-                         self.grid.evenly_spaced)
-        return stencil, clamped, X.T.reshape(pts.shape[:-1] + (n,))
+    def _locate(self, X: np.ndarray, y: np.ndarray, clamp: bool):
+        """U's stencil at the thin coordinates X (n, m), clamped to the box
+        when clamp, and y (m,). X is taken a row per thin axis: numpy is
+        slow along a short last axis."""
+        R = self.grid.R
+        cols = [np.clip(c, -R, R) for c in X] if clamp else list(X)
+        return locate(self.grid.xs + (self.grid.ys,), tuple(cols + [y]), 1.0 - self.grid.a,
+                      self.grid.evenly_spaced)
+
+    def _map(self, points: np.ndarray) -> np.ndarray:
+        """X = x0 + S p (n, m) of the points (m, n+1)."""
+        X = self.frame[1] @ points[:, :self.grid.n].T
+        X += np.reshape(self.frame[0], (self.grid.n, 1))
+        return X
 
     def sample(self, points: np.ndarray) -> np.ndarray:
         """U at the points."""
-        return read(self._stencil(points)[0], self._U)
+        pts = np.asarray(points, dtype=float)
+        flat = pts.reshape(-1, self.grid.n + 1)
+        X = self._map(flat)
+        clamp = X.max() > self.grid.R or X.min() < -self.grid.R
+        return read(self._locate(X, flat[:, -1], clamp), self._U).reshape(pts.shape[:-1])
 
-    def __call__(self, rule, coeff: CoefficientField, la_r: bool = False) -> tuple:
-        """(H, L, clamped) of one rule: H = 2 int_{S_r} U^2 mu~ |y|^a, L =
-        2 int_{S_r} U^2 la_r (nan without la_r), and whether any sample is
-        clamped to the box; mu~ and la_r are those of coeff in the frame."""
-        points, weights = rule.points, rule.weights
-        stencil, clamped, X = self._stencil(points)
+    def __call__(self, rules, coeff: CoefficientField, la_r: bool = False) -> list:
+        """[(H, L, clamped)] of consecutive rules in one pass: H = 2
+        int_{S_r} U^2 mu~ |y|^a, L = 2 int_{S_r} U^2 la_r (nan without
+        la_r), and whether any sample of the rule is clamped to the box;
+        mu~ and la_r are those of coeff in the frame. The rules' points
+        are mapped, located and read together (one product when they
+        share a unit rule); each rule's sums and clamp flag come from its
+        own slice, so they equal those of a pass over the rule alone."""
+        n, R = self.grid.n, self.grid.R
+        if len({id(rule.unit) for rule in rules}) == 1:
+            radii = np.array([rule.r for rule in rules])
+            points = (rules[0].unit[0] * radii[:, None, None]).reshape(-1, n + 1)
+        else:
+            points = np.concatenate([rule.points for rule in rules])
+        starts = np.cumsum([0] + [rule.size for rule in rules])
+        X = self._map(points)
+        hi = np.maximum.reduceat(X, starts[:-1], axis=1).max(axis=0)
+        lo = np.minimum.reduceat(X, starts[:-1], axis=1).min(axis=0)
+        clamped = (hi > R) | (lo < -R)
+        stencil = self._locate(X, points[:, n], clamped.any())
         u2 = read(stencil, self._U) ** 2
-        _, mut, lar = frame_factors(self.grid, coeff, points, X, self._S_inv, la_r)
-        L = 2.0 * float(np.dot(weights, u2 * lar)) if la_r else float("nan")
-        return 2.0 * float(np.dot(weights, u2 * mut)), L, clamped
+        _, mut, lar = frame_factors(self.grid, coeff, points, X.T, self._S_inv, la_r)
+        hm = u2 * mut
+        hl = u2 * lar if la_r else None
+        out = []
+        for rule, s, e, c in zip(rules, starts[:-1], starts[1:], clamped):
+            weights = rule.weights
+            L = 2.0 * float(np.dot(weights, hl[s:e])) if la_r else float("nan")
+            out.append((2.0 * float(np.dot(weights, hm[s:e])), L, bool(c)))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +158,11 @@ class FieldSampler:
 
 # A sphere_heights call is dealt out when it has at least this many samples,
 # so that the half a second process takes outweighs the fork: one
-# fork-and-pipe round trip of a 63 MB (95 MB) diagnose process took 3.9 ms
-# (6.4 ms) on 2 vCPUs, and the fused pass 115 ns (H) to 290 ns (H and L in a
-# frame) per sample of an n = 2 rule; 2 x 4.4 ms / 115 ns is 76,000 samples.
-DEAL_MIN_SAMPLES = 76_000
+# fork-and-pipe round trip of a 66 MB (85 MB) diagnose process took 5.6 ms
+# (4.9 to 7.8 ms) on 2 vCPUs, and the chunked pass 87 ns (H) to 126 ns (H
+# and L in a frame) per sample of an n = 2 rule, against 98 and 149 ns for a
+# pass per rule in the same runs; 2 x 5.6 ms / 87 ns is 129,000 samples.
+DEAL_MIN_SAMPLES = 129_000
 
 _dealing = False  # set while this process deals, in it and in its children
 
@@ -252,6 +273,16 @@ def conjugate_variable(grid: Grid, U: np.ndarray) -> np.ndarray:
 
 H_FLOOR_FACTOR = 1e-14
 
+# The most samples of one sphere_heights pass (a larger rule gets a pass of
+# its own): four 64-angle rules at n = 2, every rule of a profile or ladder
+# at n = 1. The three diagnostic stages of diag2d_tilt (n = 2, h = 1/16),
+# inline on one vCPU, took 226 ms of CPU at 4096 samples (a pass per rule),
+# 188 ms at 8192, 181 ms at 12288, 176 ms at 16384 and 218 ms at 32768 (the
+# medians of 16 to 24 interleaved rounds; one unbounded pass per call took
+# 238 ms); diag1d_fine's took 45 ms with a pass per rule and 33 ms at 8192
+# and at 16384.
+PASS_SAMPLES = 16384
+
 
 class SphereHeights(NamedTuple):
     H: np.ndarray
@@ -269,12 +300,21 @@ def sphere_heights(U: np.ndarray, problem: ProblemSpec, rules, la_r: bool = Fals
     rules sit about the origin of the frame's coordinates p, x = x0 + S p:
     FieldSampler maps their points once, U is read there and frame_factors
     evaluates the problem's own coefficients there in the frame's
-    variables. Each rule is one FieldSampler pass; the rules are dealt out
-    over this process's CPUs (deal)."""
+    variables. Consecutive rules of at most PASS_SAMPLES samples in all
+    (or one larger rule) share one FieldSampler pass; the chunks are
+    formed first and then dealt out over this process's CPUs (deal), so
+    the results do not depend on the number of processes."""
     sampler = FieldSampler(problem.grid, U, frame)
+    chunks, size = [], PASS_SAMPLES
+    for rule in rules:
+        if size + rule.size > PASS_SAMPLES:
+            chunks.append([])
+            size = 0
+        chunks[-1].append(rule)
+        size += rule.size
     samples = sum(rule.size for rule in rules)
-    out, processes = deal(lambda rule: sampler(rule, problem.coeff, la_r), rules, samples)
-    table = np.array(out, dtype=float).reshape(len(rules), 3)
+    out, processes = deal(lambda chunk: sampler(chunk, problem.coeff, la_r), chunks, samples)
+    table = np.array([row for part in out for row in part], dtype=float).reshape(len(rules), 3)
     return SphereHeights(table[:, 0], table[:, 1] if la_r else None, table[:, 2] > 0.0, processes)
 
 

@@ -444,19 +444,37 @@ def _cell_distances(grid: Grid) -> np.ndarray:
     return np.sqrt(sum(c**2 for c in grid.cell_centers()))
 
 
-def _coverage(grid: Grid, centers: np.ndarray, r: float, nsub: int) -> np.ndarray:
-    """Fraction of each cell (centres (m, n+1)) inside |X| <= r, from a
-    fixed nsub^(n+1)-point midpoint subsample per cell."""
+def _coverage(grid: Grid, centers: np.ndarray, radii, lo, hi, nsub: int) -> list:
+    """For each radius radii[i], the fraction of each cell of
+    centers[lo[i]:hi[i]] (centres (m, n+1)) inside |X| <= radii[i], from a
+    fixed nsub^(n+1)-point midpoint subsample per cell. A cell's subsample
+    distances are computed once for all the spans that hold it, walking
+    the merged spans in blocks of at most the longest span's cells."""
     fr = (np.arange(nsub) + 0.5) / nsub - 0.5
-    m = len(centers)
-    r2 = 0.0
-    for d in range(grid.n + 1):
-        h = grid.hy if d == grid.n else grid.hx
-        shape = [m] + [1] * (grid.n + 1)
-        shape[d + 1] = nsub
-        r2 = r2 + ((centers[:, d, None] + fr * h) ** 2).reshape(shape)
-    inside = (r2 <= r * r).reshape(m, -1)
-    return np.count_nonzero(inside, axis=1) / inside.shape[1]
+    lo, hi = np.asarray(lo, dtype=np.intp), np.asarray(hi, dtype=np.intp)
+    out = [np.empty(b - a) for a, b in zip(lo, hi)]
+    block = max(int((hi - lo).max(initial=0)), 1)
+    merged = []
+    for a, b in sorted(zip(lo.tolist(), hi.tolist())):
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        elif a < b:
+            merged.append([a, b])
+    for start, stop in merged:
+        for b0 in range(start, stop, block):
+            b1 = min(b0 + block, stop)
+            r2 = 0.0
+            for d in range(grid.n + 1):
+                h = grid.hy if d == grid.n else grid.hx
+                shape = [b1 - b0] + [1] * (grid.n + 1)
+                shape[d + 1] = nsub
+                r2 = r2 + ((centers[b0:b1, d, None] + fr * h) ** 2).reshape(shape)
+            r2 = r2.reshape(b1 - b0, -1)
+            for i in np.flatnonzero((lo < b1) & (hi > b0)).tolist():
+                s0, s1 = max(int(lo[i]), b0), min(int(hi[i]), b1)
+                inside = r2[s0 - b0:s1 - b0] <= radii[i] * radii[i]
+                out[i][s0 - lo[i]:s1 - lo[i]] = np.count_nonzero(inside, axis=1) / inside.shape[1]
+    return out
 
 
 def ball_cells(grid: Grid, r: float, nsub: int = 4) -> BallCells:
@@ -475,7 +493,7 @@ def ball_cells(grid: Grid, r: float, nsub: int = 4) -> BallCells:
     idx_sh = np.where((dist > r - half_diag) & (dist < r + half_diag))
     centers = grid.cell_centers()
     sh_centers = np.stack([centers[d][idx_sh] for d in range(grid.n + 1)], axis=-1)
-    fr_sh = _coverage(grid, sh_centers, r, nsub)
+    fr_sh = _coverage(grid, sh_centers, [r], [0], [len(sh_centers)], nsub)[0]
     keep = fr_sh > 0.0
     indices = tuple(
         np.concatenate([idx_in[d], idx_sh[d][keep]]) for d in range(grid.n + 1)
@@ -491,7 +509,8 @@ def ball_sums(grid: Grid, densities: np.ndarray, radii, nsub: int = 4) -> np.nda
     (k,) + cell_shape; the result has shape (len(radii),) or
     (k, len(radii)). Cells with |d| <= r - half_diag enter through one
     prefix sum in distance order; only the shell |d - r| < half_diag is
-    subsampled, by the ball_cells coverage rule.
+    subsampled, by the ball_cells coverage rule, and a cell in several
+    radii's shells is subsampled once.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     for r in radii:
@@ -505,7 +524,7 @@ def ball_sums(grid: Grid, densities: np.ndarray, radii, nsub: int = 4) -> np.nda
     lo = np.searchsorted(dist, radii - half_diag, side="right")
     hi = np.searchsorted(dist, radii + half_diag, side="left")
     out = np.empty((flat.shape[0], len(radii)))
-    for i, r in enumerate(radii):
-        fr = _coverage(grid, centers[lo[i]:hi[i]], r, nsub)
+    coverage = _coverage(grid, centers, radii, lo, hi, nsub)
+    for i, fr in enumerate(coverage):
         out[:, i] = prefix[:, lo[i]] + (flat[:, lo[i]:hi[i]] * fr).sum(axis=1)
     return out if dens.ndim > grid.n + 1 else out[0]

@@ -16,6 +16,7 @@ import signorini as sg
 import signorini.cli as cli
 import signorini.solver as solver_mod
 from signorini.errors import InvalidConfigurationError
+from signorini.functionals import PASS_SAMPLES
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -578,11 +579,13 @@ def test_tilted_n2_summary_is_strict_json(tmp_path):
     for name in ("identities.json", "manifest.json"):
         json.loads((out / name).read_text(), parse_constant=reject)
     # the sphere rules of the profile (40 radii) and of the identities (the
-    # profile's radii in [0.2, 0.8] at r +- dr) are dealt out over the CPUs
+    # profile's radii in [0.2, 0.8] at r +- dr) are dealt out over the CPUs,
+    # in passes of PASS_SAMPLES samples (64-angle rules of 4096 samples)
     manifest = json.loads((out / "manifest.json").read_text())
     with open(out / "profile.csv") as fh:
         r = np.array([float(row["r"]) for row in csv.DictReader(fh)])
     cpus = len(os.sched_getaffinity(0))
-    assert manifest["profile_processes"] == min(len(r), cpus)
-    assert manifest["identities_processes"] == min(2 * np.count_nonzero((r >= 0.2) & (r <= 0.8)),
-                                                   cpus)
+    per_pass = PASS_SAMPLES // 4096
+    assert manifest["profile_processes"] == min(-(-len(r) // per_pass), cpus)
+    identity_rules = 2 * np.count_nonzero((r >= 0.2) & (r <= 0.8))
+    assert manifest["identities_processes"] == min(-(-identity_rules // per_pass), cpus)

@@ -106,6 +106,19 @@ def _pass_case(n, a, graded, h=1 / 16, desc=None):
     return grid, coeff, U
 
 
+def _chunked_rules(grid):
+    """Rules that fill one pass with 64-angle rules of one unit rule (a
+    single product) and then alternate 48 and 64 angles (concatenated
+    passes) over more than two further passes, on radii in [0.15, 0.5]."""
+    budget = functionals.PASS_SAMPLES
+    rules = []
+    while sum(rule.size for rule in rules) <= 3 * budget:
+        i = len(rules)
+        m = 64 if sum(rule.size for rule in rules) < budget or i % 2 else 48
+        rules.append(sg.sphere_quadrature(grid, 0.15 + 0.35 * (0.618 * i % 1.0), m))
+    return rules
+
+
 @pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
 @pytest.mark.parametrize("framed", [False, True], ids=["origin", "frame"])
 @pytest.mark.parametrize("a", [0.0, 0.5])
@@ -117,7 +130,8 @@ def test_fused_pass_matches_the_per_rule_reference(n, a, framed, graded, monkeyp
     # frame the reference is the per-point path: the coefficients tabulated
     # in the frame's coordinates (conftest.normalized_field), which agree
     # with the problem's own coefficients evaluated at the mapped points
-    # for B linear in x, as here
+    # for B linear in x, as here. One call over mixed rules spanning
+    # several passes equals, to the bit, the rules passed one per call
     _cpus(monkeypatch, 1)
     grid, coeff, U = _pass_case(n, a, graded)
     frame, ref_coeff = None, coeff
@@ -127,6 +141,14 @@ def test_fused_pass_matches_the_per_rule_reference(n, a, framed, graded, monkeyp
         ref_coeff = normalized_field(grid, coeff, x0)
     problem = sg.make_problem(grid, coeff=coeff)
     rules = [sg.sphere_quadrature(grid, r, m) for r in (0.15, 0.3, 0.5) for m in (48, 64)]
+    chunked = _chunked_rules(grid)
+    passes, call = [], functionals.FieldSampler.__call__
+
+    def spy(self, chunk, *args):
+        passes.append(chunk)
+        return call(self, chunk, *args)
+
+    monkeypatch.setattr(functionals.FieldSampler, "__call__", spy)
     for la_r in (False, True):
         H, L, clamped, processes = sg.sphere_heights(U, problem, rules, la_r=la_r, frame=frame)
         H_ref, L_ref, clamped_ref = reference_heights(U, grid, ref_coeff, rules, la_r, frame)
@@ -135,6 +157,20 @@ def test_fused_pass_matches_the_per_rule_reference(n, a, framed, graded, monkeyp
         assert L is None if not la_r else np.abs(L / L_ref - 1.0).max() <= 1e-13
         assert np.array_equal(clamped, clamped_ref)
         assert clamped.any() and not clamped.all() if framed else not clamped.any()
+
+        passes.clear()
+        fused = sg.sphere_heights(U, problem, chunked, la_r=la_r, frame=frame)
+        assert len(passes) >= 4 and [rule for chunk in passes for rule in chunk] == chunked
+        assert len({id(rule.unit) for rule in passes[0]}) == 1
+        assert all(len({id(rule.unit) for rule in chunk}) == 2 for chunk in passes[1:-1])
+        single = [sg.sphere_heights(U, problem, [rule], la_r=la_r, frame=frame)
+                  for rule in chunked]
+        assert _bitwise_equal(fused.H, np.concatenate([out.H for out in single]))
+        assert _bitwise_equal(fused.L, None if not la_r else
+                              np.concatenate([out.L for out in single]))
+        assert _bitwise_equal(fused.clamped, np.concatenate([out.clamped for out in single]))
+        assert fused.clamped.any() and not fused.clamped.all() if framed \
+            else not fused.clamped.any()
 
 
 # B cubic in x: central differences of its table are O(h^2) off
@@ -215,7 +251,7 @@ def test_a_dealt_task_deals_no_further(tilted_n2_reduction, monkeypatch):
     # share, run inline; a call below DEAL_MIN_SAMPLES runs inline too
     U0, problem0 = tilted_n2_reduction
     grid = problem0.grid
-    rules = [sg.sphere_quadrature(grid, r) for r in np.linspace(0.3, 0.8, 20)]
+    rules = [sg.sphere_quadrature(grid, r) for r in np.linspace(0.3, 0.8, 40)]
     assert sum(rule.size for rule in rules) >= functionals.DEAL_MIN_SAMPLES
     _cpus(monkeypatch, 3)
     assert sg.sphere_heights(U0, problem0, rules).processes == 3

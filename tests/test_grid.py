@@ -233,12 +233,27 @@ def test_box_midpoint_quadrature_order():
 
 
 @pytest.mark.parametrize("nsub", [2, 4])
-@pytest.mark.parametrize("n", [1, 2])
-def test_ball_sums_match_ball_cells(n, nsub):
-    grid = sg.build_grid(n, 1.0, 1 / 12, 1 / 10, 0.5)
+@pytest.mark.parametrize("n, hx, hy, radii", [
+    (1, 1 / 12, 1 / 10, None),
+    (2, 1 / 12, 1 / 10, None),
+    # the 40 default radii, whose shells overlap
+    (2, 1 / 16, 1 / 16, "overlap"),
+    # 40 radii from 0.1 (diag1d_fine's), whose shells leave gaps
+    (1, 1 / 256, 1 / 256, "gaps"),
+], ids=["1", "2", "2-overlapping-shells", "1-disjoint-shells"])
+def test_ball_sums_match_ball_cells(n, hx, hy, radii, nsub):
+    grid = sg.build_grid(n, 1.0, hx, hy, 0.5)
     rng = np.random.default_rng(n * 10 + nsub)
     densities = rng.random((2,) + grid.cell_shape) + 0.1
-    radii = np.linspace(2.0 * max(grid.hx, grid.hy) * 1.001, grid.R, 17)
+    shell = np.sqrt(n * grid.hx**2 + grid.hy**2)  # a shell's width in cell-centre distance
+    if radii is None:
+        radii = np.linspace(2.0 * max(grid.hx, grid.hy) * 1.001, grid.R, 17)
+    elif radii == "overlap":
+        radii = sg.default_r_grid(grid)
+        assert np.diff(radii).max() < shell
+    else:
+        radii = sg.default_r_grid(grid, r_min=0.1)
+        assert np.diff(radii).min() > shell
     sums = ball_sums(grid, densities, radii, nsub=nsub)
     assert sums.shape == (2, len(radii))
     for i, r in enumerate(radii):
