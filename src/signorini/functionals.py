@@ -124,15 +124,11 @@ class FieldSampler:
         int_{S_r} U^2 mu~ |y|^a, L = 2 int_{S_r} U^2 la_r (nan without
         la_r), and whether any sample of the rule is clamped to the box;
         mu~ and la_r are those of coeff in the frame. The rules' points
-        are mapped, located and read together (one product when they
-        share a unit rule); each rule's sums and clamp flag come from its
-        own slice, so they equal those of a pass over the rule alone."""
+        are mapped, located and read together; each rule's sums and clamp
+        flag come from its own slice, so they equal those of a pass over
+        the rule alone."""
         n, R = self.grid.n, self.grid.R
-        if len({id(rule.unit) for rule in rules}) == 1:
-            radii = np.array([rule.r for rule in rules])
-            points = (rules[0].unit[0] * radii[:, None, None]).reshape(-1, n + 1)
-        else:
-            points = np.concatenate([rule.points for rule in rules])
+        points = np.concatenate([rule.points for rule in rules])
         starts = np.cumsum([0] + [rule.size for rule in rules])
         X = self._map(points)
         hi = np.maximum.reduceat(X, starts[:-1], axis=1).max(axis=0)
@@ -157,12 +153,17 @@ class FieldSampler:
 
 
 # A sphere_heights call is dealt out when it has at least this many samples,
-# so that the half a second process takes outweighs the fork: one
-# fork-and-pipe round trip of a 66 MB (85 MB) diagnose process took 5.6 ms
-# (4.9 to 7.8 ms) on 2 vCPUs, and the chunked pass 87 ns (H) to 126 ns (H
-# and L in a frame) per sample of an n = 2 rule, against 98 and 149 ns for a
-# pass per rule in the same runs; 2 x 5.6 ms / 87 ns is 129,000 samples.
-DEAL_MIN_SAMPLES = 129_000
+# so that the half a second process takes outweighs the fork. Measured at
+# PASS_SAMPLES = 16384 in eight runs on 2 vCPUs: one fork-and-pipe round
+# trip of a 66 MB diagnose process took 4.0 to 5.0 ms (median 4.4 ms; 5.0 to
+# 5.2 ms at 84 MB), and the chunked pass 85 to 116 ns (median 106 ns) per
+# sample of an n = 2 rule for H, 124 to 188 ns for H and L in a frame. So 2 x
+# 4.4 ms / 106 ns is 83,000 samples, and the runs' own break-evens spread
+# from 69,000 to 107,000. No workload's dealing depends on where in that
+# range the value lies: the profile (164k samples) and identity checks (262k
+# to 295k) at n = 2 are dealt, a point's ladder and decay fit (28k to 33k)
+# and every n = 1 call run inline.
+DEAL_MIN_SAMPLES = 76_000
 
 _dealing = False  # set while this process deals, in it and in its children
 

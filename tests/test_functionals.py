@@ -107,9 +107,9 @@ def _pass_case(n, a, graded, h=1 / 16, desc=None):
 
 
 def _chunked_rules(grid):
-    """Rules that fill one pass with 64-angle rules of one unit rule (a
-    single product) and then alternate 48 and 64 angles (concatenated
-    passes) over more than two further passes, on radii in [0.15, 0.5]."""
+    """Rules that fill one pass with 64-angle rules and then alternate 48
+    and 64 angles over more than two further passes, on radii in
+    [0.15, 0.5]."""
     budget = functionals.PASS_SAMPLES
     rules = []
     while sum(rule.size for rule in rules) <= 3 * budget:
@@ -161,7 +161,6 @@ def test_fused_pass_matches_the_per_rule_reference(n, a, framed, graded, monkeyp
         passes.clear()
         fused = sg.sphere_heights(U, problem, chunked, la_r=la_r, frame=frame)
         assert len(passes) >= 4 and [rule for chunk in passes for rule in chunk] == chunked
-        assert len({id(rule.unit) for rule in passes[0]}) == 1
         assert all(len({id(rule.unit) for rule in chunk}) == 2 for chunk in passes[1:-1])
         single = [sg.sphere_heights(U, problem, [rule], la_r=la_r, frame=frame)
                   for rule in chunked]
@@ -251,7 +250,7 @@ def test_a_dealt_task_deals_no_further(tilted_n2_reduction, monkeypatch):
     # share, run inline; a call below DEAL_MIN_SAMPLES runs inline too
     U0, problem0 = tilted_n2_reduction
     grid = problem0.grid
-    rules = [sg.sphere_quadrature(grid, r) for r in np.linspace(0.3, 0.8, 40)]
+    rules = [sg.sphere_quadrature(grid, r) for r in np.linspace(0.3, 0.8, 20)]
     assert sum(rule.size for rule in rules) >= functionals.DEAL_MIN_SAMPLES
     _cpus(monkeypatch, 3)
     assert sg.sphere_heights(U0, problem0, rules).processes == 3
