@@ -18,13 +18,7 @@ from .coefficients import (
     make_problem,
     normalize_at,
 )
-from .operator import (
-    SymmetricForm,
-    apply_operator,
-    assemble_energy,
-    neumann_trace,
-    residual_l2,
-)
+from .operator import SymmetricForm, assemble_energy, neumann_trace
 from .solver import (
     SolutionField,
     complementarity_report,

@@ -271,7 +271,6 @@ def _profile(cfg: ExperimentConfig, res: dict) -> dict:
         C_weiss=cfg.C_weiss,
     )
     res.update(profile=prof, reduced=(U0, problem0), summary=prof.summary())
-    res["manifest"]["profile_processes"] = prof.processes
     cols = [getattr(prof, c) for c in COLUMNS]
     cols += [prof.mask_lambda.astype(int), prof.mask_gamma.astype(int)]
     header = COLUMNS + ["in_lambda_mask", "in_gamma_mask"]
@@ -283,7 +282,6 @@ def _identities(cfg: ExperimentConfig, res: dict) -> dict:
     U0, problem0 = res["reduced"]
     checks = identity_checks(U0, problem0, res["profile"])
     cross = surface_cross_check(U0, problem0, res["profile"])
-    res["manifest"]["identities_processes"] = checks["processes"]
     rellich = checks["rellich_rel"]
     return {"identities.json": {
         "height_derivative_rel_max": float(np.max(checks["height_derivative_rel"])),
@@ -296,7 +294,8 @@ def _identities(cfg: ExperimentConfig, res: dict) -> dict:
 
 
 def _freeboundary(cfg: ExperimentConfig, res: dict) -> dict:
-    fb = free_boundary_report(res["sol"], res["problem"], delta=cfg.delta)
+    fb = free_boundary_report(res["sol"], res["problem"], delta=cfg.delta,
+                              alongside=res["alongside"])
     res["points"] = fb.points
     nearest = min(fb.points, key=lambda p: float(np.linalg.norm(p["x0"])), default=None)
     res["manifest"].update(
@@ -331,13 +330,19 @@ VERBS = {
     "classify": ("solve", "freeboundary"),
     "blowup": ("solve", "blowup"),
 }
+# The stages that run inside the freeboundary stage, in this process, while
+# forked children claim the report's points (deal), so that a run deals its
+# diagnostics once; a verb with them has the freeboundary stage too.
+ALONGSIDE = ("profile", "identities")
 
 
 def _pipeline(cfg: ExperimentConfig, out_dir, verb: str, quiet: bool = True,
               blowup_at=None) -> dict:
     """Run the verb's stages in order, writing each stage's artifacts as it
-    ends, then manifest.json; returns the in-memory results. blowup_at is
-    the (x0, scale) of the blowup stage."""
+    ends, then manifest.json; returns the in-memory results. The verb's
+    ALONGSIDE stages run inside its freeboundary stage, whose stage_s is
+    then the time of the whole phase less theirs. blowup_at is the (x0,
+    scale) of the blowup stage."""
     t0 = time.time()
     manifest = {"config": cfg.to_dict(), "version": __version__, "stage_s": {},
                 "environment": {"python": platform.python_version(), "numpy": np.__version__,
@@ -345,10 +350,26 @@ def _pipeline(cfg: ExperimentConfig, out_dir, verb: str, quiet: bool = True,
     res = {"manifest": manifest, "blowup_at": blowup_at, "grid": _grid(cfg)}
     if "profile" in VERBS[verb]:  # radii that miss the grid exit before the solve
         res["r_grid"] = default_r_grid(res["grid"], **cfg.r_grid)
-    for name in VERBS[verb]:
+    stages = VERBS[verb]
+    inside = [name for name in stages if name in ALONGSIDE]
+    seconds = {}
+
+    def run_stage(name: str) -> None:
         t = time.perf_counter()
         _write(out_dir, STAGES[name](cfg, res))
-        manifest["stage_s"][name] = round(time.perf_counter() - t, 3)
+        seconds[name] = time.perf_counter() - t
+
+    def alongside() -> None:
+        for name in inside:
+            run_stage(name)
+
+    res["alongside"] = alongside
+    for name in stages:
+        if name not in inside:
+            run_stage(name)
+    if inside:
+        seconds["freeboundary"] -= sum(seconds[name] for name in inside)
+    manifest["stage_s"] = {name: round(seconds[name], 3) for name in stages}
     manifest["wall_time_s"] = round(time.time() - t0, 3)
     _write(out_dir, {"manifest.json": manifest})
     if not quiet:

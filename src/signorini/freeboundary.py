@@ -139,7 +139,7 @@ def local_columns(U: np.ndarray, problem: ProblemSpec, x0, r: float,
     rg = r * q**j
     rules = [sphere_quadrature(grid, ri) for ri in rg]
     frame = (x0, normalize_at(grid, problem.coeff, x0))
-    H, L, clamped, _ = sphere_heights(U, problem, rules, la_r=True, frame=frame)
+    H, L, clamped = sphere_heights(U, problem, rules, la_r=True, frame=frame)
     clamp_r = next((float(ri) for ri, c in zip(rg, clamped) if c), None)
     cols = sphere_columns(rg, H, L, grid.n, grid.a, delta=delta)
     return cols, k, FieldSampler(grid, U, frame), clamp_r
@@ -336,20 +336,23 @@ def point_record(U0: np.ndarray, problem0: ProblemSpec, x0, delta: float) -> dic
     }
 
 
-def free_boundary_report(sol: SolutionField, problem: ProblemSpec,
-                         delta: float = 0.5) -> FreeBoundaryReport:
+def free_boundary_report(sol: SolutionField, problem: ProblemSpec, delta: float = 0.5,
+                         alongside=None) -> FreeBoundaryReport:
     """Extract masks, classify every free boundary node with |x| <= R/2,
     fit decay slopes, and (n=2) fit the graph of the regular points or
     record why graph_fit could not (graph_error). The obstacle is
     subtracted once, for all points; each point's record is
-    point_record's, computed on this process's CPUs (deal)."""
+    point_record's, claimed by this process's CPUs (deal). alongside, a
+    callable with no argument, runs in this process while forked children
+    claim the first points: the diagnose pipeline passes its profile and
+    identity checks."""
     grid = problem.grid
     masks = contact_set(sol, problem)
     pts = gamma_points(grid, masks["gamma"])
     # keep points away from the lateral boundary where radii fit
     pts = pts[np.all(np.abs(pts) <= 0.5 * grid.R, axis=-1)]
     U0, problem0 = reduce_obstacle(sol.U, problem)
-    records, processes = deal(lambda x0: point_record(U0, problem0, x0, delta), pts)
+    records, processes = deal(lambda x0: point_record(U0, problem0, x0, delta), pts, alongside)
     graph = graph_error = None
     if grid.n == 2:
         try:

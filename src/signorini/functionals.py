@@ -5,10 +5,11 @@ energy cross-check read its columns. sphere_columns turns the sphere sums
 H and L into G, psi, M and Ntilde, for radial_profile and for the
 free-boundary classification alike. sphere_heights is one pass per
 chunk of sphere rules (FieldSampler) in a frame (x0, S), the origin's
-being (0, I), and deal spreads the chunks of a large call, like the
-report's points, over this process's CPUs. frame_factors evaluates the
-coefficients' mu~ and la_r in a frame, for the pass and the surface
-terms alike.
+being (0, I). frame_factors evaluates the coefficients' mu~ and la_r in a
+frame, for the pass and the surface terms alike. deal is the one place
+that spreads work over this process's CPUs: forked children claim the
+free-boundary report's points while this process runs work of its own,
+the diagnose pipeline's profile and identity checks.
 
 All ball/sphere integrals treat the field as evenly reflected across the
 thin plane: upper-half quadratures are doubled. The weight |y|^a is
@@ -152,54 +153,61 @@ class FieldSampler:
 # ---------------------------------------------------------------------------
 
 
-# A sphere_heights call is dealt out when it has at least this many samples,
-# so that the half a second process takes outweighs the fork. Measured at
-# PASS_SAMPLES = 16384 in eight runs on 2 vCPUs: one fork-and-pipe round
-# trip of a 66 MB diagnose process took 4.0 to 5.0 ms (median 4.4 ms; 5.0 to
-# 5.2 ms at 84 MB), and the chunked pass 85 to 116 ns (median 106 ns) per
-# sample of an n = 2 rule for H, 124 to 188 ns for H and L in a frame. So 2 x
-# 4.4 ms / 106 ns is 83,000 samples, and the runs' own break-evens spread
-# from 69,000 to 107,000. No workload's dealing depends on where in that
-# range the value lies: the profile (164k samples) and identity checks (262k
-# to 295k) at n = 2 are dealt, a point's ladder and decay fit (28k to 33k)
-# and every n = 1 call run inline.
-DEAL_MIN_SAMPLES = 76_000
+# A fork-and-pipe round trip of a 65 MB diagnose process takes 3.6 to 4.2 ms
+# (quartiles of 30; median 3.9 ms) on 2 vCPUs, so a diagnose run forks once,
+# for the free-boundary report's points: their records (17 on diag2d_tilt)
+# take 130 to 165 ms of CPU inline, and this process runs the profile and
+# identity checks (about 70 ms) while the children claim them. Dealing the
+# sphere calls of those two stages on their own saved at most 2.5 ms of 42.5
+# and 32 ms, so they run inline.
+#
+# The claim queue is a pipe of 4-byte start indices, written in full before
+# the fork: reading one record claims it, and an empty pipe with no writer
+# left reads as the end of the work. QUEUE_RECORDS records (16 KiB) fit in
+# the pipe buffer on every platform, so the write cannot block; a longer
+# list is claimed in runs of consecutive items.
+QUEUE_RECORDS = 4096
 
-_dealing = False  # set while this process deals, in it and in its children
+
+def _claim(queue: int, task, items, run: int) -> list:
+    """[(i, task(items[i]))] for the items this process claims from the
+    queue, run consecutive items per record, until the queue is empty."""
+    out = []
+    while record := os.read(queue, 4):
+        start = int.from_bytes(record, "little")
+        out += [(i, task(items[i])) for i in range(start, min(start + run, len(items)))]
+    return out
 
 
-def _send(conn, task, items) -> None:
-    """A forked worker's body: send ("ok", [task(item) ...]), or ("error",
-    exc) for the first item that raised."""
+def _send(conn, queue: int, task, items, run: int) -> None:
+    """A forked worker's body: send ("ok", its claims), or ("error", exc)
+    for the first claimed item that raised."""
     try:
-        out = ("ok", [task(item) for item in items])
+        out = ("ok", _claim(queue, task, items, run))
     except Exception as exc:  # re-raised by the parent
         out = ("error", exc)
     conn.send(out)
     conn.close()
 
 
-def deal(task, items, samples: int | None = None) -> tuple:
+def deal(task, items, alongside=None) -> tuple:
     """[task(item) for item in items], in order, and the number of
-    processes that computed it.
+    processes that computed it; alongside, when given, is called with no
+    argument in this process before it claims any item.
 
-    The items are dealt out in interleaved slices to one process per CPU
-    of this process's affinity mask (at most one per item): this process
-    computes slice 0 and k - 1 forked children the others, each sending
-    its results through a pipe. Every item runs the same code on the same
-    arrays, so the results equal those of the inline loop, which runs
-    when k == 1, where fork is unavailable, in a daemonic process, inside
-    a dealt task (a dealt task never deals again), and when samples, the
-    call's sphere samples, are fewer than DEAL_MIN_SAMPLES. A child's
-    exception is re-raised here with its type; a child that exits without
-    sending raises SignoriniError with its exit code. No child outlives
-    the call.
+    One process per CPU of this process's affinity mask, at most one per
+    item: k - 1 forked children claim the items one at a time from a
+    shared queue while this process runs alongside, and then this process
+    claims what is left. Every item runs the same code on the same arrays,
+    so the results equal those of the inline loop, which runs (after
+    alongside) when k == 1, where fork is unavailable and in a daemonic
+    process. An exception raised by alongside or by an item this process
+    claims propagates; a child's is re-raised here with its type; a child
+    that exits without sending raises SignoriniError with its exit code.
+    No child outlives the call.
     """
-    global _dealing
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     k = min(len(items), cpus or 1)
-    if _dealing or (samples is not None and samples < DEAL_MIN_SAMPLES):
-        k = 1
     if k > 1:
         import multiprocessing  # here, so that `import signorini` does not load it
 
@@ -208,21 +216,28 @@ def deal(task, items, samples: int | None = None) -> tuple:
                 or multiprocessing.current_process().daemon):
             k = 1
     if k <= 1:
+        if alongside is not None:
+            alongside()
         return [task(item) for item in items], 1
 
+    run = -(-len(items) // QUEUE_RECORDS)
+    queue, fill = os.pipe()
+    with os.fdopen(fill, "wb") as fh:  # closed before the fork: no child holds a writer
+        fh.write(b"".join(i.to_bytes(4, "little") for i in range(0, len(items), run)))
     # fork, not spawn: a child reads the task's arrays from the parent's
     # memory, with no pickling and no fresh import
     ctx = multiprocessing.get_context("fork")
     children = []
-    _dealing = True
     try:
-        for i in range(1, k):
+        for _ in range(1, k):
             recv_end, send_end = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_send, args=(send_end, task, items[i::k]))
+            proc = ctx.Process(target=_send, args=(send_end, queue, task, items, run))
             proc.start()
             children.append((proc, recv_end))
             send_end.close()  # so a child that dies leaves its pipe at EOF
-        slices = [[task(item) for item in items[0::k]]]
+        if alongside is not None:
+            alongside()
+        claims = _claim(queue, task, items, run)
         for proc, conn in children:
             try:
                 status, payload = conn.recv()
@@ -233,20 +248,17 @@ def deal(task, items, samples: int | None = None) -> tuple:
                 ) from None
             if status == "error":
                 raise payload
-            slices.append(payload)
+            claims += payload
     except BaseException:
         for proc, _ in children:
             proc.kill()
         raise
     finally:
-        _dealing = False
+        os.close(queue)
         for proc, conn in children:
             conn.close()
             proc.join()
-    results = [None] * len(items)
-    for i, part in enumerate(slices):
-        results[i::k] = part
-    return results, k
+    return [value for _, value in sorted(claims, key=lambda claim: claim[0])], k
 
 
 def conjugate_variable(grid: Grid, U: np.ndarray) -> np.ndarray:
@@ -289,12 +301,11 @@ class SphereHeights(NamedTuple):
     H: np.ndarray
     L: np.ndarray | None  # None without la_r
     clamped: np.ndarray  # per rule: whether a sample is clamped to the box
-    processes: int  # processes that computed the rules (deal)
 
 
 def sphere_heights(U: np.ndarray, problem: ProblemSpec, rules, la_r: bool = False,
                    frame=None) -> SphereHeights:
-    """(H, L, clamped, processes) per rule: H = 2 int_{S_r} U^2 mu~ |y|^a
+    """(H, L, clamped) per rule: H = 2 int_{S_r} U^2 mu~ |y|^a
     on the sphere about the origin (even reflection: doubled upper half)
     and, with la_r, the G numerator L = 2 int_{S_r} U^2 la_r. With frame =
     (x0, S) (S from normalize_at; None is the origin's frame (0, I)) the
@@ -302,9 +313,7 @@ def sphere_heights(U: np.ndarray, problem: ProblemSpec, rules, la_r: bool = Fals
     FieldSampler maps their points once, U is read there and frame_factors
     evaluates the problem's own coefficients there in the frame's
     variables. Consecutive rules of at most PASS_SAMPLES samples in all
-    (or one larger rule) share one FieldSampler pass; the chunks are
-    formed first and then dealt out over this process's CPUs (deal), so
-    the results do not depend on the number of processes."""
+    (or one larger rule) share one FieldSampler pass."""
     sampler = FieldSampler(problem.grid, U, frame)
     chunks, size = [], PASS_SAMPLES
     for rule in rules:
@@ -313,26 +322,26 @@ def sphere_heights(U: np.ndarray, problem: ProblemSpec, rules, la_r: bool = Fals
             size = 0
         chunks[-1].append(rule)
         size += rule.size
-    samples = sum(rule.size for rule in rules)
-    out, processes = deal(lambda chunk: sampler(chunk, problem.coeff, la_r), chunks, samples)
-    table = np.array([row for part in out for row in part], dtype=float).reshape(len(rules), 3)
-    return SphereHeights(table[:, 0], table[:, 1] if la_r else None, table[:, 2] > 0.0, processes)
+    rows = [row for chunk in chunks for row in sampler(chunk, problem.coeff, la_r)]
+    table = np.array(rows, dtype=float).reshape(len(rules), 3)
+    return SphereHeights(table[:, 0], table[:, 1] if la_r else None, table[:, 2] > 0.0)
 
 
 def ball_integrals(U: np.ndarray, problem: ProblemSpec, radii, nsub: int = 4) -> np.ndarray:
     """(3, len(radii)): D, B and int U f |y|^a over B_r for every radius.
 
     The cell densities (covered energies, cell-midpoint U^2 and U f) are
-    built once per field; ball_sums integrates them for all radii.
+    built once per field; ball_sums integrates them for all radii. The
+    last row is zero, with no U f density built, when f is zero.
     """
     grid = problem.grid
     u_avg = cell_average(grid, U)
-    densities = np.stack([
-        cell_energy_density(grid, problem, U),
-        u_avg**2 * grid.cell_measures,
-        u_avg * cell_average(grid, problem.f) * grid.cell_measures,
-    ])
-    return 2.0 * ball_sums(grid, densities, radii, nsub=nsub)
+    densities = [cell_energy_density(grid, problem, U), u_avg**2 * grid.cell_measures]
+    if np.any(problem.f):
+        densities.append(u_avg * cell_average(grid, problem.f) * grid.cell_measures)
+    out = np.zeros((3, np.size(radii)))
+    out[:len(densities)] = 2.0 * ball_sums(grid, np.stack(densities), radii, nsub=nsub)
+    return out
 
 
 class _SurfaceSamplers:
@@ -536,7 +545,6 @@ class RadialProfile:
     C_weiss: float
     phi_margin: float  # worst drop of e^{K' r^{(1-d)/2}} Phi on the gamma mask
     weiss_margin: float  # worst drop of W + C_weiss r^{(1+a)/2}
-    processes: int  # processes that computed the sphere sums (deal)
 
     def summary(self) -> dict:
         return {
@@ -606,7 +614,7 @@ def radial_profile(
         r_grid = default_r_grid(grid)
     r = np.asarray(r_grid, dtype=float)
     rules = [sphere_quadrature(grid, ri, n_angles=n_angles) for ri in r]
-    Hs, Ls, _, processes = sphere_heights(U, problem, rules, la_r=True)
+    Hs, Ls, _ = sphere_heights(U, problem, rules, la_r=True)
     Ds, Bs, Fs = ball_integrals(U, problem, r, nsub)
     Is = Ds + Fs
 
@@ -646,7 +654,7 @@ def radial_profile(
         mask_lambda=sph.mask_lambda, mask_gamma=sph.mask_gamma,
         alpha=ps.alpha, alpha_err=ps.alpha_err, beta_est=ps.beta_est,
         Kprime=kp, delta=delta, C_weiss=cw,
-        phi_margin=phi_margin, weiss_margin=weiss_margin, processes=processes,
+        phi_margin=phi_margin, weiss_margin=weiss_margin,
     )
 
 
@@ -662,8 +670,7 @@ def identity_checks(U: np.ndarray, problem: ProblemSpec, profile: RadialProfile)
 
     The radii are the profile's radii in [0.2 R, 0.8 R], or all of them
     when fewer than 3 lie there. Only H(r +- dr), in one sphere_heights
-    call whose process count is returned as processes, and the surface
-    terms of (ii) are evaluated here.
+    call, and the surface terms of (ii) are evaluated here.
     (i)  H'(r) vs 2 I(r) + int_{S_r} U^2 la_r   (H' by a small step)
     (ii) for A=I, f=0: D'(r) vs 2 int (U_nu)^2 |y|^a + (n-1+a)/r D(r),
          with D'(r) evaluated by the coarea form int_{S_r} |grad U|^2 |y|^a
@@ -683,7 +690,7 @@ def identity_checks(U: np.ndarray, problem: ProblemSpec, profile: RadialProfile)
     down = r_grid - dr > grid.resolution_floor
     radii = np.concatenate([r_grid[up] + dr[up], r_grid[down] - dr[down]])
     rules = [sphere_quadrature(grid, ri) for ri in radii]
-    H, _, _, processes = sphere_heights(U, problem, rules)
+    H = sphere_heights(U, problem, rules).H
     H_hi, H_lo = Hs.copy(), Hs.copy()
     H_hi[up] = H[:np.count_nonzero(up)]
     H_lo[down] = H[np.count_nonzero(up):]
@@ -721,7 +728,6 @@ def identity_checks(U: np.ndarray, problem: ProblemSpec, profile: RadialProfile)
         "rellich_rel": np.array(rel_ii) if rel_ii else None,
         "trace_C1": float(c1),
         "trace_C2": float(c2),
-        "processes": processes,
     }
 
 

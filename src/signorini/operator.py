@@ -173,28 +173,6 @@ def assemble_energy(grid: Grid, problem: ProblemSpec) -> SymmetricForm:
     return SymmetricForm(grid=grid, stiffness=K, load=load, thin_rows=thin_rows, dirichlet=dirichlet)
 
 
-def apply_operator(form: SymmetricForm, U: np.ndarray) -> np.ndarray:
-    """Weak-form residual KU + load, reshaped to the node grid."""
-    r = form.stiffness @ np.asarray(U, dtype=float).ravel() + form.load
-    return r.reshape(form.grid.node_shape)
-
-
-def interior_mask(grid: Grid) -> np.ndarray:
-    return ~(grid.dirichlet_mask | grid.thin_mask)
-
-
-def residual_l2(form: SymmetricForm, U: np.ndarray) -> float:
-    """Discrete L2 norm of the interior residual rows.
-
-    sqrt(sum_i r_i^2 * hx^n * hy) over non-boundary, non-thin rows; the
-    norm used by the operator-consistency checks.
-    """
-    grid = form.grid
-    r = apply_operator(form, U)
-    ri = r[interior_mask(grid)]
-    return float(np.sqrt((ri**2).sum() * grid.thin_cell_area * grid.hy))
-
-
 def neumann_trace(grid: Grid, U: np.ndarray) -> np.ndarray:
     """Weighted Neumann trace lim_{y->0+} y^a U_y at thin nodes.
 

@@ -1,9 +1,11 @@
 """Shared fixtures: cached solves of standard test problems."""
 
+import contextlib
 import dataclasses
 import math
 import multiprocessing
 import os
+import signal
 from functools import lru_cache
 
 import numpy as np
@@ -206,6 +208,21 @@ def _bitwise_equal(a, b) -> bool:
         a, b = np.asarray(a), np.asarray(b)
         return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     return a == b
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Fail the block with TimeoutError, instead of hanging, after seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _no_child_process() -> bool:
@@ -417,6 +434,26 @@ def homogeneous_functionals(kappa: float, n: int, a: float, H1: float) -> dict:
     return cols
 
 
+def apply_operator(form, U) -> np.ndarray:
+    """Test-local weak-form residual KU + load, reshaped to the node grid."""
+    r = form.stiffness @ np.asarray(U, dtype=float).ravel() + form.load
+    return r.reshape(form.grid.node_shape)
+
+
+def interior_mask(grid) -> np.ndarray:
+    """The nodes neither on the Dirichlet boundary nor on the thin set."""
+    return ~(grid.dirichlet_mask | grid.thin_mask)
+
+
+def residual_l2(form, U) -> float:
+    """Discrete L2 norm of the interior residual rows, sqrt(sum_i r_i^2
+    hx^n hy) over interior_mask: the norm of the operator-consistency
+    checks."""
+    grid = form.grid
+    ri = apply_operator(form, U)[interior_mask(grid)]
+    return float(np.sqrt((ri**2).sum() * grid.thin_cell_area * grid.hy))
+
+
 def energy(form, U) -> float:
     """Test-local objective of the discrete problem, 1/2 <KU,U> + <load,U>."""
     u = np.asarray(U, dtype=float).ravel()
@@ -452,6 +489,20 @@ def no_process_left():
     """No test leaves a child process running (the free-boundary report forks)."""
     yield
     assert multiprocessing.active_children() == []
+
+
+@pytest.fixture(scope="session")
+def n2_tilted_obstacle_solve():
+    # the benchmark's tilted B under an elliptic obstacle at h = 1/16: 28
+    # free-boundary points, 6 of them Unresolved, and a graph fit
+    a = 0.5
+    grid = sg.build_grid(2, 1.0, 1 / 16, 1 / 16, a)
+    X1, X2, _ = grid.node_mesh()
+    psi = 0.3 - X1[..., 0] ** 2 - 2 * X2[..., 0] ** 2
+    problem = sg.make_problem(grid, coeff=sg.build_coefficients(grid, TILTED_B), psi=psi,
+                              boundary=profile_boundary(grid, a))
+    sol = sg.solve_active_set(sg.assemble_energy(grid, problem), problem, tol=1e-10)
+    return problem, sol
 
 
 @lru_cache(maxsize=32)

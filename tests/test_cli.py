@@ -16,7 +16,6 @@ import signorini as sg
 import signorini.cli as cli
 import signorini.solver as solver_mod
 from signorini.errors import InvalidConfigurationError
-from signorini.functionals import PASS_SAMPLES
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -197,8 +196,10 @@ def test_diagnose_profile_pipeline(tmp_path, capsys):
                                        "numpy": np.__version__, "scipy": scipy.__version__}
     comp = json.loads((out / "identities.json").read_text())["complementarity"]
     assert comp["min_gap_max"] <= 1e-8
-    # n = 1's 64-point rules are too few samples to deal out
-    assert manifest["profile_processes"] == manifest["identities_processes"] == 1
+    # n = 1's one free-boundary point: the dealt phase forks nothing
+    assert json.loads((out / "freeboundary.json").read_text())["n_gamma"] == 1
+    assert manifest["freeboundary_processes"] == 1
+    assert not {"profile_processes", "identities_processes"} & set(manifest)
 
 
 def test_diagnose_builds_the_grid_once(tmp_path, monkeypatch):
@@ -578,14 +579,10 @@ def test_tilted_n2_summary_is_strict_json(tmp_path):
     assert summary["phi_monotonicity_margin"] == summary["weiss_monotonicity_margin"] == "nan"
     for name in ("identities.json", "manifest.json"):
         json.loads((out / name).read_text(), parse_constant=reject)
-    # the sphere rules of the profile (40 radii) and of the identities (the
-    # profile's radii in [0.2, 0.8] at r +- dr) are dealt out over the CPUs,
-    # in passes of PASS_SAMPLES samples (64-angle rules of 4096 samples)
+    # the diagnostics are dealt once: the report's points over the CPUs,
+    # while this process runs the profile and identity checks inline
     manifest = json.loads((out / "manifest.json").read_text())
-    with open(out / "profile.csv") as fh:
-        r = np.array([float(row["r"]) for row in csv.DictReader(fh)])
-    cpus = len(os.sched_getaffinity(0))
-    per_pass = PASS_SAMPLES // 4096
-    assert manifest["profile_processes"] == min(-(-len(r) // per_pass), cpus)
-    identity_rules = 2 * np.count_nonzero((r >= 0.2) & (r <= 0.8))
-    assert manifest["identities_processes"] == min(-(-identity_rules // per_pass), cpus)
+    points = json.loads((out / "freeboundary.json").read_text())["points"]
+    assert len(points) > 1
+    assert manifest["freeboundary_processes"] == min(len(points), len(os.sched_getaffinity(0)))
+    assert not {"profile_processes", "identities_processes"} & set(manifest)

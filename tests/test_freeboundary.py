@@ -1,12 +1,10 @@
 """Contact masks, classification, decay fits, blow-ups, graph fit, and the
 report's forked workers."""
 
-import contextlib
 import json
 import multiprocessing
 import os
 import pathlib
-import signal
 import subprocess
 import sys
 
@@ -15,13 +13,15 @@ import pytest
 
 import signorini as sg
 import signorini.cli as cli
-from signorini.errors import InsufficientDataError, OutOfDomainError, SignoriniError
+from signorini.errors import (
+    InsufficientDataError, InvalidConfigurationError, OutOfDomainError, SignoriniError,
+)
 from signorini.freeboundary import gamma_points, local_columns
 from signorini.grid import interpolate
 
 from conftest import (
-    TILTED_B, _bitwise_equal, _cpus, _no_child_process, normalized_field, profile_boundary,
-    solved_profile,
+    TILTED_B, _bitwise_equal, _cpus, _deadline, _no_child_process, normalized_field,
+    profile_boundary, solved_profile,
 )
 
 
@@ -172,7 +172,7 @@ def _full_ladder_columns(U, problem, x0, r):
     rg = r * q**j
     frame = (x0, sg.normalize_at(grid, problem.coeff, x0))
     rules = [sg.sphere_quadrature(grid, ri) for ri in rg]
-    H, L, _, _ = sg.sphere_heights(U, problem, rules, la_r=True, frame=frame)
+    H, L, _ = sg.sphere_heights(U, problem, rules, la_r=True, frame=frame)
     cols = sg.sphere_columns(rg, H, L, grid.n, grid.a)
     return cols, int(np.searchsorted(j, 0.0)), sg.FieldSampler(grid, U, frame)
 
@@ -558,35 +558,6 @@ def test_n2_circle_arc_graph_fit(n2_circle_solve):
 # -- the report's points on several processes --------------------------------
 
 
-@pytest.fixture(scope="module")
-def n2_tilted_obstacle_solve():
-    # the benchmark's tilted B under an elliptic obstacle at h = 1/16: 28
-    # points, 6 of them Unresolved, and a graph fit
-    a = 0.5
-    grid = sg.build_grid(2, 1.0, 1 / 16, 1 / 16, a)
-    X1, X2, _ = grid.node_mesh()
-    psi = 0.3 - X1[..., 0] ** 2 - 2 * X2[..., 0] ** 2
-    problem = sg.make_problem(grid, coeff=sg.build_coefficients(grid, TILTED_B), psi=psi,
-                              boundary=profile_boundary(grid, a))
-    sol = sg.solve_active_set(sg.assemble_energy(grid, problem), problem, tol=1e-10)
-    return problem, sol
-
-
-@contextlib.contextmanager
-def _deadline(seconds: int):
-    """Fail the block with TimeoutError, instead of hanging, after seconds."""
-    def expire(signum, frame):
-        raise TimeoutError(f"no result within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def test_forked_report_equals_inline(n2_tilted_obstacle_solve, monkeypatch):
     problem, sol = n2_tilted_obstacle_solve
     _cpus(monkeypatch, 1)
@@ -601,6 +572,13 @@ def test_forked_report_equals_inline(n2_tilted_obstacle_solve, monkeypatch):
     assert inline.graph is not None
     assert _bitwise_equal(forked.points, inline.points)
     assert _bitwise_equal(forked.graph, inline.graph)
+
+
+def _children_first():
+    """Work for this process to run beside the children: wait until every
+    child has exited, so that the children claim the first points."""
+    for proc in multiprocessing.active_children():
+        proc.join(60)
 
 
 def _in_children(monkeypatch, action):
@@ -625,9 +603,26 @@ def test_child_exception_reaches_the_parent_with_its_type(n2_tilted_obstacle_sol
     _in_children(monkeypatch, fail)
     _cpus(monkeypatch, 2)
     with _deadline(60), pytest.raises(OutOfDomainError, match="worker failed at") as info:
-        sg.free_boundary_report(sol, problem)
+        sg.free_boundary_report(sol, problem, alongside=_children_first)
     assert info.type is OutOfDomainError
     assert _no_child_process()
+
+
+def test_exception_beside_the_children_reaches_the_caller_with_its_type(
+        n2_tilted_obstacle_solve, monkeypatch):
+    # the work this process runs while the children claim points (the
+    # diagnose pipeline's profile) raises with its own type, and the
+    # children are stopped and reaped
+    problem, sol = n2_tilted_obstacle_solve
+
+    def profile_work():
+        sg.radial_profile(*sg.reduce_obstacle(sol.U, problem), Kprime="bogus")
+
+    _cpus(monkeypatch, 2)
+    with _deadline(60), pytest.raises(InvalidConfigurationError, match="Kprime") as info:
+        sg.free_boundary_report(sol, problem, alongside=profile_work)
+    assert info.type is InvalidConfigurationError
+    assert _no_child_process() and multiprocessing.active_children() == []
 
 
 def test_child_that_dies_raises_with_its_exit_code(n2_tilted_obstacle_solve, monkeypatch):
@@ -635,7 +630,7 @@ def test_child_that_dies_raises_with_its_exit_code(n2_tilted_obstacle_solve, mon
     _in_children(monkeypatch, lambda x0: os._exit(1))
     _cpus(monkeypatch, 2)
     with _deadline(60), pytest.raises(SignoriniError, match="code 1") as info:
-        sg.free_boundary_report(sol, problem)
+        sg.free_boundary_report(sol, problem, alongside=_children_first)
     assert info.type is SignoriniError
     assert _no_child_process()
 

@@ -10,11 +10,12 @@ from scipy.integrate import quad
 
 import signorini as sg
 import signorini.functionals as functionals
+import signorini.freeboundary as freeboundary
 from signorini.errors import InvalidConfigurationError
 from signorini.functionals import frame_factors, integrate_psi_sigma, sphere_columns
 
 from conftest import (
-    TILTED_B, Lam_of, _bitwise_equal, _cpus, _no_child_process, ball_weighted_measure,
+    TILTED_B, Lam_of, _bitwise_equal, _cpus, _deadline, _no_child_process, ball_weighted_measure,
     graded_grid, halfsphere_weighted_area, homogeneous_functionals, normalized_field,
     profile_boundary, reference_heights, solved_profile,
 )
@@ -132,7 +133,6 @@ def test_fused_pass_matches_the_per_rule_reference(n, a, framed, graded, monkeyp
     # with the problem's own coefficients evaluated at the mapped points
     # for B linear in x, as here. One call over mixed rules spanning
     # several passes equals, to the bit, the rules passed one per call
-    _cpus(monkeypatch, 1)
     grid, coeff, U = _pass_case(n, a, graded)
     frame, ref_coeff = None, coeff
     if framed:
@@ -150,9 +150,8 @@ def test_fused_pass_matches_the_per_rule_reference(n, a, framed, graded, monkeyp
 
     monkeypatch.setattr(functionals.FieldSampler, "__call__", spy)
     for la_r in (False, True):
-        H, L, clamped, processes = sg.sphere_heights(U, problem, rules, la_r=la_r, frame=frame)
+        H, L, clamped = sg.sphere_heights(U, problem, rules, la_r=la_r, frame=frame)
         H_ref, L_ref, clamped_ref = reference_heights(U, grid, ref_coeff, rules, la_r, frame)
-        assert processes == 1
         assert np.abs(H / H_ref - 1.0).max() <= 1e-13
         assert L is None if not la_r else np.abs(L / L_ref - 1.0).max() <= 1e-13
         assert np.array_equal(clamped, clamped_ref)
@@ -202,7 +201,7 @@ def test_frame_against_the_normalised_table_with_cubic_B(n):
         for x0, clamps in (([-0.125, 0.25], False), ([0.75, -0.25], True)):
             x0 = np.array(x0[:n])
             frame = (x0, sg.normalize_at(grid, coeff, x0))
-            H, L, clamped, _ = sg.sphere_heights(U, problem, rules, la_r=True, frame=frame)
+            H, L, clamped = sg.sphere_heights(U, problem, rules, la_r=True, frame=frame)
             H_ref, L_ref, clamped_ref = reference_heights(
                 U, grid, normalized_field(grid, coeff, x0), rules, True, frame)
             assert np.array_equal(clamped, clamped_ref) and clamped.any() == clamps
@@ -215,51 +214,75 @@ def test_frame_against_the_normalised_table_with_cubic_B(n):
     assert gaps[0] <= 5e-6 and gaps[1] <= gaps[0] / 2.5
 
 
-@pytest.fixture(scope="module")
-def tilted_n2_reduction():
-    # the benchmark's tilted B at h = 1/16 under an elliptic obstacle: its
-    # 40-radius profile and its identity checks have enough sphere samples
-    # to be dealt out
-    a = 0.5
-    grid = sg.build_grid(2, 1.0, 1 / 16, 1 / 16, a)
-    X1, X2, _ = grid.node_mesh()
-    problem = sg.make_problem(grid, coeff=sg.build_coefficients(grid, TILTED_B),
-                              psi=0.3 - X1[..., 0] ** 2 - 2 * X2[..., 0] ** 2,
-                              boundary=profile_boundary(grid, a))
-    sol = sg.solve_active_set(sg.assemble_energy(grid, problem), problem, tol=1e-10)
-    return sg.reduce_obstacle(sol.U, problem)
+def _dealt_phase(problem, sol) -> tuple:
+    """The diagnose pipeline's one dealt phase: the report's points claimed
+    by forked children while this process runs the profile and identity
+    checks on the reduction; (report, profile, checks)."""
+    out = {}
+
+    def alongside():
+        U0, problem0 = sg.reduce_obstacle(sol.U, problem)
+        out["profile"] = sg.radial_profile(U0, problem0)
+        out["checks"] = sg.identity_checks(U0, problem0, out["profile"])
+
+    report = sg.free_boundary_report(sol, problem, alongside=alongside)
+    return report, out["profile"], out["checks"]
 
 
-def test_dealt_profile_and_identities_equal_inline(tilted_n2_reduction, monkeypatch):
-    U0, problem0 = tilted_n2_reduction
+def test_dealt_profile_and_identities_equal_inline(n2_tilted_obstacle_solve, monkeypatch):
+    # the benchmark's tilted B at h = 1/16: the report's 28 records and
+    # graph, the profile and the identity checks of a phase dealt to 2 and 3
+    # processes equal, to the bit, those of the inline phase
+    problem, sol = n2_tilted_obstacle_solve
     runs = {}
-    for k in (1, 3):
+    for k in (1, 2, 3):
         _cpus(monkeypatch, k)
-        prof = sg.radial_profile(U0, problem0)
-        runs[k] = prof, sg.identity_checks(U0, problem0, prof)
+        with _deadline(120):
+            runs[k] = _dealt_phase(problem, sol)
         assert _no_child_process()
-    (prof1, checks1), (prof3, checks3) = runs[1], runs[3]
-    assert (prof1.processes, checks1["processes"]) == (1, 1)
-    assert (prof3.processes, checks3["processes"]) == (3, 3)
-    assert _bitwise_equal(replace(prof3, processes=1), prof1)
-    assert _bitwise_equal({**checks3, "processes": 1}, checks1)
+    report1, prof1, checks1 = runs[1]
+    assert len(report1.points) == 28 and report1.graph is not None
+    for k, (report, prof, checks) in runs.items():
+        assert report.processes == k
+        assert _bitwise_equal(replace(report, processes=1), report1)
+        assert _bitwise_equal(prof, prof1) and _bitwise_equal(checks, checks1)
 
 
-def test_a_dealt_task_deals_no_further(tilted_n2_reduction, monkeypatch):
-    # sphere calls inside a dealt task, in a child or in this process's own
-    # share, run inline; a call below DEAL_MIN_SAMPLES runs inline too
-    U0, problem0 = tilted_n2_reduction
-    grid = problem0.grid
-    rules = [sg.sphere_quadrature(grid, r) for r in np.linspace(0.3, 0.8, 20)]
-    assert sum(rule.size for rule in rules) >= functionals.DEAL_MIN_SAMPLES
+def test_a_long_list_is_claimed_in_runs(monkeypatch):
+    # more items than the queue holds records: each record claims a run of
+    # consecutive items, and the results keep the items' order
+    monkeypatch.setattr(functionals, "QUEUE_RECORDS", 4)
     _cpus(monkeypatch, 3)
-    assert sg.sphere_heights(U0, problem0, rules).processes == 3
-    assert sg.sphere_heights(U0, problem0, rules[:10]).processes == 1
-    inner, k = functionals.deal(lambda i: (os.getpid(), sg.sphere_heights(U0, problem0, rules)),
-                                list(range(3)))
-    assert k == 3 and len({pid for pid, _ in inner}) == 3
-    assert [out.processes for _, out in inner] == [1, 1, 1]
-    assert all(_bitwise_equal(out.H, inner[0][1].H) for _, out in inner)
+    with _deadline(60):
+        out, k = functionals.deal(lambda i: (i, i * i), list(range(10)))
+    assert k == 3 and out == [(i, i * i) for i in range(10)]
+    assert _no_child_process()
+
+
+def test_a_dealt_task_deals_no_further(n2_tilted_obstacle_solve, monkeypatch):
+    # a phase dealt to 3 processes forks its 2 children once, from this
+    # process: no claimed point, in a child or here, and neither the
+    # profile nor the identity checks run beside them fork again. Each
+    # record carries the forks its process has seen: a child inherits the
+    # count at its own fork
+    problem, sol = n2_tilted_obstacle_solve
+    forks, fork, record = [], os.fork, freeboundary.point_record
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    def counted_record(U0, problem0, x0, delta):
+        return {**record(U0, problem0, x0, delta), "forks": len(forks)}
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(freeboundary, "point_record", counted_record)
+    _cpus(monkeypatch, 3)
+    with _deadline(120):
+        report, _, _ = _dealt_phase(problem, sol)
+    assert report.processes == 3
+    assert forks == [os.getpid()] * 2
+    assert {p["forks"] for p in report.points} <= {1, 2}
     assert _no_child_process()
 
 

@@ -9,9 +9,11 @@ from scipy.integrate import quad
 
 import signorini as sg
 from signorini.grid import corner_offsets
-from signorini.operator import _energy_terms, cell_energy_density, interior_mask
+from signorini.operator import _energy_terms, cell_energy_density
 
-from conftest import TILTED_B, energy, graded_grid, profile_boundary
+from conftest import (
+    TILTED_B, apply_operator, energy, graded_grid, interior_mask, profile_boundary, residual_l2,
+)
 
 
 def make_identity_problem(n, h, a):
@@ -126,7 +128,7 @@ def test_ypower_residual_vanishes(a):
     form = sg.assemble_energy(grid, problem)
     _, Y = grid.node_mesh()
     U = Y ** (1.0 - a)
-    assert sg.residual_l2(form, U) <= 1e-12
+    assert residual_l2(form, U) <= 1e-12
 
 
 @pytest.mark.parametrize("a", [0.0, 0.5])
@@ -137,7 +139,7 @@ def test_even_poly_residual_order(a):
         form = sg.assemble_energy(grid, problem)
         X, Y = grid.node_mesh()
         U = X**2 - Y**2 / (1.0 + a)
-        norms.append(sg.residual_l2(form, U))
+        norms.append(residual_l2(form, U))
     if max(norms) <= 1e-12:
         return  # exact at a=0
     orders = np.log2(np.array(norms[:-1]) / np.array(norms[1:]))
@@ -156,7 +158,7 @@ def test_n2_cross_coupling_residual_order(a):
         form = sg.assemble_energy(grid, problem)
         X1, X2, Y = grid.node_mesh()
         U = X1 * X2 - 0.3 * Y**2 / (1.0 + a)
-        r = sg.apply_operator(form, U)
+        r = apply_operator(form, U)
         ri = r[interior_mask(grid)]
         norms.append(np.sqrt((ri**2).sum() * grid.hx**2 * grid.hy))
     if max(norms) <= 1e-12:
@@ -168,7 +170,7 @@ def test_n2_cross_coupling_residual_order(a):
 def test_apply_operator_zero_cases():
     grid, problem = make_identity_problem(1, 0.25, 0.5)
     form = sg.assemble_energy(grid, problem)
-    assert np.all(sg.apply_operator(form, np.zeros(grid.node_shape)) == 0.0)
+    assert np.all(apply_operator(form, np.zeros(grid.node_shape)) == 0.0)
 
 
 def test_profile_residual_away_from_contact():
@@ -180,7 +182,7 @@ def test_profile_residual_away_from_contact():
         grid, problem = make_identity_problem(1, h, a)
         form = sg.assemble_energy(grid, problem)
         U = profile_boundary(grid, a)
-        r = sg.apply_operator(form, U)
+        r = apply_operator(form, U)
         X, Y = grid.node_mesh()
         # drop only the rows whose cells touch the contact ray
         touch = (X <= grid.hx) & (Y <= 1.5 * grid.hy)
@@ -303,7 +305,7 @@ def test_trace_flux_compatibility():
         problem = sg.make_problem(grid, boundary=profile_boundary(grid, a))
         form = sg.assemble_energy(grid, problem)
         sol = sg.solve_active_set(form, problem, tol=1e-13)
-        r = sg.apply_operator(form, sol.U).ravel()[form.thin_rows]
+        r = apply_operator(form, sol.U).ravel()[form.thin_rows]
         ny = len(grid.ys)
         tr = sol.trace.ravel()[form.thin_rows // ny]
         gaps.append(abs(r.sum() + (tr * grid.thin_cell_area).sum()))

@@ -12,9 +12,9 @@ import pytest
 import signorini as sg
 import signorini.cli as cli
 from signorini.errors import InvalidConfigurationError
-from signorini.operator import interior_mask
-
-from conftest import angular_ode, angular_system, homogeneous_functionals
+from conftest import (
+    angular_ode, angular_system, apply_operator, homogeneous_functionals, interior_mask,
+)
 
 
 def test_y_power_evaluation():
@@ -148,7 +148,7 @@ def test_profile_field_residual_decay_off_contact_ray(a):
         form = sg.assemble_energy(grid, problem)
         pts = np.stack(grid.node_mesh(), axis=-1)
         U = ref(pts)
-        r = sg.apply_operator(form, U)
+        r = apply_operator(form, U)
         X, Y = grid.node_mesh()
         keep = interior_mask(grid) & ~((X <= 0.1) & (Y <= 0.1))  # off the contact ray
         norms.append(np.sqrt((r[keep] ** 2).sum() * grid.hx * grid.hy))
