@@ -10,7 +10,7 @@ frequency/energy diagnostics used in free-boundary analysis.
 
 __version__ = "0.1.0"
 
-from .grid import Grid, SphereRule, ball_cells, ball_sums, build_grid, sphere_quadrature
+from .grid import Grid, SphereRule, ball_sums, build_grid, sphere_quadrature
 from .coefficients import (
     CoefficientField,
     ProblemSpec,
@@ -28,12 +28,10 @@ from .functionals import (
     FieldSampler,
     RadialProfile,
     ball_integrals,
-    campanato_decay,
     conjugate_variable,
     default_r_grid,
     identity_checks,
     integrate_psi_sigma,
-    oscillation_decay,
     radial_profile,
     sphere_columns,
     sphere_heights,

@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedRadiusError,
 )
 from .coefficients import build_coefficients, is_number, make_problem
-from .freeboundary import blowup, free_boundary_report, reduce_obstacle
+from .freeboundary import blowup, free_boundary_report
 from .functionals import (
     COLUMNS, default_r_grid, identity_checks, radial_profile, surface_cross_check,
 )
@@ -264,13 +264,14 @@ def _solve(cfg: ExperimentConfig, res: dict) -> dict:
 
 
 def _profile(cfg: ExperimentConfig, res: dict) -> dict:
-    # all radial diagnostics run on the zero-obstacle reduction U - psi
-    U0, problem0 = reduce_obstacle(res["sol"].U, res["problem"])
+    # all radial diagnostics run on the zero-obstacle reduction U - psi,
+    # the free-boundary report's own (alongside)
+    U0, problem0 = res["reduced"]
     prof = radial_profile(
         U0, problem0, r_grid=res["r_grid"], Kprime=cfg.Kprime, delta=cfg.delta,
         C_weiss=cfg.C_weiss,
     )
-    res.update(profile=prof, reduced=(U0, problem0), summary=prof.summary())
+    res.update(profile=prof, summary=prof.summary())
     cols = [getattr(prof, c) for c in COLUMNS]
     cols += [prof.mask_lambda.astype(int), prof.mask_gamma.astype(int)]
     header = COLUMNS + ["in_lambda_mask", "in_gamma_mask"]
@@ -278,7 +279,7 @@ def _profile(cfg: ExperimentConfig, res: dict) -> dict:
 
 
 def _identities(cfg: ExperimentConfig, res: dict) -> dict:
-    """Checks the profile stage's columns on its reduction."""
+    """Checks the profile stage's columns on the same reduction."""
     U0, problem0 = res["reduced"]
     checks = identity_checks(U0, problem0, res["profile"])
     cross = surface_cross_check(U0, problem0, res["profile"])
@@ -332,7 +333,8 @@ VERBS = {
 }
 # The stages that run inside the freeboundary stage, in this process, while
 # forked children claim the report's points (deal), so that a run deals its
-# diagnostics once; a verb with them has the freeboundary stage too.
+# diagnostics once and subtracts the obstacle once; a verb with them has
+# the freeboundary stage too.
 ALONGSIDE = ("profile", "identities")
 
 
@@ -359,7 +361,8 @@ def _pipeline(cfg: ExperimentConfig, out_dir, verb: str, quiet: bool = True,
         _write(out_dir, STAGES[name](cfg, res))
         seconds[name] = time.perf_counter() - t
 
-    def alongside() -> None:
+    def alongside(U0, problem0) -> None:
+        res["reduced"] = U0, problem0
         for name in inside:
             run_stage(name)
 

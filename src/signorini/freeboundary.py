@@ -342,17 +342,18 @@ def free_boundary_report(sol: SolutionField, problem: ProblemSpec, delta: float 
     fit decay slopes, and (n=2) fit the graph of the regular points or
     record why graph_fit could not (graph_error). The obstacle is
     subtracted once, for all points; each point's record is
-    point_record's, claimed by this process's CPUs (deal). alongside, a
-    callable with no argument, runs in this process while forked children
-    claim the first points: the diagnose pipeline passes its profile and
-    identity checks."""
+    point_record's, claimed by this process's CPUs (deal). alongside,
+    called with that reduction (U0, problem0), runs in this process while
+    forked children claim the first points: the diagnose pipeline passes
+    its profile and identity checks."""
     grid = problem.grid
     masks = contact_set(sol, problem)
     pts = gamma_points(grid, masks["gamma"])
     # keep points away from the lateral boundary where radii fit
     pts = pts[np.all(np.abs(pts) <= 0.5 * grid.R, axis=-1)]
     U0, problem0 = reduce_obstacle(sol.U, problem)
-    records, processes = deal(lambda x0: point_record(U0, problem0, x0, delta), pts, alongside)
+    records, processes = deal(lambda x0: point_record(U0, problem0, x0, delta), pts,
+                              None if alongside is None else lambda: alongside(U0, problem0))
     graph = graph_error = None
     if grid.n == 2:
         try:

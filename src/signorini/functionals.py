@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidConfigurationError, InsufficientDataError, SignoriniError
+from .errors import InvalidConfigurationError, SignoriniError
 from .coefficients import CoefficientField, ProblemSpec
 from .grid import Grid, ball_sums, locate, read, sphere_quadrature
 from .operator import cell_average, cell_energy_density, neumann_trace
@@ -758,63 +758,3 @@ def loglog_slope(r_grid: np.ndarray, values: np.ndarray, floor: float) -> float:
     if values.max() <= floor:
         return float("inf")
     return float(np.polyfit(np.log(r_grid), np.log(np.maximum(values, 1e-300)), 1)[0])
-
-
-def _ball_fit(grid: Grid, x0, V: np.ndarray, basis: np.ndarray, exponent: float,
-              r_grid: np.ndarray) -> tuple:
-    """Weighted least-squares fit of V by b * basis on every node ball
-    |X - (x0, 0)| <= rho, with the lumped |y|^exponent node weights:
-    (b, minimized residual) per rho; b = 0 where the basis has no mass."""
-    masses = grid.lumped_node_weights(exponent=exponent)
-    radii = grid.node_radii(x0)
-    bs, residuals = np.empty(len(r_grid)), np.empty(len(r_grid))
-    for i, rho in enumerate(r_grid):
-        sel = radii <= rho
-        m, v, p = masses[sel], V[sel], basis[sel]
-        denom = float((p**2 * m).sum())
-        bs[i] = float((v * p * m).sum() / denom) if denom > 0 else 0.0
-        residuals[i] = float(((v - bs[i] * p) ** 2 * m).sum())
-    return bs, residuals
-
-
-def oscillation_decay(U: np.ndarray, problem: ProblemSpec, x0, r_grid: np.ndarray) -> dict:
-    """Fitted slope of log int_{B_rho^+(x0)} (w - <w>_rho)^2 y^{-a} vs log rho
-    where w = y^a U_y and <.>_rho is the y^{-a} dX-weighted ball average
-    (the ball fit of w by a constant).
-
-    Slopes above n+1-a indicate Hoelder decay of the conjugate variable.
-    """
-    grid = problem.grid
-    r_grid = np.asarray(r_grid, dtype=float)
-    if len(r_grid) < 4:
-        raise InsufficientDataError("need at least 4 radii for the oscillation fit")
-    w = conjugate_variable(grid, U)
-    _, vals = _ball_fit(grid, x0, w, np.broadcast_to(1.0, grid.node_shape), -grid.a, r_grid)
-    floor = 1e-28 * max(np.abs(w).max(), 1.0) ** 2
-    return {"slope": loglog_slope(r_grid, vals, floor), "values": vals, "r": r_grid}
-
-
-def campanato_decay(V: np.ndarray, grid: Grid, x0, r_grid: np.ndarray) -> dict:
-    """Least-squares fit of V by b * y^{1-a} in weighted balls around x0.
-
-    For each radius, b minimizes sum (V_i - b y_i^{1-a})^2 over nodes in
-    B_r^+(x0) with lumped y^a weights (a discrete quadrature of the
-    weighted L2 projection, exact when V is the ansatz at the nodes).
-    Returns the log-log slope of the minimized residual, the target
-    exponent n+1+a+2(1+beta) with beta = 1/2, and b at the smallest radius.
-    """
-    a = grid.a
-    V = np.asarray(V, dtype=float)
-    r_grid = np.asarray(r_grid, dtype=float)
-    if len(r_grid) < 4:
-        raise InsufficientDataError("need at least 4 radii for the decay fit")
-    ypow = np.broadcast_to(grid.ys ** (1.0 - a), grid.node_shape)
-    bs, residuals = _ball_fit(grid, x0, V, ypow, a, r_grid)
-    floor = 1e-28 * max(np.abs(V).max(), 1.0) ** 2
-    return {
-        "slope": loglog_slope(r_grid, residuals, floor),
-        "target": grid.n + 1 + a + 2.0 * (1.0 + 0.5),
-        "b": float(bs[0]),
-        "residuals": residuals,
-        "r": r_grid,
-    }

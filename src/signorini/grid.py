@@ -88,11 +88,6 @@ class Grid:
         """Meshgrid of node coordinates, thin axes first, y last."""
         return np.meshgrid(*self.xs, self.ys, indexing="ij")
 
-    def node_radii(self, x0=None) -> np.ndarray:
-        """|X - (x0, 0)| at every node, from the open mesh of the axes."""
-        x0 = np.zeros(self.n) if x0 is None else x0
-        return self.node_block(x0, np.inf)[1]
-
     def node_block(self, x0, r: float) -> tuple:
         """(block, radii): the slices of the node block with |x_d - x0_d| <= r
         and y <= r, the bounding box of the ball |X - (x0, 0)| <= r, and
@@ -426,15 +421,6 @@ def sphere_quadrature(grid: Grid, r: float, n_angles: int = 64, a: float | None 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BallCells:
-    """Cells meeting the upper half ball, with coverage fractions in [0,1]."""
-
-    r: float
-    indices: tuple  # arrays of cell multi-indices
-    fractions: np.ndarray
-
-
 def _half_diagonal(grid: Grid) -> float:
     return 0.5 * np.sqrt(grid.n * grid.hx**2 + grid.hy**2)
 
@@ -477,31 +463,6 @@ def _coverage(grid: Grid, centers: np.ndarray, radii, lo, hi, nsub: int) -> list
     return out
 
 
-def ball_cells(grid: Grid, r: float, nsub: int = 4) -> BallCells:
-    """Cells intersecting B_r^+ about the origin with subsampled coverage
-    fractions.
-
-    Coverage uses a fixed nsub^(n+1)-point midpoint subsample per
-    straddling cell (nsub=4 by default); interior cells get fraction 1
-    from a bounding-sphere test without subsampling. ball_sums is the
-    all-radii form of the same rule.
-    """
-    _check_radius(grid, r)
-    dist = _cell_distances(grid)
-    half_diag = _half_diagonal(grid)
-    idx_in = np.where(dist <= r - half_diag)
-    idx_sh = np.where((dist > r - half_diag) & (dist < r + half_diag))
-    centers = grid.cell_centers()
-    sh_centers = np.stack([centers[d][idx_sh] for d in range(grid.n + 1)], axis=-1)
-    fr_sh = _coverage(grid, sh_centers, [r], [0], [len(sh_centers)], nsub)[0]
-    keep = fr_sh > 0.0
-    indices = tuple(
-        np.concatenate([idx_in[d], idx_sh[d][keep]]) for d in range(grid.n + 1)
-    )
-    fractions = np.concatenate([np.ones(len(idx_in[0])), fr_sh[keep]])
-    return BallCells(r=float(r), indices=indices, fractions=fractions)
-
-
 def ball_sums(grid: Grid, densities: np.ndarray, radii, nsub: int = 4) -> np.ndarray:
     """sum(density * coverage of B_r^+) about the origin for every radius.
 
@@ -509,7 +470,7 @@ def ball_sums(grid: Grid, densities: np.ndarray, radii, nsub: int = 4) -> np.nda
     (k,) + cell_shape; the result has shape (len(radii),) or
     (k, len(radii)). Cells with |d| <= r - half_diag enter through one
     prefix sum in distance order; only the shell |d - r| < half_diag is
-    subsampled, by the ball_cells coverage rule, and a cell in several
+    subsampled (_coverage), and a cell in several
     radii's shells is subsampled once.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))

@@ -3,13 +3,13 @@
 Obstacle solver: the primal-dual active-set method on the complementarity
 system
     min { 1/2 <KU,U> + <load,U> : U >= psi on thin nodes, U = g outside },
-started from the same problem solved on each coarse level of the solve's
-multigrid hierarchy, coarsest first (nested iteration), and stopped when
-its natural residual (the largest projected Jacobi update) is at most
-tol. Its linear solves are conjugate gradients preconditioned by a
-Galerkin multigrid V-cycle, whose hierarchy is built once per solve and,
-as the active set changes, updated in place by probing the rows it
-reaches.
+one loop of steps run on every level of the solve's multigrid hierarchy,
+coarsest first (nested iteration), each level started from the coarser
+one's solution and the finest stopped when its natural residual (the
+largest projected Jacobi update) is at most tol. Its linear solves are
+conjugate gradients preconditioned by a Galerkin multigrid V-cycle, whose
+hierarchy is built once per solve and, as the active set changes,
+updated in place by probing the rows it reaches.
 """
 
 from __future__ import annotations
@@ -500,16 +500,17 @@ def contact_tol(tol: float, psi: np.ndarray) -> float:
     return 10.0 * tol * max(float(np.abs(psi).max()), 1.0)
 
 
-def _natural_residual(form: SymmetricForm, dinv: np.ndarray, psi: np.ndarray,
+def _natural_residual(A: sp.csr_matrix, load: np.ndarray, dinv: np.ndarray,
+                      dirichlet: np.ndarray, thin: np.ndarray, psi: np.ndarray,
                       U: np.ndarray) -> float:
-    """max |U_i - max(U_i - r_i / K_ii, psi_i)|, r = K U + load, over the
-    non-Dirichlet nodes, psi given on the thin rows (-inf elsewhere): the
-    largest update one projected Jacobi step would make."""
-    thin = form.thin_rows
-    r = form.stiffness @ U
-    r += form.load
+    """max |U_i - max(U_i - r_i / A_ii, psi_i)|, r = A U + load, over the
+    non-Dirichlet nodes, dinv = 1 / A_ii and psi given on the thin rows
+    thin (-inf elsewhere): the largest update one projected Jacobi step
+    would make."""
+    r = A @ U
+    r += load
     r *= dinv
-    r[form.dirichlet] = 0.0
+    r[dirichlet] = 0.0
     u = U[thin]
     r[thin] = u - np.maximum(u - r[thin], psi)
     return float(np.abs(r, out=r).max())
@@ -522,53 +523,59 @@ def _predicted(A_thin: sp.csr_matrix, c: np.ndarray, load: np.ndarray, U: np.nda
     return (A_thin @ U + load[thin]) - c * (U[thin] - psi) > 0.0
 
 
-def _nested_start(mg: _Multigrid, load: np.ndarray, thin: np.ndarray, psi: np.ndarray,
-                  steps: list) -> np.ndarray:
-    """W on the finest level, from the obstacle problem solved level by level
-    on mg's coarse levels, coarsest first.
+def _active_set(mg: _Multigrid, level: int, load: np.ndarray, thin: np.ndarray,
+                psi: np.ndarray, U: np.ndarray, steps: list, tol: float | None = None) -> tuple:
+    """Active-set steps on one level of mg, from U, for its problem: x = U
+    on the level's Dirichlet nodes, x >= psi on its thin rows thin, and A x
+    + load = 0 on the other nodes, A the level's operator, with the
+    complementarity conditions on the thin rows.
 
-    load is the finest level's load of W = U - G (K G + load, zero on the
-    Dirichlet nodes, G the Dirichlet values) and psi the obstacle on its
-    thin rows thin; mg holds the hierarchy of the Dirichlet nodes alone.
-    Each coarse level's problem is the Galerkin one: its load is the finer
-    load restricted by P' and masked by the level's Dirichlet nodes, and
-    psi is injected at its thin rows. From the coarser solution prolonged
-    by P, loose active-set steps run until the set repeats, each recorded
-    in steps with its level. A failed CG ends its level's steps. Returns
-    the first coarse level's W prolonged to the finest."""
-    levels = [(load, thin, psi)]
-    for t, keep in zip(mg.transfers, mg.keeps[1:]):
-        load, thin, psi = levels[-1]
-        # a coarse node's fine index is t.coarse[node], ascending
-        pos = np.minimum(np.searchsorted(t.coarse, thin), len(t.coarse) - 1)
-        hit = t.coarse[pos] == thin
-        load = t.restrict(load)
-        load *= keep
-        levels.append((load, pos[hit], psi[hit]))
-    W = np.zeros(len(levels[-1][0]))
-    for level in range(len(mg.transfers), 0, -1):
-        load, thin, psi = levels[level]
-        dirichlet = ~mg.keeps[level]
-        A_thin, c = mg.ops[level][thin], mg.diagonals[level][thin]
-        active = None
-        for _ in range(ACTIVE_SET_MAX_STEPS):
-            new_active = _predicted(A_thin, c, load, W, thin, psi)
-            if np.array_equal(new_active, active):
-                break
-            active = new_active
+    Each step predicts the set from U (_predicted). A new set is fixed to
+    psi, written to mg (update) and solved loosely, until the residual
+    falls by ACTIVE_SET_LOOSE_RTOL. Without tol (a coarse level) a
+    repeated set ends the steps. With tol a repeated set is solved tightly,
+    until every free node's residual over its diagonal is at most tol, and
+    the steps end when a tight solve reproduces its own set with a natural
+    residual (_natural_residual) of at most tol. Each solve is recorded in
+    steps with its level, and its result overwrites U. Returns (residual,
+    failure): residual is U's natural residual with tol, else None, and
+    failure None or why the set did not settle: ACTIVE_SET_MAX_STEPS
+    solves, or a failed CG (U then holds that solve's start)."""
+    dirichlet, A = ~mg.keeps[level], mg.ops[level]
+    A_thin, c = A[thin], mg.diagonals[level][thin]
+    dinv = None if tol is None else 1.0 / mg.diagonals[level]
+    active, loose, failure = None, True, None
+    for step in range(ACTIVE_SET_MAX_STEPS + 1):
+        new_active = _predicted(A_thin, c, load, U, thin, psi)
+        if not np.array_equal(new_active, active):
+            active, loose = new_active, True
+        elif tol is None:
+            break
+        elif loose:
+            loose = False
+        elif (residual := _natural_residual(A, load, dinv, dirichlet, thin, psi, U)) <= tol:
+            return residual, None
+        if step == ACTIVE_SET_MAX_STEPS:
+            failure = f"active set did not settle in {ACTIVE_SET_MAX_STEPS} solves"
+            break
+        if loose:
             fixed = dirichlet.copy()
             fixed[thin[active]] = True
             mg.update(fixed, level)
-            W[thin[active]] = psi[active]
-            x, its = _linear_solve(mg, load, W, ACTIVE_SET_LOOSE_RTOL, loose=True, level=level)
-            steps.append({"level": level, "active": int(active.sum()), "cg_iterations": its,
-                          "rtol": ACTIVE_SET_LOOSE_RTOL})
-            if x is None:
-                break
-            W = x
-        W = mg.transfers[level - 1].prolong(W)
-        W *= mg.keeps[level - 1]
-    return W
+            U[thin[active]] = psi[active]
+            x, its = _linear_solve(mg, load, U, ACTIVE_SET_LOOSE_RTOL, loose=True, level=level)
+            stop = {"rtol": ACTIVE_SET_LOOSE_RTOL}
+        else:
+            x, its = _linear_solve(mg, load, U, tol, scale=dinv, level=level)
+            stop = {"tol": tol}
+        steps.append({"level": level, "active": int(active.sum()), "cg_iterations": its, **stop})
+        if x is None:
+            failure = f"inner CG failed at active-set step {step + 1}"
+            break
+        U[:] = x
+        del x  # the next solve holds no finest array beside U
+    residual = None if tol is None else _natural_residual(A, load, dinv, dirichlet, thin, psi, U)
+    return residual, failure
 
 
 def solve_active_set(
@@ -579,80 +586,51 @@ def solve_active_set(
     """Primal-dual active-set method (Hintermueller, Ito and Kunisch, SIAM
     J. Optim. 13, 2002) for the complementarity system
         min { 1/2 <KU,U> + <load,U> : U >= psi on thin nodes, U = g outside },
-    started by nested iteration (Kornhuber, Numer. Math. 69, 1994) on the
-    solve's own multigrid hierarchy.
+    by nested iteration (Kornhuber, Numer. Math. 69, 1994): _active_set
+    runs on every level of the solve's own multigrid hierarchy, coarsest
+    first, each level from the coarser one's solution prolonged by P.
 
-    _nested_start solves the problem on every coarse Galerkin level,
-    coarsest first, and prolongs the result. From it, each step fixes
-    U = psi on the active set {lambda - K_ii (U - psi) > 0}, lambda =
-    (KU + load) on thin rows, and solves for the remaining free nodes, all
-    on the one hierarchy. A new active set is solved until its residual
-    falls by ACTIVE_SET_LOOSE_RTOL from its start. A repeated set is
-    solved until every free node's residual over its diagonal is at most
-    tol, and the solve ends when such a tight solve reproduces its own set
-    and the recomputed natural residual (_natural_residual, in solution
-    units), reported as final_residual, is at most tol. On a set that
-    reproduces itself the two agree. The active set holds the thin
-    non-Dirichlet nodes whose slack is at most contact_tol. iterations
-    counts the finest level's solves; steps records every level's, each
-    with its level (0 the finest). Raises NonconvergedError, carrying the
-    last iterate, when the set does not settle within
-    ACTIVE_SET_MAX_STEPS finest-level solves or a finest-level CG fails.
+    A coarse level solves the Galerkin problem for W = U - G, G the
+    Dirichlet values: its load is the finer level's (K G + load, zero on
+    the Dirichlet nodes, on the finest) restricted by P' and masked by the
+    level's Dirichlet nodes, and psi is injected at its thin rows; a failed
+    CG or ACTIVE_SET_MAX_STEPS solves end its steps without an error. The
+    finest level starts from G + P W with the stop tol, and its natural
+    residual (in solution units) is reported as final_residual. The active
+    set holds the thin non-Dirichlet nodes whose slack is at most
+    contact_tol. iterations counts the finest level's solves; steps
+    records every level's, each with its level (0 the finest). Raises
+    NonconvergedError, carrying the last iterate, when the set does not
+    settle within ACTIVE_SET_MAX_STEPS finest-level solves or a
+    finest-level CG fails.
     """
     grid = form.grid
     tol = _default_tol(problem, tol)
     K, load, thin = form.stiffness, form.load, form.thin_rows
-    K_thin = K[thin]
     # flat node index of a thin node is (thin ravel position) * ny
     psi = problem.psi.ravel()[thin // len(grid.ys)]
     U = np.where(form.dirichlet, problem.boundary.ravel(), 0.0)
     mg = _Multigrid(K, form.dirichlet, grid)
-    c = mg.diagonals[0][thin]
-    steps = []
-    U += _nested_start(mg, np.where(form.dirichlet, 0.0, K @ U + load), thin, psi, steps)
-    dinv = 1.0 / mg.diagonals[0]
-
-    def fix(active):
-        fixed = form.dirichlet.copy()
-        fixed[thin[active]] = True
-        mg.update(fixed)
-
-    active = _predicted(K_thin, c, load, U, thin, psi)
-    fix(active)
-    loose = True
-    for fine in range(1, ACTIVE_SET_MAX_STEPS + 1):
-        U[thin[active]] = psi[active]
-        if loose:
-            x, its = _linear_solve(mg, load, U, ACTIVE_SET_LOOSE_RTOL, loose=True)
-            steps.append({"level": 0, "active": int(active.sum()), "cg_iterations": its,
-                          "rtol": ACTIVE_SET_LOOSE_RTOL})
-        else:
-            x, its = _linear_solve(mg, load, U, tol, scale=dinv)
-            steps.append({"level": 0, "active": int(active.sum()), "cg_iterations": its,
-                          "tol": tol})
-        if x is None:
-            raise NonconvergedError(
-                f"inner CG failed at active-set step {fine}",
-                last_iterate=U.reshape(grid.node_shape),
-                final_residual=_natural_residual(form, dinv, psi, U),
-            )
-        U = x
-        new_active = _predicted(K_thin, c, load, U, thin, psi)
-        if not np.array_equal(new_active, active):
-            active, loose = new_active, True
-            fix(active)
-        elif loose:
-            loose = False
-        else:
-            residual = _natural_residual(form, dinv, psi, U)
-            if residual <= tol:
-                break
-    else:
-        raise NonconvergedError(
-            f"active set did not settle in {ACTIVE_SET_MAX_STEPS} solves",
-            last_iterate=U.reshape(grid.node_shape),
-            final_residual=_natural_residual(form, dinv, psi, U),
-        )
+    load_c, thin_c, psi_c, levels = np.where(form.dirichlet, 0.0, K @ U + load), thin, psi, []
+    for t, keep in zip(mg.transfers, mg.keeps[1:]):
+        # a coarse node's fine index is t.coarse[node], ascending
+        pos = np.minimum(np.searchsorted(t.coarse, thin_c), len(t.coarse) - 1)
+        hit = t.coarse[pos] == thin_c
+        load_c = t.restrict(load_c)
+        load_c *= keep
+        thin_c, psi_c = pos[hit], psi_c[hit]
+        levels.append((load_c, thin_c, psi_c))
+    W, steps = np.zeros(len(load_c)), []
+    for level in range(len(levels), 0, -1):
+        _active_set(mg, level, *levels[level - 1], W, steps)
+        W = mg.transfers[level - 1].prolong(W)
+        W *= mg.keeps[level - 1]
+    U += W
+    del W  # no finest-level array beside U is held through its steps
+    residual, failure = _active_set(mg, 0, load, thin, psi, U, steps, tol)
+    if failure is not None:
+        raise NonconvergedError(failure, last_iterate=U.reshape(grid.node_shape),
+                                final_residual=residual)
 
     Un = U.reshape(grid.node_shape)
     slack = Un[..., 0] - problem.psi
@@ -661,7 +639,7 @@ def solve_active_set(
         U=Un,
         active=active,
         trace=neumann_trace(grid, Un),
-        iterations=fine,
+        iterations=sum(s["level"] == 0 for s in steps),
         final_residual=residual,
         tol=tol,
         steps=steps,

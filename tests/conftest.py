@@ -13,8 +13,12 @@ import pytest
 
 import signorini as sg
 import signorini.solver as solver_mod
-from signorini.errors import InvalidParameterError
-from signorini.grid import _layer_transmissibilities, _weighted_layer_integrals
+from signorini.errors import InsufficientDataError, InvalidParameterError
+from signorini.functionals import loglog_slope
+from signorini.grid import (
+    _cell_distances, _check_radius, _coverage, _half_diagonal, _layer_transmissibilities,
+    _weighted_layer_integrals,
+)
 
 
 # the benchmark's tilted B: off-diagonal, so K is not an M-matrix
@@ -397,6 +401,105 @@ def coverage_field(cells, cell_shape: tuple) -> np.ndarray:
     cov = np.zeros(cell_shape)
     cov[cells.indices] = cells.fractions
     return cov
+
+
+@dataclasses.dataclass(frozen=True)
+class BallCells:
+    """Cells meeting the upper half ball, with coverage fractions in [0,1]."""
+
+    r: float
+    indices: tuple  # arrays of cell multi-indices
+    fractions: np.ndarray
+
+
+def ball_cells(grid, r: float, nsub: int = 4) -> BallCells:
+    """Test-local reference for grid.ball_sums at one radius: the cells
+    intersecting B_r^+ about the origin with subsampled coverage fractions.
+
+    Coverage uses a fixed nsub^(n+1)-point midpoint subsample per
+    straddling cell (nsub=4 by default); interior cells get fraction 1
+    from a bounding-sphere test without subsampling.
+    """
+    _check_radius(grid, r)
+    dist = _cell_distances(grid)
+    half_diag = _half_diagonal(grid)
+    idx_in = np.where(dist <= r - half_diag)
+    idx_sh = np.where((dist > r - half_diag) & (dist < r + half_diag))
+    centers = grid.cell_centers()
+    sh_centers = np.stack([centers[d][idx_sh] for d in range(grid.n + 1)], axis=-1)
+    fr_sh = _coverage(grid, sh_centers, [r], [0], [len(sh_centers)], nsub)[0]
+    keep = fr_sh > 0.0
+    indices = tuple(
+        np.concatenate([idx_in[d], idx_sh[d][keep]]) for d in range(grid.n + 1)
+    )
+    fractions = np.concatenate([np.ones(len(idx_in[0])), fr_sh[keep]])
+    return BallCells(r=float(r), indices=indices, fractions=fractions)
+
+
+def node_radii(grid, x0=None) -> np.ndarray:
+    """|X - (x0, 0)| at every node, from the open mesh of the axes."""
+    x0 = np.zeros(grid.n) if x0 is None else x0
+    return grid.node_block(x0, np.inf)[1]
+
+
+def _ball_fit(grid, x0, V: np.ndarray, basis: np.ndarray, exponent: float,
+              r_grid: np.ndarray) -> tuple:
+    """Weighted least-squares fit of V by b * basis on every node ball
+    |X - (x0, 0)| <= rho, with the lumped |y|^exponent node weights:
+    (b, minimized residual) per rho; b = 0 where the basis has no mass."""
+    masses = grid.lumped_node_weights(exponent=exponent)
+    radii = node_radii(grid, x0)
+    bs, residuals = np.empty(len(r_grid)), np.empty(len(r_grid))
+    for i, rho in enumerate(r_grid):
+        sel = radii <= rho
+        m, v, p = masses[sel], V[sel], basis[sel]
+        denom = float((p**2 * m).sum())
+        bs[i] = float((v * p * m).sum() / denom) if denom > 0 else 0.0
+        residuals[i] = float(((v - bs[i] * p) ** 2 * m).sum())
+    return bs, residuals
+
+
+def oscillation_decay(U: np.ndarray, problem, x0, r_grid: np.ndarray) -> dict:
+    """Fitted slope of log int_{B_rho^+(x0)} (w - <w>_rho)^2 y^{-a} vs log rho
+    where w = y^a U_y and <.>_rho is the y^{-a} dX-weighted ball average
+    (the ball fit of w by a constant).
+
+    Slopes above n+1-a indicate Hoelder decay of the conjugate variable.
+    """
+    grid = problem.grid
+    r_grid = np.asarray(r_grid, dtype=float)
+    if len(r_grid) < 4:
+        raise InsufficientDataError("need at least 4 radii for the oscillation fit")
+    w = sg.conjugate_variable(grid, U)
+    _, vals = _ball_fit(grid, x0, w, np.broadcast_to(1.0, grid.node_shape), -grid.a, r_grid)
+    floor = 1e-28 * max(np.abs(w).max(), 1.0) ** 2
+    return {"slope": loglog_slope(r_grid, vals, floor), "values": vals, "r": r_grid}
+
+
+def campanato_decay(V: np.ndarray, grid, x0, r_grid: np.ndarray) -> dict:
+    """Least-squares fit of V by b * y^{1-a} in weighted balls around x0.
+
+    For each radius, b minimizes sum (V_i - b y_i^{1-a})^2 over nodes in
+    B_r^+(x0) with lumped y^a weights (a discrete quadrature of the
+    weighted L2 projection, exact when V is the ansatz at the nodes).
+    Returns the log-log slope of the minimized residual, the target
+    exponent n+1+a+2(1+beta) with beta = 1/2, and b at the smallest radius.
+    """
+    a = grid.a
+    V = np.asarray(V, dtype=float)
+    r_grid = np.asarray(r_grid, dtype=float)
+    if len(r_grid) < 4:
+        raise InsufficientDataError("need at least 4 radii for the decay fit")
+    ypow = np.broadcast_to(grid.ys ** (1.0 - a), grid.node_shape)
+    bs, residuals = _ball_fit(grid, x0, V, ypow, a, r_grid)
+    floor = 1e-28 * max(np.abs(V).max(), 1.0) ** 2
+    return {
+        "slope": loglog_slope(r_grid, residuals, floor),
+        "target": grid.n + 1 + a + 2.0 * (1.0 + 0.5),
+        "b": float(bs[0]),
+        "residuals": residuals,
+        "r": r_grid,
+    }
 
 
 def Lam_of(field) -> float:

@@ -6,8 +6,8 @@ import pytest
 
 import signorini as sg
 from conftest import (
-    angular_ode, apply_operator, interior_mask, penalized_reference, profile_boundary,
-    residual_l2, solved_profile,
+    angular_ode, apply_operator, campanato_decay, interior_mask, oscillation_decay,
+    penalized_reference, profile_boundary, residual_l2, solved_profile,
 )
 
 
@@ -307,7 +307,7 @@ def test_criterion_10_decay_diagnostics():
     details = []
     for a in (0.0, 0.5):
         grid, problem, form, sol, _ = solved_profile(a, 1 / 128)
-        out = sg.oscillation_decay(sol.U, problem, [0.0], np.geomspace(0.08, 0.5, 10))
+        out = oscillation_decay(sol.U, problem, [0.0], np.geomspace(0.08, 0.5, 10))
         floor = 1 + 1 - a + 0.5
         assert out["slope"] >= floor, (a, out["slope"])
         details.append(f"a={a}: oscillation slope {out['slope']:.2f} >= {floor}")
@@ -316,7 +316,7 @@ def test_criterion_10_decay_diagnostics():
     grid = sg.build_grid(1, 1.0, 1 / 64, 1 / 64, a)
     _, Y = grid.node_mesh()
     c = 1.7
-    out = sg.campanato_decay(c * Y ** (1 - a), grid, [0.0], np.geomspace(0.1, 0.5, 6))
+    out = campanato_decay(c * Y ** (1 - a), grid, [0.0], np.geomspace(0.1, 0.5, 6))
     assert abs(out["b"] - c) <= 1e-10
     assert out["residuals"].max() <= 1e-10
     details.append(f"campanato: |b - c| = {abs(out['b']-c):.1e}, residual {out['residuals'].max():.1e}")

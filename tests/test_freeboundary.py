@@ -20,8 +20,8 @@ from signorini.freeboundary import gamma_points, local_columns
 from signorini.grid import interpolate
 
 from conftest import (
-    TILTED_B, _bitwise_equal, _cpus, _deadline, _no_child_process, normalized_field,
-    profile_boundary, solved_profile,
+    TILTED_B, _bitwise_equal, _cpus, _deadline, _no_child_process, node_radii,
+    normalized_field, profile_boundary, solved_profile,
 )
 
 
@@ -271,7 +271,7 @@ def test_decay_fit_sups_on_the_block_equal_the_full_grid():
     U = sg.exact_solution("signorini_profile", a)(np.stack(grid.node_mesh(), axis=-1))
     for x0 in ([-1 / 16, 0.0], [-1 / 16, 0.5], [0.0, -0.5]):
         fit = sg.decay_fit(U, problem, np.array(x0))
-        radii = grid.node_radii(x0)
+        radii = node_radii(grid, x0)
         sups = [np.abs(U)[radii <= r].max() for r in fit["r"]]
         assert np.array_equal(fit["sup"], sups)
 
@@ -290,7 +290,7 @@ def test_blowup_self_similarity_and_height():
     U = profile_boundary(grid, a)
     bl1 = sg.blowup(U, problem, [0.0], 0.5)
     bl2 = sg.blowup(U, problem, [0.0], 0.25)
-    inner = grid.node_radii() <= 0.9
+    inner = node_radii(grid) <= 0.9
     scale = np.abs(bl1[inner]).max()
     assert np.abs(bl1[inner] - bl2[inner]).max() <= 0.02 * scale
     rule = sg.sphere_quadrature(grid, 1.0, 64)
@@ -311,7 +311,7 @@ def test_blowup_ladder_converges_to_profile():
     # boundary data mixing in a higher mode: the extra content decays
     # linearly under rescaling, so blow-ups approach the normalized profile
     grid, problem, form, sol, _ = solved_profile(0.0, 1.0 / 96, mix=0.6)
-    inner = grid.node_radii() <= 0.8
+    inner = node_radii(grid) <= 0.8
     U0 = profile_boundary(grid, 0.0)
     H1 = sg.sphere_heights(U0, problem, [sg.sphere_quadrature(grid, 1.0, 64)])[0][0]
     target = U0 / np.sqrt(H1)
@@ -545,6 +545,32 @@ def test_report_reduces_the_obstacle_once(n2_circle_solve, monkeypatch, one_cpu)
     assert len(built) == 1
 
 
+def test_diagnose_reduces_the_obstacle_once(tmp_path, monkeypatch, one_cpu):
+    # psi != 0: the report's reduction also serves the profile and the
+    # identity checks, which run alongside it
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "n": 1, "a": 0.0, "hx": 1 / 32, "hy": 1 / 32, "boundary": 0.0, "r_grid": {"count": 15},
+        "obstacle": {"poly": [[0.05, [0]], [-1.0, [2]]]},
+    }))
+    reduce = sg.freeboundary.reduce_obstacle
+    built = []
+
+    def counting(U, problem):
+        out = reduce(U, problem)
+        if out[1] is not problem:
+            built.append(out[1])
+        return out
+
+    monkeypatch.setattr(sg.freeboundary, "reduce_obstacle", counting)
+    monkeypatch.setattr(cli, "reduce_obstacle", counting, raising=False)
+    out = tmp_path / "run"
+    assert cli.main(["diagnose", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "freeboundary.json").read_text())
+    assert report["points"] and (out / "identities.json").exists()
+    assert len(built) == 1
+
+
 def test_n2_circle_arc_graph_fit(n2_circle_solve):
     grid, problem, form, sol = n2_circle_solve
     masks = sg.contact_set(sol, problem)
@@ -574,9 +600,10 @@ def test_forked_report_equals_inline(n2_tilted_obstacle_solve, monkeypatch):
     assert _bitwise_equal(forked.graph, inline.graph)
 
 
-def _children_first():
-    """Work for this process to run beside the children: wait until every
-    child has exited, so that the children claim the first points."""
+def _children_first(U0, problem0):
+    """Work for this process to run beside the children, on the report's
+    reduction: wait until every child has exited, so that the children
+    claim the first points."""
     for proc in multiprocessing.active_children():
         proc.join(60)
 
@@ -615,8 +642,8 @@ def test_exception_beside_the_children_reaches_the_caller_with_its_type(
     # children are stopped and reaped
     problem, sol = n2_tilted_obstacle_solve
 
-    def profile_work():
-        sg.radial_profile(*sg.reduce_obstacle(sol.U, problem), Kprime="bogus")
+    def profile_work(U0, problem0):
+        sg.radial_profile(U0, problem0, Kprime="bogus")
 
     _cpus(monkeypatch, 2)
     with _deadline(60), pytest.raises(InvalidConfigurationError, match="Kprime") as info:

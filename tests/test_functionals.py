@@ -16,8 +16,8 @@ from signorini.functionals import frame_factors, integrate_psi_sigma, sphere_col
 
 from conftest import (
     TILTED_B, Lam_of, _bitwise_equal, _cpus, _deadline, _no_child_process, ball_weighted_measure,
-    graded_grid, halfsphere_weighted_area, homogeneous_functionals, normalized_field,
-    profile_boundary, reference_heights, solved_profile,
+    campanato_decay, graded_grid, halfsphere_weighted_area, homogeneous_functionals,
+    normalized_field, oscillation_decay, profile_boundary, reference_heights, solved_profile,
 )
 
 
@@ -220,8 +220,7 @@ def _dealt_phase(problem, sol) -> tuple:
     checks on the reduction; (report, profile, checks)."""
     out = {}
 
-    def alongside():
-        U0, problem0 = sg.reduce_obstacle(sol.U, problem)
+    def alongside(U0, problem0):
         out["profile"] = sg.radial_profile(U0, problem0)
         out["checks"] = sg.identity_checks(U0, problem0, out["profile"])
 
@@ -667,20 +666,20 @@ def test_oscillation_constant_conjugate_variable():
     problem = sg.make_problem(grid)
     _, Y = grid.node_mesh()
     U = 3.0 * Y ** (1 - a)  # w = 3(1-a) constant
-    out = sg.oscillation_decay(U, problem, [0.0], np.geomspace(0.1, 0.4, 6))
+    out = oscillation_decay(U, problem, [0.0], np.geomspace(0.1, 0.4, 6))
     assert out["slope"] == float("inf")
 
 
 def test_oscillation_profile_slope(profile_a0):
     grid, problem, form, sol, _ = profile_a0
-    out = sg.oscillation_decay(sol.U, problem, [0.0], np.geomspace(0.08, 0.5, 10))
+    out = oscillation_decay(sol.U, problem, [0.0], np.geomspace(0.08, 0.5, 10))
     assert out["slope"] > 2.0  # strictly above n + 1 - a
     assert out["slope"] == pytest.approx(3.0, abs=0.3)
 
 
 def test_oscillation_smooth_region_slope(profile_a0):
     grid, problem, form, sol, _ = profile_a0
-    out = sg.oscillation_decay(sol.U, problem, [0.55], np.geomspace(0.1, 0.35, 8))
+    out = oscillation_decay(sol.U, problem, [0.55], np.geomspace(0.1, 0.35, 8))
     assert out["slope"] >= 3.4  # ~ n + 1 - a + 2 for Lipschitz w
 
 
@@ -689,7 +688,7 @@ def test_campanato_exact_ansatz():
     grid = sg.build_grid(1, 1.0, 1 / 32, 1 / 32, a)
     _, Y = grid.node_mesh()
     V = 2.5 * Y ** (1 - a)
-    out = sg.campanato_decay(V, grid, [0.0], np.geomspace(0.1, 0.5, 6))
+    out = campanato_decay(V, grid, [0.0], np.geomspace(0.1, 0.5, 6))
     assert out["b"] == pytest.approx(2.5, abs=1e-10)
     assert out["residuals"].max() <= 1e-10
     assert out["slope"] == float("inf")
@@ -701,7 +700,7 @@ def test_campanato_even_field_contract_note():
     a = 0.5
     grid = sg.build_grid(1, 1.0, 1 / 32, 1 / 32, a)
     _, Y = grid.node_mesh()
-    out = sg.campanato_decay(1.0 + Y**2, grid, [0.0], np.geomspace(0.1, 0.5, 6))
+    out = campanato_decay(1.0 + Y**2, grid, [0.0], np.geomspace(0.1, 0.5, 6))
     assert np.isfinite(out["slope"]) and np.isfinite(out["b"])
     assert out["slope"] < out["target"]
 
@@ -713,7 +712,7 @@ def test_campanato_manufactured_correction_slope():
     grid = sg.build_grid(1, 1.0, 1 / 96, 1 / 96, a)
     _, Y = grid.node_mesh()
     V = Y ** (1 - a) + Y ** (3 - a)
-    out = sg.campanato_decay(V, grid, [0.0], np.geomspace(0.15, 0.6, 8))
+    out = campanato_decay(V, grid, [0.0], np.geomspace(0.15, 0.6, 8))
     expected = 1 + 1 + a + 2 * (3 - a)
     assert out["slope"] == pytest.approx(expected, abs=0.25)
     assert out["slope"] >= out["target"]

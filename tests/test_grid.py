@@ -9,7 +9,8 @@ from signorini.errors import InvalidConfigurationError, UnsupportedRadiusError
 from signorini.grid import _gauss_jacobi, _weighted_layer_integrals, ball_sums, interpolate
 
 from conftest import (
-    ball_weighted_measure, coverage_field, halfsphere_weighted_area, total_weighted_measure,
+    ball_cells, ball_weighted_measure, coverage_field, halfsphere_weighted_area, node_radii,
+    total_weighted_measure,
 )
 
 
@@ -164,7 +165,7 @@ def test_sphere_quadrature_refinement_order():
 
 def test_ball_cells_full_radius():
     grid = sg.build_grid(1, 1.0, 1 / 8, 1 / 8, 0.0)
-    cells = sg.ball_cells(grid, 1.0)
+    cells = ball_cells(grid, 1.0)
     cov = coverage_field(cells, grid.cell_shape)
     centers = grid.cell_centers()
     dist = np.hypot(centers[0], centers[1])
@@ -175,7 +176,7 @@ def test_ball_cells_full_radius():
 
 def test_ball_cells_small_radius_contains_origin_cells():
     grid = sg.build_grid(1, 1.0, 1 / 8, 1 / 8, 0.0)
-    cells = sg.ball_cells(grid, 2.5 * grid.hx / 8 + 0.26)  # any small-ish radius
+    cells = ball_cells(grid, 2.5 * grid.hx / 8 + 0.26)  # any small-ish radius
     cov = coverage_field(cells, grid.cell_shape)
     # the two cells touching the origin at y=0
     i0 = len(grid.xs[0]) // 2
@@ -184,7 +185,7 @@ def test_ball_cells_small_radius_contains_origin_cells():
 
 def test_ball_cells_half_disc_area():
     grid = sg.build_grid(1, 1.0, 1 / 64, 1 / 64, 0.0)
-    cells = sg.ball_cells(grid, 0.5)
+    cells = ball_cells(grid, 0.5)
     area = float((grid.cell_measures[cells.indices] * cells.fractions).sum())
     assert area == pytest.approx(np.pi * 0.25 / 2, rel=0.02)
 
@@ -192,7 +193,7 @@ def test_ball_cells_half_disc_area():
 def test_ball_cells_radius_check():
     grid = sg.build_grid(1, 1.0, 1 / 8, 1 / 8, 0.0)
     with pytest.raises(UnsupportedRadiusError):
-        sg.ball_cells(grid, 1.2)
+        ball_cells(grid, 1.2)
 
 
 @pytest.mark.parametrize("n,a", [(1, 0.5), (2, 0.25)])
@@ -201,7 +202,7 @@ def test_ball_measure_converges_with_subsampling(n, a):
     exact = ball_weighted_measure(n, 0.6, a)
     errs = []
     for nsub in (2, 4, 8):
-        cells = sg.ball_cells(grid, 0.6, nsub=nsub)
+        cells = ball_cells(grid, 0.6, nsub=nsub)
         approx = float((grid.cell_measures[cells.indices] * cells.fractions).sum())
         errs.append(abs(approx - exact))
     assert errs[2] < errs[0]
@@ -257,7 +258,7 @@ def test_ball_sums_match_ball_cells(n, hx, hy, radii, nsub):
     sums = ball_sums(grid, densities, radii, nsub=nsub)
     assert sums.shape == (2, len(radii))
     for i, r in enumerate(radii):
-        cells = sg.ball_cells(grid, r, nsub=nsub)
+        cells = ball_cells(grid, r, nsub=nsub)
         for k in range(2):
             ref = float((densities[k][cells.indices] * cells.fractions).sum())
             assert sums[k, i] == pytest.approx(ref, rel=1e-12)
@@ -448,7 +449,7 @@ def test_interpolate_product_tree_equals_the_corner_loop(n):
 def test_node_block_holds_every_node_of_the_ball(n):
     grid = sg.build_grid(n, 1.0, 1 / 8, 1 / 8, 0.5)
     x0 = np.array([-0.375, 0.8125][:n])
-    full = grid.node_radii(x0)
+    full = node_radii(grid, x0)
     for r in (0.2, 0.5):
         block, radii = grid.node_block(x0, r)
         assert np.array_equal(radii, full[block]) and radii.size < full.size

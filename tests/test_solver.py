@@ -293,6 +293,35 @@ def test_failed_coarse_cg_leaves_the_solve_to_the_finest_level(monkeypatch):
     assert np.abs(sol.U - ref.U).max() <= 5 * sol.tol
 
 
+@pytest.mark.parametrize("case", [_profile_problem_a05, _tilted_n2_problem],
+                         ids=["n1_a05", "n2_tilted"])
+def test_coarse_level_at_the_step_cap_moves_on(case, monkeypatch):
+    # no coarse-level set ever repeats: each coarse level stops after
+    # ACTIVE_SET_MAX_STEPS solves without an error, and the finest level
+    # still reaches and certifies the same solution
+    grid, problem, form = case()
+    ref = sg.solve_active_set(form, problem)
+    predicted, last = solver_mod._predicted, {}
+
+    def never_repeating(A_thin, c, load, U, thin, psi):
+        active = predicted(A_thin, c, load, U, thin, psi)
+        if len(U) < grid.n_nodes:
+            if np.array_equal(active, last.get(len(U))):
+                active[0] = not active[0]
+            last[len(U)] = active.copy()
+        return active
+
+    monkeypatch.setattr(solver_mod, "_predicted", never_repeating)
+    sol = sg.solve_active_set(form, problem)
+    coarse = [s["level"] for s in sol.steps if s["level"] > 0]
+    levels = len(_prolongations(grid))
+    assert levels >= 1
+    assert coarse == [lv for lv in range(levels, 0, -1) for _ in range(solver_mod.ACTIVE_SET_MAX_STEPS)]
+    assert sol.final_residual <= sol.tol
+    assert np.array_equal(sol.active, ref.active)
+    assert np.abs(sol.U - ref.U).max() <= 5 * sol.tol
+
+
 def test_nested_start_keeps_the_finest_solves_few():
     # the finest level's step count does not grow with 1/h; the coarse
     # levels' steps come first, coarsest first
